@@ -9,7 +9,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tg_datasets::{GridPoint, SyntheticConfig};
 use tg_graph::Snapshot;
-use tg_metrics::{count_motifs, GraphStats};
+use tg_metrics::{count_motifs, CumulativeStats, GraphStats};
 use tg_sampling::{sample_ego_graph, ComputationGraph, InitialNodeSampler, SamplerConfig};
 use tg_tensor::matrix::{matmul_nn, matmul_nn_naive, segment_softmax, Matrix};
 use tgae::{Tgae, TgaeConfig};
@@ -97,6 +97,10 @@ fn metric_benches(c: &mut Criterion) {
     let snap = Snapshot::accumulated(&g, g.n_timestamps() as u32 - 1, true);
     c.bench_function("graph_stats_full", |b| {
         b.iter(|| GraphStats::compute(&snap))
+    });
+    // all ten accumulated snapshots in one incremental pass
+    c.bench_function("cumulative_series", |b| {
+        b.iter(|| CumulativeStats::new(&g).collect::<Vec<GraphStats>>())
     });
     c.bench_function("snapshot_accumulate", |b| {
         b.iter(|| Snapshot::accumulated(&g, 9, true))

@@ -766,20 +766,32 @@ impl<'a> Session<'a> {
     /// Table III statistics (Eq. 10). The synthetic graph must cover the
     /// observed horizon and node set.
     pub fn evaluate(&self, synthetic: &TemporalGraph) -> Result<Vec<MetricScore>, TgxError> {
-        if synthetic.n_nodes() != self.observed.get().n_nodes() {
-            return Err(TgxError::NodeCountMismatch {
-                model: self.observed.get().n_nodes(),
-                graph: synthetic.n_nodes(),
-            });
-        }
-        if synthetic.n_timestamps() < self.observed.get().n_timestamps() {
-            return Err(TgxError::TimestampMismatch {
-                model: self.observed.get().n_timestamps(),
-                graph: synthetic.n_timestamps(),
-            });
-        }
-        Ok(tg_metrics::evaluate(self.observed.get(), synthetic))
+        evaluate_checked(self.observed.get(), synthetic)
     }
+}
+
+/// Eq. 10 scores of `synthetic` against `observed`, with the shape
+/// requirements `tg_metrics::evaluate` asserts turned into typed errors:
+/// the node sets must match and `synthetic` must cover the observed
+/// horizon. The one evaluate entry point of [`Session`] and
+/// [`SharedRun`](crate::shared::SharedRun).
+pub(crate) fn evaluate_checked(
+    observed: &TemporalGraph,
+    synthetic: &TemporalGraph,
+) -> Result<Vec<MetricScore>, TgxError> {
+    if synthetic.n_nodes() != observed.n_nodes() {
+        return Err(TgxError::NodeCountMismatch {
+            model: observed.n_nodes(),
+            graph: synthetic.n_nodes(),
+        });
+    }
+    if synthetic.n_timestamps() < observed.n_timestamps() {
+        return Err(TgxError::TimestampMismatch {
+            model: observed.n_timestamps(),
+            graph: synthetic.n_timestamps(),
+        });
+    }
+    Ok(tg_metrics::evaluate(observed, synthetic))
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@
 use crate::engine::{generate_with_sink, CostEstimate, SimulationPlan};
 use crate::errors::TgxError;
 use crate::model::Tgae;
-use crate::session::SeedPolicy;
+use crate::session::{evaluate_checked, SeedPolicy};
 use crate::trainer::validate_shapes;
 use std::sync::Arc;
 use tg_graph::sink::EdgeSink;
@@ -200,19 +200,7 @@ impl SharedRun {
     /// the same typed shape checks as
     /// [`Session::evaluate`](crate::session::Session::evaluate).
     pub fn evaluate(&self, synthetic: &TemporalGraph) -> Result<Vec<MetricScore>, TgxError> {
-        if synthetic.n_nodes() != self.observed.n_nodes() {
-            return Err(TgxError::NodeCountMismatch {
-                model: self.observed.n_nodes(),
-                graph: synthetic.n_nodes(),
-            });
-        }
-        if synthetic.n_timestamps() < self.observed.n_timestamps() {
-            return Err(TgxError::TimestampMismatch {
-                model: self.observed.n_timestamps(),
-                graph: synthetic.n_timestamps(),
-            });
-        }
-        Ok(tg_metrics::evaluate(&self.observed, synthetic))
+        evaluate_checked(&self.observed, synthetic)
     }
 }
 

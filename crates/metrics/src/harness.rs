@@ -3,10 +3,16 @@
 //! metric, and the relative differences are reduced with mean (`f_avg`,
 //! Table V) or median (`f_med`, Table IV). Also exposes the raw per-
 //! timestamp series used by Figure 5.
+//!
+//! Every per-timestamp statistic comes from one [`CumulativeStats`] pass
+//! per graph (see [`crate::cumulative`]); nothing here builds a snapshot.
+//! A caller scoring several generated graphs against one observed graph
+//! collects the observed pass once and hands it to [`evaluate_against`].
 
+use crate::cumulative::CumulativeStats;
 use crate::stats::{GraphStats, MetricKind};
 use serde::{Deserialize, Serialize};
-use tg_graph::{Snapshot, TemporalGraph};
+use tg_graph::TemporalGraph;
 
 /// Per-timestamp values of one statistic on accumulated snapshots.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -18,12 +24,7 @@ pub struct MetricSeries {
 
 /// All seven statistic series for one temporal graph (Figure 5 payload).
 pub fn metric_timeseries(g: &TemporalGraph) -> Vec<MetricSeries> {
-    let t_count = g.n_timestamps();
-    let mut per_t: Vec<GraphStats> = Vec::with_capacity(t_count);
-    for t in 0..t_count {
-        let snap = Snapshot::accumulated(g, t as u32, true);
-        per_t.push(GraphStats::compute(&snap));
-    }
+    let per_t: Vec<GraphStats> = CumulativeStats::new(g).collect();
     MetricKind::ALL
         .iter()
         .map(|&kind| MetricSeries {
@@ -59,7 +60,15 @@ pub struct MetricScore {
 /// *real* graph's timestamp count; the generated graph must cover the same
 /// horizon (extra timestamps are ignored, missing ones are an error).
 pub fn evaluate(real: &TemporalGraph, generated: &TemporalGraph) -> Vec<MetricScore> {
-    let t_count = real.n_timestamps();
+    let real: Vec<GraphStats> = CumulativeStats::new(real).collect();
+    evaluate_against(&real, generated)
+}
+
+/// [`evaluate`] with the real graph's side already computed: `real[t]` is
+/// its accumulated-snapshot statistics at timestamp `t`, i.e. a collected
+/// [`CumulativeStats`] pass.
+pub fn evaluate_against(real: &[GraphStats], generated: &TemporalGraph) -> Vec<MetricScore> {
+    let t_count = real.len();
     assert!(
         generated.n_timestamps() >= t_count,
         "generated graph covers {} timestamps, need {}",
@@ -70,9 +79,7 @@ pub fn evaluate(real: &TemporalGraph, generated: &TemporalGraph) -> Vec<MetricSc
         std::iter::repeat_with(|| Vec::with_capacity(t_count))
             .take(7)
             .collect();
-    for t in 0..t_count {
-        let sr = GraphStats::compute(&Snapshot::accumulated(real, t as u32, true));
-        let sg = GraphStats::compute(&Snapshot::accumulated(generated, t as u32, true));
+    for (sr, sg) in real.iter().zip(CumulativeStats::new(generated)) {
         for (i, kind) in MetricKind::ALL.iter().enumerate() {
             per_metric_diffs[i].push(relative_error(sr.get(*kind), sg.get(*kind)));
         }
@@ -103,7 +110,7 @@ pub fn median(xs: &[f64]) -> f64 {
         return 0.0;
     }
     let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in median input"));
+    v.sort_by(f64::total_cmp);
     let mid = v.len() / 2;
     if v.len() % 2 == 1 {
         v[mid]

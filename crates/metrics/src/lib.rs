@@ -2,14 +2,19 @@
 //!
 //! - [`stats`] — the seven Table III graph statistics ([`stats::MetricKind`],
 //!   [`stats::GraphStats`]) computed on undirected simple snapshot views;
+//! - [`cumulative`] — the same seven statistics on *every* accumulated
+//!   snapshot of a temporal graph in one incremental pass over its edge
+//!   stream ([`CumulativeStats`]), bit-identical to [`GraphStats::compute`]
+//!   per timestamp;
 //! - [`harness`] — the Eq. 10 comparison harness producing the `f_avg`
 //!   (Table V) and `f_med` (Table IV) scores, plus the per-timestamp metric
-//!   series behind Figure 5;
+//!   series behind Figure 5, both reduced from that pass;
 //! - [`motifs`] — the δ-temporal motif census over all 36 two/three-node
 //!   three-edge motif classes (reference \[43\] of the paper);
 //! - [`mmd`] — Gaussian-kernel total-variation MMD (Eq. 1) used by Table VI;
 //! - [`union_find`] — disjoint sets for component statistics.
 
+pub mod cumulative;
 pub mod degree;
 pub mod harness;
 pub mod mmd;
@@ -17,8 +22,11 @@ pub mod motifs;
 pub mod stats;
 pub mod union_find;
 
+pub use cumulative::CumulativeStats;
 pub use degree::{degree_histogram, degree_mmd};
-pub use harness::{evaluate, metric_timeseries, relative_error, MetricScore, MetricSeries};
+pub use harness::{
+    evaluate, evaluate_against, metric_timeseries, relative_error, MetricScore, MetricSeries,
+};
 pub use mmd::{gaussian_kernel, mmd2_single, mmd2_tv, tv_distance};
 pub use motifs::{
     census_per_chunk, census_per_chunk_sampled, count_motifs, count_motifs_sampled, MotifCensus,

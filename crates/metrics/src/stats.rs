@@ -195,11 +195,15 @@ pub fn power_law_exponent(degrees: &[usize]) -> f64 {
     }
     let d_min = positive.iter().cloned().fold(f64::INFINITY, f64::min);
     let log_sum: f64 = positive.iter().map(|&d| (d / d_min).ln()).sum();
-    if log_sum <= 1e-12 {
-        // degenerate (all degrees equal): return a large-but-finite exponent
-        return 1.0 + positive.len() as f64 / 1e-12_f64.max(log_sum);
-    }
-    1.0 + positive.len() as f64 / log_sum
+    ple_from_log_sum(positive.len(), log_sum)
+}
+
+/// The closing step of the PLE estimator, shared with the incremental
+/// accumulator: `1 + n' / Σ ln(d / d_min)` over `n' > 0` positive-degree
+/// nodes, with the degenerate all-degrees-equal case (`Σ ≈ 0`) mapped to
+/// a large-but-finite exponent.
+pub(crate) fn ple_from_log_sum(n_positive: usize, log_sum: f64) -> f64 {
+    1.0 + n_positive as f64 / log_sum.max(1e-12)
 }
 
 #[cfg(test)]

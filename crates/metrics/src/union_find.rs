@@ -1,11 +1,14 @@
 //! Disjoint-set forest (union by size + path halving), used for connected
-//! components (LCC and N-Component statistics of Table III).
+//! components (LCC and N-Component statistics of Table III). Sets only
+//! ever merge, so the component count and the largest set size are kept
+//! as running values: both are O(1) reads after any number of unions.
 
 /// Union-find over `0..n`.
 pub struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
     n_components: usize,
+    largest: u32,
 }
 
 impl UnionFind {
@@ -14,6 +17,7 @@ impl UnionFind {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
             n_components: n,
+            largest: (n > 0) as u32,
         }
     }
 
@@ -39,6 +43,7 @@ impl UnionFind {
         }
         self.parent[rb as usize] = ra;
         self.size[ra as usize] += self.size[rb as usize];
+        self.largest = self.largest.max(self.size[ra as usize]);
         self.n_components -= 1;
         true
     }
@@ -48,17 +53,9 @@ impl UnionFind {
         self.n_components
     }
 
-    /// Size of the largest set.
-    pub fn largest_component(&mut self) -> usize {
-        if self.parent.is_empty() {
-            return 0;
-        }
-        let mut best = 0u32;
-        for x in 0..self.parent.len() as u32 {
-            let r = self.find(x);
-            best = best.max(self.size[r as usize]);
-        }
-        best as usize
+    /// Size of the largest set (0 when there are no elements).
+    pub fn largest_component(&self) -> usize {
+        self.largest as usize
     }
 
     /// Size of the set containing `x`.
@@ -108,8 +105,24 @@ mod tests {
     }
 
     #[test]
+    fn running_largest_matches_a_scan() {
+        // pseudo-random unions; after each, the running value must equal
+        // the largest `component_size` over all elements
+        let n = 64u32;
+        let mut uf = UnionFind::new(n as usize);
+        let mut x = 12345u32;
+        for _ in 0..200 {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let (a, b) = ((x >> 8) % n, (x >> 20) % n);
+            uf.union(a, b);
+            let scanned = (0..n).map(|v| uf.component_size(v)).max().unwrap();
+            assert_eq!(uf.largest_component(), scanned);
+        }
+    }
+
+    #[test]
     fn empty() {
-        let mut uf = UnionFind::new(0);
+        let uf = UnionFind::new(0);
         assert_eq!(uf.n_components(), 0);
         assert_eq!(uf.largest_component(), 0);
     }

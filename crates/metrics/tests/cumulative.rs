@@ -1,0 +1,239 @@
+//! `CumulativeStats` against the batch oracle: every per-timestamp
+//! statistic must be `to_bits()`-equal to
+//! `GraphStats::compute(&Snapshot::accumulated(g, t, true))`, and every
+//! `MetricScore` to the per-timestamp-snapshot evaluation loop the
+//! accumulator replaced (kept here as `batch_evaluate`).
+
+use proptest::prelude::*;
+use tg_graph::{Snapshot, TemporalEdge, TemporalGraph};
+use tg_metrics::harness::mean;
+use tg_metrics::{
+    evaluate, evaluate_against, metric_timeseries, relative_error, CumulativeStats, GraphStats,
+    MetricKind,
+};
+
+fn batch_series(g: &TemporalGraph, t_count: usize) -> Vec<GraphStats> {
+    (0..t_count)
+        .map(|t| GraphStats::compute(&Snapshot::accumulated(g, t as u32, true)))
+        .collect()
+}
+
+/// Eq. 10 as it was computed before the accumulator: `(avg, med)` per
+/// metric in `MetricKind::ALL` order.
+fn batch_evaluate(real: &TemporalGraph, generated: &TemporalGraph) -> Vec<(f64, f64)> {
+    let t_count = real.n_timestamps();
+    let (sr, sg) = (
+        batch_series(real, t_count),
+        batch_series(generated, t_count),
+    );
+    MetricKind::ALL
+        .iter()
+        .map(|&kind| {
+            let diffs: Vec<f64> = sr
+                .iter()
+                .zip(&sg)
+                .map(|(r, g)| relative_error(r.get(kind), g.get(kind)))
+                .collect();
+            let mut sorted = diffs.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in median input"));
+            let mid = sorted.len() / 2;
+            let med = if sorted.len() % 2 == 1 {
+                sorted[mid]
+            } else {
+                0.5 * (sorted[mid - 1] + sorted[mid])
+            };
+            (mean(&diffs), med)
+        })
+        .collect()
+}
+
+fn assert_series_match(g: &TemporalGraph) {
+    let want = batch_series(g, g.n_timestamps());
+    let got: Vec<GraphStats> = CumulativeStats::new(g).collect();
+    assert_eq!(got.len(), want.len());
+    for (t, (got, want)) in got.iter().zip(&want).enumerate() {
+        for (kind, (a, b)) in MetricKind::ALL
+            .iter()
+            .zip(got.as_array().iter().zip(want.as_array()))
+        {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{} at t={t}: {a} vs {b}",
+                kind.name()
+            );
+        }
+    }
+    for series in metric_timeseries(g) {
+        let want: Vec<u64> = want.iter().map(|s| s.get(series.kind).to_bits()).collect();
+        let got: Vec<u64> = series.values.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "{}", series.kind.name());
+    }
+}
+
+fn assert_scores_match(real: &TemporalGraph, generated: &TemporalGraph) {
+    let want = batch_evaluate(real, generated);
+    let real_series: Vec<GraphStats> = CumulativeStats::new(real).collect();
+    for scores in [
+        evaluate(real, generated),
+        evaluate_against(&real_series, generated),
+    ] {
+        assert_eq!(scores.len(), want.len());
+        for ((score, &(avg, med)), kind) in scores.iter().zip(&want).zip(MetricKind::ALL) {
+            assert_eq!(score.kind, kind);
+            assert_eq!(score.avg.to_bits(), avg.to_bits(), "{} avg", kind.name());
+            assert_eq!(score.med.to_bits(), med.to_bits(), "{} med", kind.name());
+        }
+    }
+}
+
+/// One raw edge: endpoints, timestamp, a flavour selecting which
+/// degenerate companion it brings, and the companion's timestamp.
+type RawEdge = (u32, u32, u32, u32, u32);
+
+/// Build a graph whose stream holds self-loops, reciprocal pairs and
+/// edges repeated within and across timestamps; sparse inputs leave
+/// timestamps empty.
+fn build(n: usize, t_count: usize, raw: &[RawEdge]) -> TemporalGraph {
+    let mut edges = Vec::new();
+    if n > 0 {
+        let (n, t_count) = (n as u32, t_count as u32);
+        for &(u, v, t, flavour, t2) in raw {
+            let (u, v, t, t2) = (u % n, v % n, t % t_count, t2 % t_count);
+            edges.push(TemporalEdge::new(u, v, t));
+            match flavour % 6 {
+                0 => edges.push(TemporalEdge::new(u, u, t)),
+                1 => edges.push(TemporalEdge::new(v, u, t)),
+                2 => edges.push(TemporalEdge::new(v, u, t2)),
+                3 => edges.push(TemporalEdge::new(u, v, t)),
+                4 => edges.push(TemporalEdge::new(u, v, t2)),
+                _ => {}
+            }
+        }
+    }
+    TemporalGraph::from_edges(n, t_count, edges)
+}
+
+fn arb_edges() -> impl Strategy<Value = Vec<RawEdge>> {
+    collection::vec((0u32..40, 0u32..40, 0u32..12, 0u32..6, 0u32..12), 0..90)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn series_is_bit_identical_to_batch(n in 0usize..=40, t_count in 1usize..=12, raw in arb_edges()) {
+        assert_series_match(&build(n, t_count, &raw));
+    }
+
+    /// The generated graph shares the node set but may run past the real
+    /// horizon; the extra timestamps must not change any score.
+    #[test]
+    fn scores_are_bit_identical_to_batch(
+        n in 0usize..=40,
+        t_count in 1usize..=12,
+        extra in 0usize..=3,
+        raw_real in arb_edges(),
+        raw_gen in arb_edges(),
+    ) {
+        let real = build(n, t_count, &raw_real);
+        let generated = build(n, t_count + extra, &raw_gen);
+        assert_scores_match(&real, &generated);
+    }
+}
+
+#[test]
+fn repeats_reciprocals_and_self_loops_are_no_ops() {
+    let e = TemporalEdge::new;
+    let g = TemporalGraph::from_edges(
+        5,
+        4,
+        vec![
+            e(0, 1, 0),
+            e(1, 0, 0), // reciprocal within a timestamp
+            e(0, 1, 0), // repeat within a timestamp
+            e(2, 2, 0), // self-loop
+            e(1, 2, 1),
+            e(0, 1, 1), // repeat across timestamps
+            // t = 2 is empty
+            e(2, 0, 3), // closes the triangle
+            e(3, 4, 3),
+        ],
+    );
+    assert_series_match(&g);
+    let last = CumulativeStats::new(&g).last().unwrap();
+    assert_eq!(last.triangle_count, 1.0);
+    assert_eq!(last.lcc, 3.0);
+    assert_eq!(last.n_components, 2.0);
+}
+
+/// PLE's logarithm table is keyed by `d_min`, which here goes 1 (first
+/// edge) -> 2 (ring closed) -> 1 (a leaf attaches).
+#[test]
+fn d_min_moves_both_ways() {
+    let e = TemporalEdge::new;
+    let g = TemporalGraph::from_edges(
+        5,
+        4,
+        vec![
+            e(0, 1, 0),
+            e(1, 2, 1),
+            e(2, 3, 1),
+            e(3, 0, 2),
+            e(0, 2, 2),
+            e(4, 0, 3),
+        ],
+    );
+    assert_series_match(&g);
+}
+
+#[test]
+fn nodeless_and_edgeless_graphs() {
+    assert_series_match(&TemporalGraph::from_edges(0, 3, Vec::new()));
+    assert_series_match(&TemporalGraph::from_edges(4, 2, Vec::new()));
+}
+
+/// A Table II preset at `scale`, scored against the same preset drawn
+/// with another seed.
+fn check_preset(name: &str, scale: f64) {
+    let preset = tg_datasets::by_name(name).expect("known preset");
+    let real = preset.generate_scaled(scale, 7);
+    let generated = preset.generate_scaled(scale, 8);
+    assert_series_match(&real);
+    assert_scores_match(&real, &generated);
+}
+
+#[test]
+fn preset_dblp() {
+    check_preset("DBLP", 1.0);
+}
+
+#[test]
+fn preset_email() {
+    check_preset("EMAIL", 0.02);
+}
+
+#[test]
+fn preset_msg() {
+    check_preset("MSG", 0.2);
+}
+
+#[test]
+fn preset_bitcoin_alpha() {
+    check_preset("BITCOIN-A", 0.025);
+}
+
+#[test]
+fn preset_bitcoin_otc() {
+    check_preset("BITCOIN-O", 0.02);
+}
+
+#[test]
+fn preset_math() {
+    check_preset("MATH", 0.03);
+}
+
+#[test]
+fn preset_ubuntu() {
+    check_preset("UBUNTU", 0.01);
+}

@@ -370,10 +370,13 @@ mod tests {
 
     #[test]
     fn garbage_json_is_invalid_data() {
-        let payload = b"not json";
-        let mut bytes = (payload.len() as u32).to_be_bytes().to_vec();
-        bytes.extend_from_slice(payload);
-        let err = read_frame(&mut &bytes[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // the second payload is 2 MB of array openers: it must come back
+        // as an error, not overflow the connection thread's stack
+        for payload in [b"not json".to_vec(), vec![b'['; 2 << 20]] {
+            let mut bytes = (payload.len() as u32).to_be_bytes().to_vec();
+            bytes.extend_from_slice(&payload);
+            let err = read_frame(&mut &bytes[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
     }
 }

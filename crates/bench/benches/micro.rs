@@ -147,16 +147,16 @@ fn generation_benches(c: &mut Criterion) {
         .build()
         .expect("session");
     session.train().expect("train");
+    let run = session.into_shared();
     c.bench_function("tgae_generate_500n_5t", |b| {
         let mut master = 8u64;
         b.iter(|| {
             master = master.wrapping_add(1);
-            session
-                .simulate_seeded(
-                    master,
-                    tg_graph::sink::GraphSink::new(g.n_nodes(), g.n_timestamps()),
-                )
-                .expect("simulate")
+            run.simulate_seeded(
+                master,
+                tg_graph::sink::GraphSink::new(g.n_nodes(), g.n_timestamps()),
+            )
+            .expect("simulate")
         })
     });
 }

@@ -17,7 +17,7 @@ use tg_bench::runner::{run_method, write_results, Args, TablePrinter};
 use tg_metrics::{metric_timeseries, MetricKind};
 
 #[global_allocator]
-static ALLOC: tg_bench::TrackingAllocator = tg_bench::TrackingAllocator;
+static ALLOC: tg_obs::memtrack::TrackingAllocator = tg_obs::memtrack::TrackingAllocator;
 
 /// The six metrics Fig. 5 plots (mean degree is skipped by the paper).
 const FIG5_METRICS: [MetricKind; 6] = [

@@ -11,13 +11,13 @@
 //!    [--sweep nodes|timestamps|density|all] [--points k] [--epochs n]
 //!    [--seed s] [--methods ...] [--budget-mb m]`
 
-use tg_bench::memtrack::fmt_bytes;
 use tg_bench::methods::{all_methods, filter_methods};
 use tg_bench::runner::{run_method, write_results, Args, TablePrinter};
 use tg_datasets::{density_sweep, node_sweep, timestamp_sweep, GridPoint};
+use tg_obs::memtrack::fmt_bytes;
 
 #[global_allocator]
-static ALLOC: tg_bench::TrackingAllocator = tg_bench::TrackingAllocator;
+static ALLOC: tg_obs::memtrack::TrackingAllocator = tg_obs::memtrack::TrackingAllocator;
 
 fn main() {
     let args = Args::parse();

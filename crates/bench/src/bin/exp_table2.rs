@@ -10,7 +10,7 @@ use tg_bench::datasets;
 use tg_bench::runner::{write_results, Args, TablePrinter};
 
 #[global_allocator]
-static ALLOC: tg_bench::TrackingAllocator = tg_bench::TrackingAllocator;
+static ALLOC: tg_obs::memtrack::TrackingAllocator = tg_obs::memtrack::TrackingAllocator;
 
 fn main() {
     let args = Args::parse();

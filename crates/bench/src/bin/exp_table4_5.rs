@@ -18,7 +18,7 @@ use tg_bench::runner::{run_method, sci, write_results, Args, TablePrinter};
 use tg_metrics::{evaluate_against, CumulativeStats, GraphStats, MetricKind};
 
 #[global_allocator]
-static ALLOC: tg_bench::TrackingAllocator = tg_bench::TrackingAllocator;
+static ALLOC: tg_obs::memtrack::TrackingAllocator = tg_obs::memtrack::TrackingAllocator;
 
 fn main() {
     let args = Args::parse();
@@ -74,7 +74,7 @@ fn main() {
                 "  {:<8} {:>8.2?} peak={}",
                 outcome.method,
                 t0.elapsed(),
-                tg_bench::memtrack::fmt_bytes(outcome.peak_bytes)
+                tg_obs::memtrack::fmt_bytes(outcome.peak_bytes)
             );
         }
         for (i, kind) in MetricKind::ALL.iter().enumerate() {

@@ -17,7 +17,7 @@ use tg_bench::runner::{run_method, sci, write_results, Args, TablePrinter};
 use tg_metrics::{census_per_chunk_sampled, mmd2_tv};
 
 #[global_allocator]
-static ALLOC: tg_bench::TrackingAllocator = tg_bench::TrackingAllocator;
+static ALLOC: tg_obs::memtrack::TrackingAllocator = tg_obs::memtrack::TrackingAllocator;
 
 fn main() {
     let args = Args::parse();

@@ -16,7 +16,7 @@ use tg_metrics::{
 };
 
 #[global_allocator]
-static ALLOC: tg_bench::TrackingAllocator = tg_bench::TrackingAllocator;
+static ALLOC: tg_obs::memtrack::TrackingAllocator = tg_obs::memtrack::TrackingAllocator;
 
 fn main() {
     let args = Args::parse();

@@ -17,10 +17,9 @@
 //! Criterion micro/ablation benches live in `benches/`.
 
 pub mod datasets;
-pub mod memtrack;
 pub mod methods;
-pub mod obs;
 pub mod runner;
 
-pub use memtrack::TrackingAllocator;
-pub use obs::ObsObserver;
+// The heap tracker lives in `tg-obs`; the frozen benchmark suite
+// (`src/bin/suite`) still names it through this crate.
+pub use tg_obs::memtrack::{self, TrackingAllocator};

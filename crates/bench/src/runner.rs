@@ -2,20 +2,19 @@
 //! wall-clock and peak-memory measurement, with a memory budget that
 //! reproduces the paper's OOM cells.
 
-use crate::memtrack;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
 use tg_baselines::TemporalGraphGenerator;
 use tg_graph::sink::GraphSink;
 use tg_graph::TemporalGraph;
+use tg_obs::memtrack;
 use tgae::{Session, TgaeConfig};
 
 /// TGAE wrapped as a [`TemporalGraphGenerator`] so the harness treats it
-/// uniformly with the baselines. Internally drives a [`Session`];
-/// training derives from `cfg.seed` and the simulation master seed is the
-/// one `u64` drawn from the harness RNG — exactly the PR-3 free-function
-/// behaviour, so recorded experiment outputs are unchanged.
+/// uniformly with the baselines. Internally drives a [`Session`] and hands
+/// off to its `SharedRun`; training derives from `cfg.seed` and the
+/// simulation master seed is the one `u64` drawn from the harness RNG.
 pub struct TgaeMethod {
     pub cfg: TgaeConfig,
     name: &'static str,
@@ -47,6 +46,7 @@ impl TemporalGraphGenerator for TgaeMethod {
         session.train().expect("training failed");
         let master = rng.next_u64();
         session
+            .into_shared()
             .simulate_seeded(
                 master,
                 GraphSink::new(observed.n_nodes(), observed.n_timestamps()),

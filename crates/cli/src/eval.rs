@@ -22,18 +22,17 @@ pub fn run(args: &Args) -> Result<(), String> {
     let scores: Vec<MetricScore> = match args.get("run-dir") {
         Some(dir) => {
             let run_dir = RunDir::open(dir.to_string());
-            let (manifest, observed) = run_dir.load_all()?;
+            let run = run_dir.load_run()?;
             let generated_path = args
                 .get("generated")
                 .map(|s| std::path::PathBuf::from(s.to_string()))
                 .unwrap_or_else(|| run_dir.simulated_path());
             args.reject_unused()?;
+            let observed = run.observed();
             let generated =
-                load_edge_list_exact(&generated_path, manifest.n_nodes, manifest.n_timestamps)
+                load_edge_list_exact(&generated_path, observed.n_nodes(), observed.n_timestamps())
                     .map_err(|e| format!("load {}: {e}", generated_path.display()))?;
-            // the session validates shape and runs the harness
-            let session = run_dir.session(&manifest, &observed)?;
-            session.evaluate(&generated).map_err(|e| e.to_string())?
+            run.evaluate(&generated).map_err(|e| e.to_string())?
         }
         None => {
             let observed_path: String = args.require("observed")?;

@@ -33,11 +33,11 @@ mod train;
 use args::Args;
 use errors::CliError;
 
-/// Byte-accounting allocator from the benchmark harness: it is what
-/// makes the heap fields of `train --telemetry` real numbers instead of
-/// zeros. Allocation itself is delegated to `System` untouched.
+/// Byte-accounting allocator from `tg-obs`: it is what makes the heap
+/// fields of `train --telemetry` real numbers instead of zeros.
+/// Allocation itself is delegated to `System` untouched.
 #[global_allocator]
-static ALLOC: tg_bench::TrackingAllocator = tg_bench::TrackingAllocator;
+static ALLOC: tg_obs::memtrack::TrackingAllocator = tg_obs::memtrack::TrackingAllocator;
 
 const USAGE: &str = "\
 tgx-cli — multi-process driver for the TGAE temporal-graph simulator

@@ -1,15 +1,82 @@
-//! Trace plumbing shared by the `simulate` driver and its shard workers:
-//! installing sinks, the best-effort flush (with its `obs.flush` fault
-//! point), and the driver-side Chrome merge.
+//! The CLI's telemetry glue. Trace plumbing shared by the `simulate`
+//! driver and its shard workers: installing sinks, the best-effort flush
+//! (with its `obs.flush` fault point), and the driver-side Chrome merge.
+//! And [`ObsObserver`], the `train --telemetry` epoch observer.
 //!
 //! Telemetry is **best-effort by contract**: every failure in here warns
-//! on stderr and lets the simulation proceed — a run must never lose its
-//! edges because its trace could not be written. The `obs.flush` fault
-//! point exists to test exactly that contract (see
+//! on stderr and lets the run proceed — a run must never lose its edges
+//! or its model because its telemetry could not be written. The
+//! `obs.flush` fault point exists to test exactly that contract (see
 //! `tests/serve_faults.rs` and `crates/faults`).
 
 use crate::rundir::RunDir;
-use std::path::PathBuf;
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::path::{Path, PathBuf};
+use tg_obs::memtrack;
+use tgae::{EpochEvent, RunObserver, TrainControl};
+
+/// A [`RunObserver`] that records each epoch's loss, wall time, and heap
+/// high-water mark into the global `tg-obs` metrics registry and a
+/// `telemetry.jsonl` file. The heap reading comes from [`memtrack`],
+/// which `main.rs` installs as the global allocator.
+///
+/// Telemetry is *observation only*: the observer always returns
+/// [`TrainControl::Continue`] and touches nothing the seeded training
+/// trajectory depends on, so a run with telemetry writes bit-identical
+/// parameters to one without (regression-tested in
+/// `telemetry_does_not_perturb_training`).
+pub struct ObsObserver {
+    run_label: String,
+    sink: Option<BufWriter<File>>,
+}
+
+impl ObsObserver {
+    /// An observer appending one JSON record per epoch to `path`
+    /// (`{"epoch":..,"loss":..,"wall_ns":..,"heap_peak_bytes":..,"heap_live_bytes":..}`).
+    /// `run_label` becomes the `run` label on the `train.*` metrics.
+    pub fn with_file(run_label: &str, path: &Path) -> std::io::Result<ObsObserver> {
+        tg_obs::enable_metrics();
+        Ok(ObsObserver {
+            run_label: run_label.to_string(),
+            sink: Some(BufWriter::new(File::create(path)?)),
+        })
+    }
+}
+
+impl RunObserver for ObsObserver {
+    fn on_epoch_end(&mut self, event: &EpochEvent) -> TrainControl {
+        let heap_peak = memtrack::peak_bytes();
+        let heap_live = memtrack::current_bytes();
+        let run = self.run_label.as_str();
+        tg_obs::counter!("train.epochs", run = run).inc();
+        tg_obs::gauge!("train.loss", run = run).set(f64::from(event.loss));
+        tg_obs::gauge!("train.heap_peak_bytes", run = run).set(heap_peak as f64);
+        tg_obs::histogram!("train.epoch.seconds", tg_obs::LATENCY_SECONDS, run = run)
+            .observe(event.wall.as_secs_f64());
+        if let Some(w) = self.sink.as_mut() {
+            // Telemetry is best-effort by contract: a full disk must not
+            // abort a training run, so write errors drop the file sink
+            // (the registry keeps recording) rather than propagate.
+            let line = format!(
+                "{{\"epoch\":{},\"n_epochs\":{},\"loss\":{},\"wall_ns\":{},\"heap_peak_bytes\":{},\"heap_live_bytes\":{}}}",
+                event.epoch,
+                event.n_epochs,
+                event.loss,
+                event.wall.as_nanos(),
+                heap_peak,
+                heap_live
+            );
+            // Flushed per epoch so a crashed run still leaves its
+            // trajectory on disk up to the last completed epoch.
+            let ok = writeln!(w, "{line}").is_ok() && w.flush().is_ok();
+            if !ok {
+                self.sink = None;
+            }
+        }
+        TrainControl::Continue
+    }
+}
 
 /// Install the driver-side trace sink for a `simulate --trace` run.
 /// Returns whether a sink is live (installation failure only warns).
@@ -83,5 +150,74 @@ pub fn merge_run_traces(run_dir: &RunDir, shards: &[u32], quiet: bool) {
             }
         }
         Err(e) => eprintln!("tgx-cli: trace merge failed: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    fn event(epoch: usize, loss: f32) -> EpochEvent {
+        EpochEvent {
+            epoch,
+            n_epochs: 3,
+            loss,
+            wall: Duration::from_millis(4),
+        }
+    }
+
+    fn tmp_file(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("tgx_obs_{tag}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("telemetry.jsonl")
+    }
+
+    #[test]
+    fn observer_counts_epochs_and_feeds_the_registry() {
+        let path = tmp_file("registry");
+        let mut obs = ObsObserver::with_file("obs_unit_a", &path).unwrap();
+        for e in 0..3 {
+            assert!(matches!(
+                obs.on_epoch_end(&event(e, 1.5 - e as f32 * 0.25)),
+                TrainControl::Continue
+            ));
+        }
+        let snap = tg_obs::Registry::global().snapshot();
+        let epochs = snap
+            .iter()
+            .find(|m| {
+                m.name == "train.epochs" && m.labels == [("run".to_string(), "obs_unit_a".into())]
+            })
+            .expect("epoch counter registered");
+        assert!(matches!(epochs.value, tg_obs::MetricValue::Counter(3)));
+        let loss = snap
+            .iter()
+            .find(|m| {
+                m.name == "train.loss" && m.labels == [("run".to_string(), "obs_unit_a".into())]
+            })
+            .expect("loss gauge registered");
+        match loss.value {
+            tg_obs::MetricValue::Gauge(v) => assert_eq!(v, 1.0, "last epoch's loss"),
+            ref other => panic!("loss must be a gauge, got {other:?}"),
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn file_sink_writes_one_record_per_epoch() {
+        let path = tmp_file("file");
+        let mut obs = ObsObserver::with_file("obs_unit_b", &path).unwrap();
+        for e in 0..3 {
+            obs.on_epoch_end(&event(e, 0.5));
+        }
+        drop(obs);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0].starts_with("{\"epoch\":0,\"n_epochs\":3,\"loss\":0.5,"));
+        assert!(lines[2].contains("\"epoch\":2"));
+        assert!(lines[2].contains("\"heap_peak_bytes\":"));
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }

@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use tg_graph::io::load_edge_list_exact;
 use tg_graph::TemporalGraph;
-use tgae::{Session, Tgae};
+use tgae::SharedRun;
 
 /// Provenance + shape record for one run directory.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -196,33 +196,17 @@ impl RunDir {
             .map_err(|e| format!("load {}: {e}", self.observed_path().display()))
     }
 
-    /// Load the trained model checkpoint.
-    pub fn load_model(&self) -> Result<Tgae, String> {
-        tgae::persist::load(self.model_path())
-            .map_err(|e| format!("load {}: {e}", self.model_path().display()))
-    }
-
-    /// Load manifest + observed graph + model and build a simulation-ready
-    /// [`Session`] over them. The observed graph is returned alongside
-    /// because the session borrows it.
-    pub fn load_all(&self) -> Result<(RunManifest, TemporalGraph), String> {
+    /// Load manifest + observed graph + trained model as one validated
+    /// [`SharedRun`] — the one way `simulate` (driver, worker,
+    /// `--in-process`, `--verify`), `eval`, and `serve` open a run
+    /// directory. The manifest's master seed is authoritative over the
+    /// model config's copy.
+    pub fn load_run(&self) -> Result<SharedRun, String> {
         let manifest = self.load_manifest()?;
         let observed = self.load_observed(&manifest)?;
-        Ok((manifest, observed))
-    }
-
-    /// Build a [`Session`] over a loaded run (typed shape validation
-    /// happens in the builder).
-    pub fn session<'g>(
-        &self,
-        manifest: &RunManifest,
-        observed: &'g TemporalGraph,
-    ) -> Result<Session<'g>, String> {
-        let model = self.load_model()?;
-        Session::builder(observed)
-            .seed(manifest.seed)
-            .with_model(model)
-            .build()
-            .map_err(|e| e.to_string())
+        let model = tgae::persist::load(self.model_path())
+            .map_err(|e| format!("load {}: {e}", self.model_path().display()))?;
+        let run = SharedRun::new(model, observed).map_err(|e| e.to_string())?;
+        Ok(run.with_master(manifest.seed))
     }
 }

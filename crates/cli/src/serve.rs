@@ -25,7 +25,6 @@ use crate::rundir::RunDir;
 use std::io::Write;
 use std::path::PathBuf;
 use tg_serve::{Loader, ServeConfig, Server};
-use tgae::SharedRun;
 
 /// A protocol run-id must be a plain directory name — anything
 /// path-like is refused before it touches the filesystem.
@@ -40,15 +39,11 @@ fn safe_run_id(id: &str) -> Result<(), String> {
 }
 
 /// Build the cache-miss loader: `run_id` → run directory under `root` →
-/// validated [`SharedRun`] with the manifest's master seed.
-pub(crate) fn run_loader(root: PathBuf) -> Loader {
+/// [`RunDir::load_run`].
+fn run_loader(root: PathBuf) -> Loader {
     Box::new(move |run_id: &str| {
         safe_run_id(run_id)?;
-        let run_dir = RunDir::open(root.join(run_id));
-        let (manifest, observed) = run_dir.load_all()?;
-        let model = run_dir.load_model()?;
-        let run = SharedRun::new(model, observed).map_err(|e| e.to_string())?;
-        Ok(run.with_master(manifest.seed))
+        RunDir::open(root.join(run_id)).load_run()
     })
 }
 

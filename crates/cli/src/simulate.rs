@@ -66,7 +66,7 @@ use std::process::Command;
 use std::time::{Duration, Instant};
 use tg_graph::io::{merge_edge_lists, StreamingWriterSink};
 use tg_graph::sink::{GenerationStats, StatsSink};
-use tgae::ShardSpec;
+use tgae::{generate_shard_with_sink, ShardSpec, SharedRun};
 
 /// One worker process's outcome, as observed by the supervisor.
 #[derive(Serialize)]
@@ -190,8 +190,7 @@ fn worker_inner(
     stats: bool,
     quiet: bool,
 ) -> Result<(), String> {
-    let (manifest, observed) = run_dir.load_all()?;
-    let session = run_dir.session(&manifest, &observed)?;
+    let run = run_dir.load_run()?;
     let specs = load_shard_manifest(run_dir)?;
     let spec = specs
         .iter()
@@ -202,32 +201,28 @@ fn worker_inner(
                 specs.len()
             )
         })?;
-    run_shard(&session, run_dir, spec, stats, quiet)
+    run_shard(&run, run_dir, spec, stats, quiet)
 }
 
 /// Stream one shard's edges (and optionally stats) to its run-dir files
-/// through an already-loaded session — shared by worker processes and
-/// the driver's `--in-process` path (which would otherwise reload the
-/// model and observed graph once per shard).
+/// through an already-loaded run — shared by worker processes and the
+/// driver's `--in-process` path (which would otherwise reload the model
+/// and observed graph once per shard).
 fn run_shard(
-    session: &tgae::Session<'_>,
+    run: &SharedRun,
     run_dir: &RunDir,
     spec: &ShardSpec,
     stats: bool,
     quiet: bool,
 ) -> Result<(), String> {
     let out = run_dir.shard_edges_path(spec.shard);
-    let n = session
-        .simulate_shard_with_sink(
-            spec,
-            StreamingWriterSink::create(&out).map_err(|e| format!("create shard file: {e}"))?,
-        )
-        .map_err(|e| e.to_string())?
+    let (model, observed) = (run.model(), run.observed());
+    let sink = StreamingWriterSink::create(&out).map_err(|e| format!("create shard file: {e}"))?;
+    let n = generate_shard_with_sink(model, observed, spec, sink)
         .map_err(|e| format!("stream shard: {e}"))?;
     if stats {
-        let s = session
-            .simulate_shard_with_sink(spec, StatsSink::new(session.observed().n_timestamps()))
-            .map_err(|e| e.to_string())?;
+        let sink = StatsSink::new(observed.n_timestamps());
+        let s = generate_shard_with_sink(model, observed, spec, sink);
         let json = serde_json::to_string(&s).map_err(|e| e.to_string())?;
         std::fs::write(run_dir.shard_stats_path(spec.shard), json)
             .map_err(|e| format!("write shard stats: {e}"))?;
@@ -286,12 +281,16 @@ fn driver(args: &Args, run_dir: &RunDir) -> Result<(), CliError> {
     let keep_shards = args.flag("keep-shards");
     let quiet = args.flag("quiet");
     let trace = args.flag("trace");
-    let (manifest, observed) = run_dir.load_all()?;
-    let session = run_dir.session(&manifest, &observed)?;
+    let run = run_dir.load_run()?;
     let master: u64 = args
-        .get_parsed("master", session.seed_policy().simulation_master(0))
+        .get_parsed("master", run.seed_policy().simulation_master(0))
         .map_err(CliError::Usage)?;
     args.reject_unused().map_err(CliError::Usage)?;
+    if n_shards == 0 {
+        return Err(CliError::Other(
+            "invalid configuration: n_shards must be > 0".into(),
+        ));
+    }
     if in_process && (retries > 0 || degrade_partial || timeout_secs > 0.0) {
         // the supervision machinery is process-level (kill/re-spawn
         // workers); silently ignoring the flags would promise
@@ -314,16 +313,14 @@ fn driver(args: &Args, run_dir: &RunDir) -> Result<(), CliError> {
     let mut root_span = Some(tg_obs::trace::span("simulate.driver"));
 
     // 1. Plan and serialise the shard manifest.
-    let specs = session
-        .shard_specs(master, n_shards)
-        .map_err(|e| e.to_string())?;
+    let specs = run.plan(master).shards(n_shards);
     let manifest_json = serde_json::to_string_pretty(&specs).map_err(|e| e.to_string())?;
     std::fs::write(run_dir.shard_manifest_path(), manifest_json)
         .map_err(|e| format!("write shards.json: {e}"))?;
     if !quiet {
         eprintln!(
             "plan: master seed {master}, {} edges over {} shards -> {}",
-            manifest.n_edges,
+            run.observed().n_edges(),
             specs.len(),
             run_dir.shard_manifest_path().display()
         );
@@ -338,7 +335,7 @@ fn driver(args: &Args, run_dir: &RunDir) -> Result<(), CliError> {
     //    function of the spec).
     let quarantined: Vec<u32> = if in_process {
         for spec in &specs {
-            run_shard(&session, run_dir, spec, stats, quiet)?;
+            run_shard(&run, run_dir, spec, stats, quiet)?;
         }
         Vec::new()
     } else {
@@ -409,14 +406,13 @@ fn driver(args: &Args, run_dir: &RunDir) -> Result<(), CliError> {
     //    when shards are missing.
     if verify && quarantined.is_empty() {
         let reference = run_dir.root().join("reference.edges");
-        session
-            .simulate_seeded(
-                master,
-                StreamingWriterSink::create(&reference)
-                    .map_err(|e| format!("create reference file: {e}"))?,
-            )
-            .map_err(|e| e.to_string())?
-            .map_err(|e| format!("stream reference: {e}"))?;
+        run.simulate_seeded(
+            master,
+            StreamingWriterSink::create(&reference)
+                .map_err(|e| format!("create reference file: {e}"))?,
+        )
+        .map_err(|e| e.to_string())?
+        .map_err(|e| format!("stream reference: {e}"))?;
         let a = std::fs::read(&merged).map_err(|e| e.to_string())?;
         let b = std::fs::read(&reference).map_err(|e| e.to_string())?;
         if a != b {
@@ -433,8 +429,8 @@ fn driver(args: &Args, run_dir: &RunDir) -> Result<(), CliError> {
                 .map_err(|e| e.to_string())?;
             let merged_stats: GenerationStats =
                 serde_json::from_str(&text).map_err(|e| e.to_string())?;
-            let reference_stats = session
-                .simulate_seeded(master, StatsSink::new(observed.n_timestamps()))
+            let reference_stats = run
+                .simulate_seeded(master, StatsSink::new(run.observed().n_timestamps()))
                 .map_err(|e| e.to_string())?;
             if merged_stats != reference_stats {
                 return Err(CliError::Other(

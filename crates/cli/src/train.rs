@@ -179,7 +179,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "train".to_string());
         Some(
-            tg_bench::ObsObserver::with_file(&run_label, &run_dir.telemetry_path())
+            crate::obs::ObsObserver::with_file(&run_label, &run_dir.telemetry_path())
                 .map_err(|e| format!("create telemetry.jsonl: {e}"))?,
         )
     } else {

@@ -1,12 +1,19 @@
-//! The sharded streaming simulation engine — the serving-side assembly of
-//! paper §IV-G, refactored into an explicit **plan → execute → emit**
+//! The sharded streaming simulation engine — temporal graph assembly
+//! and generation, paper §IV-G, as an explicit **plan → execute → emit**
 //! pipeline.
 //!
-//! [`generator::generate`](crate::generator::generate) used to be a
-//! monolith: enumerate per-timestamp budgets, fan chunks out over the
-//! worker pool, and concatenate one giant `Vec<TemporalEdge>` into an
-//! in-memory graph. This module splits those stages apart so each can
-//! scale independently:
+//! After training, every observed temporal node `(u, t)` with positive
+//! out-degree is decoded into a categorical edge distribution
+//! `p(t, u, ·)`, and its observed out-degree worth of targets is drawn
+//! **without replacement** (`A'_ut ~ Cat(...)`). Generation finishes when
+//! the per-timestamp edge budget matches the observed graph — so the
+//! synthetic graph has exactly the same number of temporal edges per
+//! snapshot, and the evaluation compares structure rather than volume.
+//! With `n > dense_cutoff` the distribution is restricted to a candidate
+//! set (the observed temporal neighborhood plus uniform negatives), which
+//! keeps assembly memory far below the `O(T n^2)` dense score matrix.
+//!
+//! The stages are separate so each can scale independently:
 //!
 //! 1. **Plan** ([`SimulationPlan`]): a deterministic *shard manifest* of
 //!    work units, each `(timestamp, chunk, SplitMix64-derived seed,
@@ -34,18 +41,22 @@
 //! contiguous ranges balanced by observed edge count; each
 //! [`ShardSpec`] is a small serialisable description (`master seed +
 //! timestamp range`) that a separate process can execute with
-//! [`generate_shard`] having nothing but the model, the observed graph,
-//! and the spec. Because per-unit RNG streams depend only on
-//! `(master, t, chunk)`, and shards partition the plan in order,
+//! [`generate_shard_with_sink`] having nothing but the model, the
+//! observed graph, and the spec. Because per-unit RNG streams depend
+//! only on `(master, t, chunk)`, and shards partition the plan in order,
 //! concatenating the shard outputs (e.g. with
 //! [`tg_graph::io::merge_edge_lists`]) reproduces the single-process
 //! output **bit-identically**.
+//!
+//! [`generate_shard_with_sink`] is the one function that runs the
+//! pipeline; [`SharedRun`](crate::shared::SharedRun) calls it with the
+//! whole-horizon spec `[0, T)`.
 
 use crate::model::Tgae;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use tg_graph::sink::{EdgeSink, GraphSink};
+use tg_graph::sink::EdgeSink;
 use tg_graph::{NodeId, TemporalEdge, TemporalGraph, Time};
 use tg_tensor::init::{sample_categorical, sample_categorical_without_replacement};
 use tg_tensor::parallel::{num_threads, par_map};
@@ -384,27 +395,13 @@ impl<'a> SimulationEngine<'a> {
     }
 }
 
-/// Execute the full manifest for `master_seed` into `sink` and finish it.
-/// This is the streaming-generation entry point: pair it with any
-/// [`EdgeSink`] — `GraphSink` reproduces [`crate::generate`]'s output,
+/// Execute one shard of the manifest into `sink` and finish it — the one
+/// way a simulation runs. The plan is recomputed deterministically from
+/// `spec.master_seed`, so separate processes can each run their own shard
+/// and the concatenation of their outputs (in shard order) is
+/// bit-identical to a single run over the whole horizon `[0, T)`. Pair it
+/// with any [`EdgeSink`]: `GraphSink` rebuilds an in-memory graph,
 /// `StreamingWriterSink` bounds memory, `StatsSink` stores nothing.
-pub fn generate_with_sink<S: EdgeSink>(
-    model: &Tgae,
-    observed: &TemporalGraph,
-    master_seed: u64,
-    mut sink: S,
-) -> S::Output {
-    let _span = tg_obs::trace::span("engine.generate");
-    let engine = SimulationEngine::new(model, observed);
-    let plan = engine.plan(master_seed);
-    engine.execute(plan.units(), &mut sink);
-    sink.finish()
-}
-
-/// Execute one shard of the manifest into `sink` and finish it. The plan
-/// is recomputed deterministically from `spec.master_seed`, so separate
-/// processes can each run their own shard and the concatenation of their
-/// outputs (in shard order) is bit-identical to a single-process run.
 pub fn generate_shard_with_sink<S: EdgeSink>(
     model: &Tgae,
     observed: &TemporalGraph,
@@ -418,26 +415,34 @@ pub fn generate_shard_with_sink<S: EdgeSink>(
     sink.finish()
 }
 
-/// Execute one shard into an in-memory [`TemporalGraph`] containing only
-/// that shard's timestamps' edges (other timestamps are present but
-/// empty, so shard graphs share the observed shape).
-pub fn generate_shard(model: &Tgae, observed: &TemporalGraph, spec: &ShardSpec) -> TemporalGraph {
-    generate_shard_with_sink(
-        model,
-        observed,
-        spec,
-        GraphSink::new(observed.n_nodes(), observed.n_timestamps()),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::TgaeConfig;
-    use crate::trainer::{train_loop, LoopHooks};
+    use crate::session::Session;
+    use crate::shared::SharedRun;
+    use tg_graph::sink::GraphSink;
+    use tg_tensor::parallel::ThreadPin;
 
-    fn fit_for_test(model: &mut Tgae, g: &TemporalGraph) {
-        train_loop(model, g, LoopHooks::none()).expect("train");
+    /// Train the tiny config over `g` and hand the run off for simulation.
+    fn trained_run(g: &TemporalGraph, epochs: usize, batch_centers: usize) -> SharedRun {
+        let mut cfg = TgaeConfig::tiny();
+        cfg.epochs = epochs;
+        cfg.batch_centers = batch_centers;
+        let mut s = Session::builder(g).config(cfg).build().expect("session");
+        s.train().expect("train");
+        s.into_shared()
+    }
+
+    fn graph_sink(g: &TemporalGraph) -> GraphSink {
+        GraphSink::new(g.n_nodes(), g.n_timestamps())
+    }
+
+    /// The edges of one seeded simulation with the pool pinned to `threads`.
+    fn edges_at_width(run: &SharedRun, master: u64, threads: usize) -> Vec<TemporalEdge> {
+        let _pin = ThreadPin::new(threads);
+        let gen = run.simulate_seeded(master, graph_sink(run.observed()));
+        gen.expect("simulate").edges().to_vec()
     }
 
     fn ring_graph(n: u32, t_count: u32) -> TemporalGraph {
@@ -559,27 +564,140 @@ mod tests {
     #[test]
     fn sharded_union_equals_full_run() {
         let g = ring_graph(9, 3);
-        let mut cfg = TgaeConfig::tiny();
-        cfg.epochs = 5;
-        cfg.batch_centers = 4;
-        let mut model = Tgae::new(g.n_nodes(), g.n_timestamps(), cfg);
-        fit_for_test(&mut model, &g);
-
-        let full = generate_with_sink(
-            &model,
-            &g,
-            123,
-            GraphSink::new(g.n_nodes(), g.n_timestamps()),
-        );
+        let run = trained_run(&g, 5, 4);
+        let full = run.simulate_seeded(123, graph_sink(&g)).expect("simulate");
         for n_shards in [1usize, 2, 4] {
-            let plan = SimulationEngine::new(&model, &g).plan(123);
             let mut merged: Vec<TemporalEdge> = Vec::new();
-            for spec in plan.shards(n_shards) {
-                let shard = generate_shard(&model, &g, &spec);
+            for spec in run.plan(123).shards(n_shards) {
+                let shard = generate_shard_with_sink(run.model(), &g, &spec, graph_sink(&g));
                 merged.extend_from_slice(shard.edges());
             }
             let merged = TemporalGraph::from_edges(g.n_nodes(), g.n_timestamps(), merged);
             assert_eq!(merged.edges(), full.edges(), "{n_shards} shards");
         }
+    }
+
+    #[test]
+    fn generated_graph_matches_shape_and_budgets() {
+        let g = ring_graph(8, 3);
+        let gen = trained_run(&g, 10, 16).simulate(0).expect("simulate");
+        assert_eq!(gen.n_nodes(), g.n_nodes());
+        assert_eq!(gen.n_timestamps(), g.n_timestamps());
+        // per-timestamp budgets preserved exactly (ring: every node has
+        // out-degree 1 <= candidates)
+        assert_eq!(
+            gen.edge_counts_per_timestamp(),
+            g.edge_counts_per_timestamp()
+        );
+    }
+
+    #[test]
+    fn generated_edges_have_no_self_loops() {
+        let g = ring_graph(6, 2);
+        let gen = trained_run(&g, 5, 16).simulate(0).expect("simulate");
+        assert!(gen.edges().iter().all(|e| e.u != e.v));
+    }
+
+    #[test]
+    fn generation_sources_are_observed_sources() {
+        // we preserve the out-degree sequence, so generated sources at t
+        // must be a subset of observed sources at t
+        let g = ring_graph(6, 2);
+        let gen = trained_run(&g, 5, 16).simulate(0).expect("simulate");
+        for t in 0..2u32 {
+            let mut observed_sources: Vec<u32> = g.edges_at(t).iter().map(|e| e.u).collect();
+            observed_sources.dedup();
+            for e in gen.edges_at(t) {
+                assert!(observed_sources.contains(&e.u), "unexpected source {}", e.u);
+            }
+        }
+    }
+
+    #[test]
+    fn multigraph_budgets_reproduced_with_multiplicity() {
+        // observed graph re-fires (0 -> 1) three times at t=0: generation
+        // must emit three edges from node 0 at t=0 (repeats allowed).
+        let mut edges = vec![
+            TemporalEdge::new(0, 1, 0),
+            TemporalEdge::new(0, 1, 0),
+            TemporalEdge::new(0, 1, 0),
+            TemporalEdge::new(1, 2, 0),
+            TemporalEdge::new(2, 3, 0),
+        ];
+        for u in 0..4u32 {
+            edges.push(TemporalEdge::new(u, (u + 1) % 4, 1));
+        }
+        let g = TemporalGraph::from_edges(4, 2, edges);
+        let gen = trained_run(&g, 5, 16).simulate(0).expect("simulate");
+        assert_eq!(
+            gen.edge_counts_per_timestamp(),
+            g.edge_counts_per_timestamp()
+        );
+        let from0: Vec<_> = gen.edges_at(0).iter().filter(|e| e.u == 0).collect();
+        assert_eq!(from0.len(), 3, "source budget with multiplicity");
+    }
+
+    #[test]
+    fn generation_is_bit_identical_across_thread_counts() {
+        let g = ring_graph(10, 3);
+        let run = trained_run(&g, 5, 4); // several chunks per timestamp
+        let serial = edges_at_width(&run, 77, 1);
+        for threads in [2, 3, 8] {
+            assert_eq!(
+                edges_at_width(&run, 77, threads),
+                serial,
+                "thread count {threads} changed the output"
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_gemm_inside_a_unit_keeps_the_bytes() {
+        // 64 centers x d_model 8 x 1024 dense candidates = 1 << 19 >=
+        // PAR_THRESHOLD: at width 2 the scoring gemm of a unit fans out on
+        // the pool, and the thread that waits for it helps by running
+        // another unit — a second `Tape::with_thread_local` on its stack.
+        let g = ring_graph(1024, 2);
+        let mut cfg = TgaeConfig::tiny();
+        cfg.batch_centers = 64;
+        let model = Tgae::new(g.n_nodes(), g.n_timestamps(), cfg);
+        let run = SharedRun::new(model, g).expect("run");
+        assert_eq!(edges_at_width(&run, 5, 2), edges_at_width(&run, 5, 1));
+    }
+
+    #[test]
+    fn trained_model_reproduces_ring_better_than_untrained() {
+        // The ring is perfectly learnable: out-neighbor of u is always
+        // (u+1) mod n. A trained model should hit far more true edges.
+        let g = ring_graph(8, 3);
+        let mut cfg = TgaeConfig::tiny();
+        cfg.epochs = 200;
+        cfg.lr = 3e-2;
+        let mut trained = Session::builder(&g)
+            .config(cfg.clone())
+            .build()
+            .expect("session");
+        trained.train().expect("train");
+        let untrained = Session::builder(&g).config(cfg).build().expect("session");
+        let hit_rate = |session: Session<'_>| -> f64 {
+            let gen = session
+                .into_shared()
+                .simulate_seeded(3, graph_sink(&g))
+                .expect("simulate");
+            let truth: std::collections::HashSet<(u32, u32)> =
+                g.edges().iter().map(|e| (e.u, e.v)).collect();
+            let hits = gen
+                .edges()
+                .iter()
+                .filter(|e| truth.contains(&(e.u, e.v)))
+                .count();
+            hits as f64 / gen.n_edges().max(1) as f64
+        };
+        let trained_rate = hit_rate(trained);
+        let untrained_rate = hit_rate(untrained);
+        assert!(
+            trained_rate > untrained_rate + 0.2,
+            "trained {trained_rate:.3} vs untrained {untrained_rate:.3}"
+        );
     }
 }

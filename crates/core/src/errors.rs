@@ -1,10 +1,11 @@
-//! Typed errors for the [`Session`](crate::session::Session) pipeline.
+//! Typed errors for the [`Session`](crate::session::Session) /
+//! [`SharedRun`](crate::shared::SharedRun) pipeline.
 //!
-//! The PR-3 free functions (`fit`, `generate`, `SimulationEngine::new`)
-//! `assert!`ed their preconditions and panicked on bad input. The session
-//! API reports the same conditions as a [`TgxError`] instead, so callers —
-//! in particular the `tgx-cli` driver, whose workers run other people's
-//! files — can distinguish "your graph doesn't match your model" from a
+//! The engine internals (`SimulationEngine::new`) `assert!` their
+//! preconditions and panic on bad input. `Session` and `SharedRun` check
+//! the same conditions up front and report a [`TgxError`] instead, so
+//! callers — in particular the `tgx-cli` driver, whose workers run other
+//! people's files — can distinguish "your graph doesn't match your model" from a
 //! genuine engine bug and exit with a message rather than a backtrace.
 //!
 //! The enum is `thiserror`-shaped by hand (the build container vendors no
@@ -28,7 +29,7 @@ pub enum TgxError {
         graph: usize,
     },
     /// The observed graph has more timestamps than the model was built
-    /// for (or, on [`Session::evaluate`](crate::session::Session::evaluate),
+    /// for (or, on [`SharedRun::evaluate`](crate::shared::SharedRun::evaluate),
     /// the synthetic graph covers fewer timestamps than the observed one).
     TimestampMismatch {
         /// Timestamps the model (or observed horizon) expects.

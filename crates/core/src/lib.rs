@@ -15,21 +15,25 @@
 //! 4. **Variational ego-graph decoding** ([`decoder`], Algorithm 2):
 //!    reparameterised latents seed an outward reconstruction emitting
 //!    categorical edge rows.
-//! 5. **Assembly & generation** ([`generator`], §IV-G): per-timestamp
+//! 5. **Assembly & generation** ([`engine`], §IV-G): per-timestamp
 //!    categorical edge sampling without replacement under the observed
-//!    edge budget, driven by the sharded streaming [`engine`] (plan →
-//!    execute → emit into an `EdgeSink`).
+//!    edge budget, as a sharded streaming pipeline (plan → execute →
+//!    emit into an `EdgeSink`).
 //!
 //! Training minimises the approximate loss of Eq. 7 ([`trainer`]); the
 //! ablation variants of §IV-F are selected via
 //! [`config::TgaeVariant`].
 //!
-//! The supported entry point is the [`session`] API: one [`Session`]
-//! object owns the **train → simulate → evaluate** lifecycle with a
-//! single master seed ([`SeedPolicy`]), typed errors ([`TgxError`]),
-//! epoch observation/cancellation ([`RunObserver`]), and bit-identical
-//! checkpoint/resume. The PR-3 free functions ([`fit`], [`generate`])
-//! remain as deprecated wrappers.
+//! There is one way in. A [`Session`] owns **training**: a single master
+//! seed ([`SeedPolicy`]), typed errors ([`TgxError`]), epoch
+//! observation/cancellation ([`RunObserver`]), and bit-identical
+//! checkpoint/resume. [`Session::into_shared`] (or [`SharedRun::new`] over
+//! a loaded `model.json`) hands the trained run to a [`SharedRun`], which
+//! owns everything after: [`SharedRun::simulate`],
+//! [`SharedRun::simulate_seeded`] into any sink, and
+//! [`SharedRun::evaluate`]. Both simulate calls are
+//! [`generate_shard_with_sink`] over the whole horizon — the function a
+//! worker process calls with one [`ShardSpec`] of [`SharedRun::plan`].
 //!
 //! # Quickstart
 //! ```
@@ -55,10 +59,11 @@
 //! let report = session.train().expect("training ran");
 //! assert!(report.final_loss().is_finite());
 //!
-//! let synthetic = session.simulate().expect("simulation ran");
+//! let run = session.into_shared();
+//! let synthetic = run.simulate(0).expect("simulation ran");
 //! assert_eq!(synthetic.n_edges(), observed.n_edges());
 //!
-//! let scores = session.evaluate(&synthetic).expect("same shape");
+//! let scores = run.evaluate(&synthetic).expect("same shape");
 //! assert_eq!(scores.len(), 7);
 //! ```
 
@@ -68,7 +73,6 @@ pub mod encoder;
 pub mod engine;
 pub mod errors;
 pub mod features;
-pub mod generator;
 pub mod model;
 pub mod persist;
 pub mod session;
@@ -77,8 +81,7 @@ pub mod trainer;
 
 pub use config::{TgaeConfig, TgaeVariant};
 pub use engine::{
-    generate_shard, generate_shard_with_sink, generate_with_sink, CostEstimate, ShardSpec,
-    SimulationEngine, SimulationPlan,
+    generate_shard_with_sink, CostEstimate, ShardSpec, SimulationEngine, SimulationPlan,
 };
 pub use errors::TgxError;
 pub use model::{BatchStats, Tgae};
@@ -89,8 +92,3 @@ pub use session::{
 pub use shared::SharedRun;
 pub use tg_tensor::params::Precision;
 pub use trainer::{TrainCheckpoint, TrainReport};
-
-#[allow(deprecated)]
-pub use generator::generate;
-#[allow(deprecated)]
-pub use trainer::fit;

@@ -79,9 +79,8 @@ pub fn load(path: impl AsRef<Path>) -> Result<Tgae, PersistError> {
 mod tests {
     use super::*;
     use crate::config::TgaeConfig;
-    use crate::engine::generate_with_sink;
+    use crate::shared::SharedRun;
     use crate::trainer::{train_loop, LoopHooks};
-    use tg_graph::sink::GraphSink;
     use tg_graph::{TemporalEdge, TemporalGraph};
 
     fn toy() -> TemporalGraph {
@@ -105,10 +104,8 @@ mod tests {
         let restored = load(&path).expect("load");
         assert_eq!(restored.n_nodes, model.n_nodes);
         assert_eq!(restored.n_parameters(), model.n_parameters());
-        let sink = || GraphSink::new(g.n_nodes(), g.n_timestamps());
-        let a = generate_with_sink(&model, &g, 1, sink());
-        let b = generate_with_sink(&restored, &g, 1, sink());
-        assert_eq!(a.edges(), b.edges());
+        let simulate = |m: Tgae| SharedRun::new(m, g.clone()).unwrap().simulate(1).unwrap();
+        assert_eq!(simulate(model).edges(), simulate(restored).edges());
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,17 +1,16 @@
-//! One immutable trained run shared across concurrent generations.
+//! One immutable trained run: the owner of everything after training.
 //!
-//! A [`Session`](crate::session::Session) *owns* its model and observed
-//! graph, which is the right shape for the train → simulate → evaluate
-//! lifecycle of one caller — but wrong for a resident server where many
-//! requests hit the same trained run at once: cloning the model per
-//! request would multiply resident memory by the concurrency level, and
-//! `&mut self` methods would serialise everything behind a lock.
-//!
-//! A [`SharedRun`] is the serving-side counterpart: the trained model and
-//! the observed graph live behind `Arc`s, every method takes `&self`, and
-//! the whole struct is `Clone` (two `Arc` bumps) + `Send` + `Sync`. Any
-//! number of threads can call [`SharedRun::simulate_seeded`] concurrently
-//! against **one** parameter set — generation is read-only over the model
+//! A [`Session`](crate::session::Session) mutates its model while it
+//! trains; once training is done nothing needs `&mut` any more. A
+//! [`SharedRun`] is what [`Session::into_shared`](crate::session::Session::into_shared)
+//! (or [`SharedRun::new`] over a loaded `model.json`) hands back: the
+//! trained model and the observed graph behind `Arc`s plus the seed
+//! policy, every method `&self`, the whole struct `Clone` (two `Arc`
+//! bumps) + `Send` + `Sync`. One caller simulates and scores with it; a
+//! resident server shares it across requests without cloning parameters
+//! or serialising behind a lock. Any number of threads can call
+//! [`SharedRun::simulate_seeded`] concurrently against **one** parameter
+//! set — generation is read-only over the model
 //! (`decode_rows_for_generation` takes `&self`), and each call's RNG
 //! streams derive purely from its own master seed, so concurrent outputs
 //! are bit-identical to sequential ones.
@@ -48,22 +47,22 @@
 //! }
 //! ```
 
-use crate::engine::{generate_with_sink, CostEstimate, SimulationPlan};
+use crate::engine::{generate_shard_with_sink, CostEstimate, ShardSpec, SimulationPlan};
 use crate::errors::TgxError;
 use crate::model::Tgae;
-use crate::session::{evaluate_checked, SeedPolicy};
+use crate::session::SeedPolicy;
 use crate::trainer::validate_shapes;
 use std::sync::Arc;
-use tg_graph::sink::EdgeSink;
-use tg_graph::TemporalGraph;
+use tg_graph::sink::{EdgeSink, GraphSink};
+use tg_graph::{TemporalGraph, Time};
 use tg_metrics::MetricScore;
 
 /// An immutable trained run — model + observed graph behind `Arc`s — that
 /// any number of threads can simulate and evaluate concurrently.
 ///
 /// Construct with [`SharedRun::new`] / [`SharedRun::from_arcs`] (typed
-/// shape validation, like the session builder) or convert a finished
-/// session with [`Session::into_shared`](crate::session::Session::into_shared).
+/// shape validation) or convert a finished session with
+/// [`Session::into_shared`](crate::session::Session::into_shared).
 #[derive(Clone)]
 pub struct SharedRun {
     model: Arc<Tgae>,
@@ -83,10 +82,11 @@ impl std::fmt::Debug for SharedRun {
 }
 
 impl SharedRun {
-    /// Wrap an owned model + observed graph. Validates shapes exactly
-    /// like [`SessionBuilder::build`](crate::session::SessionBuilder::build)
-    /// with an adopted model: node counts must match, timestamp counts
-    /// must match, and the graph must have something to simulate.
+    /// Wrap an owned model + observed graph — how a saved `model.json`
+    /// goes straight to simulation. Node counts must match, timestamp
+    /// counts must match, the graph must have something to simulate, and
+    /// the model's table storage must match its declared precision (a
+    /// deserialized `model.json` can be edited out of sync).
     pub fn new(model: Tgae, observed: TemporalGraph) -> Result<Self, TgxError> {
         Self::from_arcs(Arc::new(model), Arc::new(observed))
     }
@@ -179,28 +179,60 @@ impl SharedRun {
         self.plan(0).cost_estimate()
     }
 
+    /// Simulate synthetic graph number `run` of this trained run: runs
+    /// `0, 1, 2, …` are independent, and each is a pure function of the
+    /// seed policy and `run`.
+    pub fn simulate(&self, run: u64) -> Result<TemporalGraph, TgxError> {
+        let sink = GraphSink::new(self.observed.n_nodes(), self.observed.n_timestamps());
+        self.simulate_seeded(self.policy.simulation_master(run), sink)
+    }
+
     /// Simulate one synthetic stream under an explicit engine master
-    /// seed. `&self`: any number of threads may call this concurrently on
-    /// clones of the same run, and each call is bit-identical to
-    /// [`generate_with_sink`] over the same model/graph/master.
+    /// seed into any [`EdgeSink`] (in-memory graph, streaming writer,
+    /// statistics-only). `&self`: any number of threads may call this
+    /// concurrently on clones of the same run. It is
+    /// [`generate_shard_with_sink`] over the whole horizon `[0, T)`, so
+    /// the shards of [`SharedRun::plan`]`(master)` concatenate to exactly
+    /// this stream.
     pub fn simulate_seeded<S: EdgeSink>(
         &self,
         master: u64,
         sink: S,
     ) -> Result<S::Output, TgxError> {
-        Ok(generate_with_sink(
+        let whole = ShardSpec {
+            master_seed: master,
+            t_begin: 0,
+            t_end: self.observed.n_timestamps() as Time,
+            shard: 0,
+            n_shards: 1,
+        };
+        Ok(generate_shard_with_sink(
             &self.model,
             &self.observed,
-            master,
+            &whole,
             sink,
         ))
     }
 
-    /// Score a synthetic graph against the observed one (Eq. 10), with
-    /// the same typed shape checks as
-    /// [`Session::evaluate`](crate::session::Session::evaluate).
+    /// Score a synthetic graph against the observed one across the seven
+    /// Table III statistics (Eq. 10). The shape requirements
+    /// `tg_metrics::evaluate` asserts come back as typed errors: the node
+    /// sets must match and `synthetic` must cover the observed horizon.
     pub fn evaluate(&self, synthetic: &TemporalGraph) -> Result<Vec<MetricScore>, TgxError> {
-        evaluate_checked(&self.observed, synthetic)
+        let observed = self.observed();
+        if synthetic.n_nodes() != observed.n_nodes() {
+            return Err(TgxError::NodeCountMismatch {
+                model: observed.n_nodes(),
+                graph: synthetic.n_nodes(),
+            });
+        }
+        if synthetic.n_timestamps() < observed.n_timestamps() {
+            return Err(TgxError::TimestampMismatch {
+                model: observed.n_timestamps(),
+                graph: synthetic.n_timestamps(),
+            });
+        }
+        Ok(tg_metrics::evaluate(observed, synthetic))
     }
 }
 
@@ -239,6 +271,36 @@ mod tests {
             TgxError::EmptyGraph
         ));
         assert!(SharedRun::new(Tgae::new(6, 2, TgaeConfig::tiny()), g).is_ok());
+    }
+
+    #[test]
+    fn numbered_runs_differ_but_are_reproducible_from_the_policy() {
+        let g = ring(8, 3);
+        let run = SharedRun::new(Tgae::new(8, 3, TgaeConfig::tiny()), g.clone()).unwrap();
+        assert_ne!(
+            run.simulate(0).unwrap().edges(),
+            run.simulate(1).unwrap().edges()
+        );
+        for k in [0u64, 1, 5] {
+            let master = run.seed_policy().simulation_master(k);
+            let seeded = run
+                .simulate_seeded(master, GraphSink::new(g.n_nodes(), g.n_timestamps()))
+                .unwrap();
+            assert_eq!(run.simulate(k).unwrap().edges(), seeded.edges(), "run {k}");
+        }
+    }
+
+    #[test]
+    fn evaluate_rejects_mismatched_synthetic() {
+        let run = SharedRun::new(Tgae::new(6, 3, TgaeConfig::tiny()), ring(6, 3)).unwrap();
+        assert!(matches!(
+            run.evaluate(&ring(6, 2)).unwrap_err(),
+            TgxError::TimestampMismatch { model: 3, graph: 2 }
+        ));
+        assert!(matches!(
+            run.evaluate(&ring(8, 3)).unwrap_err(),
+            TgxError::NodeCountMismatch { .. }
+        ));
     }
 
     #[test]

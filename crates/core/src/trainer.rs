@@ -5,19 +5,13 @@
 //! computation graphs, and minimises the approximate loss of Eq. 7 with
 //! Adam under global-norm gradient clipping.
 //!
-//! The loop itself lives in `train_loop` (crate-private), which is
-//! driven two ways:
-//!
-//! - [`Session::train`](crate::session::Session::train) — the supported
-//!   entry point: typed errors, [`RunObserver`] epoch hooks (progress,
-//!   early stopping), periodic checkpoints, and bit-identical
-//!   resume-from-checkpoint (the loop's RNG stream, optimizer moments,
-//!   and loss history are all part of [`TrainCheckpoint`]).
-//! - [`fit`] — the original PR-3 free function, kept as a thin deprecated
-//!   wrapper (no hooks, panics on bad input) so existing callers compile.
-//!
-//! For a fixed config the two paths drive the loop identically, so their
-//! trained parameters are bit-for-bit equal.
+//! The loop itself lives in `train_loop` (crate-private), driven by
+//! [`Session::train`](crate::session::Session::train) and
+//! [`Session::resume_from`](crate::session::Session::resume_from): typed
+//! errors, [`RunObserver`] epoch hooks (progress, early stopping),
+//! periodic checkpoints, and bit-identical resume-from-checkpoint (the
+//! loop's RNG stream, optimizer moments, and loss history are all part of
+//! [`TrainCheckpoint`]).
 
 use crate::config::TgaeConfig;
 use crate::errors::TgxError;
@@ -142,8 +136,9 @@ pub(crate) struct LoopHooks<'h, 'o> {
     pub resume: Option<ResumeState>,
 }
 
+#[cfg(test)]
 impl LoopHooks<'_, '_> {
-    /// No observer, no checkpoints, fresh run — the [`fit`] configuration.
+    /// No observer, no checkpoints, fresh run.
     pub fn none() -> Self {
         LoopHooks {
             observer: None,
@@ -170,11 +165,12 @@ pub(crate) fn validate_shapes(model: &Tgae, g: &TemporalGraph) -> Result<(), Tgx
     Ok(())
 }
 
-/// The mini-batch training loop shared by [`fit`] and
-/// [`Session::train`](crate::session::Session::train). For identical
-/// inputs (same config, same graph, no resume) the parameter trajectory is
-/// bit-identical to the seed implementation: the RNG stream, sampling
-/// order, and update order are unchanged — hooks only observe.
+/// The mini-batch training loop behind
+/// [`Session::train`](crate::session::Session::train) and
+/// [`Session::resume_from`](crate::session::Session::resume_from). For
+/// identical inputs (same config, same graph, no resume) the parameter
+/// trajectory is bit-identical to the seed implementation: the RNG stream,
+/// sampling order, and update order are unchanged — hooks only observe.
 pub(crate) fn train_loop(
     model: &mut Tgae,
     g: &TemporalGraph,
@@ -298,31 +294,12 @@ pub(crate) fn train_loop(
     })
 }
 
-/// Train a TGAE model in place on an observed temporal graph.
-///
-/// **Deprecated:** this is the PR-3 entry point, kept as a thin wrapper so
-/// existing callers compile. It panics on shape mismatches and offers no
-/// observation, cancellation, or checkpointing — prefer building a
-/// [`Session`](crate::session::Session), whose
-/// [`train`](crate::session::Session::train) produces bit-identical
-/// parameters for the same config and reports failures as
-/// [`TgxError`] instead.
-#[deprecated(
-    since = "0.1.0",
-    note = "use tgae::Session::builder(..).build()?.train() — typed errors, observer hooks, checkpoint/resume"
-)]
-pub fn fit(model: &mut Tgae, g: &TemporalGraph) -> TrainReport {
-    train_loop(model, g, LoopHooks::none()).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::TgaeConfig;
     use tg_graph::TemporalEdge;
 
-    /// Non-deprecated shim over the shared loop for these unit tests (the
-    /// wrapper-equivalence test in `tests/session_api.rs` covers `fit`).
     fn fit_for_test(model: &mut Tgae, g: &TemporalGraph) -> TrainReport {
         train_loop(model, g, LoopHooks::none()).expect("training failed")
     }

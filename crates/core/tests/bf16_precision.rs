@@ -75,10 +75,11 @@ fn bf16_training_quality_stays_within_documented_drift() {
             .expect("build");
         let report = session.train().expect("train");
         assert!(report.losses.iter().all(|l| l.is_finite()));
-        let synth = session
+        let run = session.into_shared();
+        let synth = run
             .simulate_seeded(7, GraphSink::new(shape.0, shape.1))
             .expect("simulate");
-        session.evaluate(&synth).expect("evaluate")
+        run.evaluate(&synth).expect("evaluate")
     };
     let base = run(Precision::F32);
     let bf = run(Precision::Bf16);
@@ -167,19 +168,10 @@ fn adoption_and_serve_reject_tampered_precision() {
     // shape a hand-edited model.json could take.
     let mut tampered = Tgae::new(g.n_nodes(), g.n_timestamps(), cfg_with(Precision::Bf16));
     tampered.cfg.precision = Precision::F32;
-    let err = Session::builder(&g)
-        .with_model(tampered.clone())
-        .build()
-        .expect_err("builder must reject");
-    assert!(matches!(err, TgxError::CheckpointMismatch(_)), "{err:?}");
     let err = SharedRun::from_arcs(Arc::new(tampered), Arc::new(g.clone())).expect_err("serve");
     assert!(matches!(err, TgxError::CheckpointMismatch(_)), "{err:?}");
     // A consistent bf16 model is adopted and served fine.
     let honest = Tgae::new(g.n_nodes(), g.n_timestamps(), cfg_with(Precision::Bf16));
-    assert!(Session::builder(&g)
-        .with_model(honest.clone())
-        .build()
-        .is_ok());
     let run = SharedRun::new(honest, g.clone()).expect("shared run");
     let shape = (g.n_nodes(), g.n_timestamps());
     let out = run

@@ -166,16 +166,17 @@ fn torn_checkpoint_write_leaves_previous_generation_intact() {
     s.train().unwrap();
     let good_bytes = std::fs::read(&path).unwrap();
 
-    // second run: every checkpoint write now fails mid-file
-    tg_faults::clear();
-    tg_faults::set("persist.atomic.partial", "err").unwrap();
+    // second run: every checkpoint write into this test's directory now
+    // fails mid-file (the fault registry is process-global and sibling
+    // tests checkpoint concurrently, so the spec filters on the path)
+    tg_faults::set("persist.atomic.partial", "err,arg=tgae_rotation_torn_").unwrap();
     let mut crashing = Session::builder(&g)
         .config(cfg)
         .checkpoint_rotating(&path, 3, 1)
         .build()
         .unwrap();
     let err = crashing.resume_from(&path).unwrap_err();
-    tg_faults::clear();
+    tg_faults::remove("persist.atomic.partial");
     assert!(matches!(err, TgxError::Checkpoint(_)), "{err}");
 
     // the torn write must not have harmed the committed checkpoint

@@ -12,10 +12,7 @@ use tg_graph::io::StreamingWriterSink;
 use tg_graph::sink::{GenerationStats, GraphSink, StatsSink};
 use tg_graph::{TemporalEdge, TemporalGraph};
 use tg_tensor::parallel::ThreadPin;
-use tgae::engine::{
-    generate_shard, generate_shard_with_sink, generate_with_sink, SimulationEngine,
-};
-use tgae::{Session, Tgae, TgaeConfig};
+use tgae::{generate_shard_with_sink, Session, SharedRun, SimulationEngine, TgaeConfig};
 
 /// A small multigraph with ring structure plus seeded random extra edges
 /// (including re-fired pairs, so the multiplicity path is exercised).
@@ -42,45 +39,46 @@ fn mixed_graph(n: u32, t_count: u32, extra: usize, seed: u64) -> TemporalGraph {
     TemporalGraph::from_edges(n as usize, t_count as usize, edges)
 }
 
-fn tiny_trained(g: &TemporalGraph, batch_centers: usize) -> Tgae {
+fn tiny_trained(g: &TemporalGraph, batch_centers: usize) -> SharedRun {
     let mut cfg = TgaeConfig::tiny();
     cfg.epochs = 4;
     cfg.batch_centers = batch_centers;
     let mut session = Session::builder(g).config(cfg).build().expect("session");
     session.train().expect("train");
-    session.into_model()
+    session.into_shared()
+}
+
+fn graph_sink(g: &TemporalGraph) -> GraphSink {
+    GraphSink::new(g.n_nodes(), g.n_timestamps())
 }
 
 /// Full-run reference edges through a `GraphSink`.
-fn reference_edges(model: &Tgae, g: &TemporalGraph, master: u64) -> Vec<TemporalEdge> {
-    generate_with_sink(
-        model,
-        g,
-        master,
-        GraphSink::new(g.n_nodes(), g.n_timestamps()),
-    )
-    .edges()
-    .to_vec()
+fn reference_edges(run: &SharedRun, master: u64) -> Vec<TemporalEdge> {
+    run.simulate_seeded(master, graph_sink(run.observed()))
+        .expect("simulate")
+        .edges()
+        .to_vec()
 }
 
 #[test]
 fn edges_bit_identical_across_threads_shards_and_sinks() {
     let g = mixed_graph(10, 3, 12, 5);
-    let model = tiny_trained(&g, 4); // several chunks per timestamp
+    let run = tiny_trained(&g, 4); // several chunks per timestamp
+    let model = run.model();
     let master = 20240731u64;
-    let reference = reference_edges(&model, &g, master);
+    let reference = reference_edges(&run, master);
     assert_eq!(reference.len(), g.n_edges());
 
     for threads in [1usize, 2, 4] {
         let _pin = ThreadPin::new(threads);
         for n_shards in [1usize, 2, 4] {
-            let plan = SimulationEngine::new(&model, &g).plan(master);
-            let shards = plan.shards(n_shards);
+            let shards = run.plan(master).shards(n_shards);
 
             // GraphSink per shard, merged
             let mut merged: Vec<TemporalEdge> = Vec::new();
             for spec in &shards {
-                merged.extend_from_slice(generate_shard(&model, &g, spec).edges());
+                let shard = generate_shard_with_sink(model, &g, spec, graph_sink(&g));
+                merged.extend_from_slice(shard.edges());
             }
             let merged = TemporalGraph::from_edges(g.n_nodes(), g.n_timestamps(), merged);
             assert_eq!(
@@ -94,7 +92,7 @@ fn edges_bit_identical_across_threads_shards_and_sinks() {
             let mut bytes: Vec<u8> = Vec::new();
             for spec in &shards {
                 let mut sink = StreamingWriterSink::new(Vec::new());
-                let engine = SimulationEngine::new(&model, &g);
+                let engine = SimulationEngine::new(model, &g);
                 let shard_plan = engine.plan(spec.master_seed);
                 engine.execute(shard_plan.shard_units(spec), &mut sink);
                 bytes.extend_from_slice(&sink.into_inner().unwrap());
@@ -111,8 +109,7 @@ fn edges_bit_identical_across_threads_shards_and_sinks() {
             // GenerationStats::merge equal graph-derived stats
             let mut stats_acc: Option<GenerationStats> = None;
             for spec in &shards {
-                let s =
-                    generate_shard_with_sink(&model, &g, spec, StatsSink::new(g.n_timestamps()));
+                let s = generate_shard_with_sink(model, &g, spec, StatsSink::new(g.n_timestamps()));
                 stats_acc = Some(match stats_acc {
                     None => s,
                     Some(mut acc) => {
@@ -134,27 +131,23 @@ fn edges_bit_identical_across_threads_shards_and_sinks() {
 #[test]
 fn streamed_bytes_are_shard_concatenation() {
     let g = mixed_graph(8, 2, 6, 9);
-    let model = tiny_trained(&g, 4);
+    let run = tiny_trained(&g, 4);
     let master = 77u64;
     let dir = std::env::temp_dir().join(format!("tg_engine_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
     let full_path = dir.join("full.txt");
-    let n_full = generate_with_sink(
-        &model,
-        &g,
-        master,
-        StreamingWriterSink::create(&full_path).unwrap(),
-    )
-    .unwrap();
+    let n_full = run
+        .simulate_seeded(master, StreamingWriterSink::create(&full_path).unwrap())
+        .expect("simulate")
+        .unwrap();
     assert_eq!(n_full as usize, g.n_edges());
 
-    let plan = SimulationEngine::new(&model, &g).plan(master);
     let mut shard_paths = Vec::new();
-    for spec in plan.shards(2) {
+    for spec in run.plan(master).shards(3) {
         let p = dir.join(format!("shard_{}.txt", spec.shard));
-        generate_shard_with_sink(&model, &g, &spec, StreamingWriterSink::create(&p).unwrap())
-            .unwrap();
+        let sink = StreamingWriterSink::create(&p).unwrap();
+        generate_shard_with_sink(run.model(), &g, &spec, sink).unwrap();
         shard_paths.push(p);
     }
     let merged_path = dir.join("merged.txt");
@@ -181,19 +174,21 @@ proptest! {
         master in 0u64..1000,
     ) {
         let g = mixed_graph(n, t_count, extra, graph_seed);
-        let model = tiny_trained(&g, 4);
-        let reference = reference_edges(&model, &g, master);
+        let run = tiny_trained(&g, 4);
+        let reference = reference_edges(&run, master);
         prop_assert_eq!(reference.len(), g.n_edges());
 
-        let plan = SimulationEngine::new(&model, &g).plan(master);
         let mut merged: Vec<TemporalEdge> = Vec::new();
-        for spec in plan.shards(2) {
-            merged.extend_from_slice(generate_shard(&model, &g, &spec).edges());
+        for spec in run.plan(master).shards(2) {
+            let shard = generate_shard_with_sink(run.model(), &g, &spec, graph_sink(&g));
+            merged.extend_from_slice(shard.edges());
         }
         let merged = TemporalGraph::from_edges(g.n_nodes(), g.n_timestamps(), merged);
         prop_assert_eq!(merged.edges(), &reference[..]);
 
-        let stats = generate_with_sink(&model, &g, master, StatsSink::new(g.n_timestamps()));
+        let stats = run
+            .simulate_seeded(master, StatsSink::new(g.n_timestamps()))
+            .expect("simulate");
         let full = TemporalGraph::from_edges(g.n_nodes(), g.n_timestamps(), reference);
         prop_assert_eq!(stats, GenerationStats::from_graph(&full));
     }

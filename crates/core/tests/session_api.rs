@@ -1,8 +1,5 @@
-//! Acceptance tests for the PR-4 `Session` API:
+//! Acceptance tests for the `Session` API:
 //!
-//! - **bit-identity with the PR-3 free functions** — for the same config
-//!   and master seed, `Session::train` + `simulate_seeded` reproduce
-//!   `fit` + `generate_with_sink` exactly;
 //! - **resume-equals-straight-run** — training with a mid-run checkpoint,
 //!   then resuming from it in a *fresh* session, yields bit-identical
 //!   parameters, losses, and generated edges;
@@ -15,8 +12,9 @@
 use tg_graph::sink::{GenerationStats, GraphSink, StatsSink};
 use tg_graph::source::InMemorySource;
 use tg_graph::{TemporalEdge, TemporalGraph};
-use tgae::engine::generate_with_sink;
-use tgae::{EpochEvent, Session, Tgae, TgaeConfig, TgxError, TrainControl};
+use tgae::{
+    generate_shard_with_sink, EpochEvent, Session, Tgae, TgaeConfig, TgxError, TrainControl,
+};
 
 fn ring_graph(n: u32, t_count: u32) -> TemporalGraph {
     let mut edges = Vec::new();
@@ -43,38 +41,6 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("tgae_session_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
-}
-
-#[test]
-#[allow(deprecated)]
-fn session_is_bit_identical_to_free_function_path() {
-    let g = ring_graph(9, 3);
-    let cfg = tiny_cfg(6, 41);
-    let master = 20240731u64;
-
-    // PR-3 free-function path
-    let mut model = Tgae::new(g.n_nodes(), g.n_timestamps(), cfg.clone());
-    let free_report = tgae::fit(&mut model, &g);
-    let free_edges = generate_with_sink(
-        &model,
-        &g,
-        master,
-        GraphSink::new(g.n_nodes(), g.n_timestamps()),
-    );
-
-    // Session path, same config => same master seed policy
-    let mut session = Session::builder(&g).config(cfg).build().expect("session");
-    let report = session.train().expect("train");
-    assert_eq!(report.losses, free_report.losses, "loss trajectories");
-    assert_eq!(
-        params_of(session.model()),
-        params_of(&model),
-        "trained parameters"
-    );
-    let session_edges = session
-        .simulate_seeded(master, GraphSink::new(g.n_nodes(), g.n_timestamps()))
-        .expect("simulate");
-    assert_eq!(session_edges.edges(), free_edges.edges(), "generated edges");
 }
 
 #[test]
@@ -126,12 +92,8 @@ fn resume_from_checkpoint_equals_straight_run() {
     // ...parameters...
     assert_eq!(params_of(resumed.model()), params_of(straight.model()));
     // ...and generated output.
-    let a = straight
-        .simulate_seeded(5, GraphSink::new(g.n_nodes(), g.n_timestamps()))
-        .unwrap();
-    let b = resumed
-        .simulate_seeded(5, GraphSink::new(g.n_nodes(), g.n_timestamps()))
-        .unwrap();
+    let a = straight.into_shared().simulate(5).unwrap();
+    let b = resumed.into_shared().simulate(5).unwrap();
     assert_eq!(a.edges(), b.edges());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -154,9 +116,6 @@ fn source_built_session_is_bit_identical_to_borrowed_graph() {
         .build()
         .expect("borrowed session");
     let report_a = borrowed.train().expect("train borrowed");
-    let edges_a = borrowed
-        .simulate_seeded(master, GraphSink::new(g.n_nodes(), g.n_timestamps()))
-        .expect("simulate borrowed");
 
     let mut streamed = Session::builder_from_source(&mut InMemorySource::new(&g))
         .expect("ingest")
@@ -166,9 +125,6 @@ fn source_built_session_is_bit_identical_to_borrowed_graph() {
         .expect("streamed session");
     assert_eq!(streamed.observed().edges(), g.edges());
     let report_b = streamed.train().expect("train streamed");
-    let edges_b = streamed
-        .simulate_seeded(master, GraphSink::new(g.n_nodes(), g.n_timestamps()))
-        .expect("simulate streamed");
 
     assert_eq!(report_a.losses, report_b.losses, "loss history diverged");
     assert_eq!(
@@ -176,7 +132,14 @@ fn source_built_session_is_bit_identical_to_borrowed_graph() {
         params_of(streamed.model()),
         "trained parameters diverged"
     );
-    assert_eq!(edges_a.edges(), edges_b.edges(), "generated edges diverged");
+    let sink = || GraphSink::new(g.n_nodes(), g.n_timestamps());
+    let edges_a = borrowed.into_shared().simulate_seeded(master, sink());
+    let edges_b = streamed.into_shared().simulate_seeded(master, sink());
+    assert_eq!(
+        edges_a.expect("simulate borrowed").edges(),
+        edges_b.expect("simulate streamed").edges(),
+        "generated edges diverged"
+    );
 }
 
 #[test]
@@ -301,23 +264,20 @@ fn edgeless_graph_is_a_typed_error() {
 }
 
 #[test]
-fn stats_sink_and_merge_through_the_session() {
+fn stats_sink_and_merge_through_the_shards_of_a_run() {
     let g = ring_graph(8, 4);
     let mut cfg = tiny_cfg(4, 9);
     cfg.batch_centers = 4;
     let mut s = Session::builder(&g).config(cfg).build().unwrap();
     s.train().unwrap();
-    let master = s.seed_policy().simulation_master(0);
-    let reference = s
-        .simulate_seeded(master, GraphSink::new(g.n_nodes(), g.n_timestamps()))
-        .unwrap();
+    let run = s.into_shared();
+    let reference = run.simulate(0).unwrap();
     // sharded stats runs merged through the public GenerationStats::merge
-    let shard_stats = s
-        .simulate_sharded(3, |_| StatsSink::new(g.n_timestamps()))
-        .unwrap();
+    let master = run.seed_policy().simulation_master(0);
     let mut merged = GenerationStats::default();
-    for stats in &shard_stats {
-        merged.merge(stats);
+    for spec in run.plan(master).shards(3) {
+        let sink = StatsSink::new(g.n_timestamps());
+        merged.merge(&generate_shard_with_sink(run.model(), &g, &spec, sink));
     }
     assert_eq!(merged, GenerationStats::from_graph(&reference));
 }

@@ -17,6 +17,9 @@
 //! - [`chrome`] — merges per-process span JSONL files into Chrome
 //!   `trace_event` JSON so a whole driver + shard-worker run renders in
 //!   a trace viewer.
+//! - [`memtrack`] — a counting global allocator a binary can install to
+//!   read live and peak heap bytes (the heap gauge of training telemetry
+//!   and the benchmark's `peak_heap_mib`).
 //!
 //! ## The zero-cost-when-idle contract
 //!
@@ -32,9 +35,12 @@
 //! `lint: allow(determinism)` hatches.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod chrome;
+// The one module allowed `unsafe`: `GlobalAlloc` is an unsafe trait.
+#[allow(unsafe_code)]
+pub mod memtrack;
 mod registry;
 pub mod trace;
 

@@ -1,11 +1,13 @@
 //! Peak-heap tracking via a counting global allocator.
 //!
 //! The paper's Fig. 6 reports GPU memory usage; this reproduction runs on
-//! CPU, so the analogue is peak heap allocation. Experiment binaries
-//! install [`TrackingAllocator`] as the global allocator and snapshot
-//! [`peak_bytes`] around each method run. The "OOM" cells of Tables IV–VI
-//! are reproduced by checking the tracked peak against a configurable
-//! budget.
+//! CPU, so the analogue is peak heap allocation. A binary that wants heap
+//! numbers (`tgx-cli` for `train --telemetry`, the experiment binaries,
+//! the benchmark suite) installs [`TrackingAllocator`] as its
+//! `#[global_allocator]` and snapshots [`peak_bytes`] around each measured
+//! run; without it the counters simply read `0`. The "OOM" cells of
+//! Tables IV–VI are reproduced by checking the tracked peak against a
+//! configurable budget.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -85,9 +87,9 @@ pub fn fmt_bytes(b: usize) -> String {
 mod tests {
     use super::*;
 
-    // Note: the tracking allocator is only *installed* in the experiment
-    // binaries; in unit tests these counters sit at zero unless installed,
-    // so we only test the pure helpers here.
+    // Note: the tracking allocator is only *installed* in binaries; in
+    // unit tests these counters sit at zero unless installed, so we only
+    // test the pure helpers here.
     #[test]
     fn byte_formatting() {
         assert_eq!(fmt_bytes(512), "512 B");

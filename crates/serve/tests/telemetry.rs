@@ -38,6 +38,23 @@ fn trained_run() -> SharedRun {
     session.into_shared()
 }
 
+/// Requests recorded so far in `serve.request.seconds{cache=…}`. The
+/// histogram is shared by every test of this binary, so callers compare
+/// readings taken before and after their own traffic.
+fn request_seconds_count(cache: &str) -> u64 {
+    tg_obs::Registry::global()
+        .snapshot()
+        .iter()
+        .find(|m| {
+            m.name == "serve.request.seconds"
+                && m.labels == [("cache".to_string(), cache.to_string())]
+        })
+        .map_or(0, |m| match &m.value {
+            tg_obs::MetricValue::Histogram(h) => h.count(),
+            other => panic!("serve.request.seconds must be a histogram, got {other:?}"),
+        })
+}
+
 struct TestServer {
     addr: String,
     handle: ServerHandle,
@@ -77,6 +94,7 @@ impl TestServer {
 fn status_reports_residency_and_exact_request_counters() {
     let server = TestServer::start(trained_run(), ServeConfig::default());
     let mut client = Client::connect_tcp(&server.addr).unwrap();
+    let (miss_before, hit_before) = (request_seconds_count("miss"), request_seconds_count("hit"));
 
     // An untouched daemon: nothing resident, nothing in flight.
     let before = client.status().expect("status on idle server");
@@ -125,7 +143,17 @@ fn status_reports_residency_and_exact_request_counters() {
         "byte counter below the edge stream this test received"
     );
 
+    // The latency histogram is observed after the response frame is
+    // written, so read it once the server has drained.
     server.stop();
+    assert!(
+        request_seconds_count("miss") > miss_before,
+        "the cold request must land in the miss histogram"
+    );
+    assert!(
+        request_seconds_count("hit") > hit_before,
+        "the warm request must land in the hit histogram"
+    );
 }
 
 #[test]

@@ -34,8 +34,7 @@
 //!   the same edges as one built from the in-memory graph.
 //! - **Bounded ingest memory**: reading a store holds one SoA block and
 //!   one chunk buffer, so peak heap above the final structure is a
-//!   function of the block/window size, not the edge count (measured in
-//!   `BENCH_PR5.json`).
+//!   function of the block/window size, not the edge count.
 //! - **Typed failure**: corrupt headers, truncated files, checksum
 //!   mismatches, and in-window payload damage each surface as their own
 //!   [`StoreError`] variant.

@@ -260,9 +260,6 @@ fn session_from_store_is_bit_identical_to_in_memory() {
         .build()
         .unwrap();
     let report_mem = mem.train().unwrap();
-    let edges_mem = mem
-        .simulate_seeded(master, GraphSink::new(g.n_nodes(), g.n_timestamps()))
-        .unwrap();
 
     let mut src = StoreSource::open(&path).unwrap();
     let mut stored = Session::builder_from_source(&mut src)
@@ -273,9 +270,6 @@ fn session_from_store_is_bit_identical_to_in_memory() {
         .unwrap();
     assert_eq!(stored.observed().edges(), g.edges());
     let report_store = stored.train().unwrap();
-    let edges_store = stored
-        .simulate_seeded(master, GraphSink::new(g.n_nodes(), g.n_timestamps()))
-        .unwrap();
 
     assert_eq!(report_mem.losses, report_store.losses);
     assert_eq!(
@@ -283,6 +277,12 @@ fn session_from_store_is_bit_identical_to_in_memory() {
         serde_json::to_string(&stored.model().store).unwrap(),
         "trained parameters diverged between in-memory and store paths"
     );
+    let sink = || GraphSink::new(g.n_nodes(), g.n_timestamps());
+    let edges_mem = mem.into_shared().simulate_seeded(master, sink()).unwrap();
+    let edges_store = stored
+        .into_shared()
+        .simulate_seeded(master, sink())
+        .unwrap();
     assert_eq!(edges_mem.edges(), edges_store.edges());
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -17,7 +17,7 @@ use crate::matrix::{
     segment_softmax_backward, softmax_rows_into, Matrix,
 };
 use crate::params::{ParamId, ParamStore};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// Handle to a node on the tape. Cheap to copy; only valid for the tape that
@@ -241,9 +241,9 @@ impl Default for Tape {
 }
 
 thread_local! {
-    /// One persistent scratch tape per OS thread; see
-    /// [`Tape::with_thread_local`].
-    static THREAD_TAPE: RefCell<Tape> = RefCell::new(Tape::new());
+    /// One persistent scratch tape per OS thread, absent while a
+    /// [`Tape::with_thread_local`] call on this thread is using it.
+    static THREAD_TAPE: Cell<Option<Tape>> = const { Cell::new(None) };
 }
 
 impl Tape {
@@ -264,21 +264,25 @@ impl Tape {
     /// persistent worker pool (`crate::parallel`) reuse their buffers
     /// across work items exactly like the training loop's single reused
     /// tape — this is what gives *generation* the trainer's scratch
-    /// story. The tape is [`Tape::clear`]ed before `f` runs; `f` must not
-    /// re-enter `with_thread_local` on the same thread (the `RefCell`
-    /// would panic).
+    /// story. The tape is [`Tape::clear`]ed before `f` runs.
+    ///
+    /// The tape is taken out of its thread-local slot while `f` runs, so
+    /// `f` may re-enter: a pool thread that waits for a parallel gemm
+    /// inside `f` helps by running other queued work, which can be another
+    /// `with_thread_local` call on the same stack. The inner call finds
+    /// the slot empty and runs on a fresh tape; results never depend on
+    /// which tape recorded them.
     pub fn with_thread_local<R>(f: impl FnOnce(&mut Tape) -> R) -> R {
-        THREAD_TAPE.with(|t| {
-            let mut tape = t.borrow_mut();
-            tape.clear();
-            let out = f(&mut tape);
-            // Clear again on the way out: node buffers return to the
-            // capped scratch pool instead of staying live on the tape, so
-            // an idle worker retains at most the pool cap — not its last
-            // forward pass's full activation set.
-            tape.clear();
-            out
-        })
+        let mut tape = THREAD_TAPE.take().unwrap_or_default();
+        tape.clear();
+        let out = f(&mut tape);
+        // Clear again on the way out: node buffers return to the capped
+        // scratch pool instead of staying live on the tape, so an idle
+        // worker retains at most the pool cap — not its last forward
+        // pass's full activation set.
+        tape.clear();
+        THREAD_TAPE.set(Some(tape));
+        out
     }
 
     /// Select the softmax-cross-entropy implementation recorded by
@@ -639,8 +643,8 @@ impl Tape {
 
     /// The pre-fusion softmax cross-entropy: identical loss and gradients
     /// to [`Tape::softmax_xent`], but stores the full softmax of `logits`
-    /// on the tape. Reference implementation for the parity tests and the
-    /// peak-memory A/B in `perf_snapshot`.
+    /// on the tape. Reference implementation for the parity tests and
+    /// peak-memory A/Bs.
     pub fn softmax_xent_materialised(
         &mut self,
         logits: Var,
@@ -1342,6 +1346,13 @@ mod tests {
         });
         assert_eq!(first, fresh);
         assert_eq!(second, fresh);
+    }
+
+    #[test]
+    fn thread_local_tape_is_reentrant() {
+        let inner_was_empty =
+            Tape::with_thread_local(|_| Tape::with_thread_local(|inner| inner.is_empty()));
+        assert!(inner_was_empty);
     }
 
     #[test]

@@ -328,6 +328,10 @@ const PARITY_SHAPES: &[(usize, usize, usize)] = &[
 /// every available ISA level, and across the fringe shapes above.
 #[test]
 fn simd_matmul_bitwise_on_integer_data() {
+    assert!(
+        available_microkernels().contains(&MicrokernelKind::Portable),
+        "portable fallback missing from the dispatch list"
+    );
     for &(m, k, n) in PARITY_SHAPES {
         let a = Matrix::from_fn(m, k, |r, c| ((r * 3 + c * 11) % 7) as f32 - 3.0);
         let b = Matrix::from_fn(k, n, |r, c| ((r * 5 + c * 2) % 9) as f32 - 4.0);

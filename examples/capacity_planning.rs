@@ -42,7 +42,7 @@ impl TemporalGraphGenerator for TgaeMethod {
             .build()
             .expect("valid session");
         session.train().expect("train");
-        session.simulate().expect("simulate")
+        session.into_shared().simulate(0).expect("simulate")
     }
 }
 

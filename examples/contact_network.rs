@@ -85,7 +85,7 @@ fn main() {
             .build()
             .expect("valid session");
         let report = session.train().expect("train");
-        let synthetic = session.simulate().expect("simulate");
+        let synthetic = session.into_shared().simulate(0).expect("simulate");
 
         // functional fidelity: how closely does an epidemic on the twin
         // track an epidemic on the real network?

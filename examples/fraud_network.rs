@@ -54,7 +54,7 @@ fn main() {
         report.wall,
         report.final_loss()
     );
-    let twin = session.simulate().expect("simulate");
+    let twin = session.into_shared().simulate(0).expect("simulate");
 
     // Strawman anonymiser: edge shuffling (Erdős–Rényi per snapshot).
     let mut er_rng = SmallRng::seed_from_u64(2);

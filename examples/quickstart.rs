@@ -1,5 +1,6 @@
-//! Quickstart: train TGAE on a small temporal graph through the `Session`
-//! API and verify the simulation preserves the Table III statistics.
+//! Quickstart: train TGAE on a small temporal graph through a `Session`,
+//! hand off to its `SharedRun`, and verify the simulation preserves the
+//! Table III statistics.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -53,8 +54,10 @@ fn main() {
         report.mean_epoch_wall()
     );
 
-    // 4. Simulate a synthetic temporal graph with the same edge budget.
-    let synthetic = session.simulate().expect("simulation ran");
+    // 4. Hand the trained run off and simulate run 0: a synthetic
+    //    temporal graph with the same edge budget.
+    let run = session.into_shared();
+    let synthetic = run.simulate(0).expect("simulation ran");
     println!(
         "generated: {} temporal edges across {} timestamps",
         synthetic.n_edges(),
@@ -64,7 +67,7 @@ fn main() {
     // 5. Evaluate with the paper's harness (Eq. 10): relative error of the
     //    seven graph statistics across accumulated snapshots.
     println!("\n{:<16} {:>10} {:>10}", "metric", "f_avg", "f_med");
-    for score in session.evaluate(&synthetic).expect("same shape") {
+    for score in run.evaluate(&synthetic).expect("same shape") {
         println!(
             "{:<16} {:>10.4} {:>10.4}",
             score.kind.name(),

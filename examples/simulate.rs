@@ -1,10 +1,10 @@
 //! End-to-end sharded streaming simulation: train a tiny preset through
-//! the `Session` API, generate the synthetic graph as K independent
-//! shards streamed to edge-list files, merge the shard files, and verify
+//! a `Session`, hand off to its `SharedRun`, generate the synthetic graph
+//! as K independent shards streamed to edge-list files, merge the shard files, and verify
 //! the result is **bit-identical** to a single in-process run — plus a
 //! statistics-only pass merged through `GenerationStats::merge`.
 //!
-//! This is both the quickstart for the session/engine API and a CI smoke
+//! This is both the quickstart for the engine API and a CI smoke
 //! test for sharded-generation determinism (it exits non-zero on any
 //! mismatch). The same pipeline across *processes* is `tgx-cli`:
 //!
@@ -45,21 +45,16 @@ fn main() {
     println!("trained: final loss {:.4}", report.final_loss());
 
     // 3. Single-process reference: simulation run 0 of the seed policy.
-    let master = session.seed_policy().simulation_master(0);
-    let reference = session
-        .simulate_seeded(
-            master,
-            GraphSink::new(observed.n_nodes(), observed.n_timestamps()),
-        )
-        .expect("reference run");
+    let run = session.into_shared();
+    let reference = run.simulate(0).expect("reference run");
 
     // 4. Sharded + streamed: split the same run into K timestamp-range
     //    shards, stream each shard to its own edge-list file (each of
     //    these could run in a separate process — a ShardSpec is a few
     //    serialisable integers; `tgx-cli simulate` does exactly that),
     //    then merge the files.
-    let plan = session.simulation_plan(master);
-    let specs = session.shard_specs(master, n_shards).expect("shard specs");
+    let plan = run.plan(run.seed_policy().simulation_master(0));
+    let specs = plan.shards(n_shards);
     println!(
         "plan: {} work units, {} edges budgeted, {} shards",
         plan.units().len(),
@@ -71,13 +66,8 @@ fn main() {
     let mut shard_paths = Vec::new();
     for spec in &specs {
         let path = dir.join(format!("shard_{}.edges", spec.shard));
-        let n = session
-            .simulate_shard_with_sink(
-                spec,
-                StreamingWriterSink::create(&path).expect("create shard file"),
-            )
-            .expect("valid shard")
-            .expect("stream shard");
+        let sink = StreamingWriterSink::create(&path).expect("create shard file");
+        let n = generate_shard_with_sink(run.model(), &observed, spec, sink).expect("stream shard");
         println!(
             "  shard {}: t in [{}, {}), {} edges -> {}",
             spec.shard,
@@ -109,10 +99,13 @@ fn main() {
     //    public GenerationStats::merge — no edges stored, same totals.
     let mut stats = GenerationStats::default();
     for spec in &specs {
-        let shard_stats = session
-            .simulate_shard_with_sink(spec, StatsSink::new(observed.n_timestamps()))
-            .expect("stats shard");
-        stats.merge(&shard_stats);
+        let sink = StatsSink::new(observed.n_timestamps());
+        stats.merge(&generate_shard_with_sink(
+            run.model(),
+            &observed,
+            spec,
+            sink,
+        ));
     }
     assert_eq!(
         stats,

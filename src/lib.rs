@@ -12,14 +12,15 @@
 //! | [`store`] | `tg-store` | out-of-core columnar edge store (TGES) + streaming ingest |
 //! | [`tensor`] | `tg-tensor` | CPU autodiff tensor library |
 //! | [`sampling`] | `tg-sampling` | ego-graph sampling, bipartite batching |
-//! | [`model`] | `tgae` | the TGAE model, `Session` API, engine |
+//! | [`model`] | `tgae` | the TGAE model, `Session` + `SharedRun`, engine |
 //! | [`metrics`] | `tg-metrics` | Table III stats, motif census, MMD |
 //! | [`baselines`] | `tg-baselines` | the ten comparison generators |
 //! | [`datasets`] | `tg-datasets` | synthetic Table II presets, grids |
 //!
-//! The entry point is the [`Session`](tgae::Session) API — one object for
-//! the train → simulate → evaluate lifecycle, driven by a single master
-//! seed, with typed errors, epoch observation, and checkpoint/resume. The
+//! There is one way in: a [`Session`](tgae::Session) trains (a single
+//! master seed, typed errors, epoch observation, checkpoint/resume) and
+//! [`into_shared`](tgae::Session::into_shared) hands the result to a
+//! [`SharedRun`](tgae::SharedRun), which simulates and evaluates. The
 //! `tgx-cli` binary (workspace crate `crates/cli`) drives the same
 //! pipeline across *processes*: per-shard workers, checkpointed model
 //! loading, and a bit-identical merge.
@@ -45,12 +46,14 @@
 //! let report = session.train().expect("training ran");
 //! assert!(report.final_loss().is_finite());
 //!
-//! // 4. simulate a synthetic graph with the same shape
-//! let synthetic = session.simulate().expect("simulation ran");
+//! // 4. hand the trained run off and simulate run 0: a synthetic graph
+//! //    with the same shape
+//! let run = session.into_shared();
+//! let synthetic = run.simulate(0).expect("simulation ran");
 //! assert_eq!(synthetic.n_edges(), observed.n_edges());
 //!
 //! // 5. score the simulation (Eq. 10)
-//! let scores = session.evaluate(&synthetic).expect("same shape");
+//! let scores = run.evaluate(&synthetic).expect("same shape");
 //! assert_eq!(scores.len(), 7);
 //! ```
 
@@ -74,11 +77,9 @@ pub mod prelude {
     pub use tg_metrics::{evaluate, GraphStats, MetricKind};
     pub use tg_sampling::SamplerConfig;
     pub use tg_store::{StoreReader, StoreSource, StoreWriter};
-    #[allow(deprecated)]
-    pub use tgae::{fit, generate};
     pub use tgae::{
-        generate_shard, generate_with_sink, CheckpointPolicy, EpochEvent, RunObserver, SeedPolicy,
-        Session, SessionBuilder, ShardSpec, SimulationEngine, SimulationPlan, Tgae, TgaeConfig,
+        generate_shard_with_sink, CheckpointPolicy, EpochEvent, RunObserver, SeedPolicy, Session,
+        SessionBuilder, ShardSpec, SharedRun, SimulationEngine, SimulationPlan, Tgae, TgaeConfig,
         TgaeVariant, TgxError, TrainControl, TrainReport,
     };
 }

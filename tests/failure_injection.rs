@@ -12,14 +12,14 @@ fn cfg(epochs: usize) -> TgaeConfig {
     c
 }
 
-fn trained_session(g: &TemporalGraph, c: TgaeConfig, seed: u64) -> Session<'_> {
+fn trained_run(g: &TemporalGraph, c: TgaeConfig, seed: u64) -> SharedRun {
     let mut s = Session::builder(g)
         .config(c)
         .seed(seed)
         .build()
         .expect("valid session");
     s.train().expect("train");
-    s
+    s.into_shared()
 }
 
 /// One repeated pair, one timestamp: the smallest possible corpus.
@@ -31,8 +31,7 @@ fn trains_on_single_pair_graph() {
         TemporalEdge::new(0, 1, 0),
     ];
     let g = TemporalGraph::from_edges(2, 1, edges);
-    let mut session = trained_session(&g, cfg(10), 1);
-    let out = session.simulate().expect("simulate");
+    let out = trained_run(&g, cfg(10), 1).simulate(0).expect("simulate");
     assert_eq!(out.n_edges(), 3);
     // only possible non-self target is node 1
     assert!(out.edges().iter().all(|e| e.u == 0 && e.v == 1));
@@ -43,8 +42,7 @@ fn trains_on_single_pair_graph() {
 fn handles_sparse_time_axis() {
     let edges = vec![TemporalEdge::new(0, 1, 0), TemporalEdge::new(1, 2, 9)];
     let g = TemporalGraph::from_edges(3, 10, edges);
-    let mut session = trained_session(&g, cfg(6), 2);
-    let out = session.simulate().expect("simulate");
+    let out = trained_run(&g, cfg(6), 2).simulate(0).expect("simulate");
     assert_eq!(
         out.edge_counts_per_timestamp(),
         g.edge_counts_per_timestamp()
@@ -80,8 +78,7 @@ fn generation_clamps_when_budget_exceeds_targets() {
         edges.push(TemporalEdge::new(0, 2, 0));
     }
     let g = TemporalGraph::from_edges(3, 1, edges);
-    let mut session = trained_session(&g, cfg(5), 3);
-    let out = session.simulate().expect("simulate");
+    let out = trained_run(&g, cfg(5), 3).simulate(0).expect("simulate");
     assert_eq!(out.n_edges(), 10, "multiplicity fill must hit the budget");
     assert!(out
         .edges()

@@ -1,6 +1,6 @@
 //! End-to-end integration: dataset generation -> TGAE training ->
-//! simulation -> evaluation, across crates, driven through the `Session`
-//! API.
+//! simulation -> evaluation, across crates, driven through `Session` and
+//! `SharedRun`.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -33,7 +33,8 @@ fn full_pipeline_produces_scored_simulation() {
         .expect("valid session");
     let report = session.train().expect("train");
     assert!(report.final_loss().is_finite());
-    let synthetic = session.simulate().expect("simulate");
+    let run = session.into_shared();
+    let synthetic = run.simulate(0).expect("simulate");
     assert_eq!(synthetic.n_nodes(), observed.n_nodes());
     assert_eq!(synthetic.n_timestamps(), observed.n_timestamps());
     assert_eq!(
@@ -41,7 +42,7 @@ fn full_pipeline_produces_scored_simulation() {
         observed.edge_counts_per_timestamp(),
         "per-timestamp budgets must be preserved"
     );
-    let scores = session.evaluate(&synthetic).expect("evaluate");
+    let scores = run.evaluate(&synthetic).expect("evaluate");
     assert_eq!(scores.len(), 7);
     for s in &scores {
         assert!(s.avg.is_finite() && s.med.is_finite(), "{}", s.kind.name());
@@ -57,13 +58,13 @@ fn generation_is_deterministic_for_fixed_seeds() {
         .build()
         .expect("session");
     session.train().expect("train");
+    let run = session.into_shared();
     let gen = |master: u64| {
-        session
-            .simulate_seeded(
-                master,
-                GraphSink::new(observed.n_nodes(), observed.n_timestamps()),
-            )
-            .expect("simulate")
+        run.simulate_seeded(
+            master,
+            GraphSink::new(observed.n_nodes(), observed.n_timestamps()),
+        )
+        .expect("simulate")
     };
     let a = gen(42);
     let b = gen(42);
@@ -102,7 +103,7 @@ fn all_variants_train_and_generate() {
             .expect("session");
         let report = session.train().expect("train");
         assert!(report.final_loss().is_finite(), "{} loss", variant.name());
-        let synthetic = session.simulate().expect("simulate");
+        let synthetic = session.into_shared().simulate(0).expect("simulate");
         assert_eq!(
             synthetic.n_edges(),
             observed.n_edges(),
@@ -125,7 +126,7 @@ fn sparse_candidate_mode_trains_and_generates() {
         .expect("session");
     let report = session.train().expect("train");
     assert!(report.final_loss().is_finite());
-    let synthetic = session.simulate().expect("simulate");
+    let synthetic = session.into_shared().simulate(0).expect("simulate");
     assert_eq!(synthetic.n_nodes(), observed.n_nodes());
     assert!(synthetic.n_edges() > 0);
 }
@@ -140,23 +141,10 @@ fn model_serializes_and_roundtrips() {
     session.train().expect("train");
     let json = serde_json::to_string(session.model()).expect("serialize model");
     let restored: Tgae = serde_json::from_str(&json).expect("deserialize model");
-    // a session adopting the restored model generates identically
-    let restored_session = Session::builder(&observed)
-        .with_model(restored)
-        .build()
-        .expect("adopted session");
-    let a = session
-        .simulate_seeded(
-            10,
-            GraphSink::new(observed.n_nodes(), observed.n_timestamps()),
-        )
-        .expect("simulate");
-    let b = restored_session
-        .simulate_seeded(
-            10,
-            GraphSink::new(observed.n_nodes(), observed.n_timestamps()),
-        )
-        .expect("simulate");
+    // a run adopting the restored model generates identically
+    let restored_run = SharedRun::new(restored, observed.clone()).expect("adopted run");
+    let a = session.into_shared().simulate(10).expect("simulate");
+    let b = restored_run.simulate(10).expect("simulate");
     assert_eq!(a.edges(), b.edges());
 }
 
@@ -167,8 +155,9 @@ fn trained_beats_untrained_on_reconstruction() {
     let observed = small_observed(11);
     let truth: std::collections::HashSet<(u32, u32)> =
         observed.edges().iter().map(|e| (e.u, e.v)).collect();
-    let hit_rate = |session: &Session<'_>| {
+    let hit_rate = |session: Session<'_>| {
         let g = session
+            .into_shared()
             .simulate_seeded(
                 12,
                 GraphSink::new(observed.n_nodes(), observed.n_timestamps()),
@@ -184,13 +173,13 @@ fn trained_beats_untrained_on_reconstruction() {
         .config(quick_cfg(40))
         .build()
         .expect("session");
-    let untrained_rate = hit_rate(&untrained);
+    let untrained_rate = hit_rate(untrained);
     let mut trained = Session::builder(&observed)
         .config(quick_cfg(40))
         .build()
         .expect("session");
     trained.train().expect("train");
-    let trained_rate = hit_rate(&trained);
+    let trained_rate = hit_rate(trained);
     assert!(
         trained_rate > untrained_rate,
         "trained {trained_rate:.3} <= untrained {untrained_rate:.3}"

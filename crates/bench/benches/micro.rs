@@ -159,6 +159,26 @@ fn generation_benches(c: &mut Criterion) {
             .expect("simulate")
         })
     });
+    // One generation unit's decode (computation graph → encoder → level-0
+    // decode state → candidate scores → in-place softmax) at the default
+    // model widths, on each side of `dense_cutoff`.
+    let mut sources: Vec<(u32, u32)> = g.edges_at(2).iter().map(|e| (e.u, 2)).collect();
+    sources.dedup();
+    sources.truncate(32);
+    for (name, dense_cutoff) in [
+        ("tgae_decode_unit_dense", usize::MAX),
+        ("tgae_decode_unit_sparse", 64),
+    ] {
+        let cfg = TgaeConfig {
+            dense_cutoff,
+            ..TgaeConfig::default()
+        };
+        let model = Tgae::new(g.n_nodes(), g.n_timestamps(), cfg);
+        c.bench_function(name, |b| {
+            let mut rng = SmallRng::seed_from_u64(9);
+            b.iter(|| model.decode_rows_for_generation(&g, &sources, &mut rng))
+        });
+    }
 }
 
 criterion_group! {

@@ -21,6 +21,13 @@
 //! softmax, which is what keeps decoding memory `O(n(T + n_s))` rather
 //! than `O(T n²)`.
 //!
+//! Scoring reads `W_dec` and `b_dec` by candidate row
+//! ([`EgoDecoder::candidate_rows`], a fused gather from the parameter
+//! store): a forward pass holds `|C|` decoder rows, never the `n`-row
+//! tables, and their gradients are scatter-added from those rows.
+//! Training scores every decode level; generation scores level 0 only
+//! ([`EgoDecoder::decode_centers`]).
+//!
 //! During training the per-level logits produced by [`EgoDecoder::score`]
 //! feed the **fused** softmax-cross-entropy
 //! ([`tg_tensor::tape::Tape::softmax_xent`]): no `slots × candidates`
@@ -118,10 +125,24 @@ impl EgoDecoder {
         (z, mu, Some(logvar))
     }
 
+    /// Decode state of the centers, `h₀ = h_center_enc + Z[centers]` —
+    /// level 0 of [`EgoDecoder::decode_levels`], and the only level
+    /// generation scores. The centers are the first `n_centers` slots.
+    pub fn decode_centers(
+        &self,
+        tape: &mut Tape,
+        h_center_enc: Var,
+        z_all: Var,
+        n_centers: usize,
+    ) -> Var {
+        let z0 = tape.gather_rows(z_all, Rc::new((0..n_centers as u32).collect()));
+        tape.add(h_center_enc, z0)
+    }
+
     /// Walk the computation graph outward, producing decode states per
-    /// level: `h[0] = h_center_enc + Z[centers]`, then for each bipartite
-    /// layer, children receive the mean of their parents' states plus
-    /// their own `Z` row.
+    /// level: `h[0]` from [`EgoDecoder::decode_centers`], then for each
+    /// bipartite layer, children receive the mean of their parents'
+    /// states plus their own `Z` row.
     pub fn decode_levels(
         &self,
         tape: &mut Tape,
@@ -131,15 +152,8 @@ impl EgoDecoder {
         level_offsets: &[usize],
     ) -> Vec<Var> {
         let k = cg.k();
-        let z_level = |tape: &mut Tape, level: usize, z_all: Var| -> Var {
-            let lo = level_offsets[level] as u32;
-            let hi = level_offsets[level + 1] as u32;
-            let idx: Rc<Vec<u32>> = Rc::new((lo..hi).collect());
-            tape.gather_rows(z_all, idx)
-        };
-        let z0 = z_level(tape, 0, z_all);
         let mut levels = Vec::with_capacity(k + 1);
-        levels.push(tape.add(h_center_enc, z0));
+        levels.push(self.decode_centers(tape, h_center_enc, z_all, level_offsets[1]));
         for (i, layer) in cg.layers.iter().enumerate() {
             // mean over parent contributions per child slot
             let mut counts = vec![0f32; layer.n_sources];
@@ -157,10 +171,27 @@ impl EgoDecoder {
             let parent_rows = tape.gather_rows(levels[i], dst_idx);
             let weighted = tape.scale_rows(parent_rows, w_in);
             let agg = tape.scatter_add_rows(weighted, src_idx, layer.n_sources);
-            let z_i = z_level(tape, i + 1, z_all);
+            let lo = level_offsets[i + 1] as u32;
+            let hi = level_offsets[i + 2] as u32;
+            let z_i = tape.gather_rows(z_all, Rc::new((lo..hi).collect()));
             levels.push(tape.add(agg, z_i));
         }
         levels
+    }
+
+    /// The decoder rows and biases of a candidate set, `(W_dec[C], b_dec[C])`
+    /// as `|C| x d_model` and `|C| x 1`, gathered straight from the store:
+    /// the tape never holds the `n`-row tables, and their gradients are
+    /// scatter-added from the candidate rows.
+    pub fn candidate_rows(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        candidates: Rc<Vec<u32>>,
+    ) -> (Var, Var) {
+        let w_c = tape.gather_param_rows(store, self.w_dec, candidates.clone());
+        let b_c = tape.gather_param_rows(store, self.b_dec, candidates);
+        (w_c, b_c)
     }
 
     /// Score decode states against a candidate node set:
@@ -172,11 +203,8 @@ impl EgoDecoder {
         h: Var,
         candidates: Rc<Vec<u32>>,
     ) -> Var {
-        let w = tape.param(store, self.w_dec);
-        let w_c = tape.gather_rows(w, candidates.clone());
+        let (w_c, b_c) = self.candidate_rows(tape, store, candidates);
         let logits = tape.matmul_nt(h, w_c);
-        let b = tape.param(store, self.b_dec);
-        let b_c = tape.gather_rows(b, candidates);
         let b_row = tape.transpose(b_c);
         tape.add_row(logits, b_row)
     }

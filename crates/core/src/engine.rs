@@ -22,9 +22,11 @@
 //!    with the same inputs produce the same manifest, which is what makes
 //!    cross-process sharding sound.
 //! 2. **Execute** ([`SimulationEngine::execute`]): run any subset of
-//!    units on the worker pool. Each unit decodes its centers with a
-//!    **per-worker thread-local tape** ([`tg_tensor::tape::Tape::with_thread_local`]) and
-//!    samples edges with its own RNG stream, so results are bit-identical
+//!    units on the worker pool. Each unit decodes its centers onto a
+//!    **per-worker thread-local tape** ([`tg_tensor::tape::Tape::with_thread_local`])
+//!    — gathering from the parameter tables only the rows it scores —
+//!    and samples its edges from the probability rows where they lie on
+//!    that tape, with its own RNG stream, so results are bit-identical
 //!    at any thread count and any unit partition. Units are processed in
 //!    bounded windows (a few per worker), so the number of in-flight edge
 //!    buffers — and therefore peak memory with a streaming sink — is
@@ -54,12 +56,13 @@
 
 use crate::model::Tgae;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use tg_graph::sink::EdgeSink;
 use tg_graph::{NodeId, TemporalEdge, TemporalGraph, Time};
-use tg_tensor::init::{sample_categorical, sample_categorical_without_replacement};
+use tg_tensor::init::sample_categorical_with_total;
 use tg_tensor::parallel::{num_threads, par_map};
+use tg_tensor::tape::Tape;
 
 /// SplitMix64 finalizer: decorrelates the per-chunk seeds derived from
 /// `(master, t, chunk)` so neighboring chunks get unrelated streams.
@@ -353,45 +356,97 @@ impl<'a> SimulationEngine<'a> {
 
     /// Decode and sample one unit with its private RNG stream. Pure given
     /// the trained model: the same unit always yields the same edges.
+    ///
+    /// The probability rows stay on this worker's thread-local tape and
+    /// are sampled there, inside the same scope that decoded them; the
+    /// only buffers a unit owns are its edge list and three scratch
+    /// vectors reused across its rows. The unit RNG is consumed in a fixed
+    /// order: computation-graph sampling, negative candidates, then one
+    /// variate per drawn edge, row by row.
     fn execute_unit(&self, unit: &PlannedUnit) -> Vec<TemporalEdge> {
         let t = unit.t;
         let mut rng = SmallRng::seed_from_u64(unit.seed);
-        let mut edges: Vec<TemporalEdge> = Vec::new();
         let centers: Vec<(NodeId, Time)> = unit.budgets.iter().map(|&(u, _, _)| (u, t)).collect();
-        let (probs, cands) =
-            self.model
-                .decode_rows_for_generation(self.observed, &centers, &mut rng);
-        // Weight/support scratch reused across every row of the chunk
-        // (the seed implementation allocated two fresh Vec<f64> per row).
-        let mut w: Vec<f64> = Vec::with_capacity(cands.len());
-        let mut sup_w: Vec<f64> = Vec::new();
-        for (row, &(u, total, distinct)) in unit.budgets.iter().enumerate() {
-            // categorical weights over candidates, excluding self-loops
-            w.clear();
-            w.extend(probs.row(row).iter().map(|&p| p as f64));
-            for (col, &cand) in cands.iter().enumerate() {
-                if cand == u {
-                    w[col] = 0.0;
-                }
+        let n_edges = unit.budgets.iter().map(|&(_, total, _)| total).sum();
+        let mut edges: Vec<TemporalEdge> = Vec::with_capacity(n_edges);
+        Tape::with_thread_local(|tape| {
+            let (probs, cands) =
+                self.model
+                    .generation_rows(tape, self.observed, &centers, &mut rng);
+            let probs = tape.value(probs);
+            let mut scratch = RowSampler::default();
+            for (row, &budget) in unit.budgets.iter().enumerate() {
+                scratch.sample(&mut rng, probs.row(row), &cands, budget, |v| {
+                    edges.push(TemporalEdge::new(budget.0, v, t))
+                });
             }
-            // support: `distinct` targets without replacement (§IV-G)
-            let take = distinct.min(w.iter().filter(|&&x| x > 0.0).count());
-            let support = sample_categorical_without_replacement(&mut rng, &w, take);
-            for &col in &support {
-                edges.push(TemporalEdge::new(u, cands[col], t));
-            }
-            // multiplicity: the remaining (total - distinct) edges
-            // re-fire within the sampled support, weighted by p
-            if total > take && !support.is_empty() {
-                sup_w.clear();
-                sup_w.extend(support.iter().map(|&col| w[col]));
-                for _ in 0..(total - take) {
-                    let pick = support[sample_categorical(&mut rng, &sup_w)];
-                    edges.push(TemporalEdge::new(u, cands[pick], t));
-                }
+        });
+        edges
+    }
+}
+
+/// The per-row categorical sampler of a unit: scratch buffers that live
+/// for the unit and are refilled for every row.
+#[derive(Default)]
+struct RowSampler {
+    /// The row's weights over the candidates, drawn picks zeroed.
+    w: Vec<f64>,
+    /// Candidate columns of the sampled support, in draw order.
+    support: Vec<usize>,
+    /// The support's weights (the multiplicity distribution).
+    sup_w: Vec<f64>,
+}
+
+impl RowSampler {
+    /// Draw the out-edges of one `(source, total, distinct)` budget from
+    /// the source's probability row and hand each target to `emit`:
+    /// `distinct` targets without replacement (§IV-G) — fewer if the row
+    /// has fewer positive weights — then the remaining `total - distinct`
+    /// edges re-fire within that support, weighted by `p`. Self-loops are
+    /// excluded. Consumes one variate per emitted edge and sums the
+    /// weights once per draw; the picks are those of
+    /// [`sample_categorical_without_replacement`] followed by
+    /// [`sample_categorical`] over the support.
+    ///
+    /// [`sample_categorical_without_replacement`]: tg_tensor::init::sample_categorical_without_replacement
+    /// [`sample_categorical`]: tg_tensor::init::sample_categorical
+    fn sample<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        probs: &[f32],
+        cands: &[u32],
+        (u, total, distinct): (NodeId, usize, usize),
+        mut emit: impl FnMut(NodeId),
+    ) {
+        // one pass: widen, zero the self-loop column, count the positives
+        self.w.clear();
+        let mut positives = 0usize;
+        self.w.extend(probs.iter().zip(cands).map(|(&p, &cand)| {
+            let w = if cand == u { 0.0 } else { p as f64 };
+            positives += usize::from(w > 0.0);
+            w
+        }));
+        let take = distinct.min(positives);
+        self.support.clear();
+        for _ in 0..take {
+            // positive: fewer than `positives` columns are zeroed so far
+            let sum: f64 = self.w.iter().sum();
+            let col = sample_categorical_with_total(rng, &self.w, sum);
+            self.w[col] = 0.0;
+            self.support.push(col);
+            emit(cands[col]);
+        }
+        if total > take && !self.support.is_empty() {
+            self.sup_w.clear();
+            self.sup_w
+                .extend(self.support.iter().map(|&col| probs[col] as f64));
+            let sum: f64 = self.sup_w.iter().sum();
+            assert!(sum > 0.0, "sample_categorical: all-zero weights");
+            for _ in 0..(total - take) {
+                let pick = sample_categorical_with_total(rng, &self.sup_w, sum);
+                emit(cands[self.support[pick]]);
             }
         }
-        edges
     }
 }
 
@@ -453,6 +508,86 @@ mod tests {
             }
         }
         TemporalGraph::from_edges(n as usize, t_count as usize, edges)
+    }
+
+    /// One row sampled the way `execute_unit` composed the `tg-tensor`
+    /// samplers before [`RowSampler`]: fresh weight vectors per row, the
+    /// support drawn by `sample_categorical_without_replacement`, the
+    /// multiplicity by `sample_categorical` over the support's weights.
+    fn reference_row(
+        rng: &mut SmallRng,
+        probs: &[f32],
+        cands: &[u32],
+        (u, total, distinct): (NodeId, usize, usize),
+    ) -> Vec<NodeId> {
+        use tg_tensor::init::{sample_categorical, sample_categorical_without_replacement};
+        let mut w: Vec<f64> = probs.iter().map(|&p| p as f64).collect();
+        for (col, &cand) in cands.iter().enumerate() {
+            if cand == u {
+                w[col] = 0.0;
+            }
+        }
+        let take = distinct.min(w.iter().filter(|&&x| x > 0.0).count());
+        let support = sample_categorical_without_replacement(rng, &w, take);
+        let mut targets: Vec<NodeId> = support.iter().map(|&col| cands[col]).collect();
+        if total > take && !support.is_empty() {
+            let sup_w: Vec<f64> = support.iter().map(|&col| w[col]).collect();
+            for _ in 0..(total - take) {
+                targets.push(cands[support[sample_categorical(rng, &sup_w)]]);
+            }
+        }
+        targets
+    }
+
+    #[test]
+    fn row_sampler_draws_what_the_composed_samplers_drew() {
+        let mut gen = SmallRng::seed_from_u64(2024);
+        let mut scratch = RowSampler::default(); // reused across rows, as in a unit
+        let (mut multi, mut short, mut empty) = (0, 0, 0);
+        for case in 0..400u64 {
+            let n = gen.gen_range(1..40usize);
+            // distinct candidate ids in a shuffled-looking order
+            let cands: Vec<u32> = (0..n as u32).map(|i| (i * 7 + 3) % 41).collect();
+            let zero_share = [0.0, 0.3, 0.9, 1.0][case as usize % 4];
+            let probs: Vec<f32> = (0..n)
+                .map(|_| {
+                    let p = gen.gen::<f32>();
+                    if gen.gen::<f64>() < zero_share {
+                        0.0
+                    } else {
+                        p
+                    }
+                })
+                .collect();
+            // the source is a candidate in half of the cases
+            let u = if case % 2 == 0 { cands[n / 2] } else { 1000 };
+            let distinct = gen.gen_range(1..8usize);
+            let total = distinct + [0, 0, 1, 5][gen.gen_range(0..4usize)];
+            let budget = (u, total, distinct);
+
+            let mut rng_ref = SmallRng::seed_from_u64(case);
+            let mut rng_new = SmallRng::seed_from_u64(case);
+            let want = reference_row(&mut rng_ref, &probs, &cands, budget);
+            let mut got = Vec::new();
+            scratch.sample(&mut rng_new, &probs, &cands, budget, |v| got.push(v));
+            assert_eq!(got, want, "case {case}");
+            assert_eq!(rng_new.state(), rng_ref.state(), "case {case}: rng");
+            assert!(got.iter().all(|&v| v != u), "case {case}: self-loop");
+
+            let positives = (0..n).filter(|&c| probs[c] > 0.0 && cands[c] != u).count();
+            multi += usize::from(total > distinct && positives > 0);
+            short += usize::from(positives > 0 && positives < distinct);
+            empty += usize::from(positives == 0);
+            if positives == 0 {
+                assert!(got.is_empty());
+                assert_eq!(rng_new.state(), SmallRng::seed_from_u64(case).state());
+            }
+        }
+        // the generator above must actually reach every branch
+        assert!(
+            multi > 50 && short > 20 && empty > 20,
+            "{multi} {short} {empty}"
+        );
     }
 
     #[test]

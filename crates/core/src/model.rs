@@ -1,5 +1,15 @@
 //! The assembled TGAE model: features + TGAT encoder + variational
 //! ego-graph decoder, with the approximate mini-batch loss of Eq. 7.
+//!
+//! Two forward passes share the layers. Training
+//! ([`Tgae::forward_batch_into`]) decodes and scores every level of the
+//! computation graph and returns the loss. Generation
+//! ([`Tgae::decode_rows_for_generation`], and the simulation engine
+//! through the same internal pass) is deterministic (`Z = μ`), decodes
+//! the centers only, and turns their scores into probability rows in
+//! place. Both read the embedding and decoder tables by row, so a pass
+//! costs its sampled ego-graph plus `centers × candidates` scores whatever
+//! the size of the tables (§IV-D, §IV-G).
 
 use crate::config::{TgaeConfig, TgaeVariant};
 use crate::decoder::{build_candidates, EgoDecoder};
@@ -238,32 +248,40 @@ impl Tgae {
     /// (softmax already applied) as an owned matrix, along with the
     /// candidate list used.
     ///
-    /// Records onto this thread's **persistent thread-local tape**
-    /// ([`Tape::with_thread_local`]): on the worker pool every worker
-    /// keeps its own tape whose scratch pool survives across chunks, so
-    /// steady-state generation allocates almost nothing — the same
-    /// scratch story the training loop gets from its single reused tape.
+    /// This is the owned-copy form of the rows the simulation engine
+    /// samples from: the engine reads them where they lie on its worker's
+    /// thread-local tape and never clones them.
     pub fn decode_rows_for_generation<R: Rng + ?Sized>(
         &self,
         g: &TemporalGraph,
         centers: &[(NodeId, Time)],
         rng: &mut R,
     ) -> (Matrix, Rc<Vec<u32>>) {
-        Tape::with_thread_local(|tape| self.decode_rows_for_generation_into(tape, g, centers, rng))
+        Tape::with_thread_local(|tape| {
+            let (probs, candidates) = self.generation_rows(tape, g, centers, rng);
+            (tape.value(probs).clone(), candidates)
+        })
     }
 
-    /// [`Tgae::decode_rows_for_generation`] recording onto a caller-owned
-    /// tape (cleared first). Exposed so benchmarks can A/B fresh-tape vs
-    /// reused-tape decoding; the probability matrix is value-identical
-    /// either way.
-    pub fn decode_rows_for_generation_into<R: Rng + ?Sized>(
+    /// Record the generation forward pass of `centers` onto `tape` (which
+    /// the caller hands over cleared) and return the node holding their
+    /// probability rows over the returned candidate list.
+    ///
+    /// A unit touches only what its rows depend on: the feature rows of
+    /// its slots, the encoder over its computation graph, the decode state
+    /// of the centers (`h₀ = enc[0] + μ[centers]`; the outer decode levels
+    /// are a training target, generation never scores them) and the
+    /// `|C|` decoder rows of its candidates — all gathered from the store,
+    /// no table is replayed. Bias, temperature and softmax are applied in
+    /// place on the score matrix. `rng` is consumed by computation-graph
+    /// sampling, then by the negative candidates, and by nothing else.
+    pub(crate) fn generation_rows<R: Rng + ?Sized>(
         &self,
         tape: &mut Tape,
         g: &TemporalGraph,
         centers: &[(NodeId, Time)],
         rng: &mut R,
-    ) -> (Matrix, Rc<Vec<u32>>) {
-        tape.clear();
+    ) -> (Var, Rc<Vec<u32>>) {
         let cg = ComputationGraph::build(g, centers, &self.cfg.sampler, rng);
         assert_eq!(
             cg.centers(),
@@ -276,11 +294,13 @@ impl Tgae {
         let outer_idx: Rc<Vec<u32>> = Rc::new((offsets[k] as u32..offsets[k + 1] as u32).collect());
         let x_outer = tape.gather_rows(x_all, outer_idx);
         let enc_levels = self.encoder.forward(tape, &self.store, &cg, x_outer);
-        // deterministic latent: Z = mu
+        // deterministic latent: Z = mu. Computed over all slots although
+        // only the center rows are read: a row-subset gemm can fall on the
+        // other side of the naive/tiled switch and differ in the last bit.
         let (_, mu, _) = self.decoder.latent(tape, &self.store, x_all, false, rng);
-        let dec_levels = self
+        let h0 = self
             .decoder
-            .decode_levels(tape, &cg, enc_levels[0], mu, &offsets);
+            .decode_centers(tape, enc_levels[0], mu, centers.len());
 
         // Candidates: dense for small n; otherwise the observed temporal
         // neighborhoods of the centers plus uniform negatives (the
@@ -305,13 +325,20 @@ impl Tgae {
             self.cfg.n_negatives * 4,
             rng,
         );
-        let logits = self
+        let (w_c, b_c) = self
             .decoder
-            .score(tape, &self.store, dec_levels[0], candidates.clone());
+            .candidate_rows(tape, &self.store, candidates.clone());
+        let scores = tape.matmul_nt(h0, w_c);
+        // softmax((H W_dec[C]ᵀ + b_dec[C]) / τ), finished where it lies
         let tau = self.cfg.gen_temperature.max(1e-3);
-        let sharpened = tape.value(logits).map(|x| x / tau);
-        let probs = tg_tensor::matrix::softmax_rows(&sharpened);
-        (probs, candidates)
+        let (rows, bias) = tape.value_mut_with(scores, b_c);
+        for r in 0..rows.rows() {
+            for (x, &b) in rows.row_mut(r).iter_mut().zip(bias.as_slice()) {
+                *x = (*x + b) / tau;
+            }
+        }
+        tg_tensor::matrix::softmax_rows_inplace(rows);
+        (scores, candidates)
     }
 }
 

@@ -3,6 +3,13 @@
 //! `rand 0.8` ships uniform sampling only; the Gaussian draws needed by
 //! Xavier-normal init and the VAE reparameterisation trick are produced with
 //! the Box–Muller transform so we avoid an extra dependency.
+//!
+//! The categorical samplers share one draw,
+//! [`sample_categorical_with_total`]: [`sample_categorical`] sums then
+//! draws, [`sample_categorical_without_replacement`] sums, draws and
+//! zeroes per pick, and the simulation engine runs the same loop over a
+//! weight buffer it reuses across rows. All of them consume one `f64`
+//! variate per draw and never return an index of zero weight.
 
 use crate::matrix::Matrix;
 use rand::Rng;
@@ -46,17 +53,40 @@ pub fn xavier_normal<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize) -> 
 /// sampling, edge generation, baseline generators). Panics if all weights
 /// are zero or any is negative.
 pub fn sample_categorical<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
-    debug_assert!(weights.iter().all(|w| *w >= 0.0), "negative weight");
     let total: f64 = weights.iter().sum();
     assert!(total > 0.0, "sample_categorical: all-zero weights");
+    sample_categorical_with_total(rng, weights, total)
+}
+
+/// The draw every categorical sampler shares: one uniform variate scaled
+/// by `total`, then one sequential subtraction scan. `total` must be the
+/// sequential `f64` sum of `weights` and positive — callers that draw
+/// repeatedly (the simulation engine, the without-replacement loop below)
+/// compute it once per draw instead of once to test and once to sample.
+///
+/// Never returns an index whose weight is zero: the rounded `total` can
+/// exceed what the running subtraction removes, so with a variate close
+/// to 1 the scan can run off the end — the draw then belongs to the last
+/// index with positive weight, not to `weights.len() - 1`; and a variate
+/// of exactly 0 skips leading zero weights.
+pub fn sample_categorical_with_total<R: Rng + ?Sized>(
+    rng: &mut R,
+    weights: &[f64],
+    total: f64,
+) -> usize {
+    debug_assert!(weights.iter().all(|w| *w >= 0.0), "negative weight");
     let mut u = rng.gen::<f64>() * total;
     for (i, &w) in weights.iter().enumerate() {
         u -= w;
-        if u <= 0.0 {
+        if u <= 0.0 && w > 0.0 {
             return i;
         }
     }
-    weights.len() - 1
+    weights
+        .iter()
+        .rposition(|&w| w > 0.0)
+        // lint: allow(panic) — every caller checks `total > 0` first
+        .expect("a positive total has a positive weight")
 }
 
 /// Sample `k` distinct indices without replacement from unnormalised
@@ -74,7 +104,7 @@ pub fn sample_categorical_without_replacement<R: Rng + ?Sized>(
         if total <= 0.0 {
             break;
         }
-        let i = sample_categorical(rng, &w);
+        let i = sample_categorical_with_total(rng, &w, total);
         out.push(i);
         w[i] = 0.0;
     }
@@ -138,6 +168,63 @@ mod tests {
         let w2 = vec![0.0, 1.0, 0.0, 2.0];
         let picks2 = sample_categorical_without_replacement(&mut rng, &w2, 10);
         assert_eq!(picks2.len(), 2);
+    }
+
+    /// A generator stuck on one word; `u64::MAX` makes `gen::<f64>()`
+    /// return `1 - 2^-53`, the largest variate there is.
+    struct ConstRng(u64);
+
+    impl rand::RngCore for ConstRng {
+        fn next_u32(&mut self) -> u32 {
+            (self.0 >> 32) as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            dest.fill(self.0 as u8);
+        }
+    }
+
+    /// The subtraction scan as it was: it returned the last index
+    /// whatever its weight once it ran off the end.
+    fn scan_falls_through(weights: &[f64], r: f64) -> bool {
+        let mut u = r * weights.iter().sum::<f64>();
+        weights.iter().all(|&w| {
+            u -= w;
+            u > 0.0
+        })
+    }
+
+    #[test]
+    fn largest_variate_never_selects_a_zero_weight() {
+        let r = ConstRng(u64::MAX).gen::<f64>();
+        assert_eq!(r, 1.0 - (0.5f64).powi(53));
+        // deterministic search for vectors whose rounded total exceeds
+        // what the running subtraction removes (about 2 % of them)
+        let mut gen = SmallRng::seed_from_u64(11);
+        let mut found = 0;
+        for _ in 0..2000 {
+            let mut w: Vec<f64> = (0..12).map(|_| gen.gen::<f64>()).collect();
+            w.extend([0.0, 0.0]);
+            if !scan_falls_through(&w, r) {
+                continue;
+            }
+            found += 1;
+            assert_eq!(sample_categorical(&mut ConstRng(u64::MAX), &w), 11);
+            let picks = sample_categorical_without_replacement(&mut ConstRng(u64::MAX), &w, 14);
+            assert_eq!(picks.len(), 12, "{picks:?}");
+            assert!(picks.iter().all(|&i| w[i] > 0.0), "{picks:?}");
+        }
+        assert!(found >= 5, "search found only {found} fall-through vectors");
+    }
+
+    #[test]
+    fn zero_variate_skips_leading_zero_weights() {
+        assert_eq!(
+            sample_categorical(&mut ConstRng(0), &[0.0, 0.0, 3.0, 1.0]),
+            2
+        );
     }
 
     #[test]

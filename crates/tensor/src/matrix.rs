@@ -1218,11 +1218,22 @@ pub fn scatter_add_rows_into(x: &Matrix, idx: &[u32], out: &mut Matrix) {
 /// (unlike libm's `expf`, which is an opaque scalar call in every softmax
 /// inner loop). Relative error is ≤ ~2e-6 over the clamped domain
 /// `[-87.3, 88.7]`; inputs outside saturate to 0 / f32::MAX-ish rather
-/// than overflowing the bit trick. NaN inputs produce unspecified finite
-/// garbage (softmax on NaN logits is already meaningless; callers guard
-/// with `has_non_finite`).
+/// than overflowing the bit trick. NaN inputs return NaN (softmax on NaN
+/// logits is already meaningless; callers guard with `has_non_finite`).
+///
+/// The exponent is converted float→int without a cast: `zf as i32`
+/// saturates, and that scalar-only check kept LLVM from vectorising any
+/// loop that calls this. After the clamp, `zf` is a whole number in
+/// `[-126, 127]`, so `zf + 1.5·2²³` lands in `[2²³, 2²⁴)` where the `f32`
+/// spacing is exactly 1: the addition is exact and the sum's bit pattern
+/// is `0x4B40_0000 + zf` as an integer. Subtracting the magic's own bits
+/// therefore yields `zf` — the same value the cast produced — for every
+/// finite input, with plain integer ops that vectorise.
 #[inline(always)]
 pub fn fast_exp(x: f32) -> f32 {
+    /// `1.5 · 2²³`, whose bit pattern is `MAGIC_BITS`.
+    const MAGIC: f32 = 12_582_912.0;
+    const MAGIC_BITS: i32 = 0x4B40_0000;
     const LOG2_E: f32 = std::f32::consts::LOG2_E;
     // ln(2)^k / k! for the Taylor expansion of 2^f = e^(f ln 2)
     const C1: f32 = std::f32::consts::LN_2;
@@ -1241,7 +1252,10 @@ pub fn fast_exp(x: f32) -> f32 {
     let zf = z.floor();
     let f = z - zf;
     let p = 1.0 + f * (C1 + f * (C2 + f * (C3 + f * (C4 + f * (C5 + f * (C6 + f * C7))))));
-    let scale = f32::from_bits((((zf as i32) + 127) << 23) as u32);
+    // wrapping: a NaN input reaches here with arbitrary bits (and leaves
+    // as NaN through `p`), which must not trip debug overflow checks
+    let e = ((zf + MAGIC).to_bits() as i32).wrapping_sub(MAGIC_BITS);
+    let scale = f32::from_bits((e.wrapping_add(127) << 23) as u32);
     scale * p
 }
 
@@ -1545,7 +1559,9 @@ pub fn softmax_rows_into(x: &Matrix, out: &mut Matrix) {
     softmax_rows_inplace(out);
 }
 
-fn softmax_rows_inplace(out: &mut Matrix) {
+/// [`softmax_rows`] overwriting the logits with their probabilities (the
+/// generation path normalises its score matrix where it lies).
+pub fn softmax_rows_inplace(out: &mut Matrix) {
     for r in 0..out.rows {
         let row = out.row_mut(r);
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
@@ -1730,6 +1746,76 @@ mod tests {
         for r in 0..3 {
             let s: f32 = p.row(r).iter().sum();
             assert!(approx(s, 1.0));
+        }
+    }
+
+    /// [`fast_exp`] as it was before its exponent conversion stopped
+    /// using the saturating `as i32` cast.
+    fn fast_exp_reference(x: f32) -> f32 {
+        let x = x.clamp(-87.3, 88.7);
+        let z = x * std::f32::consts::LOG2_E;
+        let zf = z.floor();
+        let f = z - zf;
+        #[allow(clippy::excessive_precision)]
+        let p = 1.0
+            + f * (std::f32::consts::LN_2
+                + f * (0.240_226_506_9
+                    + f * (0.055_504_11
+                        + f * (0.009_618_13
+                            + f * (0.001_333_355_8
+                                + f * (0.000_154_035_3 + f * 0.000_015_252_73))))));
+        f32::from_bits((((zf as i32) + 127) << 23) as u32) * p
+    }
+
+    #[test]
+    fn fast_exp_keeps_every_bit_of_the_cast_version() {
+        let check = |x: f32| {
+            let (new, old) = (fast_exp(x), fast_exp_reference(x));
+            if x.is_nan() {
+                assert!(new.is_nan() && old.is_nan(), "NaN {:#x}", x.to_bits());
+            } else {
+                assert_eq!(
+                    new.to_bits(),
+                    old.to_bits(),
+                    "x = {x:e} ({:#x})",
+                    x.to_bits()
+                );
+            }
+        };
+        // every 257th bit pattern: all exponents, both signs, NaNs included
+        for bits in (0..=u32::MAX).step_by(257) {
+            check(f32::from_bits(bits));
+        }
+        let next = |x: f32, up: bool| {
+            let towards_zero = (x > 0.0) != up;
+            f32::from_bits(if towards_zero {
+                x.to_bits() - 1
+            } else {
+                x.to_bits() + 1
+            })
+        };
+        for edge in [-87.3f32, 88.7] {
+            for x in [next(edge, false), edge, next(edge, true)] {
+                check(x);
+            }
+        }
+        for x in [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007f_ffff),
+            f32::from_bits(0x807f_ffff),
+            f32::MAX,
+            f32::MIN,
+        ] {
+            check(x);
         }
     }
 

@@ -1,11 +1,11 @@
 //! Reusable neural-network building blocks: linear layers, MLPs, and
 //! embedding tables. Each layer registers its parameters in a shared
 //! [`ParamStore`] at construction and replays them onto a [`Tape`] per
-//! forward pass.
+//! forward pass — except [`Embedding`], whose table is read by row.
 
 use crate::init::{normal_matrix, xavier_uniform};
 use crate::matrix::Matrix;
-use crate::params::{ParamId, ParamStore, Precision};
+use crate::params::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -179,21 +179,13 @@ impl Embedding {
         Embedding { table, n, dim }
     }
 
-    /// Look up rows by index.
-    ///
-    /// f32 tables replay the whole table onto the tape and gather from
-    /// it — the bit-identical historical path. bf16 tables use the fused
-    /// [`Tape::gather_param_rows`] lookup, which decodes only the
-    /// indexed rows (f32 arithmetic downstream) and never materialises
-    /// the table at full precision.
+    /// Look up rows by index with the fused
+    /// [`Tape::gather_param_rows`]: only the indexed rows are copied
+    /// (f32 tables) or decoded (bf16 tables) onto the tape, never the
+    /// whole table, and the backward pass scatter-adds into a
+    /// table-shaped gradient.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, idx: Rc<Vec<u32>>) -> Var {
-        match store.precision(self.table) {
-            Precision::F32 => {
-                let t = tape.param(store, self.table);
-                tape.gather_rows(t, idx)
-            }
-            Precision::Bf16 => tape.gather_param_rows(store, self.table, idx),
-        }
+        tape.gather_param_rows(store, self.table, idx)
     }
 }
 

@@ -50,10 +50,10 @@ enum Op {
     Exp(Var),
     ConcatCols(Var, Var),
     GatherRows(Var, Rc<Vec<u32>>),
-    /// Fused embedding lookup straight from the parameter store (the
-    /// reduced-precision path): forward decoded only the indexed rows to
-    /// f32; backward scatter-adds the row gradients into a full-shape
-    /// f32 gradient for the table.
+    /// Fused row lookup straight from the parameter store (embedding
+    /// tables, decoder rows): forward copied or decoded only the indexed
+    /// rows to f32; backward scatter-adds the row gradients into a
+    /// full-shape f32 gradient for the table.
     GatherParamRows {
         id: ParamId,
         idx: Rc<Vec<u32>>,
@@ -350,6 +350,21 @@ impl Tape {
         &self.nodes[v.0].value
     }
 
+    /// Mutable value of node `v` next to the value of an earlier node
+    /// `with`, for **forward-only** passes that finish a result where it
+    /// lies (generation adds the candidate biases to its score matrix,
+    /// divides by the temperature and normalises the rows in place). Ops
+    /// record no copy of their inputs, so a [`Tape::backward`] through `v`
+    /// afterwards would read the overwritten values.
+    ///
+    /// # Panics
+    /// If `with` was not recorded before `v`.
+    pub fn value_mut_with(&mut self, v: Var, with: Var) -> (&mut Matrix, &Matrix) {
+        assert!(with.0 < v.0, "value_mut_with: `with` must precede `v`");
+        let (before, from_v) = self.nodes.split_at_mut(v.0);
+        (&mut from_v[0].value, &before[with.0].value)
+    }
+
     /// Shape convenience.
     pub fn shape(&self, v: Var) -> (usize, usize) {
         self.nodes[v.0].value.shape()
@@ -522,13 +537,20 @@ impl Tape {
         self.push(v, Op::GatherRows(x, idx), ng)
     }
 
-    /// Fused embedding lookup `out[i,:] = table[idx[i],:]` reading the
-    /// parameter store directly: only the indexed rows are decoded to
-    /// f32 (accumulation stays f32 downstream), so a bf16-stored table
-    /// is never materialised at full precision on the tape — the
-    /// bandwidth saving that makes [`crate::params::Precision::Bf16`]
-    /// storage worthwhile. Gradients scatter-add into the table's slot
-    /// exactly as [`Tape::param`] + [`Tape::gather_rows`] would produce.
+    /// Fused row lookup `out[i,:] = table[idx[i],:]` reading the
+    /// parameter store directly: the tape holds `idx.len()` rows, not the
+    /// table. f32 tables copy the indexed rows; bf16 tables decode them
+    /// (accumulation stays f32 downstream), so a bf16-stored table is
+    /// never materialised at full precision — the bandwidth saving that
+    /// makes [`crate::params::Precision::Bf16`] storage worthwhile.
+    ///
+    /// Values and gradients are bit-identical to [`Tape::param`] +
+    /// [`Tape::gather_rows`]: the rows are copies of the same `f32`s, and
+    /// backward scatter-adds into a zeroed table-shaped buffer and adds
+    /// that to the table's gradient slot at this node's position in the
+    /// reverse walk — the position the `Param` leaf of the pair would
+    /// have had — so several lookups of one table in a step accumulate in
+    /// the same order.
     pub fn gather_param_rows(&mut self, store: &ParamStore, id: ParamId, idx: Rc<Vec<u32>>) -> Var {
         self.n_params = self.n_params.max(id.index() + 1);
         let (table_rows, cols) = store.shape(id);

@@ -265,6 +265,57 @@ proptest! {
         prop_assert_eq!(grad_fused, grad_mat, "gradient mismatch");
     }
 
+    /// The fused store lookup ([`Tape::gather_param_rows`]) reproduces
+    /// replaying the whole table and gathering from it ([`Tape::param`] +
+    /// [`Tape::gather_rows`]) **bit-for-bit** — the loss and every
+    /// gradient — when one f32 table is looked up three times in a step
+    /// with repeated indices, so the three scatter-adds meet in the
+    /// table's gradient slot.
+    #[test]
+    fn gather_param_rows_matches_param_then_gather(
+        table in arb_matrix(7, 4),
+        proj in arb_matrix(4, 3),
+        idx in proptest::collection::vec(proptest::collection::vec(0u32..7, 1..9), 3),
+    ) {
+        let mut store = ParamStore::new();
+        let table_id = store.create("table", table);
+        let proj_id = store.create("proj", proj);
+        let run = |fused: bool| -> (u32, Vec<Vec<u32>>) {
+            let mut tape = Tape::new();
+            let mut loss: Option<Var> = None;
+            for (i, rows) in idx.iter().enumerate() {
+                let rows = Rc::new(rows.clone());
+                let x = if fused {
+                    tape.gather_param_rows(&store, table_id, rows)
+                } else {
+                    let t = tape.param(&store, table_id);
+                    tape.gather_rows(t, rows)
+                };
+                let w = tape.param(&store, proj_id);
+                let y = tape.matmul(x, w);
+                let act = if i == 1 { tape.tanh(y) } else { tape.mul(y, y) };
+                let scaled = tape.scale(act, 0.37 + i as f32);
+                let term = tape.sum(scaled);
+                loss = Some(match loss {
+                    Some(l) => tape.add(l, term),
+                    None => term,
+                });
+            }
+            let loss = loss.expect("three lookups");
+            let grads = tape.backward(loss);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
+            (
+                tape.value(loss).item().to_bits(),
+                grads.iter().map(|(_, g)| bits(g)).collect(),
+            )
+        };
+        let (loss_fused, grads_fused) = run(true);
+        let (loss_replayed, grads_replayed) = run(false);
+        prop_assert_eq!(grads_fused.len(), 2, "table and projection gradients");
+        prop_assert_eq!(loss_fused, loss_replayed, "loss mismatch");
+        prop_assert_eq!(grads_fused, grads_replayed, "gradient mismatch");
+    }
+
     /// Pooled `par_map` returns results in input order for any split.
     #[test]
     fn par_map_matches_serial(n in 0usize..300, threads in 1usize..9) {

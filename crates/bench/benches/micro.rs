@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the hot paths behind every table:
 //! ego-graph sampling, computation-graph building, TGAT forward/backward,
-//! motif census, snapshot statistics, and the core tensor kernels.
+//! the training step at the suite's sizes, motif census, snapshot
+//! statistics, and the core tensor kernels.
 
 #![allow(clippy::field_reassign_with_default)] // config-building style
 
@@ -12,6 +13,9 @@ use tg_graph::Snapshot;
 use tg_metrics::{count_motifs, CumulativeStats, GraphStats};
 use tg_sampling::{sample_ego_graph, ComputationGraph, InitialNodeSampler, SamplerConfig};
 use tg_tensor::matrix::{matmul_nn, matmul_nn_naive, segment_softmax, Matrix};
+use tg_tensor::optim::{clip_global_norm, Adam};
+use tg_tensor::params::ParamStore;
+use tg_tensor::tape::{SparseTarget, Tape};
 use tgae::{Tgae, TgaeConfig};
 
 fn bench_graph() -> tg_graph::TemporalGraph {
@@ -67,24 +71,72 @@ fn model_benches(c: &mut Criterion) {
             tape.backward(loss)
         })
     });
-    // backward in isolation, on a recorded tape (scratch pool warm)
-    c.bench_function("tgae_backward_only_64", |b| {
-        let mut rng = SmallRng::seed_from_u64(6);
-        let centers = sampler.sample_batch(64, &mut rng);
-        let (tape, loss, _) = model.forward_batch(&g, &centers, &mut rng);
-        b.iter(|| {
-            let grads = tape.backward(loss);
-            tape.recycle(grads);
-        })
-    });
     // the tape-reuse training step (forward_batch_into + recycle) vs the
     // allocate-per-step path above
     c.bench_function("tgae_step_reused_tape_64", |b| {
         let mut rng = SmallRng::seed_from_u64(6);
         let centers = sampler.sample_batch(64, &mut rng);
-        let mut tape = tg_tensor::tape::Tape::new();
+        let mut tape = Tape::new();
         b.iter(|| {
             let (loss, _) = model.forward_batch_into(&mut tape, &g, &centers, &mut rng);
+            let grads = tape.backward(loss);
+            tape.recycle(grads);
+        })
+    });
+}
+
+/// The training step the suite's `train_s` is made of — sample, forward,
+/// backward, clip, Adam on one reused tape, `TgaeConfig::default()` — on
+/// the two Table II graphs it trains on either side of `dense_cutoff`, and
+/// the op that dominates it: candidate scoring with its cross-entropy at
+/// the shape of DBLP's outer decode level (1800 slots of which 5 in 7
+/// carry a target, `d = 32`, 1909 candidates), forward and backward.
+fn train_step_benches(c: &mut Criterion) {
+    for (name, preset) in [
+        ("tgae_train_step_dblp_dense", tg_datasets::presets::dblp()),
+        (
+            "tgae_train_step_btc_sparse",
+            tg_datasets::presets::bitcoin_otc(),
+        ),
+    ] {
+        let g = preset.generate_scaled(1.0, 7);
+        let cfg = TgaeConfig::default();
+        let mut model = Tgae::new(g.n_nodes(), g.n_timestamps(), cfg.clone());
+        let sampler = InitialNodeSampler::new(&g, cfg.sampler.degree_weighted);
+        c.bench_function(name, |b| {
+            let mut rng = SmallRng::seed_from_u64(10);
+            let mut opt = Adam::new(cfg.lr);
+            let mut tape = Tape::new();
+            b.iter(|| {
+                let centers = sampler.sample_batch(cfg.batch_centers, &mut rng);
+                let (loss, _) = model.forward_batch_into(&mut tape, &g, &centers, &mut rng);
+                let mut grads = tape.backward(loss);
+                clip_global_norm(&mut grads, cfg.grad_clip);
+                opt.step(&mut model.store, &grads);
+                tape.recycle(grads);
+            })
+        });
+    }
+
+    let (slots, d, n_cand) = (1800usize, 32usize, 1909usize);
+    let mut store = ParamStore::new();
+    let cell = |r: usize, c: usize| ((r * 31 + c * 7) % 23) as f32 * 0.02 - 0.2;
+    let h = store.create("h", Matrix::from_fn(slots, d, cell));
+    let w_dec = store.create("dec.w", Matrix::from_fn(n_cand, d, cell));
+    let b_dec = store.create("dec.b", Matrix::from_fn(n_cand, 1, cell));
+    let candidates = std::rc::Rc::new((0..n_cand as u32).collect::<Vec<u32>>());
+    let targets: Vec<SparseTarget> = (0..slots as u32)
+        .filter(|r| r % 7 < 5)
+        .map(|r| (r, r * 13 % n_cand as u32, 1.0))
+        .collect();
+    c.bench_function("score_xent_1800x32x1909", |b| {
+        let mut tape = Tape::new();
+        b.iter(|| {
+            tape.clear();
+            let h = tape.param(&store, h);
+            let w_c = tape.gather_param_rows(&store, w_dec, candidates.clone());
+            let b_c = tape.gather_param_rows(&store, b_dec, candidates.clone());
+            let loss = tape.score_xent(h, w_c, b_c, &targets, targets.len() as f32);
             let grads = tape.backward(loss);
             tape.recycle(grads);
         })
@@ -184,6 +236,6 @@ fn generation_benches(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = sampling_benches, model_benches, metric_benches, tensor_benches, generation_benches
+    targets = sampling_benches, model_benches, train_step_benches, metric_benches, tensor_benches, generation_benches
 }
 criterion_main!(benches);

@@ -25,15 +25,18 @@
 //! ([`EgoDecoder::candidate_rows`], a fused gather from the parameter
 //! store): a forward pass holds `|C|` decoder rows, never the `n`-row
 //! tables, and their gradients are scatter-added from those rows.
-//! Training scores every decode level; generation scores level 0 only
-//! ([`EgoDecoder::decode_centers`]).
+//! Training scores every decode level against one gather of them;
+//! generation scores level 0 only ([`EgoDecoder::decode_centers`]).
 //!
-//! During training the per-level logits produced by [`EgoDecoder::score`]
-//! feed the **fused** softmax-cross-entropy
-//! ([`tg_tensor::tape::Tape::softmax_xent`]): no `slots × candidates`
-//! probability matrix is materialised on the tape — backward recomputes
-//! probabilities from the logits — so each level's training-memory cost
-//! is the logits matrix itself plus `O(slots)` softmax statistics.
+//! A training step hands each level's decode states, the gathered rows
+//! and the level's targets to [`tg_tensor::tape::Tape::score_xent`]: one
+//! tape op that scores only the slots that carry a target, adds the bias
+//! where the scores lie and holds a single `R × |C|` matrix, which
+//! backward turns into its own gradient. [`EgoDecoder::score`] — the
+//! same logits for every slot, as separate `matmul_nt` → `transpose` →
+//! `add_row` ops, feeding [`tg_tensor::tape::Tape::softmax_xent`] — is
+//! the reference the fused op is tested against bit for bit
+//! (`tests/train_step_oracle.rs`); the training pass does not call it.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -195,7 +198,9 @@ impl EgoDecoder {
     }
 
     /// Score decode states against a candidate node set:
-    /// `logits = H W_dec[C]^T + b_dec[C]` (`rows x |C|`).
+    /// `logits = H W_dec[C]^T + b_dec[C]` (`rows x |C|`), every row, as
+    /// separate tape ops — the reference for
+    /// [`tg_tensor::tape::Tape::score_xent`], which training uses instead.
     pub fn score(
         &self,
         tape: &mut Tape,

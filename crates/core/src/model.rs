@@ -2,14 +2,16 @@
 //! ego-graph decoder, with the approximate mini-batch loss of Eq. 7.
 //!
 //! Two forward passes share the layers. Training
-//! ([`Tgae::forward_batch_into`]) decodes and scores every level of the
-//! computation graph and returns the loss. Generation
-//! ([`Tgae::decode_rows_for_generation`], and the simulation engine
-//! through the same internal pass) is deterministic (`Z = μ`), decodes
-//! the centers only, and turns their scores into probability rows in
-//! place. Both read the embedding and decoder tables by row, so a pass
-//! costs its sampled ego-graph plus `centers × candidates` scores whatever
-//! the size of the tables (§IV-D, §IV-G).
+//! ([`Tgae::forward_batch_into`]) decodes every level of the computation
+//! graph, gathers the candidates' decoder rows once, and records one
+//! [`Tape::score_xent`] per level — scoring, bias and softmax
+//! cross-entropy over the slots that carry a target — then returns the
+//! loss. Generation ([`Tgae::decode_rows_for_generation`], and the
+//! simulation engine through the same internal pass) is deterministic
+//! (`Z = μ`), decodes the centers only, and turns their scores into
+//! probability rows in place. Both read the embedding and decoder tables
+//! by row, so a pass costs its sampled ego-graph plus `rows × candidates`
+//! scores whatever the size of the tables (§IV-D, §IV-G).
 
 use crate::config::{TgaeConfig, TgaeVariant};
 use crate::decoder::{build_candidates, EgoDecoder};
@@ -198,7 +200,11 @@ impl Tgae {
             rng,
         );
 
+        // Every level scores against the same candidates: their decoder
+        // rows are gathered once (by the first level that has a target)
+        // and the three levels' gradients meet in that one node.
         let norm = total_weight.max(1.0);
+        let mut cand_rows: Option<(Var, Var)> = None;
         let mut loss: Option<Var> = None;
         let mut n_targets = 0usize;
         for (level_var, targets) in dec_levels.iter().zip(&per_level_targets) {
@@ -210,10 +216,11 @@ impl Tgae {
                 .iter()
                 .map(|&(r, v, w)| (r, lookup[v as usize], w))
                 .collect();
-            let logits = self
-                .decoder
-                .score(tape, &self.store, *level_var, candidates.clone());
-            let xent = tape.softmax_xent(logits, Rc::new(remapped), norm);
+            let (w_c, b_c) = *cand_rows.get_or_insert_with(|| {
+                self.decoder
+                    .candidate_rows(tape, &self.store, candidates.clone())
+            });
+            let xent = tape.score_xent(*level_var, w_c, b_c, &remapped, norm);
             loss = Some(match loss {
                 Some(l) => tape.add(l, xent),
                 None => xent,

@@ -349,6 +349,30 @@ pub const NC: usize = 512;
 /// loops; below it, packing costs more than it saves.
 pub const TILE_THRESHOLD: usize = 16 * 16 * 16;
 
+/// Which loop nest a product runs on. The two accumulate in different
+/// orders, so their results differ in the last bit: an op that multiplies
+/// a **row subset** of an operand and must keep the bits of the full
+/// product picks the path from the full product's size
+/// ([`crate::tape::Tape::score_xent`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum GemmPath {
+    /// The `matmul_*_naive` loops.
+    Naive,
+    /// The packed, tiled [`gemm`] driver.
+    Tiled,
+}
+
+impl GemmPath {
+    /// The path `matmul_{nn,nt,tn}_into` take for an `m·k·n` product.
+    pub(crate) fn for_product(m: usize, k: usize, n: usize) -> Self {
+        if m * k * n < TILE_THRESHOLD {
+            GemmPath::Naive
+        } else {
+            GemmPath::Tiled
+        }
+    }
+}
+
 thread_local! {
     /// Per-thread scratch for the packed B panels (caller side).
     static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
@@ -867,6 +891,11 @@ fn gemm(
     if m == 0 || n == 0 {
         return;
     }
+    if k == 0 {
+        // an empty sum; the loop nest below would leave `out` as it found it
+        out.fill(0.0);
+        return;
+    }
     let a_lead = match a_layout {
         Layout::RowMajor => k,
         Layout::Transposed => m,
@@ -1053,6 +1082,12 @@ pub fn matmul_nn(a: &Matrix, b: &Matrix) -> Matrix {
 
 /// `C = A @ B` into a pre-shaped output (scratch-reuse path).
 pub fn matmul_nn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let path = GemmPath::for_product(a.rows, a.cols, b.cols);
+    matmul_nn_into_on(path, a, b, out);
+}
+
+/// [`matmul_nn_into`] on a loop nest the caller chose.
+pub(crate) fn matmul_nn_into_on(path: GemmPath, a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(
         a.cols,
         b.rows,
@@ -1066,10 +1101,9 @@ pub fn matmul_nn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         "matmul_nn_into: bad output shape"
     );
     let (m, k, n) = (a.rows, a.cols, b.cols);
-    if m * k * n < TILE_THRESHOLD {
-        matmul_nn_naive_into(a, b, &mut out.data);
-    } else {
-        gemm(
+    match path {
+        GemmPath::Naive => matmul_nn_naive_into(a, b, &mut out.data),
+        GemmPath::Tiled => gemm(
             &mut out.data,
             m,
             k,
@@ -1078,7 +1112,7 @@ pub fn matmul_nn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
             Layout::RowMajor,
             &b.data,
             Layout::RowMajor,
-        );
+        ),
     }
 }
 
@@ -1091,6 +1125,12 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
 
 /// `C = A @ B^T` into a pre-shaped output (scratch-reuse path).
 pub fn matmul_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let path = GemmPath::for_product(a.rows, a.cols, b.rows);
+    matmul_nt_into_on(path, a, b, out);
+}
+
+/// [`matmul_nt_into`] on a loop nest the caller chose.
+pub(crate) fn matmul_nt_into_on(path: GemmPath, a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(
         a.cols,
         b.cols,
@@ -1104,10 +1144,9 @@ pub fn matmul_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         "matmul_nt_into: bad output shape"
     );
     let (m, k, n) = (a.rows, a.cols, b.rows);
-    if m * k * n < TILE_THRESHOLD {
-        matmul_nt_naive_into(a, b, &mut out.data);
-    } else {
-        gemm(
+    match path {
+        GemmPath::Naive => matmul_nt_naive_into(a, b, &mut out.data),
+        GemmPath::Tiled => gemm(
             &mut out.data,
             m,
             k,
@@ -1116,7 +1155,7 @@ pub fn matmul_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
             Layout::RowMajor,
             &b.data,
             Layout::Transposed,
-        );
+        ),
     }
 }
 
@@ -1129,6 +1168,12 @@ pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
 
 /// `C = A^T @ B` into a pre-shaped output (scratch-reuse path).
 pub fn matmul_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let path = GemmPath::for_product(a.cols, a.rows, b.cols);
+    matmul_tn_into_on(path, a, b, out);
+}
+
+/// [`matmul_tn_into`] on a loop nest the caller chose.
+pub(crate) fn matmul_tn_into_on(path: GemmPath, a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(
         a.rows,
         b.rows,
@@ -1142,10 +1187,9 @@ pub fn matmul_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         "matmul_tn_into: bad output shape"
     );
     let (k, m, n) = (a.rows, a.cols, b.cols);
-    if m * k * n < TILE_THRESHOLD {
-        matmul_tn_naive_into(a, b, &mut out.data);
-    } else {
-        gemm(
+    match path {
+        GemmPath::Naive => matmul_tn_naive_into(a, b, &mut out.data),
+        GemmPath::Tiled => gemm(
             &mut out.data,
             m,
             k,
@@ -1154,7 +1198,7 @@ pub fn matmul_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
             Layout::Transposed,
             &b.data,
             Layout::RowMajor,
-        );
+        ),
     }
 }
 
@@ -1609,27 +1653,34 @@ fn lane_sum(vals: &[f32]) -> f64 {
 /// per row is `O(rows)`, versus `O(rows × cols)` for a materialised
 /// probability matrix.
 pub fn row_softmax_stats(row: &[f32]) -> (f32, f32) {
+    /// Elements exponentiated per pass: long enough for `fast_exp` to run
+    /// at full vector width (an 8-element block holds it to a quarter),
+    /// short enough to stay on the stack.
+    const BLOCK: usize = 64;
     let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    // Stream 8-wide blocks through a stack buffer: the exp block stays
-    // vectorisable and the lane accumulation order is exactly
-    // [`lane_sum`]'s, without materialising the exponentials.
+    // Stream blocks through a stack buffer and fold each into the eight
+    // lanes: lane `l` receives elements `l, l+8, …` in ascending order —
+    // exactly [`lane_sum`]'s order — without materialising the
+    // exponentials.
     let mut lanes = [0.0f32; 8];
-    let mut chunks = row.chunks_exact(8);
-    for ch in &mut chunks {
-        let mut e = [0.0f32; 8];
-        for (o, &v) in e.iter_mut().zip(ch) {
+    let mut e = [0.0f32; BLOCK];
+    let mut tail: &[f32] = &[];
+    for block in row.chunks(BLOCK) {
+        let e = &mut e[..block.len()];
+        for (o, &v) in e.iter_mut().zip(block) {
             *o = fast_exp(v - max);
         }
-        for (l, &v) in lanes.iter_mut().zip(&e) {
-            *l += v;
+        let mut chunks = e.chunks_exact(8);
+        for ch in &mut chunks {
+            for (l, &v) in lanes.iter_mut().zip(ch) {
+                *l += v;
+            }
         }
+        // non-empty for the last block only: BLOCK is a multiple of 8
+        tail = chunks.remainder();
     }
-    let denom = lanes.iter().map(|&l| l as f64).sum::<f64>()
-        + chunks
-            .remainder()
-            .iter()
-            .map(|&v| fast_exp(v - max) as f64)
-            .sum::<f64>();
+    let denom =
+        lanes.iter().map(|&l| l as f64).sum::<f64>() + tail.iter().map(|&v| v as f64).sum::<f64>();
     if denom > 0.0 {
         (max, (1.0 / denom) as f32)
     } else {

@@ -8,13 +8,15 @@
 //! The op set is exactly what the TGAE encoder/decoder and the learned
 //! baselines need: dense linear algebra, pointwise activations, row
 //! gather/scatter, segment softmax (graph-attention edge softmax), and fused
-//! losses (multi-target softmax cross-entropy, BCE-with-logits, Gaussian
-//! KL). Fused losses keep the tape short and sidestep `log(0)`.
+//! losses (multi-target softmax cross-entropy — alone, and fused with the
+//! candidate scoring that feeds it — BCE-with-logits, Gaussian KL). Fused
+//! losses keep the tape short and sidestep `log(0)`.
 
 use crate::matrix::{
-    concat_cols_into, fast_exp, gather_rows_into, matmul_nn_into, matmul_nt_into, matmul_tn_into,
-    row_softmax_stats, rowwise_dot, scale_rows, scatter_add_rows_into, segment_softmax,
-    segment_softmax_backward, softmax_rows_into, Matrix,
+    concat_cols_into, fast_exp, gather_rows_into, matmul_nn_into, matmul_nn_into_on,
+    matmul_nt_into, matmul_nt_into_on, matmul_tn_into, matmul_tn_into_on, row_softmax_stats,
+    rowwise_dot, scale_rows, scatter_add_rows_into, segment_softmax, segment_softmax_backward,
+    softmax_rows_into, GemmPath, Matrix,
 };
 use crate::params::{ParamId, ParamStore};
 use std::cell::{Cell, RefCell};
@@ -89,6 +91,10 @@ enum Op {
         targets: Rc<Vec<SparseTarget>>,
         norm: f32,
     },
+    /// Candidate scoring fused with its softmax cross-entropy
+    /// ([`Tape::score_xent`]). Boxed: its state is three times the size of
+    /// any other op's, and every node of every tape would carry it.
+    ScoreXent(Box<ScoreXent>),
     BceWithLogits {
         logits: Var,
         targets: Rc<Matrix>,
@@ -98,6 +104,28 @@ enum Op {
         logvar: Var,
         scale: f32,
     },
+}
+
+/// State of an [`Op::ScoreXent`] node: what [`Tape::score_xent`] scored,
+/// over the rows of `h` that carry a target.
+struct ScoreXent {
+    h: Var,
+    w_c: Var,
+    b_c: Var,
+    /// Rows of `h` with at least one target, ascending.
+    rows: Vec<u32>,
+    /// The targets in the caller's order, their row an index into `rows`.
+    targets: Vec<SparseTarget>,
+    norm: f32,
+    /// Those rows of `h`, gathered (`R × d`).
+    h_rows: Matrix,
+    /// `(max, inv_denom)` of each scored row.
+    stats: Vec<(f32, f32)>,
+    /// The `R × |C|` logits, bias added, until backward turns them into
+    /// their own gradient in place and sets `differentiated`: the op can
+    /// be differentiated once.
+    logits: RefCell<Matrix>,
+    differentiated: Cell<bool>,
 }
 
 struct Node {
@@ -314,10 +342,14 @@ impl Tape {
         let pool = self.pool.get_mut();
         for node in self.nodes.drain(..) {
             pool.put(node.value.into_vec());
-            // the materialised-xent reference op privately holds the probs
-            // matrix (the fused default does not); recycle it as well
-            if let Op::SoftmaxXentMaterialised { probs, .. } = node.op {
-                pool.put(probs.into_vec());
+            // matrices an op holds beside its node value are recycled too
+            match node.op {
+                Op::SoftmaxXentMaterialised { probs, .. } => pool.put(probs.into_vec()),
+                Op::ScoreXent(op) => {
+                    pool.put(op.h_rows.into_vec());
+                    pool.put(op.logits.into_inner().into_vec());
+                }
+                _ => {}
             }
         }
         self.n_params = 0;
@@ -696,6 +728,107 @@ impl Tape {
         )
     }
 
+    /// Candidate scoring and its softmax cross-entropy in one op — the
+    /// reconstruction term of one decode level (Eq. 6/7):
+    /// `softmax_xent(h W_cᵀ + b_cᵀ, targets, norm)` with `h` the
+    /// `slots × d` decode states, `w_c` the `|C| × d` candidate rows of
+    /// `W_dec` and `b_c` their `|C| × 1` biases.
+    ///
+    /// A slot without a target contributes nothing to the loss and has an
+    /// all-zero logits gradient, so only the `R` rows of `h` that carry a
+    /// target are gathered and scored. The bias is added where the scores
+    /// lie, forward keeps the per-row `(max, 1/Σexp)`, and backward writes
+    /// `∂logits` over the logits: the op holds one `R × |C|` matrix where
+    /// the unfused chain ([`Tape::matmul_nt`] → [`Tape::transpose`] →
+    /// [`Tape::add_row`] → [`Tape::softmax_xent`]) holds three of
+    /// `slots × |C|`.
+    ///
+    /// The loss and the gradients of `h`, `w_c` and `b_c` are
+    /// bit-identical to that chain's (proptested): the three gemms run on
+    /// the loop nest the **uncompacted** `slots · d · |C|` product selects,
+    /// the rows left out would have added exact zeros, `∂b_c` sums
+    /// `∂logits` by ascending row after the target subtraction, and `∂h`
+    /// is scattered back to `slots × d` before it is accumulated. (One
+    /// bit can differ in principle: an element of `∂w_c` whose every term
+    /// underflows to `-0.0` keeps that sign here, where a zero row of the
+    /// chain would have turned it into `+0.0`.)
+    ///
+    /// Because backward consumes the logits, [`Tape::backward`] can run
+    /// through this op once; a second call panics — record the forward
+    /// pass again instead.
+    pub fn score_xent(
+        &mut self,
+        h: Var,
+        w_c: Var,
+        b_c: Var,
+        targets: &[SparseTarget],
+        norm: f32,
+    ) -> Var {
+        assert!(norm > 0.0, "score_xent: norm must be positive");
+        let (slots, d) = self.shape(h);
+        let (n_cand, wd) = self.shape(w_c);
+        assert_eq!(wd, d, "score_xent: h is {slots}x{d}, w_c is {n_cand}x{wd}");
+        assert_eq!(
+            self.shape(b_c),
+            (n_cand, 1),
+            "score_xent: b_c must be {n_cand}x1"
+        );
+        // the rows that carry a target, and the targets re-addressed to them
+        let mut has_target = vec![false; slots];
+        for &(r, _, _) in targets {
+            has_target[r as usize] = true;
+        }
+        let rows: Vec<u32> = (0..slots as u32)
+            .filter(|&r| has_target[r as usize])
+            .collect();
+        let mut pos = vec![0u32; slots];
+        for (i, &r) in rows.iter().enumerate() {
+            pos[r as usize] = i as u32;
+        }
+        let targets: Vec<SparseTarget> = targets
+            .iter()
+            .map(|&(r, c, w)| (pos[r as usize], c, w))
+            .collect();
+        let mut h_rows = self.alloc_full(rows.len(), d);
+        gather_rows_into(self.value(h), &rows, &mut h_rows);
+        let mut logits = self.alloc_full(rows.len(), n_cand);
+        let path = GemmPath::for_product(slots, d, n_cand);
+        matmul_nt_into_on(path, &h_rows, self.value(w_c), &mut logits);
+        let bias = self.value(b_c).as_slice();
+        let mut stats = Vec::with_capacity(rows.len());
+        for i in 0..rows.len() {
+            let row = logits.row_mut(i);
+            for (z, &b) in row.iter_mut().zip(bias) {
+                *z += b;
+            }
+            stats.push(row_softmax_stats(row));
+        }
+        let mut loss = 0.0f64;
+        for &(i, c, w) in &targets {
+            let (max, inv) = stats[i as usize];
+            let p = (fast_exp(logits.get(i as usize, c as usize) - max) * inv).max(1e-12);
+            loss -= (w as f64) * (p as f64).ln();
+        }
+        let v = Matrix::scalar((loss / norm as f64) as f32);
+        let ng = self.needs(h) || self.needs(w_c) || self.needs(b_c);
+        self.push(
+            v,
+            Op::ScoreXent(Box::new(ScoreXent {
+                h,
+                w_c,
+                b_c,
+                rows,
+                targets,
+                norm,
+                h_rows,
+                stats,
+                logits: RefCell::new(logits),
+                differentiated: Cell::new(false),
+            })),
+            ng,
+        )
+    }
+
     /// Fused mean binary cross-entropy with logits (VGAE-family losses).
     pub fn bce_with_logits(&mut self, logits: Var, targets: Rc<Matrix>) -> Var {
         assert_eq!(self.shape(logits), targets.shape(), "bce: shape mismatch");
@@ -1034,6 +1167,75 @@ impl Tape {
                         gx.set(rr as usize, cc as usize, v);
                     }
                     accum(&mut grads, *logits, gx);
+                }
+                Op::ScoreXent(op) => {
+                    let ScoreXent {
+                        h,
+                        w_c,
+                        b_c,
+                        rows,
+                        targets,
+                        norm,
+                        h_rows,
+                        stats,
+                        logits,
+                        differentiated,
+                    } = &**op;
+                    assert!(
+                        !differentiated.replace(true),
+                        "score_xent: backward already turned this op's logits into their \
+                         gradient; record the forward pass again to differentiate it twice"
+                    );
+                    let mut gz = logits.borrow_mut();
+                    // dL/dz as in `SoftmaxXent`, over the scored rows only
+                    // and written where the logits lie
+                    let go = g.item() / norm;
+                    let (slots, d) = self.shape(*h);
+                    let n_cand = gz.cols();
+                    let mut row_w = vec![0.0f32; rows.len()];
+                    for &(i, _, w) in targets {
+                        row_w[i as usize] += w;
+                    }
+                    for (i, &rw) in row_w.iter().enumerate() {
+                        if rw == 0.0 {
+                            gz.row_mut(i).fill(0.0);
+                            continue;
+                        }
+                        let w = rw * go;
+                        let (max, inv) = stats[i];
+                        for z in gz.row_mut(i) {
+                            *z = w * (fast_exp(*z - max) * inv);
+                        }
+                    }
+                    for &(i, c, w) in targets {
+                        let v = gz.get(i as usize, c as usize) - w * go;
+                        gz.set(i as usize, c as usize, v);
+                    }
+                    let path = GemmPath::for_product(slots, d, n_cand);
+                    if self.needs(*b_c) {
+                        let mut gb = self.alloc(n_cand, 1);
+                        for i in 0..rows.len() {
+                            for (o, &v) in gb.as_mut_slice().iter_mut().zip(gz.row(i)) {
+                                *o += v;
+                            }
+                        }
+                        accum(&mut grads, *b_c, gb);
+                    }
+                    if self.needs(*h) {
+                        let mut gh_rows = self.alloc_full(rows.len(), d);
+                        matmul_nn_into_on(path, &gz, self.value(*w_c), &mut gh_rows);
+                        let mut gh = self.alloc(slots, d);
+                        for (i, &r) in rows.iter().enumerate() {
+                            gh.row_mut(r as usize).copy_from_slice(gh_rows.row(i));
+                        }
+                        self.pool.borrow_mut().put(gh_rows.into_vec());
+                        accum(&mut grads, *h, gh);
+                    }
+                    if self.needs(*w_c) {
+                        let mut gw = self.alloc_full(n_cand, d);
+                        matmul_tn_into_on(path, &gz, h_rows, &mut gw);
+                        accum(&mut grads, *w_c, gw);
+                    }
                 }
                 Op::BceWithLogits { logits, targets } => {
                     let lv = self.value(*logits);

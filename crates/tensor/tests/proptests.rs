@@ -6,10 +6,11 @@
 use proptest::prelude::*;
 use std::rc::Rc;
 use tg_tensor::matrix::{
-    active_microkernel, available_microkernels, concat_cols, force_microkernel, gather_rows,
-    matmul_nn, matmul_nn_naive, matmul_nt, matmul_nt_naive, matmul_tn, matmul_tn_naive,
-    scatter_add_rows, segment_softmax, segment_softmax_backward, segment_softmax_naive,
-    softmax_rows, softmax_rows_naive, Matrix, MicrokernelKind,
+    active_microkernel, available_microkernels, concat_cols, fast_exp, force_microkernel,
+    gather_rows, matmul_nn, matmul_nn_naive, matmul_nt, matmul_nt_naive, matmul_tn,
+    matmul_tn_naive, row_softmax_stats, scatter_add_rows, segment_softmax,
+    segment_softmax_backward, segment_softmax_naive, softmax_rows, softmax_rows_naive, Matrix,
+    MicrokernelKind, KC,
 };
 use tg_tensor::parallel::{par_chunks_mut, par_map, ThreadPin};
 use tg_tensor::prelude::*;
@@ -28,6 +29,91 @@ fn assert_close(a: &Matrix, b: &Matrix, tol: f32) {
             "{x} vs {y}"
         );
     }
+}
+
+/// [`row_softmax_stats`] as it was while it exponentiated 8-element
+/// blocks: the summation order the 64-element version must keep.
+fn row_softmax_stats_by_eights(row: &[f32]) -> (f32, f32) {
+    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut lanes = [0.0f32; 8];
+    let mut chunks = row.chunks_exact(8);
+    for ch in &mut chunks {
+        let mut e = [0.0f32; 8];
+        for (o, &v) in e.iter_mut().zip(ch) {
+            *o = fast_exp(v - max);
+        }
+        for (l, &v) in lanes.iter_mut().zip(&e) {
+            *l += v;
+        }
+    }
+    let denom = lanes.iter().map(|&l| l as f64).sum::<f64>()
+        + chunks
+            .remainder()
+            .iter()
+            .map(|&v| fast_exp(v - max) as f64)
+            .sum::<f64>();
+    if denom > 0.0 {
+        (max, (1.0 / denom) as f32)
+    } else {
+        (max, 1.0)
+    }
+}
+
+/// One decode level of a [`score_xent_case`]: its decode states and the
+/// `(row, candidate column, weight)` targets on them.
+struct ScoreLevel {
+    h: ParamId,
+    targets: Rc<Vec<SparseTarget>>,
+}
+
+/// Loss bits and the gradient bits of every parameter (the `h` of each
+/// level, then `W_dec`, then `b_dec`) of a two-level reconstruction loss
+/// over one candidate set — recorded either through [`Tape::score_xent`]
+/// with the candidate rows gathered once, or through the chain it
+/// replaces with the rows gathered per level.
+fn score_xent_case(
+    store: &ParamStore,
+    levels: &[ScoreLevel],
+    (w_dec, b_dec): (ParamId, ParamId),
+    candidates: &Rc<Vec<u32>>,
+    norm: f32,
+    fused: bool,
+) -> (u32, Vec<Vec<u32>>) {
+    let mut tape = Tape::new();
+    let mut shared: Option<(Var, Var)> = None;
+    let mut loss: Option<Var> = None;
+    for level in levels {
+        let h = tape.param(store, level.h);
+        let term = if fused {
+            let (w_c, b_c) = *shared.get_or_insert_with(|| {
+                (
+                    tape.gather_param_rows(store, w_dec, candidates.clone()),
+                    tape.gather_param_rows(store, b_dec, candidates.clone()),
+                )
+            });
+            tape.score_xent(h, w_c, b_c, &level.targets, norm)
+        } else {
+            let w_c = tape.gather_param_rows(store, w_dec, candidates.clone());
+            let b_c = tape.gather_param_rows(store, b_dec, candidates.clone());
+            let scores = tape.matmul_nt(h, w_c);
+            let b_row = tape.transpose(b_c);
+            let logits = tape.add_row(scores, b_row);
+            tape.softmax_xent(logits, level.targets.clone(), norm)
+        };
+        loss = Some(match loss {
+            Some(l) => tape.add(l, term),
+            None => term,
+        });
+    }
+    let loss = loss.expect("at least one level");
+    let grads = tape.backward(loss);
+    let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
+    let ids = levels.iter().map(|l| l.h).chain([w_dec, b_dec]);
+    (
+        tape.value(loss).item().to_bits(),
+        ids.map(|id| bits(grads.get(id).expect("gradient")))
+            .collect(),
+    )
 }
 
 proptest! {
@@ -326,6 +412,125 @@ proptest! {
         };
         prop_assert_eq!(expect, got);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Exponentiating 64-element blocks keeps every bit of the 8-element
+    /// version's `(max, inv_denom)`: each lane still receives its elements
+    /// in ascending order and the remainder is summed as before — over
+    /// every length around the block and lane boundaries, from flat rows
+    /// to logits far beyond `fast_exp`'s clamp.
+    #[test]
+    fn row_softmax_stats_keeps_the_eight_lane_order(
+        unit in proptest::collection::vec(-1.0f32..1.0, 0..=200),
+        scale in 0usize..5,
+    ) {
+        let scale = [1.0f32, 20.0, 200.0, 1e6, 3e38][scale];
+        let row: Vec<f32> = unit.iter().map(|v| v * scale).collect();
+        let (max, inv) = row_softmax_stats(&row);
+        let (want_max, want_inv) = row_softmax_stats_by_eights(&row);
+        prop_assert_eq!(max.to_bits(), want_max.to_bits(), "max, len {}", row.len());
+        prop_assert_eq!(inv.to_bits(), want_inv.to_bits(), "inv, len {}", row.len());
+    }
+
+    /// [`Tape::score_xent`] keeps every bit of `gather_param_rows` →
+    /// `matmul_nt` → `transpose` → `add_row` → `softmax_xent`: the loss and
+    /// the gradients of `h`, `W_dec` and `b_dec`, for every microkernel,
+    /// on both sides of `TILE_THRESHOLD` (where the compacted product can
+    /// fall on the other side than the full one), with more than `KC`
+    /// rows, and with targets that are unsorted, repeated, missing from
+    /// any share of the rows, or absent altogether. Two levels share the
+    /// candidate set, so the once-gathered rows also have to accumulate
+    /// like the per-level gathers do.
+    #[test]
+    fn score_xent_matches_the_unfused_chain(
+        dims in (1usize..24, 1usize..40, 1usize..40),
+        tall in 0u32..4,
+        coverage in 0u32..5,
+        picks in proptest::collection::vec((0u32..1 << 16, 0u32..1 << 16, 0.25f32..2.0), 1..40),
+        norm in 0.5f32..8.0,
+        seed in 0u64..1 << 40,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let (slots, d, n_cand) = dims;
+        let slots = if tall == 0 { slots + KC } else { slots };
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let mut fill = |rows: usize, cols: usize| {
+            Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-0.5f32..0.5))
+        };
+        let n_nodes = n_cand + 3;
+        let mut store = ParamStore::new();
+        let w_dec = store.create("dec.w", fill(n_nodes, d));
+        let b_dec = store.create("dec.b", fill(n_nodes, 1));
+        let h_ids = [store.create("h0", fill(slots, d)), store.create("h1", fill(slots / 2 + 1, d))];
+        // distinct candidates, not in table order
+        let candidates: Rc<Vec<u32>> =
+            Rc::new((0..n_cand as u32).map(|c| n_nodes as u32 - 1 - c).collect());
+        let levels: Vec<ScoreLevel> = h_ids
+            .iter()
+            .map(|&h| {
+                let rows = store.shape(h).0 as u32;
+                // the rows targets may fall on: none, one, half, or all
+                let (live, every_row) = match coverage {
+                    0 => (0, false),
+                    1 => (1, false),
+                    2 => (rows.div_ceil(2), false),
+                    3 => (rows, false),
+                    _ => (rows, true),
+                };
+                let mut targets: Vec<SparseTarget> = picks
+                    .iter()
+                    .filter(|_| live > 0)
+                    .map(|&(r, c, w)| ((r % live.max(1)) * (rows / live.max(1)), c % n_cand as u32, w))
+                    .collect();
+                if every_row {
+                    targets.extend((0..rows).rev().map(|r| (r, r % n_cand as u32, 1.0)));
+                }
+                if let Some(&first) = targets.first() {
+                    targets.push(first); // a repeated (row, col)
+                }
+                ScoreLevel { h, targets: Rc::new(targets) }
+            })
+            .collect();
+        for kind in available_microkernels() {
+            let _g = force_microkernel(kind);
+            let run = |fused| score_xent_case(&store, &levels, (w_dec, b_dec), &candidates, norm, fused);
+            let (loss, grads) = run(true);
+            let (want_loss, want_grads) = run(false);
+            let ctx = format!("{kind:?} slots={slots} d={d} |C|={n_cand} coverage={coverage}");
+            prop_assert_eq!(loss, want_loss, "{}: loss", ctx);
+            let names = ["h0", "h1", "W_dec", "b_dec"];
+            for ((got, want), name) in grads.iter().zip(&want_grads).zip(names) {
+                let diff = got.iter().zip(want).position(|(a, b)| a != b);
+                prop_assert_eq!(diff, None, "{}: first differing element of the {} gradient", ctx, name);
+            }
+        }
+    }
+}
+
+/// Backward turns a `score_xent` op's logits into their gradient in place,
+/// so a tape can be differentiated through it once; the second attempt
+/// says so instead of differentiating garbage.
+#[test]
+#[should_panic(
+    expected = "score_xent: backward already turned this op's logits into their gradient"
+)]
+fn score_xent_second_backward_panics_with_a_message() {
+    let mut store = ParamStore::new();
+    let h = store.create("h", Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.1));
+    let w = store.create("w", Matrix::from_fn(5, 4, |r, c| (r + c) as f32 * 0.05));
+    let b = store.create("b", Matrix::zeros(5, 1));
+    let mut tape = Tape::new();
+    let hv = tape.param(&store, h);
+    let idx = Rc::new(vec![0u32, 2, 4]);
+    let w_c = tape.gather_param_rows(&store, w, idx.clone());
+    let b_c = tape.gather_param_rows(&store, b, idx);
+    let loss = tape.score_xent(hv, w_c, b_c, &[(1, 2, 1.0)], 1.0);
+    let first = tape.backward(loss);
+    assert!(first.get(h).is_some());
+    tape.backward(loss);
 }
 
 /// Order-preserving integer key for f32 so ULP distances are plain

@@ -21,6 +21,9 @@
 //! All implement [`traits::TemporalGraphGenerator`] and preserve the
 //! observed per-timestamp edge budget, matching the paper's protocol.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
+
 pub mod autoencoder;
 pub mod dymond;
 pub mod simple;

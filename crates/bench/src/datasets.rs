@@ -36,6 +36,10 @@ pub fn timestamp_cap(name: &str) -> usize {
 
 /// Generate a named dataset at the given (or default) scale.
 pub fn load(name: &str, scale: Option<f64>, seed: u64) -> (Preset, TemporalGraph) {
+    #[expect(
+        clippy::panic,
+        reason = "the experiment drivers name presets from a fixed list; a typo stops the run"
+    )]
     let preset = by_name(name).unwrap_or_else(|| panic!("unknown dataset {name}"));
     let scale = scale.unwrap_or_else(|| default_scale(name));
     let mut cfg = preset.config.scaled(scale);

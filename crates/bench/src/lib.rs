@@ -16,6 +16,9 @@
 //!
 //! Criterion micro/ablation benches live in `benches/`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
+
 pub mod datasets;
 pub mod methods;
 pub mod runner;

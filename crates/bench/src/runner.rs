@@ -34,6 +34,10 @@ impl TemporalGraphGenerator for TgaeMethod {
         self.name
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`fit_generate` has no error channel; a graph or config the session rejects is a harness bug"
+    )]
     fn fit_generate(
         &mut self,
         observed: &TemporalGraph,

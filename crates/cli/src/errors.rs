@@ -7,12 +7,34 @@
 //! 1  other failure (I/O, engine error, …)
 //! 2  usage error (unknown flag/subcommand, missing/contradictory args)
 //! 3  ingest/store corruption (unreadable or damaged TGES input)
-//! 4  shard worker(s) still failing after the retry budget
-//! 5  run completed in --degrade partial mode (output is incomplete
-//!    but usable; see partial_manifest.json)
-//! 6  server busy (tgx-cli client: admission control or model cache
-//!    refused the request; retry later)
+//! 4  workers exhausted retries (shard worker(s) still failing after
+//!    the retry budget)
+//! 5  --degrade partial completion (output is incomplete but usable;
+//!    see partial_manifest.json)
+//! 6  server busy (retry later): `tgx-cli client` was refused by
+//!    admission control or the model cache
 //! ```
+//!
+//! [`EXIT_CODES`] is the table: `--help` prints it, and
+//! `exit_codes_are_distinct_and_stable` holds [`CliError::exit_code`],
+//! the list above and the README to it.
+
+/// The exit-code contract, row `i` being code `i` and its meaning.
+pub const EXIT_CODES: [(i32, &str); 7] = [
+    (0, "success"),
+    (1, "other failure"),
+    (2, "usage error"),
+    (3, "ingest/store corruption"),
+    (4, "workers exhausted retries"),
+    (5, "--degrade partial completion"),
+    (6, "server busy (retry later)"),
+];
+
+/// The `EXIT CODES` section of `--help`, one line per table row.
+pub fn exit_codes_help() -> String {
+    let rows = EXIT_CODES.map(|(code, meaning)| format!("  {code}  {meaning}\n"));
+    format!("\nEXIT CODES:\n{}", rows.concat())
+}
 
 /// A failed `tgx-cli` invocation, tagged with its process exit code.
 #[derive(Debug)]
@@ -35,7 +57,8 @@ pub enum CliError {
 }
 
 impl CliError {
-    /// The process exit code this failure maps to.
+    /// The process exit code this failure maps to, a row of
+    /// [`EXIT_CODES`].
     pub fn exit_code(&self) -> i32 {
         match self {
             CliError::Other(_) => 1,
@@ -81,8 +104,43 @@ mod tests {
             (CliError::Partial("x".into()), 5),
             (CliError::Busy("x".into()), 6),
         ];
-        for (e, code) in cases {
-            assert_eq!(e.exit_code(), code, "{e}");
+        for (e, code) in &cases {
+            assert_eq!(e.exit_code(), *code, "{e}");
+        }
+        // the table: row i is code i, and every failure row has a variant
+        for (i, (code, _)) in EXIT_CODES.iter().enumerate() {
+            assert_eq!(*code, i as i32);
+            assert!(
+                i == 0 || cases.iter().any(|(_, c)| c == code),
+                "no error exits {code}"
+            );
+        }
+
+        // the module doc above lists exactly the table, in its words
+        let root = env!("CARGO_MANIFEST_DIR");
+        let source = std::fs::read_to_string(format!("{root}/src/errors.rs")).unwrap();
+        let documented: Vec<&str> = source
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! "))
+            .filter(|l| l.starts_with(|c: char| c.is_ascii_digit()))
+            .collect();
+        assert_eq!(documented.len(), EXIT_CODES.len(), "{documented:?}");
+        for ((code, meaning), line) in EXIT_CODES.iter().zip(documented) {
+            assert!(line.starts_with(&format!("{code}  {meaning}")), "{line}");
+        }
+
+        // the README's stability paragraph names every code a script can
+        // branch on
+        let readme = std::fs::read_to_string(format!("{root}/../../README.md")).unwrap();
+        let (_, promise) = readme
+            .split_once("Exit codes are stable")
+            .expect("README lost the `Exit codes are stable` sentence");
+        let promise = promise.split("\n\n").next().unwrap();
+        for (code, _) in EXIT_CODES.iter().filter(|(code, _)| *code != 1) {
+            assert!(
+                promise.contains(&format!("`{code}` ")),
+                "README lost `{code}`"
+            );
         }
     }
 

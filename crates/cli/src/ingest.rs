@@ -13,7 +13,7 @@
 //! `train --edges`, or `--exact` for already-dense files, with the shape
 //! taken from `--n-nodes`/`--n-timestamps` or inferred from the data) and
 //! written as the columnar, checksummed TGES format. From then on every
-//! consumer — `train --store`, `Session::builder_from_source`, benchmark
+//! consumer — `train --store`, `StoreSource::load_graph`, benchmark
 //! harnesses — streams the store in bounded per-timestamp chunks instead
 //! of re-parsing and re-sorting text: the one-time conversion is what
 //! buys the `O(chunk)` training-ingest memory profile.

@@ -17,6 +17,9 @@
 //! what a single process would stream (`--verify` asserts it); `eval`
 //! scores any generated edge list with the paper's Eq. 10 harness.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::exit)]
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
+
 mod args;
 mod client;
 mod errors;
@@ -74,17 +77,17 @@ OBSERVABILITY:
   client status       daemon residency, admission, and cache report
   client metrics      Prometheus text exposition of the daemon's registry
 
-EXIT CODES:
-  0 success         3 ingest/store corruption   5 --degrade partial completion
-  1 other failure   4 workers exhausted retries  6 server busy (retry later)
-  2 usage error
-
 The smoke pipeline (also run in CI):
   tgx-cli ingest   --out /tmp/obs.tgs --preset dblp --scale 0.04 --verify
   tgx-cli train    --run-dir /tmp/run --store /tmp/obs.tgs --epochs 8
   tgx-cli simulate --run-dir /tmp/run --shards 2 --verify --retries 1
   tgx-cli eval     --run-dir /tmp/run
 ";
+
+/// `--help`: the usage text, then the exit-code table.
+fn usage() -> String {
+    format!("{USAGE}{}", errors::exit_codes_help())
+}
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -100,11 +103,11 @@ fn main() {
 
 fn run(argv: &[String]) -> Result<(), CliError> {
     let Some(cmd) = argv.first() else {
-        eprint!("{USAGE}");
+        eprint!("{}", usage());
         return Err(CliError::Usage("missing subcommand".into()));
     };
     if cmd == "--help" || cmd == "-h" || cmd == "help" {
-        print!("{USAGE}");
+        print!("{}", usage());
         return Ok(());
     }
     let args = Args::parse(&argv[1..]).map_err(CliError::Usage)?;
@@ -117,7 +120,7 @@ fn run(argv: &[String]) -> Result<(), CliError> {
         "serve" => serve::run(&args),
         "client" => client::run(&args),
         other => {
-            eprint!("{USAGE}");
+            eprint!("{}", usage());
             Err(CliError::Usage(format!("unknown subcommand `{other}`")))
         }
     }

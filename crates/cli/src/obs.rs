@@ -120,7 +120,7 @@ pub fn flush_trace(context: &str) {
     if !tg_obs::trace::enabled() {
         return;
     }
-    if let Err(e) = tg_faults::eval("obs.flush", Some(context)) {
+    if let Err(e) = tg_faults::eval(&tg_faults::registry::OBS_FLUSH, Some(context)) {
         eprintln!("tgx-cli: trace flush skipped ({context}): {e}");
         return;
     }

@@ -164,7 +164,7 @@ fn worker(run_dir: &RunDir, shard_index: u32, stats: bool, quiet: bool) -> Resul
     // Deterministic failure injection for the supervision/retry paths:
     // a seeded TG_FAULTS spec can fail, abort, or hang (sleep) selected
     // shard workers right here, before any real work starts.
-    tg_faults::fail_point!("worker.entry", format!("shard:{shard_index}"));
+    tg_faults::fail_point!(WORKER_ENTRY, format!("shard:{shard_index}"));
     // A traced driver exports TG_TRACE/TG_TRACE_PARENT on our
     // environment; adopt its supervision span as this process's root
     // parent so the merged view stitches driver and workers together.
@@ -636,11 +636,13 @@ fn supervise_round(
         let child = cmd
             .spawn()
             .map_err(|e| format!("spawn worker for shard {}: {e}", spec.shard))?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "supervisor retry/timeout bookkeeping; never reaches seeded output"
+        )]
         live.push(Live {
             shard: spec.shard,
             child,
-            // lint: allow(determinism) — supervisor retry/timeout
-            // bookkeeping; never reaches seeded output
             start: Instant::now(),
             timed_out: false,
             _span: span,

@@ -819,6 +819,7 @@ mod tests {
                 .into_shared()
                 .simulate_seeded(3, graph_sink(&g))
                 .expect("simulate");
+            #[expect(clippy::disallowed_types, reason = "membership tests only")]
             let truth: std::collections::HashSet<(u32, u32)> =
                 g.edges().iter().map(|e| (e.u, e.v)).collect();
             let hits = gen

@@ -53,12 +53,6 @@ pub enum TgxError {
     /// [`RunObserver`](crate::session::RunObserver) before any epoch ran,
     /// so there is no report to return.
     Cancelled,
-    /// Streaming the observed graph out of an
-    /// [`EdgeSource`](tg_graph::source::EdgeSource) failed — an I/O or
-    /// corruption error from the source (e.g. a damaged `tg-store` file),
-    /// or a stream that violated the chunk-order contract. The message
-    /// carries the source's own diagnosis.
-    Ingest(String),
 }
 
 impl std::fmt::Display for TgxError {
@@ -80,7 +74,6 @@ impl std::fmt::Display for TgxError {
             TgxError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
             TgxError::CheckpointMismatch(msg) => write!(f, "checkpoint mismatch: {msg}"),
             TgxError::Cancelled => write!(f, "run cancelled by observer before the first epoch"),
-            TgxError::Ingest(msg) => write!(f, "ingesting the observed graph failed: {msg}"),
         }
     }
 }

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 //! `tgae`: the Temporal Graph Autoencoder of *"Efficient Learning-based
 //! Graph Simulation for Temporal Graphs"* (ICDE 2025), reimplemented from
 //! scratch in Rust.

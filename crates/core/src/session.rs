@@ -37,11 +37,11 @@
 //! - [`Session::resume_from`] a mid-run checkpoint and training to the end
 //!   reproduces an uninterrupted run bit-for-bit (the checkpoint carries
 //!   the model, the Adam moments, and the raw RNG state);
-//! - [`Session::builder_from_source`] — streaming the observed graph out
-//!   of any [`EdgeSource`] (the on-disk `tg-store` or an in-memory
-//!   adapter) — trains bit-identically to [`Session::builder`] over the
-//!   same edges: ingest changes where the bytes come from, never what the
-//!   model sees;
+//! - a graph assembled from an [`EdgeSource`](tg_graph::source::EdgeSource)
+//!   (`tg-store`'s `StoreSource::load_graph`, or
+//!   [`read_graph`](tg_graph::source::read_graph) over any source) trains
+//!   bit-identically to the graph it was written from: ingest changes
+//!   where the bytes come from, never what the model sees;
 //! - [`Session::into_shared`] carries the policy over, so simulation run
 //!   `k` of the shared run uses [`SeedPolicy::simulation_master`]`(k)` and
 //!   is bit-identical at any thread count and across any shard partition.
@@ -57,29 +57,7 @@ use crate::TgaeConfig;
 use rand::rngs::SmallRng;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-use tg_graph::source::{read_graph, EdgeSource, DEFAULT_CHUNK_EDGES};
 use tg_graph::TemporalGraph;
-
-/// The observed graph a session mirrors: either borrowed from the caller
-/// ([`Session::builder`]) or owned after streaming ingest from an
-/// [`EdgeSource`] ([`Session::builder_from_source`]). Both paths feed the
-/// identical training code, which is what makes the store-vs-in-memory
-/// bit-identity guarantee testable at this level.
-enum Observed<'a> {
-    /// Caller-provided graph, borrowed for the session's lifetime.
-    Borrowed(&'a TemporalGraph),
-    /// Graph assembled by the session itself (boxed: sessions move).
-    Owned(Box<TemporalGraph>),
-}
-
-impl Observed<'_> {
-    fn get(&self) -> &TemporalGraph {
-        match self {
-            Observed::Borrowed(g) => g,
-            Observed::Owned(g) => g,
-        }
-    }
-}
 
 /// Stream tag mixed into the master seed to derive per-run simulation
 /// seeds (so `simulate(0)`, `simulate(1)`, … get decorrelated streams
@@ -210,7 +188,7 @@ pub(crate) fn rotation_slot(path: &Path, i: usize) -> PathBuf {
 /// Builder for a [`Session`]; see the [module docs](crate::session) for
 /// the lifecycle picture.
 pub struct SessionBuilder<'a> {
-    observed: Observed<'a>,
+    observed: &'a TemporalGraph,
     cfg: TgaeConfig,
     seed: Option<u64>,
     observer: Option<Box<dyn RunObserver + 'a>>,
@@ -281,8 +259,7 @@ impl<'a> SessionBuilder<'a> {
             observer,
             checkpoint,
         } = self;
-        let g = observed.get();
-        if g.n_timestamps() == 0 || g.n_edges() == 0 || g.n_nodes() < 2 {
+        if observed.n_timestamps() == 0 || observed.n_edges() == 0 || observed.n_nodes() < 2 {
             return Err(TgxError::EmptyGraph);
         }
         if let Some(cp) = &checkpoint {
@@ -301,7 +278,7 @@ impl<'a> SessionBuilder<'a> {
             cfg.seed = master;
         }
         validate_config(&cfg)?;
-        let model = Tgae::new(g.n_nodes(), g.n_timestamps(), cfg);
+        let model = Tgae::new(observed.n_nodes(), observed.n_timestamps(), cfg);
         let policy = SeedPolicy::new(model.cfg.seed);
         Ok(Session {
             observed,
@@ -345,7 +322,7 @@ fn validate_config(cfg: &TgaeConfig) -> Result<(), TgxError> {
 /// [module docs](crate::session) for the lifecycle and the determinism
 /// contract.
 pub struct Session<'a> {
-    observed: Observed<'a>,
+    observed: &'a TemporalGraph,
     model: Tgae,
     policy: SeedPolicy,
     observer: Option<Box<dyn RunObserver + 'a>>,
@@ -356,8 +333,8 @@ pub struct Session<'a> {
 impl std::fmt::Debug for Session<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("n_nodes", &self.observed.get().n_nodes())
-            .field("n_timestamps", &self.observed.get().n_timestamps())
+            .field("n_nodes", &self.observed.n_nodes())
+            .field("n_timestamps", &self.observed.n_timestamps())
             .field("master_seed", &self.policy.master())
             .field("trained_epochs", &self.trained_epochs)
             .field("has_observer", &self.observer.is_some())
@@ -369,8 +346,8 @@ impl std::fmt::Debug for Session<'_> {
 impl std::fmt::Debug for SessionBuilder<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionBuilder")
-            .field("n_nodes", &self.observed.get().n_nodes())
-            .field("n_timestamps", &self.observed.get().n_timestamps())
+            .field("n_nodes", &self.observed.n_nodes())
+            .field("n_timestamps", &self.observed.n_timestamps())
             .field("seed", &self.seed)
             .field("has_observer", &self.observer.is_some())
             .field("checkpoint", &self.checkpoint)
@@ -383,7 +360,7 @@ impl<'a> Session<'a> {
     /// `observed` graph.
     pub fn builder(observed: &TemporalGraph) -> SessionBuilder<'_> {
         SessionBuilder {
-            observed: Observed::Borrowed(observed),
+            observed,
             cfg: TgaeConfig::default(),
             seed: None,
             observer: None,
@@ -391,37 +368,9 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Start building a session by **streaming** the observed graph out
-    /// of any [`EdgeSource`] — `tg-store`'s `StoreSource` for an on-disk
-    /// edge store, or [`InMemorySource`](tg_graph::source::InMemorySource)
-    /// for an existing graph. The per-timestamp chunks are assembled
-    /// incrementally (never re-sorted, never staged twice), so ingest
-    /// peak memory above the finished graph is `O(chunk)`; the session
-    /// owns the result, which is why the returned builder is `'static`.
-    ///
-    /// Training behaves **bit-identically** to a [`Session::builder`]
-    /// session over the same edges — same losses, same parameters, and so
-    /// the same generated edges for the same seed (regression-tested
-    /// against both source implementations).
-    ///
-    /// Source I/O or contract failures surface as [`TgxError::Ingest`].
-    pub fn builder_from_source<S: EdgeSource>(
-        source: &mut S,
-    ) -> Result<SessionBuilder<'static>, TgxError> {
-        let g =
-            read_graph(source, DEFAULT_CHUNK_EDGES).map_err(|e| TgxError::Ingest(e.to_string()))?;
-        Ok(SessionBuilder {
-            observed: Observed::Owned(Box::new(g)),
-            cfg: TgaeConfig::default(),
-            seed: None,
-            observer: None,
-            checkpoint: None,
-        })
-    }
-
     /// The observed graph this session trains on and mirrors.
     pub fn observed(&self) -> &TemporalGraph {
-        self.observed.get()
+        self.observed
     }
 
     /// The model (trained in place by [`Session::train`]).
@@ -429,24 +378,15 @@ impl<'a> Session<'a> {
         &self.model
     }
 
-    /// Consume the session, keeping the model.
-    pub fn into_model(self) -> Tgae {
-        self.model
-    }
-
     /// Consume the session into a [`SharedRun`](crate::shared::SharedRun): the trained model and
     /// the observed graph move behind `Arc`s so any number of threads can
     /// simulate/evaluate the run concurrently without cloning parameters
-    /// (a borrowed observed graph is cloned once here — the shared run
+    /// (the borrowed observed graph is cloned once here — the shared run
     /// must be `'static` to cross threads). The seed policy carries over.
     pub fn into_shared(self) -> crate::shared::SharedRun {
-        let observed = match self.observed {
-            Observed::Borrowed(g) => g.clone(),
-            Observed::Owned(g) => *g,
-        };
         crate::shared::SharedRun::assemble(
             std::sync::Arc::new(self.model),
-            std::sync::Arc::new(observed),
+            std::sync::Arc::new(self.observed.clone()),
             self.policy,
         )
     }
@@ -471,7 +411,7 @@ impl<'a> Session<'a> {
             checkpoint: self.checkpoint.as_ref(),
             resume: None,
         };
-        let report = train_loop(&mut self.model, self.observed.get(), hooks)?;
+        let report = train_loop(&mut self.model, self.observed, hooks)?;
         self.trained_epochs = report.epochs_run();
         Ok(report)
     }
@@ -486,15 +426,15 @@ impl<'a> Session<'a> {
                 ckpt.version
             )));
         }
-        if ckpt.model.n_nodes != self.observed.get().n_nodes()
-            || ckpt.model.n_timestamps != self.observed.get().n_timestamps()
+        if ckpt.model.n_nodes != self.observed.n_nodes()
+            || ckpt.model.n_timestamps != self.observed.n_timestamps()
         {
             return Err(TgxError::CheckpointMismatch(format!(
                 "checkpointed model is shaped {}x{} but the observed graph is {}x{}",
                 ckpt.model.n_nodes,
                 ckpt.model.n_timestamps,
-                self.observed.get().n_nodes(),
-                self.observed.get().n_timestamps()
+                self.observed.n_nodes(),
+                self.observed.n_timestamps()
             )));
         }
         // Precision first, with a message that names it: the generic
@@ -570,6 +510,10 @@ impl<'a> Session<'a> {
             // no rotation sibling to fall back to: surface the primary
             // path's own typed error unchanged
             None if failures.len() == 1 => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the match arm guards `failures.len() == 1`"
+                )]
                 return Err(failures.pop().expect("one failure").1);
             }
             None => {
@@ -601,7 +545,7 @@ impl<'a> Session<'a> {
             checkpoint: self.checkpoint.as_ref(),
             resume: Some(resume),
         };
-        let report = train_loop(&mut self.model, self.observed.get(), hooks)?;
+        let report = train_loop(&mut self.model, self.observed, hooks)?;
         self.trained_epochs = report.epochs_run();
         Ok(report)
     }

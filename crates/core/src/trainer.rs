@@ -55,6 +55,10 @@ pub struct TrainReport {
 
 impl TrainReport {
     /// Final (last-step) loss.
+    #[expect(
+        clippy::expect_used,
+        reason = "a report exists only after at least one step ran"
+    )]
     pub fn final_loss(&self) -> f32 {
         *self.losses.last().expect("at least one step")
     }
@@ -212,8 +216,10 @@ pub(crate) fn train_loop(
         )));
     }
     let prior_wall: Duration = epoch_walls.iter().sum();
-    // lint: allow(determinism) — observer wall-clock only (epoch
-    // reporting and checkpoint metadata), never seeded state
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "observer wall clock only (epoch reporting and checkpoint metadata), never seeded state"
+    )]
     let run_start = Instant::now();
     let mut early_stopped = false;
 
@@ -223,7 +229,10 @@ pub(crate) fn train_loop(
     let mut tape = Tape::new();
     for epoch in start_epoch..cfg.epochs {
         let _span = tg_obs::trace::span("train.epoch");
-        // lint: allow(determinism) — per-epoch timing for the observer
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-epoch timing for the observer, never seeded state"
+        )]
         let t0 = Instant::now();
         let centers = sampler.sample_batch(cfg.batch_centers, &mut rng);
         let (loss, stats) = model.forward_batch_into(&mut tape, g, &centers, &mut rng);
@@ -239,7 +248,7 @@ pub(crate) fn train_loop(
 
         if let Some(cp) = checkpoint {
             if (epoch + 1).is_multiple_of(cp.every_epochs) {
-                tg_faults::fail_point!("train.checkpoint.write", cp.path.display().to_string());
+                tg_faults::fail_point!(TRAIN_CHECKPOINT_WRITE, cp.path.display().to_string());
                 let ckpt = TrainCheckpoint {
                     version: CHECKPOINT_VERSION,
                     model: model.clone(),
@@ -265,6 +274,10 @@ pub(crate) fn train_loop(
             }
         }
         if let Some(obs) = observer.as_deref_mut() {
+            #[expect(
+                clippy::expect_used,
+                reason = "this epoch's wall time was pushed a few lines up"
+            )]
             let event = EpochEvent {
                 epoch,
                 n_epochs: cfg.epochs,

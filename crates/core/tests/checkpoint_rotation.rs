@@ -11,6 +11,7 @@
 //!   generation at `path` survives untouched (the pre-fix code truncated
 //!   `path` in place, so a torn write destroyed it).
 
+use tg_faults::registry::PERSIST_ATOMIC_PARTIAL;
 use tg_graph::{TemporalEdge, TemporalGraph};
 use tgae::{Session, Tgae, TgaeConfig, TgxError};
 
@@ -169,14 +170,14 @@ fn torn_checkpoint_write_leaves_previous_generation_intact() {
     // second run: every checkpoint write into this test's directory now
     // fails mid-file (the fault registry is process-global and sibling
     // tests checkpoint concurrently, so the spec filters on the path)
-    tg_faults::set("persist.atomic.partial", "err,arg=tgae_rotation_torn_").unwrap();
+    tg_faults::set(&PERSIST_ATOMIC_PARTIAL, "err,arg=tgae_rotation_torn_").unwrap();
     let mut crashing = Session::builder(&g)
         .config(cfg)
         .checkpoint_rotating(&path, 3, 1)
         .build()
         .unwrap();
     let err = crashing.resume_from(&path).unwrap_err();
-    tg_faults::remove("persist.atomic.partial");
+    tg_faults::remove(&PERSIST_ATOMIC_PARTIAL);
     assert!(matches!(err, TgxError::Checkpoint(_)), "{err}");
 
     // the torn write must not have harmed the committed checkpoint

@@ -10,7 +10,7 @@
 //!   change the trained parameters.
 
 use tg_graph::sink::{GenerationStats, GraphSink, StatsSink};
-use tg_graph::source::InMemorySource;
+use tg_graph::source::{read_graph, InMemorySource, DEFAULT_CHUNK_EDGES};
 use tg_graph::{TemporalEdge, TemporalGraph};
 use tgae::{
     generate_shard_with_sink, EpochEvent, Session, Tgae, TgaeConfig, TgxError, TrainControl,
@@ -100,12 +100,12 @@ fn resume_from_checkpoint_equals_straight_run() {
 
 #[test]
 fn source_built_session_is_bit_identical_to_borrowed_graph() {
-    // The PR-5 EdgeSource ingest path: a session whose observed graph was
-    // streamed chunk-by-chunk out of a source must train to the same
-    // losses and parameters — and generate the same edges — as a session
-    // borrowing the materialised graph directly. (The same invariant for
-    // the on-disk StoreSource lives in crates/store/tests, which owns the
-    // tg-store dev-dependency.)
+    // The EdgeSource ingest path, as `tgx-cli train` runs it: a session
+    // over a graph streamed chunk-by-chunk out of a source (`read_graph`)
+    // must train to the same losses and parameters — and generate the
+    // same edges — as a session over the graph the source was made from.
+    // (The same invariant for the on-disk StoreSource lives in
+    // crates/store/tests, which owns the tg-store dev-dependency.)
     let g = ring_graph(10, 4);
     let cfg = tiny_cfg(6, 17);
     let master = 424242u64;
@@ -117,8 +117,8 @@ fn source_built_session_is_bit_identical_to_borrowed_graph() {
         .expect("borrowed session");
     let report_a = borrowed.train().expect("train borrowed");
 
-    let mut streamed = Session::builder_from_source(&mut InMemorySource::new(&g))
-        .expect("ingest")
+    let assembled = read_graph(&mut InMemorySource::new(&g), DEFAULT_CHUNK_EDGES).expect("ingest");
+    let mut streamed = Session::builder(&assembled)
         .config(cfg)
         .seed(17)
         .build()

@@ -11,6 +11,9 @@
 //! - [`presets`] — the seven Table II rows as named presets.
 //! - [`grid`] — the `n*T*density` scalability sweeps of Figure 6.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
+
 pub mod grid;
 pub mod presets;
 pub mod synthetic;

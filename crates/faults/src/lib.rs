@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 //! `tg-faults`: deterministic fault injection for the tgx workspace.
 //!
 //! Long-lived pipelines need to *prove* their failure handling, not just
@@ -8,10 +10,13 @@
 //!
 //! ```ignore
 //! fn flush_block(&mut self) -> Result<(), StoreError> {
-//!     tg_faults::fail_point!("store.write.block");
+//!     tg_faults::fail_point!(STORE_WRITE_BLOCK);
 //!     // ... the real work ...
 //! }
 //! ```
+//!
+//! Every point is a constant declared in [`registry`]; a name that is
+//! not declared there does not compile.
 //!
 //! # Zero cost when disabled
 //!
@@ -25,8 +30,11 @@
 //! # Activating points
 //!
 //! Points are configured from the `TG_FAULTS` environment variable (read
-//! once, lazily) or programmatically with [`set`]. The spec grammar is
-//! `point=action[,modifier=value]*` entries separated by `;`:
+//! once, at the first evaluation) or programmatically with [`set`]. The
+//! spec grammar is `point=action[,modifier=value]*` entries separated by
+//! `;`, where `point` is a declared point's wire name — an entry that is
+//! malformed or names a point [`registry`] does not declare is reported
+//! on stderr and arms nothing:
 //!
 //! ```text
 //! TG_FAULTS="worker.entry=abort,arg=shard:1,max=1;store.write.block=err,p=0.5"
@@ -52,6 +60,7 @@
 
 pub mod registry;
 
+use registry::FaultPoint;
 #[cfg(feature = "enabled")]
 use std::sync::atomic::Ordering;
 
@@ -91,24 +100,27 @@ impl From<FaultError> for String {
     }
 }
 
-/// Declare a fault point. Expands to an [`eval`]/[`eval_lazy`] call
-/// followed by `?`, so the enclosing function's error type must implement
-/// `From<FaultError>` (directly, or via `From<std::io::Error>`).
+/// Evaluate a fault point, named by its constant in [`registry`].
+/// Expands to an [`eval`]/[`eval_lazy`] call followed by `?`, so the
+/// enclosing function's error type must implement `From<FaultError>`
+/// (directly, or via `From<std::io::Error>`).
 ///
 /// ```ignore
-/// tg_faults::fail_point!("store.write.block");
-/// tg_faults::fail_point!("worker.entry", format!("shard:{idx}"));
+/// tg_faults::fail_point!(STORE_WRITE_BLOCK);
+/// tg_faults::fail_point!(WORKER_ENTRY, format!("shard:{idx}"));
 /// ```
 ///
 /// The two-argument form takes anything `String: From<T>`; the argument
 /// expression is **not evaluated** in disabled builds.
 #[macro_export]
 macro_rules! fail_point {
-    ($name:expr) => {
-        $crate::eval($name, ::std::option::Option::None)?
+    ($point:ident) => {
+        $crate::eval(&$crate::registry::$point, ::std::option::Option::None)?
     };
-    ($name:expr, $arg:expr) => {
-        $crate::eval_lazy($name, || ::std::string::String::from($arg))?
+    ($point:ident, $arg:expr) => {
+        $crate::eval_lazy(&$crate::registry::$point, || {
+            ::std::string::String::from($arg)
+        })?
     };
 }
 
@@ -128,27 +140,27 @@ pub const fn is_compiled() -> bool {
 /// is on and a matching spec is active.
 #[cfg(not(feature = "enabled"))]
 #[inline(always)]
-pub fn eval(_point: &str, _arg: Option<&str>) -> Result<(), FaultError> {
+pub fn eval(_point: &FaultPoint, _arg: Option<&str>) -> Result<(), FaultError> {
     Ok(())
 }
 
 /// [`eval`] with a lazily built argument (not constructed when disabled).
 #[cfg(not(feature = "enabled"))]
 #[inline(always)]
-pub fn eval_lazy<F: FnOnce() -> String>(_point: &str, _arg: F) -> Result<(), FaultError> {
+pub fn eval_lazy<F: FnOnce() -> String>(_point: &FaultPoint, _arg: F) -> Result<(), FaultError> {
     Ok(())
 }
 
 /// Activate a fault point programmatically. Errors in disabled builds
 /// (the machinery is compiled out).
 #[cfg(not(feature = "enabled"))]
-pub fn set(_point: &str, _spec: &str) -> Result<(), String> {
+pub fn set(_point: &FaultPoint, _spec: &str) -> Result<(), String> {
     Err("tg-faults was compiled without the `enabled` feature".into())
 }
 
 /// Deactivate one fault point. No-op in disabled builds.
 #[cfg(not(feature = "enabled"))]
-pub fn remove(_point: &str) {}
+pub fn remove(_point: &FaultPoint) {}
 
 /// Deactivate every fault point and reset all counters. No-op in
 /// disabled builds.
@@ -157,13 +169,13 @@ pub fn clear() {}
 
 /// Times `point` has been evaluated (0 in disabled builds).
 #[cfg(not(feature = "enabled"))]
-pub fn hits(_point: &str) -> u64 {
+pub fn hits(_point: &FaultPoint) -> u64 {
     0
 }
 
 /// Times `point` has actually triggered its action (0 in disabled builds).
 #[cfg(not(feature = "enabled"))]
-pub fn triggers(_point: &str) -> u64 {
+pub fn triggers(_point: &FaultPoint) -> u64 {
     0
 }
 
@@ -173,11 +185,12 @@ pub fn triggers(_point: &str) -> u64 {
 
 #[cfg(feature = "enabled")]
 mod imp {
+    use crate::registry::{lookup, FaultPoint};
     use std::collections::HashMap;
     use std::io::Write;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Mutex, OnceLock};
+    use std::sync::{Mutex, MutexGuard, OnceLock};
 
     #[derive(Clone, Debug, PartialEq)]
     pub(super) enum Action {
@@ -216,11 +229,11 @@ mod imp {
 
     #[derive(Default)]
     pub(super) struct Registry {
-        pub points: HashMap<String, PointSpec>,
+        pub points: HashMap<&'static str, PointSpec>,
         /// Evaluations per point (matched or not).
-        pub hits: HashMap<String, u64>,
+        pub hits: HashMap<&'static str, u64>,
         /// Matching evaluations per point (drives `after`/`p`).
-        pub matches: HashMap<String, u64>,
+        pub matches: HashMap<&'static str, u64>,
         /// In-process trigger counts per ledger key.
         pub triggers: HashMap<String, u64>,
         pub seed: u64,
@@ -228,11 +241,20 @@ mod imp {
     }
 
     pub(super) static ACTIVE: AtomicBool = AtomicBool::new(false);
-    pub(super) static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
     pub(super) static INIT: std::sync::Once = std::sync::Once::new();
 
-    pub(super) fn registry() -> &'static Mutex<Registry> {
-        REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
+    /// The registry, locked.
+    #[expect(
+        clippy::expect_used,
+        reason = "a thread that panicked under the lock left the counters half-updated; \
+                  fault decisions made from them would not be the seeded ones"
+    )]
+    pub(super) fn lock() -> MutexGuard<'static, Registry> {
+        REGISTRY
+            .get_or_init(|| Mutex::new(Registry::default()))
+            .lock()
+            .expect("fault registry poisoned")
     }
 
     /// SplitMix64 finalizer — the workspace's standard seed mixer.
@@ -325,8 +347,18 @@ mod imp {
         }
     }
 
+    /// Parse one `TG_FAULTS` entry, `point=spec`, against the registry.
+    pub(super) fn parse_entry(entry: &str) -> Result<(&'static FaultPoint, PointSpec), String> {
+        let (name, spec) = entry
+            .split_once('=')
+            .ok_or("malformed entry, expected point=action")?;
+        let point =
+            lookup(name.trim()).ok_or_else(|| format!("unknown fault point `{}`", name.trim()))?;
+        Ok((point, parse_spec(spec)?))
+    }
+
     pub(super) fn init_from_env() {
-        let mut reg = registry().lock().expect("fault registry poisoned");
+        let mut reg = lock();
         reg.seed = std::env::var("TG_FAULTS_SEED")
             .ok()
             .and_then(|s| s.parse().ok())
@@ -334,15 +366,11 @@ mod imp {
         reg.state_path = std::env::var("TG_FAULTS_STATE").ok().map(PathBuf::from);
         if let Ok(spec) = std::env::var("TG_FAULTS") {
             for entry in spec.split(';').map(str::trim).filter(|e| !e.is_empty()) {
-                let Some((point, rest)) = entry.split_once('=') else {
-                    eprintln!("tg-faults: ignoring malformed TG_FAULTS entry `{entry}`");
-                    continue;
-                };
-                match parse_spec(rest) {
-                    Ok(ps) => {
-                        reg.points.insert(point.trim().to_string(), ps);
+                match parse_entry(entry) {
+                    Ok((point, ps)) => {
+                        reg.points.insert(point.name(), ps);
                     }
-                    Err(e) => eprintln!("tg-faults: ignoring `{entry}`: {e}"),
+                    Err(e) => eprintln!("tg-faults: ignoring TG_FAULTS entry `{entry}`: {e}"),
                 }
             }
         }
@@ -356,7 +384,7 @@ mod imp {
 /// Returns `Err(FaultError)` when an active `err` spec triggers; `panic`,
 /// `abort`, `exit`, and `sleep` actions act directly.
 #[cfg(feature = "enabled")]
-pub fn eval(point: &str, arg: Option<&str>) -> Result<(), FaultError> {
+pub fn eval(point: &FaultPoint, arg: Option<&str>) -> Result<(), FaultError> {
     use imp::*;
     INIT.call_once(init_from_env);
     if !ACTIVE.load(Ordering::Relaxed) {
@@ -368,7 +396,7 @@ pub fn eval(point: &str, arg: Option<&str>) -> Result<(), FaultError> {
 /// [`eval`] with a lazily built argument (only constructed when some
 /// fault point is active).
 #[cfg(feature = "enabled")]
-pub fn eval_lazy<F: FnOnce() -> String>(point: &str, arg: F) -> Result<(), FaultError> {
+pub fn eval_lazy<F: FnOnce() -> String>(point: &FaultPoint, arg: F) -> Result<(), FaultError> {
     use imp::*;
     INIT.call_once(init_from_env);
     if !ACTIVE.load(Ordering::Relaxed) {
@@ -379,13 +407,14 @@ pub fn eval_lazy<F: FnOnce() -> String>(point: &str, arg: F) -> Result<(), Fault
 }
 
 #[cfg(feature = "enabled")]
-fn eval_active(point: &str, arg: Option<&str>) -> Result<(), FaultError> {
+fn eval_active(point: &FaultPoint, arg: Option<&str>) -> Result<(), FaultError> {
     use imp::*;
+    let point = point.name();
     // Decide under the lock; act after releasing it (a sleeping or
     // panicking point must not wedge sibling threads' evaluations).
     let action: Action = {
-        let mut reg = registry().lock().expect("fault registry poisoned");
-        *reg.hits.entry(point.to_string()).or_insert(0) += 1;
+        let mut reg = lock();
+        *reg.hits.entry(point).or_insert(0) += 1;
         let Some(spec) = reg.points.get(point).cloned() else {
             return Ok(());
         };
@@ -398,7 +427,7 @@ fn eval_active(point: &str, arg: Option<&str>) -> Result<(), FaultError> {
             }
         }
         let match_idx = {
-            let c = reg.matches.entry(point.to_string()).or_insert(0);
+            let c = reg.matches.entry(point).or_insert(0);
             let idx = *c;
             *c += 1;
             idx
@@ -439,6 +468,10 @@ fn eval_active(point: &str, arg: Option<&str>) -> Result<(), FaultError> {
     match action {
         imp::Action::Off => Ok(()),
         imp::Action::Err => Err(err),
+        #[expect(
+            clippy::panic,
+            reason = "the `panic` action: panicking here is the feature"
+        )]
         imp::Action::Panic => panic!("{err}"),
         imp::Action::Abort => {
             eprintln!("tg-faults: {err}: aborting");
@@ -456,24 +489,24 @@ fn eval_active(point: &str, arg: Option<&str>) -> Result<(), FaultError> {
 }
 
 /// Activate (or replace) the spec for one fault point, e.g.
-/// `set("store.write.block", "err,max=1")`.
+/// `set(&registry::STORE_WRITE_BLOCK, "err,max=1")`.
 #[cfg(feature = "enabled")]
-pub fn set(point: &str, spec: &str) -> Result<(), String> {
+pub fn set(point: &FaultPoint, spec: &str) -> Result<(), String> {
     use imp::*;
     INIT.call_once(init_from_env);
     let parsed = parse_spec(spec)?;
-    let mut reg = registry().lock().expect("fault registry poisoned");
-    reg.points.insert(point.to_string(), parsed);
+    let mut reg = lock();
+    reg.points.insert(point.name(), parsed);
     ACTIVE.store(true, Ordering::Relaxed);
     Ok(())
 }
 
 /// Deactivate one fault point (counters are kept).
 #[cfg(feature = "enabled")]
-pub fn remove(point: &str) {
+pub fn remove(point: &FaultPoint) {
     use imp::*;
-    let mut reg = registry().lock().expect("fault registry poisoned");
-    reg.points.remove(point);
+    let mut reg = lock();
+    reg.points.remove(point.name());
     if reg.points.is_empty() {
         ACTIVE.store(false, Ordering::Relaxed);
     }
@@ -484,7 +517,7 @@ pub fn remove(point: &str) {
 #[cfg(feature = "enabled")]
 pub fn clear() {
     use imp::*;
-    let mut reg = registry().lock().expect("fault registry poisoned");
+    let mut reg = lock();
     reg.points.clear();
     reg.hits.clear();
     reg.matches.clear();
@@ -494,21 +527,16 @@ pub fn clear() {
 
 /// Times `point` has been evaluated since process start (matched or not).
 #[cfg(feature = "enabled")]
-pub fn hits(point: &str) -> u64 {
-    imp::registry()
-        .lock()
-        .expect("fault registry poisoned")
-        .hits
-        .get(point)
-        .copied()
-        .unwrap_or(0)
+pub fn hits(point: &FaultPoint) -> u64 {
+    imp::lock().hits.get(point.name()).copied().unwrap_or(0)
 }
 
 /// Times `point` has actually triggered its action in this process
 /// (summed over arg filters).
 #[cfg(feature = "enabled")]
-pub fn triggers(point: &str) -> u64 {
-    let reg = imp::registry().lock().expect("fault registry poisoned");
+pub fn triggers(point: &FaultPoint) -> u64 {
+    let point = point.name();
+    let reg = imp::lock();
     reg.triggers
         .iter()
         .filter(|(k, _)| k.as_str() == point || k.starts_with(&format!("{point}|")))
@@ -520,6 +548,15 @@ pub fn triggers(point: &str) -> u64 {
 mod tests {
     use super::*;
     use std::sync::Mutex;
+
+    const ELSEWHERE: FaultPoint = FaultPoint::fixture("elsewhere");
+    const NOTHING_SET: FaultPoint = FaultPoint::fixture("nothing.set");
+    const T_ARG: FaultPoint = FaultPoint::fixture("t.arg");
+    const T_BUDGET: FaultPoint = FaultPoint::fixture("t.budget");
+    const T_ERR: FaultPoint = FaultPoint::fixture("t.err");
+    const T_LEDGER: FaultPoint = FaultPoint::fixture("t.ledger");
+    const T_PROB: FaultPoint = FaultPoint::fixture("t.prob");
+    const X: FaultPoint = FaultPoint::fixture("x");
 
     // The registry is process-global, so these tests serialize on a lock
     // and clear() between scenarios.
@@ -535,59 +572,59 @@ mod tests {
     fn inactive_points_are_ok() {
         let _g = locked();
         // nothing configured: the fast path skips even hit counting
-        assert!(eval("nothing.set", None).is_ok());
-        assert_eq!(hits("nothing.set"), 0);
+        assert!(eval(&NOTHING_SET, None).is_ok());
+        assert_eq!(hits(&NOTHING_SET), 0);
         // once any point is active, unmatched points are counted but inert
-        set("elsewhere", "err").unwrap();
-        assert!(eval("nothing.set", None).is_ok());
-        assert_eq!(hits("nothing.set"), 1);
-        assert_eq!(triggers("nothing.set"), 0);
+        set(&ELSEWHERE, "err").unwrap();
+        assert!(eval(&NOTHING_SET, None).is_ok());
+        assert_eq!(hits(&NOTHING_SET), 1);
+        assert_eq!(triggers(&NOTHING_SET), 0);
     }
 
     #[test]
     fn err_action_fires_and_counts() {
         let _g = locked();
-        set("t.err", "err").unwrap();
-        let e = eval("t.err", None).unwrap_err();
+        set(&T_ERR, "err").unwrap();
+        let e = eval(&T_ERR, None).unwrap_err();
         assert!(e.to_string().contains("t.err"));
-        assert_eq!(triggers("t.err"), 1);
-        remove("t.err");
-        assert!(eval("t.err", None).is_ok());
+        assert_eq!(triggers(&T_ERR), 1);
+        remove(&T_ERR);
+        assert!(eval(&T_ERR, None).is_ok());
     }
 
     #[test]
     fn max_and_after_budgets() {
         let _g = locked();
-        set("t.budget", "err,after=2,max=1").unwrap();
-        assert!(eval("t.budget", None).is_ok());
-        assert!(eval("t.budget", None).is_ok());
-        assert!(eval("t.budget", None).is_err()); // third matching eval
-        assert!(eval("t.budget", None).is_ok()); // budget exhausted
-        assert_eq!(triggers("t.budget"), 1);
-        assert_eq!(hits("t.budget"), 4);
+        set(&T_BUDGET, "err,after=2,max=1").unwrap();
+        assert!(eval(&T_BUDGET, None).is_ok());
+        assert!(eval(&T_BUDGET, None).is_ok());
+        assert!(eval(&T_BUDGET, None).is_err()); // third matching eval
+        assert!(eval(&T_BUDGET, None).is_ok()); // budget exhausted
+        assert_eq!(triggers(&T_BUDGET), 1);
+        assert_eq!(hits(&T_BUDGET), 4);
     }
 
     #[test]
     fn arg_filter_matches_substring() {
         let _g = locked();
-        set("t.arg", "err,arg=shard:1").unwrap();
-        assert!(eval("t.arg", Some("shard:0")).is_ok());
-        assert!(eval("t.arg", None).is_ok());
-        assert!(eval("t.arg", Some("shard:1")).is_err());
-        assert!(eval_lazy("t.arg", || "shard:12".to_string()).is_err());
+        set(&T_ARG, "err,arg=shard:1").unwrap();
+        assert!(eval(&T_ARG, Some("shard:0")).is_ok());
+        assert!(eval(&T_ARG, None).is_ok());
+        assert!(eval(&T_ARG, Some("shard:1")).is_err());
+        assert!(eval_lazy(&T_ARG, || "shard:12".to_string()).is_err());
     }
 
     #[test]
     fn probability_is_deterministic() {
         let _g = locked();
-        set("t.prob", "err,p=0.5").unwrap();
-        let pattern: Vec<bool> = (0..64).map(|_| eval("t.prob", None).is_err()).collect();
+        set(&T_PROB, "err,p=0.5").unwrap();
+        let pattern: Vec<bool> = (0..64).map(|_| eval(&T_PROB, None).is_err()).collect();
         let fired = pattern.iter().filter(|&&b| b).count();
         assert!((10..=54).contains(&fired), "wildly unbalanced: {fired}/64");
         // same seed, fresh counters: identical pattern
         clear();
-        set("t.prob", "err,p=0.5").unwrap();
-        let again: Vec<bool> = (0..64).map(|_| eval("t.prob", None).is_err()).collect();
+        set(&T_PROB, "err,p=0.5").unwrap();
+        let again: Vec<bool> = (0..64).map(|_| eval(&T_PROB, None).is_err()).collect();
         assert_eq!(pattern, again);
     }
 
@@ -599,25 +636,25 @@ mod tests {
         let state = dir.join("state");
         std::fs::remove_file(&state).ok();
         {
-            let mut reg = imp::registry().lock().unwrap();
+            let mut reg = imp::lock();
             reg.state_path = Some(state.clone());
         }
-        set("t.ledger", "err,max=1").unwrap();
-        assert!(eval("t.ledger", None).is_err());
-        assert!(eval("t.ledger", None).is_ok());
+        set(&T_LEDGER, "err,max=1").unwrap();
+        assert!(eval(&T_LEDGER, None).is_err());
+        assert!(eval(&T_LEDGER, None).is_ok());
         // a "restarted process": same ledger, fresh in-memory counters
         clear();
         {
-            let mut reg = imp::registry().lock().unwrap();
+            let mut reg = imp::lock();
             reg.state_path = Some(state.clone());
         }
-        set("t.ledger", "err,max=1").unwrap();
+        set(&T_LEDGER, "err,max=1").unwrap();
         assert!(
-            eval("t.ledger", None).is_ok(),
+            eval(&T_LEDGER, None).is_ok(),
             "ledger-backed max must survive the restart"
         );
         {
-            let mut reg = imp::registry().lock().unwrap();
+            let mut reg = imp::lock();
             reg.state_path = None;
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -626,23 +663,39 @@ mod tests {
     #[test]
     fn spec_parse_errors_are_loud() {
         let _g = locked();
-        assert!(set("x", "explode").is_err());
-        assert!(set("x", "err,p=2.0").is_err());
-        assert!(set("x", "exit:nope").is_err());
-        assert!(set("x", "err,bogus=1").is_err());
-        assert!(set("x", "sleep:10,arg=a,max=2,after=1,p=0.5").is_ok());
+        assert!(set(&X, "explode").is_err());
+        assert!(set(&X, "err,p=2.0").is_err());
+        assert!(set(&X, "exit:nope").is_err());
+        assert!(set(&X, "err,bogus=1").is_err());
+        assert!(set(&X, "sleep:10,arg=a,max=2,after=1,p=0.5").is_ok());
+    }
+
+    #[test]
+    fn env_entries_are_checked_against_the_registry() {
+        let (point, spec) = imp::parse_entry("worker.entry=abort,arg=shard:1,max=1").unwrap();
+        assert_eq!(point.name(), "worker.entry");
+        assert_eq!(spec.action, imp::Action::Abort);
+        // a name the table does not know is reported, not armed
+        let e = imp::parse_entry("worker.entyr=abort").unwrap_err();
+        assert_eq!(e, "unknown fault point `worker.entyr`");
+        // ... and so are this crate's own test fixtures
+        assert!(imp::parse_entry("t.macro=err").is_err());
+        assert!(imp::parse_entry("worker.entry")
+            .unwrap_err()
+            .contains("malformed"));
+        assert!(imp::parse_entry("worker.entry=explode").is_err());
     }
 
     #[test]
     fn fail_point_macro_compiles_both_forms() {
         let _g = locked();
         fn f() -> Result<(), String> {
-            fail_point!("t.macro");
-            fail_point!("t.macro.arg", format!("x:{}", 1));
+            fail_point!(T_MACRO);
+            fail_point!(T_MACRO_ARG, format!("x:{}", 1));
             Ok(())
         }
         assert!(f().is_ok());
-        set("t.macro.arg", "err,arg=x:1").unwrap();
+        set(&registry::T_MACRO_ARG, "err,arg=x:1").unwrap();
         assert!(f().unwrap_err().contains("t.macro.arg"));
     }
 }

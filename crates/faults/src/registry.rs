@@ -1,163 +1,122 @@
-//! The declared fault-point registry.
+//! The declared fault points.
 //!
-//! Every `fail_point!` / [`crate::eval`] name in the workspace must appear
-//! in [`FAULT_POINTS`]; `tg-lint`'s fault-registry pass enforces it in
-//! both directions (an unregistered point in code and a registered point
-//! with no call site are both errors), and validates every `TG_FAULTS`
-//! spec embedded in CI and the process-level tests against this table.
-//! That turns the point names from stringly-typed conventions into a
-//! checked contract: a typo in a spec, a renamed point, or a deleted call
-//! site can no longer silently arm nothing.
+//! A fault point is a `pub const` of [`FaultPoint`] in this module, and
+//! [`FaultPoint`]'s field is private, so this file is the only place one
+//! can be made: `fail_point!` / [`crate::eval`] / [`crate::set`] take
+//! `&FaultPoint`, and an undeclared or misspelt point does not compile.
 //!
-//! The registry is data, not behavior — it compiles identically with and
-//! without the `enabled` feature, so disabled builds can still enumerate
-//! and document the points they compiled out.
+//! ```compile_fail
+//! // no constructor outside `tg_faults::registry`
+//! let forged = tg_faults::registry::FaultPoint { name: "worker.entry" };
+//! ```
+//!
+//! What a compiler cannot see is checked where it can be: a `TG_FAULTS`
+//! entry is matched against [`FAULT_POINTS`] when the variable is read
+//! and an unknown name is reported like any other malformed entry, and
+//! `tests/liveness.rs` fails when a point declared here is no longer
+//! named by any other crate.
+//!
+//! The table is data, not behavior — it compiles identically with and
+//! without the `enabled` feature.
 
-/// Where evaluations of a fault point may legally appear.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultScope {
-    /// A real injection site in shipping code. Production points must
-    /// have at least one non-test `fail_point!` / `tg_faults::eval`
-    /// call site, and are the only points `TG_FAULTS` specs may arm.
-    Production,
-    /// A fixture point that exists only to exercise the fault machinery
-    /// itself (doctests, unit tests). Test-only points must never be
-    /// evaluated from non-test code.
-    TestOnly,
-}
-
-/// One declared fault point: its wire name, where it may be evaluated
-/// from, and what turning it on actually interrupts.
-#[derive(Debug, Clone, Copy)]
+/// One declared fault point. Only this module can build one.
+#[derive(Debug)]
 pub struct FaultPoint {
-    /// The exact string passed to `fail_point!` / [`crate::eval`] and
-    /// used on the left-hand side of a `TG_FAULTS` spec entry.
-    pub name: &'static str,
-    /// Whether this is a production injection site or a test fixture.
-    pub scope: FaultScope,
-    /// What the point interrupts, including the call-site argument
-    /// format where one is supplied.
-    pub doc: &'static str,
+    name: &'static str,
 }
 
-/// Every fault point in the workspace, sorted by name.
-///
-/// Keep this table in lockstep with the call sites: `cargo run -p
-/// tg-lint -- check` fails on any drift in either direction.
-pub const FAULT_POINTS: &[FaultPoint] = &[
-    FaultPoint {
-        name: "obs.flush",
-        scope: FaultScope::Production,
-        doc: "wraps the trace-buffer flush in `tgx-cli` before a traced \
-              process exits (arg: trace file path). Telemetry is \
-              best-effort by contract: a trigger here must cost at most \
-              the trace, never the run's exit status.",
-    },
-    FaultPoint {
-        name: "persist.atomic.partial",
-        scope: FaultScope::Production,
-        doc: "inside the atomic JSON/edge-list writer after a partial \
-              prefix of the payload has been written to the tmp sibling \
-              (arg: destination path). Proves torn writes never replace \
-              a good generation.",
-    },
-    FaultPoint {
-        name: "persist.atomic.start",
-        scope: FaultScope::Production,
-        doc: "at the start of an atomic write, before the tmp sibling is \
-              created (arg: destination path).",
-    },
-    FaultPoint {
-        name: "persist.atomic.unrenamed",
-        scope: FaultScope::Production,
-        doc: "after the tmp sibling is fully written and fsynced but \
-              before the rename commit (arg: destination path). Proves \
-              the commit point is the rename.",
-    },
-    FaultPoint {
-        name: "serve.accept",
-        scope: FaultScope::Production,
-        doc: "evaluated once per accepted connection in the tg-serve \
-              accept loop; a trigger drops that one connection without \
-              taking the daemon down.",
-    },
-    FaultPoint {
-        name: "serve.generate.unit",
-        scope: FaultScope::Production,
-        doc: "evaluated per generation work unit while streaming a \
-              served simulation (arg: \"t:<t> chunk:<c>\"). A panic here \
-              must be contained to a typed `internal` error frame.",
-    },
-    FaultPoint {
-        name: "serve.request.decode",
-        scope: FaultScope::Production,
-        doc: "evaluated per decoded request frame (arg: the frame's op). \
-              Proves malformed/poisoned requests answer a typed error on \
-              the same connection.",
-    },
-    FaultPoint {
-        name: "serve.status",
-        scope: FaultScope::Production,
-        doc: "evaluated while assembling a `status` report in tg-serve. \
-              Proves an introspection failure answers a typed `internal` \
-              error frame on the same connection without taking the \
-              daemon or its data-plane requests down.",
-    },
-    FaultPoint {
-        name: "store.commit",
-        scope: FaultScope::Production,
-        doc: "before the TGES writer back-patches the header and commits \
-              (arg: store path). A trigger leaves an unreadable store, \
-              never a silently short one.",
-    },
-    FaultPoint {
-        name: "store.read.block",
-        scope: FaultScope::Production,
-        doc: "before each SoA block read in the TGES reader (arg: \
-              \"block:<k>\").",
-    },
-    FaultPoint {
-        name: "store.write.block",
-        scope: FaultScope::Production,
-        doc: "before each SoA block flush in the TGES writer (arg: \
-              \"block:<k>\").",
-    },
-    FaultPoint {
-        name: "t.macro",
-        scope: FaultScope::TestOnly,
-        doc: "fixture for the zero-argument `fail_point!` form in this \
-              crate's own unit tests; never evaluated from production \
-              code.",
-    },
-    FaultPoint {
-        name: "t.macro.arg",
-        scope: FaultScope::TestOnly,
-        doc: "fixture for the lazy-argument `fail_point!` form in this \
-              crate's own unit tests; never evaluated from production \
-              code.",
-    },
-    FaultPoint {
-        name: "train.checkpoint.write",
-        scope: FaultScope::Production,
-        doc: "wraps each rotating training-checkpoint write (arg: \
-              checkpoint path). Pairs with persist.atomic.* to prove \
-              resume falls back across generations.",
-    },
-    FaultPoint {
-        name: "worker.entry",
-        scope: FaultScope::Production,
-        doc: "at shard-worker process entry in `tgx-cli simulate` (arg: \
-              \"shard:<i>\"). The supervisor's retry/backoff/quarantine \
-              story is proven against this point.",
-    },
-];
+impl FaultPoint {
+    /// The point's wire name: the left-hand side of a `TG_FAULTS` entry
+    /// and the `point` of a [`crate::FaultError`].
+    pub const fn name(&self) -> &'static str {
+        self.name
+    }
 
-/// Look up a declared fault point by its exact name.
+    /// A throwaway point for this crate's unit tests of the machinery.
+    #[cfg(test)]
+    pub(crate) const fn fixture(name: &'static str) -> FaultPoint {
+        FaultPoint { name }
+    }
+}
+
+/// Declares each point as a `pub const` named after its wire name
+/// (`worker.entry` → `WORKER_ENTRY`, the spelling `tests/liveness.rs`
+/// looks for) and lists them all in [`FAULT_POINTS`].
+macro_rules! fault_points {
+    ($($(#[$doc:meta])* $ident:ident = $name:literal;)*) => {
+        $($(#[$doc])* pub const $ident: FaultPoint = FaultPoint { name: $name };)*
+
+        /// Every declared point, sorted by name: what `TG_FAULTS` may arm.
+        pub const FAULT_POINTS: &[&FaultPoint] = &[$(&$ident),*];
+    };
+}
+
+fault_points! {
+    /// Wraps the trace-buffer flush in `tgx-cli` before a traced process
+    /// exits (arg: trace file path). Telemetry is best-effort by
+    /// contract: a trigger here must cost at most the trace, never the
+    /// run's exit status.
+    OBS_FLUSH = "obs.flush";
+    /// Inside the atomic JSON/edge-list writer after a partial prefix of
+    /// the payload has been written to the tmp sibling (arg: destination
+    /// path). Proves torn writes never replace a good generation.
+    PERSIST_ATOMIC_PARTIAL = "persist.atomic.partial";
+    /// At the start of an atomic write, before the tmp sibling is created
+    /// (arg: destination path).
+    PERSIST_ATOMIC_START = "persist.atomic.start";
+    /// After the tmp sibling is fully written and fsynced but before the
+    /// rename commit (arg: destination path). Proves the commit point is
+    /// the rename.
+    PERSIST_ATOMIC_UNRENAMED = "persist.atomic.unrenamed";
+    /// Evaluated once per accepted connection in the tg-serve accept
+    /// loop; a trigger drops that one connection without taking the
+    /// daemon down.
+    SERVE_ACCEPT = "serve.accept";
+    /// Evaluated per generation work unit while streaming a served
+    /// simulation (arg: `t:<t> chunk:<c>`). A panic here must be
+    /// contained to a typed `internal` error frame.
+    SERVE_GENERATE_UNIT = "serve.generate.unit";
+    /// Evaluated per decoded request frame (arg: the frame's op). Proves
+    /// malformed/poisoned requests answer a typed error on the same
+    /// connection.
+    SERVE_REQUEST_DECODE = "serve.request.decode";
+    /// Evaluated while assembling a `status` report in tg-serve. Proves
+    /// an introspection failure answers a typed `internal` error frame on
+    /// the same connection without taking the daemon or its data-plane
+    /// requests down.
+    SERVE_STATUS = "serve.status";
+    /// Before the TGES writer back-patches the header and commits (arg:
+    /// store path). A trigger leaves an unreadable store, never a
+    /// silently short one.
+    STORE_COMMIT = "store.commit";
+    /// Before each SoA block read in the TGES reader (arg: `block:<k>`).
+    STORE_READ_BLOCK = "store.read.block";
+    /// Before each SoA block flush in the TGES writer (arg: `block:<k>`).
+    STORE_WRITE_BLOCK = "store.write.block";
+    /// Wraps each rotating training-checkpoint write (arg: checkpoint
+    /// path). Pairs with `persist.atomic.*` to prove resume falls back
+    /// across generations.
+    TRAIN_CHECKPOINT_WRITE = "train.checkpoint.write";
+    /// At shard-worker process entry in `tgx-cli simulate` (arg:
+    /// `shard:<i>`). The supervisor's retry/backoff/quarantine story is
+    /// proven against this point.
+    WORKER_ENTRY = "worker.entry";
+}
+
+/// Fixtures for this crate's unit test of `fail_point!`, which resolves
+/// its argument in this module. They are not in [`FAULT_POINTS`], so
+/// `TG_FAULTS` cannot arm them.
+#[cfg(test)]
+pub(crate) const T_MACRO: FaultPoint = FaultPoint::fixture("t.macro");
+#[cfg(test)]
+pub(crate) const T_MACRO_ARG: FaultPoint = FaultPoint::fixture("t.macro.arg");
+
+/// Look up a declared fault point by its exact wire name.
 pub fn lookup(name: &str) -> Option<&'static FaultPoint> {
     FAULT_POINTS
         .binary_search_by(|p| p.name.cmp(name))
         .ok()
-        .map(|i| &FAULT_POINTS[i])
+        .map(|i| FAULT_POINTS[i])
 }
 
 #[cfg(test)]
@@ -188,10 +147,9 @@ mod tests {
 
     #[test]
     fn scopes_are_as_declared() {
-        assert_eq!(lookup("t.macro").unwrap().scope, FaultScope::TestOnly);
-        assert_eq!(
-            lookup("worker.entry").unwrap().scope,
-            FaultScope::Production
-        );
+        // a test fixture is not in the table, a production point is
+        assert!(lookup(T_MACRO.name).is_none());
+        assert!(lookup(T_MACRO_ARG.name).is_none());
+        assert!(lookup(WORKER_ENTRY.name).is_some());
     }
 }

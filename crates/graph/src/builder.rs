@@ -5,14 +5,15 @@
 //! in first-seen order and compacts (or buckets) timestamps.
 
 use crate::temporal::{NodeId, TemporalEdge, TemporalGraph, Time};
-use std::collections::HashMap;
 
 /// Accumulates raw edges, then compacts them into a [`TemporalGraph`].
 #[derive(Default)]
 pub struct TemporalGraphBuilder {
-    // lint: allow(determinism) — keyed lookups only; node ids are
-    // assigned in first-seen insertion order, never by iteration
-    node_map: HashMap<u64, NodeId>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookups only; node ids are assigned in first-seen insertion order, never by iteration"
+    )]
+    node_map: std::collections::HashMap<u64, NodeId>,
     raw: Vec<(NodeId, NodeId, u64)>,
 }
 
@@ -59,9 +60,11 @@ impl TemporalGraphBuilder {
         let mut times: Vec<u64> = self.raw.iter().map(|&(_, _, t)| t).collect();
         times.sort_unstable();
         times.dedup();
-        // lint: allow(determinism) — built from the sorted/deduped
-        // `times` and read by key only, never iterated
-        let time_map: HashMap<u64, Time> = times
+        #[expect(
+            clippy::disallowed_types,
+            reason = "built from the sorted, deduped `times` and read by key only, never iterated"
+        )]
+        let time_map: std::collections::HashMap<u64, Time> = times
             .iter()
             .enumerate()
             .map(|(i, &t)| (t, i as Time))

@@ -80,16 +80,16 @@ pub fn tmp_sibling(path: &Path) -> std::path::PathBuf {
 pub fn atomic_write_bytes(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
     let path = path.as_ref();
     let path_str = path.display().to_string();
-    tg_faults::fail_point!("persist.atomic.start", path_str.clone());
+    tg_faults::fail_point!(PERSIST_ATOMIC_START, path_str.clone());
     let tmp = tmp_sibling(path);
     let mut f = std::fs::File::create(&tmp)?;
     let mid = bytes.len() / 2;
     f.write_all(&bytes[..mid])?;
-    tg_faults::fail_point!("persist.atomic.partial", path_str.clone());
+    tg_faults::fail_point!(PERSIST_ATOMIC_PARTIAL, path_str.clone());
     f.write_all(&bytes[mid..])?;
     f.sync_all()?;
     drop(f);
-    tg_faults::fail_point!("persist.atomic.unrenamed", path_str);
+    tg_faults::fail_point!(PERSIST_ATOMIC_UNRENAMED, path_str);
     std::fs::rename(&tmp, path)?;
     Ok(())
 }
@@ -171,12 +171,12 @@ pub fn save_edge_list(g: &TemporalGraph, path: impl AsRef<Path>) -> Result<(), I
 pub fn save_edge_list_atomic(g: &TemporalGraph, path: impl AsRef<Path>) -> Result<(), IoError> {
     let path = path.as_ref();
     let path_str = path.display().to_string();
-    tg_faults::fail_point!("persist.atomic.start", path_str.clone());
+    tg_faults::fail_point!(PERSIST_ATOMIC_START, path_str.clone());
     let tmp = tmp_sibling(path);
     let f = std::fs::File::create(&tmp)?;
     write_edge_list(g, &f)?;
     f.sync_all()?;
-    tg_faults::fail_point!("persist.atomic.unrenamed", path_str);
+    tg_faults::fail_point!(PERSIST_ATOMIC_UNRENAMED, path_str);
     std::fs::rename(&tmp, path)?;
     Ok(())
 }
@@ -299,6 +299,10 @@ impl<W: Write> StreamingWriterSink<W> {
     /// Flush and hand back the inner writer (useful for in-memory
     /// `Vec<u8>` sinks in tests and benchmarks). Reports any deferred
     /// write error, like [`EdgeSink::finish`].
+    #[expect(
+        clippy::expect_used,
+        reason = "`writer` is `Some` until `into_inner`/`finish` consume `self`"
+    )]
     pub fn into_inner(mut self) -> Result<W, IoError> {
         if let Some(e) = self.err.take() {
             return Err(IoError::Io(e));
@@ -338,6 +342,10 @@ impl<W: Write> EdgeSink for StreamingWriterSink<W> {
         if self.err.is_some() {
             return;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "`writer` is `Some` until `into_inner`/`finish` consume `self`"
+        )]
         let w = self.writer.as_mut().expect("writer present until consumed");
         for e in edges {
             if let Err(e) = writeln!(w, "{} {} {}", e.u, e.v, e.t) {
@@ -348,6 +356,10 @@ impl<W: Write> EdgeSink for StreamingWriterSink<W> {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`writer` is `Some` until `into_inner`/`finish` consume `self`"
+    )]
     fn finish(mut self) -> Result<u64, IoError> {
         if let Some(e) = self.err.take() {
             return Err(IoError::Io(e));

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 //! `tg-graph`: temporal-graph storage for the TGAE reproduction.
 //!
 //! A temporal graph (paper §III, Def. 2) is a series of snapshots

@@ -27,7 +27,6 @@
 
 use crate::temporal::{NodeId, TemporalEdge, TemporalGraph, Time};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Consumer of the deterministic generated-edge stream.
 ///
@@ -92,13 +91,17 @@ pub struct TimestampStats {
     /// Temporal edges at this timestamp (volume).
     pub n_edges: u64,
     /// Out-degree (with multiplicity) per source node seen at this `t`.
-    // lint: allow(determinism) — merged by exact integer entry-sums and
-    // consumed via keyed lookups / order-free `.values()` folds
-    pub out_degrees: HashMap<NodeId, u64>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "merged by exact integer entry-sums and consumed via keyed lookups / order-free `.values()` folds"
+    )]
+    pub out_degrees: std::collections::HashMap<NodeId, u64>,
     /// In-degree (with multiplicity) per target node seen at this `t`.
-    // lint: allow(determinism) — same as `out_degrees`: integer merges
-    // and order-free folds only
-    pub in_degrees: HashMap<NodeId, u64>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "same as `out_degrees`: integer merges and order-free folds only"
+    )]
+    pub in_degrees: std::collections::HashMap<NodeId, u64>,
 }
 
 impl TimestampStats {

@@ -191,19 +191,21 @@ impl TemporalGraph {
 
     /// All occurring temporal nodes `(u, t)` — pairs with at least one
     /// incident edge — with their temporal degrees. This is the sampling
-    /// population `~V` of the paper.
+    /// population `~V` of the paper, sorted by `(u, t)`.
     pub fn temporal_nodes(&self) -> Vec<(NodeId, Time, usize)> {
-        // lint: allow(determinism) — counts are drained into a Vec that
-        // is sort_unstable'd by (v, t) before anything reads it
-        let mut counts: std::collections::HashMap<(NodeId, Time), usize> =
-            std::collections::HashMap::new();
-        for e in &self.edges {
-            *counts.entry((e.u, e.t)).or_insert(0) += 1;
-            *counts.entry((e.v, e.t)).or_insert(0) += 1;
+        let mut ends: Vec<(NodeId, Time)> = self
+            .edges
+            .iter()
+            .flat_map(|e| [(e.u, e.t), (e.v, e.t)])
+            .collect();
+        ends.sort_unstable();
+        let mut out: Vec<(NodeId, Time, usize)> = Vec::new();
+        for (u, t) in ends {
+            match out.last_mut() {
+                Some(last) if (last.0, last.1) == (u, t) => last.2 += 1,
+                _ => out.push((u, t, 1)),
+            }
         }
-        let mut out: Vec<(NodeId, Time, usize)> =
-            counts.into_iter().map(|((u, t), d)| (u, t, d)).collect();
-        out.sort_unstable();
         out
     }
 
@@ -298,6 +300,10 @@ mod tests {
         assert_eq!(tn.len(), 6);
         let total_deg: usize = tn.iter().map(|&(_, _, d)| d).sum();
         assert_eq!(total_deg, 2 * g.n_edges());
+        assert!(tn.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        for &(u, t, d) in &tn {
+            assert_eq!(d, g.temporal_degree(u, t));
+        }
     }
 
     #[test]

@@ -4,15 +4,16 @@
 //! bigger corpus (and what the harness uses to build per-chunk views).
 
 use crate::temporal::{NodeId, TemporalEdge, TemporalGraph, Time};
-use std::collections::HashMap;
 
 /// Induced temporal subgraph on a node subset: keeps edges whose both
 /// endpoints are in `nodes`, relabeling node ids densely in the order
 /// given. Timestamp axis is preserved.
 pub fn induced_subgraph(g: &TemporalGraph, nodes: &[NodeId]) -> TemporalGraph {
-    // lint: allow(determinism) — keyed lookups only; the relabelling is
-    // fixed by the caller's `nodes` order, never by iteration
-    let mut map: HashMap<NodeId, NodeId> = HashMap::with_capacity(nodes.len());
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookups only; the relabelling is fixed by the caller's `nodes` order, never by iteration"
+    )]
+    let mut map = std::collections::HashMap::<NodeId, NodeId>::with_capacity(nodes.len());
     for (i, &v) in nodes.iter().enumerate() {
         assert!((v as usize) < g.n_nodes(), "node {v} out of range");
         map.entry(v).or_insert(i as NodeId);

@@ -136,7 +136,15 @@ fn count_anchored(
             let e2 = &edges[j as usize];
             // identify third node (if any) introduced by e2
             let c: Option<u32> = [e2.u, e2.v].into_iter().find(|&x| x != a && x != b);
+            #[expect(
+                clippy::expect_used,
+                reason = "`c` was chosen as whichever endpoint of e2 is not a or b"
+            )]
             let l2u = label(e2.u, a, b, c).expect("e2 incident by construction");
+            #[expect(
+                clippy::expect_used,
+                reason = "`c` was chosen as whichever endpoint of e2 is not a or b"
+            )]
             let l2v = label(e2.v, a, b, c).expect("e2 endpoint must be labelled");
             let c2 = edge_code_index(l2u, l2v);
             // window candidates for the 3rd edge

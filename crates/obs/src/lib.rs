@@ -31,10 +31,13 @@
 //! always live (they are cheaper than the branch that would gate
 //! them). Nothing in this crate ever feeds seeded state, so outputs
 //! are bit-identical with telemetry on or off; the wall-clock reads
-//! themselves are confined to this crate behind argued
-//! `lint: allow(determinism)` hatches.
+//! themselves are confined to this crate, each under an argued
+//! `#[expect(clippy::disallowed_methods)]` (the root `clippy.toml`
+//! disallows `Instant::now` / `SystemTime::now` workspace-wide).
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 #![deny(unsafe_code)]
 
 pub mod chrome;

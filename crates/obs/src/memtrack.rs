@@ -20,10 +20,10 @@ pub struct TrackingAllocator;
 
 // SAFETY: delegates to `System` verbatim; only the counters are extra.
 unsafe impl GlobalAlloc for TrackingAllocator {
-    // SAFETY: forwards `layout` unchanged to `System.alloc`, inheriting
-    // its contract; the counters never touch the returned memory.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
+        // SAFETY: forwards `layout` unchanged to `System.alloc`, inheriting
+        // its contract; the counters never touch the returned memory.
+        let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             let cur = CURRENT.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(cur, Ordering::Relaxed);
@@ -31,17 +31,17 @@ unsafe impl GlobalAlloc for TrackingAllocator {
         p
     }
 
-    // SAFETY: forwards `ptr`/`layout` unchanged to `System.dealloc`;
-    // the caller's GlobalAlloc contract is exactly what we require.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
+        // SAFETY: forwards `ptr`/`layout` unchanged to `System.dealloc`;
+        // the caller's GlobalAlloc contract is exactly what we require.
+        unsafe { System.dealloc(ptr, layout) };
         CURRENT.fetch_sub(layout.size(), Ordering::Relaxed);
     }
 
-    // SAFETY: forwards all arguments unchanged to `System.realloc`;
-    // only the byte accounting differs from the system allocator.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
+        // SAFETY: forwards all arguments unchanged to `System.realloc`;
+        // only the byte accounting differs from the system allocator.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
             if new_size >= layout.size() {
                 let cur = CURRENT.fetch_add(new_size - layout.size(), Ordering::Relaxed)

@@ -43,9 +43,11 @@ impl Stopwatch {
     /// Start timing if metrics are enabled; otherwise return an inert
     /// stopwatch without touching the clock.
     pub fn start() -> Stopwatch {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "metrics-only latency timing; the reading is exported, never fed back into seeded state"
+        )]
         let start = if metrics_enabled() {
-            // lint: allow(determinism) — metrics-only latency timing;
-            // the reading is exported, never fed back into seeded state
             Some(std::time::Instant::now())
         } else {
             None

@@ -105,10 +105,11 @@ pub fn install(path: &Path, label: &str) -> std::io::Result<()> {
             "trace sink already installed",
         ));
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "trace anchoring: the monotonic start and its wall-clock twin are exported to the trace file only, never fed back into seeded state"
+    )]
     let anchor = ANCHOR.get_or_init(|| Anchor {
-        // lint: allow(determinism) — trace anchoring: the monotonic
-        // start and its wall-clock twin are exported to the trace file
-        // only, never fed back into seeded state
         start: std::time::Instant::now(),
         epoch_ns: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)

@@ -17,7 +17,6 @@
 use crate::config::SamplerConfig;
 use crate::ego::{node_sampling, temporal_neighbor_occurrences};
 use rand::Rng;
-use std::collections::HashMap;
 use tg_graph::{NodeId, TemporalGraph, Time};
 
 /// One bipartite message-passing layer: edges from level `i+1` (sources)
@@ -77,9 +76,11 @@ impl ComputationGraph {
         for i in 0..cfg.k {
             let targets = levels[i].clone();
             let mut src_level: Vec<(NodeId, Time)> = Vec::new();
-            // lint: allow(determinism) — intern index read by key only;
-            // `src_level` order comes from deterministic push order
-            let mut index: HashMap<(NodeId, Time), u32> = HashMap::new();
+            #[expect(
+                clippy::disallowed_types,
+                reason = "intern index read by key only; `src_level` order comes from deterministic push order"
+            )]
+            let mut index = std::collections::HashMap::<(NodeId, Time), u32>::new();
             let mut intern = |occ: (NodeId, Time), src_level: &mut Vec<(NodeId, Time)>| -> u32 {
                 *index.entry(occ).or_insert_with(|| {
                     src_level.push(occ);

@@ -101,10 +101,11 @@ pub fn sample_ego_graph<R: Rng + ?Sized>(
     let mut nodes = vec![center];
     let mut depth = vec![0u8];
     let mut tree_edges = Vec::new();
-    // lint: allow(determinism) — dedup index read by key only; `nodes`
-    // order comes from deterministic BFS push order
-    let mut index: std::collections::HashMap<(NodeId, Time), u32> =
-        std::collections::HashMap::new();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "dedup index read by key only; `nodes` order comes from deterministic BFS push order"
+    )]
+    let mut index = std::collections::HashMap::<(NodeId, Time), u32>::new();
     index.insert(center, 0);
 
     let mut frontier: Vec<u32> = vec![0];

@@ -43,23 +43,18 @@ impl InitialNodeSampler {
         source: &mut S,
         degree_weighted: bool,
     ) -> Result<Self, S::Error> {
-        use std::collections::HashMap;
         let mut nodes: Vec<(NodeId, Time, usize)> = Vec::new();
-        // lint: allow(determinism) — per-timestamp scratch: drained into
-        // `nodes`, which is sort_unstable'd before anything reads it
-        let mut open: HashMap<NodeId, usize> = HashMap::new();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "per-timestamp scratch drained into `nodes`, which is sort_unstable'd before anything reads it"
+        )]
+        let mut open = std::collections::HashMap::<NodeId, usize>::new();
         let mut open_t: Time = 0;
-        let close =
-            // lint: allow(determinism) — drain order vanishes in the
-            // caller's sort_unstable over `nodes`
-            |open: &mut HashMap<NodeId, usize>, t: Time, nodes: &mut Vec<(NodeId, Time, usize)>| {
-                nodes.extend(open.drain().map(|(v, d)| (v, t, d)));
-            };
         source.for_each_chunk(
             tg_graph::source::DEFAULT_CHUNK_EDGES,
             &mut |t, _c, edges| {
                 if t != open_t {
-                    close(&mut open, open_t, &mut nodes);
+                    nodes.extend(open.drain().map(|(v, d)| (v, open_t, d)));
                     open_t = t;
                 }
                 for e in edges {
@@ -68,7 +63,7 @@ impl InitialNodeSampler {
                 }
             },
         )?;
-        close(&mut open, open_t, &mut nodes);
+        nodes.extend(open.drain().map(|(v, d)| (v, open_t, d)));
         // Same global order as `TemporalGraph::temporal_nodes` (sorted by
         // `(v, t)`), so the cumulative-weight accumulation below visits
         // entries in the identical sequence and the resulting sampler is
@@ -103,6 +98,10 @@ impl InitialNodeSampler {
     pub fn sample_one<R: Rng + ?Sized>(&self, rng: &mut R) -> (NodeId, Time) {
         assert!(!self.population.is_empty(), "empty sampling population");
         if self.degree_weighted {
+            #[expect(
+                clippy::expect_used,
+                reason = "the assert above rejects an empty population"
+            )]
             let total = *self.cum_weights.last().expect("non-empty");
             let u = rng.gen::<f64>() * total;
             let idx = self

@@ -10,6 +10,9 @@
 //! - [`config::SamplerConfig`] — shared knobs, including the ablation
 //!   variants (random-walk `th<2`, no-truncation, uniform sampling).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
+
 pub mod bipartite;
 pub mod complexity;
 pub mod config;

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 //! `tg-serve`: the resident multi-tenant simulation service.
 //!
 //! A `tgx-cli train` run produces a run directory; this crate serves any

@@ -42,6 +42,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use tg_faults::registry::{SERVE_ACCEPT, SERVE_GENERATE_UNIT, SERVE_REQUEST_DECODE, SERVE_STATUS};
 use tg_graph::sink::{EdgeSink, GraphSink, StatsSink};
 use tg_graph::{TemporalEdge, Time};
 use tgae::SharedRun;
@@ -226,7 +227,7 @@ impl Server {
                     // Direct eval (not the `fail_point!` macro): an injected
                     // accept failure must drop this one connection, never
                     // propagate out of the accept loop.
-                    if tg_faults::eval("serve.accept", None).is_err() {
+                    if tg_faults::eval(&SERVE_ACCEPT, None).is_err() {
                         continue;
                     }
                     if draining {
@@ -298,7 +299,7 @@ fn handle_connection(mut conn: Conn, shared: Arc<SharedState>) {
             );
             return;
         }
-        if let Err(e) = tg_faults::eval("serve.request.decode", Some(frame.op.as_str())) {
+        if let Err(e) = tg_faults::eval(&SERVE_REQUEST_DECODE, Some(frame.op.as_str())) {
             // Typed refusal; the framing is intact, so the connection
             // stays usable and a retry on it can succeed.
             if write_frame(&mut conn, &Frame::error(kind::DECODE, e.to_string())).is_err() {
@@ -325,7 +326,7 @@ fn handle_connection(mut conn: Conn, shared: Arc<SharedState>) {
                 // An introspection failure (injected here) must answer
                 // typed on this connection and leave the daemon — and
                 // every data-plane request — untouched.
-                let response = match tg_faults::eval("serve.status", None) {
+                let response = match tg_faults::eval(&SERVE_STATUS, None) {
                     Err(e) => Frame::error(kind::INTERNAL, e.to_string()),
                     Ok(()) => match serde_json::to_string(&shared.status_report()) {
                         Ok(json) => Frame::status_report(json),
@@ -500,7 +501,7 @@ impl<S: EdgeSink> EdgeSink for FaultGate<S> {
             return;
         }
         if let Err(e) =
-            tg_faults::eval_lazy("serve.generate.unit", || format!("t:{t} chunk:{chunk}"))
+            tg_faults::eval_lazy(&SERVE_GENERATE_UNIT, || format!("t:{t} chunk:{chunk}"))
         {
             self.deferred = Some(e.to_string());
             return;

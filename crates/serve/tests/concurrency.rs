@@ -160,6 +160,16 @@ fn interleaved_eval_and_simulate_on_one_run_id() {
     let want_scores = format!("{:?}", run.evaluate(&synthetic).unwrap());
     let (want_bytes, _) = reference_bytes(&run, 33);
 
+    // One sequential request makes the run resident first: `ModelCache::get`
+    // loads outside its lock, so two cold first requests could each pay a
+    // load, and `loads == 1` below must mean "eval and simulate share one
+    // instance", not "the insert race went one way".
+    {
+        let mut client = Client::connect_tcp(&server.addr).unwrap();
+        let warm = client.eval("shared", 77).unwrap();
+        assert_eq!(format!("{warm:?}"), want_scores, "warm-up eval diverged");
+    }
+
     let addr_eval = server.addr.clone();
     let evaluator = std::thread::spawn(move || {
         let mut client = Client::connect_tcp(&addr_eval).unwrap();

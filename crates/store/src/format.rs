@@ -150,10 +150,12 @@ impl Header {
     /// non-degenerate shape). Checksum and length validation need the
     /// index and file size and happen in the reader.
     pub fn decode(bytes: &[u8; HEADER_BYTES as usize]) -> Result<Header, StoreError> {
+        #[expect(clippy::expect_used, reason = "a 4-byte slice of a fixed-size array")]
         let magic: [u8; 4] = bytes[0..4].try_into().expect("4 bytes");
         if magic != MAGIC {
             return Err(StoreError::BadMagic { found: magic });
         }
+        #[expect(clippy::expect_used, reason = "a 4-byte slice of a fixed-size array")]
         let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
         if version != VERSION {
             return Err(StoreError::UnsupportedVersion {
@@ -161,6 +163,7 @@ impl Header {
                 supported: VERSION,
             });
         }
+        #[expect(clippy::expect_used, reason = "an 8-byte slice")]
         let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().expect("8 bytes"));
         let h = Header {
             n_nodes: u64_at(8),

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 //! `tg-store`: an out-of-core columnar store for temporal edge lists.
 //!
 //! PR 3 lifted the *output*-side memory ceiling (the simulation engine
@@ -21,7 +23,7 @@
 //!                                StoreSource │ O(block) resident
 //!                                            ▼
 //!                  GraphAssembler / InitialNodeSampler::from_source /
-//!                  Session::builder_from_source / write_source (copy)
+//!                  StoreSource::load_graph / write_source (copy)
 //! ```
 //!
 //! The key properties, in the order the acceptance tests check them:
@@ -29,9 +31,10 @@
 //! - **Round-trip fidelity**: text → store → read reproduces the exact
 //!   edge sequence (the canonical `(t, u, v)` order), proptested across
 //!   random multigraphs, chunk sizes, and block capacities.
-//! - **Bit-identical training**: a `Session` built from a
-//!   [`StoreSource`] trains to the same losses/parameters and generates
-//!   the same edges as one built from the in-memory graph.
+//! - **Bit-identical training**: a `Session` over the graph
+//!   [`StoreSource::load_graph`] assembles trains to the same
+//!   losses/parameters and generates the same edges as one over the
+//!   in-memory graph the store was written from.
 //! - **Bounded ingest memory**: reading a store holds one SoA block and
 //!   one chunk buffer, so peak heap above the final structure is a
 //!   function of the block/window size, not the edge count.

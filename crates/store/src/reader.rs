@@ -23,11 +23,15 @@ fn read_block_verified(
     k: u64,
     buf: &mut Vec<u8>,
 ) -> Result<(), StoreError> {
-    tg_faults::fail_point!("store.read.block", format!("block:{k}"));
+    tg_faults::fail_point!(STORE_READ_BLOCK, format!("block:{k}"));
     let data_len = header.block_len(k) as usize * EDGE_BYTES as usize;
     buf.resize(data_len + BLOCK_CHECKSUM_BYTES as usize, 0);
     file.seek(SeekFrom::Start(header.block_offset(k)))?;
     file.read_exact(buf)?;
+    #[expect(
+        clippy::expect_used,
+        reason = "`buf` was resized to `data_len` + the 8 checksum bytes"
+    )]
     let expected = u64::from_le_bytes(buf[data_len..].try_into().expect("8 bytes"));
     let mut fnv = Fnv1a::new();
     fnv.update(&buf[..data_len]);
@@ -89,10 +93,15 @@ impl StoreReader {
                 actual: computed,
             });
         }
+        #[expect(clippy::expect_used, reason = "`chunks_exact(8)` yields 8-byte slices")]
         let index: Vec<u64> = index_bytes
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "the index has `n_timestamps + 1 >= 2` entries; `decode` rejects a zero shape"
+        )]
         if index[0] != 0 || *index.last().expect("non-empty") != header.n_edges {
             return Err(StoreError::Corrupt {
                 what: format!(
@@ -282,6 +291,7 @@ fn decode_block_checked(
     out: &mut Vec<TemporalEdge>,
 ) -> bool {
     let len = len as usize;
+    #[expect(clippy::expect_used, reason = "a 4-byte slice")]
     let col_at =
         |col: &[u8], i: usize| u32::from_le_bytes(col[i * 4..i * 4 + 4].try_into().expect("4 B"));
     let (u_col, rest) = data.split_at(len * 4);
@@ -401,6 +411,7 @@ impl WindowCursor<'_> {
         let u_col = &self.block_bytes[..block_len as usize * 4];
         let v_col = &self.block_bytes[block_len as usize * 4..block_len as usize * 8];
         let t_col = &self.block_bytes[block_len as usize * 8..];
+        #[expect(clippy::expect_used, reason = "a 4-byte slice")]
         let col_at = |col: &[u8], i: usize| {
             u32::from_le_bytes(col[i * 4..i * 4 + 4].try_into().expect("4 bytes"))
         };

@@ -2,8 +2,8 @@
 //! [`InMemorySource`](tg_graph::source::InMemorySource).
 //!
 //! Everything downstream of the [`EdgeSource`] trait (graph assembly,
-//! sampler-population construction, `Session::builder_from_source`,
-//! store-to-store copies) runs unchanged whether the observed graph
+//! sampler-population construction, [`StoreSource::load_graph`] feeding
+//! `Session::builder`, store-to-store copies) runs unchanged whether the observed graph
 //! lives in RAM or on disk; the two paths are regression-tested to be
 //! bit-identical.
 

@@ -181,7 +181,7 @@ impl<W: Write + Seek> StoreWriter<W> {
         if self.block_u.is_empty() {
             return Ok(());
         }
-        tg_faults::fail_point!("store.write.block", format!("block:{}", self.n_blocks));
+        tg_faults::fail_point!(STORE_WRITE_BLOCK, format!("block:{}", self.n_blocks));
         let mut bytes: Vec<u8> = Vec::with_capacity(self.block_u.len() * 12);
         for col in [&self.block_u, &self.block_v, &self.block_t] {
             for &x in col.iter() {
@@ -256,7 +256,7 @@ where
     let f = std::fs::File::open(&tmp)?;
     f.sync_all()?;
     drop(f);
-    tg_faults::fail_point!("store.commit", path.display().to_string());
+    tg_faults::fail_point!(STORE_COMMIT, path.display().to_string());
     std::fs::rename(&tmp, path)?;
     Ok(stats)
 }

@@ -261,9 +261,8 @@ fn session_from_store_is_bit_identical_to_in_memory() {
         .unwrap();
     let report_mem = mem.train().unwrap();
 
-    let mut src = StoreSource::open(&path).unwrap();
-    let mut stored = Session::builder_from_source(&mut src)
-        .unwrap()
+    let loaded = StoreSource::open(&path).unwrap().load_graph().unwrap();
+    let mut stored = Session::builder(&loaded)
         .config(tcfg)
         .seed(9)
         .build()
@@ -294,8 +293,6 @@ fn opening_a_missing_or_damaged_store_through_session_is_typed() {
     let mut bytes = std::fs::read(&path).unwrap();
     bytes.truncate(bytes.len() - 5);
     std::fs::write(&path, &bytes).unwrap();
-    // StoreSource::open already fails typed; a source that starts failing
-    // mid-stream surfaces as TgxError::Ingest through the session
     assert!(matches!(
         StoreSource::open(&path),
         Err(StoreError::Truncated { .. })

@@ -69,6 +69,10 @@ pub fn sample_categorical<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usiz
 /// to 1 the scan can run off the end — the draw then belongs to the last
 /// index with positive weight, not to `weights.len() - 1`; and a variate
 /// of exactly 0 skips leading zero weights.
+#[expect(
+    clippy::expect_used,
+    reason = "every caller checks `total > 0` first, and a positive total has a positive weight"
+)]
 pub fn sample_categorical_with_total<R: Rng + ?Sized>(
     rng: &mut R,
     weights: &[f64],
@@ -85,7 +89,6 @@ pub fn sample_categorical_with_total<R: Rng + ?Sized>(
     weights
         .iter()
         .rposition(|&w| w > 0.0)
-        // lint: allow(panic) — every caller checks `total > 0` first
         .expect("a positive total has a positive weight")
 }
 

@@ -46,6 +46,11 @@
 //!   accumulators that the auto-vectoriser keeps in vector registers.
 //!   Always available.
 //!
+//! The two SIMD variants carry a proof value ([`Avx512`], [`Avx2Fma`])
+//! whose only constructor is the runtime detection, and each SIMD kernel
+//! takes its proof as an argument: a call that detection has not
+//! licensed does not type-check.
+//!
 //! [`active_microkernel`] reports the calling thread's pick, and
 //! [`force_microkernel`] returns an RAII guard pinning the thread to
 //! any level (parity tests and A/B benchmarks).
@@ -527,7 +532,7 @@ mod avx2 {
     //! architectural ones, and the 8 FMAs per step keep both FMA ports
     //! busy once the loop is warm.
 
-    use super::{MR, NR};
+    use super::{Avx2Fma, MR, NR};
     use std::arch::x86_64::*;
 
     // The unrolled body below is written for exactly this tile shape.
@@ -543,88 +548,96 @@ mod avx2 {
     /// (bounded by the accumulation length; see the parity proptests).
     ///
     /// # Safety
-    /// The caller must have verified `avx2` and `fma` CPU support, and
-    /// guarantee `apack.len() >= k * MR` and `bpanel.len() >= k * NR`.
-    // SAFETY: only reachable through the `MicrokernelKind` dispatch in
-    // `gemm`, whose `Avx2Fma` arm exists iff `is_x86_feature_detected!`
-    // confirmed avx2+fma; slice bounds are the packer's invariant,
-    // re-checked by the debug_assert below.
+    /// The caller must guarantee `apack.len() >= k * MR` and
+    /// `bpanel.len() >= k * NR`. CPU support is not the caller's to
+    /// promise: `_isa` exists only if detection saw `avx2` and `fma`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn microkernel(k: usize, apack: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
+    pub unsafe fn microkernel(
+        _isa: Avx2Fma,
+        k: usize,
+        apack: &[f32],
+        bpanel: &[f32],
+        acc: &mut [[f32; NR]; MR],
+    ) {
         debug_assert!(apack.len() >= k * MR && bpanel.len() >= k * NR);
-        let a = apack.as_ptr();
-        let b = bpanel.as_ptr();
-        let mut c00 = _mm256_loadu_ps(acc[0].as_ptr());
-        let mut c01 = _mm256_loadu_ps(acc[0].as_ptr().add(8));
-        let mut c10 = _mm256_loadu_ps(acc[1].as_ptr());
-        let mut c11 = _mm256_loadu_ps(acc[1].as_ptr().add(8));
-        let mut c20 = _mm256_loadu_ps(acc[2].as_ptr());
-        let mut c21 = _mm256_loadu_ps(acc[2].as_ptr().add(8));
-        let mut c30 = _mm256_loadu_ps(acc[3].as_ptr());
-        let mut c31 = _mm256_loadu_ps(acc[3].as_ptr().add(8));
-        let mut kk = 0usize;
-        while kk + 2 <= k {
-            // Prefetching past the end of the panel is harmless at the
-            // hardware level; wrapping_add keeps the address computation
-            // itself free of out-of-bounds-pointer UB.
-            _mm_prefetch(
-                b.wrapping_add((kk + PREFETCH_K) * NR) as *const i8,
-                _MM_HINT_T0,
-            );
-            let b0 = _mm256_loadu_ps(b.add(kk * NR));
-            let b1 = _mm256_loadu_ps(b.add(kk * NR + 8));
-            let a0 = _mm256_broadcast_ss(&*a.add(kk * MR));
-            c00 = _mm256_fmadd_ps(a0, b0, c00);
-            c01 = _mm256_fmadd_ps(a0, b1, c01);
-            let a1 = _mm256_broadcast_ss(&*a.add(kk * MR + 1));
-            c10 = _mm256_fmadd_ps(a1, b0, c10);
-            c11 = _mm256_fmadd_ps(a1, b1, c11);
-            let a2 = _mm256_broadcast_ss(&*a.add(kk * MR + 2));
-            c20 = _mm256_fmadd_ps(a2, b0, c20);
-            c21 = _mm256_fmadd_ps(a2, b1, c21);
-            let a3 = _mm256_broadcast_ss(&*a.add(kk * MR + 3));
-            c30 = _mm256_fmadd_ps(a3, b0, c30);
-            c31 = _mm256_fmadd_ps(a3, b1, c31);
-            let b0 = _mm256_loadu_ps(b.add((kk + 1) * NR));
-            let b1 = _mm256_loadu_ps(b.add((kk + 1) * NR + 8));
-            let a0 = _mm256_broadcast_ss(&*a.add((kk + 1) * MR));
-            c00 = _mm256_fmadd_ps(a0, b0, c00);
-            c01 = _mm256_fmadd_ps(a0, b1, c01);
-            let a1 = _mm256_broadcast_ss(&*a.add((kk + 1) * MR + 1));
-            c10 = _mm256_fmadd_ps(a1, b0, c10);
-            c11 = _mm256_fmadd_ps(a1, b1, c11);
-            let a2 = _mm256_broadcast_ss(&*a.add((kk + 1) * MR + 2));
-            c20 = _mm256_fmadd_ps(a2, b0, c20);
-            c21 = _mm256_fmadd_ps(a2, b1, c21);
-            let a3 = _mm256_broadcast_ss(&*a.add((kk + 1) * MR + 3));
-            c30 = _mm256_fmadd_ps(a3, b0, c30);
-            c31 = _mm256_fmadd_ps(a3, b1, c31);
-            kk += 2;
+        // SAFETY: every load below reads `a`/`b` at an offset below
+        // `k * MR` / `k * NR`, inside the slices by the caller's
+        // guarantee; `acc` rows are `NR = 16` floats, two 8-lane halves.
+        unsafe {
+            let a = apack.as_ptr();
+            let b = bpanel.as_ptr();
+            let mut c00 = _mm256_loadu_ps(acc[0].as_ptr());
+            let mut c01 = _mm256_loadu_ps(acc[0].as_ptr().add(8));
+            let mut c10 = _mm256_loadu_ps(acc[1].as_ptr());
+            let mut c11 = _mm256_loadu_ps(acc[1].as_ptr().add(8));
+            let mut c20 = _mm256_loadu_ps(acc[2].as_ptr());
+            let mut c21 = _mm256_loadu_ps(acc[2].as_ptr().add(8));
+            let mut c30 = _mm256_loadu_ps(acc[3].as_ptr());
+            let mut c31 = _mm256_loadu_ps(acc[3].as_ptr().add(8));
+            let mut kk = 0usize;
+            while kk + 2 <= k {
+                // Prefetching past the end of the panel is harmless at the
+                // hardware level; wrapping_add keeps the address computation
+                // itself free of out-of-bounds-pointer UB.
+                _mm_prefetch(
+                    b.wrapping_add((kk + PREFETCH_K) * NR) as *const i8,
+                    _MM_HINT_T0,
+                );
+                let b0 = _mm256_loadu_ps(b.add(kk * NR));
+                let b1 = _mm256_loadu_ps(b.add(kk * NR + 8));
+                let a0 = _mm256_broadcast_ss(&*a.add(kk * MR));
+                c00 = _mm256_fmadd_ps(a0, b0, c00);
+                c01 = _mm256_fmadd_ps(a0, b1, c01);
+                let a1 = _mm256_broadcast_ss(&*a.add(kk * MR + 1));
+                c10 = _mm256_fmadd_ps(a1, b0, c10);
+                c11 = _mm256_fmadd_ps(a1, b1, c11);
+                let a2 = _mm256_broadcast_ss(&*a.add(kk * MR + 2));
+                c20 = _mm256_fmadd_ps(a2, b0, c20);
+                c21 = _mm256_fmadd_ps(a2, b1, c21);
+                let a3 = _mm256_broadcast_ss(&*a.add(kk * MR + 3));
+                c30 = _mm256_fmadd_ps(a3, b0, c30);
+                c31 = _mm256_fmadd_ps(a3, b1, c31);
+                let b0 = _mm256_loadu_ps(b.add((kk + 1) * NR));
+                let b1 = _mm256_loadu_ps(b.add((kk + 1) * NR + 8));
+                let a0 = _mm256_broadcast_ss(&*a.add((kk + 1) * MR));
+                c00 = _mm256_fmadd_ps(a0, b0, c00);
+                c01 = _mm256_fmadd_ps(a0, b1, c01);
+                let a1 = _mm256_broadcast_ss(&*a.add((kk + 1) * MR + 1));
+                c10 = _mm256_fmadd_ps(a1, b0, c10);
+                c11 = _mm256_fmadd_ps(a1, b1, c11);
+                let a2 = _mm256_broadcast_ss(&*a.add((kk + 1) * MR + 2));
+                c20 = _mm256_fmadd_ps(a2, b0, c20);
+                c21 = _mm256_fmadd_ps(a2, b1, c21);
+                let a3 = _mm256_broadcast_ss(&*a.add((kk + 1) * MR + 3));
+                c30 = _mm256_fmadd_ps(a3, b0, c30);
+                c31 = _mm256_fmadd_ps(a3, b1, c31);
+                kk += 2;
+            }
+            if kk < k {
+                let b0 = _mm256_loadu_ps(b.add(kk * NR));
+                let b1 = _mm256_loadu_ps(b.add(kk * NR + 8));
+                let a0 = _mm256_broadcast_ss(&*a.add(kk * MR));
+                c00 = _mm256_fmadd_ps(a0, b0, c00);
+                c01 = _mm256_fmadd_ps(a0, b1, c01);
+                let a1 = _mm256_broadcast_ss(&*a.add(kk * MR + 1));
+                c10 = _mm256_fmadd_ps(a1, b0, c10);
+                c11 = _mm256_fmadd_ps(a1, b1, c11);
+                let a2 = _mm256_broadcast_ss(&*a.add(kk * MR + 2));
+                c20 = _mm256_fmadd_ps(a2, b0, c20);
+                c21 = _mm256_fmadd_ps(a2, b1, c21);
+                let a3 = _mm256_broadcast_ss(&*a.add(kk * MR + 3));
+                c30 = _mm256_fmadd_ps(a3, b0, c30);
+                c31 = _mm256_fmadd_ps(a3, b1, c31);
+            }
+            _mm256_storeu_ps(acc[0].as_mut_ptr(), c00);
+            _mm256_storeu_ps(acc[0].as_mut_ptr().add(8), c01);
+            _mm256_storeu_ps(acc[1].as_mut_ptr(), c10);
+            _mm256_storeu_ps(acc[1].as_mut_ptr().add(8), c11);
+            _mm256_storeu_ps(acc[2].as_mut_ptr(), c20);
+            _mm256_storeu_ps(acc[2].as_mut_ptr().add(8), c21);
+            _mm256_storeu_ps(acc[3].as_mut_ptr(), c30);
+            _mm256_storeu_ps(acc[3].as_mut_ptr().add(8), c31);
         }
-        if kk < k {
-            let b0 = _mm256_loadu_ps(b.add(kk * NR));
-            let b1 = _mm256_loadu_ps(b.add(kk * NR + 8));
-            let a0 = _mm256_broadcast_ss(&*a.add(kk * MR));
-            c00 = _mm256_fmadd_ps(a0, b0, c00);
-            c01 = _mm256_fmadd_ps(a0, b1, c01);
-            let a1 = _mm256_broadcast_ss(&*a.add(kk * MR + 1));
-            c10 = _mm256_fmadd_ps(a1, b0, c10);
-            c11 = _mm256_fmadd_ps(a1, b1, c11);
-            let a2 = _mm256_broadcast_ss(&*a.add(kk * MR + 2));
-            c20 = _mm256_fmadd_ps(a2, b0, c20);
-            c21 = _mm256_fmadd_ps(a2, b1, c21);
-            let a3 = _mm256_broadcast_ss(&*a.add(kk * MR + 3));
-            c30 = _mm256_fmadd_ps(a3, b0, c30);
-            c31 = _mm256_fmadd_ps(a3, b1, c31);
-        }
-        _mm256_storeu_ps(acc[0].as_mut_ptr(), c00);
-        _mm256_storeu_ps(acc[0].as_mut_ptr().add(8), c01);
-        _mm256_storeu_ps(acc[1].as_mut_ptr(), c10);
-        _mm256_storeu_ps(acc[1].as_mut_ptr().add(8), c11);
-        _mm256_storeu_ps(acc[2].as_mut_ptr(), c20);
-        _mm256_storeu_ps(acc[2].as_mut_ptr().add(8), c21);
-        _mm256_storeu_ps(acc[3].as_mut_ptr(), c30);
-        _mm256_storeu_ps(acc[3].as_mut_ptr().add(8), c31);
     }
 }
 
@@ -647,7 +660,7 @@ mod avx512 {
     //! AVX2 kernel — so for identical blocking the two produce
     //! bit-identical results (asserted by the cross-ISA proptests).
 
-    use super::{MR_MAX, NR_MAX};
+    use super::{Avx512, MR_MAX, NR_MAX};
     use std::arch::x86_64::*;
 
     // The body below is written for exactly this tile shape.
@@ -664,17 +677,15 @@ mod avx512 {
     /// instead of loading `C` (the `k0 == 0` block of the driver).
     ///
     /// # Safety
-    /// The caller must have verified `avx512f` CPU support and guarantee
-    /// `apack.len() >= k * MR_MAX`, `bpanel.len() >= k * NR_MAX`, and
-    /// that `c` addresses `rows` rows of at least `width` valid elements
-    /// at stride `ldc`.
-    // SAFETY: only reachable through the `MicrokernelKind` dispatch in
-    // `gemm`, whose `Avx512` arm exists iff `is_x86_feature_detected!`
-    // confirmed avx512f; the pack/tile geometry the pointer math relies
-    // on is established by the blocked driver around the call.
+    /// The caller must guarantee `apack.len() >= k * MR_MAX`,
+    /// `bpanel.len() >= k * NR_MAX`, and that `c` addresses `rows` rows
+    /// of at least `width` valid elements at stride `ldc`. CPU support is
+    /// not the caller's to promise: `_isa` exists only if detection saw
+    /// `avx512f`.
     #[target_feature(enable = "avx512f")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn run_tile(
+        _isa: Avx512,
         k: usize,
         apack: &[f32],
         bpanel: &[f32],
@@ -692,40 +703,104 @@ mod avx512 {
         } else {
             0
         };
-        let zero = _mm512_setzero_ps();
-        let mut acc = [[zero; 2]; MR_MAX];
-        if !first_k {
-            for (r, acc_row) in acc.iter_mut().enumerate().take(rows) {
-                acc_row[0] = _mm512_maskz_loadu_ps(m0, c.add(r * ldc));
-                acc_row[1] = _mm512_maskz_loadu_ps(m1, c.add(r * ldc + 16));
+        // SAFETY: `a`/`b` are read below `k * MR_MAX` / `k * NR_MAX`,
+        // inside the packs by the caller's guarantee; `c` is only touched
+        // on the first `rows` rows through the `width`-column masks.
+        unsafe {
+            let zero = _mm512_setzero_ps();
+            let mut acc = [[zero; 2]; MR_MAX];
+            if !first_k {
+                for (r, acc_row) in acc.iter_mut().enumerate().take(rows) {
+                    acc_row[0] = _mm512_maskz_loadu_ps(m0, c.add(r * ldc));
+                    acc_row[1] = _mm512_maskz_loadu_ps(m1, c.add(r * ldc + 16));
+                }
             }
-        }
-        let a = apack.as_ptr();
-        let b = bpanel.as_ptr();
-        for kk in 0..k {
-            // Prefetching past the end of the panel is harmless at the
-            // hardware level; wrapping_add keeps the address computation
-            // itself free of out-of-bounds-pointer UB.
-            _mm_prefetch(
-                b.wrapping_add((kk + PREFETCH_K) * NR_MAX) as *const i8,
-                _MM_HINT_T0,
-            );
-            let b0 = _mm512_loadu_ps(b.add(kk * NR_MAX));
-            let b1 = _mm512_loadu_ps(b.add(kk * NR_MAX + 16));
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                let ar = _mm512_set1_ps(*a.add(kk * MR_MAX + r));
-                acc_row[0] = _mm512_fmadd_ps(ar, b0, acc_row[0]);
-                acc_row[1] = _mm512_fmadd_ps(ar, b1, acc_row[1]);
+            let a = apack.as_ptr();
+            let b = bpanel.as_ptr();
+            for kk in 0..k {
+                // Prefetching past the end of the panel is harmless at the
+                // hardware level; wrapping_add keeps the address computation
+                // itself free of out-of-bounds-pointer UB.
+                _mm_prefetch(
+                    b.wrapping_add((kk + PREFETCH_K) * NR_MAX) as *const i8,
+                    _MM_HINT_T0,
+                );
+                let b0 = _mm512_loadu_ps(b.add(kk * NR_MAX));
+                let b1 = _mm512_loadu_ps(b.add(kk * NR_MAX + 16));
+                for (r, acc_row) in acc.iter_mut().enumerate() {
+                    let ar = _mm512_set1_ps(*a.add(kk * MR_MAX + r));
+                    acc_row[0] = _mm512_fmadd_ps(ar, b0, acc_row[0]);
+                    acc_row[1] = _mm512_fmadd_ps(ar, b1, acc_row[1]);
+                }
             }
-        }
-        for (r, acc_row) in acc.iter().enumerate().take(rows) {
-            _mm512_mask_storeu_ps(c.add(r * ldc), m0, acc_row[0]);
-            _mm512_mask_storeu_ps(c.add(r * ldc + 16), m1, acc_row[1]);
+            for (r, acc_row) in acc.iter().enumerate().take(rows) {
+                _mm512_mask_storeu_ps(c.add(r * ldc), m0, acc_row[0]);
+                _mm512_mask_storeu_ps(c.add(r * ldc + 16), m1, acc_row[1]);
+            }
         }
     }
 }
 
-/// Microkernel implementations the GEBP driver can dispatch to.
+pub use isa::{Avx2Fma, Avx512};
+
+mod isa {
+    //! Proofs of CPU capability. Each is a zero-sized value with a
+    //! private field, so the one way to hold one is to have called its
+    //! `detect` on this CPU — nothing outside this module, not even the
+    //! rest of `matrix.rs`, can write the constructor.
+
+    /// Proof that the running CPU executes AVX2 and FMA: the argument the
+    /// 4×16 kernel cannot be called without.
+    ///
+    /// ```
+    /// let proof: Option<tg_tensor::matrix::Avx2Fma> = tg_tensor::matrix::Avx2Fma::detect();
+    /// # let _ = proof;
+    /// ```
+    ///
+    /// ```compile_fail
+    /// // no constructor but `detect`
+    /// let forged = tg_tensor::matrix::Avx2Fma(());
+    /// ```
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct Avx2Fma(());
+
+    impl Avx2Fma {
+        /// `Some` iff the CPU reports both `avx2` and `fma` (`None` off
+        /// `x86_64`). The standard library caches the probe.
+        pub fn detect() -> Option<Self> {
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                return Some(Avx2Fma(()));
+            }
+            None
+        }
+    }
+
+    /// Proof that the running CPU executes AVX-512F: the argument the
+    /// 8×32 kernel cannot be called without.
+    ///
+    /// ```compile_fail
+    /// // no constructor but `detect`
+    /// let forged = tg_tensor::matrix::Avx512(());
+    /// ```
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct Avx512(());
+
+    impl Avx512 {
+        /// `Some` iff the CPU reports `avx512f` (`None` off `x86_64`).
+        pub fn detect() -> Option<Self> {
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx512f") {
+                return Some(Avx512(()));
+            }
+            None
+        }
+    }
+}
+
+/// Microkernel implementations the GEBP driver can dispatch to. A SIMD
+/// variant holds the proof that this CPU runs it, so a value of this
+/// type always names a kernel that can execute here.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MicrokernelKind {
     /// The auto-vectorised scalar tile ([`microkernel`]). Always available
@@ -733,10 +808,10 @@ pub enum MicrokernelKind {
     Portable,
     /// Explicit AVX2+FMA intrinsics (4×16 tile) with software prefetch;
     /// selected at runtime when the CPU reports both features.
-    Avx2Fma,
+    Avx2Fma(Avx2Fma),
     /// Explicit AVX-512F intrinsics (8×32 tile, masked fringes); preferred
     /// over AVX2 when the CPU reports `avx512f`.
-    Avx512,
+    Avx512(Avx512),
 }
 
 impl MicrokernelKind {
@@ -744,8 +819,8 @@ impl MicrokernelKind {
     pub fn name(self) -> &'static str {
         match self {
             MicrokernelKind::Portable => "portable",
-            MicrokernelKind::Avx2Fma => "avx2_fma",
-            MicrokernelKind::Avx512 => "avx512",
+            MicrokernelKind::Avx2Fma(_) => "avx2_fma",
+            MicrokernelKind::Avx512(_) => "avx512",
         }
     }
 
@@ -754,23 +829,8 @@ impl MicrokernelKind {
     /// both operands to match the **active** kernel's geometry.
     pub fn geometry(self) -> (usize, usize) {
         match self {
-            MicrokernelKind::Portable | MicrokernelKind::Avx2Fma => (MR, NR),
-            MicrokernelKind::Avx512 => (MR_MAX, NR_MAX),
-        }
-    }
-
-    /// Whether the running CPU can execute this kernel.
-    pub fn is_available(self) -> bool {
-        match self {
-            MicrokernelKind::Portable => true,
-            #[cfg(target_arch = "x86_64")]
-            MicrokernelKind::Avx2Fma => {
-                is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
-            }
-            #[cfg(target_arch = "x86_64")]
-            MicrokernelKind::Avx512 => is_x86_feature_detected!("avx512f"),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
+            MicrokernelKind::Portable | MicrokernelKind::Avx2Fma(_) => (MR, NR),
+            MicrokernelKind::Avx512(_) => (MR_MAX, NR_MAX),
         }
     }
 }
@@ -782,12 +842,8 @@ impl MicrokernelKind {
 /// fallback path.
 pub fn available_microkernels() -> Vec<MicrokernelKind> {
     let mut kinds = Vec::with_capacity(3);
-    if MicrokernelKind::Avx512.is_available() {
-        kinds.push(MicrokernelKind::Avx512);
-    }
-    if MicrokernelKind::Avx2Fma.is_available() {
-        kinds.push(MicrokernelKind::Avx2Fma);
-    }
+    kinds.extend(Avx512::detect().map(MicrokernelKind::Avx512));
+    kinds.extend(Avx2Fma::detect().map(MicrokernelKind::Avx2Fma));
     kinds.push(MicrokernelKind::Portable);
     kinds
 }
@@ -811,14 +867,11 @@ pub fn active_microkernel() -> MicrokernelKind {
     if let Some(kind) = FORCED_KERNEL.with(|c| c.get()) {
         return kind;
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if MicrokernelKind::Avx512.is_available() {
-            return MicrokernelKind::Avx512;
-        }
-        if MicrokernelKind::Avx2Fma.is_available() {
-            return MicrokernelKind::Avx2Fma;
-        }
+    if let Some(isa) = Avx512::detect() {
+        return MicrokernelKind::Avx512(isa);
+    }
+    if let Some(isa) = Avx2Fma::detect() {
+        return MicrokernelKind::Avx2Fma(isa);
     }
     MicrokernelKind::Portable
 }
@@ -831,16 +884,11 @@ pub fn active_microkernel() -> MicrokernelKind {
 /// concurrently running tests — the leak the old process-global
 /// set/unset hook permitted.
 ///
-/// Panics if `kind` is not executable on this CPU
-/// ([`MicrokernelKind::is_available`]); probe before forcing when
-/// sweeping ISA levels.
+/// Any `kind` can be forced: a SIMD variant cannot be built on a CPU
+/// that lacks it (take the levels to sweep from
+/// [`available_microkernels`]).
 #[must_use = "the override ends when the guard is dropped"]
 pub fn force_microkernel(kind: MicrokernelKind) -> ForceMicrokernelGuard {
-    assert!(
-        kind.is_available(),
-        "cannot force the {} microkernel: this CPU does not support it",
-        kind.name()
-    );
     let prev = FORCED_KERNEL.with(|c| c.replace(Some(kind)));
     ForceMicrokernelGuard {
         prev,
@@ -937,13 +985,12 @@ fn gemm(
                         let bpanel = &bpack[p * k * nr + k0 * nr..p * k * nr + (k0 + klen) * nr];
                         match kernel {
                             #[cfg(target_arch = "x86_64")]
-                            // SAFETY: Avx512 is only dispatched after
-                            // runtime detection of avx512f; the tile
-                            // pointer addresses `rows` rows of `width`
-                            // valid elements at stride n, and the pack
-                            // lengths are maintained above.
-                            MicrokernelKind::Avx512 => unsafe {
+                            // SAFETY: the tile pointer addresses `rows`
+                            // rows of `width` valid elements at stride n,
+                            // and the pack lengths are maintained above.
+                            MicrokernelKind::Avx512(isa) => unsafe {
                                 avx512::run_tile(
+                                    isa,
                                     klen,
                                     &pa,
                                     bpanel,
@@ -965,11 +1012,10 @@ fn gemm(
                                 }
                                 match kernel {
                                     #[cfg(target_arch = "x86_64")]
-                                    // SAFETY: Avx2Fma is only dispatched
-                                    // after runtime detection of avx2+fma;
-                                    // pack lengths are maintained above.
-                                    MicrokernelKind::Avx2Fma => unsafe {
-                                        avx2::microkernel(klen, &pa, bpanel, &mut acc)
+                                    // SAFETY: pack lengths are maintained
+                                    // above.
+                                    MicrokernelKind::Avx2Fma(isa) => unsafe {
+                                        avx2::microkernel(isa, klen, &pa, bpanel, &mut acc)
                                     },
                                     _ => microkernel(klen, &pa, bpanel, &mut acc),
                                 }

@@ -145,6 +145,7 @@ impl Mlp {
     }
 
     /// Output dimension of the final layer.
+    #[expect(clippy::expect_used, reason = "`Mlp::new` builds at least one layer")]
     pub fn out_dim(&self) -> usize {
         self.layers.last().expect("non-empty").out_dim
     }

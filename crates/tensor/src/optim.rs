@@ -55,7 +55,9 @@ impl Adam {
             self.v[i] = Some(Matrix::zeros(shape.0, shape.1));
         }
         // Split borrows: m and v are distinct fields.
+        #[expect(clippy::expect_used, reason = "both slots were filled a few lines up")]
         let m = self.m[i].as_mut().expect("just initialised");
+        #[expect(clippy::expect_used, reason = "both slots were filled a few lines up")]
         let v = self.v[i].as_mut().expect("just initialised");
         (m, v)
     }

@@ -150,6 +150,10 @@ fn pool() -> &'static Arc<Pool> {
             .saturating_sub(1);
         for i in 0..workers {
             let pool = Arc::clone(&pool);
+            #[expect(
+                clippy::expect_used,
+                reason = "a pool that cannot spawn its workers at start-up has no degraded mode"
+            )]
             std::thread::Builder::new()
                 .name(format!("tg-tensor-worker-{i}"))
                 .spawn(move || worker_loop(&pool))
@@ -241,6 +245,10 @@ fn run_scoped<'scope>(tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
             None => std::thread::sleep(std::time::Duration::from_micros(50)),
         }
     }
+    #[expect(
+        clippy::panic,
+        reason = "a task panicked on a worker; the panic is re-raised on the thread that waits for it"
+    )]
     if latch.panicked.load(Ordering::Acquire) {
         panic!("parallel worker panicked");
     }
@@ -310,6 +318,10 @@ where
         start += take;
     }
     run_scoped(tasks);
+    #[expect(
+        clippy::expect_used,
+        reason = "`run_scoped` returns after every chunk task has filled its slots"
+    )]
     out.into_iter()
         .map(|x| x.expect("par_map slot unfilled"))
         .collect()

@@ -124,6 +124,10 @@ impl ParamStore {
     /// For [`Precision::Bf16`] parameters — those have no resident f32
     /// matrix; use [`ParamStore::decode_f32`] or
     /// [`ParamStore::gather_rows_f32`].
+    #[expect(
+        clippy::panic,
+        reason = "documented `# Panics`: borrowing a bf16 table as f32 is a caller bug"
+    )]
     pub fn value(&self, id: ParamId) -> &Matrix {
         match &self.entries[id.0].value {
             Storage::F32(m) => m,
@@ -138,6 +142,10 @@ impl ParamStore {
     ///
     /// # Panics
     /// For [`Precision::Bf16`] parameters (see [`ParamStore::value`]).
+    #[expect(
+        clippy::panic,
+        reason = "documented `# Panics`: borrowing a bf16 table as f32 is a caller bug"
+    )]
     pub fn value_mut(&mut self, id: ParamId) -> &mut Matrix {
         let entry = &mut self.entries[id.0];
         match &mut entry.value {

@@ -83,8 +83,8 @@ enum Op {
     },
     /// Reference softmax cross-entropy that materialises the full probs
     /// matrix (the pre-fusion implementation). Kept for the
-    /// fused-vs-materialised parity tests and memory A/B benchmarks;
-    /// selected via [`Tape::set_materialise_xent`].
+    /// fused-vs-materialised parity tests; recorded by
+    /// [`Tape::softmax_xent_materialised`].
     SoftmaxXentMaterialised {
         logits: Var,
         probs: Matrix,
@@ -257,9 +257,6 @@ pub struct Tape {
     n_params: usize,
     /// RefCell so `backward(&self)` can draw from the pool too.
     pool: RefCell<ScratchPool>,
-    /// When set, [`Tape::softmax_xent`] records the materialised
-    /// reference op instead of the fused one (parity tests / memory A/B).
-    materialise_xent: bool,
 }
 
 impl Default for Tape {
@@ -281,7 +278,6 @@ impl Tape {
             nodes: Vec::with_capacity(64),
             n_params: 0,
             pool: RefCell::new(ScratchPool::new()),
-            materialise_xent: false,
         }
     }
 
@@ -311,16 +307,6 @@ impl Tape {
         tape.clear();
         THREAD_TAPE.set(Some(tape));
         out
-    }
-
-    /// Select the softmax-cross-entropy implementation recorded by
-    /// [`Tape::softmax_xent`]: `true` materialises the full probability
-    /// matrix per call (the pre-fusion reference, `O(rows × cols)` extra
-    /// memory), `false` (default) keeps only per-row statistics and
-    /// recomputes probabilities during backward. The two are
-    /// parity-equivalent; the flag exists for tests and benchmarks.
-    pub fn set_materialise_xent(&mut self, on: bool) {
-        self.materialise_xent = on;
     }
 
     /// Allocate a zero-filled matrix from the scratch pool.
@@ -657,12 +643,9 @@ impl Tape {
     /// largest single term of peak training memory — at the cost of one
     /// extra `fast_exp` pass over target rows in backward. Gradients are
     /// bit-identical to the materialised reference (see
-    /// [`Tape::set_materialise_xent`] and the parity proptests).
+    /// [`Tape::softmax_xent_materialised`] and the parity proptests).
     pub fn softmax_xent(&mut self, logits: Var, targets: Rc<Vec<SparseTarget>>, norm: f32) -> Var {
         assert!(norm > 0.0, "softmax_xent: norm must be positive");
-        if self.materialise_xent {
-            return self.softmax_xent_materialised(logits, targets, norm);
-        }
         let lv = self.value(logits);
         let rows = lv.rows();
         let mut has_target = vec![false; rows];

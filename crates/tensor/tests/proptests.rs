@@ -338,9 +338,12 @@ proptest! {
         let targets = Rc::new(picks);
         let run = |materialise: bool| -> (f32, Matrix) {
             let mut tape = Tape::new();
-            tape.set_materialise_xent(materialise);
             let w = tape.param(&store, id);
-            let loss = tape.softmax_xent(w, targets.clone(), norm);
+            let loss = if materialise {
+                tape.softmax_xent_materialised(w, targets.clone(), norm)
+            } else {
+                tape.softmax_xent(w, targets.clone(), norm)
+            };
             let l = tape.value(loss).item();
             let g = tape.backward(loss).get(id).expect("grad").clone();
             (l, g)

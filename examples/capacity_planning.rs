@@ -74,6 +74,10 @@ fn main() {
         ];
         for m in methods.iter_mut() {
             let mut rng = SmallRng::seed_from_u64(11);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the example reports how long each method takes; the reading is only printed"
+            )]
             let t0 = Instant::now();
             let out = m.fit_generate(&g, &mut rng);
             let dt = t0.elapsed();

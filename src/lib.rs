@@ -57,6 +57,9 @@
 //! assert_eq!(scores.len(), 7);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
+
 pub use tg_baselines as baselines;
 pub use tg_datasets as datasets;
 pub use tg_graph as graph;

@@ -2,7 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 use tg_sampling::SamplerConfig;
-use tg_tensor::params::Precision;
 
 /// The ablation variants of §IV-F (Table VII).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -75,14 +74,6 @@ pub struct TgaeConfig {
     /// same partners across timestamps (how real temporal graphs behave);
     /// `1.0` reproduces the raw learned distribution.
     pub gen_temperature: f32,
-    /// Storage precision of the node/time embedding tables (they
-    /// dominate model memory). [`Precision::F32`] — the default — is
-    /// bit-identical to every earlier release; [`Precision::Bf16`]
-    /// halves table bytes and gather bandwidth at ≤ 2⁻⁸ relative
-    /// rounding error per scalar, with all arithmetic still in f32.
-    /// Persisted in `model.json`; resume and serve reject checkpoints
-    /// whose precision differs from the session's.
-    pub precision: Precision,
     /// Model variant (ablations).
     pub variant: TgaeVariant,
     /// RNG seed for parameter init and sampling.
@@ -105,7 +96,6 @@ impl Default for TgaeConfig {
             dense_cutoff: 4096,
             n_negatives: 512,
             gen_temperature: 0.7,
-            precision: Precision::F32,
             variant: TgaeVariant::Full,
             seed: 42,
         }

@@ -92,5 +92,4 @@ pub use session::{
     CheckpointPolicy, EpochEvent, RunObserver, SeedPolicy, Session, SessionBuilder, TrainControl,
 };
 pub use shared::SharedRun;
-pub use tg_tensor::params::Precision;
 pub use trainer::{TrainCheckpoint, TrainReport};

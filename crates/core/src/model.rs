@@ -75,13 +75,6 @@ impl Tgae {
             cfg.d_model,
         );
         let decoder = EgoDecoder::new(&mut store, &mut rng, cfg.d_in, cfg.d_model, n_nodes);
-        // Init always happens at f32 (so f32 and bf16 runs share the
-        // same seeded starting point, rounded); the conversion below is
-        // the only place table storage changes format.
-        if cfg.precision == Precision::Bf16 {
-            store.set_precision(features.node_emb.table, Precision::Bf16);
-            store.set_precision(features.time_emb.table, Precision::Bf16);
-        }
         Tgae {
             cfg,
             store,
@@ -101,22 +94,6 @@ impl Tgae {
     /// Total trainable scalars.
     pub fn n_parameters(&self) -> usize {
         self.store.total_scalars()
-    }
-
-    /// Total parameter payload bytes (4/scalar f32, 2/scalar bf16) —
-    /// what the bf16 knob halves for the embedding tables.
-    pub fn parameter_bytes(&self) -> usize {
-        self.store.param_bytes()
-    }
-
-    /// True when the stored precision of both embedding tables matches
-    /// `cfg.precision`. A freshly built model always agrees; a
-    /// deserialized `model.json` could have been edited out of sync, so
-    /// checkpoint resume and serve adoption validate this.
-    pub fn precision_consistent(&self) -> bool {
-        let p = self.cfg.precision;
-        self.store.precision(self.features.node_emb.table) == p
-            && self.store.precision(self.features.time_emb.table) == p
     }
 
     /// Forward pass on a batch of center temporal nodes; returns the tape,

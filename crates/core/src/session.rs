@@ -437,22 +437,6 @@ impl<'a> Session<'a> {
                 self.observed.n_timestamps()
             )));
         }
-        // Precision first, with a message that names it: the generic
-        // config comparison below would also catch a mismatch, but
-        // "config differs" hides *what* differs for the one field that
-        // changes numeric behaviour.
-        if ckpt.model.cfg.precision != self.model.cfg.precision {
-            return Err(TgxError::CheckpointMismatch(format!(
-                "checkpointed model stores {} embedding tables but this session expects {}",
-                ckpt.model.cfg.precision.name(),
-                self.model.cfg.precision.name()
-            )));
-        }
-        if !ckpt.model.precision_consistent() {
-            return Err(TgxError::CheckpointMismatch(
-                "checkpointed model's table storage disagrees with its declared precision".into(),
-            ));
-        }
         let ckpt_cfg = serde_json::to_string(&ckpt.model.cfg).map_err(PersistError::Codec)?;
         let own_cfg = serde_json::to_string(&self.model.cfg).map_err(PersistError::Codec)?;
         if ckpt_cfg != own_cfg {

@@ -84,9 +84,7 @@ impl std::fmt::Debug for SharedRun {
 impl SharedRun {
     /// Wrap an owned model + observed graph — how a saved `model.json`
     /// goes straight to simulation. Node counts must match, timestamp
-    /// counts must match, the graph must have something to simulate, and
-    /// the model's table storage must match its declared precision (a
-    /// deserialized `model.json` can be edited out of sync).
+    /// counts must match, and the graph must have something to simulate.
     pub fn new(model: Tgae, observed: TemporalGraph) -> Result<Self, TgxError> {
         Self::from_arcs(Arc::new(model), Arc::new(observed))
     }
@@ -104,12 +102,6 @@ impl SharedRun {
                 model: model.n_timestamps,
                 graph: observed.n_timestamps(),
             });
-        }
-        if !model.precision_consistent() {
-            return Err(TgxError::CheckpointMismatch(format!(
-                "model declares {} precision but its embedding tables are stored otherwise",
-                model.cfg.precision.name()
-            )));
         }
         let policy = SeedPolicy::new(model.cfg.seed);
         Ok(SharedRun {

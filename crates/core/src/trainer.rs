@@ -120,7 +120,7 @@ pub struct TrainCheckpoint {
 }
 
 /// Current [`TrainCheckpoint::version`].
-pub(crate) const CHECKPOINT_VERSION: u32 = 1;
+pub(crate) const CHECKPOINT_VERSION: u32 = 2;
 
 /// Mid-run state threaded back into [`train_loop`] when resuming.
 pub(crate) struct ResumeState {

@@ -167,17 +167,14 @@ fn torn_checkpoint_write_leaves_previous_generation_intact() {
     s.train().unwrap();
     let good_bytes = std::fs::read(&path).unwrap();
 
-    // second run: every checkpoint write into this test's directory now
-    // fails mid-file (the fault registry is process-global and sibling
-    // tests checkpoint concurrently, so the spec filters on the path)
-    tg_faults::set(&PERSIST_ATOMIC_PARTIAL, "err,arg=tgae_rotation_torn_").unwrap();
+    // second run: every checkpoint write this thread makes fails mid-file
+    let _armed = tg_faults::arm(&PERSIST_ATOMIC_PARTIAL, "err").unwrap();
     let mut crashing = Session::builder(&g)
         .config(cfg)
         .checkpoint_rotating(&path, 3, 1)
         .build()
         .unwrap();
     let err = crashing.resume_from(&path).unwrap_err();
-    tg_faults::remove(&PERSIST_ATOMIC_PARTIAL);
     assert!(matches!(err, TgxError::Checkpoint(_)), "{err}");
 
     // the torn write must not have harmed the committed checkpoint

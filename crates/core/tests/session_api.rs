@@ -242,6 +242,70 @@ fn foreign_checkpoint_is_rejected_with_mismatch() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One parameter's `value` as checkpoint format v1 (PR 19 and earlier)
+/// wrote it: the matrix wrapped in the tag of its storage precision.
+const V1_F32_VALUE: &str = r#"{"F32":{"rows":1,"cols":2,"data":[0.5,-2.0]}}"#;
+const V1_BF16_VALUE: &str = r#"{"Bf16":{"rows":1,"cols":2,"bits":[16128,49152]}}"#;
+
+/// `json` (a `model.json` or a training checkpoint) with the `value` of
+/// its first parameter replaced.
+fn with_first_value(json: &str, value: &str) -> String {
+    let start = json.find(r#""value":{"#).expect("a parameter entry") + r#""value":"#.len();
+    let end = start + json[start..].find('}').expect("the matrix closes") + 1;
+    format!("{}{value}{}", &json[..start], &json[end..])
+}
+
+#[test]
+fn model_json_in_the_v1_layout_is_a_codec_error() {
+    let dir = tmp_dir("v1_model");
+    let path = dir.join("model.json");
+    tgae::save(&Tgae::new(6, 2, tiny_cfg(1, 0)), &path).unwrap();
+    let current = std::fs::read_to_string(&path).unwrap();
+    for v1_value in [V1_F32_VALUE, V1_BF16_VALUE] {
+        std::fs::write(&path, with_first_value(&current, v1_value)).unwrap();
+        let Err(err) = tgae::load(&path) else {
+            panic!("loaded a v1 entry: {v1_value}")
+        };
+        assert!(matches!(err, tgae::PersistError::Codec(_)), "{err}");
+        assert!(err.to_string().contains("missing field `rows`"), "{err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn v1_checkpoint_is_a_typed_error() {
+    let g = ring_graph(6, 2);
+    let dir = tmp_dir("v1_ckpt");
+    let path = dir.join("ckpt.json");
+    let mut s = Session::builder(&g)
+        .config(tiny_cfg(2, 2))
+        .checkpoint(&path, 1)
+        .build()
+        .unwrap();
+    s.train().unwrap();
+    let current = std::fs::read_to_string(&path).unwrap();
+    assert!(
+        current.starts_with(r#"{"version":2,"#),
+        "{}",
+        &current[..40]
+    );
+    let stamped_v1 = current.replacen(r#""version":2"#, r#""version":1"#, 1);
+
+    // as v1 wrote it, parameters and all: the decode fails first
+    std::fs::write(&path, with_first_value(&stamped_v1, V1_F32_VALUE)).unwrap();
+    let err = s.resume_from(&path).unwrap_err();
+    assert!(
+        matches!(err, TgxError::Checkpoint(tgae::PersistError::Codec(_))),
+        "{err}"
+    );
+    // a file that decodes is still refused on its version stamp
+    std::fs::write(&path, stamped_v1).unwrap();
+    let err = s.resume_from(&path).unwrap_err();
+    assert!(matches!(err, TgxError::CheckpointMismatch(_)), "{err}");
+    assert!(err.to_string().contains("format v1"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn edgeless_graph_is_a_typed_error() {
     // `TemporalGraph::from_edges` statically refuses zero timestamps, so

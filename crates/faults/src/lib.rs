@@ -29,12 +29,13 @@
 //!
 //! # Activating points
 //!
-//! Points are configured from the `TG_FAULTS` environment variable (read
-//! once, at the first evaluation) or programmatically with [`set`]. The
-//! spec grammar is `point=action[,modifier=value]*` entries separated by
-//! `;`, where `point` is a declared point's wire name — an entry that is
-//! malformed or names a point [`registry`] does not declare is reported
-//! on stderr and arms nothing:
+//! Points are configured for the whole process from the `TG_FAULTS`
+//! environment variable (read once, at the first evaluation), or for one
+//! thread of a test with [`arm`], whose guard disarms the point when it
+//! drops. The spec grammar is `point=action[,modifier=value]*` entries
+//! separated by `;`, where `point` is a declared point's wire name — an
+//! entry that is malformed or names a point [`registry`] does not declare
+//! is reported on stderr and arms nothing:
 //!
 //! ```text
 //! TG_FAULTS="worker.entry=abort,arg=shard:1,max=1;store.write.block=err,p=0.5"
@@ -124,6 +125,18 @@ macro_rules! fail_point {
     };
 }
 
+/// RAII guard of an [`arm`]ed fault point: the point is disarmed when the
+/// guard drops, on a normal return and on an unwinding panic alike.
+#[derive(Debug)]
+#[must_use = "the point is disarmed when the guard is dropped"]
+pub struct Armed {
+    #[cfg(feature = "enabled")]
+    point: &'static str,
+    /// `!Send`: the spec lives in the arming thread's table; dropping the
+    /// guard elsewhere would leave it armed there.
+    _not_send: std::marker::PhantomData<*const ()>,
+}
+
 /// Whether this build carries the fault-point machinery (the `enabled`
 /// cargo feature). Tests that need injection should early-return when
 /// this is `false` instead of failing.
@@ -151,21 +164,12 @@ pub fn eval_lazy<F: FnOnce() -> String>(_point: &FaultPoint, _arg: F) -> Result<
     Ok(())
 }
 
-/// Activate a fault point programmatically. Errors in disabled builds
+/// Arm a fault point for the calling thread. Errors in disabled builds
 /// (the machinery is compiled out).
 #[cfg(not(feature = "enabled"))]
-pub fn set(_point: &FaultPoint, _spec: &str) -> Result<(), String> {
+pub fn arm(_point: &FaultPoint, _spec: &str) -> Result<Armed, String> {
     Err("tg-faults was compiled without the `enabled` feature".into())
 }
-
-/// Deactivate one fault point. No-op in disabled builds.
-#[cfg(not(feature = "enabled"))]
-pub fn remove(_point: &FaultPoint) {}
-
-/// Deactivate every fault point and reset all counters. No-op in
-/// disabled builds.
-#[cfg(not(feature = "enabled"))]
-pub fn clear() {}
 
 /// Times `point` has been evaluated (0 in disabled builds).
 #[cfg(not(feature = "enabled"))]
@@ -238,6 +242,15 @@ mod imp {
         pub triggers: HashMap<String, u64>,
         pub seed: u64,
         pub state_path: Option<PathBuf>,
+    }
+
+    thread_local! {
+        /// What this thread's live [`crate::Armed`] guards have armed: per
+        /// point, a registry holding its spec and the counters it runs up.
+        /// A point armed here is decided here, whatever `TG_FAULTS` says
+        /// about it, and no other thread sees it.
+        pub(super) static LOCAL: std::cell::RefCell<HashMap<&'static str, Registry>> =
+            std::cell::RefCell::default();
     }
 
     pub(super) static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -387,7 +400,7 @@ mod imp {
 pub fn eval(point: &FaultPoint, arg: Option<&str>) -> Result<(), FaultError> {
     use imp::*;
     INIT.call_once(init_from_env);
-    if !ACTIVE.load(Ordering::Relaxed) {
+    if !any_armed() {
         return Ok(());
     }
     eval_active(point, arg)
@@ -399,68 +412,33 @@ pub fn eval(point: &FaultPoint, arg: Option<&str>) -> Result<(), FaultError> {
 pub fn eval_lazy<F: FnOnce() -> String>(point: &FaultPoint, arg: F) -> Result<(), FaultError> {
     use imp::*;
     INIT.call_once(init_from_env);
-    if !ACTIVE.load(Ordering::Relaxed) {
+    if !any_armed() {
         return Ok(());
     }
     let arg = arg();
     eval_active(point, Some(&arg))
 }
 
+/// Whether `TG_FAULTS` or one of this thread's [`Armed`] guards has any
+/// point armed (the fast path of [`eval`] when nothing is).
+#[cfg(feature = "enabled")]
+fn any_armed() -> bool {
+    imp::ACTIVE.load(Ordering::Relaxed) || imp::LOCAL.with(|l| !l.borrow().is_empty())
+}
+
 #[cfg(feature = "enabled")]
 fn eval_active(point: &FaultPoint, arg: Option<&str>) -> Result<(), FaultError> {
     use imp::*;
     let point = point.name();
-    // Decide under the lock; act after releasing it (a sleeping or
-    // panicking point must not wedge sibling threads' evaluations).
-    let action: Action = {
-        let mut reg = lock();
-        *reg.hits.entry(point).or_insert(0) += 1;
-        let Some(spec) = reg.points.get(point).cloned() else {
-            return Ok(());
-        };
-        if spec.action == Action::Off {
-            return Ok(());
-        }
-        if let Some(filter) = &spec.arg {
-            if !arg.is_some_and(|a| a.contains(filter.as_str())) {
-                return Ok(());
-            }
-        }
-        let match_idx = {
-            let c = reg.matches.entry(point).or_insert(0);
-            let idx = *c;
-            *c += 1;
-            idx
-        };
-        if match_idx < spec.after {
-            return Ok(());
-        }
-        if spec.p < 1.0 {
-            let draw = splitmix64(reg.seed ^ fnv64(point) ^ match_idx);
-            // map the top 53 bits to [0, 1)
-            let unit = (draw >> 11) as f64 / (1u64 << 53) as f64;
-            if unit >= spec.p {
-                return Ok(());
-            }
-        }
-        let key = spec.ledger_key(point);
-        if let Some(max) = spec.max {
-            let fired = match &reg.state_path {
-                Some(p) => ledger_count(p, &key),
-                None => reg.triggers.get(&key).copied().unwrap_or(0),
-            };
-            if fired >= max {
-                return Ok(());
-            }
-        }
-        // Record the trigger BEFORE acting: abort/exit/sleep-then-SIGKILL
-        // must still consume their budget.
-        *reg.triggers.entry(key.clone()).or_insert(0) += 1;
-        if let Some(p) = reg.state_path.clone() {
-            ledger_append(&p, &key);
-        }
-        spec.action
-    };
+    // Decide under the borrow or the lock; act after releasing it (a
+    // sleeping or panicking point must not wedge sibling threads'
+    // evaluations, nor keep this thread's table borrowed while it unwinds).
+    let local = LOCAL.with(|l| {
+        l.borrow_mut()
+            .get_mut(point)
+            .map(|reg| decide(reg, point, arg))
+    });
+    let action = local.unwrap_or_else(|| decide(&mut lock(), point, arg));
     let err = FaultError {
         point: point.to_string(),
         arg: arg.map(str::to_string),
@@ -488,41 +466,92 @@ fn eval_active(point: &FaultPoint, arg: Option<&str>) -> Result<(), FaultError> 
     }
 }
 
-/// Activate (or replace) the spec for one fault point, e.g.
-/// `set(&registry::STORE_WRITE_BLOCK, "err,max=1")`.
+/// What an evaluation of `point` with `arg` does under `reg`'s spec for
+/// it, counting the evaluation, the match and the trigger.
 #[cfg(feature = "enabled")]
-pub fn set(point: &FaultPoint, spec: &str) -> Result<(), String> {
+fn decide(reg: &mut imp::Registry, point: &'static str, arg: Option<&str>) -> imp::Action {
+    use imp::*;
+    *reg.hits.entry(point).or_insert(0) += 1;
+    let Some(spec) = reg.points.get(point).cloned() else {
+        return Action::Off;
+    };
+    if spec.action == Action::Off {
+        return Action::Off;
+    }
+    if let Some(filter) = &spec.arg {
+        if !arg.is_some_and(|a| a.contains(filter.as_str())) {
+            return Action::Off;
+        }
+    }
+    let match_idx = {
+        let c = reg.matches.entry(point).or_insert(0);
+        let idx = *c;
+        *c += 1;
+        idx
+    };
+    if match_idx < spec.after {
+        return Action::Off;
+    }
+    if spec.p < 1.0 {
+        let draw = splitmix64(reg.seed ^ fnv64(point) ^ match_idx);
+        // map the top 53 bits to [0, 1)
+        let unit = (draw >> 11) as f64 / (1u64 << 53) as f64;
+        if unit >= spec.p {
+            return Action::Off;
+        }
+    }
+    let key = spec.ledger_key(point);
+    if let Some(max) = spec.max {
+        let fired = match &reg.state_path {
+            Some(p) => ledger_count(p, &key),
+            None => reg.triggers.get(&key).copied().unwrap_or(0),
+        };
+        if fired >= max {
+            return Action::Off;
+        }
+    }
+    // Record the trigger BEFORE acting: abort/exit/sleep-then-SIGKILL
+    // must still consume their budget.
+    *reg.triggers.entry(key.clone()).or_insert(0) += 1;
+    if let Some(p) = reg.state_path.clone() {
+        ledger_append(&p, &key);
+    }
+    spec.action
+}
+
+/// Arm `point` with `spec` on the calling thread until the returned guard
+/// drops, e.g. `let _armed = arm(&registry::STORE_WRITE_BLOCK, "err,max=1")?;`.
+///
+/// Only evaluations made by this thread see the spec, so tests running
+/// side by side in one process cannot trip each other's points; a `p=`
+/// draw uses `TG_FAULTS_SEED` and a `max=` budget is counted in memory.
+/// Arming a point this thread has already armed replaces its spec, and
+/// the first of the two guards to drop disarms it.
+#[cfg(feature = "enabled")]
+pub fn arm(point: &FaultPoint, spec: &str) -> Result<Armed, String> {
     use imp::*;
     INIT.call_once(init_from_env);
     let parsed = parse_spec(spec)?;
-    let mut reg = lock();
-    reg.points.insert(point.name(), parsed);
-    ACTIVE.store(true, Ordering::Relaxed);
-    Ok(())
+    let point = point.name();
+    let reg = Registry {
+        points: [(point, parsed)].into(),
+        seed: lock().seed,
+        ..Registry::default()
+    };
+    LOCAL.with(|l| l.borrow_mut().insert(point, reg));
+    Ok(Armed {
+        point,
+        _not_send: std::marker::PhantomData,
+    })
 }
 
-/// Deactivate one fault point (counters are kept).
 #[cfg(feature = "enabled")]
-pub fn remove(point: &FaultPoint) {
-    use imp::*;
-    let mut reg = lock();
-    reg.points.remove(point.name());
-    if reg.points.is_empty() {
-        ACTIVE.store(false, Ordering::Relaxed);
+impl Drop for Armed {
+    fn drop(&mut self) {
+        // `try_with`: a guard dropped while the thread's locals are being
+        // torn down has nothing left to disarm
+        let _ = imp::LOCAL.try_with(|l| l.borrow_mut().remove(self.point));
     }
-}
-
-/// Deactivate every fault point and reset all counters (the seed and
-/// state-file path survive; tests reconfigure with [`set`]).
-#[cfg(feature = "enabled")]
-pub fn clear() {
-    use imp::*;
-    let mut reg = lock();
-    reg.points.clear();
-    reg.hits.clear();
-    reg.matches.clear();
-    reg.triggers.clear();
-    ACTIVE.store(false, Ordering::Relaxed);
 }
 
 /// Times `point` has been evaluated since process start (matched or not).
@@ -558,12 +587,37 @@ mod tests {
     const T_PROB: FaultPoint = FaultPoint::fixture("t.prob");
     const X: FaultPoint = FaultPoint::fixture("x");
 
-    // The registry is process-global, so these tests serialize on a lock
-    // and clear() between scenarios.
+    // `TG_FAULTS` arms a process-global table; these tests fill it the way
+    // `init_from_env` does, so they serialize on a lock and clear() between
+    // scenarios.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    fn set(point: &FaultPoint, spec: &str) -> Result<(), String> {
+        let parsed = imp::parse_spec(spec)?;
+        imp::lock().points.insert(point.name(), parsed);
+        imp::ACTIVE.store(true, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn remove(point: &FaultPoint) {
+        imp::lock().points.remove(point.name());
+    }
+
+    /// Disarm every point and reset all counters (the seed and state-file
+    /// path survive).
+    fn clear() {
+        let mut reg = imp::lock();
+        reg.points.clear();
+        reg.hits.clear();
+        reg.matches.clear();
+        reg.triggers.clear();
+        imp::ACTIVE.store(false, Ordering::Relaxed);
+    }
 
     fn locked() -> std::sync::MutexGuard<'static, ()> {
         let g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        // read the environment now, not in the middle of a scenario
+        imp::INIT.call_once(imp::init_from_env);
         clear();
         g
     }
@@ -697,5 +751,39 @@ mod tests {
         assert!(f().is_ok());
         set(&registry::T_MACRO_ARG, "err,arg=x:1").unwrap();
         assert!(f().unwrap_err().contains("t.macro.arg"));
+    }
+
+    const T_GUARD: FaultPoint = FaultPoint::fixture("t.guard");
+
+    #[test]
+    fn arm_is_scoped_to_the_guard_and_survives_a_panic() {
+        let caught = std::panic::catch_unwind(|| {
+            let _armed = arm(&T_GUARD, "err").unwrap();
+            assert!(eval(&T_GUARD, None).is_err());
+            panic!("unwinding past the guard");
+        });
+        assert!(caught.is_err());
+        assert!(eval(&T_GUARD, None).is_ok());
+        assert!(arm(&T_GUARD, "explode").is_err());
+    }
+
+    #[test]
+    fn arm_is_invisible_to_a_sibling_thread() {
+        let _armed = arm(&T_GUARD, "err").unwrap();
+        let (armed_tx, armed_rx) = std::sync::mpsc::channel();
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+        let sibling = std::thread::spawn(move || {
+            // evaluate only once the main thread is known to hold the guard
+            armed_rx.recv().unwrap();
+            seen_tx.send(eval(&T_GUARD, None).is_ok()).unwrap();
+        });
+        assert!(eval(&T_GUARD, None).is_err());
+        armed_tx.send(()).unwrap();
+        assert!(
+            seen_rx.recv().unwrap(),
+            "a sibling thread saw the armed point"
+        );
+        sibling.join().unwrap();
+        assert!(eval(&T_GUARD, None).is_err());
     }
 }

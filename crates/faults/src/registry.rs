@@ -2,7 +2,7 @@
 //!
 //! A fault point is a `pub const` of [`FaultPoint`] in this module, and
 //! [`FaultPoint`]'s field is private, so this file is the only place one
-//! can be made: `fail_point!` / [`crate::eval`] / [`crate::set`] take
+//! can be made: `fail_point!` / [`crate::eval`] / [`crate::arm`] take
 //! `&FaultPoint`, and an undeclared or misspelt point does not compile.
 //!
 //! ```compile_fail

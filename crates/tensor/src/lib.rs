@@ -16,7 +16,7 @@
 //! - [`tape`] — the autodiff tape and op set, including fused losses.
 //! - [`params`] — parameter storage shared between layers and optimizers.
 //! - [`nn`] — Linear / MLP / Embedding layers.
-//! - [`optim`] — Adam, SGD, gradient clipping.
+//! - [`optim`] — Adam, gradient clipping.
 //! - [`init`] — Xavier init, Box–Muller normals, categorical sampling.
 //! - [`parallel`] — chunked thread-pool helpers.
 //!
@@ -44,7 +44,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 
-pub mod bf16;
 pub mod init;
 pub mod matrix;
 pub mod nn;
@@ -55,7 +54,6 @@ pub mod tape;
 
 /// One-stop imports for model code.
 pub mod prelude {
-    pub use crate::bf16::{bf16_decode, bf16_encode};
     pub use crate::init::{
         normal_matrix, sample_categorical, sample_categorical_without_replacement, standard_normal,
         xavier_normal, xavier_uniform,
@@ -64,8 +62,8 @@ pub mod prelude {
         active_microkernel, available_microkernels, force_microkernel, Matrix, MicrokernelKind,
     };
     pub use crate::nn::{Activation, Embedding, Linear, Mlp};
-    pub use crate::optim::{clip_global_norm, Adam, Sgd};
-    pub use crate::params::{ParamId, ParamStore, Precision};
+    pub use crate::optim::{clip_global_norm, Adam};
+    pub use crate::params::{ParamId, ParamStore};
     pub use crate::tape::{Gradients, SparseTarget, Tape, Var};
 }
 

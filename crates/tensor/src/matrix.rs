@@ -75,11 +75,35 @@ use std::cell::RefCell;
 use std::fmt;
 
 /// Dense row-major matrix of `f32`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+/// A [`Matrix`] as it arrives from a file, before its shape is checked.
+#[derive(Deserialize)]
+struct UncheckedMatrix {
+    rows: usize,
+    cols: usize,
+    data: Vec<f32>,
+}
+
+/// Matrices are read from `model.json` and checkpoints, which nothing
+/// vouches for: a shape that disagrees with the payload is a decode
+/// error here, not an out-of-bounds row access later.
+impl Deserialize for Matrix {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let UncheckedMatrix { rows, cols, data } = UncheckedMatrix::from_value(v)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(serde::DeError(format!(
+                "matrix declares {rows}x{cols} but carries {} values",
+                data.len()
+            )));
+        }
+        Ok(Matrix { rows, cols, data })
+    }
 }
 
 impl fmt::Debug for Matrix {
@@ -1740,6 +1764,22 @@ mod tests {
 
     fn approx(a: f32, b: f32) -> bool {
         (a - b).abs() < 1e-5
+    }
+
+    #[test]
+    fn decode_rejects_a_shape_that_disagrees_with_the_payload() {
+        let ok: Matrix = serde_json::from_str(r#"{"rows":2,"cols":1,"data":[1.0,2.0]}"#).unwrap();
+        assert_eq!(ok.row(1), &[2.0]);
+        for bad in [
+            r#"{"rows":3,"cols":1,"data":[1.0,2.0]}"#,
+            r#"{"rows":2,"cols":1,"data":[1.0,2.0,3.0]}"#,
+            r#"{"rows":18446744073709551615,"cols":2,"data":[1.0,2.0]}"#,
+            // (2^63 + 1) * 2 wraps to exactly 2, the payload's length
+            r#"{"rows":9223372036854775809,"cols":2,"data":[1.0,2.0]}"#,
+        ] {
+            let err = serde_json::from_str::<Matrix>(bad).expect_err(bad);
+            assert!(err.to_string().contains("matrix declares"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -181,10 +181,9 @@ impl Embedding {
     }
 
     /// Look up rows by index with the fused
-    /// [`Tape::gather_param_rows`]: only the indexed rows are copied
-    /// (f32 tables) or decoded (bf16 tables) onto the tape, never the
-    /// whole table, and the backward pass scatter-adds into a
-    /// table-shaped gradient.
+    /// [`Tape::gather_param_rows`]: only the indexed rows are copied onto
+    /// the tape, never the whole table, and the backward pass
+    /// scatter-adds into a table-shaped gradient.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, idx: Rc<Vec<u32>>) -> Var {
         tape.gather_param_rows(store, self.table, idx)
     }

@@ -1,8 +1,8 @@
-//! Optimizers: Adam (the paper's choice for TGAE-style models) and plain
-//! SGD, plus global-norm gradient clipping.
+//! The Adam optimizer (the paper's choice for TGAE-style models) and
+//! global-norm gradient clipping.
 
 use crate::matrix::Matrix;
-use crate::params::{ParamId, ParamStore, Precision};
+use crate::params::{ParamId, ParamStore};
 use crate::tape::Gradients;
 use serde::{Deserialize, Serialize};
 
@@ -17,8 +17,6 @@ pub struct Adam {
     pub beta2: f32,
     /// Denominator fuzz to avoid division by zero.
     pub eps: f32,
-    /// Optional L2 weight decay (decoupled, AdamW-style).
-    pub weight_decay: f32,
     t: u64,
     m: Vec<Option<Matrix>>,
     v: Vec<Option<Matrix>>,
@@ -32,7 +30,6 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
@@ -45,7 +42,7 @@ impl Adam {
     }
 
     fn slot(&mut self, id: ParamId, shape: (usize, usize)) -> (&mut Matrix, &mut Matrix) {
-        let i = id_index(id);
+        let i = id.index();
         if self.m.len() <= i {
             self.m.resize_with(i + 1, || None);
             self.v.resize_with(i + 1, || None);
@@ -67,9 +64,9 @@ impl Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
+        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         for (id, g) in grads.iter() {
-            let shape = store.shape(id);
+            let shape = store.value(id).shape();
             assert_eq!(
                 g.shape(),
                 shape,
@@ -80,94 +77,14 @@ impl Adam {
             let md = m.as_mut_slice();
             let vd = v.as_mut_slice();
             let gd = g.as_slice();
-            let mut update = |pd: &mut [f32]| {
-                // weight decay hoisted out of the update loop so the fused
-                // moment/update loop below stays branch-free and vectorises
-                if wd > 0.0 {
-                    for p in pd.iter_mut() {
-                        *p -= lr * wd * *p;
-                    }
-                }
-                for i in 0..pd.len() {
-                    let gi = gd[i];
-                    md[i] = b1 * md[i] + (1.0 - b1) * gi;
-                    vd[i] = b2 * vd[i] + (1.0 - b2) * gi * gi;
-                    let mhat = md[i] / bc1;
-                    let vhat = vd[i] / bc2;
-                    pd[i] -= lr * mhat / (vhat.sqrt() + eps);
-                }
-            };
-            match store.precision(id) {
-                Precision::F32 => update(store.value_mut(id).as_mut_slice()),
-                // bf16 params update a decoded f32 working copy (moments
-                // are f32 either way) and round back once per step.
-                Precision::Bf16 => {
-                    let mut p = store.decode_f32(id);
-                    update(p.as_mut_slice());
-                    store.encode_from_f32(id, &p);
-                }
-            }
-        }
-    }
-}
-
-/// Plain SGD with optional momentum (used by a couple of baselines).
-#[derive(Clone, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0 = plain gradient descent).
-    pub momentum: f32,
-    velocity: Vec<Option<Matrix>>,
-}
-
-impl Sgd {
-    /// Momentum-free SGD.
-    pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with classical momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Apply one update from `grads` into `store`.
-    pub fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
-        for (id, g) in grads.iter() {
-            let i = id_index(id);
-            if self.velocity.len() <= i {
-                self.velocity.resize_with(i + 1, || None);
-            }
-            // bf16 params update a decoded f32 working copy and round
-            // back once per step; f32 params update in place.
-            let mut decoded = match store.precision(id) {
-                Precision::Bf16 => Some(store.decode_f32(id)),
-                Precision::F32 => None,
-            };
-            let p = match decoded.as_mut() {
-                Some(m) => m,
-                None => store.value_mut(id),
-            };
-            if self.momentum > 0.0 {
-                let vel = self.velocity[i].get_or_insert_with(|| Matrix::zeros(p.rows(), p.cols()));
-                for (vv, &gg) in vel.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                    *vv = self.momentum * *vv + gg;
-                }
-                p.add_scaled(vel, -self.lr);
-            } else {
-                p.add_scaled(g, -self.lr);
-            }
-            if let Some(p) = decoded {
-                store.encode_from_f32(id, &p);
+            let pd = store.value_mut(id).as_mut_slice();
+            for i in 0..pd.len() {
+                let gi = gd[i];
+                md[i] = b1 * md[i] + (1.0 - b1) * gi;
+                vd[i] = b2 * vd[i] + (1.0 - b2) * gi * gi;
+                let mhat = md[i] / bc1;
+                let vhat = vd[i] / bc2;
+                pd[i] -= lr * mhat / (vhat.sqrt() + eps);
             }
         }
     }
@@ -180,10 +97,6 @@ pub fn clip_global_norm(grads: &mut Gradients, max_norm: f64) -> f64 {
         grads.scale_all((max_norm / norm) as f32);
     }
     norm
-}
-
-fn id_index(id: ParamId) -> usize {
-    id.index()
 }
 
 #[cfg(test)]
@@ -216,27 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut store = ParamStore::new();
-        let id = store.create("w", Matrix::zeros(1, 3));
-        let target = Matrix::from_vec(1, 3, vec![0.3, -0.7, 1.1]);
-        let mut opt = Sgd::with_momentum(0.05, 0.5);
-        for _ in 0..500 {
-            let mut tape = Tape::new();
-            let w = tape.param(&store, id);
-            let t = tape.input(target.clone());
-            let d = tape.sub(w, t);
-            let sq = tape.mul(d, d);
-            let loss = tape.sum(sq);
-            let grads = tape.backward(loss);
-            opt.step(&mut store, &grads);
-        }
-        for (a, b) in store.value(id).as_slice().iter().zip(target.as_slice()) {
-            assert!((a - b).abs() < 1e-2, "{a} vs {b}");
-        }
-    }
-
-    #[test]
     fn clipping_reduces_norm() {
         let mut store = ParamStore::new();
         let id = store.create("w", Matrix::full(10, 10, 5.0));
@@ -248,30 +140,5 @@ mod tests {
         let pre = clip_global_norm(&mut grads, 1.0);
         assert!(pre > 1.0);
         assert!((grads.global_norm() - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_params() {
-        let mut store = ParamStore::new();
-        let id = store.create("w", Matrix::full(1, 1, 1.0));
-        let mut opt = Adam::new(0.0); // lr 0: only decay acts
-        opt.weight_decay = 0.1;
-        // decay applies only when the param receives a gradient and lr>0;
-        // with lr=0 nothing changes:
-        let mut tape = Tape::new();
-        let w = tape.param(&store, id);
-        let loss = tape.sum(w);
-        let grads = tape.backward(loss);
-        opt.step(&mut store, &grads);
-        assert_eq!(store.value(id).item(), 1.0);
-        // with lr>0 decay shrinks towards zero
-        let mut opt2 = Adam::new(0.01);
-        opt2.weight_decay = 1.0;
-        let mut tape2 = Tape::new();
-        let w2 = tape2.param(&store, id);
-        let loss2 = tape2.sum(w2);
-        let grads2 = tape2.backward(loss2);
-        opt2.step(&mut store, &grads2);
-        assert!(store.value(id).item() < 1.0);
     }
 }

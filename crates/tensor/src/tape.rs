@@ -557,10 +557,7 @@ impl Tape {
 
     /// Fused row lookup `out[i,:] = table[idx[i],:]` reading the
     /// parameter store directly: the tape holds `idx.len()` rows, not the
-    /// table. f32 tables copy the indexed rows; bf16 tables decode them
-    /// (accumulation stays f32 downstream), so a bf16-stored table is
-    /// never materialised at full precision — the bandwidth saving that
-    /// makes [`crate::params::Precision::Bf16`] storage worthwhile.
+    /// table.
     ///
     /// Values and gradients are bit-identical to [`Tape::param`] +
     /// [`Tape::gather_rows`]: the rows are copies of the same `f32`s, and
@@ -571,9 +568,10 @@ impl Tape {
     /// the same order.
     pub fn gather_param_rows(&mut self, store: &ParamStore, id: ParamId, idx: Rc<Vec<u32>>) -> Var {
         self.n_params = self.n_params.max(id.index() + 1);
-        let (table_rows, cols) = store.shape(id);
-        let mut v = self.alloc_full(idx.len(), cols);
-        store.gather_rows_f32(id, &idx, &mut v);
+        let table = store.value(id);
+        let table_rows = table.rows();
+        let mut v = self.alloc_full(idx.len(), table.cols());
+        gather_rows_into(table, &idx, &mut v);
         self.push(
             v,
             Op::GatherParamRows {

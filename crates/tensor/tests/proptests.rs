@@ -474,7 +474,7 @@ proptest! {
         let levels: Vec<ScoreLevel> = h_ids
             .iter()
             .map(|&h| {
-                let rows = store.shape(h).0 as u32;
+                let rows = store.value(h).rows() as u32;
                 // the rows targets may fall on: none, one, half, or all
                 let (live, every_row) = match coverage {
                     0 => (0, false),

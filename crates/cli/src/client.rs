@@ -48,17 +48,17 @@ fn connect(args: &Args) -> Result<Client, CliError> {
 
 /// Run the subcommand.
 pub fn run(args: &Args) -> Result<(), CliError> {
-    let op = args.positional().first().cloned().ok_or_else(|| {
+    let operation = args.positional().first().cloned().ok_or_else(|| {
         CliError::Usage(
             "client needs an operation: simulate|eval|status|metrics|ping|shutdown".into(),
         )
     })?;
     if args.positional().len() > 1 {
         return Err(CliError::Usage(format!(
-            "unexpected operand(s) after `{op}`"
+            "unexpected operand(s) after `{operation}`"
         )));
     }
-    match op.as_str() {
+    match operation.as_str() {
         "simulate" => simulate(args),
         "eval" => eval(args),
         "status" => status(args),
@@ -102,10 +102,12 @@ fn simulate(args: &Args) -> Result<(), CliError> {
         let outcome = client
             .simulate_stats(&run_id, seed)
             .map_err(map_client_err)?;
+        let json = serde_json::to_string(&outcome.stats)
+            .map_err(|e| CliError::Other(format!("encode stats: {e}")))?;
         if out == "-" {
-            println!("{}", outcome.stats_json);
+            println!("{json}");
         } else {
-            std::fs::write(&out, format!("{}\n", outcome.stats_json))
+            std::fs::write(&out, format!("{json}\n"))
                 .map_err(|e| CliError::Other(format!("write {out}: {e}")))?;
         }
         if !quiet {

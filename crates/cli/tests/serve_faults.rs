@@ -21,7 +21,7 @@ use common::{cli, tmp, train_run, write_ring_edges};
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::process::{Child, ChildStdout, Stdio};
-use tg_serve::{Client, ClientError};
+use tg_serve::{Client, ClientError, ErrorKind};
 
 /// A spawned `tgx-cli serve` process bound to an ephemeral port.
 struct Daemon {
@@ -129,7 +129,7 @@ fn decode_fault_is_typed_and_the_same_connection_retries_byte_identically() {
     let mut first = Vec::new();
     match client.simulate("r", 9, &mut first) {
         Err(ClientError::Server { kind, message }) => {
-            assert_eq!(kind, "decode");
+            assert_eq!(kind, ErrorKind::Decode);
             assert!(message.contains("injected fault"), "{message}");
         }
         other => panic!("expected a typed decode error, got {other:?}"),
@@ -161,7 +161,11 @@ fn generate_unit_panic_is_contained_and_a_reconnect_retries_byte_identically() {
     let mut first = Vec::new();
     match client.simulate("r", 9, &mut first) {
         Err(ClientError::Server { kind, message }) => {
-            assert_eq!(kind, "internal", "panic must surface as a typed frame");
+            assert_eq!(
+                kind,
+                ErrorKind::Internal,
+                "panic must surface as a typed frame"
+            );
             // The payload text must survive the unwind: "request
             // panicked: injected fault at `serve.generate.unit` …".
             assert!(message.contains("panicked"), "{message}");
@@ -219,7 +223,7 @@ fn sigterm_drains_the_in_flight_stream_and_refuses_new_work() {
     // New work is refused while draining.
     match Client::connect_tcp(&daemon.addr) {
         Ok(mut fresh) => match fresh.ping() {
-            Err(ClientError::Server { kind, .. }) => assert_eq!(kind, "shutdown"),
+            Err(ClientError::Server { kind, .. }) => assert_eq!(kind, ErrorKind::Shutdown),
             Err(ClientError::Io(_)) => {}
             other => panic!("draining server accepted new work: {other:?}"),
         },
@@ -334,7 +338,7 @@ fn status_fault_is_typed_and_the_daemon_survives() {
     let mut client = daemon.connect();
     match client.status() {
         Err(ClientError::Server { kind, message }) => {
-            assert_eq!(kind, "internal");
+            assert_eq!(kind, ErrorKind::Internal);
             assert!(
                 message.contains("serve.status"),
                 "error must name the fault point: {message}"

@@ -38,16 +38,12 @@
 //! is reported on stderr and arms nothing:
 //!
 //! ```text
-//! TG_FAULTS="worker.entry=abort,arg=shard:1,max=1;store.write.block=err,p=0.5"
+//! TG_FAULTS="worker.entry=abort,arg=shard:1,max=1;store.write.block=err,after=2"
 //! ```
 //!
 //! Actions: `off`, `err`, `panic`, `abort`, `exit:CODE`, `sleep:MILLIS`.
 //! Modifiers:
 //!
-//! - `p=PROB` — trigger with probability `PROB`, decided by a
-//!   **deterministic** SplitMix64 draw from `TG_FAULTS_SEED`, the point
-//!   name, and the per-point match counter (same seed ⇒ same trigger
-//!   pattern, across runs and machines);
 //! - `after=N` — skip the first `N` matching evaluations;
 //! - `max=N` — trigger at most `N` times. With `TG_FAULTS_STATE=FILE`
 //!   the trigger count is kept in an append-only ledger file, so the
@@ -209,8 +205,6 @@ mod imp {
     #[derive(Clone, Debug)]
     pub(super) struct PointSpec {
         pub action: Action,
-        /// Trigger probability in [0, 1]; decided deterministically.
-        pub p: f64,
         /// Maximum number of triggers (ledger-backed when a state file is
         /// configured).
         pub max: Option<u64>,
@@ -236,11 +230,10 @@ mod imp {
         pub points: HashMap<&'static str, PointSpec>,
         /// Evaluations per point (matched or not).
         pub hits: HashMap<&'static str, u64>,
-        /// Matching evaluations per point (drives `after`/`p`).
+        /// Matching evaluations per point (drives `after`).
         pub matches: HashMap<&'static str, u64>,
         /// In-process trigger counts per ledger key.
         pub triggers: HashMap<String, u64>,
-        pub seed: u64,
         pub state_path: Option<PathBuf>,
     }
 
@@ -270,23 +263,6 @@ mod imp {
             .expect("fault registry poisoned")
     }
 
-    /// SplitMix64 finalizer — the workspace's standard seed mixer.
-    pub(super) fn splitmix64(mut x: u64) -> u64 {
-        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
-    }
-
-    pub(super) fn fnv64(s: &str) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in s.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
     pub(super) fn parse_spec(spec: &str) -> Result<PointSpec, String> {
         let mut parts = spec.split(',').map(str::trim);
         let action_str = parts.next().ok_or("empty fault spec")?;
@@ -309,7 +285,6 @@ mod imp {
         };
         let mut out = PointSpec {
             action,
-            p: 1.0,
             max: None,
             after: 0,
             arg: None,
@@ -322,13 +297,6 @@ mod imp {
                 .split_once('=')
                 .ok_or_else(|| format!("fault modifier `{part}` is not key=value"))?;
             match k {
-                "p" => {
-                    let p: f64 = v.parse().map_err(|_| format!("bad probability `{v}`"))?;
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err(format!("probability `{v}` outside [0, 1]"));
-                    }
-                    out.p = p;
-                }
                 "max" => {
                     out.max = Some(v.parse().map_err(|_| format!("bad max `{v}`"))?);
                 }
@@ -372,10 +340,6 @@ mod imp {
 
     pub(super) fn init_from_env() {
         let mut reg = lock();
-        reg.seed = std::env::var("TG_FAULTS_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
         reg.state_path = std::env::var("TG_FAULTS_STATE").ok().map(PathBuf::from);
         if let Ok(spec) = std::env::var("TG_FAULTS") {
             for entry in spec.split(';').map(str::trim).filter(|e| !e.is_empty()) {
@@ -492,14 +456,6 @@ fn decide(reg: &mut imp::Registry, point: &'static str, arg: Option<&str>) -> im
     if match_idx < spec.after {
         return Action::Off;
     }
-    if spec.p < 1.0 {
-        let draw = splitmix64(reg.seed ^ fnv64(point) ^ match_idx);
-        // map the top 53 bits to [0, 1)
-        let unit = (draw >> 11) as f64 / (1u64 << 53) as f64;
-        if unit >= spec.p {
-            return Action::Off;
-        }
-    }
     let key = spec.ledger_key(point);
     if let Some(max) = spec.max {
         let fired = match &reg.state_path {
@@ -523,19 +479,17 @@ fn decide(reg: &mut imp::Registry, point: &'static str, arg: Option<&str>) -> im
 /// drops, e.g. `let _armed = arm(&registry::STORE_WRITE_BLOCK, "err,max=1")?;`.
 ///
 /// Only evaluations made by this thread see the spec, so tests running
-/// side by side in one process cannot trip each other's points; a `p=`
-/// draw uses `TG_FAULTS_SEED` and a `max=` budget is counted in memory.
+/// side by side in one process cannot trip each other's points; a `max=`
+/// budget is counted in memory.
 /// Arming a point this thread has already armed replaces its spec, and
 /// the first of the two guards to drop disarms it.
 #[cfg(feature = "enabled")]
 pub fn arm(point: &FaultPoint, spec: &str) -> Result<Armed, String> {
     use imp::*;
-    INIT.call_once(init_from_env);
     let parsed = parse_spec(spec)?;
     let point = point.name();
     let reg = Registry {
         points: [(point, parsed)].into(),
-        seed: lock().seed,
         ..Registry::default()
     };
     LOCAL.with(|l| l.borrow_mut().insert(point, reg));
@@ -584,7 +538,6 @@ mod tests {
     const T_BUDGET: FaultPoint = FaultPoint::fixture("t.budget");
     const T_ERR: FaultPoint = FaultPoint::fixture("t.err");
     const T_LEDGER: FaultPoint = FaultPoint::fixture("t.ledger");
-    const T_PROB: FaultPoint = FaultPoint::fixture("t.prob");
     const X: FaultPoint = FaultPoint::fixture("x");
 
     // `TG_FAULTS` arms a process-global table; these tests fill it the way
@@ -603,8 +556,8 @@ mod tests {
         imp::lock().points.remove(point.name());
     }
 
-    /// Disarm every point and reset all counters (the seed and state-file
-    /// path survive).
+    /// Disarm every point and reset all counters (the state-file path
+    /// survives).
     fn clear() {
         let mut reg = imp::lock();
         reg.points.clear();
@@ -669,20 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn probability_is_deterministic() {
-        let _g = locked();
-        set(&T_PROB, "err,p=0.5").unwrap();
-        let pattern: Vec<bool> = (0..64).map(|_| eval(&T_PROB, None).is_err()).collect();
-        let fired = pattern.iter().filter(|&&b| b).count();
-        assert!((10..=54).contains(&fired), "wildly unbalanced: {fired}/64");
-        // same seed, fresh counters: identical pattern
-        clear();
-        set(&T_PROB, "err,p=0.5").unwrap();
-        let again: Vec<bool> = (0..64).map(|_| eval(&T_PROB, None).is_err()).collect();
-        assert_eq!(pattern, again);
-    }
-
-    #[test]
     fn ledger_spans_processes() {
         let _g = locked();
         let dir = std::env::temp_dir().join(format!("tg_faults_ledger_{}", std::process::id()));
@@ -718,10 +657,13 @@ mod tests {
     fn spec_parse_errors_are_loud() {
         let _g = locked();
         assert!(set(&X, "explode").is_err());
-        assert!(set(&X, "err,p=2.0").is_err());
+        assert_eq!(
+            set(&X, "err,p=0.5").unwrap_err(),
+            "unknown fault modifier `p`"
+        );
         assert!(set(&X, "exit:nope").is_err());
         assert!(set(&X, "err,bogus=1").is_err());
-        assert!(set(&X, "sleep:10,arg=a,max=2,after=1,p=0.5").is_ok());
+        assert!(set(&X, "sleep:10,arg=a,max=2,after=1").is_ok());
     }
 
     #[test]

@@ -152,7 +152,7 @@ pub fn load_edge_list(
 pub fn write_edge_list<W: Write>(g: &TemporalGraph, writer: W) -> Result<(), IoError> {
     let mut w = BufWriter::new(writer);
     for e in g.edges() {
-        writeln!(w, "{} {} {}", e.u, e.v, e.t)?;
+        writeln!(w, "{e}")?;
     }
     w.flush()?;
     Ok(())
@@ -348,8 +348,8 @@ impl<W: Write> EdgeSink for StreamingWriterSink<W> {
         )]
         let w = self.writer.as_mut().expect("writer present until consumed");
         for e in edges {
-            if let Err(e) = writeln!(w, "{} {} {}", e.u, e.v, e.t) {
-                self.err = Some(e);
+            if let Err(err) = writeln!(w, "{e}") {
+                self.err = Some(err);
                 return;
             }
             self.n_written += 1;

@@ -33,6 +33,14 @@ impl TemporalEdge {
     }
 }
 
+/// The edge-list row `u v t` (no newline): the one spelling every text
+/// writer and the serve protocol's `Edges` payload share.
+impl std::fmt::Display for TemporalEdge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} {} {}", self.u, self.v, self.t)
+    }
+}
+
 /// An immutable temporal graph: `n` nodes, `T` timestamps, edges sorted by
 /// `(t, u, v)`.
 #[derive(Clone, Debug, Serialize, Deserialize)]

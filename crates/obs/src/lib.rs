@@ -5,10 +5,10 @@
 //!
 //! - [`Registry`] — a global metrics registry of sharded atomic
 //!   [`Counter`]s, [`Gauge`]s, and fixed-boundary [`Histogram`]s, with
-//!   Prometheus-style text exposition ([`Registry::render_prometheus`])
-//!   and JSON export ([`Registry::render_json`]). Handles are interned
-//!   per `(name, label-set)`; the hot path is a relaxed atomic op on an
-//!   already-held handle — no locks, no allocation.
+//!   Prometheus-style text exposition ([`Registry::render_prometheus`]).
+//!   Handles are interned per `(name, label-set)`; the hot path is a
+//!   relaxed atomic op on an already-held handle — no locks, no
+//!   allocation.
 //! - [`trace`] — RAII span guards capturing monotonic start/duration
 //!   and explicit parent ids, buffered per-thread and flushed as JSONL.
 //!   Spans stitch across fork/exec'd worker processes via the

@@ -211,7 +211,7 @@ impl Histogram {
     }
 }
 
-/// An immutable histogram snapshot; the unit of export and merging.
+/// An immutable histogram snapshot; the unit of export.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HistogramSnapshot {
     /// Ascending `le` boundaries.
@@ -227,24 +227,6 @@ impl HistogramSnapshot {
     /// Total observation count.
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Merge two snapshots bucket-wise. Returns `None` when the
-    /// boundary vectors differ (merging those would silently misbin).
-    pub fn merge(&self, other: &HistogramSnapshot) -> Option<HistogramSnapshot> {
-        if self.bounds != other.bounds || self.counts.len() != other.counts.len() {
-            return None;
-        }
-        Some(HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts: self
-                .counts
-                .iter()
-                .zip(&other.counts)
-                .map(|(a, b)| a + b)
-                .collect(),
-            sum: self.sum + other.sum,
-        })
     }
 }
 
@@ -420,58 +402,6 @@ impl Registry {
         }
         out
     }
-
-    /// Render the registry as a JSON array (hand-rolled; this crate
-    /// has no serde). One object per instrument, sorted as
-    /// [`Registry::snapshot`].
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, m) in self.snapshot().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            push_json_str(&mut out, &m.name);
-            out.push_str(",\"labels\":{");
-            for (j, (k, v)) in m.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                push_json_str(&mut out, k);
-                out.push(':');
-                push_json_str(&mut out, v);
-            }
-            out.push_str("},");
-            match &m.value {
-                MetricValue::Counter(v) => {
-                    out.push_str(&format!("\"type\":\"counter\",\"value\":{v}"));
-                }
-                MetricValue::Gauge(v) => {
-                    out.push_str(&format!("\"type\":\"gauge\",\"value\":{v}"));
-                }
-                MetricValue::Histogram(h) => {
-                    out.push_str("\"type\":\"histogram\",\"bounds\":[");
-                    for (j, b) in h.bounds.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!("{b}"));
-                    }
-                    out.push_str("],\"counts\":[");
-                    for (j, c) in h.counts.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!("{c}"));
-                    }
-                    out.push_str(&format!("],\"sum\":{}", h.sum));
-                }
-            }
-            out.push('}');
-        }
-        out.push(']');
-        out
-    }
 }
 
 /// Map a dotted metric name onto the Prometheus charset.
@@ -605,15 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_requires_same_bounds() {
-        let r = Registry::new();
-        let a = r.histogram("t.a", &[], &[1.0]).snapshot();
-        let b = r.histogram("t.b", &[], &[2.0]).snapshot();
-        assert!(a.merge(&b).is_none());
-        assert!(a.merge(&a).is_some());
-    }
-
-    #[test]
     fn prometheus_rendering_is_sorted_and_typed() {
         let r = Registry::new();
         r.counter("serve.requests", &[("run", "r1")]).add(2);
@@ -634,16 +555,6 @@ mod tests {
                         serve_requests{run=\"r1\"} 2\n\
                         serve_requests{run=\"r2\"} 1\n";
         assert_eq!(text, expected);
-    }
-
-    #[test]
-    fn json_rendering_is_parseable_shape() {
-        let r = Registry::new();
-        r.counter("a.b", &[("k", "v\"q")]).inc();
-        let json = r.render_json();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"name\":\"a.b\""));
-        assert!(json.contains("\\\"q")); // escaped quote survives
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //! - only idle entries are ever evicted.
 
 use crate::sync::lock_unpoisoned;
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Whether a `get` found the value resident or had to load it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CacheOutcome {
     /// The value was resident; no load ran.
     Hit,
@@ -35,7 +36,8 @@ pub enum CacheOutcome {
 }
 
 impl CacheOutcome {
-    /// Wire spelling (`"hit"` / `"miss"`) for `start` frames.
+    /// Lower-case spelling (`"hit"` / `"miss"`): the `cache` label of the
+    /// latency histogram and of the client's outcome structs.
     pub fn as_str(&self) -> &'static str {
         match self {
             CacheOutcome::Hit => "hit",

@@ -2,9 +2,10 @@
 //! the benchmark harness.
 
 use crate::net::Conn;
-use crate::protocol::{kind, read_frame, write_frame, Frame};
+use crate::protocol::{read_frame, write_frame, ErrorKind, Frame};
 use crate::telemetry::StatusReport;
 use std::io::{self, Write};
+use tg_graph::sink::GenerationStats;
 use tg_metrics::MetricScore;
 use tgae::CostEstimate;
 
@@ -16,10 +17,10 @@ pub enum ClientError {
     /// The server refused the request as busy (admission control or
     /// saturated model cache). Retry later.
     Busy(String),
-    /// The server answered with a typed error frame other than `busy`.
+    /// The server answered with a typed error frame other than `Busy`.
     Server {
-        /// One of the [`kind`] constants.
-        kind: String,
+        /// What went wrong.
+        kind: ErrorKind,
         /// The server's diagnosis.
         message: String,
     },
@@ -32,7 +33,9 @@ impl std::fmt::Display for ClientError {
         match self {
             ClientError::Io(e) => write!(f, "transport error: {e}"),
             ClientError::Busy(m) => write!(f, "{m}"),
-            ClientError::Server { kind, message } => write!(f, "server error ({kind}): {message}"),
+            ClientError::Server { kind, message } => {
+                write!(f, "server error ({kind:?}): {message}")
+            }
             ClientError::Protocol(m) => write!(f, "protocol violation: {m}"),
         }
     }
@@ -46,20 +49,20 @@ impl From<io::Error> for ClientError {
     }
 }
 
-fn error_frame(frame: Frame) -> ClientError {
-    let kind_str = frame.kind.unwrap_or_else(|| "unknown".to_string());
-    let message = frame.message.unwrap_or_default();
-    if kind_str == kind::BUSY {
-        ClientError::Busy(message)
-    } else {
-        ClientError::Server {
-            kind: kind_str,
+/// The error a frame stands for when it is not the answer `expected`: the
+/// server's typed refusal, or a protocol violation.
+fn unexpected(expected: &str, frame: Frame) -> ClientError {
+    match frame {
+        Frame::Error {
+            kind: ErrorKind::Busy,
             message,
-        }
+        } => ClientError::Busy(message),
+        Frame::Error { kind, message } => ClientError::Server { kind, message },
+        other => ClientError::Protocol(format!("expected {expected}, got `{}`", other.op())),
     }
 }
 
-/// What an admitted request reported back in its `start` frame, plus the
+/// What an admitted request reported back in its `Start` frame, plus the
 /// stream's final tally.
 #[derive(Clone, Debug)]
 pub struct SimulateOutcome {
@@ -71,12 +74,12 @@ pub struct SimulateOutcome {
     pub cache: String,
 }
 
-/// Outcome of a `simulate --stats` request: the summary JSON instead of
-/// an edge stream.
+/// Outcome of a `simulate --stats` request: the summary instead of an
+/// edge stream.
 #[derive(Clone, Debug)]
 pub struct StatsOutcome {
-    /// JSON-encoded `GenerationStats`.
-    pub stats_json: String,
+    /// Per-timestamp volume and degree tallies.
+    pub stats: GenerationStats,
     /// Total edges generated (none were transferred).
     pub n_edges: u64,
     /// The admission price the server computed.
@@ -112,11 +115,6 @@ impl Client {
         })
     }
 
-    fn send(&mut self, frame: &Frame) -> Result<(), ClientError> {
-        write_frame(&mut self.conn, frame)?;
-        Ok(())
-    }
-
     fn recv(&mut self) -> Result<Frame, ClientError> {
         match read_frame(&mut self.conn)? {
             Some(frame) => Ok(frame),
@@ -127,34 +125,26 @@ impl Client {
         }
     }
 
-    /// Expect the `start` acknowledgement of an admitted request.
-    fn recv_start(&mut self) -> Result<(CostEstimate, String), ClientError> {
-        let frame = self.recv()?;
-        match frame.op.as_str() {
-            "start" => {
-                let cost = frame
-                    .cost
-                    .ok_or_else(|| ClientError::Protocol("start frame without cost".into()))?;
-                let cache = frame.cache.unwrap_or_else(|| "miss".to_string());
-                Ok((cost, cache))
-            }
-            "error" => Err(error_frame(frame)),
-            other => Err(ClientError::Protocol(format!(
-                "expected start, got `{other}`"
-            ))),
+    /// Send a request and read the first frame of its answer.
+    fn ask(&mut self, request: &Frame) -> Result<Frame, ClientError> {
+        write_frame(&mut self.conn, request)?;
+        self.recv()
+    }
+
+    /// Send a `Simulate` / `Eval` request and expect its `Start`
+    /// acknowledgement.
+    fn start(&mut self, request: &Frame) -> Result<(CostEstimate, String), ClientError> {
+        match self.ask(request)? {
+            Frame::Start { cost, cache } => Ok((cost, cache.as_str().to_string())),
+            other => Err(unexpected("start", other)),
         }
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.send(&Frame::ping())?;
-        let frame = self.recv()?;
-        match frame.op.as_str() {
-            "pong" => Ok(()),
-            "error" => Err(error_frame(frame)),
-            other => Err(ClientError::Protocol(format!(
-                "expected pong, got `{other}`"
-            ))),
+        match self.ask(&Frame::Ping)? {
+            Frame::Pong => Ok(()),
+            other => Err(unexpected("pong", other)),
         }
     }
 
@@ -167,118 +157,80 @@ impl Client {
         seed: u64,
         out: &mut impl Write,
     ) -> Result<SimulateOutcome, ClientError> {
-        self.send(&Frame::simulate(run_id, seed, false))?;
-        let (cost, cache) = self.recv_start()?;
+        let (cost, cache) = self.start(&Frame::Simulate {
+            run_id: run_id.to_string(),
+            seed,
+            stats: false,
+        })?;
         loop {
-            let frame = self.recv()?;
-            match frame.op.as_str() {
-                "edges" => {
-                    let data = frame
-                        .data
-                        .ok_or_else(|| ClientError::Protocol("edges frame without data".into()))?;
-                    out.write_all(data.as_bytes())?;
-                }
-                "done" => {
+            match self.recv()? {
+                Frame::Edges { data } => out.write_all(data.as_bytes())?,
+                Frame::Done { n_edges } => {
                     out.flush()?;
                     return Ok(SimulateOutcome {
-                        n_edges: frame.n_edges.unwrap_or(0),
+                        n_edges,
                         cost,
                         cache,
                     });
                 }
-                "error" => return Err(error_frame(frame)),
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected edges/done, got `{other}`"
-                    )))
-                }
+                other => return Err(unexpected("edges/done", other)),
             }
         }
     }
 
     /// Run one simulation, returning only the `GenerationStats` summary.
     pub fn simulate_stats(&mut self, run_id: &str, seed: u64) -> Result<StatsOutcome, ClientError> {
-        self.send(&Frame::simulate(run_id, seed, true))?;
-        let (cost, cache) = self.recv_start()?;
-        let frame = self.recv()?;
-        match frame.op.as_str() {
-            "stats" => Ok(StatsOutcome {
-                stats_json: frame
-                    .data
-                    .ok_or_else(|| ClientError::Protocol("stats frame without data".into()))?,
-                n_edges: frame.n_edges.unwrap_or(0),
+        let (cost, cache) = self.start(&Frame::Simulate {
+            run_id: run_id.to_string(),
+            seed,
+            stats: true,
+        })?;
+        match self.recv()? {
+            Frame::Stats { stats, n_edges } => Ok(StatsOutcome {
+                stats,
+                n_edges,
                 cost,
                 cache,
             }),
-            "error" => Err(error_frame(frame)),
-            other => Err(ClientError::Protocol(format!(
-                "expected stats, got `{other}`"
-            ))),
+            other => Err(unexpected("stats", other)),
         }
     }
 
     /// Simulate under `seed` and score against the observed graph on the
     /// server (Eq. 10 metric suite).
     pub fn eval(&mut self, run_id: &str, seed: u64) -> Result<Vec<MetricScore>, ClientError> {
-        self.send(&Frame::eval(run_id, seed))?;
-        let _ = self.recv_start()?;
-        let frame = self.recv()?;
-        match frame.op.as_str() {
-            "scores" => frame
-                .scores
-                .ok_or_else(|| ClientError::Protocol("scores frame without scores".into())),
-            "error" => Err(error_frame(frame)),
-            other => Err(ClientError::Protocol(format!(
-                "expected scores, got `{other}`"
-            ))),
+        self.start(&Frame::Eval {
+            run_id: run_id.to_string(),
+            seed,
+        })?;
+        match self.recv()? {
+            Frame::Scores { scores } => Ok(scores),
+            other => Err(unexpected("scores", other)),
         }
     }
 
     /// Fetch the server's introspection report: resident models,
     /// in-flight cost vs budget, cache and per-run request counters.
     pub fn status(&mut self) -> Result<StatusReport, ClientError> {
-        self.send(&Frame::status())?;
-        let frame = self.recv()?;
-        match frame.op.as_str() {
-            "status_report" => {
-                let json = frame.data.ok_or_else(|| {
-                    ClientError::Protocol("status_report frame without data".into())
-                })?;
-                serde_json::from_str(&json)
-                    .map_err(|e| ClientError::Protocol(format!("undecodable status report: {e}")))
-            }
-            "error" => Err(error_frame(frame)),
-            other => Err(ClientError::Protocol(format!(
-                "expected status_report, got `{other}`"
-            ))),
+        match self.ask(&Frame::Status)? {
+            Frame::StatusReport(report) => Ok(report),
+            other => Err(unexpected("status_report", other)),
         }
     }
 
     /// Fetch the server's metrics registry as Prometheus text.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        self.send(&Frame::metrics())?;
-        let frame = self.recv()?;
-        match frame.op.as_str() {
-            "metrics_report" => frame
-                .data
-                .ok_or_else(|| ClientError::Protocol("metrics_report frame without data".into())),
-            "error" => Err(error_frame(frame)),
-            other => Err(ClientError::Protocol(format!(
-                "expected metrics_report, got `{other}`"
-            ))),
+        match self.ask(&Frame::Metrics)? {
+            Frame::MetricsReport { text } => Ok(text),
+            other => Err(unexpected("metrics_report", other)),
         }
     }
 
     /// Ask the server to drain and exit.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        self.send(&Frame::shutdown())?;
-        let frame = self.recv()?;
-        match frame.op.as_str() {
-            "bye" => Ok(()),
-            "error" => Err(error_frame(frame)),
-            other => Err(ClientError::Protocol(format!(
-                "expected bye, got `{other}`"
-            ))),
+        match self.ask(&Frame::Shutdown)? {
+            Frame::Bye => Ok(()),
+            other => Err(unexpected("bye", other)),
         }
     }
 }

@@ -8,19 +8,20 @@
 //! simulate/evaluate requests stop paying model-load time. The pieces:
 //!
 //! - [`protocol`] — length-prefixed JSON frames over TCP or a Unix
-//!   socket; edge streams are byte-identical to in-process
+//!   socket, one [`Frame`] variant per message (a payload that decodes is
+//!   well-formed); edge streams are byte-identical to in-process
 //!   `StreamingWriterSink` output.
 //! - [`cache`] — a bounded LRU of loaded [`SharedRun`](tgae::SharedRun)s;
 //!   every concurrent request for a run-id shares **one** `Arc`-held
 //!   model (no per-request clone).
 //! - [`admission`] — cost-based admission control priced by
 //!   [`SimulationPlan::cost_estimate`](tgae::SimulationPlan::cost_estimate);
-//!   over-budget requests get a typed `busy` rejection.
+//!   over-budget requests get a typed [`ErrorKind::Busy`] rejection.
 //! - [`server`] — the accept loop, per-connection workers, the
 //!   `serve.accept` / `serve.request.decode` / `serve.generate.unit`
 //!   fault points, and graceful drain.
 //! - [`client`] — the blocking client the CLI, tests, and benchmarks use.
-//! - [`telemetry`] — the `status`/`metrics` introspection ops' report
+//! - [`telemetry`] — the `Status`/`Metrics` introspection ops' report
 //!   types, fed by the global [`tg_obs`] metrics registry.
 //! - [`signal`] — `SIGTERM`/`SIGINT` → drain, with no external crate.
 //!
@@ -54,6 +55,6 @@ pub mod telemetry;
 pub use admission::{AdmissionController, Permit, Rejection};
 pub use cache::{CacheError, CacheOutcome, CacheStats, ModelCache};
 pub use client::{Client, ClientError, SimulateOutcome, StatsOutcome};
-pub use protocol::{read_frame, write_frame, Frame, MAX_FRAME_BYTES};
+pub use protocol::{read_frame, write_frame, ErrorKind, Frame, MAX_FRAME_BYTES};
 pub use server::{Loader, ServeConfig, ServeReport, Server, ServerHandle};
 pub use telemetry::{CacheCounters, ResidentModel, RunCounters, StatusReport};

@@ -13,28 +13,28 @@
 //! - `serve.accept` — evaluated per accepted connection; an injected
 //!   error drops the connection before any frame is exchanged.
 //! - `serve.request.decode` — evaluated per decoded request frame (arg =
-//!   the `op`); an injected error yields a typed `decode` error frame and
-//!   the connection stays usable.
+//!   [`Frame::op`], e.g. `simulate`); an injected error yields a typed
+//!   `Decode` error frame and the connection stays usable.
 //! - `serve.generate.unit` — evaluated per emitted work unit (arg =
 //!   `t:<t> chunk:<c>`); an injected error fails the request with a typed
-//!   `internal` error frame, an injected panic is caught at the request
+//!   `Internal` error frame, an injected panic is caught at the request
 //!   boundary. Either way the daemon and all concurrent requests survive.
-//! - `serve.status` — evaluated while assembling a `status` report; an
-//!   injected error answers a typed `internal` frame and the connection
+//! - `serve.status` — evaluated while assembling a `Status` report; an
+//!   injected error answers a typed `Internal` frame and the connection
 //!   (and daemon) stay usable.
 //!
 //! # Drain
 //!
-//! `SIGTERM`/`SIGINT` (via [`crate::signal`]), a `shutdown` request
+//! `SIGTERM`/`SIGINT` (via [`crate::signal`]), a `Shutdown` request
 //! frame, or [`ServerHandle::shutdown`] put the server in *draining*
 //! mode: new connections and new requests are refused with typed
-//! `shutdown` error frames, in-flight requests run to completion, then
+//! `Shutdown` error frames, in-flight requests run to completion, then
 //! [`Server::run`] returns its [`ServeReport`].
 
 use crate::admission::AdmissionController;
 use crate::cache::{CacheError, ModelCache};
 use crate::net::{Conn, Listener};
-use crate::protocol::{kind, read_frame, write_frame, Frame};
+use crate::protocol::{decode_payload, read_payload, write_frame, ErrorKind, Frame};
 use crate::signal;
 use crate::telemetry::{self, CacheCounters, ResidentModel, StatusReport};
 use std::io::{self, Write};
@@ -231,10 +231,7 @@ impl Server {
                         continue;
                     }
                     if draining {
-                        let _ = write_frame(
-                            &mut conn,
-                            &Frame::error(kind::SHUTDOWN, "server is draining"),
-                        );
+                        let _ = write_frame(&mut conn, &draining_refusal());
                         continue;
                     }
                     let worker_shared = Arc::clone(&shared);
@@ -279,13 +276,26 @@ impl Drop for ActiveGuard<'_> {
     }
 }
 
+fn error(kind: ErrorKind, cause: impl std::fmt::Display) -> Frame {
+    Frame::Error {
+        kind,
+        message: cause.to_string(),
+    }
+}
+
+fn draining_refusal() -> Frame {
+    error(ErrorKind::Shutdown, "server is draining")
+}
+
 fn handle_connection(mut conn: Conn, shared: Arc<SharedState>) {
     loop {
-        let frame = match read_frame(&mut conn) {
-            Ok(Some(frame)) => frame,
+        let payload = match read_payload(&mut conn) {
+            Ok(Some(payload)) => payload,
             Ok(None) => return,
             Err(e) => {
-                let _ = write_frame(&mut conn, &Frame::error(kind::DECODE, e.to_string()));
+                // A torn or oversized frame leaves no boundary to resume
+                // from: answer typed, then close.
+                let _ = write_frame(&mut conn, &error(ErrorKind::Decode, e));
                 return;
             }
         };
@@ -293,94 +303,103 @@ fn handle_connection(mut conn: Conn, shared: Arc<SharedState>) {
         // accept loop's `active == 0` drain test cannot miss it.
         let _active = ActiveGuard::new(&shared.active);
         if shared.is_draining() {
-            let _ = write_frame(
-                &mut conn,
-                &Frame::error(kind::SHUTDOWN, "server is draining"),
-            );
+            let _ = write_frame(&mut conn, &draining_refusal());
             return;
         }
-        if let Err(e) = tg_faults::eval(&SERVE_REQUEST_DECODE, Some(frame.op.as_str())) {
-            // Typed refusal; the framing is intact, so the connection
-            // stays usable and a retry on it can succeed.
-            if write_frame(&mut conn, &Frame::error(kind::DECODE, e.to_string())).is_err() {
-                return;
-            }
-            continue;
-        }
-        match frame.op.as_str() {
-            "ping" => {
-                if write_frame(&mut conn, &Frame::pong()).is_err() {
-                    return;
-                }
-            }
-            "shutdown" => {
+        // The payload arrived whole, so the framing is intact whatever it
+        // holds: one that does not decode, an injected decode fault or a
+        // response variant is refused typed, and a retry on this
+        // connection can succeed.
+        let request = decode_payload(&payload).and_then(|frame| {
+            tg_faults::eval(&SERVE_REQUEST_DECODE, Some(frame.op()))?;
+            Ok(frame)
+        });
+        let answer = match request {
+            Err(e) => error(ErrorKind::Decode, e),
+            Ok(Frame::Ping) => Frame::Pong,
+            Ok(Frame::Shutdown) => {
                 shared.shutdown.store(true, Ordering::SeqCst);
-                let _ = write_frame(&mut conn, &Frame::bye());
+                let _ = write_frame(&mut conn, &Frame::Bye);
                 return;
             }
-            "simulate" | "eval" => match handle_request(&mut conn, &shared, &frame) {
-                Ok(true) => {}
-                Ok(false) | Err(_) => return,
+            Ok(Frame::Simulate {
+                run_id,
+                seed,
+                stats,
+            }) => {
+                let job = if stats { Job::Stats } else { Job::Stream };
+                match handle_request(&mut conn, &shared, &run_id, seed, job) {
+                    Ok(true) => continue,
+                    Ok(false) | Err(_) => return,
+                }
+            }
+            Ok(Frame::Eval { run_id, seed }) => {
+                match handle_request(&mut conn, &shared, &run_id, seed, Job::Eval) {
+                    Ok(true) => continue,
+                    Ok(false) | Err(_) => return,
+                }
+            }
+            // An introspection failure (injected here) must answer typed
+            // on this connection and leave the daemon — and every
+            // data-plane request — untouched.
+            Ok(Frame::Status) => match tg_faults::eval(&SERVE_STATUS, None) {
+                Err(e) => error(ErrorKind::Internal, e),
+                Ok(()) => Frame::StatusReport(shared.status_report()),
             },
-            "status" => {
-                // An introspection failure (injected here) must answer
-                // typed on this connection and leave the daemon — and
-                // every data-plane request — untouched.
-                let response = match tg_faults::eval(&SERVE_STATUS, None) {
-                    Err(e) => Frame::error(kind::INTERNAL, e.to_string()),
-                    Ok(()) => match serde_json::to_string(&shared.status_report()) {
-                        Ok(json) => Frame::status_report(json),
-                        Err(e) => Frame::error(kind::INTERNAL, e.to_string()),
-                    },
-                };
-                if write_frame(&mut conn, &response).is_err() {
-                    return;
-                }
-            }
-            "metrics" => {
-                let text = tg_obs::Registry::global().render_prometheus();
-                if write_frame(&mut conn, &Frame::metrics_report(text)).is_err() {
-                    return;
-                }
-            }
-            other => {
-                let op = other.to_string();
-                if write_frame(
-                    &mut conn,
-                    &Frame::error(kind::DECODE, format!("unknown op `{op}`")),
-                )
-                .is_err()
-                {
-                    return;
-                }
-            }
+            Ok(Frame::Metrics) => Frame::MetricsReport {
+                text: tg_obs::Registry::global().render_prometheus(),
+            },
+            Ok(
+                response @ (Frame::Start { .. }
+                | Frame::Edges { .. }
+                | Frame::Stats { .. }
+                | Frame::Done { .. }
+                | Frame::Scores { .. }
+                | Frame::StatusReport(_)
+                | Frame::MetricsReport { .. }
+                | Frame::Pong
+                | Frame::Bye
+                | Frame::Error { .. }),
+            ) => error(
+                ErrorKind::Decode,
+                format_args!("`{}` is a response, not a request", response.op()),
+            ),
+        };
+        if write_frame(&mut conn, &answer).is_err() {
+            return;
         }
     }
 }
 
-/// Execute one admitted `simulate`/`eval` request. `Ok(true)` means the
+/// What an admitted request computes from its generation.
+enum Job {
+    /// Stream the edges as `Edges` frames, then `Done`.
+    Stream,
+    /// Fold the edges into one `Stats` summary.
+    Stats,
+    /// Score the generated graph against the observed one.
+    Eval,
+}
+
+/// Execute one `Simulate`/`Eval` request. `Ok(true)` means the
 /// connection may serve further requests; `Ok(false)` means it must close
 /// (a response stream was torn mid-flight).
-fn handle_request(conn: &mut Conn, shared: &SharedState, frame: &Frame) -> io::Result<bool> {
+fn handle_request(
+    conn: &mut Conn,
+    shared: &SharedState,
+    run_id: &str,
+    seed: u64,
+    job: Job,
+) -> io::Result<bool> {
     let stopwatch = tg_obs::Stopwatch::start();
-    let run_id = match frame.run_id.as_deref() {
-        Some(id) => id,
-        None => {
-            write_frame(
-                conn,
-                &Frame::error(kind::DECODE, "request is missing `run_id`"),
-            )?;
-            return Ok(true);
-        }
-    };
     let (run, outcome) = match shared.cache.get(run_id) {
         Ok(hit) => hit,
         Err(e @ CacheError::Load { .. }) => {
-            write_frame(conn, &Frame::error(kind::NOT_FOUND, e.to_string()))?;
+            write_frame(conn, &error(ErrorKind::NotFound, e))?;
             return Ok(true);
         }
         Err(e @ CacheError::Saturated { .. }) => {
-            write_frame(conn, &Frame::error(kind::BUSY, e.to_string()))?;
+            write_frame(conn, &error(ErrorKind::Busy, e))?;
             return Ok(true);
         }
     };
@@ -388,46 +407,53 @@ fn handle_request(conn: &mut Conn, shared: &SharedState, frame: &Frame) -> io::R
     let _permit = match shared.admission.try_admit(est.cost) {
         Ok(permit) => permit,
         Err(rejection) => {
-            write_frame(conn, &Frame::error(kind::BUSY, rejection.to_string()))?;
+            write_frame(conn, &error(ErrorKind::Busy, rejection))?;
             return Ok(true);
         }
     };
-    write_frame(conn, &Frame::start(est, outcome.as_str()))?;
+    write_frame(
+        conn,
+        &Frame::Start {
+            cost: est,
+            cache: outcome,
+        },
+    )?;
 
-    let seed = frame
-        .seed
-        .unwrap_or_else(|| run.seed_policy().simulation_master(0));
-    let want_stats = frame.stats == Some(true);
-    let is_eval = frame.op == "eval";
     let batch_edges = shared.cfg.batch_edges;
     // The panic boundary: an engine bug or an injected
     // `serve.generate.unit=panic` fault unwinds to here and becomes a
-    // typed `internal` error frame — the daemon and every concurrent
+    // typed `Internal` error frame — the daemon and every concurrent
     // request keep going.
     let executed = catch_unwind(AssertUnwindSafe(|| -> Result<Frame, String> {
-        if is_eval {
-            let shape = (run.observed().n_nodes(), run.observed().n_timestamps());
-            let sink = FaultGate::new(GraphSink::new(shape.0, shape.1));
-            let synthetic = run
-                .simulate_seeded(seed, sink)
-                .map_err(|e| e.to_string())??;
-            let scores = run.evaluate(&synthetic).map_err(|e| e.to_string())?;
-            Ok(Frame::scores(scores))
-        } else if want_stats {
-            let sink = FaultGate::new(StatsSink::new(run.observed().n_timestamps()));
-            let stats = run
-                .simulate_seeded(seed, sink)
-                .map_err(|e| e.to_string())??;
-            let json = serde_json::to_string(&stats).map_err(|e| e.to_string())?;
-            Ok(Frame::stats_summary(json, stats.n_edges()))
-        } else {
-            let bytes_counter = tg_obs::counter!("serve.bytes", run = run_id);
-            let sink = FaultGate::new(FrameSink::new(conn, batch_edges, bytes_counter));
-            let streamed = run
-                .simulate_seeded(seed, sink)
-                .map_err(|e| e.to_string())??;
-            let n_edges = streamed.map_err(|e| format!("stream write failed: {e}"))?;
-            Ok(Frame::done(n_edges))
+        match job {
+            Job::Eval => {
+                let shape = (run.observed().n_nodes(), run.observed().n_timestamps());
+                let sink = FaultGate::new(GraphSink::new(shape.0, shape.1));
+                let synthetic = run
+                    .simulate_seeded(seed, sink)
+                    .map_err(|e| e.to_string())??;
+                let scores = run.evaluate(&synthetic).map_err(|e| e.to_string())?;
+                Ok(Frame::Scores { scores })
+            }
+            Job::Stats => {
+                let sink = FaultGate::new(StatsSink::new(run.observed().n_timestamps()));
+                let stats = run
+                    .simulate_seeded(seed, sink)
+                    .map_err(|e| e.to_string())??;
+                Ok(Frame::Stats {
+                    n_edges: stats.n_edges(),
+                    stats,
+                })
+            }
+            Job::Stream => {
+                let bytes_counter = tg_obs::counter!("serve.bytes", run = run_id);
+                let sink = FaultGate::new(FrameSink::new(conn, batch_edges, bytes_counter));
+                let streamed = run
+                    .simulate_seeded(seed, sink)
+                    .map_err(|e| e.to_string())??;
+                let n_edges = streamed.map_err(|e| format!("stream write failed: {e}"))?;
+                Ok(Frame::Done { n_edges })
+            }
         }
     }));
     match executed {
@@ -449,7 +475,7 @@ fn handle_request(conn: &mut Conn, shared: &SharedState, frame: &Frame) -> io::R
             // Edge frames may already be on the wire: answer typed, then
             // close so the client never mistakes a partial stream for a
             // complete one.
-            let _ = write_frame(conn, &Frame::error(kind::INTERNAL, message));
+            let _ = write_frame(conn, &error(ErrorKind::Internal, message));
             Ok(false)
         }
         Err(panic) => {
@@ -458,7 +484,10 @@ fn handle_request(conn: &mut Conn, shared: &SharedState, frame: &Frame) -> io::R
             let message = panic_message(panic.as_ref());
             let _ = write_frame(
                 conn,
-                &Frame::error(kind::INTERNAL, format!("request panicked: {message}")),
+                &error(
+                    ErrorKind::Internal,
+                    format_args!("request panicked: {message}"),
+                ),
             );
             Ok(false)
         }
@@ -517,9 +546,9 @@ impl<S: EdgeSink> EdgeSink for FaultGate<S> {
     }
 }
 
-/// Streams accepted units to the connection as `edges` frames, batching
-/// `batch_edges` rows per frame. The text payload concatenation is
-/// byte-identical to what `StreamingWriterSink` writes in process. Write
+/// Streams accepted units to the connection as `Edges` frames, batching
+/// `batch_edges` rows per frame: the rows `StreamingWriterSink` writes in
+/// process, [`TemporalEdge`]'s `Display` plus a newline. Write
 /// errors are deferred to `finish` (the [`EdgeSink`] contract has no
 /// fallible accept).
 struct FrameSink<'a> {
@@ -569,10 +598,8 @@ impl EdgeSink for FrameSink<'_> {
             return;
         }
         for e in edges {
-            // Must match StreamingWriterSink's row format exactly — the
-            // byte-identity contract of the protocol depends on it.
             use std::fmt::Write as _;
-            let _ = writeln!(self.buf, "{} {} {}", e.u, e.v, e.t);
+            let _ = writeln!(self.buf, "{e}");
             self.buffered_rows += 1;
             self.n_edges += 1;
             if self.buffered_rows >= self.batch_edges {

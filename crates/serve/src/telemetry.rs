@@ -47,7 +47,7 @@ pub struct RunCounters {
     pub bytes: u64,
 }
 
-/// The full `status` frame payload (JSON in `Frame::data`).
+/// The payload of a [`Frame::StatusReport`](crate::Frame::StatusReport).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct StatusReport {
     /// Whether the server is refusing new work.

@@ -6,14 +6,17 @@
 //! real worker threads) with a loader that counts invocations — so the
 //! tests can assert that fan-out never reloaded or cloned the model.
 
-use std::io;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use tg_graph::io::StreamingWriterSink;
 use tg_graph::sink::GraphSink;
 use tg_graph::{TemporalEdge, TemporalGraph};
-use tg_serve::{Client, ClientError, ServeConfig, ServeReport, Server, ServerHandle};
+use tg_serve::{
+    read_frame, write_frame, Client, ClientError, ErrorKind, Frame, ServeConfig, ServeReport,
+    Server, ServerHandle,
+};
 use tgae::{Session, SharedRun, TgaeConfig};
 
 fn ring(n: u32, t_count: u32) -> TemporalGraph {
@@ -216,8 +219,7 @@ fn stats_requests_match_the_in_process_summary() {
     let mut client = Client::connect_tcp(&server.addr).unwrap();
     let outcome = client.simulate_stats("shared", 9).unwrap();
     assert_eq!(outcome.n_edges, want.n_edges());
-    let got: tg_graph::sink::GenerationStats = serde_json::from_str(&outcome.stats_json).unwrap();
-    assert_eq!(got, want);
+    assert_eq!(outcome.stats, want);
     server.stop();
 }
 
@@ -230,7 +232,7 @@ fn unknown_run_id_is_a_typed_not_found_and_the_connection_survives() {
     let mut sink = Vec::new();
     match client.simulate("nope", 1, &mut sink) {
         Err(ClientError::Server { kind, message }) => {
-            assert_eq!(kind, "not_found");
+            assert_eq!(kind, ErrorKind::NotFound);
             assert!(message.contains("nope"), "{message}");
         }
         other => panic!("expected not_found, got {other:?}"),
@@ -254,7 +256,7 @@ fn draining_server_refuses_new_work_with_a_typed_frame() {
     server.handle.shutdown();
     assert!(server.handle.is_draining());
     match existing.ping() {
-        Err(ClientError::Server { kind, .. }) => assert_eq!(kind, "shutdown"),
+        Err(ClientError::Server { kind, .. }) => assert_eq!(kind, ErrorKind::Shutdown),
         other => panic!("expected shutdown refusal, got {other:?}"),
     }
 
@@ -262,7 +264,7 @@ fn draining_server_refuses_new_work_with_a_typed_frame() {
     // if the listener already closed, a transport error).
     match Client::connect_tcp(&server.addr) {
         Ok(mut fresh) => match fresh.ping() {
-            Err(ClientError::Server { kind, .. }) => assert_eq!(kind, "shutdown"),
+            Err(ClientError::Server { kind, .. }) => assert_eq!(kind, ErrorKind::Shutdown),
             Err(ClientError::Io(_)) => {}
             other => panic!("expected refusal, got {other:?}"),
         },
@@ -271,5 +273,59 @@ fn draining_server_refuses_new_work_with_a_typed_frame() {
     }
 
     let report = server.thread.join().unwrap().unwrap();
+    assert_eq!(report.requests_served, 0);
+}
+
+/// Write `payload` as one whole frame, whatever it holds.
+fn send_payload(stream: &mut std::net::TcpStream, payload: &[u8]) {
+    stream
+        .write_all(&(payload.len() as u32).to_be_bytes())
+        .unwrap();
+    stream.write_all(payload).unwrap();
+}
+
+#[test]
+fn an_undecodable_frame_is_a_typed_error_and_the_connection_survives() {
+    let run = trained_run();
+    let server = TestServer::start(run, ServeConfig::default());
+    let mut stream = std::net::TcpStream::connect(&server.addr).unwrap();
+
+    // Whole frames that are no request: not JSON, JSON but no variant, a
+    // variant short of a field, a response. Each is refused typed ...
+    let pong = serde_json::to_string(&Frame::Pong).unwrap();
+    for payload in [
+        &b"\xff\xfe not json"[..],
+        br#"{"op":"ping"}"#,
+        br#"{"Simulate":{"run_id":"shared"}}"#,
+        pong.as_bytes(),
+    ] {
+        send_payload(&mut stream, payload);
+        match read_frame(&mut stream).unwrap() {
+            Some(Frame::Error { kind, .. }) => assert_eq!(kind, ErrorKind::Decode),
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+        // ... and the same socket still answers.
+        write_frame(&mut stream, &Frame::Ping).unwrap();
+        assert!(matches!(
+            read_frame(&mut stream).unwrap(),
+            Some(Frame::Pong)
+        ));
+    }
+
+    // A framing failure has no boundary to resume from: typed answer,
+    // then the server hangs up.
+    stream.write_all(&u32::MAX.to_be_bytes()).unwrap();
+    match read_frame(&mut stream).unwrap() {
+        Some(Frame::Error { kind, .. }) => assert_eq!(kind, ErrorKind::Decode),
+        other => panic!("expected a decode error, got {other:?}"),
+    }
+    assert!(
+        read_frame(&mut stream).unwrap().is_none(),
+        "connection closed"
+    );
+
+    // None of it touched the daemon.
+    Client::connect_tcp(&server.addr).unwrap().ping().unwrap();
+    let report = server.stop();
     assert_eq!(report.requests_served, 0);
 }

@@ -1407,43 +1407,12 @@ pub fn segment_softmax_naive(scores: &Matrix, seg: &[u32], n_segments: usize) ->
     out
 }
 
-/// True if `seg` is non-decreasing, i.e. already in sort-by-segment
-/// layout. The attention encoder's destination segments are emitted
-/// grouped per target, so the hot path takes the no-permutation branch.
+/// True if `seg` is non-decreasing, i.e. in sort-by-segment layout: the
+/// precondition of [`segment_softmax`] and its backward.
+/// `BipartiteLayer::dst` is pushed target by target, so the encoder's
+/// layout always is.
 fn seg_is_sorted(seg: &[u32]) -> bool {
     seg.windows(2).all(|w| w[0] <= w[1])
-}
-
-/// Unsorted-layout softmax via per-segment accumulators. Permuting the
-/// edge arrays into sort-by-segment order was measured slower than the
-/// scalar reference at 2×10⁶ edges — the counting-sort gathers and
-/// scatters are random accesses over *edge*-sized arrays — so instead
-/// the edge arrays stream sequentially three times and only the
-/// `n_segments`-sized max/sum accumulators (typically orders of
-/// magnitude smaller and cache-resident) take random hits: a max fold,
-/// a [`fast_exp`] pass accumulating the f64 denominator, and a
-/// normalising pass through precomputed inverses.
-fn softmax_accum(x: &[f32], seg: &[u32], n_segments: usize, out: &mut [f32]) {
-    let mut maxs = vec![f32::NEG_INFINITY; n_segments];
-    for (&v, &s) in x.iter().zip(seg) {
-        let m = &mut maxs[s as usize];
-        if v > *m {
-            *m = v;
-        }
-    }
-    let mut sums = vec![0.0f64; n_segments];
-    for (o, (&v, &s)) in out.iter_mut().zip(x.iter().zip(seg)) {
-        let e = fast_exp(v - maxs[s as usize]);
-        *o = e;
-        sums[s as usize] += e as f64;
-    }
-    let invs: Vec<f32> = sums
-        .iter()
-        .map(|&d| if d > 0.0 { (1.0 / d) as f32 } else { 0.0 })
-        .collect();
-    for (o, &s) in out.iter_mut().zip(seg) {
-        *o *= invs[s as usize];
-    }
 }
 
 /// Blocked per-run softmax over values already in sort-by-segment
@@ -1483,23 +1452,26 @@ fn softmax_runs_inplace(vals: &mut [f32], seg: &[u32]) {
 /// together with the max-subtraction trick. Returns a column vector.
 ///
 /// This is the edge-softmax of graph attention: segments are destination
-/// nodes, rows are incoming edges. Already-sorted segments (the encoder
-/// emits them grouped by target) are processed as contiguous runs with
-/// blocked max/exp/sum passes; unsorted layouts take the streaming
-/// accumulator fallback (`softmax_accum`). Agrees with the scalar
+/// nodes, rows are incoming edges. `seg` must be sorted by segment (the
+/// encoder emits edges grouped by target); each contiguous run gets
+/// blocked max/exp/sum passes. Agrees with the scalar
 /// [`segment_softmax_naive`] within a few ULP (the denominator is
 /// lane-summed and applied as one `f32` inverse, the trade
 /// [`softmax_rows`] already makes).
+///
+/// # Panics
+///
+/// If `seg` is not non-decreasing.
 pub fn segment_softmax(scores: &Matrix, seg: &[u32], n_segments: usize) -> Matrix {
     assert_eq!(scores.cols, 1, "segment_softmax expects a column vector");
     assert_eq!(scores.rows, seg.len());
+    assert!(
+        seg_is_sorted(seg),
+        "segment_softmax expects ids sorted by segment ({n_segments} segments)"
+    );
     let mut out = Matrix::zeros(scores.rows, 1);
-    if seg_is_sorted(seg) {
-        out.data.copy_from_slice(&scores.data);
-        softmax_runs_inplace(&mut out.data, seg);
-    } else {
-        softmax_accum(&scores.data, seg, n_segments, &mut out.data);
-    }
+    out.data.copy_from_slice(&scores.data);
+    softmax_runs_inplace(&mut out.data, seg);
     out
 }
 
@@ -1546,26 +1518,19 @@ fn segment_softmax_backward_runs(y: &[f32], g: &[f32], seg: &[u32], out: &mut [f
 /// upstream gradient `g` (both Ex1 over the same `seg` layout), returns
 /// `gx[j] = y[j] * (g[j] - Σ_{i∈seg(j)} g[i]·y[i])`.
 ///
-/// Vectorised exactly like the forward: contiguous runs with
-/// `lane_dot`-ordered per-segment dot products for sorted segments,
-/// streaming f64 dot accumulators per segment otherwise. The tape's
-/// `SegmentSoftmax` backward dispatches here.
+/// Vectorised exactly like the forward, under the same sorted-`seg`
+/// precondition: contiguous runs with `lane_dot`-ordered per-segment dot
+/// products. The tape's `SegmentSoftmax` backward dispatches here.
 pub fn segment_softmax_backward(y: &Matrix, g: &Matrix, seg: &[u32], n_segments: usize) -> Matrix {
     assert_eq!(y.cols, 1, "segment_softmax_backward expects column vectors");
     assert_eq!(y.shape(), g.shape());
     assert_eq!(y.rows, seg.len());
+    assert!(
+        seg_is_sorted(seg),
+        "segment_softmax_backward expects ids sorted by segment ({n_segments} segments)"
+    );
     let mut out = Matrix::zeros(y.rows, 1);
-    if seg_is_sorted(seg) {
-        segment_softmax_backward_runs(&y.data, &g.data, seg, &mut out.data);
-    } else {
-        let mut dots = vec![0.0f64; n_segments];
-        for ((&yv, &gv), &s) in y.data.iter().zip(&g.data).zip(seg) {
-            dots[s as usize] += (yv * gv) as f64;
-        }
-        for ((o, (&yv, &gv)), &s) in out.data.iter_mut().zip(y.data.iter().zip(&g.data)).zip(seg) {
-            *o = yv * (gv - dots[s as usize] as f32);
-        }
-    }
+    segment_softmax_backward_runs(&y.data, &g.data, seg, &mut out.data);
     out
 }
 
@@ -1874,6 +1839,12 @@ mod tests {
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             assert!(approx(*x, *y));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted by segment")]
+    fn segment_softmax_rejects_an_unsorted_layout() {
+        segment_softmax(&Matrix::zeros(3, 1), &[0, 1, 0], 2);
     }
 
     #[test]

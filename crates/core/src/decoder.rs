@@ -160,7 +160,7 @@ impl EgoDecoder {
         for (i, layer) in cg.layers.iter().enumerate() {
             // mean over parent contributions per child slot
             let mut counts = vec![0f32; layer.n_sources];
-            for &s in &layer.src {
+            for &s in layer.src.iter() {
                 counts[s as usize] += 1.0;
             }
             let w: Vec<f32> = layer
@@ -169,11 +169,9 @@ impl EgoDecoder {
                 .map(|&s| 1.0 / counts[s as usize])
                 .collect();
             let w_in = tape.input(Matrix::from_vec(w.len(), 1, w));
-            let dst_idx: Rc<Vec<u32>> = Rc::new(layer.dst.clone());
-            let src_idx: Rc<Vec<u32>> = Rc::new(layer.src.clone());
-            let parent_rows = tape.gather_rows(levels[i], dst_idx);
+            let parent_rows = tape.gather_rows(levels[i], layer.dst.clone());
             let weighted = tape.scale_rows(parent_rows, w_in);
-            let agg = tape.scatter_add_rows(weighted, src_idx, layer.n_sources);
+            let agg = tape.scatter_add_rows(weighted, layer.src.clone(), layer.n_sources);
             let lo = level_offsets[i + 1] as u32;
             let hi = level_offsets[i + 2] as u32;
             let z_i = tape.gather_rows(z_all, Rc::new((lo..hi).collect()));

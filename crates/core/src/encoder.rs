@@ -18,6 +18,10 @@ use std::rc::Rc;
 use tg_sampling::{BipartiteLayer, ComputationGraph};
 use tg_tensor::prelude::*;
 
+/// Negative slope of the LeakyReLU on the attention logits (Eq. 5) and on
+/// the aggregated messages (σ of Eq. 4).
+const LEAKY_SLOPE: f32 = 0.2;
+
 /// One attention head's parameters.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct TgaHead {
@@ -27,6 +31,19 @@ struct TgaHead {
     a_src: ParamId,
     /// Attention vector, target/query half (`d_head x 1`).
     a_dst: ParamId,
+}
+
+impl TgaHead {
+    /// `(hw, s_src, s_dst)`: the projected source rows `h_src W`
+    /// (`n_src x d_head`) and their products with the two halves of the
+    /// attention vector (`n_src x 1` each; `s_dst` is read at self slots).
+    fn project(&self, tape: &mut Tape, store: &ParamStore, h_src: Var) -> (Var, Var, Var) {
+        let w = tape.param(store, self.w);
+        let hw = tape.matmul(h_src, w);
+        let a_s = tape.param(store, self.a_src);
+        let a_d = tape.param(store, self.a_dst);
+        (hw, tape.matmul(hw, a_s), tape.matmul(hw, a_d))
+    }
 }
 
 /// One multi-head TGAT layer.
@@ -83,6 +100,11 @@ impl TgatLayer {
     /// Run one bipartite attention step: `h_src` are source-level hidden
     /// rows (`n_sources x in_dim`); returns target-level rows
     /// (`n_targets x out_dim`).
+    ///
+    /// Per head the tape holds the projection `hw = h_src W` and the two
+    /// halves `hw a_src`, `hw a_dst` of the attention logit; one
+    /// [`Tape::gat_attend`] then does Eqs. 4–5 for every head, and `W_o`
+    /// projects its concatenated output (Eq. 3).
     pub fn forward(
         &self,
         tape: &mut Tape,
@@ -91,8 +113,36 @@ impl TgatLayer {
         layer: &BipartiteLayer,
     ) -> Var {
         assert_eq!(tape.shape(h_src).0, layer.n_sources, "source row mismatch");
-        let src_idx: Rc<Vec<u32>> = Rc::new(layer.src.clone());
-        let seg: Rc<Vec<u32>> = Rc::new(layer.dst.clone());
+        let heads: Vec<(Var, Var, Var)> = self
+            .heads
+            .iter()
+            .map(|head| head.project(tape, store, h_src))
+            .collect();
+        let cat = tape.gat_attend(
+            &heads,
+            layer.src.clone(),
+            layer.dst.clone(),
+            layer.self_idx.clone(),
+            LEAKY_SLOPE,
+        );
+        self.w_o.forward(tape, store, cat)
+    }
+
+    /// [`TgatLayer::forward`] with the attention of each head recorded op
+    /// by op — three gathers, `add`, `leaky_relu`, `segment_softmax`,
+    /// `scale_rows`, `scatter_add_rows`, `leaky_relu`, then `concat_cols`
+    /// across heads — as it was before [`Tape::gat_attend`]. The test
+    /// reference that op is held against bit for bit, values and
+    /// gradients (`tests/generation_rows_oracle.rs`,
+    /// `tests/train_step_oracle.rs`); nothing else calls it.
+    pub fn forward_reference(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        h_src: Var,
+        layer: &BipartiteLayer,
+    ) -> Var {
+        assert_eq!(tape.shape(h_src).0, layer.n_sources, "source row mismatch");
         // per-edge index of the target's own (self-loop) source slot
         let query_idx: Rc<Vec<u32>> = Rc::new(
             layer
@@ -101,24 +151,18 @@ impl TgatLayer {
                 .map(|&d| layer.self_idx[d as usize])
                 .collect(),
         );
-
         let mut head_outs = Vec::with_capacity(self.heads.len());
         for head in &self.heads {
-            let w = tape.param(store, head.w);
-            let hw = tape.matmul(h_src, w); // n_src x d_head
-            let a_s = tape.param(store, head.a_src);
-            let a_d = tape.param(store, head.a_dst);
-            let s_src = tape.matmul(hw, a_s); // n_src x 1
-            let s_dst = tape.matmul(hw, a_d); // n_src x 1 (queried at self slots)
-            let e_src = tape.gather_rows(s_src, src_idx.clone());
+            let (hw, s_src, s_dst) = head.project(tape, store, h_src);
+            let e_src = tape.gather_rows(s_src, layer.src.clone());
             let e_dst = tape.gather_rows(s_dst, query_idx.clone());
             let e_sum = tape.add(e_src, e_dst);
-            let e = tape.leaky_relu(e_sum, 0.2); // Eq. 5
-            let alpha = tape.segment_softmax(e, seg.clone(), layer.n_targets);
-            let msgs = tape.gather_rows(hw, src_idx.clone());
+            let e = tape.leaky_relu(e_sum, LEAKY_SLOPE); // Eq. 5
+            let alpha = tape.segment_softmax(e, layer.dst.clone(), layer.n_targets);
+            let msgs = tape.gather_rows(hw, layer.src.clone());
             let weighted = tape.scale_rows(msgs, alpha);
-            let agg = tape.scatter_add_rows(weighted, seg.clone(), layer.n_targets);
-            head_outs.push(tape.leaky_relu(agg, 0.2)); // σ of Eq. 4
+            let agg = tape.scatter_add_rows(weighted, layer.dst.clone(), layer.n_targets);
+            head_outs.push(tape.leaky_relu(agg, LEAKY_SLOPE)); // σ of Eq. 4
         }
         // Concat heads then project (Eq. 3).
         let mut cat = head_outs[0];
@@ -178,12 +222,42 @@ impl TgatEncoder {
         cg: &ComputationGraph,
         outer_features: Var,
     ) -> Vec<Var> {
+        self.forward_with(TgatLayer::forward, tape, store, cg, outer_features)
+    }
+
+    /// [`TgatEncoder::forward`] over [`TgatLayer::forward_reference`]: the
+    /// op-by-op encoder the oracle tests compare against; no production
+    /// caller.
+    pub fn forward_reference(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        cg: &ComputationGraph,
+        outer_features: Var,
+    ) -> Vec<Var> {
+        self.forward_with(
+            TgatLayer::forward_reference,
+            tape,
+            store,
+            cg,
+            outer_features,
+        )
+    }
+
+    fn forward_with(
+        &self,
+        layer_forward: fn(&TgatLayer, &mut Tape, &ParamStore, Var, &BipartiteLayer) -> Var,
+        tape: &mut Tape,
+        store: &ParamStore,
+        cg: &ComputationGraph,
+        outer_features: Var,
+    ) -> Vec<Var> {
         let k = self.layers.len();
         assert_eq!(cg.k(), k, "computation graph radius != encoder depth");
         let mut h = outer_features;
         let mut per_level: Vec<Var> = Vec::with_capacity(k);
         for i in (0..k).rev() {
-            h = self.layers[i].forward(tape, store, h, &cg.layers[i]);
+            h = layer_forward(&self.layers[i], tape, store, h, &cg.layers[i]);
             per_level.push(h);
         }
         per_level.reverse(); // now index 0 = centers
@@ -249,6 +323,32 @@ mod tests {
         assert_eq!(levels.len(), 2);
         assert_eq!(tape.shape(levels[0]), (cg.levels[0].len(), 8));
         assert_eq!(tape.shape(levels[1]), (cg.levels[1].len(), 8));
+    }
+
+    /// A layer at the default widths is four heads of six nodes
+    /// (`W`, `hW`, `a_src`, `a_dst` and the two logit halves), one
+    /// `gat_attend` and the four nodes of `W_o` (op by op it was 67).
+    #[test]
+    fn a_default_config_layer_records_29_nodes() {
+        let cfg = crate::config::TgaeConfig::default();
+        let k = cfg.sampler.k;
+        let cg = build_cg(k);
+        let mut store = ParamStore::new();
+        let mut rng = SmallRng::seed_from_u64(6);
+        let enc = TgatEncoder::new(
+            &mut store,
+            &mut rng,
+            k,
+            cfg.d_in,
+            cfg.d_head,
+            cfg.heads,
+            cfg.d_model,
+        );
+        let mut tape = Tape::new();
+        let feats = tape.input(Matrix::full(cg.levels[k].len(), cfg.d_in, 0.1));
+        let before = tape.len();
+        enc.forward(&mut tape, &store, &cg, feats);
+        assert_eq!(tape.len() - before, 29 * k);
     }
 
     #[test]

@@ -374,6 +374,7 @@ impl<'a> SimulationEngine<'a> {
                 self.model
                     .generation_rows(tape, self.observed, &centers, &mut rng);
             let probs = tape.value(probs);
+            let _draw = tg_obs::trace::span("unit.draw");
             let mut scratch = RowSampler::default();
             for (row, &budget) in unit.budgets.iter().enumerate() {
                 scratch.sample(&mut rng, probs.row(row), &cands, budget, |v| {

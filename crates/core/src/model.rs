@@ -259,6 +259,11 @@ impl Tgae {
     /// no table is replayed. Bias, temperature and softmax are applied in
     /// place on the score matrix. `rng` is consumed by computation-graph
     /// sampling, then by the negative candidates, and by nothing else.
+    ///
+    /// Three spans split the pass for a traced run: `unit.cgbuild` (the
+    /// computation graph and its slot list), `unit.encode` (feature rows
+    /// and the encoder) and `unit.score` (latent, decode state, candidates,
+    /// scores, softmax).
     pub(crate) fn generation_rows<R: Rng + ?Sized>(
         &self,
         tape: &mut Tape,
@@ -266,6 +271,7 @@ impl Tgae {
         centers: &[(NodeId, Time)],
         rng: &mut R,
     ) -> (Var, Rc<Vec<u32>>) {
+        let cgbuild = tg_obs::trace::span("unit.cgbuild");
         let cg = ComputationGraph::build(g, centers, &self.cfg.sampler, rng);
         assert_eq!(
             cg.centers(),
@@ -273,11 +279,15 @@ impl Tgae {
             "generation centers must be distinct and sorted"
         );
         let (slots, offsets) = cg.all_slots();
+        drop(cgbuild);
+        let encode = tg_obs::trace::span("unit.encode");
         let x_all = self.features.forward(tape, &self.store, &slots);
         let k = cg.k();
         let outer_idx: Rc<Vec<u32>> = Rc::new((offsets[k] as u32..offsets[k + 1] as u32).collect());
         let x_outer = tape.gather_rows(x_all, outer_idx);
         let enc_levels = self.encoder.forward(tape, &self.store, &cg, x_outer);
+        drop(encode);
+        let _score = tg_obs::trace::span("unit.score");
         // deterministic latent: Z = mu. Computed over all slots although
         // only the center rows are read: a row-subset gemm can fall on the
         // other side of the naive/tiled switch and differ in the last bit.

@@ -6,18 +6,21 @@
 //! tape ops, each step a fresh copy: whole tables replayed with `param`
 //! and read with `gather_rows`, every decode level, the bias added
 //! through `transpose` and `add_row`, then `map(x / τ)` and
-//! `softmax_rows`. It asserts `to_bits()` equality with
+//! `softmax_rows`, and the encoder through
+//! `TgatEncoder::forward_reference` — the attention of every head as
+//! eleven separate ops. It asserts `to_bits()` equality with
 //! [`Tgae::decode_rows_for_generation`], which gathers only the rows it
-//! scores, stops at decode level 0 and finishes the score matrix in
-//! place. Both sides must also leave the RNG in the same state
-//! (computation-graph sampling, then negatives).
+//! scores, encodes with one `Tape::gat_attend` per layer, stops at decode
+//! level 0 and finishes the score matrix in place — under every
+//! microkernel of this CPU. Both sides must also leave the RNG in the
+//! same state (computation-graph sampling, then negatives).
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::rc::Rc;
 use tg_graph::{NodeId, TemporalEdge, TemporalGraph, Time};
 use tg_sampling::ComputationGraph;
-use tg_tensor::matrix::{softmax_rows, Matrix};
+use tg_tensor::matrix::{available_microkernels, force_microkernel, softmax_rows, Matrix};
 use tg_tensor::prelude::*;
 use tgae::decoder::build_candidates;
 use tgae::{Tgae, TgaeConfig};
@@ -85,7 +88,9 @@ fn reference_rows(
     let k = cg.k();
     let outer = (offsets[k] as u32..offsets[k + 1] as u32).collect();
     let x_outer = tape.gather_rows(x_all, Rc::new(outer));
-    let enc_levels = model.encoder.forward(&mut tape, store, &cg, x_outer);
+    let enc_levels = model
+        .encoder
+        .forward_reference(&mut tape, store, &cg, x_outer);
     let (_, mu, _) = model.decoder.latent(&mut tape, store, x_all, false, rng);
     let dec_levels = model
         .decoder
@@ -123,28 +128,33 @@ fn reference_rows(
 #[test]
 fn generation_rows_keep_every_bit_of_the_replayed_computation() {
     let g = graph();
-    let mut cases = 0;
-    for dense in [true, false] {
-        for k in [1usize, 2] {
-            let model = model(&g, k, dense);
-            for n_centers in 1..=6u32 {
-                let ctx = format!("dense={dense} k={k} centers={n_centers}");
-                let centers: Vec<(NodeId, Time)> = (0..n_centers).map(|i| (3 + 6 * i, 1)).collect();
-                let seed = 1000 + cases;
-                let mut rng_ref = SmallRng::seed_from_u64(seed);
-                let mut rng_new = SmallRng::seed_from_u64(seed);
-                let (want, want_cands) = reference_rows(&model, &g, &centers, &mut rng_ref);
-                let (got, got_cands) = model.decode_rows_for_generation(&g, &centers, &mut rng_new);
-                assert_eq!(*got_cands, want_cands, "{ctx}: candidates");
-                assert_eq!(dense, want_cands.len() == N_NODES as usize, "{ctx}: path");
-                assert_eq!(got.shape(), want.shape(), "{ctx}: shape");
-                for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: element {i}: {a} vs {b}");
+    for kind in available_microkernels() {
+        let _forced = force_microkernel(kind);
+        let mut cases = 0;
+        for dense in [true, false] {
+            for k in [1usize, 2] {
+                let model = model(&g, k, dense);
+                for n_centers in 1..=6u32 {
+                    let ctx = format!("{kind:?} dense={dense} k={k} centers={n_centers}");
+                    let centers: Vec<(NodeId, Time)> =
+                        (0..n_centers).map(|i| (3 + 6 * i, 1)).collect();
+                    let seed = 1000 + cases;
+                    let mut rng_ref = SmallRng::seed_from_u64(seed);
+                    let mut rng_new = SmallRng::seed_from_u64(seed);
+                    let (want, want_cands) = reference_rows(&model, &g, &centers, &mut rng_ref);
+                    let (got, got_cands) =
+                        model.decode_rows_for_generation(&g, &centers, &mut rng_new);
+                    assert_eq!(*got_cands, want_cands, "{ctx}: candidates");
+                    assert_eq!(dense, want_cands.len() == N_NODES as usize, "{ctx}: path");
+                    assert_eq!(got.shape(), want.shape(), "{ctx}: shape");
+                    for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: element {i}: {a} vs {b}");
+                    }
+                    assert_eq!(rng_new.state(), rng_ref.state(), "{ctx}: rng order");
+                    cases += 1;
                 }
-                assert_eq!(rng_new.state(), rng_ref.state(), "{ctx}: rng order");
-                cases += 1;
             }
         }
+        assert_eq!(cases, 24);
     }
-    assert_eq!(cases, 24);
 }

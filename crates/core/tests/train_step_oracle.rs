@@ -1,10 +1,14 @@
 //! Bit-identity oracle for the training step — the training twin of
 //! `generation_rows_oracle.rs`.
 //!
-//! [`Tgae::forward_batch_into`] scores each decode level with one
+//! [`Tgae::forward_batch_into`] encodes each bipartite layer with one
+//! [`Tape::gat_attend`] op and scores each decode level with one
 //! [`Tape::score_xent`] op over the rows that carry a target, against
 //! candidate rows it gathers once per step. This test records the same
-//! step the long way — [`EgoDecoder::score`](tgae::decoder::EgoDecoder::score)
+//! step the long way — the encoder through
+//! [`TgatEncoder::forward_reference`](tgae::encoder::TgatEncoder::forward_reference)
+//! (eleven ops per head, `concat_cols` across heads), and
+//! [`EgoDecoder::score`](tgae::decoder::EgoDecoder::score)
 //! (per-level gathers, `matmul_nt`, `transpose`, `add_row`) into
 //! `softmax_xent`, every slot scored — and asserts that after backward,
 //! clipping and Adam every loss and every parameter is `to_bits()`-equal,
@@ -73,9 +77,10 @@ fn model(g: &TemporalGraph, dense: bool, batch_centers: usize) -> Tgae {
     model
 }
 
-/// The forward pass of a training step as it was before the scoring chain
-/// was fused: every slot of every level scored through
-/// `EgoDecoder::score`, the loss through `softmax_xent`. Returns the loss
+/// The forward pass of a training step as it was before the attention
+/// and scoring chains were fused: the encoder op by op, every slot of
+/// every level scored through `EgoDecoder::score`, the loss through
+/// `softmax_xent`. Returns the loss
 /// and how many of the slots carried no target.
 fn reference_forward(
     model: &Tgae,
@@ -92,7 +97,7 @@ fn reference_forward(
     let k = cg.k();
     let outer = (offsets[k] as u32..offsets[k + 1] as u32).collect();
     let x_outer = tape.gather_rows(x_all, Rc::new(outer));
-    let enc_levels = model.encoder.forward(tape, store, &cg, x_outer);
+    let enc_levels = model.encoder.forward_reference(tape, store, &cg, x_outer);
     let (z, mu, logvar) = model
         .decoder
         .latent(tape, store, x_all, model.probabilistic(), rng);

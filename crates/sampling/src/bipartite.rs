@@ -15,23 +15,26 @@
 //! §IV-C).
 
 use crate::config::SamplerConfig;
-use crate::ego::{node_sampling, temporal_neighbor_occurrences};
+use crate::ego::{node_sampling_in, temporal_neighbor_occurrences_into};
 use rand::Rng;
+use std::rc::Rc;
 use tg_graph::{NodeId, TemporalGraph, Time};
 
 /// One bipartite message-passing layer: edges from level `i+1` (sources)
-/// to level `i` (targets).
+/// to level `i` (targets). The three index lists are reference-counted:
+/// the tape ops of the encoder and the decoder that read them share the
+/// one copy [`ComputationGraph::build`] made.
 #[derive(Clone, Debug)]
 pub struct BipartiteLayer {
     /// Per-edge source slot (index into `levels[i+1]`).
-    pub src: Vec<u32>,
-    /// Per-edge target slot (index into `levels[i]`); doubles as the
-    /// segment id for the attention softmax.
-    pub dst: Vec<u32>,
+    pub src: Rc<Vec<u32>>,
+    /// Per-edge target slot (index into `levels[i]`), non-decreasing;
+    /// doubles as the segment id for the attention softmax.
+    pub dst: Rc<Vec<u32>>,
     /// For each target slot, the source-level slot holding the *same*
     /// temporal node (its self-loop image) — used for the attention
     /// query term and for decode initialisation.
-    pub self_idx: Vec<u32>,
+    pub self_idx: Rc<Vec<u32>>,
     /// Number of target slots (`levels[i].len()`).
     pub n_targets: usize,
     /// Number of source slots (`levels[i+1].len()`).
@@ -73,8 +76,10 @@ impl ComputationGraph {
         let mut levels: Vec<Vec<(NodeId, Time)>> = vec![centers_dedup];
         let mut layers: Vec<BipartiteLayer> = Vec::with_capacity(cfg.k);
 
+        // neighbour set and draws of the target at hand, reused across targets
+        let (mut nbrs, mut draws) = (Vec::new(), Vec::new());
         for i in 0..cfg.k {
-            let targets = levels[i].clone();
+            let targets = &levels[i];
             let mut src_level: Vec<(NodeId, Time)> = Vec::new();
             #[expect(
                 clippy::disallowed_types,
@@ -97,17 +102,17 @@ impl ComputationGraph {
                 src.push(self_slot);
                 dst.push(j as u32);
                 // sampled temporal neighbors
-                let nbrs = temporal_neighbor_occurrences(g, v, t, cfg.time_window);
-                for occ in node_sampling(&nbrs, cfg.threshold, rng) {
+                temporal_neighbor_occurrences_into(g, v, t, cfg.time_window, &mut nbrs);
+                for &occ in node_sampling_in(&nbrs, cfg.threshold, rng, &mut draws) {
                     let slot = intern(occ, &mut src_level);
                     src.push(slot);
                     dst.push(j as u32);
                 }
             }
             layers.push(BipartiteLayer {
-                src,
-                dst,
-                self_idx,
+                src: Rc::new(src),
+                dst: Rc::new(dst),
+                self_idx: Rc::new(self_idx),
                 n_targets: targets.len(),
                 n_sources: src_level.len(),
             });

@@ -19,9 +19,23 @@ pub fn temporal_neighbor_occurrences(
     t: Time,
     t_n: Time,
 ) -> Vec<(NodeId, Time)> {
+    let mut out = Vec::new();
+    temporal_neighbor_occurrences_into(g, v, t, t_n, &mut out);
+    out
+}
+
+/// [`temporal_neighbor_occurrences`] into a buffer the caller reuses
+/// across temporal nodes (whatever it held is discarded).
+pub fn temporal_neighbor_occurrences_into(
+    g: &TemporalGraph,
+    v: NodeId,
+    t: Time,
+    t_n: Time,
+    out: &mut Vec<(NodeId, Time)>,
+) {
     let lo = t.saturating_sub(t_n);
     let hi = ((t as u64 + t_n as u64).min(g.n_timestamps() as u64 - 1)) as Time;
-    let mut out: Vec<(NodeId, Time)> = Vec::new();
+    out.clear();
     for tt in lo..=hi {
         for u in g.out_neighbors_at(v, tt) {
             out.push((u, tt));
@@ -32,7 +46,6 @@ pub fn temporal_neighbor_occurrences(
     }
     out.sort_unstable();
     out.dedup();
-    out
 }
 
 /// Algorithm 1's `NodeSampling`: keep the whole set when it fits under the
@@ -43,15 +56,26 @@ pub fn node_sampling<R: Rng + ?Sized, T: Copy + Ord>(
     threshold: usize,
     rng: &mut R,
 ) -> Vec<T> {
+    node_sampling_in(nodeset, threshold, rng, &mut Vec::new()).to_vec()
+}
+
+/// [`node_sampling`] without a copy: a set that fits under the threshold
+/// is returned as it is (and `rng` is not touched); the draws of one that
+/// does not are left in `draws`, a buffer the caller reuses.
+pub(crate) fn node_sampling_in<'a, R: Rng + ?Sized, T: Copy + Ord>(
+    nodeset: &'a [T],
+    threshold: usize,
+    rng: &mut R,
+    draws: &'a mut Vec<T>,
+) -> &'a [T] {
     if nodeset.len() <= threshold {
-        return nodeset.to_vec();
+        return nodeset;
     }
-    let mut out: Vec<T> = (0..threshold)
-        .map(|_| nodeset[rng.gen_range(0..nodeset.len())])
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
+    draws.clear();
+    draws.extend((0..threshold).map(|_| nodeset[rng.gen_range(0..nodeset.len())]));
+    draws.sort_unstable();
+    draws.dedup();
+    draws
 }
 
 /// A sampled k-radius temporal ego-graph: the sampling tree rooted at the

@@ -24,5 +24,8 @@ pub use complexity::{
     predicted_space_scalars, predicted_steps_per_pass, predicted_steps_unmerged, slot_upper_bound,
 };
 pub use config::SamplerConfig;
-pub use ego::{node_sampling, sample_ego_graph, temporal_neighbor_occurrences, EgoGraph};
+pub use ego::{
+    node_sampling, sample_ego_graph, temporal_neighbor_occurrences,
+    temporal_neighbor_occurrences_into, EgoGraph,
+};
 pub use initial::InitialNodeSampler;

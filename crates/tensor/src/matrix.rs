@@ -1171,6 +1171,9 @@ pub(crate) fn matmul_nn_into_on(path: GemmPath, a: &Matrix, b: &Matrix, out: &mu
         "matmul_nn_into: bad output shape"
     );
     let (m, k, n) = (a.rows, a.cols, b.cols);
+    if n == 1 {
+        return matvec(path, &a.data, &b.data, &mut out.data);
+    }
     match path {
         GemmPath::Naive => matmul_nn_naive_into(a, b, &mut out.data),
         GemmPath::Tiled => gemm(
@@ -1183,6 +1186,73 @@ pub(crate) fn matmul_nn_into_on(path: GemmPath, a: &Matrix, b: &Matrix, out: &mu
             &b.data,
             Layout::RowMajor,
         ),
+    }
+}
+
+/// `out = A b` for a one-column `b` (`a` is `out.len() × b.len()`,
+/// row-major) with the bits of the loop nest `path` names, which spends
+/// its time elsewhere at this shape: the naive loops run one
+/// latency-bound chain per row, the tiled driver packs a panel of
+/// [`NR`] or more columns to use one.
+///
+/// An output element is one accumulation chain over ascending `k` from
+/// zero on either path, so only the step differs: the naive loops skip a
+/// zero `a` and multiply then add; the AVX2 and AVX-512 tiles fuse the two
+/// (`f32::mul_add` rounds once, as `vfmadd` does — and the driver's
+/// store/reload of a partial sum between [`KC`] blocks changes no value);
+/// the portable tile multiplies then adds.
+fn matvec(path: GemmPath, a: &[f32], b: &[f32], out: &mut [f32]) {
+    match (path, active_microkernel()) {
+        (GemmPath::Naive, _) => matvec_rows(
+            a,
+            b,
+            out,
+            |acc, av, bv| {
+                if av == 0.0 {
+                    acc
+                } else {
+                    acc + av * bv
+                }
+            },
+        ),
+        (GemmPath::Tiled, MicrokernelKind::Portable) => {
+            matvec_rows(a, b, out, |acc, av, bv| acc + av * bv)
+        }
+        (GemmPath::Tiled, MicrokernelKind::Avx2Fma(_) | MicrokernelKind::Avx512(_)) => {
+            matvec_rows(a, b, out, |acc, av, bv| av.mul_add(bv, acc))
+        }
+    }
+}
+
+/// [`matvec`]'s row walk: `out[r] = fold(step, 0, a[r, ..] · b)` with
+/// eight rows' chains in flight, so the adds of one row overlap the
+/// others' instead of waiting on each other.
+#[inline(always)]
+fn matvec_rows(a: &[f32], b: &[f32], out: &mut [f32], step: impl Fn(f32, f32, f32) -> f32) {
+    const CHAINS: usize = 8;
+    let k = b.len();
+    assert_eq!(a.len(), out.len() * k, "matvec: operand shapes");
+    if k == 0 {
+        return out.fill(0.0);
+    }
+    let mut blocks = out.chunks_exact_mut(CHAINS);
+    let mut a_blocks = a.chunks_exact(CHAINS * k);
+    for (block, rows) in (&mut blocks).zip(&mut a_blocks) {
+        let rows: [&[f32]; CHAINS] = std::array::from_fn(|i| &rows[i * k..][..k]);
+        let mut acc = [0.0f32; CHAINS];
+        for (kk, &bv) in b.iter().enumerate() {
+            for (acc, row) in acc.iter_mut().zip(&rows) {
+                *acc = step(*acc, row[kk], bv);
+            }
+        }
+        block.copy_from_slice(&acc);
+    }
+    let tail = blocks.into_remainder().iter_mut();
+    for (o, row) in tail.zip(a_blocks.remainder().chunks_exact(k)) {
+        *o = row
+            .iter()
+            .zip(b)
+            .fold(0.0, |acc, (&av, &bv)| step(acc, av, bv));
     }
 }
 
@@ -1411,38 +1481,49 @@ pub fn segment_softmax_naive(scores: &Matrix, seg: &[u32], n_segments: usize) ->
 /// precondition of [`segment_softmax`] and its backward.
 /// `BipartiteLayer::dst` is pushed target by target, so the encoder's
 /// layout always is.
-fn seg_is_sorted(seg: &[u32]) -> bool {
+pub(crate) fn seg_is_sorted(seg: &[u32]) -> bool {
     seg.windows(2).all(|w| w[0] <= w[1])
 }
 
-/// Blocked per-run softmax over values already in sort-by-segment
-/// layout: for each contiguous run of one segment, a max fold, a
-/// [`fast_exp`] pass, and a [`lane_sum`] denominator — the same three
-/// vectorisable passes as [`softmax_rows`], applied to variable-length
-/// runs instead of fixed-width rows.
-fn softmax_runs_inplace(vals: &mut [f32], seg: &[u32]) {
-    let n = vals.len();
-    let mut lo = 0usize;
-    while lo < n {
-        let s = seg[lo];
-        let mut hi = lo + 1;
-        while hi < n && seg[hi] == s {
-            hi += 1;
-        }
-        let run = &mut vals[lo..hi];
-        let max = run.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+/// Softmax of one segment's values where they lie: a max fold, a
+/// [`fast_exp`] pass, and a [`lane_sum`] denominator applied as one `f32`
+/// inverse — the same three vectorisable passes as [`softmax_rows`]. A
+/// run whose denominator is not positive is zero-filled.
+fn softmax_run_inplace(run: &mut [f32]) {
+    let max = run.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    for v in run.iter_mut() {
+        *v = fast_exp(*v - max);
+    }
+    let denom = lane_sum(run);
+    if denom > 0.0 {
+        let inv = (1.0 / denom) as f32;
         for v in run.iter_mut() {
-            *v = fast_exp(*v - max);
+            *v *= inv;
         }
-        let denom = lane_sum(run);
-        if denom > 0.0 {
-            let inv = (1.0 / denom) as f32;
-            for v in run.iter_mut() {
-                *v *= inv;
-            }
-        } else {
-            run.fill(0.0);
-        }
+    } else {
+        run.fill(0.0);
+    }
+}
+
+/// End of the contiguous run of `seg[lo]` that starts at `lo`.
+#[inline]
+fn run_end(seg: &[u32], lo: usize) -> usize {
+    let s = seg[lo];
+    let mut hi = lo + 1;
+    while hi < seg.len() && seg[hi] == s {
+        hi += 1;
+    }
+    hi
+}
+
+/// Blocked per-run softmax over values already in sort-by-segment
+/// layout: [`softmax_run_inplace`] on each contiguous run of one segment
+/// — variable-length runs instead of [`softmax_rows`]' fixed-width rows.
+fn softmax_runs_inplace(vals: &mut [f32], seg: &[u32]) {
+    let mut lo = 0usize;
+    while lo < vals.len() {
+        let hi = run_end(seg, lo);
+        softmax_run_inplace(&mut vals[lo..hi]);
         lo = hi;
     }
 }
@@ -1498,14 +1579,9 @@ fn lane_dot(a: &[f32], b: &[f32]) -> f64 {
 /// Per-run backward pass over sort-by-segment layouts:
 /// `out[j] = y[j] * (g[j] - dot_run)` with the run dot lane-summed.
 fn segment_softmax_backward_runs(y: &[f32], g: &[f32], seg: &[u32], out: &mut [f32]) {
-    let n = y.len();
     let mut lo = 0usize;
-    while lo < n {
-        let s = seg[lo];
-        let mut hi = lo + 1;
-        while hi < n && seg[hi] == s {
-            hi += 1;
-        }
+    while lo < y.len() {
+        let hi = run_end(seg, lo);
         let dot = lane_dot(&g[lo..hi], &y[lo..hi]) as f32;
         for j in lo..hi {
             out[j] = y[j] * (g[j] - dot);
@@ -1532,6 +1608,172 @@ pub fn segment_softmax_backward(y: &Matrix, g: &Matrix, seg: &[u32], n_segments:
     let mut out = Matrix::zeros(y.rows, 1);
     segment_softmax_backward_runs(&y.data, &g.data, seg, &mut out.data);
     out
+}
+
+/// One attention head's operands for [`gat_attend_head`] and its
+/// backward: the projected source rows and the two attention logit
+/// halves, over one bipartite layer's edge lists.
+#[derive(Clone, Copy)]
+pub(crate) struct GatHead<'a> {
+    /// Projected source rows `h W` (`n_sources × d_head`).
+    pub hw: &'a Matrix,
+    /// Source half of the logit, one per source slot.
+    pub s_src: &'a [f32],
+    /// Query half of the logit, one per source slot, read at a target's
+    /// self-loop slot.
+    pub s_dst: &'a [f32],
+    /// Per-edge source slot.
+    pub src: &'a [u32],
+    /// Per-edge target slot, non-decreasing.
+    pub dst: &'a [u32],
+    /// Per-target source slot of the target's own temporal node.
+    pub self_idx: &'a [u32],
+    /// Negative slope of both LeakyReLUs.
+    pub slope: f32,
+}
+
+#[inline(always)]
+fn leaky(x: f32, slope: f32) -> f32 {
+    if x >= 0.0 {
+        x
+    } else {
+        slope * x
+    }
+}
+
+/// One head of a graph-attention layer in one walk over the targets' edge
+/// runs (Eqs. 4–5): per run, the logits `leaky(s_src[src] + s_dst[self])`,
+/// their [`softmax_run_inplace`] (left in `alpha`, one weight per edge),
+/// the `alpha`-weighted sum of the run's `hw` rows — a separate multiply
+/// and add per edge, in edge order, from zero — and `leaky` of that sum,
+/// written to columns `col0..col0 + d_head` of the target's row of `out`.
+///
+/// `out` must arrive zeroed: a target's block is its accumulator, and a
+/// target no edge names keeps the zeros. Every bit is the one `gather_rows`
+/// ×3 → `add` → `leaky_relu` → [`segment_softmax`] → [`scale_rows`] →
+/// [`scatter_add_rows`] → `leaky_relu` → [`concat_cols`] produce.
+pub(crate) fn gat_attend_head(head: GatHead<'_>, alpha: &mut [f32], out: &mut Matrix, col0: usize) {
+    let GatHead {
+        hw,
+        s_src,
+        s_dst,
+        src,
+        dst,
+        self_idx,
+        slope,
+    } = head;
+    let (d, width) = (hw.cols, out.cols);
+    let mut lo = 0usize;
+    while lo < dst.len() {
+        let hi = run_end(dst, lo);
+        let t = dst[lo] as usize;
+        let q = s_dst[self_idx[t] as usize];
+        let (run, run_src) = (&mut alpha[lo..hi], &src[lo..hi]);
+        for (a, &s) in run.iter_mut().zip(run_src) {
+            *a = leaky(s_src[s as usize] + q, slope);
+        }
+        softmax_run_inplace(run);
+        let acc = &mut out.data[t * width + col0..t * width + col0 + d];
+        for (&a, &s) in run.iter().zip(run_src) {
+            for (o, &x) in acc.iter_mut().zip(hw.row(s as usize)) {
+                *o += x * a;
+            }
+        }
+        for o in acc.iter_mut() {
+            *o = leaky(*o, slope);
+        }
+        lo = hi;
+    }
+}
+
+/// Gradients of one [`gat_attend_head`] call, each a zeroed buffer the
+/// backward accumulates into in edge order.
+pub(crate) struct GatHeadGrads<'a> {
+    /// `∂hw` (`n_sources × d_head`).
+    pub hw: &'a mut Matrix,
+    /// `∂s_src`, one per source slot.
+    pub s_src: &'a mut [f32],
+    /// `∂s_dst`, one per source slot.
+    pub s_dst: &'a mut [f32],
+}
+
+/// Backward of [`gat_attend_head`]: `alpha` and `out` are what the forward
+/// left, `g` is the gradient of `out`. Per run it undoes the output
+/// `leaky`, takes `∂alpha` as the ascending-column dot of that gradient
+/// with each edge's `hw` row, applies the softmax backward
+/// ([`lane_dot`]-ordered, as `segment_softmax_backward_runs`) and the logit
+/// `leaky`, and adds each edge's share to `∂hw[src]`, `∂s_src[src]` and
+/// `∂s_dst[self]` — the arithmetic and the per-row order of contributions
+/// of the op-by-op chain's reverse walk.
+///
+/// The pre-activation sum is not kept: it was negative exactly where the
+/// output carries a sign bit (a sum that starts from `+0.0` is never
+/// `-0.0`, and `slope · x` keeps the sign of a negative `x` even when it
+/// underflows), and a NaN takes the slope on both sides.
+pub(crate) fn gat_attend_head_backward(
+    head: GatHead<'_>,
+    alpha: &[f32],
+    out: &Matrix,
+    g: &Matrix,
+    col0: usize,
+    grads: GatHeadGrads<'_>,
+) {
+    let GatHead {
+        hw,
+        s_src,
+        s_dst,
+        src,
+        dst,
+        self_idx,
+        slope,
+    } = head;
+    let (d, width) = (hw.cols, out.cols);
+    let mut g_acc = vec![0.0f32; d];
+    let mut g_alpha: Vec<f32> = Vec::new();
+    let mut lo = 0usize;
+    while lo < dst.len() {
+        let hi = run_end(dst, lo);
+        let t = dst[lo] as usize;
+        let block = t * width + col0..t * width + col0 + d;
+        for ((ga, &gv), &y) in g_acc
+            .iter_mut()
+            .zip(&g.data[block.clone()])
+            .zip(&out.data[block])
+        {
+            *ga = if y.is_sign_negative() || y.is_nan() {
+                slope * gv
+            } else {
+                gv
+            };
+        }
+        let (run, run_src) = (&alpha[lo..hi], &src[lo..hi]);
+        g_alpha.clear();
+        for (&a, &s) in run.iter().zip(run_src) {
+            let row = hw.row(s as usize);
+            let mut dot = 0.0f32;
+            for (&gv, &x) in g_acc.iter().zip(row) {
+                dot += gv * x;
+            }
+            g_alpha.push(dot);
+            for (o, &gv) in grads.hw.row_mut(s as usize).iter_mut().zip(&g_acc) {
+                *o += gv * a;
+            }
+        }
+        let dot = lane_dot(&g_alpha, run) as f32;
+        let self_slot = self_idx[t] as usize;
+        let q = s_dst[self_slot];
+        for ((&a, &ga), &s) in run.iter().zip(&g_alpha).zip(run_src) {
+            let g_e = a * (ga - dot);
+            let g_z = if s_src[s as usize] + q >= 0.0 {
+                g_e
+            } else {
+                slope * g_e
+            };
+            grads.s_dst[self_slot] += g_z;
+            grads.s_src[s as usize] += g_z;
+        }
+        lo = hi;
+    }
 }
 
 /// Scale each row `i` of `x` by the scalar `s[i]` (s is Ex1).

@@ -7,16 +7,19 @@
 //!
 //! The op set is exactly what the TGAE encoder/decoder and the learned
 //! baselines need: dense linear algebra, pointwise activations, row
-//! gather/scatter, segment softmax (graph-attention edge softmax), and fused
-//! losses (multi-target softmax cross-entropy — alone, and fused with the
-//! candidate scoring that feeds it — BCE-with-logits, Gaussian KL). Fused
-//! losses keep the tape short and sidestep `log(0)`.
+//! gather/scatter, segment softmax (graph-attention edge softmax) and the
+//! whole attention step of a bipartite layer in one op
+//! ([`Tape::gat_attend`]), and fused losses (multi-target softmax
+//! cross-entropy — alone, and fused with the candidate scoring that feeds
+//! it — BCE-with-logits, Gaussian KL). Fused losses keep the tape short
+//! and sidestep `log(0)`.
 
 use crate::matrix::{
-    concat_cols_into, fast_exp, gather_rows_into, matmul_nn_into, matmul_nn_into_on,
-    matmul_nt_into, matmul_nt_into_on, matmul_tn_into, matmul_tn_into_on, row_softmax_stats,
-    rowwise_dot, scale_rows, scatter_add_rows_into, segment_softmax, segment_softmax_backward,
-    softmax_rows_into, GemmPath, Matrix,
+    concat_cols_into, fast_exp, gat_attend_head, gat_attend_head_backward, gather_rows_into,
+    matmul_nn_into, matmul_nn_into_on, matmul_nt_into, matmul_nt_into_on, matmul_tn_into,
+    matmul_tn_into_on, row_softmax_stats, rowwise_dot, scale_rows, scatter_add_rows_into,
+    seg_is_sorted, segment_softmax, segment_softmax_backward, softmax_rows_into, GatHead,
+    GatHeadGrads, GemmPath, Matrix,
 };
 use crate::params::{ParamId, ParamStore};
 use std::cell::{Cell, RefCell};
@@ -64,6 +67,9 @@ enum Op {
     },
     ScatterAddRows(Var, Rc<Vec<u32>>),
     SegmentSoftmax(Var, Rc<Vec<u32>>),
+    /// Every head's edge attention of one bipartite layer
+    /// ([`Tape::gat_attend`]). Boxed for the reason `ScoreXent` is.
+    GatAttend(Box<GatAttend>),
     ScaleRows(Var, Var),
     RowwiseDot(Var, Var),
     Sum(Var),
@@ -128,6 +134,35 @@ struct ScoreXent {
     differentiated: Cell<bool>,
 }
 
+/// State of an [`Op::GatAttend`] node.
+struct GatAttend {
+    /// Per head `(hw, s_src, s_dst)`.
+    heads: Vec<(Var, Var, Var)>,
+    src: Rc<Vec<u32>>,
+    dst: Rc<Vec<u32>>,
+    self_idx: Rc<Vec<u32>>,
+    slope: f32,
+    /// The attention weights, `heads × edges`: row `h` is head `h`'s
+    /// softmax over each target's edge run.
+    alpha: Matrix,
+}
+
+impl GatAttend {
+    /// Head `h`'s operands as the kernels take them.
+    fn head<'a>(&'a self, tape: &'a Tape, h: usize) -> GatHead<'a> {
+        let (hw, s_src, s_dst) = self.heads[h];
+        GatHead {
+            hw: tape.value(hw),
+            s_src: tape.value(s_src).as_slice(),
+            s_dst: tape.value(s_dst).as_slice(),
+            src: &self.src,
+            dst: &self.dst,
+            self_idx: &self.self_idx,
+            slope: self.slope,
+        }
+    }
+}
+
 struct Node {
     value: Matrix,
     op: Op,
@@ -185,8 +220,9 @@ impl Gradients {
 /// buffers; the cap bounds worst-case retention.
 struct ScratchPool {
     /// `buckets[c]` holds buffers whose capacity is in `[2^c, 2^(c+1))` —
-    /// i.e. they can serve any request of up to `2^c` elements.
-    buckets: std::collections::HashMap<u32, Vec<Vec<f32>>>,
+    /// i.e. they can serve any request of up to `2^c` elements. One slot
+    /// per bit of a `usize` capacity, so a class indexes it directly.
+    buckets: [Vec<Vec<f32>>; usize::BITS as usize],
     /// Total f32 elements currently retained across all buckets.
     retained: usize,
 }
@@ -198,7 +234,7 @@ const POOL_CAP_ELEMS: usize = 16 << 20;
 impl ScratchPool {
     fn new() -> Self {
         ScratchPool {
-            buckets: std::collections::HashMap::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
             retained: 0,
         }
     }
@@ -217,7 +253,7 @@ impl ScratchPool {
     /// one full memset per intermediate matrix per step.
     fn take_full(&mut self, need: usize) -> Vec<f32> {
         let class = usize::BITS - need.next_power_of_two().leading_zeros() - 1;
-        match self.buckets.get_mut(&class).and_then(Vec::pop) {
+        match self.buckets[class as usize].pop() {
             Some(mut buf) => {
                 self.retained -= buf.capacity();
                 if buf.len() >= need {
@@ -240,7 +276,7 @@ impl ScratchPool {
         }
         let class = usize::BITS - cap.leading_zeros() - 1;
         self.retained += cap;
-        self.buckets.entry(class).or_default().push(buf);
+        self.buckets[class as usize].push(buf);
     }
 }
 
@@ -335,6 +371,7 @@ impl Tape {
                     pool.put(op.h_rows.into_vec());
                     pool.put(op.logits.into_inner().into_vec());
                 }
+                Op::GatAttend(op) => pool.put(op.alpha.into_vec()),
                 _ => {}
             }
         }
@@ -599,6 +636,78 @@ impl Tape {
         let v = segment_softmax(self.value(scores), &seg, n_segments);
         let ng = self.needs(scores);
         self.push(v, Op::SegmentSoftmax(scores, seg), ng)
+    }
+
+    /// The edge attention of one bipartite layer, every head in one op
+    /// (Eqs. 4–5). Head `h` is `(hw, s_src, s_dst)`: the projected source
+    /// rows (`n_sources × d_head`) and the two halves of the attention
+    /// logit (`n_sources × 1` each, `s_dst` read at a target's own slot
+    /// `self_idx[t]`). Edge `e` runs from source `src[e]` to target
+    /// `dst[e]`; `dst` must be sorted (each target's edges one contiguous
+    /// run, as [`Tape::segment_softmax`] requires) and there are
+    /// `self_idx.len()` targets. Per target and head:
+    ///
+    /// `out[t, h·d_head..] = leaky(Σ_e α_e · hw[src[e]])`, with
+    /// `α = softmax_e(leaky(s_src[src[e]] + s_dst[self_idx[t]]))` over the
+    /// target's run and `leaky` the LeakyReLU of negative slope `slope`.
+    ///
+    /// The `n_targets × heads·d_head` value and the gradients of every
+    /// head's `hw`, `s_src` and `s_dst` are bit-identical (proptested) to
+    /// the eleven ops per head this replaces — [`Tape::gather_rows`] ×3,
+    /// [`Tape::add`], [`Tape::leaky_relu`], [`Tape::segment_softmax`],
+    /// [`Tape::scale_rows`], [`Tape::scatter_add_rows`], `leaky_relu`,
+    /// then [`Tape::concat_cols`] across heads — each of which is a pass
+    /// over a fresh `edges × d_head` or `edges × 1` buffer. The op walks a
+    /// run once per head and keeps, beside its value, only the `α`.
+    ///
+    /// # Panics
+    ///
+    /// If there is no head, the shapes disagree, `dst` is not
+    /// non-decreasing, or an index is out of range.
+    pub fn gat_attend(
+        &mut self,
+        heads: &[(Var, Var, Var)],
+        src: Rc<Vec<u32>>,
+        dst: Rc<Vec<u32>>,
+        self_idx: Rc<Vec<u32>>,
+        slope: f32,
+    ) -> Var {
+        assert!(!heads.is_empty(), "gat_attend: at least one head");
+        let (n_sources, d_head) = self.shape(heads[0].0);
+        for &(hw, s_src, s_dst) in heads {
+            assert_eq!(self.shape(hw), (n_sources, d_head), "gat_attend: hw");
+            assert_eq!(self.shape(s_src), (n_sources, 1), "gat_attend: s_src");
+            assert_eq!(self.shape(s_dst), (n_sources, 1), "gat_attend: s_dst");
+        }
+        let n_targets = self_idx.len();
+        assert_eq!(src.len(), dst.len(), "gat_attend: one target per edge");
+        assert!(
+            seg_is_sorted(&dst),
+            "gat_attend expects edges sorted by target ({n_targets} targets)"
+        );
+        assert!(
+            dst.last().is_none_or(|&t| (t as usize) < n_targets),
+            "gat_attend: target out of {n_targets}"
+        );
+        let ng = heads
+            .iter()
+            .any(|&(hw, s_src, s_dst)| self.needs(hw) || self.needs(s_src) || self.needs(s_dst));
+        let mut alpha = self.alloc_full(heads.len(), src.len());
+        // zeroed: a head's block of a target's row is its accumulator
+        let mut v = self.alloc(n_targets, heads.len() * d_head);
+        let mut op = Box::new(GatAttend {
+            heads: heads.to_vec(),
+            src,
+            dst,
+            self_idx,
+            slope,
+            alpha: Matrix::zeros(0, 0),
+        });
+        for h in 0..heads.len() {
+            gat_attend_head(op.head(self, h), alpha.row_mut(h), &mut v, h * d_head);
+        }
+        op.alpha = alpha;
+        self.push(v, Op::GatAttend(op), ng)
     }
 
     /// Scale row `i` of `x` by scalar `s[i]` (`s` is `Ex1`).
@@ -1042,6 +1151,37 @@ impl Tape {
                     let n_seg = seg.iter().map(|&s| s as usize + 1).max().unwrap_or(0);
                     let gx = segment_softmax_backward(y, &g, seg, n_seg);
                     accum(&mut grads, *scores, gx);
+                }
+                Op::GatAttend(op) => {
+                    let y = &self.nodes[i].value;
+                    for (h, &(hw, s_src, s_dst)) in op.heads.iter().enumerate() {
+                        if !(self.needs(hw) || self.needs(s_src) || self.needs(s_dst)) {
+                            continue;
+                        }
+                        let (n_sources, d_head) = self.shape(hw);
+                        let mut g_hw = self.alloc(n_sources, d_head);
+                        let mut g_src = self.alloc(n_sources, 1);
+                        let mut g_dst = self.alloc(n_sources, 1);
+                        gat_attend_head_backward(
+                            op.head(self, h),
+                            op.alpha.row(h),
+                            y,
+                            &g,
+                            h * d_head,
+                            GatHeadGrads {
+                                hw: &mut g_hw,
+                                s_src: g_src.as_mut_slice(),
+                                s_dst: g_dst.as_mut_slice(),
+                            },
+                        );
+                        for (v, gv) in [(hw, g_hw), (s_dst, g_dst), (s_src, g_src)] {
+                            if self.needs(v) {
+                                accum(&mut grads, v, gv);
+                            } else {
+                                self.pool.borrow_mut().put(gv.into_vec());
+                            }
+                        }
+                    }
                 }
                 Op::GatherParamRows {
                     id,

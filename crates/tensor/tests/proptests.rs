@@ -10,7 +10,7 @@ use tg_tensor::matrix::{
     gather_rows, matmul_nn, matmul_nn_naive, matmul_nt, matmul_nt_naive, matmul_tn,
     matmul_tn_naive, row_softmax_stats, scatter_add_rows, segment_softmax,
     segment_softmax_backward, segment_softmax_naive, softmax_rows, softmax_rows_naive, Matrix,
-    MicrokernelKind, KC,
+    MicrokernelKind, KC, TILE_THRESHOLD,
 };
 use tg_tensor::parallel::{par_chunks_mut, par_map, ThreadPin};
 use tg_tensor::prelude::*;
@@ -112,6 +112,84 @@ fn score_xent_case(
     (
         tape.value(loss).item().to_bits(),
         ids.map(|id| bits(grads.get(id).expect("gradient")))
+            .collect(),
+    )
+}
+
+/// One bipartite layer of a [`gat_attend_case`]: edge lists sorted by
+/// target and, per head, the `(hw, s_src, s_dst)` parameters.
+struct GatCase {
+    src: Rc<Vec<u32>>,
+    dst: Rc<Vec<u32>>,
+    self_idx: Rc<Vec<u32>>,
+    heads: Vec<[ParamId; 3]>,
+    /// Weights of the scalar loss `Σ out ⊙ loss_w`: the gradient that
+    /// reaches the attention output.
+    loss_w: Matrix,
+}
+
+/// Output bits and the gradient bits of every head's `hw`, `s_src`,
+/// `s_dst` — recorded either as one [`Tape::gat_attend`] or as the eleven
+/// ops per head (and the `concat_cols` across heads) it replaces.
+fn gat_attend_case(store: &ParamStore, case: &GatCase, fused: bool) -> (Vec<u32>, Vec<Vec<u32>>) {
+    const SLOPE: f32 = 0.2;
+    let n_targets = case.self_idx.len();
+    let mut tape = Tape::new();
+    let heads: Vec<(Var, Var, Var)> = case
+        .heads
+        .iter()
+        .map(|&[hw, s_src, s_dst]| {
+            (
+                tape.param(store, hw),
+                tape.param(store, s_src),
+                tape.param(store, s_dst),
+            )
+        })
+        .collect();
+    let out = if fused {
+        tape.gat_attend(
+            &heads,
+            case.src.clone(),
+            case.dst.clone(),
+            case.self_idx.clone(),
+            SLOPE,
+        )
+    } else {
+        let query: Rc<Vec<u32>> = Rc::new(
+            case.dst
+                .iter()
+                .map(|&t| case.self_idx[t as usize])
+                .collect(),
+        );
+        let mut cat: Option<Var> = None;
+        for &(hw, s_src, s_dst) in &heads {
+            let e_src = tape.gather_rows(s_src, case.src.clone());
+            let e_dst = tape.gather_rows(s_dst, query.clone());
+            let e_sum = tape.add(e_src, e_dst);
+            let e = tape.leaky_relu(e_sum, SLOPE);
+            let alpha = tape.segment_softmax(e, case.dst.clone(), n_targets);
+            let msgs = tape.gather_rows(hw, case.src.clone());
+            let weighted = tape.scale_rows(msgs, alpha);
+            let agg = tape.scatter_add_rows(weighted, case.dst.clone(), n_targets);
+            let head_out = tape.leaky_relu(agg, SLOPE);
+            cat = Some(match cat {
+                Some(c) => tape.concat_cols(c, head_out),
+                None => head_out,
+            });
+        }
+        cat.expect("at least one head")
+    };
+    let w = tape.input(case.loss_w.clone());
+    let weighted = tape.mul(out, w);
+    let loss = tape.sum(weighted);
+    let grads = tape.backward(loss);
+    let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
+    (
+        bits(tape.value(out)),
+        case.heads
+            .iter()
+            .flatten()
+            .map(|&id| bits(grads.get(id).expect("gradient")))
             .collect(),
     )
 }
@@ -516,6 +594,85 @@ proptest! {
             }
         }
     }
+    /// [`Tape::gat_attend`] keeps every bit of the op-by-op attention chain:
+    /// the `n_targets × heads·d_head` value and the gradients of every
+    /// head's `hw`, `s_src` and `s_dst`, over sorted layouts with targets
+    /// no edge names, runs of one edge and runs longer than eight (both
+    /// branches of the lane-summed denominator), a source repeated within
+    /// a run, trailing sources no edge reads (zero gradient rows), self
+    /// slots shared between targets, logits drawn from a few levels (ties
+    /// within a run) or all equal, and one to four heads.
+    #[test]
+    fn gat_attend_matches_the_unfused_chain(
+        dims in (1usize..5, 1usize..21, 1usize..13, 1usize..25),
+        unread in 0usize..4,
+        levels in 0usize..4,
+        seed in 0u64..1 << 40,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let (n_heads, d_head, n_targets, n_read) = dims;
+        let n_sources = n_read + unread;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let (mut src, mut dst) = (Vec::new(), Vec::new());
+        for t in 0..n_targets as u32 {
+            let len = match rng.gen_range(0..6) {
+                0 => 0,
+                1 | 2 => 1,
+                3 => rng.gen_range(2..8),
+                _ => rng.gen_range(9..40),
+            };
+            let lo = src.len();
+            src.extend((0..len).map(|_| rng.gen_range(0..n_read) as u32));
+            if len >= 2 {
+                src[lo + 1] = src[lo];
+            }
+            dst.extend(std::iter::repeat_n(t, len));
+        }
+        let self_idx: Vec<u32> = (0..n_targets).map(|_| rng.gen_range(0..n_sources) as u32).collect();
+        // logits: continuous, a handful of levels, or one value
+        let logit = |rng: &mut rand::rngs::SmallRng| match levels {
+            0 => rng.gen_range(-3.0f32..3.0),
+            1 => rng.gen_range(-2i32..3) as f32 * 0.75,
+            2 => rng.gen_range(-40.0f32..40.0),
+            _ => 0.5,
+        };
+        let mut store = ParamStore::new();
+        let heads: Vec<[ParamId; 3]> = (0..n_heads)
+            .map(|h| {
+                let hw = Matrix::from_fn(n_sources, d_head, |_, _| rng.gen_range(-1.0f32..1.0));
+                let s_src = Matrix::from_fn(n_sources, 1, |_, _| logit(&mut rng));
+                let s_dst = Matrix::from_fn(n_sources, 1, |_, _| logit(&mut rng));
+                [
+                    store.create(format!("h{h}.hw"), hw),
+                    store.create(format!("h{h}.s_src"), s_src),
+                    store.create(format!("h{h}.s_dst"), s_dst),
+                ]
+            })
+            .collect();
+        let case = GatCase {
+            src: Rc::new(src),
+            dst: Rc::new(dst),
+            self_idx: Rc::new(self_idx),
+            heads,
+            loss_w: Matrix::from_fn(n_targets, n_heads * d_head, |_, _| rng.gen_range(-1.0f32..1.0)),
+        };
+        for kind in available_microkernels() {
+            let _g = force_microkernel(kind);
+            let (value, grads) = gat_attend_case(&store, &case, true);
+            let (want_value, want_grads) = gat_attend_case(&store, &case, false);
+            let ctx = format!(
+                "{kind:?} heads={n_heads} d_head={d_head} targets={n_targets} sources={n_sources} edges={}",
+                case.src.len()
+            );
+            let diff = value.iter().zip(&want_value).position(|(a, b)| a != b);
+            prop_assert_eq!(diff, None, "{}: first differing element of the value", ctx);
+            for (i, (got, want)) in grads.iter().zip(&want_grads).enumerate() {
+                let name = ["hw", "s_src", "s_dst"][i % 3];
+                let diff = got.iter().zip(want).position(|(a, b)| a != b);
+                prop_assert_eq!(diff, None, "{}: first differing element of head {}'s {} gradient", ctx, i / 3, name);
+            }
+        }
+    }
 }
 
 /// Backward turns a `score_xent` op's logits into their gradient in place,
@@ -809,6 +966,62 @@ fn tiled_matmul_edge_shapes() {
                 (x - y).abs() <= 1e-4 * (1.0 + x.abs().max(y.abs())),
                 "tn ({m},{k},{n})"
             );
+        }
+    }
+}
+
+/// A one-column `matmul_nn` runs on a row walk of its own, and every
+/// output bit is still the one the loop nest it stands in for produces:
+/// `matmul_nn_naive` below [`TILE_THRESHOLD`] (ascending `k`, multiply then
+/// add, a zero `a` skipped), column 0 of a two-column product through the
+/// tiled driver above it (one fused chain under the FMA kernels, multiply
+/// then add under the portable one, no skip). Each shape runs twice: on
+/// finite operands with exact zeros in `a`, and with an `∞` in `b`
+/// opposite a column of zeros, where the skip is observable — the naive
+/// rows stay finite, the tiled ones are the NaN of `0 · ∞`. Shapes
+/// straddle the eight-row blocks of the walk, the driver's `KC` blocks and
+/// its parallel split; every microkernel of this CPU is swept.
+#[test]
+fn matvec_keeps_the_bits_of_the_path_it_replaces() {
+    let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+    let fill = |r: usize, c: usize| ((r * 31 + c * 17 + r * c) % 23) as f32 / 23.0 - 0.5;
+    for kind in available_microkernels() {
+        let _g = force_microkernel(kind);
+        for (m, k, poisoned) in [1usize, 7, 8, 9, 255, 256, 257, 3000]
+            .into_iter()
+            .flat_map(|m| [1usize, 16, 255, 256, 257, 600].map(|k| (m, k)))
+            .flat_map(|(m, k)| [(m, k, false), (m, k, true)])
+        {
+            let hot = k / 2;
+            let a = Matrix::from_fn(m, k, |r, c| {
+                if c == hot || (r + c) % 11 == 0 {
+                    0.0
+                } else {
+                    fill(r, c)
+                }
+            });
+            let b = Matrix::from_fn(k, 1, |r, _| {
+                if poisoned && r == hot {
+                    f32::INFINITY
+                } else {
+                    fill(r, 3)
+                }
+            });
+            let got = matmul_nn(&a, &b);
+            let tiled = m * k >= TILE_THRESHOLD;
+            let want: Vec<f32> = if tiled {
+                let b2 =
+                    Matrix::from_fn(k, 2, |r, c| if c == 0 { b.get(r, 0) } else { fill(r, 5) });
+                let wide = matmul_nn(&a, &b2);
+                (0..m).map(|r| wide.get(r, 0)).collect()
+            } else {
+                matmul_nn_naive(&a, &b).into_vec()
+            };
+            let ctx = format!("{kind:?} {m}x{k} tiled={tiled} poisoned={poisoned}");
+            for (r, (&x, &y)) in got.as_slice().iter().zip(&want).enumerate() {
+                assert!(same(x, y), "{ctx} row {r}: {x:e} vs {y:e}");
+                assert_eq!(x.is_nan(), tiled && poisoned, "{ctx} row {r}: {x:e}");
+            }
         }
     }
 }

@@ -124,7 +124,7 @@ proptest! {
                 let si = layer.self_idx[j] as usize;
                 prop_assert_eq!(cg.levels[i][j], cg.levels[i + 1][si]);
             }
-            for (&s, &d) in layer.src.iter().zip(&layer.dst) {
+            for (&s, &d) in layer.src.iter().zip(layer.dst.iter()) {
                 prop_assert!((s as usize) < layer.n_sources);
                 prop_assert!((d as usize) < layer.n_targets);
             }

@@ -71,18 +71,6 @@ fn model_benches(c: &mut Criterion) {
             tape.backward(loss)
         })
     });
-    // the tape-reuse training step (forward_batch_into + recycle) vs the
-    // allocate-per-step path above
-    c.bench_function("tgae_step_reused_tape_64", |b| {
-        let mut rng = SmallRng::seed_from_u64(6);
-        let centers = sampler.sample_batch(64, &mut rng);
-        let mut tape = Tape::new();
-        b.iter(|| {
-            let (loss, _) = model.forward_batch_into(&mut tape, &g, &centers, &mut rng);
-            let grads = tape.backward(loss);
-            tape.recycle(grads);
-        })
-    });
 }
 
 /// The training step the suite's `train_s` is made of — sample, forward,
@@ -113,7 +101,6 @@ fn train_step_benches(c: &mut Criterion) {
                 let mut grads = tape.backward(loss);
                 clip_global_norm(&mut grads, cfg.grad_clip);
                 opt.step(&mut model.store, &grads);
-                tape.recycle(grads);
             })
         });
     }
@@ -137,8 +124,7 @@ fn train_step_benches(c: &mut Criterion) {
             let w_c = tape.gather_param_rows(&store, w_dec, candidates.clone());
             let b_c = tape.gather_param_rows(&store, b_dec, candidates.clone());
             let loss = tape.score_xent(h, w_c, b_c, &targets, targets.len() as f32);
-            let grads = tape.backward(loss);
-            tape.recycle(grads);
+            tape.backward(loss)
         })
     });
 }

@@ -22,12 +22,13 @@
 //!    with the same inputs produce the same manifest, which is what makes
 //!    cross-process sharding sound.
 //! 2. **Execute** ([`SimulationEngine::execute`]): run any subset of
-//!    units on the worker pool. Each unit decodes its centers onto a
-//!    **per-worker thread-local tape** ([`tg_tensor::tape::Tape::with_thread_local`])
-//!    — gathering from the parameter tables only the rows it scores —
+//!    units on the worker pool. Each unit decodes its centers onto its
+//!    worker's tape ([`tg_tensor::tape::Tape::with_thread_local`]) —
+//!    gathering from the parameter tables only the rows it scores —
 //!    and samples its edges from the probability rows where they lie on
 //!    that tape, with its own RNG stream, so results are bit-identical
-//!    at any thread count and any unit partition. Units are processed in
+//!    at any thread count and any unit partition. The tape frees the
+//!    unit's buffers when the unit finishes. Units are processed in
 //!    bounded windows (a few per worker), so the number of in-flight edge
 //!    buffers — and therefore peak memory with a streaming sink — is
 //!    independent of the total edge count.

@@ -110,10 +110,9 @@ impl Tgae {
         (tape, loss, stats)
     }
 
-    /// Forward pass recording onto a caller-owned tape. The training loop
-    /// reuses one tape (plus its scratch pool) across every epoch via
-    /// [`Tape::clear`], which removes per-step buffer allocation; see
-    /// `trainer::fit`. The tape is cleared before recording.
+    /// Forward pass recording onto a caller-owned tape, which is
+    /// [`Tape::clear`]ed before recording. The training loop reuses one
+    /// tape across every epoch; see `trainer::fit`.
     pub fn forward_batch_into<R: Rng + ?Sized>(
         &self,
         tape: &mut Tape,

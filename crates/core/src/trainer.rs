@@ -223,9 +223,8 @@ pub(crate) fn train_loop(
     let run_start = Instant::now();
     let mut early_stopped = false;
 
-    // One tape for the whole run: `forward_batch_into` clears it each step
-    // and node/gradient buffers recycle through its scratch pool, so the
-    // steady-state loop performs (almost) no heap allocation.
+    // One tape for the whole run: `forward_batch_into` clears it each
+    // step, which frees the last step's node buffers.
     let mut tape = Tape::new();
     for epoch in start_epoch..cfg.epochs {
         let _span = tg_obs::trace::span("train.epoch");
@@ -240,7 +239,6 @@ pub(crate) fn train_loop(
         let mut grads = tape.backward(loss);
         clip_global_norm(&mut grads, cfg.grad_clip);
         opt.step(&mut model.store, &grads);
-        tape.recycle(grads);
         losses.push(loss_val);
         slot_acc += stats.n_slots as u64;
         epoch_walls.push(t0.elapsed());

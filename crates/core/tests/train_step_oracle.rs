@@ -165,7 +165,6 @@ fn finish_step(model: &mut Tgae, opt: &mut Adam, tape: &Tape, loss: Var) -> u32 
     let mut grads = tape.backward(loss);
     clip_global_norm(&mut grads, model.cfg.grad_clip);
     opt.step(&mut model.store, &grads);
-    tape.recycle(grads);
     bits
 }
 

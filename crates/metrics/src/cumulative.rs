@@ -55,10 +55,17 @@ impl<'g> CumulativeStats<'g> {
     /// Start before the first timestamp of `graph`.
     pub fn new(graph: &'g TemporalGraph) -> Self {
         let n = graph.n_nodes();
+        // each list sized once, to its node's incident non-self-loop edge
+        // count: an upper bound on its final degree, 8 B per edge in all
+        let mut incident = vec![0usize; n];
+        for e in graph.edges().iter().filter(|e| e.u != e.v) {
+            incident[e.u as usize] += 1;
+            incident[e.v as usize] += 1;
+        }
         CumulativeStats {
             graph,
             t: 0,
-            adj: vec![Vec::new(); n],
+            adj: incident.into_iter().map(Vec::with_capacity).collect(),
             triangles: 0,
             components: UnionFind::new(n),
             ln_ratio: Vec::new(),

@@ -31,13 +31,11 @@
 //! old scoped implementation.
 //!
 //! Because workers are **persistent**, `thread_local!` state observed by
-//! tasks survives across batches: a task that draws from a thread-local
-//! scratch structure (e.g. [`crate::tape::Tape::with_thread_local`])
-//! amortises its allocations over every future task that lands on the
-//! same worker. The generation path leans on this for per-worker tape
-//! reuse; anything correctness-critical must therefore *not* depend on
-//! thread-local state, since task→worker assignment is scheduling-
-//! dependent.
+//! tasks survives across batches: the generation path records every unit
+//! on its worker's tape ([`crate::tape::Tape::with_thread_local`]), which
+//! keeps only its node list between units. Anything correctness-critical
+//! must *not* depend on thread-local state, since task→worker assignment
+//! is scheduling-dependent.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -210,89 +210,15 @@ impl Gradients {
     }
 }
 
-/// Scratch buffers bucketed by **power-of-two size class**, with a hard
-/// retention cap.
-///
-/// Sampled batches produce slightly different matrix shapes every step,
-/// so exact-size bucketing almost never hits and the pool degenerates
-/// into an unbounded graveyard (measured: step time tripled within four
-/// steps from the growing RSS). Size classes make near-miss shapes share
-/// buffers; the cap bounds worst-case retention.
-struct ScratchPool {
-    /// `buckets[c]` holds buffers whose capacity is in `[2^c, 2^(c+1))` —
-    /// i.e. they can serve any request of up to `2^c` elements. One slot
-    /// per bit of a `usize` capacity, so a class indexes it directly.
-    buckets: [Vec<Vec<f32>>; usize::BITS as usize],
-    /// Total f32 elements currently retained across all buckets.
-    retained: usize,
-}
-
-/// Retention cap: 16 Mi f32 = 64 MiB of scratch. Beyond this, released
-/// buffers are simply freed.
-const POOL_CAP_ELEMS: usize = 16 << 20;
-
-impl ScratchPool {
-    fn new() -> Self {
-        ScratchPool {
-            buckets: std::array::from_fn(|_| Vec::new()),
-            retained: 0,
-        }
-    }
-
-    /// Pop a buffer able to hold `need` elements, sized to exactly `need`,
-    /// zero-filled.
-    fn take_zeroed(&mut self, need: usize) -> Vec<f32> {
-        let mut buf = self.take_full(need);
-        buf.fill(0.0);
-        buf
-    }
-
-    /// Pop a buffer able to hold `need` elements, sized to exactly `need`,
-    /// with **arbitrary (stale but initialised) contents** — for callers
-    /// that overwrite every element. Skipping the zero-fill here removes
-    /// one full memset per intermediate matrix per step.
-    fn take_full(&mut self, need: usize) -> Vec<f32> {
-        let class = usize::BITS - need.next_power_of_two().leading_zeros() - 1;
-        match self.buckets[class as usize].pop() {
-            Some(mut buf) => {
-                self.retained -= buf.capacity();
-                if buf.len() >= need {
-                    buf.truncate(need);
-                } else {
-                    // extend only the (typically small) tail delta
-                    buf.resize(need, 0.0);
-                }
-                buf
-            }
-            None => vec![0.0; need],
-        }
-    }
-
-    /// Return a buffer to its size class, or free it when over the cap.
-    fn put(&mut self, buf: Vec<f32>) {
-        let cap = buf.capacity();
-        if cap == 0 || self.retained + cap > POOL_CAP_ELEMS {
-            return;
-        }
-        let class = usize::BITS - cap.leading_zeros() - 1;
-        self.retained += cap;
-        self.buckets[class as usize].push(buf);
-    }
-}
-
 /// Records a forward pass and differentiates it.
 ///
-/// The tape owns a **scratch pool** (`ScratchPool`) that node values and
-/// backward intermediates are allocated from. Calling [`Tape::clear`]
-/// between steps returns every node's buffer to the pool, so a training
-/// loop that reuses one tape recycles its buffers step over step instead
-/// of hammering the allocator (the seed implementation built a fresh
-/// `Tape` — and reallocated every intermediate — per epoch).
+/// Every node value, backward intermediate and gradient is allocated
+/// fresh, and [`Tape::clear`] frees them all: a tape holds no buffer
+/// between steps. (A pool that kept them for the next step bought no time
+/// and held 64 MiB per tape; ARCHITECTURE "Tape memory".)
 pub struct Tape {
     nodes: Vec<Node>,
     n_params: usize,
-    /// RefCell so `backward(&self)` can draw from the pool too.
-    pool: RefCell<ScratchPool>,
 }
 
 impl Default for Tape {
@@ -302,29 +228,26 @@ impl Default for Tape {
 }
 
 thread_local! {
-    /// One persistent scratch tape per OS thread, absent while a
+    /// One persistent tape per OS thread, absent while a
     /// [`Tape::with_thread_local`] call on this thread is using it.
     static THREAD_TAPE: Cell<Option<Tape>> = const { Cell::new(None) };
 }
 
 impl Tape {
-    /// Empty tape with a fresh scratch pool.
+    /// Empty tape.
     pub fn new() -> Self {
         Tape {
             nodes: Vec::with_capacity(64),
             n_params: 0,
-            pool: RefCell::new(ScratchPool::new()),
         }
     }
 
-    /// Run `f` with this thread's **persistent scratch tape**.
+    /// Run `f` with this thread's **persistent tape**.
     ///
-    /// The tape (and crucially its scratch pool, capped at 64 MiB) lives
-    /// for the thread's lifetime, so forward passes executed on the
-    /// persistent worker pool (`crate::parallel`) reuse their buffers
-    /// across work items exactly like the training loop's single reused
-    /// tape — this is what gives *generation* the trainer's scratch
-    /// story. The tape is [`Tape::clear`]ed before `f` runs.
+    /// The tape lives for the thread's lifetime, so forward passes
+    /// executed on the persistent worker pool (`crate::parallel`) reuse
+    /// its node list across work items. The tape is [`Tape::clear`]ed
+    /// before `f` runs and after it returns.
     ///
     /// The tape is taken out of its thread-local slot while `f` runs, so
     /// `f` may re-enter: a pool thread that waits for a parallel gemm
@@ -336,55 +259,22 @@ impl Tape {
         let mut tape = THREAD_TAPE.take().unwrap_or_default();
         tape.clear();
         let out = f(&mut tape);
-        // Clear again on the way out: node buffers return to the capped
-        // scratch pool instead of staying live on the tape, so an idle
-        // worker retains at most the pool cap — not its last forward
-        // pass's full activation set.
+        // clear on the way out too, so an idle worker holds no activations
         tape.clear();
         THREAD_TAPE.set(Some(tape));
         out
     }
 
-    /// Allocate a zero-filled matrix from the scratch pool.
-    fn alloc(&self, rows: usize, cols: usize) -> Matrix {
-        let buf = self.pool.borrow_mut().take_zeroed(rows * cols);
-        Matrix::from_vec(rows, cols, buf)
-    }
-
-    /// Allocate a matrix whose every element the caller will overwrite;
-    /// pooled buffers keep their stale contents (no memset).
-    fn alloc_full(&self, rows: usize, cols: usize) -> Matrix {
-        let buf = self.pool.borrow_mut().take_full(rows * cols);
-        Matrix::from_vec(rows, cols, buf)
-    }
-
-    /// Drop all recorded nodes, returning their buffers to the scratch
-    /// pool. The tape is ready to record a fresh forward pass.
+    /// Drop all recorded nodes and free their buffers. The tape is ready
+    /// to record a fresh forward pass.
     pub fn clear(&mut self) {
-        let pool = self.pool.get_mut();
-        for node in self.nodes.drain(..) {
-            pool.put(node.value.into_vec());
-            // matrices an op holds beside its node value are recycled too
-            match node.op {
-                Op::SoftmaxXentMaterialised { probs, .. } => pool.put(probs.into_vec()),
-                Op::ScoreXent(op) => {
-                    pool.put(op.h_rows.into_vec());
-                    pool.put(op.logits.into_inner().into_vec());
-                }
-                Op::GatAttend(op) => pool.put(op.alpha.into_vec()),
-                _ => {}
-            }
-        }
+        self.nodes.clear();
         self.n_params = 0;
     }
 
-    /// Return consumed gradient buffers to the scratch pool (call after
-    /// the optimizer step; the next backward reuses them).
+    /// Drops `grads`; kept because the frozen suite calls it.
     pub fn recycle(&self, grads: Gradients) {
-        let mut pool = self.pool.borrow_mut();
-        for g in grads.grads.into_iter().flatten() {
-            pool.put(g.into_vec());
-        }
+        drop(grads);
     }
 
     fn push(&mut self, value: Matrix, op: Op, needs_grad: bool) -> Var {
@@ -444,18 +334,13 @@ impl Tape {
     /// store. Gradients flow into the returned slot of [`Gradients`].
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
         self.n_params = self.n_params.max(id.index() + 1);
-        let src = store.value(id);
-        // copy via the scratch pool rather than `clone` — embedding tables
-        // are the largest per-step allocations of the seed implementation
-        let mut v = self.alloc_full(src.rows(), src.cols());
-        v.as_mut_slice().copy_from_slice(src.as_slice());
-        self.push(v, Op::Param(id), true)
+        self.push(store.value(id).clone(), Op::Param(id), true)
     }
 
     /// Allocate-and-fill helper for element-wise unary ops.
     fn map_op(&mut self, x: Var, op: Op, f: impl Fn(f32) -> f32) -> Var {
         let (r, c) = self.shape(x);
-        let mut v = self.alloc_full(r, c);
+        let mut v = Matrix::zeros(r, c);
         self.value(x).map_into(f, &mut v);
         let ng = self.needs(x);
         self.push(v, op, ng)
@@ -464,7 +349,7 @@ impl Tape {
     /// Allocate-and-fill helper for element-wise binary ops.
     fn zip_op(&mut self, a: Var, b: Var, op: Op, f: impl Fn(f32, f32) -> f32) -> Var {
         let (r, c) = self.shape(a);
-        let mut v = self.alloc_full(r, c);
+        let mut v = Matrix::zeros(r, c);
         self.value(a).zip_into(self.value(b), f, &mut v);
         let ng = self.needs(a) || self.needs(b);
         self.push(v, op, ng)
@@ -472,7 +357,7 @@ impl Tape {
 
     /// `a @ b`
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let mut v = self.alloc_full(self.value(a).rows(), self.value(b).cols());
+        let mut v = Matrix::zeros(self.value(a).rows(), self.value(b).cols());
         matmul_nn_into(self.value(a), self.value(b), &mut v);
         let ng = self.needs(a) || self.needs(b);
         self.push(v, Op::MatMul(a, b), ng)
@@ -481,7 +366,7 @@ impl Tape {
     /// `a @ b^T` — scores every row of `a` against every row of `b`
     /// (candidate-set decoding uses this with `b` = gathered decoder rows).
     pub fn matmul_nt(&mut self, a: Var, b: Var) -> Var {
-        let mut v = self.alloc_full(self.value(a).rows(), self.value(b).rows());
+        let mut v = Matrix::zeros(self.value(a).rows(), self.value(b).rows());
         matmul_nt_into(self.value(a), self.value(b), &mut v);
         let ng = self.needs(a) || self.needs(b);
         self.push(v, Op::MatMulNT(a, b), ng)
@@ -490,7 +375,7 @@ impl Tape {
     /// Transposed copy of `x`.
     pub fn transpose(&mut self, x: Var) -> Var {
         let (r, c) = self.shape(x);
-        let mut v = self.alloc_full(c, r);
+        let mut v = Matrix::zeros(c, r);
         let src = self.value(x);
         for i in 0..r {
             for (j, &s) in src.row(i).iter().enumerate() {
@@ -523,7 +408,7 @@ impl Tape {
     pub fn add_row(&mut self, x: Var, bias: Var) -> Var {
         let (xr, xc) = self.shape(x);
         assert_eq!(self.shape(bias), (1, xc), "add_row: bias must be 1x{xc}");
-        let mut v = self.alloc_full(xr, xc);
+        let mut v = Matrix::zeros(xr, xc);
         let x_val = self.value(x);
         let b_val = self.value(bias);
         for r in 0..xr {
@@ -577,7 +462,7 @@ impl Tape {
         let (r, ac) = self.shape(a);
         let (br, bc) = self.shape(b);
         assert_eq!(r, br, "concat_cols: row mismatch");
-        let mut v = self.alloc_full(r, ac + bc);
+        let mut v = Matrix::zeros(r, ac + bc);
         concat_cols_into(self.value(a), self.value(b), &mut v);
         let ng = self.needs(a) || self.needs(b);
         self.push(v, Op::ConcatCols(a, b), ng)
@@ -586,7 +471,7 @@ impl Tape {
     /// `out[i,:] = x[idx[i],:]` (embedding lookup / neighbor gather).
     pub fn gather_rows(&mut self, x: Var, idx: Rc<Vec<u32>>) -> Var {
         let cols = self.value(x).cols();
-        let mut v = self.alloc_full(idx.len(), cols);
+        let mut v = Matrix::zeros(idx.len(), cols);
         gather_rows_into(self.value(x), &idx, &mut v);
         let ng = self.needs(x);
         self.push(v, Op::GatherRows(x, idx), ng)
@@ -607,7 +492,7 @@ impl Tape {
         self.n_params = self.n_params.max(id.index() + 1);
         let table = store.value(id);
         let table_rows = table.rows();
-        let mut v = self.alloc_full(idx.len(), table.cols());
+        let mut v = Matrix::zeros(idx.len(), table.cols());
         gather_rows_into(table, &idx, &mut v);
         self.push(
             v,
@@ -623,8 +508,7 @@ impl Tape {
     /// `out[idx[i],:] += x[i,:]` into `out_rows` rows (message aggregation).
     pub fn scatter_add_rows(&mut self, x: Var, idx: Rc<Vec<u32>>, out_rows: usize) -> Var {
         let cols = self.value(x).cols();
-        // scatter_add_rows_into zeroes the buffer before accumulating
-        let mut v = self.alloc_full(out_rows, cols);
+        let mut v = Matrix::zeros(out_rows, cols);
         scatter_add_rows_into(self.value(x), &idx, &mut v);
         let ng = self.needs(x);
         self.push(v, Op::ScatterAddRows(x, idx), ng)
@@ -692,9 +576,8 @@ impl Tape {
         let ng = heads
             .iter()
             .any(|&(hw, s_src, s_dst)| self.needs(hw) || self.needs(s_src) || self.needs(s_dst));
-        let mut alpha = self.alloc_full(heads.len(), src.len());
-        // zeroed: a head's block of a target's row is its accumulator
-        let mut v = self.alloc(n_targets, heads.len() * d_head);
+        let mut alpha = Matrix::zeros(heads.len(), src.len());
+        let mut v = Matrix::zeros(n_targets, heads.len() * d_head);
         let mut op = Box::new(GatAttend {
             heads: heads.to_vec(),
             src,
@@ -797,7 +680,7 @@ impl Tape {
     ) -> Var {
         assert!(norm > 0.0, "softmax_xent: norm must be positive");
         let lv = self.value(logits);
-        let mut probs = self.alloc_full(lv.rows(), lv.cols());
+        let mut probs = Matrix::zeros(lv.rows(), lv.cols());
         softmax_rows_into(self.value(logits), &mut probs);
         let mut loss = 0.0f64;
         for &(r, c, w) in targets.iter() {
@@ -879,9 +762,9 @@ impl Tape {
             .iter()
             .map(|&(r, c, w)| (pos[r as usize], c, w))
             .collect();
-        let mut h_rows = self.alloc_full(rows.len(), d);
+        let mut h_rows = Matrix::zeros(rows.len(), d);
         gather_rows_into(self.value(h), &rows, &mut h_rows);
-        let mut logits = self.alloc_full(rows.len(), n_cand);
+        let mut logits = Matrix::zeros(rows.len(), n_cand);
         let path = GemmPath::for_product(slots, d, n_cand);
         matmul_nt_into_on(path, &h_rows, self.value(w_c), &mut logits);
         let bias = self.value(b_c).as_slice();
@@ -956,8 +839,7 @@ impl Tape {
     /// Intermediate gradients are reference-counted: pass-through ops
     /// (`Add`, `AddRow`, the lhs of `Sub`) forward the *same* buffer with
     /// an `Rc` bump instead of a deep copy, and accumulation into a shared
-    /// buffer copies-on-write via [`Rc::make_mut`]. Gradients that an op
-    /// fully consumes are recycled into the tape's scratch pool.
+    /// buffer copies-on-write via [`Rc::make_mut`].
     pub fn backward(&self, loss: Var) -> Gradients {
         assert_eq!(self.shape(loss), (1, 1), "backward: loss must be scalar");
         let mut grads: Vec<Option<Rc<Matrix>>> = (0..self.nodes.len()).map(|_| None).collect();
@@ -990,25 +872,18 @@ impl Tape {
             }
             match &self.nodes[i].op {
                 Op::Input => {}
-                Op::Param(id) => {
-                    let m = Rc::try_unwrap(g).unwrap_or_else(|rc| (*rc).clone());
-                    match &mut out.grads[id.index()] {
-                        Some(existing) => {
-                            existing.add_assign(&m);
-                            self.pool.borrow_mut().put(m.into_vec());
-                        }
-                        slot @ None => *slot = Some(m),
-                    }
-                    continue;
-                }
+                Op::Param(id) => match &mut out.grads[id.index()] {
+                    Some(existing) => existing.add_assign(&g),
+                    slot @ None => *slot = Some(Rc::unwrap_or_clone(g)),
+                },
                 Op::MatMul(a, b) => {
                     if self.needs(*a) {
-                        let mut ga = self.alloc_full(g.rows(), self.value(*b).rows());
+                        let mut ga = Matrix::zeros(g.rows(), self.value(*b).rows());
                         matmul_nt_into(&g, self.value(*b), &mut ga);
                         accum(&mut grads, *a, ga);
                     }
                     if self.needs(*b) {
-                        let mut gb = self.alloc_full(self.value(*a).cols(), g.cols());
+                        let mut gb = Matrix::zeros(self.value(*a).cols(), g.cols());
                         matmul_tn_into(self.value(*a), &g, &mut gb);
                         accum(&mut grads, *b, gb);
                     }
@@ -1016,12 +891,12 @@ impl Tape {
                 Op::MatMulNT(a, b) => {
                     // y = a b^T: da = g b ; db = g^T a
                     if self.needs(*a) {
-                        let mut ga = self.alloc_full(g.rows(), self.value(*b).cols());
+                        let mut ga = Matrix::zeros(g.rows(), self.value(*b).cols());
                         matmul_nn_into(&g, self.value(*b), &mut ga);
                         accum(&mut grads, *a, ga);
                     }
                     if self.needs(*b) {
-                        let mut gb = self.alloc_full(g.cols(), self.value(*a).cols());
+                        let mut gb = Matrix::zeros(g.cols(), self.value(*a).cols());
                         matmul_tn_into(&g, self.value(*a), &mut gb);
                         accum(&mut grads, *b, gb);
                     }
@@ -1039,7 +914,7 @@ impl Tape {
                 }
                 Op::Sub(a, b) => {
                     if self.needs(*b) {
-                        let mut gb = self.alloc_full(g.rows(), g.cols());
+                        let mut gb = Matrix::zeros(g.rows(), g.cols());
                         g.map_into(|x| -x, &mut gb);
                         accum(&mut grads, *b, gb);
                     }
@@ -1049,12 +924,12 @@ impl Tape {
                 }
                 Op::Mul(a, b) => {
                     if self.needs(*a) {
-                        let mut ga = self.alloc_full(g.rows(), g.cols());
+                        let mut ga = Matrix::zeros(g.rows(), g.cols());
                         g.zip_into(self.value(*b), |x, y| x * y, &mut ga);
                         accum(&mut grads, *a, ga);
                     }
                     if self.needs(*b) {
-                        let mut gb = self.alloc_full(g.rows(), g.cols());
+                        let mut gb = Matrix::zeros(g.rows(), g.cols());
                         g.zip_into(self.value(*a), |x, y| x * y, &mut gb);
                         accum(&mut grads, *b, gb);
                     }
@@ -1062,7 +937,7 @@ impl Tape {
                 Op::AddRow(x, bias) => {
                     if self.needs(*bias) {
                         let cols = g.cols();
-                        let mut bg = self.alloc(1, cols);
+                        let mut bg = Matrix::zeros(1, cols);
                         for r in 0..g.rows() {
                             for (o, &v) in bg.row_mut(0).iter_mut().zip(g.row(r)) {
                                 *o += v;
@@ -1076,13 +951,13 @@ impl Tape {
                 }
                 Op::Scale(x, c) => {
                     let c = *c;
-                    let mut gx = self.alloc_full(g.rows(), g.cols());
+                    let mut gx = Matrix::zeros(g.rows(), g.cols());
                     g.map_into(|v| c * v, &mut gx);
                     accum(&mut grads, *x, gx);
                 }
                 Op::LeakyRelu(x, alpha) => {
                     let a = *alpha;
-                    let mut gx = self.alloc_full(g.rows(), g.cols());
+                    let mut gx = Matrix::zeros(g.rows(), g.cols());
                     g.zip_into(
                         self.value(*x),
                         |gv, xv| if xv >= 0.0 { gv } else { a * gv },
@@ -1091,7 +966,7 @@ impl Tape {
                     accum(&mut grads, *x, gx);
                 }
                 Op::Relu(x) => {
-                    let mut gx = self.alloc_full(g.rows(), g.cols());
+                    let mut gx = Matrix::zeros(g.rows(), g.cols());
                     g.zip_into(
                         self.value(*x),
                         |gv, xv| if xv > 0.0 { gv } else { 0.0 },
@@ -1100,17 +975,17 @@ impl Tape {
                     accum(&mut grads, *x, gx);
                 }
                 Op::Sigmoid(x) => {
-                    let mut gx = self.alloc_full(g.rows(), g.cols());
+                    let mut gx = Matrix::zeros(g.rows(), g.cols());
                     g.zip_into(&self.nodes[i].value, |gv, yv| gv * yv * (1.0 - yv), &mut gx);
                     accum(&mut grads, *x, gx);
                 }
                 Op::Tanh(x) => {
-                    let mut gx = self.alloc_full(g.rows(), g.cols());
+                    let mut gx = Matrix::zeros(g.rows(), g.cols());
                     g.zip_into(&self.nodes[i].value, |gv, yv| gv * (1.0 - yv * yv), &mut gx);
                     accum(&mut grads, *x, gx);
                 }
                 Op::Exp(x) => {
-                    let mut gx = self.alloc_full(g.rows(), g.cols());
+                    let mut gx = Matrix::zeros(g.rows(), g.cols());
                     g.zip_into(&self.nodes[i].value, |gv, yv| gv * yv, &mut gx);
                     accum(&mut grads, *x, gx);
                 }
@@ -1118,14 +993,14 @@ impl Tape {
                     let ac = self.value(*a).cols();
                     let bc = self.value(*b).cols();
                     if self.needs(*a) {
-                        let mut ga = self.alloc_full(g.rows(), ac);
+                        let mut ga = Matrix::zeros(g.rows(), ac);
                         for r in 0..g.rows() {
                             ga.row_mut(r).copy_from_slice(&g.row(r)[..ac]);
                         }
                         accum(&mut grads, *a, ga);
                     }
                     if self.needs(*b) {
-                        let mut gb = self.alloc_full(g.rows(), bc);
+                        let mut gb = Matrix::zeros(g.rows(), bc);
                         for r in 0..g.rows() {
                             gb.row_mut(r).copy_from_slice(&g.row(r)[ac..]);
                         }
@@ -1134,12 +1009,12 @@ impl Tape {
                 }
                 Op::GatherRows(x, idx) => {
                     let rows = self.value(*x).rows();
-                    let mut gx = self.alloc_full(rows, g.cols());
+                    let mut gx = Matrix::zeros(rows, g.cols());
                     scatter_add_rows_into(&g, idx, &mut gx);
                     accum(&mut grads, *x, gx);
                 }
                 Op::ScatterAddRows(x, idx) => {
-                    let mut gx = self.alloc_full(idx.len(), g.cols());
+                    let mut gx = Matrix::zeros(idx.len(), g.cols());
                     gather_rows_into(&g, idx, &mut gx);
                     accum(&mut grads, *x, gx);
                 }
@@ -1159,9 +1034,9 @@ impl Tape {
                             continue;
                         }
                         let (n_sources, d_head) = self.shape(hw);
-                        let mut g_hw = self.alloc(n_sources, d_head);
-                        let mut g_src = self.alloc(n_sources, 1);
-                        let mut g_dst = self.alloc(n_sources, 1);
+                        let mut g_hw = Matrix::zeros(n_sources, d_head);
+                        let mut g_src = Matrix::zeros(n_sources, 1);
+                        let mut g_dst = Matrix::zeros(n_sources, 1);
                         gat_attend_head_backward(
                             op.head(self, h),
                             op.alpha.row(h),
@@ -1177,8 +1052,6 @@ impl Tape {
                         for (v, gv) in [(hw, g_hw), (s_dst, g_dst), (s_src, g_src)] {
                             if self.needs(v) {
                                 accum(&mut grads, v, gv);
-                            } else {
-                                self.pool.borrow_mut().put(gv.into_vec());
                             }
                         }
                     }
@@ -1188,13 +1061,10 @@ impl Tape {
                     idx,
                     table_rows,
                 } => {
-                    let mut gx = self.alloc_full(*table_rows, g.cols());
+                    let mut gx = Matrix::zeros(*table_rows, g.cols());
                     scatter_add_rows_into(&g, idx, &mut gx);
                     match &mut out.grads[id.index()] {
-                        Some(existing) => {
-                            existing.add_assign(&gx);
-                            self.pool.borrow_mut().put(gx.into_vec());
-                        }
+                        Some(existing) => existing.add_assign(&gx),
                         slot @ None => *slot = Some(gx),
                     }
                 }
@@ -1216,14 +1086,14 @@ impl Tape {
                 }
                 Op::Sum(x) => {
                     let (r, c) = self.shape(*x);
-                    let mut gx = self.alloc_full(r, c);
+                    let mut gx = Matrix::zeros(r, c);
                     gx.as_mut_slice().fill(g.item());
                     accum(&mut grads, *x, gx);
                 }
                 Op::Mean(x) => {
                     let (r, c) = self.shape(*x);
                     let n = (r * c).max(1) as f32;
-                    let mut gx = self.alloc_full(r, c);
+                    let mut gx = Matrix::zeros(r, c);
                     gx.as_mut_slice().fill(g.item() / n);
                     accum(&mut grads, *x, gx);
                 }
@@ -1244,7 +1114,7 @@ impl Tape {
                     for &(rr, _, w) in targets.iter() {
                         row_w[rr as usize] += w;
                     }
-                    let mut gx = self.alloc(r, c);
+                    let mut gx = Matrix::zeros(r, c);
                     for (rr, &rw) in row_w.iter().enumerate() {
                         if rw == 0.0 {
                             continue;
@@ -1273,7 +1143,7 @@ impl Tape {
                     for &(rr, _, w) in targets.iter() {
                         row_w[rr as usize] += w;
                     }
-                    let mut gx = self.alloc(r, c);
+                    let mut gx = Matrix::zeros(r, c);
                     for (rr, &rw) in row_w.iter().enumerate() {
                         if rw == 0.0 {
                             continue;
@@ -1334,7 +1204,7 @@ impl Tape {
                     }
                     let path = GemmPath::for_product(slots, d, n_cand);
                     if self.needs(*b_c) {
-                        let mut gb = self.alloc(n_cand, 1);
+                        let mut gb = Matrix::zeros(n_cand, 1);
                         for i in 0..rows.len() {
                             for (o, &v) in gb.as_mut_slice().iter_mut().zip(gz.row(i)) {
                                 *o += v;
@@ -1343,17 +1213,16 @@ impl Tape {
                         accum(&mut grads, *b_c, gb);
                     }
                     if self.needs(*h) {
-                        let mut gh_rows = self.alloc_full(rows.len(), d);
+                        let mut gh_rows = Matrix::zeros(rows.len(), d);
                         matmul_nn_into_on(path, &gz, self.value(*w_c), &mut gh_rows);
-                        let mut gh = self.alloc(slots, d);
+                        let mut gh = Matrix::zeros(slots, d);
                         for (i, &r) in rows.iter().enumerate() {
                             gh.row_mut(r as usize).copy_from_slice(gh_rows.row(i));
                         }
-                        self.pool.borrow_mut().put(gh_rows.into_vec());
                         accum(&mut grads, *h, gh);
                     }
                     if self.needs(*w_c) {
-                        let mut gw = self.alloc_full(n_cand, d);
+                        let mut gw = Matrix::zeros(n_cand, d);
                         matmul_tn_into_on(path, &gz, h_rows, &mut gw);
                         accum(&mut grads, *w_c, gw);
                     }
@@ -1362,7 +1231,7 @@ impl Tape {
                     let lv = self.value(*logits);
                     let n = lv.len().max(1) as f32;
                     let go = g.item() / n;
-                    let mut gx = self.alloc_full(lv.rows(), lv.cols());
+                    let mut gx = Matrix::zeros(lv.rows(), lv.cols());
                     lv.zip_into(targets, |z, y| go * (1.0 / (1.0 + (-z).exp()) - y), &mut gx);
                     accum(&mut grads, *logits, gx);
                 }
@@ -1370,22 +1239,17 @@ impl Tape {
                     let go = g.item() * *scale;
                     if self.needs(*mu) {
                         let mv = self.value(*mu);
-                        let mut gx = self.alloc_full(mv.rows(), mv.cols());
+                        let mut gx = Matrix::zeros(mv.rows(), mv.cols());
                         mv.map_into(|m| go * m, &mut gx);
                         accum(&mut grads, *mu, gx);
                     }
                     if self.needs(*logvar) {
                         let lvv = self.value(*logvar);
-                        let mut gx = self.alloc_full(lvv.rows(), lvv.cols());
+                        let mut gx = Matrix::zeros(lvv.rows(), lvv.cols());
                         lvv.map_into(|l| 0.5 * go * (l.exp() - 1.0), &mut gx);
                         accum(&mut grads, *logvar, gx);
                     }
                 }
-            }
-            // The gradient for node i has been fully consumed; if nothing
-            // else holds the buffer, return it to the scratch pool.
-            if let Ok(m) = Rc::try_unwrap(g) {
-                self.pool.borrow_mut().put(m.into_vec());
             }
         }
         out
@@ -1682,8 +1546,8 @@ mod tests {
             tape.value(s).item()
         };
         let fresh = run(&mut Tape::new());
-        // two back-to-back thread-local uses: second must see a cleared
-        // tape whose pooled (stale) buffers do not change the result
+        // two back-to-back thread-local uses: the second must see a
+        // cleared tape
         let first = Tape::with_thread_local(|t| run(t));
         let second = Tape::with_thread_local(|t| {
             assert!(t.is_empty(), "thread-local tape not cleared");

@@ -300,15 +300,16 @@ impl Tgae {
         // candidate-sparse assembly of DESIGN.md D6).
         let mut positives: Vec<NodeId> = Vec::new();
         if self.n_nodes > self.cfg.dense_cutoff {
+            let mut occurrences = Vec::new();
             for &(v, t) in centers {
-                for (u, _) in tg_sampling::temporal_neighbor_occurrences(
+                tg_sampling::temporal_neighbor_occurrences_into(
                     g,
                     v,
                     t,
                     self.cfg.sampler.time_window,
-                ) {
-                    positives.push(u);
-                }
+                    &mut occurrences,
+                );
+                positives.extend(occurrences.iter().map(|&(u, _)| u));
             }
         }
         let (candidates, _) = build_candidates(

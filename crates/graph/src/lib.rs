@@ -8,8 +8,9 @@
 //! timestamp. This crate provides:
 //!
 //! - [`temporal::TemporalGraph`] — the immutable edge store with
-//!   per-timestamp slicing, temporal neighborhoods (Def. 3 with `d_N = 1`)
-//!   and temporal degrees (the Eq. 2 sampling weights);
+//!   per-timestamp slicing and a per-node, time-ordered adjacency that
+//!   answers temporal neighborhoods (Def. 3 with `d_N = 1`) and temporal
+//!   degrees (the Eq. 2 sampling weights);
 //! - [`snapshot::Snapshot`] — accumulated/exact static CSR snapshots, the
 //!   objects the paper's evaluation metrics are computed on;
 //! - [`builder::TemporalGraphBuilder`] — relabeling/compaction from raw

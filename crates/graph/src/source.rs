@@ -169,21 +169,17 @@ impl std::error::Error for AssembleError {}
 /// input *and* the sorted copy. The assembler instead consumes the
 /// already-ordered chunks an [`EdgeSource`] yields: edges append straight
 /// into an exactly-reserved array, per-timestamp offsets accumulate as
-/// timestamps close, and the `(t, v, u)` in-order permutation is sorted
-/// one timestamp slice at a time. Peak memory above the finished graph is
-/// therefore `O(max_chunk)` (the caller's chunk buffer), independent of
-/// the total edge count.
+/// timestamps close, and [`GraphAssembler::finish`] builds the temporal
+/// adjacency in one counting pass over the finished array. Peak memory
+/// above the finished graph is therefore the caller's chunk buffer plus
+/// that pass's 4 B per node, independent of the total edge count.
 pub struct GraphAssembler {
     n: usize,
     t: usize,
     edges: Vec<TemporalEdge>,
-    in_order: Vec<u32>,
     time_offsets: Vec<usize>,
     /// Timestamp whose slice is currently open (edges may still arrive).
     open_t: Time,
-    /// Start of the open timestamp's slice in `edges` (for the in-order
-    /// per-timestamp sort on close).
-    open_start: usize,
 }
 
 impl GraphAssembler {
@@ -194,29 +190,22 @@ impl GraphAssembler {
             n_timestamps > 0,
             "temporal graph needs at least one timestamp"
         );
+        let mut time_offsets = Vec::with_capacity(n_timestamps + 1);
+        time_offsets.push(0);
         GraphAssembler {
             n: n_nodes,
             t: n_timestamps,
             edges: Vec::with_capacity(n_edges_hint),
-            in_order: Vec::with_capacity(n_edges_hint),
-            time_offsets: Vec::with_capacity(n_timestamps + 1),
+            time_offsets,
             open_t: 0,
-            open_start: 0,
         }
     }
 
-    /// Close timestamp slices up to (excluding) `t`: record offsets and
-    /// sort each closed slice's in-order permutation by `(v, u)`.
+    /// Close timestamp slices up to (excluding) `t`, recording where each
+    /// closed slice ends.
     fn close_until(&mut self, t: Time) {
         while self.open_t < t {
-            self.time_offsets.push(self.open_start);
-            let slice = &mut self.in_order[self.open_start..];
-            let edges = &self.edges;
-            slice.sort_unstable_by_key(|&i| {
-                let e = edges[i as usize];
-                (e.v, e.u)
-            });
-            self.open_start = self.edges.len();
+            self.time_offsets.push(self.edges.len());
             self.open_t += 1;
         }
     }
@@ -256,7 +245,6 @@ impl GraphAssembler {
                     });
                 }
             }
-            self.in_order.push(self.edges.len() as u32);
             self.edges.push(*e);
         }
         Ok(())
@@ -272,14 +260,7 @@ impl GraphAssembler {
     /// (regression-tested), without the sort or the staging copy.
     pub fn finish(mut self) -> TemporalGraph {
         self.close_until(self.t as Time);
-        self.time_offsets.push(self.edges.len());
-        TemporalGraph::from_sorted_parts(
-            self.n,
-            self.t,
-            self.edges,
-            self.in_order,
-            self.time_offsets,
-        )
+        TemporalGraph::from_sorted_parts(self.n, self.t, self.edges, self.time_offsets)
     }
 }
 
@@ -398,19 +379,44 @@ mod tests {
 
     #[test]
     fn read_graph_round_trips_any_chunk_size() {
-        let g = toy();
-        for chunk in [1usize, 2, 3, 100] {
-            let rebuilt = read_graph(&mut InMemorySource::new(&g), chunk).unwrap();
-            assert_eq!(rebuilt.n_nodes(), g.n_nodes());
-            assert_eq!(rebuilt.n_timestamps(), g.n_timestamps());
-            assert_eq!(rebuilt.edges(), g.edges(), "chunk={chunk}");
-            // in-order permutation must match too: compare neighbor queries
-            for t in 0..g.n_timestamps() as Time {
-                for v in 0..g.n_nodes() as u32 {
-                    assert_eq!(
-                        rebuilt.in_neighbors_at(v, t).collect::<Vec<_>>(),
-                        g.in_neighbors_at(v, t).collect::<Vec<_>>()
-                    );
+        // a self-loop, a repeated edge and empty timestamps at both ends
+        let loops = TemporalGraph::from_edges(
+            4,
+            6,
+            vec![
+                TemporalEdge::new(2, 2, 1),
+                TemporalEdge::new(3, 0, 1),
+                TemporalEdge::new(0, 3, 3),
+                TemporalEdge::new(0, 3, 3),
+                TemporalEdge::new(1, 2, 4),
+            ],
+        );
+        for g in [toy(), loops] {
+            for chunk in [1usize, 2, 3, 100] {
+                let rebuilt = read_graph(&mut InMemorySource::new(&g), chunk).unwrap();
+                assert_eq!(rebuilt.n_nodes(), g.n_nodes());
+                assert_eq!(rebuilt.n_timestamps(), g.n_timestamps());
+                assert_eq!(rebuilt.edges(), g.edges(), "chunk={chunk}");
+                // the adjacency must match too: compare neighbour and window queries
+                for t in 0..g.n_timestamps() as Time {
+                    for v in 0..g.n_nodes() as u32 {
+                        assert_eq!(
+                            rebuilt.in_neighbors_at(v, t).collect::<Vec<_>>(),
+                            g.in_neighbors_at(v, t).collect::<Vec<_>>()
+                        );
+                        assert_eq!(rebuilt.temporal_degree(v, t), g.temporal_degree(v, t));
+                        for t_n in [0, 1, 3, 10] {
+                            assert_eq!(
+                                rebuilt.incident_within(v, t, t_n).collect::<Vec<_>>(),
+                                g.incident_within(v, t, t_n).collect::<Vec<_>>(),
+                                "chunk={chunk} v={v} t={t} t_n={t_n}"
+                            );
+                            assert_eq!(
+                                rebuilt.temporal_neighbors(v, t, t_n),
+                                g.temporal_neighbors(v, t, t_n)
+                            );
+                        }
+                    }
                 }
             }
         }

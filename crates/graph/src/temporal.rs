@@ -2,12 +2,19 @@
 //!
 //! Following the paper (§III, Def. 2), a temporal graph is a series of graph
 //! snapshots `{G_1, ..., G_T}`: every edge carries a timestamp `t` in
-//! `0..T`. We store one flat edge array sorted by `(t, u, v)` plus a twin
-//! sort by `(t, v, u)`, giving O(log m) neighbor queries per timestamp
-//! without materialising per-timestamp CSR offset tables (which would cost
-//! O(nT) memory — prohibitive at UBUNTU scale, ~14M temporal nodes).
+//! `0..T`. We store one flat edge array sorted by `(t, u, v)`, sliced per
+//! timestamp by `T + 1` offsets, plus one temporal adjacency: for each node,
+//! the edges incident to it as `(t', neighbour)` entries in time order (the
+//! per-node history of STDNE's `node2hist`), in CSR form. A node's
+//! neighbourhood over a time window is then one `partition_point` pair on
+//! its own slice. The adjacency costs 16 B per edge (one 8 B entry per
+//! endpoint) plus 4 B per node, held once per graph (clones share it); it
+//! replaces a 4 B-per-edge `(t, v, u)` permutation of the edge array. Per
+//! node *and* timestamp offset tables would cost O(nT) memory, prohibitive
+//! at UBUNTU scale (~14M temporal nodes), so none are kept.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Node identifier (dense, `0..n`).
 pub type NodeId = u32;
@@ -41,24 +48,103 @@ impl std::fmt::Display for TemporalEdge {
     }
 }
 
+/// One endpoint's view of an edge in the temporal adjacency: the other
+/// endpoint and the timestamp, with the edge's direction in the low bit.
+#[derive(Clone, Copy, Debug, Default)]
+struct AdjEntry {
+    /// `t << 1`, plus 1 when the edge is an in-edge (`nbr -> node`).
+    t_dir: u32,
+    nbr: NodeId,
+}
+
+impl AdjEntry {
+    fn t(self) -> Time {
+        self.t_dir >> 1
+    }
+
+    fn is_in(self) -> bool {
+        self.t_dir & 1 == 1
+    }
+}
+
+/// Per-node temporal adjacency in CSR form: the entries from `offsets[v]`
+/// to `offsets[v + 1]` are the edges incident to `v`, sorted by time, one
+/// entry per endpoint (so a self-loop appears twice, once in each
+/// direction).
+#[derive(Debug)]
+struct Adjacency {
+    offsets: Vec<u32>,
+    entries: Vec<AdjEntry>,
+}
+
+impl Adjacency {
+    /// One counting pass over `edges`, which must be sorted by `(t, u, v)`
+    /// with endpoints `< n`. Filling each node's slice in edge order leaves
+    /// it time-sorted without a sort, and within a timestamp leaves its
+    /// in-entries in ascending source order.
+    fn build(n: usize, edges: &[TemporalEdge]) -> Self {
+        assert!(
+            edges.len() <= (u32::MAX / 2) as usize,
+            "{} edges exceed the u32 adjacency offsets",
+            edges.len()
+        );
+        let mut offsets = vec![0u32; n + 1];
+        for e in edges {
+            offsets[e.u as usize + 1] += 1;
+            offsets[e.v as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut fill = offsets[..n].to_vec();
+        let mut entries = vec![AdjEntry::default(); 2 * edges.len()];
+        for e in edges {
+            let t_dir = e.t << 1;
+            let out_entry = AdjEntry { t_dir, nbr: e.v };
+            let in_entry = AdjEntry {
+                t_dir: t_dir | 1,
+                nbr: e.u,
+            };
+            for (node, entry) in [(e.u, out_entry), (e.v, in_entry)] {
+                let at = &mut fill[node as usize];
+                entries[*at as usize] = entry;
+                *at += 1;
+            }
+        }
+        Adjacency { offsets, entries }
+    }
+
+    /// The entries of `v` with timestamp in `lo..=hi`, in time order; empty
+    /// when `v` is not a node or the window is empty.
+    fn window(&self, v: NodeId, lo: Time, hi: Time) -> &[AdjEntry] {
+        let v = v as usize;
+        let (Some(&start), Some(&end)) = (self.offsets.get(v), self.offsets.get(v + 1)) else {
+            return &[];
+        };
+        let slice = &self.entries[start as usize..end as usize];
+        let slice = &slice[slice.partition_point(|e| e.t() < lo)..];
+        &slice[..slice.partition_point(|e| e.t() <= hi)]
+    }
+}
+
 /// An immutable temporal graph: `n` nodes, `T` timestamps, edges sorted by
-/// `(t, u, v)`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// `(t, u, v)`, and the per-node temporal adjacency over them.
+#[derive(Clone, Debug)]
 pub struct TemporalGraph {
     n: usize,
     t: usize,
     /// Sorted by (t, u, v): out-edge order.
     edges: Vec<TemporalEdge>,
-    /// Permutation of `edges` sorted by (t, v, u): in-edge order. Stores
-    /// indices into `edges`.
-    in_order: Vec<u32>,
     /// `time_offsets[t]..time_offsets[t+1]` is the slice of `edges` at `t`.
     time_offsets: Vec<usize>,
+    /// Shared, not copied, by `clone`: a session clones its observed graph.
+    adj: Arc<Adjacency>,
 }
 
 impl TemporalGraph {
     /// Build from an arbitrary edge list. Panics if any endpoint `>= n` or
-    /// timestamp `>= t`. Duplicate edges are kept (temporal multigraph).
+    /// timestamp `>= t`, or if `t > 2^31`. Duplicate edges are kept
+    /// (temporal multigraph).
     pub fn from_edges(n: usize, t: usize, mut edges: Vec<TemporalEdge>) -> Self {
         assert!(t > 0, "temporal graph needs at least one timestamp");
         for e in &edges {
@@ -69,11 +155,6 @@ impl TemporalGraph {
             assert!((e.t as usize) < t, "edge timestamp out of range: {e:?}");
         }
         edges.sort_unstable();
-        let mut in_order: Vec<u32> = (0..edges.len() as u32).collect();
-        in_order.sort_unstable_by_key(|&i| {
-            let e = edges[i as usize];
-            (e.t, e.v, e.u)
-        });
         let mut time_offsets = vec![0usize; t + 1];
         for e in &edges {
             time_offsets[e.t as usize + 1] += 1;
@@ -81,39 +162,34 @@ impl TemporalGraph {
         for i in 0..t {
             time_offsets[i + 1] += time_offsets[i];
         }
-        TemporalGraph {
-            n,
-            t,
-            edges,
-            in_order,
-            time_offsets,
-        }
+        Self::from_sorted_parts(n, t, edges, time_offsets)
     }
 
-    /// Assemble from already-validated sorted parts — the streaming
-    /// construction path of [`crate::source::GraphAssembler`], which
-    /// builds `edges` / `in_order` / `time_offsets` incrementally from
-    /// per-timestamp chunks and therefore never re-sorts or copies the
-    /// edge array. Callers must uphold the [`TemporalGraph`] invariants:
-    /// `edges` sorted by `(t, u, v)` with endpoints `< n` and timestamps
-    /// `< t`, `in_order` the `(t, v, u)` permutation, and `time_offsets`
-    /// the per-timestamp prefix sums.
+    /// Assemble from already-validated sorted parts — the tail of
+    /// [`TemporalGraph::from_edges`] and the streaming construction path of
+    /// [`crate::source::GraphAssembler`], which builds `edges` /
+    /// `time_offsets` incrementally from per-timestamp chunks and therefore
+    /// never re-sorts or copies the edge array. Callers must uphold the
+    /// [`TemporalGraph`] invariants: `edges` sorted by `(t, u, v)` with
+    /// endpoints `< n` and timestamps `< t`, and `time_offsets` the
+    /// per-timestamp prefix sums.
     pub(crate) fn from_sorted_parts(
         n: usize,
         t: usize,
         edges: Vec<TemporalEdge>,
-        in_order: Vec<u32>,
         time_offsets: Vec<usize>,
     ) -> Self {
+        // the adjacency keeps a timestamp in 31 bits
+        assert!(t <= 1 << 31, "{t} timestamps exceed the adjacency's range");
         debug_assert_eq!(time_offsets.len(), t + 1);
-        debug_assert_eq!(in_order.len(), edges.len());
         debug_assert!(edges.windows(2).all(|w| w[0] <= w[1]));
+        let adj = Arc::new(Adjacency::build(n, &edges));
         TemporalGraph {
             n,
             t,
             edges,
-            in_order,
             time_offsets,
+            adj,
         }
     }
 
@@ -165,26 +241,36 @@ impl TemporalGraph {
         slice[lo..hi].iter().map(|e| e.v)
     }
 
-    /// In-neighbors of `v` at exactly timestamp `t` (with multiplicity).
+    /// In-neighbors of `v` at exactly timestamp `t` (with multiplicity, in
+    /// ascending order).
     pub fn in_neighbors_at(&self, v: NodeId, t: Time) -> impl Iterator<Item = NodeId> + '_ {
-        let t_us = t as usize;
-        assert!(t_us < self.t);
-        let order = &self.in_order[self.time_offsets[t_us]..self.time_offsets[t_us + 1]];
-        let lo = order.partition_point(|&i| self.edges[i as usize].v < v);
-        let hi = order.partition_point(|&i| self.edges[i as usize].v <= v);
-        order[lo..hi].iter().map(move |&i| self.edges[i as usize].u)
+        assert!((t as usize) < self.t, "timestamp {t} out of range");
+        self.adj
+            .window(v, t, t)
+            .iter()
+            .filter(|e| e.is_in())
+            .map(|e| e.nbr)
+    }
+
+    /// Every edge incident to `v` with a timestamp `t'` in the window
+    /// `|t - t'| <= t_n`, as `(neighbour, t')` in time order: both
+    /// directions, with multiplicity (a self-loop appears twice).
+    pub fn incident_within(
+        &self,
+        v: NodeId,
+        t: Time,
+        t_n: Time,
+    ) -> impl ExactSizeIterator<Item = (NodeId, Time)> + '_ {
+        self.adj
+            .window(v, t.saturating_sub(t_n), t.saturating_add(t_n))
+            .iter()
+            .map(|e| (e.nbr, e.t()))
     }
 
     /// Undirected temporal neighbors of `(u, t)` within the time window
     /// `|t - t'| <= t_n` (Def. 3 with `d_N = 1`): deduplicated node list.
     pub fn temporal_neighbors(&self, u: NodeId, t: Time, t_n: Time) -> Vec<NodeId> {
-        let lo = t.saturating_sub(t_n);
-        let hi = (t as usize + t_n as usize).min(self.t - 1) as Time;
-        let mut out: Vec<NodeId> = Vec::new();
-        for tt in lo..=hi {
-            out.extend(self.out_neighbors_at(u, tt));
-            out.extend(self.in_neighbors_at(u, tt));
-        }
+        let mut out: Vec<NodeId> = self.incident_within(u, t, t_n).map(|(w, _)| w).collect();
         out.sort_unstable();
         out.dedup();
         out
@@ -194,7 +280,8 @@ impl TemporalGraph {
     /// exactly `t` (in + out, with multiplicity). This drives the
     /// degree-weighted initial-node sampling of Eq. 2.
     pub fn temporal_degree(&self, u: NodeId, t: Time) -> usize {
-        self.out_neighbors_at(u, t).count() + self.in_neighbors_at(u, t).count()
+        assert!((t as usize) < self.t, "timestamp {t} out of range");
+        self.adj.window(u, t, t).len()
     }
 
     /// All occurring temporal nodes `(u, t)` — pairs with at least one
@@ -289,6 +376,28 @@ mod tests {
         // (0, t=0) window 0: out {1}; window 1 adds t=1 edges: out {1}, in {2}
         assert_eq!(g.temporal_neighbors(0, 0, 0), vec![1]);
         assert_eq!(g.temporal_neighbors(0, 0, 1), vec![1, 2]);
+    }
+
+    #[test]
+    fn incident_within_reads_one_time_ordered_slice() {
+        let g = toy();
+        // node 0: t=0 out to 1; t=1 out to 1, in from 2 (edge order)
+        assert_eq!(
+            g.incident_within(0, 0, 1).collect::<Vec<_>>(),
+            vec![(1, 0), (1, 1), (2, 1)]
+        );
+        assert_eq!(g.incident_within(0, 2, 0).len(), 0);
+        assert_eq!(g.incident_within(0, u32::MAX, u32::MAX).len(), 3);
+        assert_eq!(g.incident_within(7, 0, 1).len(), 0, "not a node");
+        let lp = TemporalGraph::from_edges(2, 1, vec![TemporalEdge::new(1, 1, 0)]);
+        assert_eq!(
+            lp.incident_within(1, 0, 0).collect::<Vec<_>>(),
+            vec![(1, 0), (1, 0)]
+        );
+        assert_eq!(lp.in_neighbors_at(1, 0).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(lp.temporal_degree(1, 0), 2);
+        // clones share the adjacency
+        assert!(Arc::ptr_eq(&g.adj, &g.clone().adj));
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use crate::config::SamplerConfig;
 use crate::ego::{node_sampling_in, temporal_neighbor_occurrences_into};
+use crate::intern::SlotTable;
 use rand::Rng;
 use std::rc::Rc;
 use tg_graph::{NodeId, TemporalGraph, Time};
@@ -58,7 +59,7 @@ pub struct ComputationGraph {
 }
 
 impl ComputationGraph {
-    /// Build from a batch of center temporal nodes.
+    /// Build from a batch of center temporal nodes, each a node of `g`.
     pub fn build<R: Rng + ?Sized>(
         g: &TemporalGraph,
         centers: &[(NodeId, Time)],
@@ -72,39 +73,36 @@ impl ComputationGraph {
         let mut centers_dedup = centers.to_vec();
         centers_dedup.sort_unstable();
         centers_dedup.dedup();
+        let max_center = centers_dedup[centers_dedup.len() - 1].0;
+        assert!(
+            (max_center as usize) < g.n_nodes(),
+            "center node {max_center} out of range (< {})",
+            g.n_nodes()
+        );
 
         let mut levels: Vec<Vec<(NodeId, Time)>> = vec![centers_dedup];
         let mut layers: Vec<BipartiteLayer> = Vec::with_capacity(cfg.k);
 
         // neighbour set and draws of the target at hand, reused across targets
         let (mut nbrs, mut draws) = (Vec::new(), Vec::new());
+        let mut table = SlotTable::new(g.n_nodes());
         for i in 0..cfg.k {
             let targets = &levels[i];
             let mut src_level: Vec<(NodeId, Time)> = Vec::new();
-            #[expect(
-                clippy::disallowed_types,
-                reason = "intern index read by key only; `src_level` order comes from deterministic push order"
-            )]
-            let mut index = std::collections::HashMap::<(NodeId, Time), u32>::new();
-            let mut intern = |occ: (NodeId, Time), src_level: &mut Vec<(NodeId, Time)>| -> u32 {
-                *index.entry(occ).or_insert_with(|| {
-                    src_level.push(occ);
-                    src_level.len() as u32 - 1
-                })
-            };
+            table.reset();
             let mut src = Vec::new();
             let mut dst = Vec::new();
             let mut self_idx = Vec::with_capacity(targets.len());
             for (j, &(v, t)) in targets.iter().enumerate() {
                 // self-loop first
-                let self_slot = intern((v, t), &mut src_level);
+                let self_slot = table.intern((v, t), &mut src_level);
                 self_idx.push(self_slot);
                 src.push(self_slot);
                 dst.push(j as u32);
                 // sampled temporal neighbors
                 temporal_neighbor_occurrences_into(g, v, t, cfg.time_window, &mut nbrs);
                 for &occ in node_sampling_in(&nbrs, cfg.threshold, rng, &mut draws) {
-                    let slot = intern(occ, &mut src_level);
+                    let slot = table.intern(occ, &mut src_level);
                     src.push(slot);
                     dst.push(j as u32);
                 }
@@ -254,6 +252,13 @@ mod tests {
         assert_eq!(offsets.len(), cg.levels.len() + 1);
         assert_eq!(*offsets.last().unwrap(), slots.len());
         assert_eq!(&slots[..cg.levels[0].len()], cg.centers());
+    }
+
+    #[test]
+    #[should_panic(expected = "center node 3 out of range")]
+    fn center_outside_the_graph_is_rejected() {
+        let mut rng = SmallRng::seed_from_u64(6);
+        ComputationGraph::build(&triangle_graph(), &[(0, 0), (3, 0)], &cfg(1, 10), &mut rng);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! temporal random walk (the TGAE-g variant).
 
 use crate::config::SamplerConfig;
+use crate::intern::SlotTable;
 use rand::Rng;
 use tg_graph::{NodeId, TemporalGraph, Time};
 
@@ -33,17 +34,8 @@ pub fn temporal_neighbor_occurrences_into(
     t_n: Time,
     out: &mut Vec<(NodeId, Time)>,
 ) {
-    let lo = t.saturating_sub(t_n);
-    let hi = ((t as u64 + t_n as u64).min(g.n_timestamps() as u64 - 1)) as Time;
     out.clear();
-    for tt in lo..=hi {
-        for u in g.out_neighbors_at(v, tt) {
-            out.push((u, tt));
-        }
-        for u in g.in_neighbors_at(v, tt) {
-            out.push((u, tt));
-        }
-    }
+    out.extend(g.incident_within(v, t, t_n));
     out.sort_unstable();
     out.dedup();
 }
@@ -116,21 +108,24 @@ impl EgoGraph {
 /// Algorithm 1's `k-EgoGraph`: sample the ego-graph of `(v, t)` with radius
 /// `cfg.k`, truncation `cfg.threshold`, and time window `cfg.time_window`.
 /// Nodes reached by several tree paths are kept once (first depth wins).
+/// The center must be a node of `g`.
 pub fn sample_ego_graph<R: Rng + ?Sized>(
     g: &TemporalGraph,
     center: (NodeId, Time),
     cfg: &SamplerConfig,
     rng: &mut R,
 ) -> EgoGraph {
-    let mut nodes = vec![center];
+    assert!(
+        (center.0 as usize) < g.n_nodes(),
+        "center node {} out of range (< {})",
+        center.0,
+        g.n_nodes()
+    );
+    let mut nodes = Vec::new();
     let mut depth = vec![0u8];
     let mut tree_edges = Vec::new();
-    #[expect(
-        clippy::disallowed_types,
-        reason = "dedup index read by key only; `nodes` order comes from deterministic BFS push order"
-    )]
-    let mut index = std::collections::HashMap::<(NodeId, Time), u32>::new();
-    index.insert(center, 0);
+    let mut index = SlotTable::new(g.n_nodes());
+    index.insert(center, &mut nodes);
 
     let mut frontier: Vec<u32> = vec![0];
     for d in 1..=cfg.k {
@@ -139,11 +134,10 @@ pub fn sample_ego_graph<R: Rng + ?Sized>(
             let (pv, pt) = nodes[pi as usize];
             let nbrs = temporal_neighbor_occurrences(g, pv, pt, cfg.time_window);
             for occ in node_sampling(&nbrs, cfg.threshold, rng) {
-                let slot = *index.entry(occ).or_insert_with(|| {
-                    nodes.push(occ);
+                let slot = index.find(occ, &nodes).unwrap_or_else(|| {
                     depth.push(d as u8);
-                    next_frontier.push(nodes.len() as u32 - 1);
-                    nodes.len() as u32 - 1
+                    next_frontier.push(nodes.len() as u32);
+                    index.insert(occ, &mut nodes)
                 });
                 tree_edges.push((pi, slot));
             }

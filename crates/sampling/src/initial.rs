@@ -34,36 +34,48 @@ impl InitialNodeSampler {
     /// Build the sampler by streaming per-timestamp chunks from any
     /// [`EdgeSource`] — the ingest-side twin of
     /// [`InitialNodeSampler::new`]. Because chunks arrive grouped by
-    /// timestamp, temporal degrees accumulate in a per-timestamp map that
-    /// is drained as each timestamp closes, so the transient working set
-    /// is `O(nodes active at one timestamp)` rather than `O(all temporal
-    /// nodes)`; only the final population (which the sampler must hold
-    /// anyway) grows with the graph.
+    /// timestamp, temporal degrees accumulate in a dense per-node array
+    /// whose touched entries are drained and zeroed as each timestamp
+    /// closes, so the transient working set is one counter per node rather
+    /// than `O(all temporal nodes)`; only the final population (which the
+    /// sampler must hold anyway) grows with the graph. The array grows to
+    /// the largest endpoint the stream carries, whatever the source
+    /// declares.
     pub fn from_source<S: EdgeSource>(
         source: &mut S,
         degree_weighted: bool,
     ) -> Result<Self, S::Error> {
         let mut nodes: Vec<(NodeId, Time, usize)> = Vec::new();
-        #[expect(
-            clippy::disallowed_types,
-            reason = "per-timestamp scratch drained into `nodes`, which is sort_unstable'd before anything reads it"
-        )]
-        let mut open = std::collections::HashMap::<NodeId, usize>::new();
+        let mut degree: Vec<usize> = Vec::new();
+        let mut touched: Vec<NodeId> = Vec::new();
+        let mut close = |t: Time, degree: &mut [usize], touched: &mut Vec<NodeId>| {
+            for v in touched.drain(..) {
+                nodes.push((v, t, std::mem::take(&mut degree[v as usize])));
+            }
+        };
         let mut open_t: Time = 0;
         source.for_each_chunk(
             tg_graph::source::DEFAULT_CHUNK_EDGES,
             &mut |t, _c, edges| {
                 if t != open_t {
-                    nodes.extend(open.drain().map(|(v, d)| (v, open_t, d)));
+                    close(open_t, &mut degree, &mut touched);
                     open_t = t;
                 }
                 for e in edges {
-                    *open.entry(e.u).or_insert(0) += 1;
-                    *open.entry(e.v).or_insert(0) += 1;
+                    for v in [e.u, e.v] {
+                        let i = v as usize;
+                        if i >= degree.len() {
+                            degree.resize(i + 1, 0);
+                        }
+                        if degree[i] == 0 {
+                            touched.push(v);
+                        }
+                        degree[i] += 1;
+                    }
                 }
             },
         )?;
-        nodes.extend(open.drain().map(|(v, d)| (v, open_t, d)));
+        close(open_t, &mut degree, &mut touched);
         // Same global order as `TemporalGraph::temporal_nodes` (sorted by
         // `(v, t)`), so the cumulative-weight accumulation below visits
         // entries in the identical sequence and the resulting sampler is
@@ -213,6 +225,35 @@ mod tests {
                 b.sample_batch(300, &mut rng_b)
             );
         }
+    }
+
+    #[test]
+    fn from_source_counts_endpoints_past_the_declared_node_count() {
+        struct UnderDeclared;
+        impl EdgeSource for UnderDeclared {
+            type Error = std::convert::Infallible;
+            fn n_nodes(&self) -> usize {
+                2
+            }
+            fn n_timestamps(&self) -> usize {
+                2
+            }
+            fn n_edges(&self) -> u64 {
+                2
+            }
+            fn for_each_chunk(
+                &mut self,
+                _max_chunk: usize,
+                f: &mut dyn FnMut(Time, u32, &[TemporalEdge]),
+            ) -> Result<(), Self::Error> {
+                f(0, 0, &[TemporalEdge::new(0, 9, 0)]);
+                f(1, 0, &[TemporalEdge::new(9, 9, 1)]);
+                Ok(())
+            }
+        }
+        let s = InitialNodeSampler::from_source(&mut UnderDeclared, true).unwrap();
+        assert_eq!(s.population(), &[(0, 0), (9, 0), (9, 1)]);
+        assert_eq!(s.cum_weights, vec![1.0, 2.0, 4.0]);
     }
 
     #[test]

@@ -18,6 +18,7 @@ pub mod complexity;
 pub mod config;
 pub mod ego;
 pub mod initial;
+mod intern;
 
 pub use bipartite::{BipartiteLayer, ComputationGraph};
 pub use complexity::{

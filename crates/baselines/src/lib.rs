@@ -2,8 +2,8 @@
 //! the TGAE paper compares against (Tables IV–VI, Fig. 5–6).
 //!
 //! Every baseline keeps its namesake's defining mechanism and complexity
-//! class while remaining runnable on CPU — see DESIGN.md §3 for the
-//! substitution rationale per method:
+//! class while remaining runnable on CPU; each module doc gives the
+//! rationale per method:
 //!
 //! | Method   | Module           | Mechanism kept |
 //! |----------|------------------|----------------|

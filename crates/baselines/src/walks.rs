@@ -1,7 +1,7 @@
 //! Random-walk-family baselines: NetGAN-lite, TagGen-lite, TGGAN-lite and
 //! TIGGER-lite.
 //!
-//! Each keeps the defining mechanism of its namesake (see DESIGN.md §3):
+//! Each keeps the defining mechanism of its namesake:
 //!
 //! - **NetGAN-lite** — walk-distribution learning via low-rank logit
 //!   factorisation of the walk transition matrix. The paper's own citation

@@ -14,7 +14,9 @@
 //! under `results/`. Common flags: `--scale`, `--seed`, `--epochs`,
 //! `--budget-mb`, `--methods tgae,e-r,...`.
 //!
-//! Criterion micro/ablation benches live in `benches/`.
+//! The standing benchmark is the `suite` binary (`src/bin/suite/`); its
+//! traced mode (`suite trace --workload W`) times each layer of a step and
+//! of a generation unit.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]

@@ -8,6 +8,7 @@
 use crate::args::Args;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::num::NonZeroUsize;
 use tg_graph::io::load_edge_list;
 use tg_graph::TemporalGraph;
 
@@ -29,11 +30,25 @@ pub fn load_preset(args: &Args, name: &str) -> Result<(TemporalGraph, String), S
 /// Load a `u v t` text edge list with id/timestamp compaction:
 /// `--edges FILE` honoring `--buckets`.
 pub fn load_text_edges(args: &Args, path: &str) -> Result<(TemporalGraph, String), String> {
-    let buckets: Option<usize> = args
+    let buckets: Option<NonZeroUsize> = args
         .get("buckets")
         .map(|b| b.parse())
         .transpose()
         .map_err(|_| "--buckets: bad value")?;
     let g = load_edge_list(path, buckets).map_err(|e| format!("load {path}: {e}"))?;
     Ok((g, format!("file:{path}")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_buckets_is_a_bad_value_not_a_panic() {
+        for bad in ["0", "x"] {
+            let args = Args::parse(&["--buckets".to_string(), bad.to_string()]).unwrap();
+            let err = load_text_edges(&args, "unread.edges").unwrap_err();
+            assert_eq!(err, "--buckets: bad value", "--buckets {bad}");
+        }
+    }
 }

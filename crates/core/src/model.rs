@@ -96,22 +96,10 @@ impl Tgae {
         self.store.total_scalars()
     }
 
-    /// Forward pass on a batch of center temporal nodes; returns the tape,
-    /// the scalar loss node, and diagnostics. The caller runs `backward`
-    /// and the optimizer step.
-    pub fn forward_batch<R: Rng + ?Sized>(
-        &self,
-        g: &TemporalGraph,
-        centers: &[(NodeId, Time)],
-        rng: &mut R,
-    ) -> (Tape, Var, BatchStats) {
-        let mut tape = Tape::new();
-        let (loss, stats) = self.forward_batch_into(&mut tape, g, centers, rng);
-        (tape, loss, stats)
-    }
-
-    /// Forward pass recording onto a caller-owned tape, which is
-    /// [`Tape::clear`]ed before recording. The training loop reuses one
+    /// Forward pass on a batch of center temporal nodes, recording onto a
+    /// caller-owned tape, which is [`Tape::clear`]ed before recording;
+    /// returns the scalar loss node and diagnostics. The caller runs
+    /// `backward` and the optimizer step. The training loop reuses one
     /// tape across every epoch; see `trainer::fit`.
     pub fn forward_batch_into<R: Rng + ?Sized>(
         &self,
@@ -297,7 +285,8 @@ impl Tgae {
 
         // Candidates: dense for small n; otherwise the observed temporal
         // neighborhoods of the centers plus uniform negatives (the
-        // candidate-sparse assembly of DESIGN.md D6).
+        // candidate sets of docs/ARCHITECTURE.md, "The train → generate
+        // data flow").
         let mut positives: Vec<NodeId> = Vec::new();
         if self.n_nodes > self.cfg.dense_cutoff {
             let mut occurrences = Vec::new();
@@ -361,7 +350,8 @@ mod tests {
         let model = Tgae::new(g.n_nodes(), g.n_timestamps(), TgaeConfig::tiny());
         let mut rng = SmallRng::seed_from_u64(0);
         let centers = vec![(0u32, 0u32), (1, 1), (2, 2)];
-        let (tape, loss, stats) = model.forward_batch(&g, &centers, &mut rng);
+        let mut tape = Tape::new();
+        let (loss, stats) = model.forward_batch_into(&mut tape, &g, &centers, &mut rng);
         let l = tape.value(loss).item();
         assert!(l.is_finite(), "loss {l}");
         assert!(l > 0.0);
@@ -376,7 +366,8 @@ mod tests {
         let model = Tgae::new(g.n_nodes(), g.n_timestamps(), TgaeConfig::tiny());
         let mut rng = SmallRng::seed_from_u64(1);
         let centers = vec![(0u32, 0u32), (2, 1)];
-        let (tape, loss, _) = model.forward_batch(&g, &centers, &mut rng);
+        let mut tape = Tape::new();
+        let (loss, _) = model.forward_batch_into(&mut tape, &g, &centers, &mut rng);
         let grads = tape.backward(loss);
         assert!(
             grads.get(model.features.node_emb.table).is_some(),
@@ -399,16 +390,14 @@ mod tests {
         let cfg = TgaeConfig::tiny().with_variant(TgaeVariant::NonProbabilistic);
         let model = Tgae::new(g.n_nodes(), g.n_timestamps(), cfg);
         let centers = vec![(0u32, 0u32)];
-        let l1 = {
-            let mut rng = SmallRng::seed_from_u64(7);
-            let (tape, loss, _) = model.forward_batch(&g, &centers, &mut rng);
+        let mut tape = Tape::new();
+        let mut loss_with = |seed| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (loss, _) = model.forward_batch_into(&mut tape, &g, &centers, &mut rng);
             tape.value(loss).item()
         };
-        let l2 = {
-            let mut rng = SmallRng::seed_from_u64(8); // different rng, same loss
-            let (tape, loss, _) = model.forward_batch(&g, &centers, &mut rng);
-            tape.value(loss).item()
-        };
+        let l1 = loss_with(7);
+        let l2 = loss_with(8); // different rng, same loss
         assert_eq!(l1, l2, "TGAE-p forward must not depend on sampling noise");
     }
 
@@ -426,11 +415,13 @@ mod tests {
         };
         let model = Tgae::new(g.n_nodes(), g.n_timestamps(), cfg);
         let centers = vec![(0u32, 0u32)];
-        let mut rng1 = SmallRng::seed_from_u64(7);
-        let mut rng2 = SmallRng::seed_from_u64(8);
-        let (t1, l1, _) = model.forward_batch(&g, &centers, &mut rng1);
-        let (t2, l2, _) = model.forward_batch(&g, &centers, &mut rng2);
-        assert_ne!(t1.value(l1).item(), t2.value(l2).item());
+        let mut tape = Tape::new();
+        let mut loss_with = |seed| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (loss, _) = model.forward_batch_into(&mut tape, &g, &centers, &mut rng);
+            tape.value(loss).item()
+        };
+        assert_ne!(loss_with(7), loss_with(8));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The paper evaluates on seven real temporal networks (Table II) plus a
 //! synthetic scalability grid (Figure 6). Real dumps are not vendorable, so
 //! this crate generates seeded synthetic stand-ins with matching scale and
-//! structural character (see DESIGN.md §3 for the substitution rationale);
-//! real data in `src dst timestamp` format drops in via `tg_graph::io`.
+//! structural character (the [`synthetic`] module says which character and
+//! why); real data in `src dst timestamp` format drops in via
+//! `tg_graph::io`.
 //!
 //! - [`synthetic`] — the configurable generator (preferential attachment +
 //!   communities + temporal burstiness + densification).

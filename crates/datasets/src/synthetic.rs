@@ -1,8 +1,8 @@
 //! Seeded synthetic temporal-graph generator.
 //!
 //! The paper evaluates on seven real networks (Table II) that cannot be
-//! redistributed here. This module provides the substitute mandated by
-//! DESIGN.md §3: a configurable generator that produces temporal graphs
+//! redistributed here. This module provides the substitute: a
+//! configurable generator that produces temporal graphs
 //! with the same observable character the evaluated methods are sensitive
 //! to — heavy-tailed degrees (preferential attachment), community mixing,
 //! temporal burstiness (edge re-firing within a recency window, which is

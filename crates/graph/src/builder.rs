@@ -5,6 +5,7 @@
 //! in first-seen order and compacts (or buckets) timestamps.
 
 use crate::temporal::{NodeId, TemporalEdge, TemporalGraph, Time};
+use std::num::NonZeroUsize;
 
 /// Accumulates raw edges, then compacts them into a [`TemporalGraph`].
 #[derive(Default)]
@@ -81,8 +82,8 @@ impl TemporalGraphBuilder {
 
     /// Build, quantising raw timestamps into `buckets` equal-width bins
     /// over `[min_t, max_t]` — the paper's snapshot aggregation.
-    pub fn build_bucketed(self, buckets: usize) -> TemporalGraph {
-        assert!(buckets > 0);
+    pub fn build_bucketed(self, buckets: NonZeroUsize) -> TemporalGraph {
+        let buckets = buckets.get();
         let min_t = self.raw.iter().map(|&(_, _, t)| t).min().unwrap_or(0);
         let max_t = self.raw.iter().map(|&(_, _, t)| t).max().unwrap_or(0);
         let span = (max_t - min_t).max(1) as f64;
@@ -134,7 +135,7 @@ mod tests {
         for t in 0..100u64 {
             b.add_raw(t % 5, (t + 1) % 5, t);
         }
-        let g = b.build_bucketed(10);
+        let g = b.build_bucketed(NonZeroUsize::new(10).unwrap());
         assert_eq!(g.n_timestamps(), 10);
         assert_eq!(g.n_edges(), 100);
         // roughly uniform
@@ -149,7 +150,7 @@ mod tests {
         let mut b = TemporalGraphBuilder::new();
         b.add_raw(0, 1, 42);
         b.add_raw(1, 2, 42);
-        let g = b.build_bucketed(4);
+        let g = b.build_bucketed(NonZeroUsize::new(4).unwrap());
         assert_eq!(g.n_timestamps(), 4);
         assert_eq!(g.edges_at(0).len(), 2);
     }

@@ -11,6 +11,7 @@ use crate::builder::TemporalGraphBuilder;
 use crate::sink::EdgeSink;
 use crate::temporal::{TemporalEdge, TemporalGraph, Time};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::num::NonZeroUsize;
 use std::path::Path;
 
 /// Errors produced by the edge-list parser.
@@ -94,14 +95,16 @@ pub fn atomic_write_bytes(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Resu
     Ok(())
 }
 
-/// Parse `src dst timestamp` lines from any reader. Raw node ids and
-/// timestamps may be arbitrary `u64`s; they are compacted densely.
-/// `n_buckets`, when given, quantises raw timestamps into that many
-/// equal-width buckets (the paper aggregates fine-grained Unix timestamps
-/// into `T` snapshots this way).
+/// Parse `src dst timestamp` lines from any reader. Raw node ids may be
+/// arbitrary `u64`s and timestamps arbitrary non-negative numbers (a
+/// fraction is dropped); both are compacted densely. A negative, fractional
+/// or non-numeric id, or a negative or non-finite timestamp, is an
+/// [`IoError::Parse`] naming its line. `n_buckets`, when given, quantises
+/// raw timestamps into that many equal-width buckets (the paper aggregates
+/// fine-grained Unix timestamps into `T` snapshots this way).
 pub fn read_edge_list<R: Read>(
     reader: R,
-    n_buckets: Option<usize>,
+    n_buckets: Option<NonZeroUsize>,
 ) -> Result<TemporalGraph, IoError> {
     let buf = BufReader::new(reader);
     let mut builder = TemporalGraphBuilder::new();
@@ -113,21 +116,21 @@ pub fn read_edge_list<R: Read>(
             continue;
         }
         let mut it = s.split_whitespace();
-        let parse = |tok: Option<&str>, what: &str| -> Result<u64, IoError> {
-            tok.ok_or_else(|| IoError::Parse {
-                line: line_no,
-                msg: format!("missing {what}"),
-            })?
-            .parse::<f64>()
-            .map(|x| x as u64)
-            .map_err(|e| IoError::Parse {
-                line: line_no,
-                msg: format!("bad {what}: {e}"),
-            })
+        let bad = |msg: String| IoError::Parse { line: line_no, msg };
+        let mut field = |what: &str| it.next().ok_or_else(|| bad(format!("missing {what}")));
+        let id = |tok: &str, what: &str| {
+            tok.parse::<u64>()
+                .map_err(|e| bad(format!("bad {what} `{tok}`: {e}")))
         };
-        let u = parse(it.next(), "src")?;
-        let v = parse(it.next(), "dst")?;
-        let t = parse(it.next(), "timestamp")?;
+        let u = id(field("src")?, "src")?;
+        let v = id(field("dst")?, "dst")?;
+        // Dumps may carry float epoch seconds: the fraction is dropped.
+        let tok = field("timestamp")?;
+        let t = match tok.parse::<f64>() {
+            Ok(t) if t.is_finite() && t >= 0.0 => t as u64,
+            Ok(_) => return Err(bad(format!("timestamp `{tok}` is negative or not finite"))),
+            Err(e) => return Err(bad(format!("bad timestamp `{tok}`: {e}"))),
+        };
         builder.add_raw(u, v, t);
     }
     if builder.is_empty() {
@@ -142,7 +145,7 @@ pub fn read_edge_list<R: Read>(
 /// Load a temporal graph from a `src dst timestamp` file.
 pub fn load_edge_list(
     path: impl AsRef<Path>,
-    n_buckets: Option<usize>,
+    n_buckets: Option<NonZeroUsize>,
 ) -> Result<TemporalGraph, IoError> {
     let f = std::fs::File::open(path)?;
     read_edge_list(f, n_buckets)
@@ -440,7 +443,7 @@ mod tests {
     #[test]
     fn bucketing_compresses_timestamps() {
         let text = "0 1 0\n0 1 10\n0 1 20\n0 1 30\n0 1 40\n0 1 50\n";
-        let g = read_edge_list(text.as_bytes(), Some(3)).unwrap();
+        let g = read_edge_list(text.as_bytes(), NonZeroUsize::new(3)).unwrap();
         assert_eq!(g.n_timestamps(), 3);
         assert_eq!(g.n_edges(), 6);
         assert_eq!(g.edges_at(0).len(), 2);
@@ -495,6 +498,48 @@ mod tests {
         let text = "0 1 notanumber\n";
         let err = read_edge_list(text.as_bytes(), None).unwrap_err();
         assert!(matches!(err, IoError::Parse { line: 1, .. }), "{err}");
+    }
+
+    /// `text` fails to parse, on the 1-based `line`.
+    fn assert_rejected_on(text: &str, line: usize) {
+        let err = read_edge_list(text.as_bytes(), None).unwrap_err();
+        assert!(
+            matches!(err, IoError::Parse { line: l, .. } if l == line),
+            "{text:?}: {err}"
+        );
+    }
+
+    #[test]
+    fn error_on_negative_id() {
+        // a float parse cast this to node 0
+        assert_rejected_on("0 2 0\n-1 2 0\n", 2);
+        assert_rejected_on("2 -1 0\n", 1);
+    }
+
+    #[test]
+    fn error_on_non_finite_id() {
+        // a float parse cast `nan` to node 0
+        assert_rejected_on("nan 3 1\n", 1);
+        assert_rejected_on("0 inf 1\n", 1);
+    }
+
+    #[test]
+    fn error_on_fractional_id() {
+        // a float parse cast this to node 1
+        assert_rejected_on("0 1 0\n1.9 2 1\n", 2);
+    }
+
+    #[test]
+    fn error_on_negative_timestamp() {
+        assert_rejected_on("0 1 3\n0 1 -5\n", 2);
+        assert_rejected_on("0 1 -0.5\n", 1);
+    }
+
+    #[test]
+    fn error_on_non_finite_timestamp() {
+        assert_rejected_on("0 1 nan\n", 1);
+        assert_rejected_on("0 1 inf\n", 1);
+        assert_rejected_on("0 1 -inf\n", 1);
     }
 
     #[test]

@@ -233,13 +233,60 @@ mod tests {
 
     #[test]
     fn truncation_bounds_edges_per_target() {
-        // star with 50 leaves; threshold 4 -> <= 5 incoming edges per target
+        // star with 50 leaves; threshold th -> <= th + 1 incoming edges per
+        // target. th = 1 is the TGAE-g random walk: the self-loop plus at
+        // most one sampled neighbour.
         let edges: Vec<TemporalEdge> = (1..=50).map(|v| TemporalEdge::new(0, v, 0)).collect();
         let g = TemporalGraph::from_edges(51, 1, edges);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let cg = ComputationGraph::build(&g, &[(0, 0)], &cfg(1, 4), &mut rng);
-        let layer = &cg.layers[0];
-        assert!(layer.n_edges() <= 5, "{} edges", layer.n_edges());
+        for th in [4, 1] {
+            let mut rng = SmallRng::seed_from_u64(3);
+            let cg = ComputationGraph::build(&g, &[(0, 0)], &cfg(1, th), &mut rng);
+            let layer = &cg.layers[0];
+            assert!(
+                layer.n_edges() <= th + 1,
+                "th {th}: {} edges",
+                layer.n_edges()
+            );
+        }
+    }
+
+    /// The merge of Fig. 4 against one computation graph per center: with
+    /// truncation off nothing is drawn, so each level of the merged graph
+    /// is, as a set, the union of that level over the single-center
+    /// graphs, and shared temporal nodes are stored and messaged once.
+    #[test]
+    fn merging_ego_graphs_stores_shared_slots_once() {
+        let g = tg_datasets::by_name("DBLP")
+            .expect("known preset")
+            .generate_scaled(0.1, 7);
+        let cfg = SamplerConfig::default().no_truncation_variant();
+        let mut rng = SmallRng::seed_from_u64(11);
+        let centers = crate::InitialNodeSampler::new(&g, true).sample_batch(64, &mut rng);
+        let state = rng.state();
+        let merged = ComputationGraph::build(&g, &centers, &cfg, &mut rng);
+        let singles: Vec<ComputationGraph> = merged
+            .centers()
+            .iter()
+            .map(|&c| ComputationGraph::build(&g, &[c], &cfg, &mut rng))
+            .collect();
+        assert_eq!(rng.state(), state, "no truncation draws nothing");
+
+        for (i, level) in merged.levels.iter().enumerate() {
+            let mut union: Vec<(NodeId, Time)> = singles
+                .iter()
+                .flat_map(|s| s.levels[i].iter().copied())
+                .collect();
+            union.sort_unstable();
+            union.dedup();
+            let mut level = level.clone();
+            level.sort_unstable();
+            assert_eq!(level, union, "level {i}");
+        }
+        let slots: usize = singles.iter().map(ComputationGraph::n_slots).sum();
+        let edges: usize = singles.iter().map(ComputationGraph::n_edges).sum();
+        let (m_slots, m_edges) = (merged.n_slots(), merged.n_edges());
+        assert!(m_slots < slots, "{m_slots} merged slots vs {slots} summed");
+        assert!(m_edges < edges, "{m_edges} merged edges vs {edges} summed");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Slot interning for the sampled levels of ego-graphs and computation
-//! graphs: each distinct temporal node `(v, t)` of a level is stored once,
-//! and a repeat maps to the slot of its first occurrence.
+//! Slot interning for the sampled levels of a computation graph: each
+//! distinct temporal node `(v, t)` of a level is stored once, and a repeat
+//! maps to the slot of its first occurrence.
 
 use tg_graph::{NodeId, Time};
 
@@ -42,7 +42,7 @@ impl SlotTable {
 
     /// The slot of `(v, t)` in `slots`, if it was interned since the last
     /// reset.
-    pub(crate) fn find(&self, (v, t): (NodeId, Time), slots: &[(NodeId, Time)]) -> Option<u32> {
+    fn find(&self, (v, t): (NodeId, Time), slots: &[(NodeId, Time)]) -> Option<u32> {
         let (stamp, mut slot) = self.head[v as usize];
         if stamp != self.stamp {
             return None;
@@ -58,7 +58,7 @@ impl SlotTable {
 
     /// Append `occ`, which [`SlotTable::find`] does not know, to `slots`
     /// and return its slot.
-    pub(crate) fn insert(&mut self, occ: (NodeId, Time), slots: &mut Vec<(NodeId, Time)>) -> u32 {
+    fn insert(&mut self, occ: (NodeId, Time), slots: &mut Vec<(NodeId, Time)>) -> u32 {
         let slot = slots.len() as u32;
         let head = &mut self.head[occ.0 as usize];
         self.older

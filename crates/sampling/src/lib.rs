@@ -2,11 +2,12 @@
 //!
 //! - [`initial::InitialNodeSampler`] — degree-weighted (Eq. 2) or uniform
 //!   sampling of representative temporal nodes;
-//! - [`ego`] — Algorithm 1: `NodeSampling` truncation and recursive
-//!   `k-EgoGraph` sampling over temporal neighborhoods (Def. 3);
-//! - [`bipartite::ComputationGraph`] — the merged k-bipartite computation
-//!   graphs of Fig. 4 that batch all per-epoch ego-graphs into `k`
-//!   attention layers;
+//! - [`ego`] — Algorithm 1's per-node steps: temporal neighborhoods
+//!   (Def. 3) and `NodeSampling` truncation;
+//! - [`bipartite::ComputationGraph`] — Algorithm 1's recursive
+//!   `k-EgoGraph` expansion, run for a whole batch at once: the merged
+//!   k-bipartite computation graphs of Fig. 4 that batch all per-epoch
+//!   ego-graphs into `k` attention layers;
 //! - [`config::SamplerConfig`] — shared knobs, including the ablation
 //!   variants (random-walk `th<2`, no-truncation, uniform sampling).
 
@@ -25,8 +26,5 @@ pub use complexity::{
     predicted_space_scalars, predicted_steps_per_pass, predicted_steps_unmerged, slot_upper_bound,
 };
 pub use config::SamplerConfig;
-pub use ego::{
-    node_sampling, sample_ego_graph, temporal_neighbor_occurrences,
-    temporal_neighbor_occurrences_into, EgoGraph,
-};
+pub use ego::{node_sampling, temporal_neighbor_occurrences, temporal_neighbor_occurrences_into};
 pub use initial::InitialNodeSampler;

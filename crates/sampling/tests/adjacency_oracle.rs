@@ -1,9 +1,9 @@
 //! The per-node temporal adjacency against the per-timestamp neighbour code
 //! it replaced, kept here as `PerTimestamp`: binary searches over each
 //! timestamp's `(t, u, v)` edge slice and over a `(t, v, u)` permutation
-//! of it. Then `ComputationGraph::build` and `sample_ego_graph` against
-//! builds that intern slots through a map, as both did before the slot
-//! table: the same levels, layers and RNG state after the call.
+//! of it. Then `ComputationGraph::build` against a build that interns
+//! slots through a map, as it did before the slot table: the same levels,
+//! layers and RNG state after the call.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -11,8 +11,8 @@ use rand::SeedableRng;
 use std::collections::BTreeMap;
 use tg_graph::{NodeId, TemporalEdge, TemporalGraph, Time};
 use tg_sampling::{
-    node_sampling, sample_ego_graph, temporal_neighbor_occurrences_into, ComputationGraph,
-    InitialNodeSampler, SamplerConfig,
+    node_sampling, temporal_neighbor_occurrences_into, ComputationGraph, InitialNodeSampler,
+    SamplerConfig,
 };
 
 /// The neighbour queries as they were answered before the adjacency.
@@ -137,43 +137,6 @@ fn build_reference(
     (levels, layers)
 }
 
-/// `sample_ego_graph` with a map for the slot index: nodes, depths, tree
-/// edges.
-type EgoReference = (Vec<(NodeId, Time)>, Vec<u8>, Vec<(u32, u32)>);
-
-fn ego_reference(
-    g: &TemporalGraph,
-    center: (NodeId, Time),
-    cfg: &SamplerConfig,
-    rng: &mut SmallRng,
-) -> EgoReference {
-    let oracle = PerTimestamp::new(g);
-    let (mut nodes, mut depth, mut tree_edges) = (vec![center], vec![0u8], Vec::new());
-    let mut index = BTreeMap::from([(center, 0u32)]);
-    let mut frontier = vec![0u32];
-    for d in 1..=cfg.k {
-        let mut next_frontier = Vec::new();
-        for &pi in &frontier {
-            let (pv, pt) = nodes[pi as usize];
-            let nbrs = oracle.occurrences(pv, pt, cfg.time_window);
-            for occ in node_sampling(&nbrs, cfg.threshold, rng) {
-                let slot = *index.entry(occ).or_insert_with(|| {
-                    nodes.push(occ);
-                    depth.push(d as u8);
-                    next_frontier.push(nodes.len() as u32 - 1);
-                    nodes.len() as u32 - 1
-                });
-                tree_edges.push((pi, slot));
-            }
-        }
-        frontier = next_frontier;
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    (nodes, depth, tree_edges)
-}
-
 /// One raw edge: endpoints, timestamp, and a flavour selecting which
 /// degenerate companion it brings.
 type RawEdge = (u32, u32, u32, u32);
@@ -270,7 +233,7 @@ proptest! {
     }
 
     #[test]
-    fn build_and_ego_graphs_match_the_map_interned_references(
+    fn build_matches_the_map_interned_reference(
         n in 1usize..=12,
         t_count in 1usize..=10,
         raw in arb_edges(),
@@ -287,15 +250,6 @@ proptest! {
             .collect();
         let cfg = SamplerConfig { k, threshold, time_window: window, degree_weighted: true };
         assert_build_matches(&g, &centers, &cfg, seed);
-
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut rng_ref = rng.clone();
-        let ego = sample_ego_graph(&g, centers[0], &cfg, &mut rng);
-        let (nodes, depth, tree_edges) = ego_reference(&g, centers[0], &cfg, &mut rng_ref);
-        assert_eq!(ego.nodes, nodes);
-        assert_eq!(ego.depth, depth);
-        assert_eq!(ego.tree_edges, tree_edges);
-        assert_eq!(rng.state(), rng_ref.state());
     }
 }
 

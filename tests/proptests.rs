@@ -6,7 +6,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tgx::graph::{Snapshot, TemporalEdge, TemporalGraph};
 use tgx::metrics::{count_motifs, GraphStats, MetricKind};
-use tgx::sampling::{sample_ego_graph, ComputationGraph, SamplerConfig};
+use tgx::sampling::{ComputationGraph, SamplerConfig};
 
 /// Strategy: a random temporal graph with up to 12 nodes, 4 timestamps,
 /// and 40 edges.
@@ -86,26 +86,6 @@ proptest! {
         let small = count_motifs(&g, 1).total();
         let large = count_motifs(&g, 3).total();
         prop_assert!(large >= small);
-    }
-
-    /// Ego-graph sampling respects its contracts on any graph.
-    #[test]
-    fn ego_graph_contracts(g in arb_graph(), seed in 0u64..1000) {
-        let cfg = SamplerConfig { k: 2, threshold: 4, time_window: 1, degree_weighted: true };
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let center = (0u32, 0u32);
-        let ego = sample_ego_graph(&g, center, &cfg, &mut rng);
-        prop_assert_eq!(ego.center(), center);
-        prop_assert!(ego.radius() <= cfg.k);
-        // all nodes unique
-        let mut nodes = ego.nodes.clone();
-        nodes.sort_unstable();
-        nodes.dedup();
-        prop_assert_eq!(nodes.len(), ego.nodes.len());
-        // tree edges reference valid slots
-        for &(p, c) in &ego.tree_edges {
-            prop_assert!((p as usize) < ego.len() && (c as usize) < ego.len());
-        }
     }
 
     /// Computation-graph invariants on any graph: self-loops present,

@@ -31,36 +31,33 @@
 
 use crate::args::Args;
 use crate::errors::CliError;
-use std::io::BufRead;
-use tg_graph::io::load_edge_list_exact;
+use std::fs::File;
+use std::io::BufWriter;
+use tg_graph::io::{for_each_record, load_edge_list_exact, IoError};
 use tg_graph::source::EdgeSource;
 use tg_graph::TemporalGraph;
-use tg_store::{StoreSource, StoreStats, StoreWriter, DEFAULT_BLOCK_EDGES};
+use tg_store::{Header, StoreError, StoreSource, StoreStats, StoreWriter, DEFAULT_BLOCK_EDGES};
 
 /// Infer a dense file's shape (`max id + 1`, `max t + 1`) for `--exact`
 /// without materialising anything: one pass over the text.
 fn infer_exact_shape(path: &str) -> Result<(usize, usize), String> {
-    let f = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+    let f = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
     let mut max_node = 0u64;
     let mut max_t = 0u64;
     let mut any = false;
-    for (idx, line) in std::io::BufReader::new(f).lines().enumerate() {
-        let line = line.map_err(|e| format!("read {path}: {e}"))?;
-        let s = line.trim();
-        if s.is_empty() || s.starts_with('#') || s.starts_with('%') {
-            continue;
-        }
-        let mut it = s.split_whitespace();
-        let mut next = |what: &str| -> Result<u64, String> {
-            it.next()
-                .ok_or_else(|| format!("{path}:{}: missing {what}", idx + 1))?
-                .parse::<u64>()
-                .map_err(|e| format!("{path}:{}: bad {what}: {e}", idx + 1))
+    for_each_record(f, |line, [src, dst, time]| {
+        let num = |tok: &str, what: &str| {
+            tok.parse::<u64>().map_err(|e| IoError::Parse {
+                line,
+                msg: format!("bad {what}: {e}"),
+            })
         };
-        max_node = max_node.max(next("src")?).max(next("dst")?);
-        max_t = max_t.max(next("timestamp")?);
+        max_node = max_node.max(num(src, "src")?).max(num(dst, "dst")?);
+        max_t = max_t.max(num(time, "timestamp")?);
         any = true;
-    }
+        Ok(())
+    })
+    .map_err(|e| format!("{path}: {e}"))?;
     if !any {
         return Err(format!("{path}: no edges to ingest"));
     }
@@ -183,58 +180,38 @@ pub fn run(args: &Args) -> Result<(), CliError> {
 }
 
 /// `--salvage`: block-scan a damaged store and rewrite every recoverable
-/// block into a fresh clean store at `out` (built at a temp sibling and
-/// renamed into place, so a crash mid-salvage never leaves a half store
-/// under the target name).
+/// block into a fresh clean store at `out`, committed with
+/// [`tg_graph::io::commit_atomic`] so a crash mid-salvage never leaves a
+/// half store under the target name.
 fn salvage_store(damaged: &str, out: &str, quiet: bool) -> Result<(), CliError> {
-    let tmp = tg_graph::io::tmp_sibling(std::path::Path::new(out));
-    let mut writer: Option<StoreWriter<std::io::BufWriter<std::fs::File>>> = None;
-    let result = tg_store::StoreReader::salvage(damaged, |header, edges| {
-        if writer.is_none() {
-            writer = Some(StoreWriter::create_with_block(
-                &tmp,
-                header.n_nodes as usize,
-                header.n_timestamps as usize,
-                header.block_edges as usize,
-            )?);
-        }
-        // the insert above makes this infallible; stay typed rather
-        // than panicking on an impossible state
-        let w = writer.as_mut().ok_or_else(|| {
-            tg_store::StoreError::Io(std::io::Error::other(
-                "salvage writer vanished after initialisation",
-            ))
-        })?;
-        w.push_chunk(edges)
+    // Whether the failure, if any, came from reading the damaged store.
+    let mut unreadable = false;
+    let committed = tg_graph::io::commit_atomic(std::path::Path::new(out), |f| {
+        let mut file = Some(f);
+        let mut writer = None;
+        let report = tg_store::StoreReader::salvage(damaged, |header, edges| {
+            if writer.is_none() {
+                writer = Some(store_over(file.take(), header)?);
+            }
+            writer.as_mut().map_or(Ok(()), |w| w.push_chunk(edges))
+        })
+        .inspect_err(|_| unreadable = true)?;
+        // Every block may have been damaged; the salvage still yields a
+        // valid (empty) clean store with the original shape.
+        let writer = match writer {
+            Some(w) => w,
+            None => store_over(file.take(), &report.header)?,
+        };
+        Ok::<_, StoreError>((report, writer.finish()?))
     });
-    let report = match result {
-        Ok(r) => r,
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
+    let (report, stats) = committed.map_err(|e| {
+        if unreadable {
             // unreadable header / I/O failure: nothing could be recovered
-            return Err(CliError::Corruption(format!("salvage {damaged}: {e}")));
+            CliError::Corruption(format!("salvage {damaged}: {e}"))
+        } else {
+            CliError::Other(format!("write {out}: {e}"))
         }
-    };
-    // Every block may have been damaged; the salvage still yields a
-    // valid (empty) clean store with the original shape.
-    let writer = match writer {
-        Some(w) => w,
-        None => StoreWriter::create_with_block(
-            &tmp,
-            report.header.n_nodes as usize,
-            report.header.n_timestamps as usize,
-            report.header.block_edges as usize,
-        )
-        .map_err(|e| format!("create {}: {e}", tmp.display()))?,
-    };
-    let stats = writer
-        .finish()
-        .map_err(|e| format!("finalise {}: {e}", tmp.display()))?;
-    let f = std::fs::File::open(&tmp).map_err(|e| format!("reopen {}: {e}", tmp.display()))?;
-    f.sync_all()
-        .map_err(|e| format!("sync {}: {e}", tmp.display()))?;
-    drop(f);
-    std::fs::rename(&tmp, out).map_err(|e| format!("rename into {out}: {e}"))?;
+    })?;
 
     if !quiet {
         let intact = report.n_blocks - report.bad_blocks.len() as u64;
@@ -259,4 +236,20 @@ fn salvage_store(damaged: &str, out: &str, quiet: bool) -> Result<(), CliError> 
     }
     println!("{out}");
     Ok(())
+}
+
+/// A store writer of `header`'s shape over the salvage's tmp file, which
+/// is handed out once.
+fn store_over<'f>(
+    file: Option<&'f mut File>,
+    header: &Header,
+) -> Result<StoreWriter<BufWriter<&'f mut File>>, StoreError> {
+    let file = file
+        .ok_or_else(|| StoreError::Io(std::io::Error::other("salvage store file opened twice")))?;
+    StoreWriter::new(
+        BufWriter::new(file),
+        header.n_nodes as usize,
+        header.n_timestamps as usize,
+        header.block_edges as usize,
+    )
 }

@@ -63,17 +63,6 @@ pub struct EgoDecoder {
     pub n_nodes: usize,
 }
 
-/// Result of one decode pass: per-level decode states plus the variational
-/// heads (needed for the KL term).
-pub struct DecodeStates {
-    /// `h_dec` rows per level (index 0 = centers).
-    pub levels: Vec<Var>,
-    /// Posterior mean over all slots (flattened level order).
-    pub mu: Var,
-    /// Posterior log-variance (absent for the non-probabilistic variant).
-    pub logvar: Option<Var>,
-}
-
 impl EgoDecoder {
     /// Initialise the decoder parameters (Xavier) into `store`.
     pub fn new<R: Rng + ?Sized>(

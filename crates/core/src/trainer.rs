@@ -75,16 +75,6 @@ impl TrainReport {
         self.losses.len()
     }
 
-    /// Per-epoch loss history (aligned with [`TrainReport::epoch_walls`]).
-    pub fn loss_history(&self) -> &[f32] {
-        &self.losses
-    }
-
-    /// Wall-clock time of epoch `i`.
-    pub fn epoch_wall(&self, i: usize) -> Duration {
-        self.epoch_walls[i]
-    }
-
     /// Mean wall-clock time per epoch actually run.
     pub fn mean_epoch_wall(&self) -> Duration {
         if self.epoch_walls.is_empty() {
@@ -390,9 +380,9 @@ mod tests {
         assert_eq!(report.epochs_run(), 4);
         assert_eq!(report.epochs_configured, 4);
         assert!(!report.early_stopped);
-        assert_eq!(report.loss_history().len(), report.epoch_walls.len());
+        assert_eq!(report.losses.len(), report.epoch_walls.len());
         assert!(report.mean_epoch_wall() <= report.wall);
-        let summed: Duration = (0..report.epochs_run()).map(|i| report.epoch_wall(i)).sum();
+        let summed: Duration = report.epoch_walls.iter().sum();
         assert!(summed <= report.wall);
     }
 

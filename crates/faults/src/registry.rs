@@ -57,16 +57,17 @@ fault_points! {
     /// contract: a trigger here must cost at most the trace, never the
     /// run's exit status.
     OBS_FLUSH = "obs.flush";
-    /// Inside the atomic JSON/edge-list writer after a partial prefix of
-    /// the payload has been written to the tmp sibling (arg: destination
+    /// Inside the atomic byte-buffer writer after a partial prefix of the
+    /// payload has been written to the tmp sibling (arg: destination
     /// path). Proves torn writes never replace a good generation.
     PERSIST_ATOMIC_PARTIAL = "persist.atomic.partial";
-    /// At the start of an atomic write, before the tmp sibling is created
-    /// (arg: destination path).
+    /// At the start of every atomic commit (JSON artifacts, edge lists,
+    /// TGES stores), before the tmp sibling is created (arg: destination
+    /// path).
     PERSIST_ATOMIC_START = "persist.atomic.start";
     /// After the tmp sibling is fully written and fsynced but before the
-    /// rename commit (arg: destination path). Proves the commit point is
-    /// the rename.
+    /// rename commit (arg: destination path, e.g. the `.tgs` file of a
+    /// store). Proves the commit point is the rename.
     PERSIST_ATOMIC_UNRENAMED = "persist.atomic.unrenamed";
     /// Evaluated once per accepted connection in the tg-serve accept
     /// loop; a trigger drops that one connection without taking the
@@ -85,10 +86,6 @@ fault_points! {
     /// the same connection without taking the daemon or its data-plane
     /// requests down.
     SERVE_STATUS = "serve.status";
-    /// Before the TGES writer back-patches the header and commits (arg:
-    /// store path). A trigger leaves an unreadable store, never a
-    /// silently short one.
-    STORE_COMMIT = "store.commit";
     /// Before each SoA block read in the TGES reader (arg: `block:<k>`).
     STORE_READ_BLOCK = "store.read.block";
     /// Before each SoA block flush in the TGES writer (arg: `block:<k>`).

@@ -65,21 +65,27 @@ fn every_declared_point_is_evaluated_by_another_crate() {
 #[test]
 fn a_comment_a_longer_identifier_or_a_unit_test_is_not_a_use() {
     assert!(names(
-        "    tg_faults::fail_point!(STORE_COMMIT, p);",
-        "STORE_COMMIT"
+        "    tg_faults::fail_point!(STORE_WRITE_BLOCK, p);",
+        "STORE_WRITE_BLOCK"
     ));
     assert!(names(
         "use tg_faults::registry::{SERVE_ACCEPT, SERVE_STATUS};",
         "SERVE_STATUS"
     ));
-    assert!(!names("// was: fail_point!(STORE_COMMIT)", "STORE_COMMIT"));
-    assert!(!names("let x = STORE_COMMIT_LATER;", "STORE_COMMIT"));
+    assert!(!names(
+        "// was: fail_point!(STORE_WRITE_BLOCK)",
+        "STORE_WRITE_BLOCK"
+    ));
+    assert!(!names(
+        "let x = STORE_WRITE_BLOCK_LATER;",
+        "STORE_WRITE_BLOCK"
+    ));
 
-    let unit_test_only = "fn commit() {}\n\n#[cfg(test)]\nmod tests {\n    \
-                          use tg_faults::registry::STORE_COMMIT;\n}\n";
-    assert!(!shipped_code_names(unit_test_only, "STORE_COMMIT"));
+    let unit_test_only = "fn flush() {}\n\n#[cfg(test)]\nmod tests {\n    \
+                          use tg_faults::registry::STORE_WRITE_BLOCK;\n}\n";
+    assert!(!shipped_code_names(unit_test_only, "STORE_WRITE_BLOCK"));
     assert!(shipped_code_names(
-        "fn commit() { fail_point!(STORE_COMMIT); }\n#[cfg(test)]\nmod tests {}\n",
-        "STORE_COMMIT"
+        "fn flush() { fail_point!(STORE_WRITE_BLOCK); }\n#[cfg(test)]\nmod tests {}\n",
+        "STORE_WRITE_BLOCK"
     ));
 }

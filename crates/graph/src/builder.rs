@@ -31,11 +31,6 @@ impl TemporalGraphBuilder {
         self.raw.push((ui, vi, t));
     }
 
-    /// Add an edge already carrying dense node ids (still raw timestamp).
-    pub fn add_dense(&mut self, u: NodeId, v: NodeId, t: u64) {
-        self.add_raw(u as u64, v as u64, t);
-    }
-
     fn intern(&mut self, raw: u64) -> NodeId {
         let next = self.node_map.len() as NodeId;
         *self.node_map.entry(raw).or_insert(next)
@@ -61,21 +56,12 @@ impl TemporalGraphBuilder {
         let mut times: Vec<u64> = self.raw.iter().map(|&(_, _, t)| t).collect();
         times.sort_unstable();
         times.dedup();
-        #[expect(
-            clippy::disallowed_types,
-            reason = "built from the sorted, deduped `times` and read by key only, never iterated"
-        )]
-        let time_map: std::collections::HashMap<u64, Time> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i as Time))
-            .collect();
         let n = self.node_map.len();
         let t_count = times.len().max(1);
         let edges = self
             .raw
             .into_iter()
-            .map(|(u, v, t)| TemporalEdge::new(u, v, time_map[&t]))
+            .map(|(u, v, t)| TemporalEdge::new(u, v, times.partition_point(|&x| x < t) as Time))
             .collect();
         TemporalGraph::from_edges(n, t_count, edges)
     }
@@ -159,7 +145,7 @@ mod tests {
     fn counters() {
         let mut b = TemporalGraphBuilder::new();
         assert!(b.is_empty());
-        b.add_dense(0, 1, 3);
+        b.add_raw(0, 1, 3);
         assert_eq!(b.n_edges(), 1);
         assert_eq!(b.n_nodes(), 2);
     }

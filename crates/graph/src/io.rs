@@ -54,10 +54,10 @@ impl From<tg_faults::FaultError> for IoError {
     }
 }
 
-/// The temporary sibling `atomic_write_bytes` stages into before the
-/// rename: `<file name>.tmp` in the same directory (same filesystem, so
-/// the rename is atomic). A leftover `.tmp` after a crash is inert — no
-/// reader ever opens it — and the next write truncates it.
+/// The temporary sibling [`commit_atomic`] stages into before the rename:
+/// `<file name>.tmp` in the same directory (same filesystem, so the rename
+/// is atomic). A `.tmp` left by a crash is inert — no reader ever opens
+/// it — and the next write truncates it.
 pub fn tmp_sibling(path: &Path) -> std::path::PathBuf {
     let mut name = path
         .file_name()
@@ -67,72 +67,134 @@ pub fn tmp_sibling(path: &Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
-/// Crash-safe whole-file write: stage the bytes in a [`tmp_sibling`],
-/// `fsync`, then atomically rename over `path`. A crash at any point
-/// leaves either the old file intact or the complete new file — never a
-/// torn mix. This is the shared persistence primitive for every run-dir
-/// artifact (checkpoints, manifests, model snapshots, store commits).
+/// Crash-safe whole-file commit, the one every durable artifact (model
+/// snapshots, checkpoints, manifests, edge lists, TGES stores) goes
+/// through: `write` fills a fresh [`tmp_sibling`] through the handle it is
+/// given, that same handle is fsynced, and the tmp is renamed over `path`.
+/// A crash at any point leaves either the old file intact or the complete
+/// new file — never a torn mix. On any returned error the tmp is removed
+/// and `path` is untouched.
 ///
-/// Fault points (see `tg-faults`), each carrying the destination path as
-/// their argument: `persist.atomic.start` before anything is written,
-/// `persist.atomic.partial` between the two halves of the staged write
-/// (a crash here models a torn write), and `persist.atomic.unrenamed`
-/// after the fsync but before the rename.
-pub fn atomic_write_bytes(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
-    let path = path.as_ref();
-    let path_str = path.display().to_string();
-    tg_faults::fail_point!(PERSIST_ATOMIC_START, path_str.clone());
+/// Fault points (see `tg-faults`), each carrying `path` as its argument:
+/// `persist.atomic.start` before the tmp is created, and
+/// `persist.atomic.unrenamed` after the fsync but before the rename.
+pub fn commit_atomic<T, E>(
+    path: &Path,
+    write: impl FnOnce(&mut std::fs::File) -> Result<T, E>,
+) -> Result<T, E>
+where
+    E: From<std::io::Error> + From<tg_faults::FaultError>,
+{
+    tg_faults::fail_point!(PERSIST_ATOMIC_START, path.display().to_string());
     let tmp = tmp_sibling(path);
-    let mut f = std::fs::File::create(&tmp)?;
-    let mid = bytes.len() / 2;
-    f.write_all(&bytes[..mid])?;
-    tg_faults::fail_point!(PERSIST_ATOMIC_PARTIAL, path_str.clone());
-    f.write_all(&bytes[mid..])?;
+    let committed = stage_and_rename(&tmp, path, write);
+    if committed.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    committed
+}
+
+/// The part of [`commit_atomic`] after which a failure leaves a tmp behind.
+fn stage_and_rename<T, E>(
+    tmp: &Path,
+    path: &Path,
+    write: impl FnOnce(&mut std::fs::File) -> Result<T, E>,
+) -> Result<T, E>
+where
+    E: From<std::io::Error> + From<tg_faults::FaultError>,
+{
+    let mut f = std::fs::File::create(tmp)?;
+    let out = write(&mut f)?;
     f.sync_all()?;
     drop(f);
-    tg_faults::fail_point!(PERSIST_ATOMIC_UNRENAMED, path_str);
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    tg_faults::fail_point!(PERSIST_ATOMIC_UNRENAMED, path.display().to_string());
+    std::fs::rename(tmp, path)?;
+    Ok(out)
+}
+
+/// [`commit_atomic`] of a byte buffer, written in two halves with the
+/// `persist.atomic.partial` fault point (arg: `path`) between them — a
+/// crash there models a torn write.
+pub fn atomic_write_bytes(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
+    let path = path.as_ref();
+    commit_atomic(path, |f| {
+        let (head, tail) = bytes.split_at(bytes.len() / 2);
+        f.write_all(head)?;
+        tg_faults::fail_point!(PERSIST_ATOMIC_PARTIAL, path.display().to_string());
+        f.write_all(tail)
+    })
+}
+
+/// Call `f(line, [src, dst, timestamp])` for each record of a text edge
+/// list, `line` being its 1-based line number — the one line reader every
+/// edge-list parser shares, each parsing the three fields its own way.
+/// Blank lines and lines starting with `#` or `%` are skipped. A record
+/// with a missing or a fourth field is an [`IoError::Parse`] naming its
+/// line: a KONECT `u v weight t` row, or two records spliced by a missing
+/// newline, would otherwise load silently as the wrong edge.
+pub fn for_each_record<R: Read>(
+    reader: R,
+    mut f: impl FnMut(usize, [&str; 3]) -> Result<(), IoError>,
+) -> Result<(), IoError> {
+    let mut reader = BufReader::new(reader);
+    let mut buf = String::new();
+    let mut line = 0;
+    loop {
+        buf.clear();
+        if reader.read_line(&mut buf)? == 0 {
+            return Ok(());
+        }
+        line += 1;
+        let s = buf.trim();
+        if s.is_empty() || s.starts_with('#') || s.starts_with('%') {
+            continue;
+        }
+        let bad = |msg: &str| IoError::Parse {
+            line,
+            msg: msg.to_string(),
+        };
+        let mut it = s.split_whitespace();
+        let mut field = |what| it.next().ok_or_else(|| bad(what));
+        let record = [
+            field("missing src")?,
+            field("missing dst")?,
+            field("missing timestamp")?,
+        ];
+        if it.next().is_some() {
+            return Err(bad("trailing tokens after timestamp"));
+        }
+        f(line, record)?;
+    }
 }
 
 /// Parse `src dst timestamp` lines from any reader. Raw node ids may be
 /// arbitrary `u64`s and timestamps arbitrary non-negative numbers (a
 /// fraction is dropped); both are compacted densely. A negative, fractional
-/// or non-numeric id, or a negative or non-finite timestamp, is an
-/// [`IoError::Parse`] naming its line. `n_buckets`, when given, quantises
-/// raw timestamps into that many equal-width buckets (the paper aggregates
-/// fine-grained Unix timestamps into `T` snapshots this way).
+/// or non-numeric id, a negative or non-finite timestamp, or a fourth
+/// field is an [`IoError::Parse`] naming its line. `n_buckets`, when given,
+/// quantises raw timestamps into that many equal-width buckets (the paper
+/// aggregates fine-grained Unix timestamps into `T` snapshots this way).
 pub fn read_edge_list<R: Read>(
     reader: R,
     n_buckets: Option<NonZeroUsize>,
 ) -> Result<TemporalGraph, IoError> {
-    let buf = BufReader::new(reader);
     let mut builder = TemporalGraphBuilder::new();
-    for (idx, line) in buf.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = line?;
-        let s = line.trim();
-        if s.is_empty() || s.starts_with('#') || s.starts_with('%') {
-            continue;
-        }
-        let mut it = s.split_whitespace();
-        let bad = |msg: String| IoError::Parse { line: line_no, msg };
-        let mut field = |what: &str| it.next().ok_or_else(|| bad(format!("missing {what}")));
+    for_each_record(reader, |line, [src, dst, time]| {
+        let bad = |msg: String| IoError::Parse { line, msg };
         let id = |tok: &str, what: &str| {
             tok.parse::<u64>()
                 .map_err(|e| bad(format!("bad {what} `{tok}`: {e}")))
         };
-        let u = id(field("src")?, "src")?;
-        let v = id(field("dst")?, "dst")?;
+        let (u, v) = (id(src, "src")?, id(dst, "dst")?);
         // Dumps may carry float epoch seconds: the fraction is dropped.
-        let tok = field("timestamp")?;
-        let t = match tok.parse::<f64>() {
+        let t = match time.parse::<f64>() {
             Ok(t) if t.is_finite() && t >= 0.0 => t as u64,
-            Ok(_) => return Err(bad(format!("timestamp `{tok}` is negative or not finite"))),
-            Err(e) => return Err(bad(format!("bad timestamp `{tok}`: {e}"))),
+            Ok(_) => return Err(bad(format!("timestamp `{time}` is negative or not finite"))),
+            Err(e) => return Err(bad(format!("bad timestamp `{time}`: {e}"))),
         };
         builder.add_raw(u, v, t);
-    }
+        Ok(())
+    })?;
     if builder.is_empty() {
         return Err(IoError::Empty);
     }
@@ -167,21 +229,10 @@ pub fn save_edge_list(g: &TemporalGraph, path: impl AsRef<Path>) -> Result<(), I
     write_edge_list(g, f)
 }
 
-/// [`save_edge_list`], crash-safely: the lines are staged in a
-/// [`tmp_sibling`], fsynced, and renamed over `path` in one step, so an
-/// interrupted save never leaves a truncated edge list where a complete
-/// one used to be.
+/// [`save_edge_list`] through [`commit_atomic`], so an interrupted save
+/// never leaves a truncated edge list where a complete one used to be.
 pub fn save_edge_list_atomic(g: &TemporalGraph, path: impl AsRef<Path>) -> Result<(), IoError> {
-    let path = path.as_ref();
-    let path_str = path.display().to_string();
-    tg_faults::fail_point!(PERSIST_ATOMIC_START, path_str.clone());
-    let tmp = tmp_sibling(path);
-    let f = std::fs::File::create(&tmp)?;
-    write_edge_list(g, &f)?;
-    f.sync_all()?;
-    tg_faults::fail_point!(PERSIST_ATOMIC_UNRENAMED, path_str);
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    commit_atomic(path.as_ref(), |f| write_edge_list(g, f))
 }
 
 /// Parse `src dst timestamp` lines **without id/timestamp compaction**:
@@ -195,50 +246,24 @@ pub fn read_edge_list_exact<R: Read>(
     n_nodes: usize,
     n_timestamps: usize,
 ) -> Result<TemporalGraph, IoError> {
-    let buf = BufReader::new(reader);
     let mut edges: Vec<TemporalEdge> = Vec::new();
-    for (idx, line) in buf.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = line?;
-        let s = line.trim();
-        if s.is_empty() || s.starts_with('#') || s.starts_with('%') {
-            continue;
-        }
-        let mut it = s.split_whitespace();
-        let mut parse = |what: &str, bound: usize| -> Result<u32, IoError> {
-            let v = it
-                .next()
-                .ok_or_else(|| IoError::Parse {
-                    line: line_no,
-                    msg: format!("missing {what}"),
-                })?
+    for_each_record(reader, |line, [src, dst, time]| {
+        let dense = |tok: &str, what: &str, bound: usize| {
+            let bad = |msg: String| IoError::Parse { line, msg };
+            let v = tok
                 .parse::<u32>()
-                .map_err(|e| IoError::Parse {
-                    line: line_no,
-                    msg: format!("bad {what}: {e}"),
-                })?;
+                .map_err(|e| bad(format!("bad {what}: {e}")))?;
             if (v as usize) >= bound {
-                return Err(IoError::Parse {
-                    line: line_no,
-                    msg: format!("{what} {v} out of range (< {bound})"),
-                });
+                return Err(bad(format!("{what} {v} out of range (< {bound})")));
             }
             Ok(v)
         };
-        let u = parse("src", n_nodes)?;
-        let v = parse("dst", n_nodes)?;
-        let t = parse("timestamp", n_timestamps)?;
-        if it.next().is_some() {
-            // A fourth token means the line is not a clean `u v t` record
-            // (e.g. two lines spliced by a missing newline in a merge);
-            // accepting it would silently drop data.
-            return Err(IoError::Parse {
-                line: line_no,
-                msg: "trailing tokens after timestamp".into(),
-            });
-        }
+        let u = dense(src, "src", n_nodes)?;
+        let v = dense(dst, "dst", n_nodes)?;
+        let t = dense(time, "timestamp", n_timestamps)?;
         edges.push(TemporalEdge::new(u, v, t));
-    }
+        Ok(())
+    })?;
     Ok(TemporalGraph::from_edges(n_nodes, n_timestamps, edges))
 }
 
@@ -549,6 +574,14 @@ mod tests {
             read_edge_list(text.as_bytes(), None),
             Err(IoError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn error_on_a_fourth_column() {
+        // a KONECT temporal `out.*` file: `%` headers, then `u v weight t`;
+        // taking the third token as the time loads one snapshot keyed by
+        // the weight column
+        assert_rejected_on("% konect\n1 2 1 1000\n2 3 1 2000\n", 2);
     }
 
     #[test]

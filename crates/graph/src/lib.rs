@@ -11,13 +11,15 @@
 //!   per-timestamp slicing and a per-node, time-ordered adjacency that
 //!   answers temporal neighborhoods (Def. 3 with `d_N = 1`) and temporal
 //!   degrees (the Eq. 2 sampling weights);
-//! - [`snapshot::Snapshot`] — accumulated/exact static CSR snapshots, the
-//!   objects the paper's evaluation metrics are computed on;
+//! - [`snapshot::Snapshot`] — accumulated/exact static out-adjacency CSR
+//!   snapshots, the objects the paper's evaluation metrics are computed on;
 //! - [`builder::TemporalGraphBuilder`] — relabeling/compaction from raw
 //!   ids and epoch timestamps;
 //! - [`io`] — the `src dst timestamp` text interchange format used by the
-//!   paper's datasets (SNAP/Bitcoin/StackExchange dumps drop in directly),
-//!   plus the streaming writer/merger behind sharded generation;
+//!   paper's datasets (SNAP/Bitcoin/StackExchange dumps drop in directly)
+//!   through one record reader, [`io::for_each_record`]; the streaming
+//!   writer/merger behind sharded generation; and [`io::commit_atomic`],
+//!   the crash-safe commit every durable file goes through;
 //! - [`sink`] — the [`sink::EdgeSink`] abstraction consumed by the
 //!   simulation engine (`tgae::engine`): in-memory graph assembly,
 //!   streaming edge-list writing, or online statistics with no edge
@@ -27,7 +29,9 @@
 //!   (in-memory via [`source::InMemorySource`], out-of-core via
 //!   `tg-store`'s `StoreSource`), plus the streaming
 //!   [`source::GraphAssembler`] that rebuilds a graph from them with
-//!   `O(chunk)` overhead.
+//!   `O(chunk)` overhead;
+//! - [`transform`] — induced sub-graphs, time slices, reversal and node
+//!   compaction, for carving inputs out of a bigger corpus.
 
 pub mod builder;
 pub mod io;

@@ -178,24 +178,6 @@ impl GenerationStats {
             .collect()
     }
 
-    /// Normalised out-degree histogram (with multiplicity) at timestamp
-    /// `t`, truncated to `max_degree + 1` buckets with the last bucket
-    /// absorbing the tail — the vector shape `tg-metrics` kernels
-    /// (`mmd2_tv`, `tv_distance`) consume directly.
-    pub fn out_degree_histogram(&self, t: Time, max_degree: usize) -> Vec<f64> {
-        let mut hist = vec![0f64; max_degree + 1];
-        for &d in self.per_timestamp[t as usize].out_degrees.values() {
-            hist[(d as usize).min(max_degree)] += 1.0;
-        }
-        let total: f64 = hist.iter().sum();
-        if total > 0.0 {
-            for h in hist.iter_mut() {
-                *h /= total;
-            }
-        }
-        hist
-    }
-
     /// Directed degree tallies recomputed from an in-memory graph, for
     /// cross-checking a streaming run against a [`GraphSink`] one. Returns
     /// the same structure a `StatsSink` over the identical edge stream
@@ -343,24 +325,5 @@ mod tests {
         let mut empty = StatsSink::new(0).finish();
         empty.merge(&before);
         assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn out_degree_histogram_is_normalised_with_tail_bucket() {
-        let edges = vec![
-            TemporalEdge::new(0, 1, 0),
-            TemporalEdge::new(0, 2, 0),
-            TemporalEdge::new(0, 3, 0),
-            TemporalEdge::new(1, 0, 0),
-        ];
-        let mut sink = StatsSink::new(1);
-        sink.accept_all(&edges);
-        let stats = sink.finish();
-        // degrees: node 0 -> 3, node 1 -> 1; max_degree 2 puts 3 in tail
-        let h = stats.out_degree_histogram(0, 2);
-        assert_eq!(h.len(), 3);
-        assert!((h.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((h[1] - 0.5).abs() < 1e-12);
-        assert!((h[2] - 0.5).abs() < 1e-12);
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! The paper's evaluation (Eq. 10) compares *accumulated* snapshots: the
 //! static graph containing every edge with timestamp `<= t`. [`Snapshot`]
-//! is that static graph — a directed CSR with both out- and in-adjacency,
-//! plus the undirected simple-graph views the Table III statistics are
-//! computed on.
+//! is that static graph — a directed out-adjacency CSR — plus the
+//! undirected simple-graph view the Table III statistics are computed on.
 
 use crate::temporal::{NodeId, TemporalGraph, Time};
 use serde::{Deserialize, Serialize};
@@ -16,9 +15,6 @@ pub struct Snapshot {
     /// CSR out-adjacency.
     out_offsets: Vec<usize>,
     out_targets: Vec<NodeId>,
-    /// CSR in-adjacency.
-    in_offsets: Vec<usize>,
-    in_targets: Vec<NodeId>,
     /// Number of (directed) edges stored.
     m: usize,
 }
@@ -41,24 +37,10 @@ impl Snapshot {
             out_offsets[i + 1] += out_offsets[i];
         }
         let out_targets: Vec<NodeId> = edges.iter().map(|&(_, v)| v).collect();
-
-        let mut rev: Vec<(NodeId, NodeId)> = edges.iter().map(|&(u, v)| (v, u)).collect();
-        rev.sort_unstable();
-        let mut in_offsets = vec![0usize; n + 1];
-        for &(v, _) in &rev {
-            in_offsets[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let in_targets: Vec<NodeId> = rev.iter().map(|&(_, u)| u).collect();
-
         Snapshot {
             n,
             out_offsets,
             out_targets,
-            in_offsets,
-            in_targets,
             m,
         }
     }
@@ -92,28 +74,6 @@ impl Snapshot {
         &self.out_targets[self.out_offsets[u as usize]..self.out_offsets[u as usize + 1]]
     }
 
-    /// In-neighbors of `v`.
-    pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        &self.in_targets[self.in_offsets[v as usize]..self.in_offsets[v as usize + 1]]
-    }
-
-    /// Out-degree of `u` (after any dedup at construction).
-    pub fn out_degree(&self, u: NodeId) -> usize {
-        self.out_neighbors(u).len()
-    }
-
-    /// In-degree of `v` (after any dedup at construction).
-    pub fn in_degree(&self, v: NodeId) -> usize {
-        self.in_neighbors(v).len()
-    }
-
-    /// Total (in+out) degree per node.
-    pub fn total_degrees(&self) -> Vec<usize> {
-        (0..self.n as NodeId)
-            .map(|v| self.out_degree(v) + self.in_degree(v))
-            .collect()
-    }
-
     /// Undirected simple adjacency: for each node, the sorted deduplicated
     /// union of in- and out-neighbors with self-loops removed. This is the
     /// view Table III statistics (wedge/claw/triangle counts, LCC, PLE) are
@@ -133,17 +93,6 @@ impl Snapshot {
             list.dedup();
         }
         adj
-    }
-
-    /// All directed edges as pairs.
-    pub fn edge_pairs(&self) -> Vec<(NodeId, NodeId)> {
-        let mut out = Vec::with_capacity(self.m);
-        for u in 0..self.n as NodeId {
-            for &v in self.out_neighbors(u) {
-                out.push((u, v));
-            }
-        }
-        out
     }
 }
 
@@ -171,9 +120,7 @@ mod tests {
         assert_eq!(s.n_edges(), 3);
         assert_eq!(s.out_neighbors(0), &[1, 2]);
         assert_eq!(s.out_neighbors(1), &[] as &[NodeId]);
-        assert_eq!(s.in_neighbors(1), &[0, 2]);
-        assert_eq!(s.out_degree(0), 2);
-        assert_eq!(s.in_degree(2), 1);
+        assert_eq!(s.out_neighbors(2), &[1]);
     }
 
     #[test]
@@ -217,20 +164,5 @@ mod tests {
                 assert!(adj[v as usize].contains(&u));
             }
         }
-    }
-
-    #[test]
-    fn edge_pairs_roundtrip() {
-        let pairs = vec![(0u32, 1u32), (1, 2), (2, 0)];
-        let s = Snapshot::from_pairs(3, &pairs, true);
-        let mut back = s.edge_pairs();
-        back.sort_unstable();
-        assert_eq!(back, pairs);
-    }
-
-    #[test]
-    fn total_degrees() {
-        let s = Snapshot::from_pairs(3, &[(0, 1), (1, 2)], true);
-        assert_eq!(s.total_degrees(), vec![1, 2, 1]);
     }
 }

@@ -31,8 +31,8 @@
 //! [`EdgeSink::accept`](crate::sink::EdgeSink::accept) does on the emit
 //! side; chunk indices restart at 0 on every timestamp. Consumers may
 //! rely on this order: [`GraphAssembler`] rebuilds a [`TemporalGraph`]
-//! from it without ever re-sorting, and `tg-sampling` folds it into the
-//! Eq. 2 sampling population one timestamp at a time.
+//! from it without ever re-sorting, and `tg-store`'s `write_source`
+//! writes it into a store block by block.
 
 use crate::temporal::{TemporalEdge, TemporalGraph, Time};
 
@@ -69,8 +69,8 @@ pub trait EdgeSource {
 
 /// [`EdgeSource`] over an already-materialised [`TemporalGraph`] — the
 /// in-memory twin of `tg-store`'s `StoreSource`, and the adapter that
-/// lets chunk-consuming code (graph assembly, sampler-population
-/// construction) run identically on either path.
+/// lets chunk-consuming code (graph assembly, store writing) run
+/// identically on either path.
 pub struct InMemorySource<'a> {
     g: &'a TemporalGraph,
 }

@@ -285,23 +285,17 @@ impl TemporalGraph {
     }
 
     /// All occurring temporal nodes `(u, t)` — pairs with at least one
-    /// incident edge — with their temporal degrees. This is the sampling
-    /// population `~V` of the paper, sorted by `(u, t)`.
-    pub fn temporal_nodes(&self) -> Vec<(NodeId, Time, usize)> {
-        let mut ends: Vec<(NodeId, Time)> = self
-            .edges
-            .iter()
-            .flat_map(|e| [(e.u, e.t), (e.v, e.t)])
-            .collect();
-        ends.sort_unstable();
-        let mut out: Vec<(NodeId, Time, usize)> = Vec::new();
-        for (u, t) in ends {
-            match out.last_mut() {
-                Some(last) if (last.0, last.1) == (u, t) => last.2 += 1,
-                _ => out.push((u, t, 1)),
-            }
-        }
-        out
+    /// incident edge — with their temporal degrees (a self-loop counts
+    /// twice). This is the sampling population `~V` of the paper, in
+    /// `(u, t)` order: one walk over each node's time-sorted adjacency,
+    /// where each run of equal `t` is one temporal node.
+    pub fn temporal_nodes(&self) -> impl Iterator<Item = (NodeId, Time, usize)> + '_ {
+        (0..self.n as NodeId).flat_map(move |u| {
+            self.adj
+                .window(u, 0, Time::MAX)
+                .chunk_by(|a, b| a.t() == b.t())
+                .map(move |run| (u, run[0].t(), run.len()))
+        })
     }
 
     /// Static (time-collapsed) degree of each node, counting both
@@ -412,7 +406,7 @@ mod tests {
     #[test]
     fn temporal_nodes_population() {
         let g = toy();
-        let tn = g.temporal_nodes();
+        let tn: Vec<_> = g.temporal_nodes().collect();
         // occurrences: (0,0),(1,0),(2,0) at t0; (0,1),(1,1),(2,1) at t1
         assert_eq!(tn.len(), 6);
         let total_deg: usize = tn.iter().map(|&(_, _, d)| d).sum();

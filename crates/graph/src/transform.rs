@@ -1,7 +1,7 @@
 //! Temporal graph transformations: sub-graph extraction, time slicing,
 //! relabeling, and direction reversal. These are the "data-wrangling"
 //! operations a downstream user needs to carve experiment inputs out of a
-//! bigger corpus (and what the harness uses to build per-chunk views).
+//! bigger corpus; no shipped path of this workspace calls them.
 
 use crate::temporal::{NodeId, TemporalEdge, TemporalGraph, Time};
 
@@ -9,25 +9,28 @@ use crate::temporal::{NodeId, TemporalEdge, TemporalGraph, Time};
 /// endpoints are in `nodes`, relabeling node ids densely in the order
 /// given. Timestamp axis is preserved.
 pub fn induced_subgraph(g: &TemporalGraph, nodes: &[NodeId]) -> TemporalGraph {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "keyed lookups only; the relabelling is fixed by the caller's `nodes` order, never by iteration"
-    )]
-    let mut map = std::collections::HashMap::<NodeId, NodeId>::with_capacity(nodes.len());
-    for (i, &v) in nodes.iter().enumerate() {
+    let mut new_id: Vec<Option<NodeId>> = vec![None; g.n_nodes()];
+    let mut n: NodeId = 0;
+    for &v in nodes {
         assert!((v as usize) < g.n_nodes(), "node {v} out of range");
-        map.entry(v).or_insert(i as NodeId);
+        let slot = &mut new_id[v as usize];
+        if slot.is_none() {
+            *slot = Some(n);
+            n += 1;
+        }
     }
     let edges: Vec<TemporalEdge> = g
         .edges()
         .iter()
         .filter_map(|e| {
-            let u = map.get(&e.u)?;
-            let v = map.get(&e.v)?;
-            Some(TemporalEdge::new(*u, *v, e.t))
+            Some(TemporalEdge::new(
+                new_id[e.u as usize]?,
+                new_id[e.v as usize]?,
+                e.t,
+            ))
         })
         .collect();
-    TemporalGraph::from_edges(map.len().max(1), g.n_timestamps(), edges)
+    TemporalGraph::from_edges((n as usize).max(1), g.n_timestamps(), edges)
 }
 
 /// Restrict to a timestamp window `[lo, hi)`, re-basing timestamps to

@@ -7,7 +7,6 @@
 //! ablation switches to a uniform draw.
 
 use rand::Rng;
-use tg_graph::source::{EdgeSource, InMemorySource};
 use tg_graph::{NodeId, TemporalGraph, Time};
 
 /// Pre-computed sampling population with cumulative weights for O(log n)
@@ -20,80 +19,26 @@ pub struct InitialNodeSampler {
 }
 
 impl InitialNodeSampler {
-    /// Build the sampler from a temporal graph. Equivalent to streaming
-    /// the graph through [`InitialNodeSampler::from_source`] (the two
-    /// constructions are regression-tested to produce bit-identical
-    /// samplers).
+    /// Build the sampler from a temporal graph: its
+    /// [`TemporalGraph::temporal_nodes`], in `(v, t)` order, with the
+    /// cumulative degree weights accumulated in that order.
     pub fn new(g: &TemporalGraph, degree_weighted: bool) -> Self {
-        match Self::from_source(&mut InMemorySource::new(g), degree_weighted) {
-            Ok(s) => s,
-            Err(e) => match e {}, // Infallible
-        }
-    }
-
-    /// Build the sampler by streaming per-timestamp chunks from any
-    /// [`EdgeSource`] — the ingest-side twin of
-    /// [`InitialNodeSampler::new`]. Because chunks arrive grouped by
-    /// timestamp, temporal degrees accumulate in a dense per-node array
-    /// whose touched entries are drained and zeroed as each timestamp
-    /// closes, so the transient working set is one counter per node rather
-    /// than `O(all temporal nodes)`; only the final population (which the
-    /// sampler must hold anyway) grows with the graph. The array grows to
-    /// the largest endpoint the stream carries, whatever the source
-    /// declares.
-    pub fn from_source<S: EdgeSource>(
-        source: &mut S,
-        degree_weighted: bool,
-    ) -> Result<Self, S::Error> {
-        let mut nodes: Vec<(NodeId, Time, usize)> = Vec::new();
-        let mut degree: Vec<usize> = Vec::new();
-        let mut touched: Vec<NodeId> = Vec::new();
-        let mut close = |t: Time, degree: &mut [usize], touched: &mut Vec<NodeId>| {
-            for v in touched.drain(..) {
-                nodes.push((v, t, std::mem::take(&mut degree[v as usize])));
-            }
-        };
-        let mut open_t: Time = 0;
-        source.for_each_chunk(
-            tg_graph::source::DEFAULT_CHUNK_EDGES,
-            &mut |t, _c, edges| {
-                if t != open_t {
-                    close(open_t, &mut degree, &mut touched);
-                    open_t = t;
-                }
-                for e in edges {
-                    for v in [e.u, e.v] {
-                        let i = v as usize;
-                        if i >= degree.len() {
-                            degree.resize(i + 1, 0);
-                        }
-                        if degree[i] == 0 {
-                            touched.push(v);
-                        }
-                        degree[i] += 1;
-                    }
-                }
-            },
-        )?;
-        close(open_t, &mut degree, &mut touched);
-        // Same global order as `TemporalGraph::temporal_nodes` (sorted by
-        // `(v, t)`), so the cumulative-weight accumulation below visits
-        // entries in the identical sequence and the resulting sampler is
-        // bit-identical to the in-memory construction.
-        nodes.sort_unstable();
-        let mut population = Vec::with_capacity(nodes.len());
-        let mut cum_weights = Vec::with_capacity(nodes.len());
+        // Counted first so both vectors, held through training, are
+        // allocated once at their exact size.
+        let len = g.temporal_nodes().count();
+        let mut population = Vec::with_capacity(len);
+        let mut cum_weights = Vec::with_capacity(len);
         let mut acc = 0.0f64;
-        for (v, t, d) in nodes {
+        for (v, t, d) in g.temporal_nodes() {
             population.push((v, t));
             acc += d as f64;
             cum_weights.push(acc);
         }
-        Ok(InitialNodeSampler {
+        InitialNodeSampler {
             population,
             cum_weights,
             degree_weighted,
-        })
+        }
     }
 
     /// Number of occurring temporal nodes.
@@ -204,56 +149,6 @@ mod tests {
         let mut sorted = batch.clone();
         sorted.dedup();
         assert_eq!(sorted.len(), batch.len());
-    }
-
-    #[test]
-    fn from_source_is_bit_identical_to_new() {
-        // The streamed (per-timestamp chunk) construction must reproduce
-        // the in-memory one exactly: same population, and — because the
-        // cumulative f64 weights accumulate in the same order — the same
-        // draws from the same RNG stream.
-        let g = hub_graph();
-        for degree_weighted in [true, false] {
-            let a = InitialNodeSampler::new(&g, degree_weighted);
-            let b = InitialNodeSampler::from_source(&mut InMemorySource::new(&g), degree_weighted)
-                .unwrap();
-            assert_eq!(a.population(), b.population());
-            let mut rng_a = SmallRng::seed_from_u64(11);
-            let mut rng_b = SmallRng::seed_from_u64(11);
-            assert_eq!(
-                a.sample_batch(300, &mut rng_a),
-                b.sample_batch(300, &mut rng_b)
-            );
-        }
-    }
-
-    #[test]
-    fn from_source_counts_endpoints_past_the_declared_node_count() {
-        struct UnderDeclared;
-        impl EdgeSource for UnderDeclared {
-            type Error = std::convert::Infallible;
-            fn n_nodes(&self) -> usize {
-                2
-            }
-            fn n_timestamps(&self) -> usize {
-                2
-            }
-            fn n_edges(&self) -> u64 {
-                2
-            }
-            fn for_each_chunk(
-                &mut self,
-                _max_chunk: usize,
-                f: &mut dyn FnMut(Time, u32, &[TemporalEdge]),
-            ) -> Result<(), Self::Error> {
-                f(0, 0, &[TemporalEdge::new(0, 9, 0)]);
-                f(1, 0, &[TemporalEdge::new(9, 9, 1)]);
-                Ok(())
-            }
-        }
-        let s = InitialNodeSampler::from_source(&mut UnderDeclared, true).unwrap();
-        assert_eq!(s.population(), &[(0, 0), (9, 0), (9, 1)]);
-        assert_eq!(s.cum_weights, vec![1.0, 2.0, 4.0]);
     }
 
     #[test]

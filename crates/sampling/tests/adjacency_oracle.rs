@@ -3,11 +3,13 @@
 //! timestamp's `(t, u, v)` edge slice and over a `(t, v, u)` permutation
 //! of it. Then `ComputationGraph::build` against a build that interns
 //! slots through a map, as it did before the slot table: the same levels,
-//! layers and RNG state after the call.
+//! layers and RNG state after the call. Last, `InitialNodeSampler::new`
+//! against the Eq. 2 population counted by sorting every edge endpoint, as
+//! `TemporalGraph::temporal_nodes` did before it walked the adjacency.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use tg_graph::{NodeId, TemporalEdge, TemporalGraph, Time};
 use tg_sampling::{
@@ -137,6 +139,79 @@ fn build_reference(
     (levels, layers)
 }
 
+/// The occurring temporal nodes `(v, t, degree)` in `(v, t)` order, from a
+/// sort of the `2E` edge endpoints.
+fn sorted_census(g: &TemporalGraph) -> Vec<(NodeId, Time, usize)> {
+    let mut ends: Vec<(NodeId, Time)> = g
+        .edges()
+        .iter()
+        .flat_map(|e| [(e.u, e.t), (e.v, e.t)])
+        .collect();
+    ends.sort_unstable();
+    let mut out: Vec<(NodeId, Time, usize)> = Vec::new();
+    for (u, t) in ends {
+        match out.last_mut() {
+            Some(last) if (last.0, last.1) == (u, t) => last.2 += 1,
+            _ => out.push((u, t, 1)),
+        }
+    }
+    out
+}
+
+/// `InitialNodeSampler::sample_batch` over the sorted census: cumulative
+/// degree weights accumulated in census order, or a uniform draw.
+fn sample_batch_reference(
+    census: &[(NodeId, Time, usize)],
+    degree_weighted: bool,
+    n_s: usize,
+    rng: &mut SmallRng,
+) -> Vec<(NodeId, Time)> {
+    let cum: Vec<f64> = census
+        .iter()
+        .scan(0.0f64, |acc, &(_, _, d)| {
+            *acc += d as f64;
+            Some(*acc)
+        })
+        .collect();
+    let mut batch: Vec<(NodeId, Time)> = (0..n_s)
+        .map(|_| {
+            let idx = if degree_weighted {
+                let u = rng.gen::<f64>() * cum[cum.len() - 1];
+                cum.partition_point(|&c| c < u).min(census.len() - 1)
+            } else {
+                rng.gen_range(0..census.len())
+            };
+            (census[idx].0, census[idx].1)
+        })
+        .collect();
+    batch.sort_unstable();
+    batch.dedup();
+    batch
+}
+
+fn assert_census_matches(g: &TemporalGraph, seed: u64) {
+    let census = sorted_census(g);
+    assert_eq!(g.temporal_nodes().collect::<Vec<_>>(), census);
+    for degree_weighted in [true, false] {
+        let sampler = InitialNodeSampler::new(g, degree_weighted);
+        let population: Vec<(NodeId, Time)> = census.iter().map(|&(v, t, _)| (v, t)).collect();
+        assert_eq!(sampler.population(), population);
+        if census.is_empty() {
+            continue;
+        }
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng_ref = rng.clone();
+        for n_s in [1, 7, 64] {
+            assert_eq!(
+                sampler.sample_batch(n_s, &mut rng),
+                sample_batch_reference(&census, degree_weighted, n_s, &mut rng_ref),
+                "degree_weighted={degree_weighted} n_s={n_s}"
+            );
+        }
+        assert_eq!(rng.state(), rng_ref.state(), "RNG state after the draws");
+    }
+}
+
 /// One raw edge: endpoints, timestamp, and a flavour selecting which
 /// degenerate companion it brings.
 type RawEdge = (u32, u32, u32, u32);
@@ -251,6 +326,18 @@ proptest! {
         let cfg = SamplerConfig { k, threshold, time_window: window, degree_weighted: true };
         assert_build_matches(&g, &centers, &cfg, seed);
     }
+
+    /// Self-loops, repeated and reciprocal edges, empty timestamps and
+    /// isolated nodes all come from `build` on sparse inputs.
+    #[test]
+    fn sampler_census_matches_the_endpoint_sort(
+        n in 1usize..=12,
+        t_count in 1usize..=10,
+        raw in arb_edges(),
+        seed in 0u64..1_000_000,
+    ) {
+        assert_census_matches(&build(n, t_count, &raw), seed);
+    }
 }
 
 /// The same equalities on a Table II preset, with the default sampler and
@@ -261,6 +348,7 @@ fn dblp_batches_match_the_references() {
     let preset = tg_datasets::by_name("DBLP").expect("known preset");
     let g = preset.generate_scaled(0.1, 7);
     assert_neighbours_match(&g);
+    assert_census_matches(&g, 5);
     let cfg = SamplerConfig::default();
     let sampler = InitialNodeSampler::new(&g, cfg.degree_weighted);
     let mut rng = SmallRng::seed_from_u64(11);

@@ -22,8 +22,8 @@
 //!                             └──────────────┬────────────────┘
 //!                                StoreSource │ O(block) resident
 //!                                            ▼
-//!                  GraphAssembler / InitialNodeSampler::from_source /
-//!                  StoreSource::load_graph / write_source (copy)
+//!                  GraphAssembler / StoreSource::load_graph /
+//!                  write_source (copy)
 //! ```
 //!
 //! The key properties, in the order the acceptance tests check them:

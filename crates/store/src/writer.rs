@@ -10,9 +10,11 @@
 
 use crate::error::StoreError;
 use crate::format::{encode_index, Fnv1a, Header, DEFAULT_BLOCK_EDGES, HEADER_BYTES};
-use std::io::{Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
-use tg_graph::source::EdgeSource;
+use tg_graph::io::commit_atomic;
+use tg_graph::source::{EdgeSource, InMemorySource};
 use tg_graph::{TemporalEdge, TemporalGraph};
 
 /// Summary returned by [`StoreWriter::finish`].
@@ -58,7 +60,7 @@ pub struct StoreWriter<W: Write + Seek> {
     last: Option<TemporalEdge>,
 }
 
-impl StoreWriter<std::io::BufWriter<std::fs::File>> {
+impl StoreWriter<BufWriter<File>> {
     /// Create (truncating) a store file for a graph of the given shape
     /// with the default block capacity.
     pub fn create(
@@ -66,22 +68,12 @@ impl StoreWriter<std::io::BufWriter<std::fs::File>> {
         n_nodes: usize,
         n_timestamps: usize,
     ) -> Result<Self, StoreError> {
-        Self::create_with_block(path, n_nodes, n_timestamps, DEFAULT_BLOCK_EDGES)
-    }
-
-    /// [`StoreWriter::create`] with an explicit SoA block capacity.
-    pub fn create_with_block(
-        path: impl AsRef<Path>,
-        n_nodes: usize,
-        n_timestamps: usize,
-        block_edges: usize,
-    ) -> Result<Self, StoreError> {
-        let file = std::fs::File::create(path)?;
+        let file = File::create(path)?;
         Self::new(
-            std::io::BufWriter::new(file),
+            BufWriter::new(file),
             n_nodes,
             n_timestamps,
-            block_edges,
+            DEFAULT_BLOCK_EDGES,
         )
     }
 }
@@ -238,52 +230,25 @@ impl<W: Write + Seek> StoreWriter<W> {
     }
 }
 
-/// Build a store at a tmp sibling, fsync it, and atomically rename it
-/// into place — a crash at any point leaves either the old file or no
-/// file at `path`, never a half-written store.
-fn commit_atomic<F>(path: &Path, build: F) -> Result<StoreStats, StoreError>
-where
-    F: FnOnce(&Path) -> Result<StoreStats, StoreError>,
-{
-    let tmp = tg_graph::io::tmp_sibling(path);
-    let stats = match build(&tmp) {
-        Ok(s) => s,
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-    };
-    let f = std::fs::File::open(&tmp)?;
-    f.sync_all()?;
-    drop(f);
-    tg_faults::fail_point!(STORE_COMMIT, path.display().to_string());
-    std::fs::rename(&tmp, path)?;
-    Ok(stats)
-}
-
 /// Write an in-memory graph to a store file (edges are already in the
-/// canonical order, so this is one sequential pass). The store is built
-/// at a tmp sibling and renamed into place on success.
+/// canonical order, so this is one sequential pass): [`write_source`] over
+/// the graph with the default block capacity.
 pub fn write_graph(g: &TemporalGraph, path: impl AsRef<Path>) -> Result<StoreStats, StoreError> {
-    commit_atomic(path.as_ref(), |tmp| {
-        let mut w = StoreWriter::create(tmp, g.n_nodes(), g.n_timestamps())?;
-        w.push_chunk(g.edges())?;
-        w.finish()
-    })
+    write_source(&mut InMemorySource::new(g), path, DEFAULT_BLOCK_EDGES)
 }
 
 /// Stream any [`EdgeSource`] into a store file with `O(chunk)` resident
 /// memory — store-to-store copies and text-to-store conversion both land
-/// here. The store is built at a tmp sibling and renamed into place on
-/// success.
+/// here. The store is committed with [`commit_atomic`], so a failure or
+/// crash never leaves a half-written store at `path`.
 pub fn write_source<S: EdgeSource>(
     source: &mut S,
     path: impl AsRef<Path>,
     block_edges: usize,
 ) -> Result<StoreStats, StoreError> {
-    commit_atomic(path.as_ref(), |tmp| {
-        let mut w = StoreWriter::create_with_block(
-            tmp,
+    commit_atomic(path.as_ref(), |f| {
+        let mut w = StoreWriter::new(
+            BufWriter::new(f),
             source.n_nodes(),
             source.n_timestamps(),
             block_edges,

@@ -159,15 +159,6 @@ impl Matrix {
         Matrix::from_vec(1, 1, vec![v])
     }
 
-    /// Identity matrix of size `n`.
-    pub fn eye(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -2001,7 +1992,7 @@ mod tests {
     #[test]
     fn matmul_identity() {
         let a = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f32);
-        let i = Matrix::eye(4);
+        let i = Matrix::from_fn(4, 4, |r, c| f32::from(u8::from(r == c)));
         assert_eq!(matmul_nn(&a, &i), a);
         assert_eq!(matmul_nn(&i, &a), a);
     }

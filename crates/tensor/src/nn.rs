@@ -44,8 +44,7 @@ impl Activation {
 pub struct Linear {
     /// Weight matrix handle (`in_dim x out_dim`).
     pub w: ParamId,
-    /// Bias row handle (`1 x out_dim`), absent for
-    /// [`Linear::new_no_bias`].
+    /// Bias row handle (`1 x out_dim`), when the layer has one.
     pub b: Option<ParamId>,
     /// Input feature dimension.
     pub in_dim: usize,
@@ -67,23 +66,6 @@ impl Linear {
         Linear {
             w,
             b,
-            in_dim,
-            out_dim,
-        }
-    }
-
-    /// Create without a bias term.
-    pub fn new_no_bias<R: Rng + ?Sized>(
-        store: &mut ParamStore,
-        rng: &mut R,
-        name: &str,
-        in_dim: usize,
-        out_dim: usize,
-    ) -> Self {
-        let w = store.create(format!("{name}.w"), xavier_uniform(rng, in_dim, out_dim));
-        Linear {
-            w,
-            b: None,
             in_dim,
             out_dim,
         }

@@ -18,8 +18,10 @@
 //! `simulate` streams the server's edge list into `--out` (default
 //! `simulated.edges`; `-` for stdout) — byte-identical to what
 //! `tgx-cli simulate --in-process --master S` writes locally for the same
-//! run. A `busy` rejection from admission control exits with code 6 so
-//! schedulers can back off and retry.
+//! run. The file is committed only once the whole answer is in, so a
+//! failed request leaves an earlier `--out` as it was. A `busy` rejection
+//! from admission control exits with code 6 so schedulers can back off
+//! and retry.
 
 use crate::args::Args;
 use crate::errors::CliError;
@@ -107,7 +109,7 @@ fn simulate(args: &Args) -> Result<(), CliError> {
         if out == "-" {
             println!("{json}");
         } else {
-            std::fs::write(&out, format!("{json}\n"))
+            tg_graph::io::atomic_write_bytes(&out, format!("{json}\n").as_bytes())
                 .map_err(|e| CliError::Other(format!("write {out}: {e}")))?;
         }
         if !quiet {
@@ -129,15 +131,15 @@ fn simulate(args: &Args) -> Result<(), CliError> {
             .map_err(|e| CliError::Other(format!("write stdout: {e}")))?;
         outcome
     } else {
-        let file = std::fs::File::create(&out)
-            .map_err(|e| CliError::Other(format!("create {out}: {e}")))?;
-        let mut w = std::io::BufWriter::new(file);
-        let outcome = client
-            .simulate(&run_id, seed, &mut w)
-            .map_err(map_client_err)?;
-        w.flush()
-            .map_err(|e| CliError::Other(format!("write {out}: {e}")))?;
-        outcome
+        tg_graph::io::commit_atomic(std::path::Path::new(&out), |file| {
+            let mut w = std::io::BufWriter::new(file);
+            let outcome = client
+                .simulate(&run_id, seed, &mut w)
+                .map_err(map_client_err)?;
+            w.flush()
+                .map_err(|e| CliError::Other(format!("write {out}: {e}")))?;
+            Ok::<_, CliError>(outcome)
+        })?
     };
     if !quiet {
         eprintln!(

@@ -90,6 +90,20 @@ impl From<String> for CliError {
     }
 }
 
+/// A failed [`tg_graph::io::commit_atomic`] step. Exit 1.
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError::Other(e.to_string())
+    }
+}
+
+/// A `TG_FAULTS` point that fired inside a commit. Exit 1.
+impl From<tg_faults::FaultError> for CliError {
+    fn from(e: tg_faults::FaultError) -> Self {
+        CliError::Other(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,7 +14,7 @@
 //! [`merge_edge_lists`]: tg_graph::io::merge_edge_lists
 
 use crate::args::Args;
-use tg_graph::io::merge_edge_lists;
+use tg_graph::io::{atomic_write_bytes, merge_edge_lists};
 use tg_graph::sink::GenerationStats;
 
 /// Run the subcommand.
@@ -35,7 +35,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             acc.merge(&s);
         }
         let json = serde_json::to_string_pretty(&acc).map_err(|e| e.to_string())?;
-        std::fs::write(&out, json).map_err(|e| format!("write {out}: {e}"))?;
+        atomic_write_bytes(&out, json.as_bytes()).map_err(|e| format!("write {out}: {e}"))?;
         eprintln!(
             "merged {} stats files: {} edges across {} timestamps -> {out}",
             inputs.len(),

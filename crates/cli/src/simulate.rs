@@ -224,7 +224,7 @@ fn run_shard(
         let sink = StatsSink::new(observed.n_timestamps());
         let s = generate_shard_with_sink(model, observed, spec, sink);
         let json = serde_json::to_string(&s).map_err(|e| e.to_string())?;
-        std::fs::write(run_dir.shard_stats_path(spec.shard), json)
+        tg_graph::io::atomic_write_bytes(run_dir.shard_stats_path(spec.shard), json.as_bytes())
             .map_err(|e| format!("write shard stats: {e}"))?;
     }
     if !quiet {
@@ -315,7 +315,7 @@ fn driver(args: &Args, run_dir: &RunDir) -> Result<(), CliError> {
     // 1. Plan and serialise the shard manifest.
     let specs = run.plan(master).shards(n_shards);
     let manifest_json = serde_json::to_string_pretty(&specs).map_err(|e| e.to_string())?;
-    std::fs::write(run_dir.shard_manifest_path(), manifest_json)
+    tg_graph::io::atomic_write_bytes(run_dir.shard_manifest_path(), manifest_json.as_bytes())
         .map_err(|e| format!("write shards.json: {e}"))?;
     if !quiet {
         eprintln!(
@@ -396,7 +396,7 @@ fn driver(args: &Args, run_dir: &RunDir) -> Result<(), CliError> {
             acc.merge(&s);
         }
         let json = serde_json::to_string_pretty(&acc).map_err(|e| e.to_string())?;
-        std::fs::write(run_dir.simulated_stats_path(), json)
+        tg_graph::io::atomic_write_bytes(run_dir.simulated_stats_path(), json.as_bytes())
             .map_err(|e| format!("write merged stats: {e}"))?;
     }
 
@@ -488,7 +488,7 @@ fn driver(args: &Args, run_dir: &RunDir) -> Result<(), CliError> {
             retries,
         };
         let json = serde_json::to_string_pretty(&pm).map_err(|e| e.to_string())?;
-        std::fs::write(run_dir.partial_manifest_path(), json)
+        tg_graph::io::atomic_write_bytes(run_dir.partial_manifest_path(), json.as_bytes())
             .map_err(|e| format!("write partial_manifest.json: {e}"))?;
         return Err(CliError::Partial(format!(
             "degraded completion: {} of {} shards merged, missing {:?} (see {})",

@@ -10,7 +10,9 @@
 //!   byte-identically, new work is refused, and the daemon exits 0;
 //! - an injected `serve.accept` failure drops one connection and the
 //!   next connection is served normally;
-//! - admission-control rejection surfaces as `tgx-cli client` exit 6.
+//! - admission-control rejection surfaces as `tgx-cli client` exit 6;
+//! - a refused or failed `tgx-cli client simulate` leaves `--out` as it
+//!   was: absent, or holding its earlier bytes.
 //!
 //! All injection goes through `TG_FAULTS` in the daemon's environment —
 //! the shipped binary, no test-only hooks.
@@ -317,8 +319,38 @@ fn admission_rejection_surfaces_as_client_exit_6() {
         "stderr must say busy: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    assert!(!dir.join("rejected.edges").exists());
 
     in_flight.join().expect("first request still completes");
+    daemon.shutdown_clean();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_failed_client_simulate_keeps_the_earlier_out_file() {
+    if !tg_faults::is_compiled() {
+        return;
+    }
+    let dir = tmp("serve_client_out");
+    let (root, _run_dir) = runs_root(&dir, "r");
+    let daemon = Daemon::start(&root, Some("serve.generate.unit=err,max=1"), &[]);
+    let target = dir.join("kept.edges");
+    std::fs::write(&target, "0 1 0\n").unwrap();
+
+    let out = cli()
+        .args(["client", "simulate", "--addr", &daemon.addr])
+        .args(["--run-id", "r", "--seed", "4", "--out"])
+        .arg(&target)
+        .output()
+        .expect("run tgx-cli client");
+    assert!(
+        !out.status.success(),
+        "the injected failure must fail the request: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(std::fs::read_to_string(&target).unwrap(), "0 1 0\n");
+    assert!(!dir.join("kept.edges.tmp").exists());
+
     daemon.shutdown_clean();
     std::fs::remove_dir_all(&dir).ok();
 }

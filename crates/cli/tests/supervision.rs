@@ -6,6 +6,8 @@
 //!   merge of the completed shards, a machine-readable
 //!   `partial_manifest.json`, and exit code 5 — and the partial merge is
 //!   byte-identical to the healthy run's output for those shards;
+//! - a merge whose commit fails leaves the earlier `simulated.edges` and
+//!   no tmp file behind;
 //! - `ingest --salvage` rebuilds a clean, fully verifiable store from a
 //!   bit-flipped one (exit 0) and exits 3 on a file that is not a store;
 //! - usage errors exit 2.
@@ -97,6 +99,38 @@ fn degrade_partial_merges_completed_shards_and_exits_5() {
     // the partial merge is exactly the completed shard's bytes
     let merged = std::fs::read(run_dir.join("simulated.edges")).expect("simulated.edges");
     assert_eq!(merged, shard0, "partial merge differs from shard 0 output");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_failed_merge_commit_keeps_the_earlier_simulated_edges() {
+    if !tg_faults::is_compiled() {
+        return;
+    }
+    let dir = tmp("sup_merge_commit");
+    let edges = dir.join("ring.edges");
+    write_ring_edges(&edges);
+    let run_dir = train_run(&dir, "run", &edges);
+    let simulated = run_dir.join("simulated.edges");
+    std::fs::write(&simulated, "0 1 0\n").unwrap();
+
+    let out = cli()
+        .args(["simulate", "--run-dir"])
+        .arg(&run_dir)
+        .args(["--in-process", "--quiet"])
+        .env(
+            "TG_FAULTS",
+            "persist.atomic.unrenamed=err,arg=simulated.edges",
+        )
+        .output()
+        .expect("run tgx-cli simulate");
+    assert!(
+        !out.status.success(),
+        "the failed commit must fail the run: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(std::fs::read_to_string(&simulated).unwrap(), "0 1 0\n");
+    assert!(!run_dir.join("simulated.edges.tmp").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 

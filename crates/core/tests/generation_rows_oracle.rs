@@ -99,11 +99,11 @@ fn reference_rows(
 
     let mut positives: Vec<NodeId> = Vec::new();
     if model.n_nodes > cfg.dense_cutoff {
+        let mut occ = Vec::new();
         for &(v, t) in centers {
             let window = cfg.sampler.time_window;
-            for (u, _) in tg_sampling::temporal_neighbor_occurrences(g, v, t, window) {
-                positives.push(u);
-            }
+            tg_sampling::temporal_neighbor_occurrences_into(g, v, t, window, &mut occ);
+            positives.extend(occ.iter().map(|&(u, _)| u));
         }
     }
     let (candidates, _) = build_candidates(

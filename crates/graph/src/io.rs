@@ -406,33 +406,37 @@ impl<W: Write> EdgeSink for StreamingWriterSink<W> {
 /// manifest, the merged file is byte-identical to the single-process
 /// streamed output. A newline is inserted after any non-empty input that
 /// does not end with one (hand-edited files), so records never splice
-/// across file boundaries. Returns the number of bytes written.
+/// across file boundaries. The merge is committed with [`commit_atomic`]:
+/// a failed or interrupted merge leaves any earlier `out` as it was.
+/// Returns the number of bytes written.
 pub fn merge_edge_lists(
     inputs: &[impl AsRef<Path>],
     out: impl AsRef<Path>,
 ) -> Result<u64, IoError> {
-    let mut w = BufWriter::new(std::fs::File::create(out)?);
-    let mut total = 0u64;
-    let mut buf = vec![0u8; 64 << 10];
-    for p in inputs {
-        let mut r = std::fs::File::open(p)?;
-        let mut last = b'\n';
-        loop {
-            let n = r.read(&mut buf)?;
-            if n == 0 {
-                break;
+    commit_atomic(out.as_ref(), |f| {
+        let mut w = BufWriter::new(f);
+        let mut total = 0u64;
+        let mut buf = vec![0u8; 64 << 10];
+        for p in inputs {
+            let mut r = std::fs::File::open(p)?;
+            let mut last = b'\n';
+            loop {
+                let n = r.read(&mut buf)?;
+                if n == 0 {
+                    break;
+                }
+                w.write_all(&buf[..n])?;
+                total += n as u64;
+                last = buf[n - 1];
             }
-            w.write_all(&buf[..n])?;
-            total += n as u64;
-            last = buf[n - 1];
+            if last != b'\n' {
+                w.write_all(b"\n")?;
+                total += 1;
+            }
         }
-        if last != b'\n' {
-            w.write_all(b"\n")?;
-            total += 1;
-        }
-    }
-    w.flush()?;
-    Ok(total)
+        w.flush()?;
+        Ok(total)
+    })
 }
 
 #[cfg(test)]

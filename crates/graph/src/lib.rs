@@ -29,9 +29,7 @@
 //!   (in-memory via [`source::InMemorySource`], out-of-core via
 //!   `tg-store`'s `StoreSource`), plus the streaming
 //!   [`source::GraphAssembler`] that rebuilds a graph from them with
-//!   `O(chunk)` overhead;
-//! - [`transform`] — induced sub-graphs, time slices, reversal and node
-//!   compaction, for carving inputs out of a bigger corpus.
+//!   `O(chunk)` overhead.
 
 pub mod builder;
 pub mod io;
@@ -39,7 +37,6 @@ pub mod sink;
 pub mod snapshot;
 pub mod source;
 pub mod temporal;
-pub mod transform;
 
 pub use builder::TemporalGraphBuilder;
 pub use sink::{EdgeSink, GenerationStats, GraphSink, StatsSink};

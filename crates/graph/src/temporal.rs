@@ -308,13 +308,6 @@ impl TemporalGraph {
         }
         deg
     }
-
-    /// Rebuild with edges strictly deduplicated per `(t, u, v)`.
-    pub fn dedup(&self) -> TemporalGraph {
-        let mut edges = self.edges.clone();
-        edges.dedup();
-        TemporalGraph::from_edges(self.n, self.t, edges)
-    }
 }
 
 #[cfg(test)]
@@ -433,7 +426,9 @@ mod tests {
             vec![TemporalEdge::new(0, 1, 0), TemporalEdge::new(0, 1, 0)],
         );
         assert_eq!(g.n_edges(), 2);
-        assert_eq!(g.dedup().n_edges(), 1);
+        assert_eq!(g.temporal_degree(0, 0), 2);
+        let snap = crate::snapshot::Snapshot::at_time(&g, 0, true);
+        assert_eq!(snap.n_edges(), 1);
     }
 
     #[test]

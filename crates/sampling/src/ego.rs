@@ -1,7 +1,7 @@
 //! The per-node steps of Algorithm 1 of the paper.
 //!
-//! [`temporal_neighbor_occurrences`] is a temporal node's neighborhood
-//! (Def. 3); `NodeSampling` ([`node_sampling`]) truncates it to at most
+//! [`temporal_neighbor_occurrences_into`] is a temporal node's neighborhood
+//! (Def. 3); `NodeSampling` ([`node_sampling_in`]) truncates it to at most
 //! `th` nodes by sampling with replacement, so dense hubs don't explode
 //! the ego-graph. `k-EgoGraph`'s recursive expansion is
 //! [`crate::ComputationGraph::build`], which runs it for a whole batch of
@@ -13,20 +13,8 @@ use tg_graph::{NodeId, TemporalGraph, Time};
 
 /// The temporal neighborhood `N(v^t)` of Def. 3 with `d_N = 1`: occurrences
 /// `(u, t')` adjacent to `v` (either direction) with `|t - t'| <= t_n`,
-/// deduplicated and sorted.
-pub fn temporal_neighbor_occurrences(
-    g: &TemporalGraph,
-    v: NodeId,
-    t: Time,
-    t_n: Time,
-) -> Vec<(NodeId, Time)> {
-    let mut out = Vec::new();
-    temporal_neighbor_occurrences_into(g, v, t, t_n, &mut out);
-    out
-}
-
-/// [`temporal_neighbor_occurrences`] into a buffer the caller reuses
-/// across temporal nodes (whatever it held is discarded).
+/// deduplicated and sorted, into `out`, a buffer the caller reuses across
+/// temporal nodes (whatever it held is discarded).
 pub fn temporal_neighbor_occurrences_into(
     g: &TemporalGraph,
     v: NodeId,
@@ -43,18 +31,11 @@ pub fn temporal_neighbor_occurrences_into(
 /// Algorithm 1's `NodeSampling`: keep the whole set when it fits under the
 /// threshold, otherwise draw `threshold` samples with replacement and
 /// deduplicate (yielding at most `threshold` distinct nodes).
-pub fn node_sampling<R: Rng + ?Sized, T: Copy + Ord>(
-    nodeset: &[T],
-    threshold: usize,
-    rng: &mut R,
-) -> Vec<T> {
-    node_sampling_in(nodeset, threshold, rng, &mut Vec::new()).to_vec()
-}
-
-/// [`node_sampling`] without a copy: a set that fits under the threshold
-/// is returned as it is (and `rng` is not touched); the draws of one that
-/// does not are left in `draws`, a buffer the caller reuses.
-pub(crate) fn node_sampling_in<'a, R: Rng + ?Sized, T: Copy + Ord>(
+///
+/// A set that fits is returned as it is (and `rng` is not touched); the
+/// draws of one that does not are left in `draws`, a buffer the caller
+/// reuses.
+pub fn node_sampling_in<'a, R: Rng + ?Sized, T: Copy + Ord>(
     nodeset: &'a [T],
     threshold: usize,
     rng: &mut R,
@@ -88,31 +69,31 @@ mod tests {
                 TemporalEdge::new(0, 1, 3),
             ],
         );
-        assert_eq!(temporal_neighbor_occurrences(&g, 0, 0, 0), vec![(1, 0)]);
-        assert_eq!(
-            temporal_neighbor_occurrences(&g, 0, 1, 1),
-            vec![(1, 0), (2, 2)]
-        );
-        assert_eq!(
-            temporal_neighbor_occurrences(&g, 0, 2, 1),
-            vec![(1, 3), (2, 2)]
-        );
+        let mut occ = vec![(9, 9)];
+        temporal_neighbor_occurrences_into(&g, 0, 0, 0, &mut occ);
+        assert_eq!(occ, vec![(1, 0)]);
+        temporal_neighbor_occurrences_into(&g, 0, 1, 1, &mut occ);
+        assert_eq!(occ, vec![(1, 0), (2, 2)]);
+        temporal_neighbor_occurrences_into(&g, 0, 2, 1, &mut occ);
+        assert_eq!(occ, vec![(1, 3), (2, 2)]);
     }
 
     #[test]
     fn node_sampling_under_threshold_keeps_all() {
         let mut rng = SmallRng::seed_from_u64(0);
         let set = vec![1, 2, 3];
-        assert_eq!(node_sampling(&set, 5, &mut rng), set);
-        assert_eq!(node_sampling(&set, 3, &mut rng), set);
+        let mut draws = Vec::new();
+        assert_eq!(node_sampling_in(&set, 5, &mut rng, &mut draws), set);
+        assert_eq!(node_sampling_in(&set, 3, &mut rng, &mut draws), set);
     }
 
     #[test]
     fn node_sampling_truncates_to_threshold() {
         let mut rng = SmallRng::seed_from_u64(1);
         let set: Vec<u32> = (0..100).collect();
+        let mut draws = Vec::new();
         for _ in 0..10 {
-            let picked = node_sampling(&set, 7, &mut rng);
+            let picked = node_sampling_in(&set, 7, &mut rng, &mut draws);
             assert!(picked.len() <= 7);
             assert!(!picked.is_empty());
             assert!(picked.iter().all(|x| set.contains(x)));

@@ -26,5 +26,5 @@ pub use complexity::{
     predicted_space_scalars, predicted_steps_per_pass, predicted_steps_unmerged, slot_upper_bound,
 };
 pub use config::SamplerConfig;
-pub use ego::{node_sampling, temporal_neighbor_occurrences, temporal_neighbor_occurrences_into};
+pub use ego::{node_sampling_in, temporal_neighbor_occurrences_into};
 pub use initial::InitialNodeSampler;

@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use tg_graph::{NodeId, TemporalEdge, TemporalGraph, Time};
 use tg_sampling::{
-    node_sampling, temporal_neighbor_occurrences_into, ComputationGraph, InitialNodeSampler,
+    node_sampling_in, temporal_neighbor_occurrences_into, ComputationGraph, InitialNodeSampler,
     SamplerConfig,
 };
 
@@ -112,6 +112,7 @@ fn build_reference(
     centers.dedup();
     let mut levels = vec![centers];
     let mut layers = Vec::new();
+    let mut draws = Vec::new();
     for i in 0..cfg.k {
         let mut src_level = Vec::new();
         let mut index = BTreeMap::new();
@@ -128,7 +129,7 @@ fn build_reference(
             src.push(self_slot);
             dst.push(j as u32);
             let nbrs = oracle.occurrences(v, t, cfg.time_window);
-            for occ in node_sampling(&nbrs, cfg.threshold, rng) {
+            for &occ in node_sampling_in(&nbrs, cfg.threshold, rng, &mut draws) {
                 src.push(intern(occ, &mut src_level));
                 dst.push(j as u32);
             }

@@ -1,7 +1,7 @@
 //! Weight initialisation and basic random sampling helpers.
 //!
 //! `rand 0.8` ships uniform sampling only; the Gaussian draws needed by
-//! Xavier-normal init and the VAE reparameterisation trick are produced with
+//! embedding init and the VAE reparameterisation trick are produced with
 //! the Box–Muller transform so we avoid an extra dependency.
 //!
 //! The categorical samplers share one draw,
@@ -39,12 +39,6 @@ pub fn xavier_uniform<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize) ->
         data.push(rng.gen_range(-a..=a));
     }
     Matrix::from_vec(rows, cols, data)
-}
-
-/// Xavier/Glorot normal init: `N(0, 2/(fan_in+fan_out))`.
-pub fn xavier_normal<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize) -> Matrix {
-    let std = (2.0 / (rows + cols) as f64).sqrt() as f32;
-    normal_matrix(rng, rows, cols, std)
 }
 
 /// Draw one index from an unnormalised non-negative weight vector.

@@ -34,7 +34,7 @@
 //!     let mut tape = Tape::new();
 //!     let x = tape.input(Matrix::full(4, 3, 1.0));
 //!     let y = layer.forward(&mut tape, &store, x);
-//!     let loss = tape.mean(y);
+//!     let loss = tape.sum(y);
 //!     let grads = tape.backward(loss);
 //!     opt.step(&mut store, &grads);
 //! }
@@ -56,7 +56,7 @@ pub mod tape;
 pub mod prelude {
     pub use crate::init::{
         normal_matrix, sample_categorical, sample_categorical_without_replacement, standard_normal,
-        xavier_normal, xavier_uniform,
+        xavier_uniform,
     };
     pub use crate::matrix::{
         active_microkernel, available_microkernels, force_microkernel, Matrix, MicrokernelKind,
@@ -104,7 +104,8 @@ mod integration_tests {
             let weighted = tape.scale_rows(hs, alpha);
             let agg = tape.scatter_add_rows(weighted, seg.clone(), 1);
             let t = tape.input(target.clone());
-            let d = tape.sub(agg, t);
+            let neg_t = tape.scale(t, -1.0);
+            let d = tape.add(agg, neg_t);
             let sq = tape.mul(d, d);
             let loss = tape.sum(sq);
             last = tape.value(loss).item();

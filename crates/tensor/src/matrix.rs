@@ -263,36 +263,11 @@ impl Matrix {
         }
     }
 
-    /// Element-wise map written into a pre-shaped output (scratch reuse).
-    pub fn map_into(&self, f: impl Fn(f32) -> f32, out: &mut Matrix) {
-        assert_eq!(self.shape(), out.shape(), "map_into: shape mismatch");
-        for (o, &x) in out.data.iter_mut().zip(&self.data) {
-            *o = f(x);
-        }
-    }
-
-    /// Element-wise combine written into a pre-shaped output (scratch reuse).
-    pub fn zip_into(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32, out: &mut Matrix) {
-        assert_eq!(self.shape(), other.shape(), "zip_into: shape mismatch");
-        assert_eq!(self.shape(), out.shape(), "zip_into: bad output shape");
-        for ((o, &a), &b) in out.data.iter_mut().zip(&self.data).zip(&other.data) {
-            *o = f(a, b);
-        }
-    }
-
     /// `self += other` element-wise.
     pub fn add_assign(&mut self, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "add_assign: shape mismatch");
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += *b;
-        }
-    }
-
-    /// `self += alpha * other` element-wise (axpy).
-    pub fn add_scaled(&mut self, other: &Matrix, alpha: f32) {
-        assert_eq!(self.shape(), other.shape(), "add_scaled: shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * *b;
         }
     }
 
@@ -333,11 +308,6 @@ impl Matrix {
     /// True if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|x| !x.is_finite())
-    }
-
-    /// `C = A @ B` (no transposes).
-    pub fn matmul(&self, b: &Matrix) -> Matrix {
-        matmul_nn(self, b)
     }
 }
 
@@ -383,7 +353,8 @@ pub(crate) enum GemmPath {
 }
 
 impl GemmPath {
-    /// The path `matmul_{nn,nt,tn}_into` take for an `m·k·n` product.
+    /// The path [`matmul_nn`], [`matmul_nt`] and [`matmul_tn`] take for an
+    /// `m·k·n` product.
     pub(crate) fn for_product(m: usize, k: usize, n: usize) -> Self {
         if m * k * n < TILE_THRESHOLD {
             GemmPath::Naive
@@ -1137,17 +1108,12 @@ fn matmul_tn_naive_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
 /// `C = A @ B`. Shapes: `(m,k) @ (k,n) -> (m,n)`.
 pub fn matmul_nn(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.rows, b.cols);
-    matmul_nn_into(a, b, &mut out);
+    let path = GemmPath::for_product(a.rows, a.cols, b.cols);
+    matmul_nn_into_on(path, a, b, &mut out);
     out
 }
 
-/// `C = A @ B` into a pre-shaped output (scratch-reuse path).
-pub fn matmul_nn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let path = GemmPath::for_product(a.rows, a.cols, b.cols);
-    matmul_nn_into_on(path, a, b, out);
-}
-
-/// [`matmul_nn_into`] on a loop nest the caller chose.
+/// [`matmul_nn`] into a pre-shaped output, on a loop nest the caller chose.
 pub(crate) fn matmul_nn_into_on(path: GemmPath, a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(
         a.cols,
@@ -1159,7 +1125,7 @@ pub(crate) fn matmul_nn_into_on(path: GemmPath, a: &Matrix, b: &Matrix, out: &mu
     assert_eq!(
         out.shape(),
         (a.rows, b.cols),
-        "matmul_nn_into: bad output shape"
+        "matmul_nn_into_on: bad output shape"
     );
     let (m, k, n) = (a.rows, a.cols, b.cols);
     if n == 1 {
@@ -1250,17 +1216,12 @@ fn matvec_rows(a: &[f32], b: &[f32], out: &mut [f32], step: impl Fn(f32, f32, f3
 /// `C = A @ B^T`. Shapes: `(m,k) @ (n,k)^T -> (m,n)`.
 pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.rows, b.rows);
-    matmul_nt_into(a, b, &mut out);
+    let path = GemmPath::for_product(a.rows, a.cols, b.rows);
+    matmul_nt_into_on(path, a, b, &mut out);
     out
 }
 
-/// `C = A @ B^T` into a pre-shaped output (scratch-reuse path).
-pub fn matmul_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let path = GemmPath::for_product(a.rows, a.cols, b.rows);
-    matmul_nt_into_on(path, a, b, out);
-}
-
-/// [`matmul_nt_into`] on a loop nest the caller chose.
+/// [`matmul_nt`] into a pre-shaped output, on a loop nest the caller chose.
 pub(crate) fn matmul_nt_into_on(path: GemmPath, a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(
         a.cols,
@@ -1272,7 +1233,7 @@ pub(crate) fn matmul_nt_into_on(path: GemmPath, a: &Matrix, b: &Matrix, out: &mu
     assert_eq!(
         out.shape(),
         (a.rows, b.rows),
-        "matmul_nt_into: bad output shape"
+        "matmul_nt_into_on: bad output shape"
     );
     let (m, k, n) = (a.rows, a.cols, b.rows);
     match path {
@@ -1293,17 +1254,12 @@ pub(crate) fn matmul_nt_into_on(path: GemmPath, a: &Matrix, b: &Matrix, out: &mu
 /// `C = A^T @ B`. Shapes: `(k,m)^T @ (k,n) -> (m,n)`.
 pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.cols, b.cols);
-    matmul_tn_into(a, b, &mut out);
+    let path = GemmPath::for_product(a.cols, a.rows, b.cols);
+    matmul_tn_into_on(path, a, b, &mut out);
     out
 }
 
-/// `C = A^T @ B` into a pre-shaped output (scratch-reuse path).
-pub fn matmul_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let path = GemmPath::for_product(a.cols, a.rows, b.cols);
-    matmul_tn_into_on(path, a, b, out);
-}
-
-/// [`matmul_tn_into`] on a loop nest the caller chose.
+/// [`matmul_tn`] into a pre-shaped output, on a loop nest the caller chose.
 pub(crate) fn matmul_tn_into_on(path: GemmPath, a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(
         a.rows,
@@ -1315,7 +1271,7 @@ pub(crate) fn matmul_tn_into_on(path: GemmPath, a: &Matrix, b: &Matrix, out: &mu
     assert_eq!(
         out.shape(),
         (a.cols, b.cols),
-        "matmul_tn_into: bad output shape"
+        "matmul_tn_into_on: bad output shape"
     );
     let (k, m, n) = (a.rows, a.cols, b.cols);
     match path {
@@ -1335,20 +1291,8 @@ pub(crate) fn matmul_tn_into_on(path: GemmPath, a: &Matrix, b: &Matrix, out: &mu
 
 /// Row-gather: `out[i, :] = x[idx[i], :]`.
 pub fn gather_rows(x: &Matrix, idx: &[u32]) -> Matrix {
-    let mut out = Matrix::zeros(idx.len(), x.cols);
-    gather_rows_into(x, idx, &mut out);
-    out
-}
-
-/// [`gather_rows`] into a pre-shaped output (scratch-reuse path). Every
-/// output element is overwritten.
-pub fn gather_rows_into(x: &Matrix, idx: &[u32], out: &mut Matrix) {
     let cols = x.cols;
-    assert_eq!(
-        out.shape(),
-        (idx.len(), cols),
-        "gather_rows_into: bad output shape"
-    );
+    let mut out = Matrix::zeros(idx.len(), cols);
     for (i, &r) in idx.iter().enumerate() {
         let r = r as usize;
         debug_assert!(
@@ -1359,24 +1303,15 @@ pub fn gather_rows_into(x: &Matrix, idx: &[u32], out: &mut Matrix) {
         );
         out.data[i * cols..(i + 1) * cols].copy_from_slice(&x.data[r * cols..(r + 1) * cols]);
     }
+    out
 }
 
 /// Row-scatter-add: `out[idx[i], :] += x[i, :]` into a zero matrix with
 /// `out_rows` rows. Inverse (adjoint) of [`gather_rows`].
 pub fn scatter_add_rows(x: &Matrix, idx: &[u32], out_rows: usize) -> Matrix {
-    let mut out = Matrix::zeros(out_rows, x.cols);
-    scatter_add_rows_into(x, idx, &mut out);
-    out
-}
-
-/// [`scatter_add_rows`] into a pre-shaped output (scratch-reuse path).
-/// Zeroes `out` before accumulating.
-pub fn scatter_add_rows_into(x: &Matrix, idx: &[u32], out: &mut Matrix) {
     assert_eq!(x.rows, idx.len(), "scatter_add_rows: row/index mismatch");
     let cols = x.cols;
-    assert_eq!(out.cols, cols, "scatter_add_rows_into: col mismatch");
-    out.data.fill(0.0);
-    let out_rows = out.rows;
+    let mut out = Matrix::zeros(out_rows, cols);
     for (i, &r) in idx.iter().enumerate() {
         let r = r as usize;
         debug_assert!(r < out_rows);
@@ -1386,6 +1321,7 @@ pub fn scatter_add_rows_into(x: &Matrix, idx: &[u32], out: &mut Matrix) {
             *d += *s;
         }
     }
+    out
 }
 
 /// Fast `e^x` for `f32`: range-reduced `2^z` with a degree-7 polynomial
@@ -1797,38 +1733,14 @@ pub fn rowwise_dot(a: &Matrix, b: &Matrix) -> Matrix {
 
 /// Horizontally concatenate two matrices with equal row counts.
 pub fn concat_cols(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(a.rows, a.cols + b.cols);
-    concat_cols_into(a, b, &mut out);
-    out
-}
-
-/// [`concat_cols`] into a pre-shaped output (scratch-reuse path). Every
-/// output element is overwritten.
-pub fn concat_cols_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.rows, b.rows, "concat_cols: row mismatch");
-    assert_eq!(
-        out.shape(),
-        (a.rows, a.cols + b.cols),
-        "concat_cols_into: bad output shape"
-    );
+    let mut out = Matrix::zeros(a.rows, a.cols + b.cols);
     for r in 0..a.rows {
         out.data[r * (a.cols + b.cols)..r * (a.cols + b.cols) + a.cols].copy_from_slice(a.row(r));
         out.data[r * (a.cols + b.cols) + a.cols..(r + 1) * (a.cols + b.cols)]
             .copy_from_slice(b.row(r));
     }
-}
-
-/// Vertically stack matrices with equal column counts.
-pub fn concat_rows(mats: &[&Matrix]) -> Matrix {
-    assert!(!mats.is_empty());
-    let cols = mats[0].cols;
-    let rows: usize = mats.iter().map(|m| m.rows).sum();
-    let mut data = Vec::with_capacity(rows * cols);
-    for m in mats {
-        assert_eq!(m.cols, cols, "concat_rows: col mismatch");
-        data.extend_from_slice(&m.data);
-    }
-    Matrix { rows, cols, data }
+    out
 }
 
 /// Scalar reference row-softmax (libm `exp`, f64 normalisation) — kept as
@@ -1858,17 +1770,6 @@ pub fn softmax_rows(x: &Matrix) -> Matrix {
     let mut out = x.clone();
     softmax_rows_inplace(&mut out);
     out
-}
-
-/// [`softmax_rows`] into a pre-shaped output (scratch-reuse path).
-pub fn softmax_rows_into(x: &Matrix, out: &mut Matrix) {
-    assert_eq!(
-        x.shape(),
-        out.shape(),
-        "softmax_rows_into: bad output shape"
-    );
-    out.data.copy_from_slice(&x.data);
-    softmax_rows_inplace(out);
 }
 
 /// [`softmax_rows`] overwriting the logits with their probabilities (the
@@ -2168,9 +2069,6 @@ mod tests {
         assert_eq!(c.shape(), (3, 6));
         assert_eq!(c.get(1, 0), 0.0);
         assert_eq!(c.get(1, 5), 1.0);
-        let d = concat_rows(&[&a, &Matrix::full(2, 2, 3.0)]);
-        assert_eq!(d.shape(), (5, 2));
-        assert_eq!(d.get(4, 1), 3.0);
     }
 
     #[test]

@@ -14,12 +14,6 @@ use std::rc::Rc;
 /// Activation functions selectable on MLP hidden layers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Activation {
-    /// `max(x, 0)`.
-    Relu,
-    /// Leaky ReLU with negative slope 0.2 (the paper's Eq. 5 choice).
-    LeakyRelu,
-    /// Logistic sigmoid.
-    Sigmoid,
     /// Hyperbolic tangent.
     Tanh,
     /// Pass-through (no activation).
@@ -30,9 +24,6 @@ impl Activation {
     /// Apply this activation on the tape.
     pub fn apply(self, tape: &mut Tape, x: Var) -> Var {
         match self {
-            Activation::Relu => tape.relu(x),
-            Activation::LeakyRelu => tape.leaky_relu(x, 0.2),
-            Activation::Sigmoid => tape.sigmoid(x),
             Activation::Tanh => tape.tanh(x),
             Activation::Identity => x,
         }
@@ -44,8 +35,8 @@ impl Activation {
 pub struct Linear {
     /// Weight matrix handle (`in_dim x out_dim`).
     pub w: ParamId,
-    /// Bias row handle (`1 x out_dim`), when the layer has one.
-    pub b: Option<ParamId>,
+    /// Bias row handle (`1 x out_dim`).
+    pub b: ParamId,
     /// Input feature dimension.
     pub in_dim: usize,
     /// Output feature dimension.
@@ -62,7 +53,7 @@ impl Linear {
         out_dim: usize,
     ) -> Self {
         let w = store.create(format!("{name}.w"), xavier_uniform(rng, in_dim, out_dim));
-        let b = Some(store.create(format!("{name}.b"), Matrix::zeros(1, out_dim)));
+        let b = store.create(format!("{name}.b"), Matrix::zeros(1, out_dim));
         Linear {
             w,
             b,
@@ -75,13 +66,8 @@ impl Linear {
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
         let w = tape.param(store, self.w);
         let y = tape.matmul(x, w);
-        match self.b {
-            Some(b) => {
-                let bv = tape.param(store, b);
-                tape.add_row(y, bv)
-            }
-            None => y,
-        }
+        let b = tape.param(store, self.b);
+        tape.add_row(y, b)
     }
 }
 
@@ -204,9 +190,11 @@ mod tests {
             let x = tape.input(xs.clone());
             let pred = mlp.forward(&mut tape, &store, x);
             let t = tape.input(ys.clone());
-            let d = tape.sub(pred, t);
+            let neg_t = tape.scale(t, -1.0);
+            let d = tape.add(pred, neg_t);
             let sq = tape.mul(d, d);
-            let loss = tape.mean(sq);
+            let sse = tape.sum(sq);
+            let loss = tape.scale(sse, 0.25);
             last = tape.value(loss).item();
             let grads = tape.backward(loss);
             opt.step(&mut store, &grads);
@@ -233,12 +221,28 @@ mod tests {
         assert_eq!(g.row(4), &[1., 1., 1.]);
     }
 
+    /// The layer layout `model.json` embeds: the bias handle is written
+    /// bare and the activation by its variant name.
+    #[test]
+    fn serde_pins_the_layer_layout() {
+        let mut store = ParamStore::new();
+        let mut rng = SmallRng::seed_from_u64(0);
+        let mlp = Mlp::new(&mut store, &mut rng, "mlp", &[2, 3], Activation::Identity);
+        let json = serde_json::to_string(&mlp).unwrap();
+        assert_eq!(
+            json,
+            r#"{"layers":[{"w":0,"b":1,"in_dim":2,"out_dim":3}],"hidden_act":"Identity"}"#
+        );
+        let back: Mlp = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
     #[test]
     fn activations_apply() {
         let mut tape = Tape::new();
         let x = tape.input(Matrix::from_vec(1, 2, vec![-1.0, 1.0]));
-        let y = Activation::Relu.apply(&mut tape, x);
-        assert_eq!(tape.value(y).as_slice(), &[0.0, 1.0]);
+        let y = Activation::Tanh.apply(&mut tape, x);
+        assert_eq!(tape.value(y).as_slice(), &[(-1.0f32).tanh(), 1.0f32.tanh()]);
         let z = Activation::Identity.apply(&mut tape, x);
         assert_eq!(z, x);
     }

@@ -116,7 +116,8 @@ mod tests {
             let mut tape = Tape::new();
             let w = tape.param(&store, id);
             let t = tape.input(target.clone());
-            let d = tape.sub(w, t);
+            let neg_t = tape.scale(t, -1.0);
+            let d = tape.add(w, neg_t);
             let sq = tape.mul(d, d);
             let loss = tape.sum(sq);
             let grads = tape.backward(loss);

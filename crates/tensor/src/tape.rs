@@ -15,11 +15,10 @@
 //! and sidestep `log(0)`.
 
 use crate::matrix::{
-    concat_cols_into, fast_exp, gat_attend_head, gat_attend_head_backward, gather_rows_into,
-    matmul_nn_into, matmul_nn_into_on, matmul_nt_into, matmul_nt_into_on, matmul_tn_into,
-    matmul_tn_into_on, row_softmax_stats, rowwise_dot, scale_rows, scatter_add_rows_into,
-    seg_is_sorted, segment_softmax, segment_softmax_backward, softmax_rows_into, GatHead,
-    GatHeadGrads, GemmPath, Matrix,
+    concat_cols, fast_exp, gat_attend_head, gat_attend_head_backward, gather_rows, matmul_nn,
+    matmul_nn_into_on, matmul_nt, matmul_nt_into_on, matmul_tn, matmul_tn_into_on,
+    row_softmax_stats, rowwise_dot, scale_rows, scatter_add_rows, seg_is_sorted, segment_softmax,
+    segment_softmax_backward, softmax_rows, GatHead, GatHeadGrads, GemmPath, Matrix,
 };
 use crate::params::{ParamId, ParamStore};
 use std::cell::{Cell, RefCell};
@@ -43,7 +42,6 @@ enum Op {
     MatMulNT(Var, Var),
     Transpose(Var),
     Add(Var, Var),
-    Sub(Var, Var),
     Mul(Var, Var),
     /// Broadcast-add a `1xC` bias row onto an `RxC` matrix.
     AddRow(Var, Var),
@@ -73,7 +71,6 @@ enum Op {
     ScaleRows(Var, Var),
     RowwiseDot(Var, Var),
     Sum(Var),
-    Mean(Var),
     /// Fused softmax cross-entropy with flash-style recompute: only the
     /// per-row `(max, inv_denom)` statistics are retained; backward
     /// rebuilds probabilities from the logits node value row by row
@@ -337,28 +334,23 @@ impl Tape {
         self.push(store.value(id).clone(), Op::Param(id), true)
     }
 
-    /// Allocate-and-fill helper for element-wise unary ops.
+    /// Record an element-wise unary op.
     fn map_op(&mut self, x: Var, op: Op, f: impl Fn(f32) -> f32) -> Var {
-        let (r, c) = self.shape(x);
-        let mut v = Matrix::zeros(r, c);
-        self.value(x).map_into(f, &mut v);
+        let v = self.value(x).map(f);
         let ng = self.needs(x);
         self.push(v, op, ng)
     }
 
-    /// Allocate-and-fill helper for element-wise binary ops.
+    /// Record an element-wise binary op.
     fn zip_op(&mut self, a: Var, b: Var, op: Op, f: impl Fn(f32, f32) -> f32) -> Var {
-        let (r, c) = self.shape(a);
-        let mut v = Matrix::zeros(r, c);
-        self.value(a).zip_into(self.value(b), f, &mut v);
+        let v = self.value(a).zip(self.value(b), f);
         let ng = self.needs(a) || self.needs(b);
         self.push(v, op, ng)
     }
 
     /// `a @ b`
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let mut v = Matrix::zeros(self.value(a).rows(), self.value(b).cols());
-        matmul_nn_into(self.value(a), self.value(b), &mut v);
+        let v = matmul_nn(self.value(a), self.value(b));
         let ng = self.needs(a) || self.needs(b);
         self.push(v, Op::MatMul(a, b), ng)
     }
@@ -366,8 +358,7 @@ impl Tape {
     /// `a @ b^T` — scores every row of `a` against every row of `b`
     /// (candidate-set decoding uses this with `b` = gathered decoder rows).
     pub fn matmul_nt(&mut self, a: Var, b: Var) -> Var {
-        let mut v = Matrix::zeros(self.value(a).rows(), self.value(b).rows());
-        matmul_nt_into(self.value(a), self.value(b), &mut v);
+        let v = matmul_nt(self.value(a), self.value(b));
         let ng = self.needs(a) || self.needs(b);
         self.push(v, Op::MatMulNT(a, b), ng)
     }
@@ -390,12 +381,6 @@ impl Tape {
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.shape(a), self.shape(b), "add: shape mismatch");
         self.zip_op(a, b, Op::Add(a, b), |x, y| x + y)
-    }
-
-    /// Element-wise `a - b` (same shape).
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        assert_eq!(self.shape(a), self.shape(b), "sub: shape mismatch");
-        self.zip_op(a, b, Op::Sub(a, b), |x, y| x - y)
     }
 
     /// Hadamard product `a * b` (same shape).
@@ -459,20 +444,14 @@ impl Tape {
 
     /// `[a | b]` column concatenation.
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        let (r, ac) = self.shape(a);
-        let (br, bc) = self.shape(b);
-        assert_eq!(r, br, "concat_cols: row mismatch");
-        let mut v = Matrix::zeros(r, ac + bc);
-        concat_cols_into(self.value(a), self.value(b), &mut v);
+        let v = concat_cols(self.value(a), self.value(b));
         let ng = self.needs(a) || self.needs(b);
         self.push(v, Op::ConcatCols(a, b), ng)
     }
 
     /// `out[i,:] = x[idx[i],:]` (embedding lookup / neighbor gather).
     pub fn gather_rows(&mut self, x: Var, idx: Rc<Vec<u32>>) -> Var {
-        let cols = self.value(x).cols();
-        let mut v = Matrix::zeros(idx.len(), cols);
-        gather_rows_into(self.value(x), &idx, &mut v);
+        let v = gather_rows(self.value(x), &idx);
         let ng = self.needs(x);
         self.push(v, Op::GatherRows(x, idx), ng)
     }
@@ -492,8 +471,7 @@ impl Tape {
         self.n_params = self.n_params.max(id.index() + 1);
         let table = store.value(id);
         let table_rows = table.rows();
-        let mut v = Matrix::zeros(idx.len(), table.cols());
-        gather_rows_into(table, &idx, &mut v);
+        let v = gather_rows(table, &idx);
         self.push(
             v,
             Op::GatherParamRows {
@@ -507,9 +485,7 @@ impl Tape {
 
     /// `out[idx[i],:] += x[i,:]` into `out_rows` rows (message aggregation).
     pub fn scatter_add_rows(&mut self, x: Var, idx: Rc<Vec<u32>>, out_rows: usize) -> Var {
-        let cols = self.value(x).cols();
-        let mut v = Matrix::zeros(out_rows, cols);
-        scatter_add_rows_into(self.value(x), &idx, &mut v);
+        let v = scatter_add_rows(self.value(x), &idx, out_rows);
         let ng = self.needs(x);
         self.push(v, Op::ScatterAddRows(x, idx), ng)
     }
@@ -614,13 +590,6 @@ impl Tape {
         self.push(v, Op::Sum(x), ng)
     }
 
-    /// Mean of all elements -> `1x1`.
-    pub fn mean(&mut self, x: Var) -> Var {
-        let v = Matrix::scalar(self.value(x).mean() as f32);
-        let ng = self.needs(x);
-        self.push(v, Op::Mean(x), ng)
-    }
-
     /// Fused multi-target softmax cross-entropy (Eq. 6/7 reconstruction
     /// term): rows of `logits` are softmax-normalised and the loss is
     /// `-(1/norm) * sum_t w_t * log p[r_t, c_t]` over sparse targets.
@@ -679,9 +648,7 @@ impl Tape {
         norm: f32,
     ) -> Var {
         assert!(norm > 0.0, "softmax_xent: norm must be positive");
-        let lv = self.value(logits);
-        let mut probs = Matrix::zeros(lv.rows(), lv.cols());
-        softmax_rows_into(self.value(logits), &mut probs);
+        let probs = softmax_rows(self.value(logits));
         let mut loss = 0.0f64;
         for &(r, c, w) in targets.iter() {
             let p = probs.get(r as usize, c as usize).max(1e-12);
@@ -762,8 +729,7 @@ impl Tape {
             .iter()
             .map(|&(r, c, w)| (pos[r as usize], c, w))
             .collect();
-        let mut h_rows = Matrix::zeros(rows.len(), d);
-        gather_rows_into(self.value(h), &rows, &mut h_rows);
+        let h_rows = gather_rows(self.value(h), &rows);
         let mut logits = Matrix::zeros(rows.len(), n_cand);
         let path = GemmPath::for_product(slots, d, n_cand);
         matmul_nt_into_on(path, &h_rows, self.value(w_c), &mut logits);
@@ -837,9 +803,9 @@ impl Tape {
     /// parameter leaf reachable from the loss.
     ///
     /// Intermediate gradients are reference-counted: pass-through ops
-    /// (`Add`, `AddRow`, the lhs of `Sub`) forward the *same* buffer with
-    /// an `Rc` bump instead of a deep copy, and accumulation into a shared
-    /// buffer copies-on-write via [`Rc::make_mut`].
+    /// (`Add`, `AddRow`) forward the *same* buffer with an `Rc` bump
+    /// instead of a deep copy, and accumulation into a shared buffer
+    /// copies-on-write via [`Rc::make_mut`].
     pub fn backward(&self, loss: Var) -> Gradients {
         assert_eq!(self.shape(loss), (1, 1), "backward: loss must be scalar");
         let mut grads: Vec<Option<Rc<Matrix>>> = (0..self.nodes.len()).map(|_| None).collect();
@@ -878,27 +844,19 @@ impl Tape {
                 },
                 Op::MatMul(a, b) => {
                     if self.needs(*a) {
-                        let mut ga = Matrix::zeros(g.rows(), self.value(*b).rows());
-                        matmul_nt_into(&g, self.value(*b), &mut ga);
-                        accum(&mut grads, *a, ga);
+                        accum(&mut grads, *a, matmul_nt(&g, self.value(*b)));
                     }
                     if self.needs(*b) {
-                        let mut gb = Matrix::zeros(self.value(*a).cols(), g.cols());
-                        matmul_tn_into(self.value(*a), &g, &mut gb);
-                        accum(&mut grads, *b, gb);
+                        accum(&mut grads, *b, matmul_tn(self.value(*a), &g));
                     }
                 }
                 Op::MatMulNT(a, b) => {
                     // y = a b^T: da = g b ; db = g^T a
                     if self.needs(*a) {
-                        let mut ga = Matrix::zeros(g.rows(), self.value(*b).cols());
-                        matmul_nn_into(&g, self.value(*b), &mut ga);
-                        accum(&mut grads, *a, ga);
+                        accum(&mut grads, *a, matmul_nn(&g, self.value(*b)));
                     }
                     if self.needs(*b) {
-                        let mut gb = Matrix::zeros(g.cols(), self.value(*a).cols());
-                        matmul_tn_into(&g, self.value(*a), &mut gb);
-                        accum(&mut grads, *b, gb);
+                        accum(&mut grads, *b, matmul_tn(&g, self.value(*a)));
                     }
                 }
                 Op::Transpose(x) => {
@@ -912,26 +870,12 @@ impl Tape {
                         accum_shared(&mut grads, *b, Rc::clone(&g));
                     }
                 }
-                Op::Sub(a, b) => {
-                    if self.needs(*b) {
-                        let mut gb = Matrix::zeros(g.rows(), g.cols());
-                        g.map_into(|x| -x, &mut gb);
-                        accum(&mut grads, *b, gb);
-                    }
-                    if self.needs(*a) {
-                        accum_shared(&mut grads, *a, Rc::clone(&g));
-                    }
-                }
                 Op::Mul(a, b) => {
                     if self.needs(*a) {
-                        let mut ga = Matrix::zeros(g.rows(), g.cols());
-                        g.zip_into(self.value(*b), |x, y| x * y, &mut ga);
-                        accum(&mut grads, *a, ga);
+                        accum(&mut grads, *a, g.zip(self.value(*b), |x, y| x * y));
                     }
                     if self.needs(*b) {
-                        let mut gb = Matrix::zeros(g.rows(), g.cols());
-                        g.zip_into(self.value(*a), |x, y| x * y, &mut gb);
-                        accum(&mut grads, *b, gb);
+                        accum(&mut grads, *b, g.zip(self.value(*a), |x, y| x * y));
                     }
                 }
                 Op::AddRow(x, bias) => {
@@ -951,42 +895,27 @@ impl Tape {
                 }
                 Op::Scale(x, c) => {
                     let c = *c;
-                    let mut gx = Matrix::zeros(g.rows(), g.cols());
-                    g.map_into(|v| c * v, &mut gx);
-                    accum(&mut grads, *x, gx);
+                    accum(&mut grads, *x, g.map(|v| c * v));
                 }
                 Op::LeakyRelu(x, alpha) => {
                     let a = *alpha;
-                    let mut gx = Matrix::zeros(g.rows(), g.cols());
-                    g.zip_into(
-                        self.value(*x),
-                        |gv, xv| if xv >= 0.0 { gv } else { a * gv },
-                        &mut gx,
-                    );
+                    let gx = g.zip(self.value(*x), |gv, xv| if xv >= 0.0 { gv } else { a * gv });
                     accum(&mut grads, *x, gx);
                 }
                 Op::Relu(x) => {
-                    let mut gx = Matrix::zeros(g.rows(), g.cols());
-                    g.zip_into(
-                        self.value(*x),
-                        |gv, xv| if xv > 0.0 { gv } else { 0.0 },
-                        &mut gx,
-                    );
+                    let gx = g.zip(self.value(*x), |gv, xv| if xv > 0.0 { gv } else { 0.0 });
                     accum(&mut grads, *x, gx);
                 }
                 Op::Sigmoid(x) => {
-                    let mut gx = Matrix::zeros(g.rows(), g.cols());
-                    g.zip_into(&self.nodes[i].value, |gv, yv| gv * yv * (1.0 - yv), &mut gx);
+                    let gx = g.zip(&self.nodes[i].value, |gv, yv| gv * yv * (1.0 - yv));
                     accum(&mut grads, *x, gx);
                 }
                 Op::Tanh(x) => {
-                    let mut gx = Matrix::zeros(g.rows(), g.cols());
-                    g.zip_into(&self.nodes[i].value, |gv, yv| gv * (1.0 - yv * yv), &mut gx);
+                    let gx = g.zip(&self.nodes[i].value, |gv, yv| gv * (1.0 - yv * yv));
                     accum(&mut grads, *x, gx);
                 }
                 Op::Exp(x) => {
-                    let mut gx = Matrix::zeros(g.rows(), g.cols());
-                    g.zip_into(&self.nodes[i].value, |gv, yv| gv * yv, &mut gx);
+                    let gx = g.zip(&self.nodes[i].value, |gv, yv| gv * yv);
                     accum(&mut grads, *x, gx);
                 }
                 Op::ConcatCols(a, b) => {
@@ -1009,14 +938,10 @@ impl Tape {
                 }
                 Op::GatherRows(x, idx) => {
                     let rows = self.value(*x).rows();
-                    let mut gx = Matrix::zeros(rows, g.cols());
-                    scatter_add_rows_into(&g, idx, &mut gx);
-                    accum(&mut grads, *x, gx);
+                    accum(&mut grads, *x, scatter_add_rows(&g, idx, rows));
                 }
                 Op::ScatterAddRows(x, idx) => {
-                    let mut gx = Matrix::zeros(idx.len(), g.cols());
-                    gather_rows_into(&g, idx, &mut gx);
-                    accum(&mut grads, *x, gx);
+                    accum(&mut grads, *x, gather_rows(&g, idx));
                 }
                 Op::SegmentSoftmax(scores, seg) => {
                     // y_i = softmax within segment; dL/ds_i = y_i*(g_i -
@@ -1061,8 +986,7 @@ impl Tape {
                     idx,
                     table_rows,
                 } => {
-                    let mut gx = Matrix::zeros(*table_rows, g.cols());
-                    scatter_add_rows_into(&g, idx, &mut gx);
+                    let gx = scatter_add_rows(&g, idx, *table_rows);
                     match &mut out.grads[id.index()] {
                         Some(existing) => existing.add_assign(&gx),
                         slot @ None => *slot = Some(gx),
@@ -1088,13 +1012,6 @@ impl Tape {
                     let (r, c) = self.shape(*x);
                     let mut gx = Matrix::zeros(r, c);
                     gx.as_mut_slice().fill(g.item());
-                    accum(&mut grads, *x, gx);
-                }
-                Op::Mean(x) => {
-                    let (r, c) = self.shape(*x);
-                    let n = (r * c).max(1) as f32;
-                    let mut gx = Matrix::zeros(r, c);
-                    gx.as_mut_slice().fill(g.item() / n);
                     accum(&mut grads, *x, gx);
                 }
                 Op::SoftmaxXent {
@@ -1231,22 +1148,16 @@ impl Tape {
                     let lv = self.value(*logits);
                     let n = lv.len().max(1) as f32;
                     let go = g.item() / n;
-                    let mut gx = Matrix::zeros(lv.rows(), lv.cols());
-                    lv.zip_into(targets, |z, y| go * (1.0 / (1.0 + (-z).exp()) - y), &mut gx);
+                    let gx = lv.zip(targets, |z, y| go * (1.0 / (1.0 + (-z).exp()) - y));
                     accum(&mut grads, *logits, gx);
                 }
                 Op::KlNormal { mu, logvar, scale } => {
                     let go = g.item() * *scale;
                     if self.needs(*mu) {
-                        let mv = self.value(*mu);
-                        let mut gx = Matrix::zeros(mv.rows(), mv.cols());
-                        mv.map_into(|m| go * m, &mut gx);
-                        accum(&mut grads, *mu, gx);
+                        accum(&mut grads, *mu, self.value(*mu).map(|m| go * m));
                     }
                     if self.needs(*logvar) {
-                        let lvv = self.value(*logvar);
-                        let mut gx = Matrix::zeros(lvv.rows(), lvv.cols());
-                        lvv.map_into(|l| 0.5 * go * (l.exp() - 1.0), &mut gx);
+                        let gx = self.value(*logvar).map(|l| 0.5 * go * (l.exp() - 1.0));
                         accum(&mut grads, *logvar, gx);
                     }
                 }
@@ -1336,7 +1247,7 @@ mod tests {
                     3 => t.exp(w),
                     _ => t.relu(w),
                 };
-                t.mean(y)
+                t.sum(y)
             });
         }
     }
@@ -1364,7 +1275,7 @@ mod tests {
         let b = tape.input(test_matrix(4, 3));
         let y = tape.matmul_nt(a, b);
         let bt = tape.value(b).transpose();
-        let expect = tape.value(a).matmul(&bt);
+        let expect = matmul_nn(tape.value(a), &bt);
         assert_eq!(tape.value(y), &expect);
     }
 
@@ -1393,7 +1304,8 @@ mod tests {
         grad_check(test_matrix(2, 2), |t, w| {
             let x = t.input(test_matrix(2, 2));
             let p = t.mul(w, x);
-            let q = t.sub(p, w);
+            let neg_w = t.scale(w, -1.0);
+            let q = t.add(p, neg_w);
             t.sum(q)
         });
     }

@@ -156,23 +156,3 @@ fn baselines_terminate_on_starved_proposals() {
     .fit_generate(&g, &mut rng);
     assert_eq!(out.n_edges(), g.n_edges());
 }
-
-/// Transform utilities compose without losing edges.
-#[test]
-fn transforms_compose() {
-    use tgx::graph::transform::{compact_nodes, induced_subgraph, reverse, time_slice};
-    let mut edges = Vec::new();
-    for t in 0..6u32 {
-        for u in 0..8u32 {
-            edges.push(TemporalEdge::new(u, (u + 1) % 8, t));
-        }
-    }
-    let g = TemporalGraph::from_edges(10, 6, edges);
-    let sliced = time_slice(&g, 2, 5);
-    assert_eq!(sliced.n_edges(), 24);
-    let sub = induced_subgraph(&sliced, &[0, 1, 2, 3]);
-    assert!(sub.n_edges() > 0);
-    let (compacted, keep) = compact_nodes(&reverse(&sub));
-    assert_eq!(compacted.n_nodes(), keep.len());
-    assert_eq!(compacted.n_edges(), sub.n_edges());
-}

@@ -23,7 +23,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::rc::Rc;
 use tg_graph::{TemporalEdge, TemporalGraph};
-use tg_tensor::matrix::{matmul_nt, Matrix};
+use tg_tensor::gemm::matmul_nt;
+use tg_tensor::matrix::Matrix;
 use tg_tensor::prelude::*;
 
 /// Timestamp-to-bucket assignment plus per-bucket positive pairs.

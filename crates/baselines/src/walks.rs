@@ -265,7 +265,7 @@ impl TemporalGraphGenerator for NetGanGenerator {
         let score = |b: usize, u: u32| -> Vec<f64> {
             let (s, d) = &models[b];
             let su = Matrix::from_vec(1, s.cols(), s.row(u as usize).to_vec());
-            let row = tg_tensor::matrix::matmul_nt(&su, d);
+            let row = tg_tensor::gemm::matmul_nt(&su, d);
             // softmax-ish positive weights
             let max = row
                 .as_slice()

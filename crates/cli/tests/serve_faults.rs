@@ -11,6 +11,8 @@
 //! - an injected `serve.accept` failure drops one connection and the
 //!   next connection is served normally;
 //! - admission-control rejection surfaces as `tgx-cli client` exit 6;
+//! - a run directory whose manifest declares no timestamp answers a
+//!   typed `not_found` and the connection stays usable;
 //! - a refused or failed `tgx-cli client simulate` leaves `--out` as it
 //!   was: absent, or holding its earlier bytes.
 //!
@@ -389,6 +391,38 @@ fn status_fault_is_typed_and_the_daemon_survives() {
         .simulate("r", 3, &mut bytes)
         .expect("simulate still works");
     assert!(!bytes.is_empty());
+
+    daemon.shutdown_clean();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_run_dir_without_timestamps_is_not_found_and_the_connection_survives() {
+    let dir = tmp("serve_no_timestamps");
+    let (root, run_dir) = runs_root(&dir, "r");
+    // A zero-timestamp shape over an empty observed file: the loader runs
+    // outside the request's unwind guard, so a panic in it used to take
+    // the connection thread down.
+    let manifest = run_dir.join("run.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    assert!(text.contains("\"n_timestamps\": 3"), "{text}");
+    std::fs::write(
+        &manifest,
+        text.replace("\"n_timestamps\": 3", "\"n_timestamps\": 0"),
+    )
+    .unwrap();
+    std::fs::write(run_dir.join("observed.edges"), "").unwrap();
+    let daemon = Daemon::start(&root, None, &[]);
+
+    let mut client = daemon.connect();
+    match client.simulate("r", 3, &mut Vec::new()) {
+        Err(ClientError::Server { kind, message }) => {
+            assert_eq!(kind, ErrorKind::NotFound);
+            assert!(message.contains("0 timestamps"), "{message}");
+        }
+        other => panic!("expected a typed not_found error, got {other:?}"),
+    }
+    client.ping().expect("the same connection still answers");
 
     daemon.shutdown_clean();
     std::fs::remove_dir_all(&dir).ok();

@@ -10,7 +10,8 @@
 //!   no tmp file behind;
 //! - `ingest --salvage` rebuilds a clean, fully verifiable store from a
 //!   bit-flipped one (exit 0) and exits 3 on a file that is not a store;
-//! - usage errors exit 2.
+//! - usage errors exit 2, and an `eval` shape without timestamps is a
+//!   typed error (exit 1), not a panic.
 
 mod common;
 
@@ -164,6 +165,27 @@ fn usage_errors_exit_2() {
         .output()
         .expect("run tgx-cli");
     assert_eq!(out.status.code(), Some(2), "missing --out must exit 2");
+}
+
+#[test]
+fn eval_of_a_shape_without_timestamps_is_a_typed_error() {
+    // an empty edge list under `--n-timestamps 0` used to reach
+    // `TemporalGraph::from_edges`, which panics (exit 101)
+    let dir = tmp("sup_no_timestamps");
+    let empty = dir.join("e");
+    std::fs::write(&empty, "").unwrap();
+    let out = cli()
+        .args(["eval", "--observed"])
+        .arg(&empty)
+        .arg("--generated")
+        .arg(&empty)
+        .args(["--n-nodes", "3", "--n-timestamps", "0"])
+        .output()
+        .expect("run tgx-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("3 nodes x 0 timestamps"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -320,7 +320,7 @@ impl Tgae {
                 *x = (*x + b) / tau;
             }
         }
-        tg_tensor::matrix::softmax_rows_inplace(rows);
+        tg_tensor::softmax::softmax_rows_inplace(rows);
         (scores, candidates)
     }
 }

@@ -20,8 +20,10 @@ use rand::SeedableRng;
 use std::rc::Rc;
 use tg_graph::{NodeId, TemporalEdge, TemporalGraph, Time};
 use tg_sampling::ComputationGraph;
-use tg_tensor::matrix::{available_microkernels, force_microkernel, softmax_rows, Matrix};
+use tg_tensor::gemm::{available_microkernels, force_microkernel};
+use tg_tensor::matrix::Matrix;
 use tg_tensor::prelude::*;
+use tg_tensor::softmax::softmax_rows;
 use tgae::decoder::build_candidates;
 use tgae::{Tgae, TgaeConfig};
 

@@ -28,7 +28,7 @@ use std::sync::Mutex;
 use tg_graph::{NodeId, TemporalEdge, TemporalGraph, Time};
 use tg_obs::memtrack;
 use tg_sampling::{ComputationGraph, InitialNodeSampler};
-use tg_tensor::matrix::{available_microkernels, force_microkernel};
+use tg_tensor::gemm::{available_microkernels, force_microkernel};
 use tg_tensor::prelude::*;
 use tgae::decoder::build_candidates;
 use tgae::{Tgae, TgaeConfig};

@@ -28,6 +28,11 @@ pub enum IoError {
     },
     /// The input contained no edges at all.
     Empty,
+    /// A dense shape with no timestamp, which no temporal graph has.
+    NoTimestamps {
+        /// The node count the shape declared.
+        n_nodes: usize,
+    },
 }
 
 impl std::fmt::Display for IoError {
@@ -36,6 +41,10 @@ impl std::fmt::Display for IoError {
             IoError::Io(e) => write!(f, "io error: {e}"),
             IoError::Parse { line, msg } => write!(f, "parse error on line {line}: {msg}"),
             IoError::Empty => write!(f, "edge list contained no edges"),
+            IoError::NoTimestamps { n_nodes } => write!(
+                f,
+                "shape {n_nodes} nodes x 0 timestamps: a temporal graph needs at least one timestamp"
+            ),
         }
     }
 }
@@ -241,11 +250,17 @@ pub fn save_edge_list_atomic(g: &TemporalGraph, path: impl AsRef<Path>) -> Resul
 /// produced by [`StreamingWriterSink`] / [`write_edge_list`], where the
 /// ids are already dense and compaction would silently relabel any graph
 /// whose generated edges miss a node or timestamp.
+///
+/// A shape of zero timestamps is [`IoError::NoTimestamps`] before any
+/// record is read.
 pub fn read_edge_list_exact<R: Read>(
     reader: R,
     n_nodes: usize,
     n_timestamps: usize,
 ) -> Result<TemporalGraph, IoError> {
+    if n_timestamps == 0 {
+        return Err(IoError::NoTimestamps { n_nodes });
+    }
     let mut edges: Vec<TemporalEdge> = Vec::new();
     for_each_record(reader, |line, [src, dst, time]| {
         let dense = |tok: &str, what: &str, bound: usize| {
@@ -298,13 +313,11 @@ pub fn load_edge_list_exact(
 /// check the result — that is the only place deferred write errors are
 /// reported. A sink dropped without finishing (early return, panic
 /// unwind) still **flushes its buffer best-effort** so the file is not
-/// silently truncated at a buffer boundary, but any error from that
-/// final flush is swallowed, exactly like `BufWriter`'s own drop. Code
-/// that cares whether the bytes landed must finish explicitly.
+/// silently truncated at a buffer boundary — that is `BufWriter`'s own
+/// drop, which swallows any error from the final flush. Code that cares
+/// whether the bytes landed must finish explicitly.
 pub struct StreamingWriterSink<W: Write> {
-    /// `Some` until `finish`/`into_inner` consumes the sink (`Option`
-    /// only so those methods can move the writer out despite `Drop`).
-    writer: Option<BufWriter<W>>,
+    writer: BufWriter<W>,
     n_written: u64,
     err: Option<std::io::Error>,
 }
@@ -313,7 +326,7 @@ impl<W: Write> StreamingWriterSink<W> {
     /// Wrap any writer (a `File`, a `Vec<u8>`, a socket…).
     pub fn new(writer: W) -> Self {
         StreamingWriterSink {
-            writer: Some(BufWriter::new(writer)),
+            writer: BufWriter::new(writer),
             n_written: 0,
             err: None,
         }
@@ -327,32 +340,13 @@ impl<W: Write> StreamingWriterSink<W> {
     /// Flush and hand back the inner writer (useful for in-memory
     /// `Vec<u8>` sinks in tests and benchmarks). Reports any deferred
     /// write error, like [`EdgeSink::finish`].
-    #[expect(
-        clippy::expect_used,
-        reason = "`writer` is `Some` until `into_inner`/`finish` consume `self`"
-    )]
-    pub fn into_inner(mut self) -> Result<W, IoError> {
-        if let Some(e) = self.err.take() {
+    pub fn into_inner(self) -> Result<W, IoError> {
+        if let Some(e) = self.err {
             return Err(IoError::Io(e));
         }
         self.writer
-            .take()
-            .expect("writer present until consumed")
             .into_inner()
             .map_err(|e| IoError::Io(e.into_error()))
-    }
-}
-
-impl<W: Write> Drop for StreamingWriterSink<W> {
-    fn drop(&mut self) {
-        // Dropped without finish(): flush best-effort so the edges
-        // already accepted reach the underlying writer (see the type-level
-        // "Drop behavior" docs). `BufWriter`'s own drop would do the same,
-        // but doing it explicitly documents the contract and keeps it even
-        // if the buffering strategy changes.
-        if let Some(w) = self.writer.as_mut() {
-            let _ = w.flush();
-        }
     }
 }
 
@@ -370,13 +364,8 @@ impl<W: Write> EdgeSink for StreamingWriterSink<W> {
         if self.err.is_some() {
             return;
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "`writer` is `Some` until `into_inner`/`finish` consume `self`"
-        )]
-        let w = self.writer.as_mut().expect("writer present until consumed");
         for e in edges {
-            if let Err(err) = writeln!(w, "{e}") {
+            if let Err(err) = writeln!(self.writer, "{e}") {
                 self.err = Some(err);
                 return;
             }
@@ -384,18 +373,11 @@ impl<W: Write> EdgeSink for StreamingWriterSink<W> {
         }
     }
 
-    #[expect(
-        clippy::expect_used,
-        reason = "`writer` is `Some` until `into_inner`/`finish` consume `self`"
-    )]
     fn finish(mut self) -> Result<u64, IoError> {
-        if let Some(e) = self.err.take() {
+        if let Some(e) = self.err {
             return Err(IoError::Io(e));
         }
-        self.writer
-            .as_mut()
-            .expect("writer present until consumed")
-            .flush()?;
+        self.writer.flush()?;
         Ok(self.n_written)
     }
 }
@@ -620,6 +602,21 @@ mod tests {
             read_edge_list_exact("0 1 7\n".as_bytes(), 3, 1),
             Err(IoError::Parse { line: 1, .. })
         ));
+    }
+
+    #[test]
+    fn exact_reader_rejects_a_shape_without_timestamps() {
+        // an empty input used to reach `TemporalGraph::from_edges`, which
+        // panics on a zero-timestamp shape
+        for text in ["", "0 1 0\n"] {
+            match read_edge_list_exact(text.as_bytes(), 3, 0) {
+                Err(e @ IoError::NoTimestamps { n_nodes: 3 }) => {
+                    assert!(e.to_string().contains("3 nodes x 0 timestamps"), "{e}")
+                }
+                Err(e) => panic!("{text:?}: wrong error {e}"),
+                Ok(_) => panic!("{text:?}: a zero-timestamp shape loaded"),
+            }
+        }
     }
 
     #[test]

@@ -329,3 +329,51 @@ fn an_undecodable_frame_is_a_typed_error_and_the_connection_survives() {
     let report = server.stop();
     assert_eq!(report.requests_served, 0);
 }
+
+/// The Unix-socket transport end to end: a server bound to a path in a
+/// temp dir answers a ping and streams the in-process bytes, removes its
+/// socket file when it drains, and binds again over a stale file a
+/// crashed predecessor would have left at the same path.
+#[cfg(unix)]
+#[test]
+fn unix_socket_streams_in_process_bytes_and_cleans_up_its_path() {
+    let run = trained_run();
+    let (want, want_n) = reference_bytes(&run, 41);
+    let dir = std::env::temp_dir().join(format!("tg_serve_unix_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("serve.sock");
+    let start = |path: &std::path::Path| {
+        let run = run.clone();
+        let loader = Box::new(move |run_id: &str| match run_id {
+            "shared" => Ok(run.clone()),
+            _ => Err(format!("no run named `{run_id}`")),
+        });
+        let server = Server::bind_unix(path, loader, ServeConfig::default()).expect("bind");
+        assert_eq!(server.tcp_addr(), None);
+        std::thread::spawn(move || server.run())
+    };
+
+    let thread = start(&path);
+    let mut client = Client::connect_unix(&path).expect("connect");
+    client.ping().unwrap();
+    let mut got = Vec::new();
+    let outcome = client.simulate("shared", 41, &mut got).unwrap();
+    assert_eq!(outcome.n_edges, want_n);
+    assert_eq!(
+        got, want,
+        "unix-socket stream diverged from in-process bytes"
+    );
+    client.shutdown().unwrap();
+    let report = thread.join().expect("server thread").expect("clean drain");
+    assert_eq!(report.requests_served, 1);
+    assert!(!path.exists(), "the drained server left its socket file");
+
+    std::fs::write(&path, b"stale").unwrap();
+    let thread = start(&path);
+    let mut client = Client::connect_unix(&path).expect("connect after rebind");
+    client.ping().unwrap();
+    client.shutdown().unwrap();
+    thread.join().expect("server thread").expect("clean drain");
+    assert!(!path.exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}

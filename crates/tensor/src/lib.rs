@@ -11,8 +11,11 @@
 //! steps, parallelised across rows with a scoped thread pool.
 //!
 //! # Layout
-//! - [`matrix`] — dense row-major matrix + raw kernels (matmul variants,
-//!   gather/scatter, segment softmax).
+//! - [`matrix`] — the dense row-major matrix and its element-wise methods.
+//! - [`gemm`] — matrix products: one tiled driver, three microkernels.
+//! - [`rows`] — row gather/scatter, column concat, per-row scale and dot.
+//! - [`softmax`] — `fast_exp`, row and segment softmax, graph-attention
+//!   heads.
 //! - [`tape`] — the autodiff tape and op set, including fused losses.
 //! - [`params`] — parameter storage shared between layers and optimizers.
 //! - [`nn`] — Linear / MLP / Embedding layers.
@@ -44,23 +47,27 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 
+pub mod gemm;
 pub mod init;
 pub mod matrix;
 pub mod nn;
 pub mod optim;
 pub mod parallel;
 pub mod params;
+pub mod rows;
+pub mod softmax;
 pub mod tape;
 
 /// One-stop imports for model code.
 pub mod prelude {
+    pub use crate::gemm::{
+        active_microkernel, available_microkernels, force_microkernel, MicrokernelKind,
+    };
     pub use crate::init::{
         normal_matrix, sample_categorical, sample_categorical_without_replacement, standard_normal,
         xavier_uniform,
     };
-    pub use crate::matrix::{
-        active_microkernel, available_microkernels, force_microkernel, Matrix, MicrokernelKind,
-    };
+    pub use crate::matrix::Matrix;
     pub use crate::nn::{Activation, Embedding, Linear, Mlp};
     pub use crate::optim::{clip_global_norm, Adam};
     pub use crate::params::{ParamId, ParamStore};

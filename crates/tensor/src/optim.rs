@@ -47,16 +47,12 @@ impl Adam {
             self.m.resize_with(i + 1, || None);
             self.v.resize_with(i + 1, || None);
         }
-        if self.m[i].is_none() {
-            self.m[i] = Some(Matrix::zeros(shape.0, shape.1));
-            self.v[i] = Some(Matrix::zeros(shape.0, shape.1));
-        }
         // Split borrows: m and v are distinct fields.
-        #[expect(clippy::expect_used, reason = "both slots were filled a few lines up")]
-        let m = self.m[i].as_mut().expect("just initialised");
-        #[expect(clippy::expect_used, reason = "both slots were filled a few lines up")]
-        let v = self.v[i].as_mut().expect("just initialised");
-        (m, v)
+        let zeros = || Matrix::zeros(shape.0, shape.1);
+        (
+            self.m[i].get_or_insert_with(zeros),
+            self.v[i].get_or_insert_with(zeros),
+        )
     }
 
     /// Apply one update from `grads` into `store`.

@@ -14,13 +14,15 @@
 //! it — BCE-with-logits, Gaussian KL). Fused losses keep the tape short
 //! and sidestep `log(0)`.
 
-use crate::matrix::{
-    concat_cols, fast_exp, gat_attend_head, gat_attend_head_backward, gather_rows, matmul_nn,
-    matmul_nn_into_on, matmul_nt, matmul_nt_into_on, matmul_tn, matmul_tn_into_on,
-    row_softmax_stats, rowwise_dot, scale_rows, scatter_add_rows, seg_is_sorted, segment_softmax,
-    segment_softmax_backward, softmax_rows, GatHead, GatHeadGrads, GemmPath, Matrix,
-};
+use crate::gemm::Layout::{self, RowMajor, Transposed};
+use crate::gemm::{matmul, matmul_into_on, matmul_tn, GemmPath};
+use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
+use crate::rows::{concat_cols, gather_rows, rowwise_dot, scale_rows, scatter_add_rows};
+use crate::softmax::{
+    fast_exp, gat_attend_head, gat_attend_head_backward, row_softmax_stats, seg_is_sorted,
+    segment_softmax, segment_softmax_backward, softmax_rows, GatHead, GatHeadGrads,
+};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -37,9 +39,9 @@ enum Op {
     Input,
     /// Trainable leaf; gradients are collected into [`Gradients`].
     Param(ParamId),
-    MatMul(Var, Var),
-    /// `a @ b^T` without materialising the transpose.
-    MatMulNT(Var, Var),
+    /// `a @ op(b)`, with `b` read in the layout carried: `b^T` without
+    /// materialising the transpose when it is `Transposed`.
+    MatMul(Var, Var, Layout),
     Transpose(Var),
     Add(Var, Var),
     Mul(Var, Var),
@@ -350,17 +352,20 @@ impl Tape {
 
     /// `a @ b`
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = matmul_nn(self.value(a), self.value(b));
-        let ng = self.needs(a) || self.needs(b);
-        self.push(v, Op::MatMul(a, b), ng)
+        self.matmul_op(a, b, RowMajor)
     }
 
     /// `a @ b^T` — scores every row of `a` against every row of `b`
     /// (candidate-set decoding uses this with `b` = gathered decoder rows).
     pub fn matmul_nt(&mut self, a: Var, b: Var) -> Var {
-        let v = matmul_nt(self.value(a), self.value(b));
+        self.matmul_op(a, b, Transposed)
+    }
+
+    /// Record `a @ op(b)` with `b` read in `b_layout`.
+    fn matmul_op(&mut self, a: Var, b: Var, b_layout: Layout) -> Var {
+        let v = matmul(self.value(a), RowMajor, self.value(b), b_layout);
         let ng = self.needs(a) || self.needs(b);
-        self.push(v, Op::MatMulNT(a, b), ng)
+        self.push(v, Op::MatMul(a, b, b_layout), ng)
     }
 
     /// Transposed copy of `x`.
@@ -732,7 +737,8 @@ impl Tape {
         let h_rows = gather_rows(self.value(h), &rows);
         let mut logits = Matrix::zeros(rows.len(), n_cand);
         let path = GemmPath::for_product(slots, d, n_cand);
-        matmul_nt_into_on(path, &h_rows, self.value(w_c), &mut logits);
+        let w = self.value(w_c);
+        matmul_into_on(path, &h_rows, RowMajor, w, Transposed, &mut logits);
         let bias = self.value(b_c).as_slice();
         let mut stats = Vec::with_capacity(rows.len());
         for i in 0..rows.len() {
@@ -842,21 +848,18 @@ impl Tape {
                     Some(existing) => existing.add_assign(&g),
                     slot @ None => *slot = Some(Rc::unwrap_or_clone(g)),
                 },
-                Op::MatMul(a, b) => {
+                Op::MatMul(a, b, b_layout) => {
+                    // y = a op(b): da = g op(b)^T; db = a^T g, or g^T a for op(b) = b^T
                     if self.needs(*a) {
-                        accum(&mut grads, *a, matmul_nt(&g, self.value(*b)));
+                        let b_t = b_layout.transposed();
+                        accum(&mut grads, *a, matmul(&g, RowMajor, self.value(*b), b_t));
                     }
                     if self.needs(*b) {
-                        accum(&mut grads, *b, matmul_tn(self.value(*a), &g));
-                    }
-                }
-                Op::MatMulNT(a, b) => {
-                    // y = a b^T: da = g b ; db = g^T a
-                    if self.needs(*a) {
-                        accum(&mut grads, *a, matmul_nn(&g, self.value(*b)));
-                    }
-                    if self.needs(*b) {
-                        accum(&mut grads, *b, matmul_tn(&g, self.value(*a)));
+                        let gb = match b_layout {
+                            RowMajor => matmul_tn(self.value(*a), &g),
+                            Transposed => matmul_tn(&g, self.value(*a)),
+                        };
+                        accum(&mut grads, *b, gb);
                     }
                 }
                 Op::Transpose(x) => {
@@ -1131,7 +1134,8 @@ impl Tape {
                     }
                     if self.needs(*h) {
                         let mut gh_rows = Matrix::zeros(rows.len(), d);
-                        matmul_nn_into_on(path, &gz, self.value(*w_c), &mut gh_rows);
+                        let w = self.value(*w_c);
+                        matmul_into_on(path, &gz, RowMajor, w, RowMajor, &mut gh_rows);
                         let mut gh = Matrix::zeros(slots, d);
                         for (i, &r) in rows.iter().enumerate() {
                             gh.row_mut(r as usize).copy_from_slice(gh_rows.row(i));
@@ -1140,7 +1144,7 @@ impl Tape {
                     }
                     if self.needs(*w_c) {
                         let mut gw = Matrix::zeros(n_cand, d);
-                        matmul_tn_into_on(path, &gz, h_rows, &mut gw);
+                        matmul_into_on(path, &gz, Transposed, h_rows, RowMajor, &mut gw);
                         accum(&mut grads, *w_c, gw);
                     }
                 }
@@ -1170,6 +1174,7 @@ impl Tape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::matmul_nn;
     use crate::params::ParamStore;
 
     /// Finite-difference check for a scalar-producing closure of one

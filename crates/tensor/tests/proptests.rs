@@ -5,15 +5,18 @@
 
 use proptest::prelude::*;
 use std::rc::Rc;
-use tg_tensor::matrix::{
-    active_microkernel, available_microkernels, concat_cols, fast_exp, force_microkernel,
-    gather_rows, matmul_nn, matmul_nn_naive, matmul_nt, matmul_nt_naive, matmul_tn,
-    matmul_tn_naive, row_softmax_stats, scatter_add_rows, segment_softmax,
-    segment_softmax_backward, segment_softmax_naive, softmax_rows, softmax_rows_naive, Matrix,
-    MicrokernelKind, KC, TILE_THRESHOLD,
+use tg_tensor::gemm::{
+    active_microkernel, available_microkernels, force_microkernel, matmul_nn, matmul_nn_naive,
+    matmul_nt, matmul_nt_naive, matmul_tn, matmul_tn_naive, MicrokernelKind, KC, TILE_THRESHOLD,
 };
+use tg_tensor::matrix::Matrix;
 use tg_tensor::parallel::{par_chunks_mut, par_map, ThreadPin};
 use tg_tensor::prelude::*;
+use tg_tensor::rows::{concat_cols, gather_rows, scatter_add_rows};
+use tg_tensor::softmax::{
+    fast_exp, row_softmax_stats, segment_softmax, segment_softmax_backward, segment_softmax_naive,
+    softmax_rows, softmax_rows_naive,
+};
 
 /// Strategy: a matrix with bounded entries.
 fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -128,10 +131,15 @@ struct GatCase {
     loss_w: Matrix,
 }
 
-/// Output bits and the gradient bits of every head's `hw`, `s_src`,
-/// `s_dst` — recorded either as one [`Tape::gat_attend`] or as the eleven
-/// ops per head (and the `concat_cols` across heads) it replaces.
-fn gat_attend_case(store: &ParamStore, case: &GatCase, fused: bool) -> (Vec<u32>, Vec<Vec<u32>>) {
+/// Loss bits, output bits and the gradient bits of every head's `hw`,
+/// `s_src`, `s_dst` — recorded either as one [`Tape::gat_attend`] or as
+/// the eleven ops per head (and the `concat_cols` across heads) it
+/// replaces.
+fn gat_attend_case(
+    store: &ParamStore,
+    case: &GatCase,
+    fused: bool,
+) -> (u32, Vec<u32>, Vec<Vec<u32>>) {
     const SLOPE: f32 = 0.2;
     let n_targets = case.self_idx.len();
     let mut tape = Tape::new();
@@ -185,6 +193,7 @@ fn gat_attend_case(store: &ParamStore, case: &GatCase, fused: bool) -> (Vec<u32>
     let grads = tape.backward(loss);
     let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
     (
+        tape.value(loss).item().to_bits(),
         bits(tape.value(out)),
         case.heads
             .iter()
@@ -658,8 +667,8 @@ proptest! {
         };
         for kind in available_microkernels() {
             let _g = force_microkernel(kind);
-            let (value, grads) = gat_attend_case(&store, &case, true);
-            let (want_value, want_grads) = gat_attend_case(&store, &case, false);
+            let (_, value, grads) = gat_attend_case(&store, &case, true);
+            let (_, want_value, want_grads) = gat_attend_case(&store, &case, false);
             let ctx = format!(
                 "{kind:?} heads={n_heads} d_head={d_head} targets={n_targets} sources={n_sources} edges={}",
                 case.src.len()
@@ -696,6 +705,109 @@ fn score_xent_second_backward_panics_with_a_message() {
     let first = tape.backward(loss);
     assert!(first.get(h).is_some());
     tape.backward(loss);
+}
+
+/// Central-difference check of the analytic gradients `run` reports for
+/// `ids` against its own f32 loss: every entry of every parameter is
+/// moved by ±1e-3, the two losses are differenced in f64, and the
+/// gradient must agree within `1e-3 + 1e-2·|numeric|`. `run` returns the
+/// loss bits and, in `ids` order, the gradient bits.
+fn assert_central_differences(
+    store: &mut ParamStore,
+    ids: &[ParamId],
+    run: impl Fn(&ParamStore) -> (u32, Vec<Vec<u32>>),
+) {
+    const STEP: f32 = 1e-3;
+    let (_, grads) = run(store);
+    for (&id, grad) in ids.iter().zip(&grads) {
+        for (j, &g) in grad.iter().enumerate() {
+            let x = store.value(id).as_slice()[j];
+            let mut loss_at = |v: f32| {
+                store.value_mut(id).as_mut_slice()[j] = v;
+                f32::from_bits(run(store).0) as f64
+            };
+            let (up, down) = (x + STEP, x - STEP);
+            let numeric = (loss_at(up) - loss_at(down)) / (up as f64 - down as f64);
+            store.value_mut(id).as_mut_slice()[j] = x;
+            let analytic = f32::from_bits(g) as f64;
+            assert!(
+                (analytic - numeric).abs() <= 1e-3 + 1e-2 * numeric.abs(),
+                "{}[{j}]: analytic {analytic:e}, numeric {numeric:e}",
+                store.name(id)
+            );
+        }
+    }
+}
+
+/// [`Tape::gat_attend`]'s gradients against central differences of its
+/// own loss, not against the op-by-op chain. Logits, outputs and `hw` all
+/// keep one sign per case, so no ±1e-3 step crosses a LeakyReLU kink, and
+/// the two cases between them take both branches of both LeakyReLUs.
+#[test]
+fn gat_attend_gradients_match_central_differences() {
+    use rand::{Rng, SeedableRng};
+    for (lo, hi) in [(0.3f32, 1.0f32), (-1.0, -0.3)] {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
+        let (n_sources, d_head, n_targets) = (6, 3, 4);
+        let mut store = ParamStore::new();
+        let mut fill =
+            |rows: usize, cols: usize| Matrix::from_fn(rows, cols, |_, _| rng.gen_range(lo..hi));
+        let heads: Vec<[ParamId; 3]> = (0..2)
+            .map(|h| {
+                [
+                    store.create(format!("h{h}.hw"), fill(n_sources, d_head)),
+                    store.create(format!("h{h}.s_src"), fill(n_sources, 1)),
+                    store.create(format!("h{h}.s_dst"), fill(n_sources, 1)),
+                ]
+            })
+            .collect();
+        // runs of one to four edges, a source repeated within a run
+        let case = GatCase {
+            src: Rc::new(vec![0, 1, 1, 2, 3, 4, 5, 0, 2]),
+            dst: Rc::new(vec![0, 0, 0, 1, 2, 2, 2, 2, 3]),
+            self_idx: Rc::new(vec![1, 2, 4, 0]),
+            loss_w: Matrix::from_fn(n_targets, 2 * d_head, |r, c| {
+                ((r * 7 + c * 3) % 5) as f32 * 0.25 - 0.5
+            }),
+            heads,
+        };
+        let ids: Vec<ParamId> = case.heads.iter().flatten().copied().collect();
+        assert_central_differences(&mut store, &ids, |store| {
+            let (loss, _, grads) = gat_attend_case(store, &case, true);
+            (loss, grads)
+        });
+    }
+}
+
+/// [`Tape::score_xent`]'s gradients of `h`, `W_dec` and `b_dec` against
+/// central differences of its own loss, over two levels that share one
+/// candidate set, with a repeated target and a row without one.
+#[test]
+fn score_xent_gradients_match_central_differences() {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+    let (d, n_nodes) = (4, 7);
+    let mut fill =
+        |rows: usize, cols: usize| Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-0.5f32..0.5));
+    let mut store = ParamStore::new();
+    let w_dec = store.create("dec.w", fill(n_nodes, d));
+    let b_dec = store.create("dec.b", fill(n_nodes, 1));
+    let h0 = store.create("h0", fill(5, d));
+    let h1 = store.create("h1", fill(3, d));
+    let candidates = Rc::new(vec![6u32, 2, 4, 0, 5]);
+    let levels = [
+        ScoreLevel {
+            h: h0,
+            targets: Rc::new(vec![(0, 1, 1.0), (3, 4, 0.5), (1, 0, 2.0), (3, 4, 0.5)]),
+        },
+        ScoreLevel {
+            h: h1,
+            targets: Rc::new(vec![(2, 3, 1.0), (0, 2, 1.5)]),
+        },
+    ];
+    assert_central_differences(&mut store, &[h0, h1, w_dec, b_dec], |store| {
+        score_xent_case(store, &levels, (w_dec, b_dec), &candidates, 3.0, true)
+    });
 }
 
 /// Order-preserving integer key for f32 so ULP distances are plain
@@ -1015,7 +1127,7 @@ fn matvec_keeps_the_bits_of_the_path_it_replaces() {
                 let wide = matmul_nn(&a, &b2);
                 (0..m).map(|r| wide.get(r, 0)).collect()
             } else {
-                matmul_nn_naive(&a, &b).into_vec()
+                matmul_nn_naive(&a, &b).as_slice().to_vec()
             };
             let ctx = format!("{kind:?} {m}x{k} tiled={tiled} poisoned={poisoned}");
             for (r, (&x, &y)) in got.as_slice().iter().zip(&want).enumerate() {

@@ -51,7 +51,6 @@ const VALUE_KEYS: &[&str] = &[
     "socket",
     "cache",
     "max-cost",
-    "batch-edges",
     "run-id",
 ];
 

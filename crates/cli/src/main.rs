@@ -65,7 +65,7 @@ USAGE:
   tgx-cli eval     --run-dir DIR [--generated FILE]
   tgx-cli eval     --observed FILE --generated FILE --n-nodes N --n-timestamps T
   tgx-cli serve    --root DIR [--addr HOST:PORT | --socket PATH]
-                   [--cache N] [--max-cost C] [--batch-edges N] [--quiet]
+                   [--cache N] [--max-cost C] [--quiet]
   tgx-cli client   (simulate --run-id ID [--seed S] [--out FILE] [--stats]
                     | eval --run-id ID [--seed S]
                     | status | metrics | ping | shutdown)

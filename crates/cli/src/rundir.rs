@@ -196,17 +196,82 @@ impl RunDir {
             .map_err(|e| format!("load {}: {e}", self.observed_path().display()))
     }
 
-    /// Load manifest + observed graph + trained model as one validated
+    /// Load manifest + trained model + observed graph as one validated
     /// [`SharedRun`] — the one way `simulate` (driver, worker,
     /// `--in-process`, `--verify`), `eval`, and `serve` open a run
-    /// directory. The manifest's master seed is authoritative over the
-    /// model config's copy.
+    /// directory. The model is loaded first and the manifest's shape must
+    /// be the model's before `observed.edges` is opened, so a run.json
+    /// that lies about its shape cannot size an allocation. The
+    /// manifest's master seed is authoritative over the model config's
+    /// copy.
     pub fn load_run(&self) -> Result<SharedRun, String> {
-        let manifest = self.load_manifest()?;
-        let observed = self.load_observed(&manifest)?;
         let model = tgae::persist::load(self.model_path())
             .map_err(|e| format!("load {}: {e}", self.model_path().display()))?;
+        let manifest = self.load_manifest()?;
+        if (manifest.n_nodes, manifest.n_timestamps) != (model.n_nodes, model.n_timestamps) {
+            return Err(format!(
+                "{} declares {} nodes x {} timestamps, but the model was trained for {} nodes x {} timestamps",
+                self.manifest_path().display(),
+                manifest.n_nodes,
+                manifest.n_timestamps,
+                model.n_nodes,
+                model.n_timestamps
+            ));
+        }
+        let observed = self.load_observed(&manifest)?;
         let run = SharedRun::new(model, observed).map_err(|e| e.to_string())?;
         Ok(run.with_master(manifest.seed))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A run directory over a 4-node, 3-timestamp ring whose run.json
+    /// declares `shape`.
+    fn run_dir(tag: &str, shape: (usize, usize)) -> RunDir {
+        let dir = RunDir::create(
+            std::env::temp_dir().join(format!("tgx_rundir_{tag}_{}", std::process::id())),
+        )
+        .unwrap();
+        let cfg = tgae::TgaeConfig::tiny();
+        tgae::persist::save(&tgae::Tgae::new(4, 3, cfg.clone()), dir.model_path()).unwrap();
+        let ring: String = (0..3u32)
+            .flat_map(|t| (0..4u32).map(move |u| format!("{u} {} {t}\n", (u + 1) % 4)))
+            .collect();
+        std::fs::write(dir.observed_path(), ring).unwrap();
+        dir.save_manifest(&RunManifest {
+            version: RUN_VERSION,
+            n_nodes: shape.0,
+            n_timestamps: shape.1,
+            n_edges: 12,
+            seed: 5,
+            config: cfg,
+            source: "ring".into(),
+            store: None,
+        })
+        .unwrap();
+        dir
+    }
+
+    #[test]
+    fn load_run_refuses_a_manifest_shape_the_model_does_not_have() {
+        // a run.json claiming 2^40 timestamps used to size the observed
+        // graph's allocation and abort the process
+        for (tag, shape) in [("t", (4, 1 << 40)), ("n", (1 << 40, 3))] {
+            let dir = run_dir(tag, shape);
+            let Err(err) = dir.load_run() else {
+                panic!("a run.json declaring {shape:?} loaded")
+            };
+            assert!(
+                err.contains("but the model was trained for 4 nodes x 3 timestamps"),
+                "{err}"
+            );
+            std::fs::remove_dir_all(dir.root()).ok();
+        }
+        let dir = run_dir("ok", (4, 3));
+        assert!(dir.load_run().is_ok());
+        std::fs::remove_dir_all(dir.root()).ok();
     }
 }

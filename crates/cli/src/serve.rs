@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! tgx-cli serve --root DIR [--addr HOST:PORT | --socket PATH]
-//!               [--cache N] [--max-cost C] [--batch-edges N] [--quiet]
+//!               [--cache N] [--max-cost C] [--quiet]
 //! ```
 //!
 //! Each protocol `run_id` names one run directory under `--root`. Models
@@ -58,9 +58,6 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         .map_err(CliError::Usage)?;
     cfg.max_cost = args
         .get_parsed("max-cost", cfg.max_cost)
-        .map_err(CliError::Usage)?;
-    cfg.batch_edges = args
-        .get_parsed("batch-edges", cfg.batch_edges)
         .map_err(CliError::Usage)?;
     let quiet = args.flag("quiet");
     args.reject_unused().map_err(CliError::Usage)?;

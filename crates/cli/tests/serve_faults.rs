@@ -11,8 +11,9 @@
 //! - an injected `serve.accept` failure drops one connection and the
 //!   next connection is served normally;
 //! - admission-control rejection surfaces as `tgx-cli client` exit 6;
-//! - a run directory whose manifest declares no timestamp answers a
-//!   typed `not_found` and the connection stays usable;
+//! - a run directory whose manifest declares no timestamp, or a shape
+//!   its model does not have, answers a typed `not_found` and the
+//!   connection stays usable;
 //! - a refused or failed `tgx-cli client simulate` leaves `--out` as it
 //!   was: absent, or holding its earlier bytes.
 //!
@@ -423,6 +424,35 @@ fn a_run_dir_without_timestamps_is_not_found_and_the_connection_survives() {
         other => panic!("expected a typed not_found error, got {other:?}"),
     }
     client.ping().expect("the same connection still answers");
+
+    daemon.shutdown_clean();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_run_dir_whose_manifest_lies_about_its_shape_is_not_found_and_the_daemon_survives() {
+    let dir = tmp("serve_lying_shape");
+    let (root, run_dir) = runs_root(&dir, "r");
+    // 2^40 timestamps used to size the observed graph's allocation and
+    // abort the daemon before any request guard could answer
+    let manifest = run_dir.join("run.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    assert!(text.contains("\"n_timestamps\": 3"), "{text}");
+    std::fs::write(
+        &manifest,
+        text.replace("\"n_timestamps\": 3", "\"n_timestamps\": 1099511627776"),
+    )
+    .unwrap();
+    let daemon = Daemon::start(&root, None, &[]);
+
+    match daemon.connect().simulate("r", 3, &mut Vec::new()) {
+        Err(ClientError::Server { kind, message }) => {
+            assert_eq!(kind, ErrorKind::NotFound);
+            assert!(message.contains("1099511627776 timestamps"), "{message}");
+        }
+        other => panic!("expected a typed not_found error, got {other:?}"),
+    }
+    daemon.connect().ping().expect("the daemon still answers");
 
     daemon.shutdown_clean();
     std::fs::remove_dir_all(&dir).ok();

@@ -9,6 +9,7 @@
 use crate::model::Tgae;
 use std::io::BufReader;
 use std::path::Path;
+use tg_tensor::nn::Embedding;
 
 /// Errors produced by checkpoint I/O.
 #[derive(Debug)]
@@ -17,6 +18,9 @@ pub enum PersistError {
     Io(std::io::Error),
     /// JSON (de)serialisation error (corrupt or incompatible checkpoint).
     Codec(serde_json::Error),
+    /// The checkpoint decoded, but its declared shape disagrees with its
+    /// own parameter tables.
+    Shape(String),
 }
 
 impl std::fmt::Display for PersistError {
@@ -24,6 +28,7 @@ impl std::fmt::Display for PersistError {
         match self {
             PersistError::Io(e) => write!(f, "checkpoint io error: {e}"),
             PersistError::Codec(e) => write!(f, "checkpoint codec error: {e}"),
+            PersistError::Shape(msg) => write!(f, "checkpoint shape error: {msg}"),
         }
     }
 }
@@ -70,9 +75,26 @@ pub fn save(model: &Tgae, path: impl AsRef<Path>) -> Result<(), PersistError> {
     save_json(model, path)
 }
 
-/// Load a model checkpoint.
+/// Load a model checkpoint. A model whose `n_nodes` / `n_timestamps`
+/// differ from the row counts of its node and time embedding tables is
+/// refused, so a caller may size other inputs by the model's shape.
 pub fn load(path: impl AsRef<Path>) -> Result<Tgae, PersistError> {
-    load_json(path)
+    let model: Tgae = load_json(path)?;
+    let rows = |emb: &Embedding| {
+        let table = model.store.ids().find(|&id| id == emb.table)?;
+        Some(model.store.value(table).rows())
+    };
+    let (node_rows, time_rows) = (
+        rows(&model.features.node_emb),
+        rows(&model.features.time_emb),
+    );
+    if node_rows != Some(model.n_nodes) || time_rows != Some(model.n_timestamps) {
+        return Err(PersistError::Shape(format!(
+            "model declares {} nodes x {} timestamps, its embedding tables hold {node_rows:?} x {time_rows:?} rows",
+            model.n_nodes, model.n_timestamps
+        )));
+    }
+    Ok(model)
 }
 
 #[cfg(test)]
@@ -116,6 +138,27 @@ mod tests {
         };
         assert!(matches!(err, PersistError::Io(_)));
         assert!(err.to_string().contains("io error"));
+    }
+
+    #[test]
+    fn load_refuses_a_shape_its_tables_do_not_have() {
+        let dir = std::env::temp_dir().join(format!("tgae_ckpt_shape_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.json");
+        let model = Tgae::new(4, 3, TgaeConfig::tiny());
+        for (n_nodes, n_timestamps) in [(4, 1 << 40), (1 << 40, 3), (5, 3)] {
+            let mut lying = model.clone();
+            lying.n_nodes = n_nodes;
+            lying.n_timestamps = n_timestamps;
+            save(&lying, &path).expect("save");
+            let Err(err) = load(&path) else {
+                panic!("loaded a {n_nodes}x{n_timestamps} model over 4x3 tables")
+            };
+            assert!(matches!(err, PersistError::Shape(_)), "{err}");
+        }
+        save(&model, &path).expect("save");
+        load(&path).expect("the true shape loads");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

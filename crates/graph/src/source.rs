@@ -18,9 +18,8 @@
 //! Two implementations cover the spectrum: [`InMemorySource`] adapts an
 //! existing [`TemporalGraph`] (so every consumer of the trait also works
 //! on in-memory data, and the two paths can be regression-tested against
-//! each other), and `tg-store`'s `StoreSource` streams timestamp-windowed
-//! batches from the columnar on-disk edge store with `O(chunk)` resident
-//! memory.
+//! each other), and `tg-store`'s `StoreSource` streams the columnar
+//! on-disk edge store block by block with `O(block)` resident memory.
 //!
 //! # Chunk contract
 //!
@@ -32,7 +31,8 @@
 //! side; chunk indices restart at 0 on every timestamp. Consumers may
 //! rely on this order: [`GraphAssembler`] rebuilds a [`TemporalGraph`]
 //! from it without ever re-sorting, and `tg-store`'s `write_source`
-//! writes it into a store block by block.
+//! writes it into a store block by block. Each edge of the stream obeys
+//! [`check_edge`], the one definition every consumer checks it with.
 
 use crate::temporal::{TemporalEdge, TemporalGraph, Time};
 
@@ -129,9 +129,9 @@ pub enum AssembleError {
         /// The assembler's timestamp bound.
         n_timestamps: usize,
     },
-    /// A chunk arrived for a timestamp earlier than one already closed,
-    /// or an edge inside a chunk disagreed with the chunk's timestamp —
-    /// the source violated the plan-order contract.
+    /// An edge sorted before the one the stream yielded last, or
+    /// disagreed with its chunk's timestamp: the stream broke `(t, u, v)`
+    /// order.
     OutOfOrder {
         /// Human-readable description of the violation.
         what: String,
@@ -151,7 +151,7 @@ impl std::fmt::Display for AssembleError {
                 write!(f, "timestamp {t} out of range (< {n_timestamps})")
             }
             AssembleError::OutOfOrder { what } => {
-                write!(f, "source violated the chunk-order contract: {what}")
+                write!(f, "edge stream out of (t, u, v) order: {what}")
             }
             AssembleError::NoTimestamps => {
                 write!(f, "source declares zero timestamps — nothing to assemble")
@@ -161,6 +161,57 @@ impl std::fmt::Display for AssembleError {
 }
 
 impl std::error::Error for AssembleError {}
+
+/// The edge-stream contract, written once: `e`'s endpoints are below
+/// `n_nodes`, its timestamp is below `n_timestamps`, and it does not sort
+/// before `prev`, the edge the stream yielded last — so the stream is in
+/// `(t, u, v)` order. Every ingest consumer calls this and maps the
+/// result to its own error: [`GraphAssembler`], `tg-store`'s writer, its
+/// reader and its salvage walk.
+#[inline]
+pub fn check_edge(
+    prev: Option<TemporalEdge>,
+    e: TemporalEdge,
+    n_nodes: usize,
+    n_timestamps: usize,
+) -> Result<(), AssembleError> {
+    let in_shape =
+        (e.u as usize) < n_nodes && (e.v as usize) < n_nodes && (e.t as usize) < n_timestamps;
+    if in_shape && prev.is_none_or(|p| p <= e) {
+        Ok(())
+    } else {
+        Err(edge_error(prev, e, n_nodes, n_timestamps))
+    }
+}
+
+/// Which part of [`check_edge`]'s contract `e` breaks. Out of line and
+/// cold, so that what `check_edge` inlines into each ingest loop is its
+/// comparisons alone.
+#[cold]
+#[inline(never)]
+fn edge_error(
+    prev: Option<TemporalEdge>,
+    e: TemporalEdge,
+    n_nodes: usize,
+    n_timestamps: usize,
+) -> AssembleError {
+    for node in [e.u, e.v] {
+        if node as usize >= n_nodes {
+            return AssembleError::NodeOutOfRange { node, n_nodes };
+        }
+    }
+    if e.t as usize >= n_timestamps {
+        return AssembleError::TimeOutOfRange {
+            t: e.t,
+            n_timestamps,
+        };
+    }
+    // in shape, so the order broke, which takes a `prev`
+    let p = prev.unwrap_or(e);
+    AssembleError::OutOfOrder {
+        what: format!("edge {e:?} after {p:?}"),
+    }
+}
 
 /// Incremental [`TemporalGraph`] construction from a sorted chunk stream.
 ///
@@ -211,41 +262,18 @@ impl GraphAssembler {
     }
 
     /// Feed one chunk of edges, all at timestamp `t`. Chunks must honor
-    /// the [`EdgeSource`] contract (timestamps ascending, `(u, v)` sorted
-    /// within a timestamp).
+    /// the [`EdgeSource`] contract: every edge passes [`check_edge`]
+    /// and carries the chunk's timestamp.
     pub fn accept(&mut self, t: Time, edges: &[TemporalEdge]) -> Result<(), AssembleError> {
-        if (t as usize) >= self.t {
-            return Err(AssembleError::TimeOutOfRange {
-                t,
-                n_timestamps: self.t,
-            });
-        }
-        if t < self.open_t {
-            return Err(AssembleError::OutOfOrder {
-                what: format!("chunk at t={t} after timestamp {} closed", self.open_t),
-            });
-        }
-        self.close_until(t);
-        for e in edges {
-            if (e.u as usize) >= self.n || (e.v as usize) >= self.n {
-                return Err(AssembleError::NodeOutOfRange {
-                    node: e.u.max(e.v),
-                    n_nodes: self.n,
-                });
-            }
+        for &e in edges {
             if e.t != t {
                 return Err(AssembleError::OutOfOrder {
                     what: format!("edge {e:?} inside a t={t} chunk"),
                 });
             }
-            if let Some(last) = self.edges.last() {
-                if last.t == t && (last.u, last.v) > (e.u, e.v) {
-                    return Err(AssembleError::OutOfOrder {
-                        what: format!("edge {e:?} after {last:?} within t={t}"),
-                    });
-                }
-            }
-            self.edges.push(*e);
+            check_edge(self.edges.last().copied(), e, self.n, self.t)?;
+            self.close_until(t);
+            self.edges.push(e);
         }
         Ok(())
     }

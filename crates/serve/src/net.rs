@@ -65,9 +65,19 @@ impl Listener {
 
     #[cfg(unix)]
     pub(crate) fn bind_unix(path: &std::path::Path) -> io::Result<Listener> {
-        // A stale socket file from a crashed predecessor blocks the bind.
-        if path.exists() {
-            std::fs::remove_file(path)?;
+        use std::os::unix::fs::FileTypeExt;
+        // A stale socket file from a crashed predecessor blocks the bind;
+        // anything else at the path is not ours to delete.
+        match std::fs::symlink_metadata(path) {
+            Ok(meta) if meta.file_type().is_socket() => std::fs::remove_file(path)?,
+            Ok(_) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::AlreadyExists,
+                    format!("{} exists and is not a socket", path.display()),
+                ))
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
         }
         let listener = UnixListener::bind(path)?;
         listener.set_nonblocking(true)?;

@@ -60,8 +60,6 @@ pub struct ServeConfig {
     /// In-flight cost budget for admission control (see
     /// [`CostEstimate`](tgae::CostEstimate)).
     pub max_cost: u64,
-    /// Edge rows buffered per `edges` frame.
-    pub batch_edges: usize,
     /// Accept-loop poll interval while idle.
     pub poll: Duration,
 }
@@ -71,7 +69,6 @@ impl Default for ServeConfig {
         ServeConfig {
             cache_capacity: 4,
             max_cost: 1 << 24,
-            batch_edges: 4096,
             poll: Duration::from_millis(5),
         }
     }
@@ -419,7 +416,6 @@ fn handle_request(
         },
     )?;
 
-    let batch_edges = shared.cfg.batch_edges;
     // The panic boundary: an engine bug or an injected
     // `serve.generate.unit=panic` fault unwinds to here and becomes a
     // typed `Internal` error frame — the daemon and every concurrent
@@ -447,7 +443,7 @@ fn handle_request(
             }
             Job::Stream => {
                 let bytes_counter = tg_obs::counter!("serve.bytes", run = run_id);
-                let sink = FaultGate::new(FrameSink::new(conn, batch_edges, bytes_counter));
+                let sink = FaultGate::new(FrameSink::new(conn, bytes_counter));
                 let streamed = run
                     .simulate_seeded(seed, sink)
                     .map_err(|e| e.to_string())??;
@@ -546,8 +542,11 @@ impl<S: EdgeSink> EdgeSink for FaultGate<S> {
     }
 }
 
+/// Edge rows buffered per `Edges` frame.
+const BATCH_EDGES: usize = 4096;
+
 /// Streams accepted units to the connection as `Edges` frames, batching
-/// `batch_edges` rows per frame: the rows `StreamingWriterSink` writes in
+/// [`BATCH_EDGES`] rows per frame: the rows `StreamingWriterSink` writes in
 /// process, [`TemporalEdge`]'s `Display` plus a newline. Write
 /// errors are deferred to `finish` (the [`EdgeSink`] contract has no
 /// fallible accept).
@@ -555,7 +554,6 @@ struct FrameSink<'a> {
     conn: &'a mut Conn,
     buf: String,
     buffered_rows: usize,
-    batch_edges: usize,
     n_edges: u64,
     deferred: Option<io::Error>,
     /// Per-run `serve.bytes` registry counter; counts payload bytes
@@ -564,12 +562,11 @@ struct FrameSink<'a> {
 }
 
 impl<'a> FrameSink<'a> {
-    fn new(conn: &'a mut Conn, batch_edges: usize, bytes: Arc<tg_obs::Counter>) -> Self {
+    fn new(conn: &'a mut Conn, bytes: Arc<tg_obs::Counter>) -> Self {
         FrameSink {
             conn,
             buf: String::new(),
             buffered_rows: 0,
-            batch_edges: batch_edges.max(1),
             n_edges: 0,
             deferred: None,
             bytes,
@@ -602,7 +599,7 @@ impl EdgeSink for FrameSink<'_> {
             let _ = writeln!(self.buf, "{e}");
             self.buffered_rows += 1;
             self.n_edges += 1;
-            if self.buffered_rows >= self.batch_edges {
+            if self.buffered_rows >= BATCH_EDGES {
                 self.flush_batch();
             }
         }

@@ -332,8 +332,9 @@ fn an_undecodable_frame_is_a_typed_error_and_the_connection_survives() {
 
 /// The Unix-socket transport end to end: a server bound to a path in a
 /// temp dir answers a ping and streams the in-process bytes, removes its
-/// socket file when it drains, and binds again over a stale file a
-/// crashed predecessor would have left at the same path.
+/// socket file when it drains, binds again over the stale socket file a
+/// crashed predecessor would have left at the same path, and refuses to
+/// replace a regular file.
 #[cfg(unix)]
 #[test]
 fn unix_socket_streams_in_process_bytes_and_cleans_up_its_path() {
@@ -368,12 +369,24 @@ fn unix_socket_streams_in_process_bytes_and_cleans_up_its_path() {
     assert_eq!(report.requests_served, 1);
     assert!(!path.exists(), "the drained server left its socket file");
 
-    std::fs::write(&path, b"stale").unwrap();
+    // what a crashed predecessor leaves: the socket file of a listener
+    // that was bound and never cleaned up
+    drop(std::os::unix::net::UnixListener::bind(&path).unwrap());
+    assert!(path.exists());
     let thread = start(&path);
     let mut client = Client::connect_unix(&path).expect("connect after rebind");
     client.ping().unwrap();
     client.shutdown().unwrap();
     thread.join().expect("server thread").expect("clean drain");
     assert!(!path.exists());
+
+    // a regular file at the path is refused and left as it was
+    std::fs::write(&path, b"not a socket").unwrap();
+    let loader = Box::new(|run_id: &str| Err(format!("no run named `{run_id}`")));
+    match Server::bind_unix(&path, loader, ServeConfig::default()) {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::AlreadyExists, "{e}"),
+        Ok(_) => panic!("bound over a regular file"),
+    }
+    assert_eq!(std::fs::read(&path).unwrap(), b"not a socket");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -49,7 +49,7 @@ pub enum StoreError {
         actual: u64,
     },
     /// One SoA block's trailer checksum does not match its data bytes —
-    /// detected the moment the block is loaded (windowed read,
+    /// detected the moment the block is loaded (a streaming read,
     /// [`verify_payload`](crate::StoreReader::verify_payload), or
     /// [`salvage`](crate::StoreReader::salvage)).
     BlockChecksum {
@@ -67,8 +67,9 @@ pub enum StoreError {
         what: String,
     },
     /// A payload record contradicts the index (edge carrying the wrong
-    /// timestamp, endpoint out of range) — detected lazily while reading
-    /// the affected window.
+    /// timestamp) or breaks the edge-stream contract (endpoint out of
+    /// range, `(t, u, v)` order) — detected while streaming the block
+    /// that holds it.
     CorruptPayload {
         /// What was inconsistent.
         what: String,

@@ -35,18 +35,19 @@
 //!
 //! Edges are sorted by `(t, u, v)` — [`TemporalGraph`]'s canonical order —
 //! which is what makes the timestamp index a pair of binary-search-free
-//! bounds per snapshot and lets a reader serve any timestamp window by
-//! touching only the blocks that overlap it.
+//! bounds per snapshot.
 //!
 //! Integrity is layered by access cost: the header checksum (covering
 //! header + index) and an exact file-length check are verified on every
 //! [`open`](crate::StoreReader::open) at `O(T)` cost; each block's
-//! trailer checksum is verified when the block is loaded by a windowed
-//! read, so damage is caught at block granularity before any edge is
-//! decoded; the payload checksum plus every block trailer are verified by
-//! the optional [`verify_payload`](crate::StoreReader::verify_payload)
-//! full scan; and decoded edges are cross-checked against the index
-//! (timestamp match, endpoints in range) as they stream. The per-block
+//! trailer checksum is verified when the stream loads the block, so
+//! damage is caught at block granularity before any edge is decoded; the
+//! payload checksum plus every block trailer are verified by the optional
+//! [`verify_payload`](crate::StoreReader::verify_payload) full scan; and
+//! decoded edges are cross-checked against the index (timestamp match)
+//! and the edge-stream contract
+//! ([`check_edge`](tg_graph::source::check_edge): endpoints and timestamp
+//! in shape, `(t, u, v)` order) as they stream. The per-block
 //! trailers are also what makes [`salvage`](crate::StoreReader::salvage)
 //! possible: a damaged file can be walked block by block and every block
 //! whose checksummed region still validates is recoverable.
@@ -150,28 +151,31 @@ impl Header {
     /// non-degenerate shape). Checksum and length validation need the
     /// index and file size and happen in the reader.
     pub fn decode(bytes: &[u8; HEADER_BYTES as usize]) -> Result<Header, StoreError> {
-        #[expect(clippy::expect_used, reason = "a 4-byte slice of a fixed-size array")]
-        let magic: [u8; 4] = bytes[0..4].try_into().expect("4 bytes");
+        let [m0, m1, m2, m3, v0, v1, v2, v3, fields @ ..] = *bytes;
+        let magic = [m0, m1, m2, m3];
         if magic != MAGIC {
             return Err(StoreError::BadMagic { found: magic });
         }
-        #[expect(clippy::expect_used, reason = "a 4-byte slice of a fixed-size array")]
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+        let version = u32::from_le_bytes([v0, v1, v2, v3]);
         if version != VERSION {
             return Err(StoreError::UnsupportedVersion {
                 found: version,
                 supported: VERSION,
             });
         }
-        #[expect(clippy::expect_used, reason = "an 8-byte slice")]
-        let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().expect("8 bytes"));
+        let mut words = [0u64; 6];
+        for (w, chunk) in words.iter_mut().zip(fields.as_chunks::<8>().0) {
+            *w = u64::from_le_bytes(*chunk);
+        }
+        let [n_nodes, n_timestamps, n_edges, block_edges, payload_checksum, header_checksum] =
+            words;
         let h = Header {
-            n_nodes: u64_at(8),
-            n_timestamps: u64_at(16),
-            n_edges: u64_at(24),
-            block_edges: u64_at(32),
-            payload_checksum: u64_at(40),
-            header_checksum: u64_at(48),
+            n_nodes,
+            n_timestamps,
+            n_edges,
+            block_edges,
+            payload_checksum,
+            header_checksum,
         };
         if h.n_timestamps == 0 {
             return Err(StoreError::Corrupt {

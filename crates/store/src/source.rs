@@ -14,8 +14,8 @@ use tg_graph::source::EdgeSource;
 use tg_graph::{TemporalEdge, TemporalGraph, Time};
 
 /// Streams a TGES store file as per-timestamp edge chunks. Resident
-/// memory while streaming is `O(block + max_chunk)`, independent of the
-/// stored edge count.
+/// memory while streaming is `O(block)`, independent of the stored edge
+/// count.
 pub struct StoreSource {
     reader: StoreReader,
 }
@@ -29,12 +29,7 @@ impl StoreSource {
         })
     }
 
-    /// Wrap an already-open reader.
-    pub fn from_reader(reader: StoreReader) -> Self {
-        StoreSource { reader }
-    }
-
-    /// The underlying reader (timestamp windows, payload verification).
+    /// The underlying reader (header, payload verification).
     pub fn reader_mut(&mut self) -> &mut StoreReader {
         &mut self.reader
     }
@@ -79,11 +74,6 @@ impl EdgeSource for StoreSource {
         max_chunk: usize,
         f: &mut dyn FnMut(Time, u32, &[TemporalEdge]),
     ) -> Result<(), Self::Error> {
-        let t_count = self.reader.n_timestamps() as Time;
-        let mut cursor = self.reader.window(0, t_count, max_chunk);
-        while let Some((t, chunk, edges)) = cursor.next_chunk()? {
-            f(t, chunk, edges);
-        }
-        Ok(())
+        self.reader.for_each_chunk(max_chunk, f)
     }
 }

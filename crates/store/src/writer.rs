@@ -14,7 +14,7 @@ use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 use tg_graph::io::commit_atomic;
-use tg_graph::source::{EdgeSource, InMemorySource};
+use tg_graph::source::{check_edge, EdgeSource, InMemorySource};
 use tg_graph::{TemporalEdge, TemporalGraph};
 
 /// Summary returned by [`StoreWriter::finish`].
@@ -124,26 +124,11 @@ impl<W: Write + Seek> StoreWriter<W> {
     /// Append one edge. Edges must arrive in `(t, u, v)` order with
     /// endpoints and timestamps inside the declared shape.
     pub fn push(&mut self, e: TemporalEdge) -> Result<(), StoreError> {
-        if (e.u as usize) >= self.n_nodes || (e.v as usize) >= self.n_nodes {
-            return Err(StoreError::BadWrite {
-                what: format!("edge {e:?} endpoint out of range (< {})", self.n_nodes),
-            });
-        }
-        if (e.t as usize) >= self.n_timestamps {
-            return Err(StoreError::BadWrite {
-                what: format!(
-                    "edge {e:?} timestamp out of range (< {})",
-                    self.n_timestamps
-                ),
-            });
-        }
-        if let Some(last) = self.last {
-            if last > e {
-                return Err(StoreError::BadWrite {
-                    what: format!("edge {e:?} after {last:?} breaks (t, u, v) order"),
-                });
+        check_edge(self.last, e, self.n_nodes, self.n_timestamps).map_err(|err| {
+            StoreError::BadWrite {
+                what: err.to_string(),
             }
-        }
+        })?;
         self.last = Some(e);
         self.counts[e.t as usize] += 1;
         self.block_u.push(e.u);
@@ -162,11 +147,6 @@ impl<W: Write + Seek> StoreWriter<W> {
             self.push(e)?;
         }
         Ok(())
-    }
-
-    /// Edges written so far.
-    pub fn n_edges(&self) -> u64 {
-        self.n_edges
     }
 
     fn flush_block(&mut self) -> Result<(), StoreError> {

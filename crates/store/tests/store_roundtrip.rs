@@ -16,6 +16,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tg_graph::sink::GraphSink;
+use tg_graph::source::EdgeSource;
 use tg_graph::{TemporalEdge, TemporalGraph};
 use tg_store::{writer, StoreError, StoreReader, StoreSource};
 use tgae::{Session, TgaeConfig};
@@ -192,28 +193,26 @@ fn flipped_payload_fails_verify_and_windowed_read() {
     bytes[97] = 0xFF;
     std::fs::write(&path, &bytes).unwrap();
     // open succeeds: header and index are intact
-    let mut reader = StoreReader::open(&path).unwrap();
+    let mut src = StoreSource::open(&path).unwrap();
     assert!(matches!(
-        reader.verify_payload(),
+        src.reader_mut().verify_payload(),
         Err(StoreError::BlockChecksum { block: 0, .. })
     ));
-    let mut cursor = reader.window(0, 4, 64);
-    let mut hit_error = false;
-    loop {
-        match cursor.next_chunk() {
-            Ok(Some(_)) => continue,
-            Ok(None) => break,
-            Err(e) => {
-                assert!(
-                    matches!(e, StoreError::BlockChecksum { block: 0, .. }),
-                    "{e:?}"
-                );
-                hit_error = true;
-                break;
-            }
-        }
-    }
-    assert!(hit_error, "windowed read silently accepted corrupt payload");
+    // the streaming read refuses the block before yielding any of it
+    let mut yielded = 0;
+    let streamed = src.for_each_chunk(64, &mut |_, _, edges| yielded += edges.len());
+    assert!(
+        matches!(streamed, Err(StoreError::BlockChecksum { block: 0, .. })),
+        "{streamed:?}"
+    );
+    assert_eq!(
+        yielded, 0,
+        "streaming read yielded edges of a corrupt block"
+    );
+    assert!(matches!(
+        src.load_graph(),
+        Err(StoreError::BlockChecksum { block: 0, .. })
+    ));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

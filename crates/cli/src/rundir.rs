@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use tg_graph::io::load_edge_list_exact;
 use tg_graph::TemporalGraph;
-use tgae::SharedRun;
+use tgae::{SharedRun, Tgae, TrainCheckpoint};
 
 /// Provenance + shape record for one run directory.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -208,6 +208,43 @@ impl RunDir {
         let model = tgae::persist::load(self.model_path())
             .map_err(|e| format!("load {}: {e}", self.model_path().display()))?;
         let manifest = self.load_manifest()?;
+        self.check_model_shape(&manifest, &model)?;
+        let observed = self.load_observed(&manifest)?;
+        let run = SharedRun::new(model, observed).map_err(|e| e.to_string())?;
+        Ok(run.with_master(manifest.seed))
+    }
+
+    /// Load the manifest and the observed graph to resume training from
+    /// `train_ckpt.json`. As in [`RunDir::load_run`], the manifest's shape
+    /// must be the model's before `observed.edges` is opened; the model
+    /// is the one in the newest checkpoint of the rotation that reads.
+    pub fn load_resumable(&self) -> Result<(RunManifest, TemporalGraph), String> {
+        let manifest = self.load_manifest()?;
+        let path = self.train_checkpoint_path();
+        let mut failures = Vec::new();
+        let model = tgae::session::checkpoint_rotation(&path).find_map(|candidate| {
+            let read = tgae::persist::load_json::<TrainCheckpoint>(&candidate).and_then(|c| {
+                tgae::persist::check_shape(&c.model)?;
+                Ok(c.model)
+            });
+            read.map_err(|e| failures.push(format!("{}: {e}", candidate.display())))
+                .ok()
+        });
+        let Some(model) = model else {
+            return Err(format!(
+                "no readable checkpoint to resume from: [{}]",
+                failures.join("; ")
+            ));
+        };
+        self.check_model_shape(&manifest, &model)?;
+        let observed = self.load_observed(&manifest)?;
+        Ok((manifest, observed))
+    }
+
+    /// Refuse a manifest whose shape is not the one `model` was trained
+    /// for: a run.json that lies about its shape must not size the
+    /// observed graph's allocation.
+    fn check_model_shape(&self, manifest: &RunManifest, model: &Tgae) -> Result<(), String> {
         if (manifest.n_nodes, manifest.n_timestamps) != (model.n_nodes, model.n_timestamps) {
             return Err(format!(
                 "{} declares {} nodes x {} timestamps, but the model was trained for {} nodes x {} timestamps",
@@ -218,9 +255,7 @@ impl RunDir {
                 model.n_timestamps
             ));
         }
-        let observed = self.load_observed(&manifest)?;
-        let run = SharedRun::new(model, observed).map_err(|e| e.to_string())?;
-        Ok(run.with_master(manifest.seed))
+        Ok(())
     }
 }
 

@@ -114,8 +114,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         // seed all come from the manifest (written before training
         // started), so the session's checkpoint-config equality check
         // passes without re-passing any training flags.
-        let manifest = run_dir.load_manifest()?;
-        let observed = run_dir.load_observed(&manifest)?;
+        let (manifest, observed) = run_dir.load_resumable()?;
         (
             observed,
             manifest.source,

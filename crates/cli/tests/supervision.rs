@@ -11,7 +11,9 @@
 //! - `ingest --salvage` rebuilds a clean, fully verifiable store from a
 //!   bit-flipped one (exit 0) and exits 3 on a file that is not a store;
 //! - usage errors exit 2, and an `eval` shape without timestamps is a
-//!   typed error (exit 1), not a panic.
+//!   typed error (exit 1), not a panic;
+//! - `train --resume` under a run.json whose shape is not its
+//!   checkpoint's is a typed error (exit 1), not an allocation abort.
 
 mod common;
 
@@ -185,6 +187,50 @@ fn eval_of_a_shape_without_timestamps_is_a_typed_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("3 nodes x 0 timestamps"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn resume_under_a_manifest_that_lies_about_its_shape_is_a_typed_error() {
+    // 2^40 timestamps in run.json used to size the observed graph's
+    // allocation on `train --resume` and abort the process (exit 134)
+    let dir = tmp("sup_resume_lying_shape");
+    let edges = dir.join("ring.edges");
+    write_ring_edges(&edges);
+    let run_dir = dir.join("run");
+    let train = |extra: &[&str]| {
+        cli()
+            .args(["train", "--run-dir"])
+            .arg(&run_dir)
+            .args(extra)
+            .args(["--quiet"])
+            .stdout(std::process::Stdio::null())
+            .output()
+            .expect("run tgx-cli train")
+    };
+    let edges = edges.to_str().unwrap();
+    let first = train(&["--edges", edges, "--epochs", "2", "--checkpoint-every", "1"]);
+    assert!(
+        first.status.success(),
+        "{}",
+        String::from_utf8_lossy(&first.stderr)
+    );
+    let manifest = run_dir.join("run.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    assert!(text.contains("\"n_timestamps\": 3"), "{text}");
+    std::fs::write(
+        &manifest,
+        text.replace("\"n_timestamps\": 3", "\"n_timestamps\": 1099511627776"),
+    )
+    .unwrap();
+
+    let out = train(&["--resume"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("declares 24 nodes x 1099511627776 timestamps, but the model was trained for 24 nodes x 3 timestamps"),
+        "{stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

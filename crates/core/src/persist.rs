@@ -77,9 +77,17 @@ pub fn save(model: &Tgae, path: impl AsRef<Path>) -> Result<(), PersistError> {
 
 /// Load a model checkpoint. A model whose `n_nodes` / `n_timestamps`
 /// differ from the row counts of its node and time embedding tables is
-/// refused, so a caller may size other inputs by the model's shape.
+/// refused ([`check_shape`]), so a caller may size other inputs by the
+/// model's shape.
 pub fn load(path: impl AsRef<Path>) -> Result<Tgae, PersistError> {
     let model: Tgae = load_json(path)?;
+    check_shape(&model)?;
+    Ok(model)
+}
+
+/// Refuse a model whose `n_nodes` / `n_timestamps` differ from the row
+/// counts of its node and time embedding tables.
+pub fn check_shape(model: &Tgae) -> Result<(), PersistError> {
     let rows = |emb: &Embedding| {
         let table = model.store.ids().find(|&id| id == emb.table)?;
         Some(model.store.value(table).rows())
@@ -94,7 +102,7 @@ pub fn load(path: impl AsRef<Path>) -> Result<Tgae, PersistError> {
             model.n_nodes, model.n_timestamps
         )));
     }
-    Ok(model)
+    Ok(())
 }
 
 #[cfg(test)]

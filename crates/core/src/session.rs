@@ -185,6 +185,17 @@ pub(crate) fn rotation_slot(path: &Path, i: usize) -> PathBuf {
     path.with_file_name(name)
 }
 
+/// The checkpoint files of the rotation at `path`, newest first: `path`
+/// itself, then `path.1`, `path.2`, … up to the first one missing — the
+/// candidates [`Session::resume_from`] tries in order.
+pub fn checkpoint_rotation(path: &Path) -> impl Iterator<Item = PathBuf> + '_ {
+    (0..)
+        .map(|i| rotation_slot(path, i))
+        .enumerate()
+        .take_while(|(i, candidate)| *i == 0 || candidate.exists())
+        .map(|(_, candidate)| candidate)
+}
+
 /// Builder for a [`Session`]; see the [module docs](crate::session) for
 /// the lifecycle picture.
 pub struct SessionBuilder<'a> {
@@ -473,13 +484,7 @@ impl<'a> Session<'a> {
         let path = path.as_ref();
         let mut found: Option<TrainCheckpoint> = None;
         let mut failures: Vec<(PathBuf, TgxError)> = Vec::new();
-        let mut slot = 0usize;
-        loop {
-            let candidate = rotation_slot(path, slot);
-            // slot 0 is always probed; beyond it, stop at the first gap
-            if slot > 0 && !candidate.exists() {
-                break;
-            }
+        for candidate in checkpoint_rotation(path) {
             match self.try_load_checkpoint(&candidate) {
                 Ok(ckpt) => {
                     found = Some(ckpt);
@@ -487,7 +492,6 @@ impl<'a> Session<'a> {
                 }
                 Err(e) => failures.push((candidate, e)),
             }
-            slot += 1;
         }
         let ckpt = match found {
             Some(ckpt) => ckpt,

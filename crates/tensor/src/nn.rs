@@ -150,8 +150,8 @@ impl Embedding {
 
     /// Look up rows by index with the fused
     /// [`Tape::gather_param_rows`]: only the indexed rows are copied onto
-    /// the tape, never the whole table, and the backward pass
-    /// scatter-adds into a table-shaped gradient.
+    /// the tape, never the whole table, and the backward pass leaves a
+    /// gradient of the touched rows only.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, idx: Rc<Vec<u32>>) -> Var {
         tape.gather_param_rows(store, self.table, idx)
     }

@@ -3,11 +3,17 @@
 
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
-use crate::tape::Gradients;
-use serde::{Deserialize, Serialize};
+use crate::tape::{Grad, Gradients, RowGrad};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Adam optimizer state and hyper-parameters.
-#[derive(Clone, Serialize, Deserialize)]
+///
+/// A table whose gradient is row-sparse ([`crate::tape::Tape::gather_param_rows`])
+/// is updated on its *live* rows only: the rows with a gradient this step
+/// and the rows whose `m` or `v` holds any bit other than `+0.0`. Every
+/// other row would take a zero gradient onto zero moments, which moves no
+/// bit of it, so a step equals the table-wide one bit for bit.
+#[derive(Clone)]
 pub struct Adam {
     /// Learning rate.
     pub lr: f32,
@@ -20,6 +26,128 @@ pub struct Adam {
     t: u64,
     m: Vec<Option<Matrix>>,
     v: Vec<Option<Matrix>>,
+    /// Per parameter, the rows that may be live (a superset is safe).
+    /// Derived from `m` and `v`, never serialised: `None` until a
+    /// row-sparse step rebuilds it from their bits, and again after a
+    /// table-shaped step.
+    live: Vec<Option<Vec<bool>>>,
+}
+
+/// The scalars of one Adam step.
+#[derive(Clone, Copy)]
+struct StepConsts {
+    lr: f32,
+    b1: f32,
+    b2: f32,
+    eps: f32,
+    bc1: f32,
+    bc2: f32,
+}
+
+impl StepConsts {
+    /// The update of `p` and its moments `m`, `v` from the gradient `g`
+    /// (`None`: a zero gradient).
+    #[inline(always)]
+    fn apply(self, p: &mut [f32], m: &mut [f32], v: &mut [f32], g: Option<&[f32]>) {
+        let n = p.len();
+        let (m, v) = (&mut m[..n], &mut v[..n]);
+        match g {
+            Some(g) => self.walk(p, m, v, g[..n].iter().copied()),
+            None => self.walk(p, m, v, std::iter::repeat(0.0)),
+        }
+    }
+
+    /// [`StepConsts::apply`]'s loop, over slices of one length.
+    #[inline(always)]
+    fn walk(self, p: &mut [f32], m: &mut [f32], v: &mut [f32], g: impl Iterator<Item = f32>) {
+        let StepConsts {
+            lr,
+            b1,
+            b2,
+            eps,
+            bc1,
+            bc2,
+        } = self;
+        for (((p, m), v), gi) in p.iter_mut().zip(m).zip(v).zip(g) {
+            *m = b1 * *m + (1.0 - b1) * gi;
+            *v = b2 * *v + (1.0 - b2) * gi * gi;
+            let mhat = *m / bc1;
+            let vhat = *v / bc2;
+            *p -= lr * mhat / (vhat.sqrt() + eps);
+        }
+    }
+
+    /// True if a zero gradient on zero moments leaves every bit of an
+    /// element as it was: `m` and `v` stay `+0.0` and the step is `+0.0`
+    /// (the one step that keeps a `-0.0` parameter). Only degenerate
+    /// hyper-parameters (`eps == 0`, a decay of 1, a non-finite rate) fail
+    /// it, and then every row is walked.
+    fn zero_is_noop(self) -> bool {
+        let (mut p, mut m, mut v) = ([-0.0f32], [0.0f32], [0.0f32]);
+        self.apply(&mut p, &mut m, &mut v, None);
+        [p[0], -m[0], -v[0]]
+            .iter()
+            .all(|x| x.to_bits() == (-0.0f32).to_bits())
+    }
+
+    /// [`StepConsts::apply`] to rows `lo..hi` of a table of `cols`
+    /// columns.
+    #[inline(always)]
+    fn apply_span(
+        self,
+        cols: usize,
+        (lo, hi): (usize, usize),
+        p: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        g: Option<&[f32]>,
+    ) {
+        let span = lo * cols..hi * cols;
+        self.apply(&mut p[span.clone()], &mut m[span.clone()], &mut v[span], g);
+    }
+
+    /// The update of the live rows of a table from its row-sparse
+    /// gradient: each run of live rows is walked with a zero gradient
+    /// between gradient rows and one update per block of consecutive
+    /// gradient rows. Every gradient row must be live.
+    fn apply_rows(self, live: &[bool], g: &RowGrad, p: &mut [f32], m: &mut [f32], v: &mut [f32]) {
+        let cols = g.values.cols();
+        let rows = live.len();
+        let mut next = 0;
+        let mut r = 0;
+        while r < rows {
+            if !live[r] {
+                r += 1;
+                continue;
+            }
+            let mut at = r;
+            while r < rows && live[r] {
+                r += 1;
+            }
+            while let Some(&gr) = g.ids.get(next).filter(|&&gr| (gr as usize) < r) {
+                // gradient rows `next..next + k` are table rows `gr..gr + k`
+                let gr = gr as usize;
+                let k = g.ids[next..]
+                    .iter()
+                    .zip(gr..)
+                    .take_while(|&(&id, want)| id as usize == want)
+                    .count();
+                let grad_rows = &g.values.as_slice()[next * cols..(next + k) * cols];
+                self.apply_span(cols, (at, gr), p, m, v, None);
+                self.apply_span(cols, (gr, gr + k), p, m, v, Some(grad_rows));
+                at = gr + k;
+                next += k;
+            }
+            self.apply_span(cols, (at, r), p, m, v, None);
+        }
+    }
+}
+
+/// The rows of a `rows × cols` table whose `m` or `v` row holds a bit
+/// other than `+0.0`.
+fn live_rows(rows: usize, cols: usize, m: &[f32], v: &[f32]) -> Vec<bool> {
+    let row = |x: &[f32], r: usize| x[r * cols..(r + 1) * cols].iter().any(|x| x.to_bits() != 0);
+    (0..rows).map(|r| row(m, r) || row(v, r)).collect()
 }
 
 impl Adam {
@@ -33,6 +161,7 @@ impl Adam {
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
+            live: Vec::new(),
         }
     }
 
@@ -41,48 +170,123 @@ impl Adam {
         self.t
     }
 
-    fn slot(&mut self, id: ParamId, shape: (usize, usize)) -> (&mut Matrix, &mut Matrix) {
+    /// The moments and live-row mask of parameter `id`, zero moments
+    /// created on first use.
+    fn slot(
+        &mut self,
+        id: ParamId,
+        shape: (usize, usize),
+    ) -> (&mut Matrix, &mut Matrix, &mut Option<Vec<bool>>) {
         let i = id.index();
         if self.m.len() <= i {
             self.m.resize_with(i + 1, || None);
             self.v.resize_with(i + 1, || None);
         }
-        // Split borrows: m and v are distinct fields.
+        if self.live.len() <= i {
+            self.live.resize_with(i + 1, || None);
+        }
+        // Split borrows: m, v and live are distinct fields.
         let zeros = || Matrix::zeros(shape.0, shape.1);
         (
             self.m[i].get_or_insert_with(zeros),
             self.v[i].get_or_insert_with(zeros),
+            &mut self.live[i],
         )
     }
 
     /// Apply one update from `grads` into `store`.
     pub fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
-        for (id, g) in grads.iter() {
+        let k = StepConsts {
+            lr: self.lr,
+            b1: self.beta1,
+            b2: self.beta2,
+            eps: self.eps,
+            bc1: 1.0 - self.beta1.powi(self.t as i32),
+            bc2: 1.0 - self.beta2.powi(self.t as i32),
+        };
+        let skip_idle_rows = k.zero_is_noop();
+        for (id, g) in grads.stored() {
             let shape = store.value(id).shape();
+            let full_shape = match g {
+                Grad::Dense(g) => g.shape(),
+                Grad::Rows(g) => (g.table_rows, g.values.cols()),
+            };
             assert_eq!(
-                g.shape(),
+                full_shape,
                 shape,
                 "gradient/param shape mismatch for {}",
                 store.name(id)
             );
-            let (m, v) = self.slot(id, shape);
-            let md = m.as_mut_slice();
-            let vd = v.as_mut_slice();
-            let gd = g.as_slice();
-            let pd = store.value_mut(id).as_mut_slice();
-            for i in 0..pd.len() {
-                let gi = gd[i];
-                md[i] = b1 * md[i] + (1.0 - b1) * gi;
-                vd[i] = b2 * vd[i] + (1.0 - b2) * gi * gi;
-                let mhat = md[i] / bc1;
-                let vhat = vd[i] / bc2;
-                pd[i] -= lr * mhat / (vhat.sqrt() + eps);
+            let (m, v, live) = self.slot(id, shape);
+            match g {
+                Grad::Dense(g) => {
+                    *live = None;
+                    let pd = store.value_mut(id).as_mut_slice();
+                    k.apply(pd, m.as_mut_slice(), v.as_mut_slice(), Some(g.as_slice()));
+                }
+                Grad::Rows(g) => {
+                    assert!(
+                        g.ids.last().is_none_or(|&r| (r as usize) < shape.0),
+                        "gradient row out of {} rows for {}",
+                        shape.0,
+                        store.name(id)
+                    );
+                    let live = live.get_or_insert_with(|| {
+                        live_rows(shape.0, shape.1, m.as_slice(), v.as_slice())
+                    });
+                    if skip_idle_rows {
+                        for &r in &g.ids {
+                            live[r as usize] = true;
+                        }
+                    } else {
+                        live.fill(true);
+                    }
+                    let pd = store.value_mut(id).as_mut_slice();
+                    k.apply_rows(live, g, pd, m.as_mut_slice(), v.as_mut_slice());
+                }
             }
         }
+    }
+}
+
+/// The layout `#[derive(Serialize)]` gave this struct, so checkpoints
+/// keep their bytes: the live-row masks are derived and not written.
+impl Serialize for Adam {
+    fn to_value(&self) -> Value {
+        let field = |name: &str, v: Value| (name.to_string(), v);
+        Value::Map(vec![
+            field("lr", self.lr.to_value()),
+            field("beta1", self.beta1.to_value()),
+            field("beta2", self.beta2.to_value()),
+            field("eps", self.eps.to_value()),
+            field("t", self.t.to_value()),
+            field("m", self.m.to_value()),
+            field("v", self.v.to_value()),
+        ])
+    }
+}
+
+/// Reads what [`Adam`]'s `Serialize` writes; the live-row masks are
+/// rebuilt from the moments' bits by the first row-sparse step.
+impl Deserialize for Adam {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
+            T::from_value(v.get(name).ok_or_else(|| DeError::missing_field(name))?)
+        }
+        if !matches!(v, Value::Map(_)) {
+            return Err(DeError::expected("map", v));
+        }
+        Ok(Adam {
+            lr: field(v, "lr")?,
+            beta1: field(v, "beta1")?,
+            beta2: field(v, "beta2")?,
+            eps: field(v, "eps")?,
+            t: field(v, "t")?,
+            m: field(v, "m")?,
+            v: field(v, "v")?,
+            live: Vec::new(),
+        })
     }
 }
 
@@ -100,6 +304,7 @@ mod tests {
     use super::*;
     use crate::matrix::Matrix;
     use crate::tape::Tape;
+    use std::rc::Rc;
 
     /// Minimise ||w - target||^2 with Adam; should converge quickly.
     #[test]
@@ -123,6 +328,71 @@ mod tests {
             assert!((a - b).abs() < 1e-2, "{a} vs {b}");
         }
         assert_eq!(opt.steps(), 300);
+    }
+
+    /// `train_ckpt.json`'s optimizer layout: the derived field order,
+    /// `null` for a parameter without moments, and no live-row mask.
+    #[test]
+    fn serde_pins_the_adam_layout() {
+        let mut store = ParamStore::new();
+        let unused = store.create("unused", Matrix::zeros(1, 1));
+        let table = store.create("table", Matrix::zeros(3, 1));
+        let mut opt = Adam::new(0.5);
+        (opt.beta1, opt.beta2, opt.eps) = (0.5, 0.75, 0.25);
+        let mut tape = Tape::new();
+        let rows = tape.gather_param_rows(&store, table, Rc::new(vec![1]));
+        let loss = tape.scale(rows, 2.0);
+        let loss = tape.sum(loss);
+        opt.step(&mut store, &tape.backward(loss));
+        let json = serde_json::to_string(&opt).unwrap();
+        assert_eq!(
+            json,
+            r#"{"lr":0.5,"beta1":0.5,"beta2":0.75,"eps":0.25,"t":1,"m":[null,{"rows":3,"cols":1,"data":[0.0,1.0,0.0]}],"v":[null,{"rows":3,"cols":1,"data":[0.0,1.0,0.0]}]}"#
+        );
+        let back: Adam = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        assert_eq!(store.value(unused).item(), 0.0);
+    }
+
+    /// An optimizer written out and read back mid-run continues exactly as
+    /// the one that never stopped: the row-sparse steps after the reload
+    /// rebuild the live rows from the moments and skip none of them.
+    #[test]
+    fn adam_reloaded_mid_run_matches_the_uninterrupted_run() {
+        let mut init = ParamStore::new();
+        let table = init.create(
+            "table",
+            Matrix::from_fn(40, 3, |r, c| (r * 3 + c) as f32 * 0.01),
+        );
+        let run = |reload_at: Option<usize>| {
+            let mut store = init.clone();
+            let mut opt = Adam::new(0.05);
+            for step in 0..12u32 {
+                if reload_at == Some(step as usize) {
+                    let json = serde_json::to_string(&opt).unwrap();
+                    opt = serde_json::from_str(&json).unwrap();
+                }
+                // a few rows per step, drifting, so rows go idle with
+                // non-zero moments
+                let idx: Vec<u32> = (0..4).map(|i| (step * 3 + i * 7) % 40).collect();
+                let mut tape = Tape::new();
+                let rows = tape.gather_param_rows(&store, table, Rc::new(idx));
+                let sq = tape.mul(rows, rows);
+                let loss = tape.sum(sq);
+                opt.step(&mut store, &tape.backward(loss));
+            }
+            (
+                store.value(table).clone(),
+                serde_json::to_string(&opt).unwrap(),
+            )
+        };
+        let (want, want_opt) = run(None);
+        for at in [1, 6, 11] {
+            let (got, got_opt) = run(Some(at));
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "reloaded before step {at}");
+            assert_eq!(got_opt, want_opt, "reloaded before step {at}");
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::softmax::{
     fast_exp, gat_attend_head, gat_attend_head_backward, row_softmax_stats, seg_is_sorted,
     segment_softmax, segment_softmax_backward, softmax_rows, GatHead, GatHeadGrads,
 };
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -56,9 +57,9 @@ enum Op {
     ConcatCols(Var, Var),
     GatherRows(Var, Rc<Vec<u32>>),
     /// Fused row lookup straight from the parameter store (embedding
-    /// tables, decoder rows): forward copied or decoded only the indexed
-    /// rows to f32; backward scatter-adds the row gradients into a
-    /// full-shape f32 gradient for the table.
+    /// tables, decoder rows): forward copied only the indexed rows;
+    /// backward sums the row gradients into a row-sparse gradient of the
+    /// touched table rows ([`RowGrad`]).
     GatherParamRows {
         id: ParamId,
         idx: Rc<Vec<u32>>,
@@ -168,33 +169,190 @@ struct Node {
     needs_grad: bool,
 }
 
+/// The gradient of one table as [`Tape::gather_param_rows`] leaves it:
+/// the rows its lookups touched, every other row of the table an implicit
+/// `+0.0`.
+#[derive(Clone)]
+pub(crate) struct RowGrad {
+    /// Row count of the whole table.
+    pub(crate) table_rows: usize,
+    /// The touched table rows, ascending and unique.
+    pub(crate) ids: Vec<u32>,
+    /// Row `i` is the gradient of table row `ids[i]`.
+    pub(crate) values: Matrix,
+}
+
+impl RowGrad {
+    /// Backward of a lookup `out[i,:] = table[idx[i],:]`: each touched
+    /// row summed from `+0.0` over `g`'s rows in `idx` order, which is
+    /// [`scatter_add_rows`]'s arithmetic on those rows.
+    fn of_lookup(g: &Matrix, idx: &[u32], table_rows: usize) -> RowGrad {
+        assert_eq!(g.rows(), idx.len(), "gather_param_rows: row/index mismatch");
+        assert!(
+            idx.len() as u64 <= 1 << 32,
+            "gather_param_rows: 2^32 rows at most"
+        );
+        let cols = g.cols();
+        // (row, position) keys are unique, so the unstable sort is the
+        // stable sort of `idx`
+        let mut order: Vec<u64> = idx
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| (u64::from(r) << 32) | i as u64)
+            .collect();
+        order.sort_unstable();
+        let n_ids = order.chunk_by(|a, b| a >> 32 == b >> 32).count();
+        let mut ids: Vec<u32> = Vec::with_capacity(n_ids);
+        let mut values: Vec<f32> = Vec::with_capacity(n_ids * cols);
+        for key in order {
+            let (r, i) = ((key >> 32) as u32, key as u32 as usize);
+            assert!(
+                (r as usize) < table_rows,
+                "gather_param_rows: index {r} out of {table_rows} rows"
+            );
+            if ids.last() != Some(&r) {
+                ids.push(r);
+                values.resize(values.len() + cols, 0.0);
+            }
+            let row = &mut values[(ids.len() - 1) * cols..];
+            for (d, &s) in row.iter_mut().zip(g.row(i)) {
+                *d += s;
+            }
+        }
+        let values = Matrix::from_vec(ids.len(), cols, values);
+        RowGrad {
+            table_rows,
+            ids,
+            values,
+        }
+    }
+
+    /// `self += other` as two table-shaped gradients would add: over the
+    /// union of their rows, a row one side lacks added as `+0.0`.
+    fn add_assign(&mut self, other: &RowGrad) {
+        let cols = self.values.cols();
+        assert_eq!(
+            (self.table_rows, cols),
+            (other.table_rows, other.values.cols()),
+            "gather_param_rows: two lookups of one table disagree on its shape"
+        );
+        if self.ids == other.ids {
+            self.values.add_assign(&other.values);
+            return;
+        }
+        let zero = vec![0.0f32; cols];
+        let (mut ids, mut values) = (Vec::new(), Vec::new());
+        let (mut i, mut j) = (0, 0);
+        while i < self.ids.len() || j < other.ids.len() {
+            // an exhausted side reads as a row past every u32 id
+            let a = self.ids.get(i).map_or(u64::MAX, |&r| r.into());
+            let b = other.ids.get(j).map_or(u64::MAX, |&r| r.into());
+            let x = if a <= b { self.values.row(i) } else { &zero };
+            let y = if b <= a { other.values.row(j) } else { &zero };
+            ids.push(a.min(b) as u32);
+            values.extend(x.iter().zip(y).map(|(&x, &y)| x + y));
+            i += usize::from(a <= b);
+            j += usize::from(b <= a);
+        }
+        self.values = Matrix::from_vec(ids.len(), cols, values);
+        self.ids = ids;
+    }
+
+    /// The table-shaped gradient: the stored rows over `+0.0`.
+    fn to_dense(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.table_rows, self.values.cols());
+        for (i, &r) in self.ids.iter().enumerate() {
+            out.row_mut(r as usize).copy_from_slice(self.values.row(i));
+        }
+        out
+    }
+}
+
+/// One parameter's gradient: table-shaped, or the touched rows of a table
+/// only [`Tape::gather_param_rows`] reached.
+#[derive(Clone)]
+pub(crate) enum Grad {
+    Dense(Matrix),
+    Rows(RowGrad),
+}
+
+impl Grad {
+    /// The values this gradient stores, in ascending row order.
+    fn stored(&self) -> &Matrix {
+        match self {
+            Grad::Dense(m) => m,
+            Grad::Rows(rg) => &rg.values,
+        }
+    }
+
+    /// [`Grad::stored`], mutably.
+    fn stored_mut(&mut self) -> &mut Matrix {
+        match self {
+            Grad::Dense(m) => m,
+            Grad::Rows(rg) => &mut rg.values,
+        }
+    }
+
+    /// The table-shaped gradient, made so in place.
+    fn dense_mut(&mut self) -> &mut Matrix {
+        if let Grad::Rows(rg) = self {
+            *self = Grad::Dense(rg.to_dense());
+        }
+        self.stored_mut()
+    }
+
+    /// The table-shaped gradient, borrowed where it is stored so.
+    fn full(&self) -> Cow<'_, Matrix> {
+        match self {
+            Grad::Dense(m) => Cow::Borrowed(m),
+            Grad::Rows(rg) => Cow::Owned(rg.to_dense()),
+        }
+    }
+}
+
 /// Gradients of a scalar loss with respect to every parameter that was
 /// touched on the tape. Indexed by [`ParamId`].
+///
+/// A table reached only through [`Tape::gather_param_rows`] keeps the rows
+/// its lookups touched; [`Gradients::global_norm`],
+/// [`Gradients::scale_all`] and [`crate::optim::Adam::step`] read those
+/// rows and never the rest of the table.
 pub struct Gradients {
-    grads: Vec<Option<Matrix>>,
+    grads: Vec<Option<Grad>>,
 }
 
 impl Gradients {
-    /// Gradient for a parameter, if it participated in the loss.
-    pub fn get(&self, id: ParamId) -> Option<&Matrix> {
-        self.grads.get(id.index()).and_then(|g| g.as_ref())
+    /// Gradient for a parameter, if it participated in the loss, in the
+    /// parameter's full shape (a row-sparse gradient is expanded).
+    pub fn get(&self, id: ParamId) -> Option<Cow<'_, Matrix>> {
+        self.grads.get(id.index())?.as_ref().map(Grad::full)
     }
 
-    /// Iterate over `(ParamId, gradient)` pairs that are present.
-    pub fn iter(&self) -> impl Iterator<Item = (ParamId, &Matrix)> {
+    /// Iterate over `(ParamId, gradient)` pairs that are present, each in
+    /// its parameter's full shape.
+    pub fn iter(&self) -> impl Iterator<Item = (ParamId, Cow<'_, Matrix>)> {
+        self.stored().map(|(id, g)| (id, g.full()))
+    }
+
+    /// The present gradients as stored.
+    pub(crate) fn stored(&self) -> impl Iterator<Item = (ParamId, &Grad)> {
         self.grads
             .iter()
             .enumerate()
-            .filter_map(|(i, g)| g.as_ref().map(|m| (ParamId::from_index(i), m)))
+            .filter_map(|(i, g)| g.as_ref().map(|g| (ParamId::from_index(i), g)))
     }
 
     /// Global L2 norm over all gradients (for clipping diagnostics).
+    ///
+    /// A row-sparse gradient folds its stored rows in ascending order: the
+    /// table-shaped fold without its `+0.0` terms, which change no bit of
+    /// a sum of squares.
     pub fn global_norm(&self) -> f64 {
         self.grads
             .iter()
             .flatten()
             .map(|g| {
-                let n = g.frobenius_norm();
+                let n = g.stored().frobenius_norm();
                 n * n
             })
             .sum::<f64>()
@@ -203,8 +361,16 @@ impl Gradients {
 
     /// Scale every gradient in place (used for clipping).
     pub fn scale_all(&mut self, f: f32) {
+        // a row-sparse gradient's implicit rows stay `+0.0` unless `f` is
+        // negative, infinite or NaN
+        let keeps_zero = (0.0 * f).to_bits() == 0;
         for g in self.grads.iter_mut().flatten() {
-            g.map_inplace(|x| x * f);
+            let m = if keeps_zero {
+                g.stored_mut()
+            } else {
+                g.dense_mut()
+            };
+            m.map_inplace(|x| x * f);
         }
     }
 }
@@ -467,11 +633,15 @@ impl Tape {
     ///
     /// Values and gradients are bit-identical to [`Tape::param`] +
     /// [`Tape::gather_rows`]: the rows are copies of the same `f32`s, and
-    /// backward scatter-adds into a zeroed table-shaped buffer and adds
-    /// that to the table's gradient slot at this node's position in the
-    /// reverse walk — the position the `Param` leaf of the pair would
-    /// have had — so several lookups of one table in a step accumulate in
-    /// the same order.
+    /// backward sums each touched row from `+0.0` in `idx` order — the
+    /// rows a scatter-add into a zeroed table would hold — and adds them
+    /// to the table's gradient slot at this node's position in the
+    /// reverse walk, the position the `Param` leaf of the pair would have
+    /// had, so several lookups of one table in a step accumulate in the
+    /// same order. The gradient holds only the touched rows: two lookups
+    /// merge over the union of their rows, adding `+0.0` where one lacks a
+    /// row as a table-shaped sum would, and a [`Tape::param`] leaf of the
+    /// same table expands it to the table's shape first.
     pub fn gather_param_rows(&mut self, store: &ParamStore, id: ParamId, idx: Rc<Vec<u32>>) -> Var {
         self.n_params = self.n_params.max(id.index() + 1);
         let table = store.value(id);
@@ -845,8 +1015,8 @@ impl Tape {
             match &self.nodes[i].op {
                 Op::Input => {}
                 Op::Param(id) => match &mut out.grads[id.index()] {
-                    Some(existing) => existing.add_assign(&g),
-                    slot @ None => *slot = Some(Rc::unwrap_or_clone(g)),
+                    Some(existing) => existing.dense_mut().add_assign(&g),
+                    slot @ None => *slot = Some(Grad::Dense(Rc::unwrap_or_clone(g))),
                 },
                 Op::MatMul(a, b, b_layout) => {
                     // y = a op(b): da = g op(b)^T; db = a^T g, or g^T a for op(b) = b^T
@@ -989,10 +1159,11 @@ impl Tape {
                     idx,
                     table_rows,
                 } => {
-                    let gx = scatter_add_rows(&g, idx, *table_rows);
+                    let gx = RowGrad::of_lookup(&g, idx, *table_rows);
                     match &mut out.grads[id.index()] {
-                        Some(existing) => existing.add_assign(&gx),
-                        slot @ None => *slot = Some(gx),
+                        Some(Grad::Rows(existing)) => existing.add_assign(&gx),
+                        Some(Grad::Dense(existing)) => existing.add_assign(&gx.to_dense()),
+                        slot @ None => *slot = Some(Grad::Rows(gx)),
                     }
                 }
                 Op::ScaleRows(x, s) => {

@@ -114,7 +114,7 @@ fn score_xent_case(
     let ids = levels.iter().map(|l| l.h).chain([w_dec, b_dec]);
     (
         tape.value(loss).item().to_bits(),
-        ids.map(|id| bits(grads.get(id).expect("gradient")))
+        ids.map(|id| bits(&grads.get(id).expect("gradient")))
             .collect(),
     )
 }
@@ -198,9 +198,69 @@ fn gat_attend_case(
         case.heads
             .iter()
             .flatten()
-            .map(|&id| bits(grads.get(id).expect("gradient")))
+            .map(|&id| bits(&grads.get(id).expect("gradient")))
             .collect(),
     )
+}
+
+/// A value for the row-sparse oracle: mostly ordinary, sometimes a signed
+/// zero, a value near the normal/subnormal boundary or a subnormal.
+fn edgy_value(rng: &mut rand::rngs::SmallRng) -> f32 {
+    use rand::Rng;
+    let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+    match rng.gen_range(0..8) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => sign * rng.gen_range(0.5f32..4.0) * f32::MIN_POSITIVE,
+        3 => sign * f32::from_bits(rng.gen_range(1u32..1 << 23)),
+        _ => rng.gen_range(-2.0f32..2.0),
+    }
+}
+
+/// One term of a [`row_sparse_case`] step: a lookup of the table, or the
+/// table as a [`Tape::param`] leaf, weighted element-wise by a constant
+/// (which is then exactly the gradient that reaches the term).
+enum TableTerm {
+    Lookup(Rc<Vec<u32>>, Matrix),
+    Leaf(Matrix),
+}
+
+/// `Adam::step`'s loop over one table-shaped parameter as it was before
+/// gradients could be row-sparse: the oracle's reference optimizer.
+fn adam_step_reference(
+    opt: &Adam,
+    t: u64,
+    p: &mut Matrix,
+    (m, v): (&mut Matrix, &mut Matrix),
+    g: &Matrix,
+) {
+    let bc1 = 1.0 - opt.beta1.powi(t as i32);
+    let bc2 = 1.0 - opt.beta2.powi(t as i32);
+    let (lr, b1, b2, eps) = (opt.lr, opt.beta1, opt.beta2, opt.eps);
+    let (md, vd, gd, pd) = (
+        m.as_mut_slice(),
+        v.as_mut_slice(),
+        g.as_slice(),
+        p.as_mut_slice(),
+    );
+    for i in 0..pd.len() {
+        let gi = gd[i];
+        md[i] = b1 * md[i] + (1.0 - b1) * gi;
+        vd[i] = b2 * vd[i] + (1.0 - b2) * gi * gi;
+        let mhat = md[i] / bc1;
+        let vhat = vd[i] / bc2;
+        pd[i] -= lr * mhat / (vhat.sqrt() + eps);
+    }
+}
+
+/// An optimizer's first and second moments, read through its serde.
+fn adam_moments(opt: &Adam) -> [Vec<Option<Matrix>>; 2] {
+    let state = serde::Serialize::to_value(opt);
+    ["m", "v"].map(|k| serde::Deserialize::from_value(state.get(k).expect(k)).expect(k))
+}
+
+fn f32_bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -297,7 +357,7 @@ proptest! {
             let y = tape.tanh(w);
             let l0 = tape.sum(y);
             let l = tape.scale(l0, scale);
-            tape.backward(l).get(id).expect("grad").clone()
+            tape.backward(l).get(id).expect("grad").into_owned()
         };
         let g1 = grad_of(1.0, &store);
         let ga = grad_of(alpha, &store);
@@ -319,21 +379,21 @@ proptest! {
             let fs = tape.sum(f);
             let gs = tape.sum(g);
             let l = tape.add(fs, gs);
-            tape.backward(l).get(id).expect("grad").clone()
+            tape.backward(l).get(id).expect("grad").into_owned()
         };
         let grad_f = {
             let mut tape = Tape::new();
             let w = tape.param(&store, id);
             let f = tape.sigmoid(w);
             let l = tape.sum(f);
-            tape.backward(l).get(id).expect("grad").clone()
+            tape.backward(l).get(id).expect("grad").into_owned()
         };
         let grad_g = {
             let mut tape = Tape::new();
             let w = tape.param(&store, id);
             let g = tape.tanh(w);
             let l = tape.sum(g);
-            tape.backward(l).get(id).expect("grad").clone()
+            tape.backward(l).get(id).expect("grad").into_owned()
         };
         for i in 0..grad_combined.len() {
             let expect = grad_f.as_slice()[i] + grad_g.as_slice()[i];
@@ -437,7 +497,7 @@ proptest! {
                 tape.softmax_xent(w, targets.clone(), norm)
             };
             let l = tape.value(loss).item();
-            let g = tape.backward(loss).get(id).expect("grad").clone();
+            let g = tape.backward(loss).get(id).expect("grad").into_owned();
             (l, g)
         };
         let (loss_fused, grad_fused) = run(false);
@@ -487,7 +547,7 @@ proptest! {
             let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
             (
                 tape.value(loss).item().to_bits(),
-                grads.iter().map(|(_, g)| bits(g)).collect(),
+                grads.iter().map(|(_, g)| bits(&g)).collect(),
             )
         };
         let (loss_fused, grads_fused) = run(true);
@@ -495,6 +555,126 @@ proptest! {
         prop_assert_eq!(grads_fused.len(), 2, "table and projection gradients");
         prop_assert_eq!(loss_fused, loss_replayed, "loss mismatch");
         prop_assert_eq!(grads_fused, grads_replayed, "gradient mismatch");
+    }
+
+    /// A table reached through [`Tape::gather_param_rows`] keeps a
+    /// gradient of its touched rows only, and every bit downstream is the
+    /// table-shaped path's: the gradient itself (one to three lookups with
+    /// repeated and empty index lists, and some steps a [`Tape::param`]
+    /// leaf of the same table), the global norm, the clipped gradient, and
+    /// the parameter and both moments after each of four Adam steps — against
+    /// [`scatter_add_rows`] and the dense Adam loop kept here. Weights
+    /// include signed zeros and subnormals; one case in six runs with
+    /// `eps = 0`, where an idle row is no longer a no-op.
+    #[test]
+    fn row_sparse_gradients_match_the_table_shaped_oracle(
+        shape in (1usize..12, 1usize..5),
+        n_lookups in 1usize..4,
+        eps_case in 0u32..6,
+        seed in 0u64..1 << 40,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let (rows, cols) = shape;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let mut store = ParamStore::new();
+        let table = store.create("table", Matrix::from_fn(rows, cols, |_, _| edgy_value(&mut rng)));
+        let other = store.create("other", Matrix::from_fn(2, cols, |_, _| edgy_value(&mut rng)));
+        let mut opt = Adam::new(0.01);
+        if eps_case == 0 {
+            opt.eps = 0.0;
+        }
+        let mut want_params = [store.value(table).clone(), store.value(other).clone()];
+        let mut want_moments = want_params.clone().map(|p| {
+            let zeros = Matrix::zeros(p.rows(), p.cols());
+            [zeros.clone(), zeros]
+        });
+        for step in 1..=4u64 {
+            let mut terms: Vec<TableTerm> = (0..n_lookups)
+                .map(|_| {
+                    let len = rng.gen_range(0..7);
+                    let idx = (0..len).map(|_| rng.gen_range(0..rows) as u32).collect();
+                    let w = Matrix::from_fn(len, cols, |_, _| edgy_value(&mut rng));
+                    TableTerm::Lookup(Rc::new(idx), w)
+                })
+                .collect();
+            if rng.gen_bool(0.3) {
+                let at = rng.gen_range(0..=terms.len());
+                let w = Matrix::from_fn(rows, cols, |_, _| edgy_value(&mut rng));
+                terms.insert(at, TableTerm::Leaf(w));
+            }
+            let w_other = Matrix::from_fn(2, cols, |_, _| edgy_value(&mut rng));
+            let mut tape = Tape::new();
+            let mut loss: Option<Var> = None;
+            let weighted = terms
+                .iter()
+                .map(|term| match term {
+                    TableTerm::Lookup(idx, w) => (tape.gather_param_rows(&store, table, idx.clone()), w),
+                    TableTerm::Leaf(w) => (tape.param(&store, table), w),
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .chain([(tape.param(&store, other), &w_other)]);
+            for (x, w) in weighted {
+                let w = tape.input(w.clone());
+                let prod = tape.mul(x, w);
+                let term = tape.sum(prod);
+                loss = Some(match loss {
+                    Some(l) => tape.add(l, term),
+                    None => term,
+                });
+            }
+            let mut grads = tape.backward(loss.expect("terms"));
+
+            // the reverse walk meets the terms last to first
+            let mut want_grads = [Matrix::zeros(0, 0), w_other];
+            for (i, term) in terms.iter().rev().enumerate() {
+                let g = match term {
+                    TableTerm::Lookup(idx, w) => scatter_add_rows(w, idx, rows),
+                    TableTerm::Leaf(w) => w.clone(),
+                };
+                if i == 0 {
+                    want_grads[0] = g;
+                } else {
+                    want_grads[0].add_assign(&g);
+                }
+            }
+            for (id, want) in [table, other].into_iter().zip(&want_grads) {
+                prop_assert_eq!(f32_bits(&grads.get(id).expect("gradient")), f32_bits(want), "step {} gradient of {}", step, store.name(id));
+            }
+            let want_norm = want_grads
+                .iter()
+                .map(|g| {
+                    let n = g.frobenius_norm();
+                    n * n
+                })
+                .sum::<f64>()
+                .sqrt();
+            prop_assert_eq!(grads.global_norm().to_bits(), want_norm.to_bits(), "step {} norm", step);
+            // a negative bound scales by a negative factor, which turns an
+            // implicit `+0.0` row into `-0.0`
+            let max_norm = want_norm * rng.gen_range(-0.25..1.5);
+            prop_assert_eq!(clip_global_norm(&mut grads, max_norm).to_bits(), want_norm.to_bits());
+            if want_norm > max_norm && want_norm > 0.0 {
+                let f = (max_norm / want_norm) as f32;
+                for g in &mut want_grads {
+                    g.map_inplace(|x| x * f);
+                }
+            }
+            for (id, want) in [table, other].into_iter().zip(&want_grads) {
+                prop_assert_eq!(f32_bits(&grads.get(id).expect("gradient")), f32_bits(want), "step {} clipped gradient of {}", step, store.name(id));
+            }
+            opt.step(&mut store, &grads);
+            let [got_m, got_v] = adam_moments(&opt);
+            for (i, id) in [table, other].into_iter().enumerate() {
+                let [m, v] = &mut want_moments[i];
+                adam_step_reference(&opt, step, &mut want_params[i], (m, v), &want_grads[i]);
+                let name = store.name(id);
+                prop_assert_eq!(f32_bits(store.value(id)), f32_bits(&want_params[i]), "step {} {}", step, name);
+                let got = [&got_m[i], &got_v[i]].map(|g| f32_bits(g.as_ref().expect("moments")));
+                prop_assert_eq!(&got[0], &f32_bits(m), "step {} m of {}", step, name);
+                prop_assert_eq!(&got[1], &f32_bits(v), "step {} v of {}", step, name);
+            }
+        }
     }
 
     /// Pooled `par_map` returns results in input order for any split.

@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use tg_graph::io::load_edge_list_exact;
 use tg_graph::TemporalGraph;
-use tgae::{SharedRun, Tgae, TrainCheckpoint};
+use tgae::{SharedRun, Tgae, TgxError, TrainCheckpoint};
 
 /// Provenance + shape record for one run directory.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -214,31 +214,20 @@ impl RunDir {
         Ok(run.with_master(manifest.seed))
     }
 
-    /// Load the manifest and the observed graph to resume training from
-    /// `train_ckpt.json`. As in [`RunDir::load_run`], the manifest's shape
-    /// must be the model's before `observed.edges` is opened; the model
-    /// is the one in the newest checkpoint of the rotation that reads.
-    pub fn load_resumable(&self) -> Result<(RunManifest, TemporalGraph), String> {
+    /// Load the manifest, the checkpoint to resume from and the observed
+    /// graph. The checkpoint is the newest of the `train_ckpt.json`
+    /// rotation whose model has the manifest's shape, found before
+    /// `observed.edges` is opened: as in [`RunDir::load_run`], a manifest
+    /// that lies about its shape must not size the graph's allocation.
+    pub fn load_resumable(&self) -> Result<(RunManifest, TrainCheckpoint, TemporalGraph), String> {
         let manifest = self.load_manifest()?;
-        let path = self.train_checkpoint_path();
-        let mut failures = Vec::new();
-        let model = tgae::session::checkpoint_rotation(&path).find_map(|candidate| {
-            let read = tgae::persist::load_json::<TrainCheckpoint>(&candidate).and_then(|c| {
-                tgae::persist::check_shape(&c.model)?;
-                Ok(c.model)
-            });
-            read.map_err(|e| failures.push(format!("{}: {e}", candidate.display())))
-                .ok()
-        });
-        let Some(model) = model else {
-            return Err(format!(
-                "no readable checkpoint to resume from: [{}]",
-                failures.join("; ")
-            ));
-        };
-        self.check_model_shape(&manifest, &model)?;
+        let ckpt = tgae::session::newest_checkpoint(&self.train_checkpoint_path(), |c| {
+            self.check_model_shape(&manifest, &c.model)
+                .map_err(TgxError::CheckpointMismatch)
+        })
+        .map_err(|e| e.to_string())?;
         let observed = self.load_observed(&manifest)?;
-        Ok((manifest, observed))
+        Ok((manifest, ckpt, observed))
     }
 
     /// Refuse a manifest whose shape is not the one `model` was trained

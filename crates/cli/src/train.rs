@@ -109,13 +109,14 @@ pub fn run(args: &Args) -> Result<(), String> {
         return Err("--checkpoint-keep: must keep at least 1 generation".into());
     }
 
-    let (observed, source, store, seed, cfg) = if resume {
+    let (ckpt, observed, source, store, seed, cfg) = if resume {
         // Resuming: the run dir is authoritative — graph, config, and
         // seed all come from the manifest (written before training
         // started), so the session's checkpoint-config equality check
         // passes without re-passing any training flags.
-        let (manifest, observed) = run_dir.load_resumable()?;
+        let (manifest, ckpt, observed) = run_dir.load_resumable()?;
         (
+            Some(ckpt),
             observed,
             manifest.source,
             manifest.store,
@@ -133,7 +134,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         cfg.seed = seed;
         cfg.epochs = args.get_parsed("epochs", cfg.epochs)?;
         cfg.batch_centers = args.get_parsed("batch-centers", cfg.batch_centers)?;
-        (input.graph, input.source, input.store, seed, cfg)
+        (None, input.graph, input.source, input.store, seed, cfg)
     };
     args.reject_unused()?;
     let epochs = cfg.epochs;
@@ -204,13 +205,11 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
     let mut session = builder.build().map_err(|e| e.to_string())?;
 
-    let report: TrainReport = if resume {
-        session
-            .resume_from(run_dir.train_checkpoint_path())
-            .map_err(|e| e.to_string())?
-    } else {
-        session.train().map_err(|e| e.to_string())?
-    };
+    let report: TrainReport = match ckpt {
+        Some(ckpt) => session.resume(ckpt),
+        None => session.train(),
+    }
+    .map_err(|e| e.to_string())?;
     if !quiet {
         eprintln!(
             "trained {} epochs in {:.2?}: loss {:.4} -> {:.4} ({} params)",

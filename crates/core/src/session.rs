@@ -186,14 +186,70 @@ pub(crate) fn rotation_slot(path: &Path, i: usize) -> PathBuf {
 }
 
 /// The checkpoint files of the rotation at `path`, newest first: `path`
-/// itself, then `path.1`, `path.2`, … up to the first one missing — the
-/// candidates [`Session::resume_from`] tries in order.
-pub fn checkpoint_rotation(path: &Path) -> impl Iterator<Item = PathBuf> + '_ {
+/// itself, then `path.1`, `path.2`, … up to the first one missing.
+fn checkpoint_rotation(path: &Path) -> impl Iterator<Item = PathBuf> + '_ {
     (0..)
         .map(|i| rotation_slot(path, i))
         .enumerate()
         .take_while(|(i, candidate)| *i == 0 || candidate.exists())
         .map(|(_, candidate)| candidate)
+}
+
+/// Read one checkpoint file and refuse it if it is not one this build can
+/// resume from: another format version, a model whose shape fields are not
+/// its tables' ([`persist::check_shape`]), or an inconsistent history.
+fn read_checkpoint(path: &Path) -> Result<TrainCheckpoint, TgxError> {
+    let ckpt: TrainCheckpoint = persist::load_json(path)?;
+    if ckpt.version != CHECKPOINT_VERSION {
+        return Err(TgxError::CheckpointMismatch(format!(
+            "checkpoint format v{} (this build reads v{CHECKPOINT_VERSION})",
+            ckpt.version
+        )));
+    }
+    persist::check_shape(&ckpt.model)?;
+    if ckpt.losses.len() != ckpt.epoch_wall_nanos.len() {
+        return Err(TgxError::CheckpointMismatch(format!(
+            "inconsistent history: {} losses vs {} epoch walls",
+            ckpt.losses.len(),
+            ckpt.epoch_wall_nanos.len()
+        )));
+    }
+    Ok(ckpt)
+}
+
+/// The newest checkpoint of the rotation at `path` (`path`, then the
+/// siblings `path.1`, `path.2`, … left by [`CheckpointPolicy`]'s `keep`)
+/// that reads and that `accept` takes. A crash can tear at most the
+/// newest write, so an older generation is a valid fallback. When no
+/// candidate qualifies, the error is the primary path's own if it has no
+/// siblings, else every candidate's diagnosis.
+pub fn newest_checkpoint(
+    path: &Path,
+    mut accept: impl FnMut(&TrainCheckpoint) -> Result<(), TgxError>,
+) -> Result<TrainCheckpoint, TgxError> {
+    let mut failures: Vec<(PathBuf, TgxError)> = Vec::new();
+    for candidate in checkpoint_rotation(path) {
+        match read_checkpoint(&candidate).and_then(|c| accept(&c).map(|()| c)) {
+            Ok(ckpt) => return Ok(ckpt),
+            Err(e) => failures.push((candidate, e)),
+        }
+    }
+    if failures.len() == 1 {
+        #[expect(
+            clippy::expect_used,
+            reason = "guarded by `failures.len() == 1`"
+        )]
+        return Err(failures.pop().expect("one failure").1);
+    }
+    let diagnoses: Vec<String> = failures
+        .iter()
+        .map(|(p, e)| format!("{}: {e}", p.display()))
+        .collect();
+    Err(TgxError::CheckpointMismatch(format!(
+        "no usable checkpoint in the rotation at {}: [{}]",
+        path.display(),
+        diagnoses.join("; ")
+    )))
 }
 
 /// Builder for a [`Session`]; see the [module docs](crate::session) for
@@ -427,16 +483,9 @@ impl<'a> Session<'a> {
         Ok(report)
     }
 
-    /// Validate one checkpoint candidate against this session (format
-    /// version, shape, config, history consistency).
-    fn try_load_checkpoint(&self, path: &Path) -> Result<TrainCheckpoint, TgxError> {
-        let ckpt: TrainCheckpoint = persist::load_json(path)?;
-        if ckpt.version != CHECKPOINT_VERSION {
-            return Err(TgxError::CheckpointMismatch(format!(
-                "checkpoint format v{} (this build reads v{CHECKPOINT_VERSION})",
-                ckpt.version
-            )));
-        }
+    /// Refuse a checkpoint of another run: one whose model is shaped for
+    /// another graph or whose config is not this session's.
+    fn check_checkpoint(&self, ckpt: &TrainCheckpoint) -> Result<(), TgxError> {
         if ckpt.model.n_nodes != self.observed.n_nodes()
             || ckpt.model.n_timestamps != self.observed.n_timestamps()
         {
@@ -455,14 +504,7 @@ impl<'a> Session<'a> {
                 "checkpointed config differs from this session's config".into(),
             ));
         }
-        if ckpt.losses.len() != ckpt.epoch_wall_nanos.len() {
-            return Err(TgxError::CheckpointMismatch(format!(
-                "inconsistent history: {} losses vs {} epoch walls",
-                ckpt.losses.len(),
-                ckpt.epoch_wall_nanos.len()
-            )));
-        }
-        Ok(ckpt)
+        Ok(())
     }
 
     /// Restore a mid-run [`TrainCheckpoint`] from `path` and train the
@@ -473,49 +515,24 @@ impl<'a> Session<'a> {
     /// one that never stopped. Returns the *full-run* report (restored
     /// history + new epochs).
     ///
-    /// If `path` is missing or damaged (a crash can tear at most the
-    /// newest write), the rotation siblings `path.1`, `path.2`, … left
-    /// by [`CheckpointPolicy`]'s `keep` are tried in order; the newest
-    /// valid checkpoint wins. Resuming from an older generation is
-    /// still bit-identical — it just re-runs more epochs. Only when no
-    /// candidate validates does this fail, with every candidate's
-    /// diagnosis.
+    /// The checkpoint is the newest of the rotation at `path` that this
+    /// session can resume from ([`newest_checkpoint`]). Resuming from an
+    /// older generation is still bit-identical — it just re-runs more
+    /// epochs.
     pub fn resume_from(&mut self, path: impl AsRef<Path>) -> Result<TrainReport, TgxError> {
-        let path = path.as_ref();
-        let mut found: Option<TrainCheckpoint> = None;
-        let mut failures: Vec<(PathBuf, TgxError)> = Vec::new();
-        for candidate in checkpoint_rotation(path) {
-            match self.try_load_checkpoint(&candidate) {
-                Ok(ckpt) => {
-                    found = Some(ckpt);
-                    break;
-                }
-                Err(e) => failures.push((candidate, e)),
-            }
-        }
-        let ckpt = match found {
-            Some(ckpt) => ckpt,
-            // no rotation sibling to fall back to: surface the primary
-            // path's own typed error unchanged
-            None if failures.len() == 1 => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the match arm guards `failures.len() == 1`"
-                )]
-                return Err(failures.pop().expect("one failure").1);
-            }
-            None => {
-                let diagnoses: Vec<String> = failures
-                    .iter()
-                    .map(|(p, e)| format!("{}: {e}", p.display()))
-                    .collect();
-                return Err(TgxError::CheckpointMismatch(format!(
-                    "no usable checkpoint in the rotation at {}: [{}]",
-                    path.display(),
-                    diagnoses.join("; ")
-                )));
-            }
-        };
+        let ckpt = newest_checkpoint(path.as_ref(), |c| self.check_checkpoint(c))?;
+        self.train_from(ckpt)
+    }
+
+    /// [`Session::resume_from`] a checkpoint already read, e.g. by
+    /// [`newest_checkpoint`].
+    pub fn resume(&mut self, ckpt: TrainCheckpoint) -> Result<TrainReport, TgxError> {
+        self.check_checkpoint(&ckpt)?;
+        self.train_from(ckpt)
+    }
+
+    /// Train the remaining epochs of an accepted checkpoint.
+    fn train_from(&mut self, ckpt: TrainCheckpoint) -> Result<TrainReport, TgxError> {
         self.model = ckpt.model;
         let resume = ResumeState {
             opt: ckpt.opt,

@@ -4,16 +4,10 @@
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
 use crate::tape::{Grad, Gradients, RowGrad};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Adam optimizer state and hyper-parameters.
-///
-/// A table whose gradient is row-sparse ([`crate::tape::Tape::gather_param_rows`])
-/// is updated on its *live* rows only: the rows with a gradient this step
-/// and the rows whose `m` or `v` holds any bit other than `+0.0`. Every
-/// other row would take a zero gradient onto zero moments, which moves no
-/// bit of it, so a step equals the table-wide one bit for bit.
-#[derive(Clone)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Adam {
     /// Learning rate.
     pub lr: f32,
@@ -26,11 +20,6 @@ pub struct Adam {
     t: u64,
     m: Vec<Option<Matrix>>,
     v: Vec<Option<Matrix>>,
-    /// Per parameter, the rows that may be live (a superset is safe).
-    /// Derived from `m` and `v`, never serialised: `None` until a
-    /// row-sparse step rebuilds it from their bits, and again after a
-    /// table-shaped step.
-    live: Vec<Option<Vec<bool>>>,
 }
 
 /// The scalars of one Adam step.
@@ -77,77 +66,32 @@ impl StepConsts {
         }
     }
 
-    /// True if a zero gradient on zero moments leaves every bit of an
-    /// element as it was: `m` and `v` stay `+0.0` and the step is `+0.0`
-    /// (the one step that keeps a `-0.0` parameter). Only degenerate
-    /// hyper-parameters (`eps == 0`, a decay of 1, a non-finite rate) fail
-    /// it, and then every row is walked.
-    fn zero_is_noop(self) -> bool {
-        let (mut p, mut m, mut v) = ([-0.0f32], [0.0f32], [0.0f32]);
-        self.apply(&mut p, &mut m, &mut v, None);
-        [p[0], -m[0], -v[0]]
-            .iter()
-            .all(|x| x.to_bits() == (-0.0f32).to_bits())
-    }
-
-    /// [`StepConsts::apply`] to rows `lo..hi` of a table of `cols`
-    /// columns.
-    #[inline(always)]
-    fn apply_span(
-        self,
-        cols: usize,
-        (lo, hi): (usize, usize),
-        p: &mut [f32],
-        m: &mut [f32],
-        v: &mut [f32],
-        g: Option<&[f32]>,
-    ) {
-        let span = lo * cols..hi * cols;
-        self.apply(&mut p[span.clone()], &mut m[span.clone()], &mut v[span], g);
-    }
-
-    /// The update of the live rows of a table from its row-sparse
-    /// gradient: each run of live rows is walked with a zero gradient
-    /// between gradient rows and one update per block of consecutive
-    /// gradient rows. Every gradient row must be live.
-    fn apply_rows(self, live: &[bool], g: &RowGrad, p: &mut [f32], m: &mut [f32], v: &mut [f32]) {
+    /// The update of a whole table from its row-sparse gradient: the rows
+    /// between gradient rows take a zero gradient, and each block of
+    /// consecutive gradient rows takes one update.
+    fn apply_rows(self, g: &RowGrad, p: &mut [f32], m: &mut [f32], v: &mut [f32]) {
         let cols = g.values.cols();
-        let rows = live.len();
+        let mut at = 0;
         let mut next = 0;
-        let mut r = 0;
-        while r < rows {
-            if !live[r] {
-                r += 1;
-                continue;
-            }
-            let mut at = r;
-            while r < rows && live[r] {
-                r += 1;
-            }
-            while let Some(&gr) = g.ids.get(next).filter(|&&gr| (gr as usize) < r) {
-                // gradient rows `next..next + k` are table rows `gr..gr + k`
-                let gr = gr as usize;
-                let k = g.ids[next..]
-                    .iter()
-                    .zip(gr..)
-                    .take_while(|&(&id, want)| id as usize == want)
-                    .count();
-                let grad_rows = &g.values.as_slice()[next * cols..(next + k) * cols];
-                self.apply_span(cols, (at, gr), p, m, v, None);
-                self.apply_span(cols, (gr, gr + k), p, m, v, Some(grad_rows));
-                at = gr + k;
-                next += k;
-            }
-            self.apply_span(cols, (at, r), p, m, v, None);
+        while let Some(&gr) = g.ids.get(next) {
+            // gradient rows `next..next + k` are table rows `gr..gr + k`
+            let gr = gr as usize;
+            let k = g.ids[next..]
+                .iter()
+                .zip(gr..)
+                .take_while(|&(&id, want)| id as usize == want)
+                .count();
+            let grad_rows = &g.values.as_slice()[next * cols..(next + k) * cols];
+            let (gap, rows) = (at * cols..gr * cols, gr * cols..(gr + k) * cols);
+            self.apply(&mut p[gap.clone()], &mut m[gap.clone()], &mut v[gap], None);
+            let (pr, mr, vr) = (&mut p[rows.clone()], &mut m[rows.clone()], &mut v[rows]);
+            self.apply(pr, mr, vr, Some(grad_rows));
+            at = gr + k;
+            next += k;
         }
+        let tail = at * cols..;
+        self.apply(&mut p[tail.clone()], &mut m[tail.clone()], &mut v[tail], None);
     }
-}
-
-/// The rows of a `rows × cols` table whose `m` or `v` row holds a bit
-/// other than `+0.0`.
-fn live_rows(rows: usize, cols: usize, m: &[f32], v: &[f32]) -> Vec<bool> {
-    let row = |x: &[f32], r: usize| x[r * cols..(r + 1) * cols].iter().any(|x| x.to_bits() != 0);
-    (0..rows).map(|r| row(m, r) || row(v, r)).collect()
 }
 
 impl Adam {
@@ -161,7 +105,6 @@ impl Adam {
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
-            live: Vec::new(),
         }
     }
 
@@ -170,27 +113,17 @@ impl Adam {
         self.t
     }
 
-    /// The moments and live-row mask of parameter `id`, zero moments
-    /// created on first use.
-    fn slot(
-        &mut self,
-        id: ParamId,
-        shape: (usize, usize),
-    ) -> (&mut Matrix, &mut Matrix, &mut Option<Vec<bool>>) {
+    fn slot(&mut self, id: ParamId, shape: (usize, usize)) -> (&mut Matrix, &mut Matrix) {
         let i = id.index();
         if self.m.len() <= i {
             self.m.resize_with(i + 1, || None);
             self.v.resize_with(i + 1, || None);
         }
-        if self.live.len() <= i {
-            self.live.resize_with(i + 1, || None);
-        }
-        // Split borrows: m, v and live are distinct fields.
+        // Split borrows: m and v are distinct fields.
         let zeros = || Matrix::zeros(shape.0, shape.1);
         (
             self.m[i].get_or_insert_with(zeros),
             self.v[i].get_or_insert_with(zeros),
-            &mut self.live[i],
         )
     }
 
@@ -205,7 +138,6 @@ impl Adam {
             bc1: 1.0 - self.beta1.powi(self.t as i32),
             bc2: 1.0 - self.beta2.powi(self.t as i32),
         };
-        let skip_idle_rows = k.zero_is_noop();
         for (id, g) in grads.stored() {
             let shape = store.value(id).shape();
             let full_shape = match g {
@@ -218,75 +150,22 @@ impl Adam {
                 "gradient/param shape mismatch for {}",
                 store.name(id)
             );
-            let (m, v, live) = self.slot(id, shape);
+            if let Grad::Rows(g) = g {
+                assert!(
+                    g.ids.last().is_none_or(|&r| (r as usize) < shape.0),
+                    "gradient row out of {} rows for {}",
+                    shape.0,
+                    store.name(id)
+                );
+            }
+            let (m, v) = self.slot(id, shape);
+            let (md, vd) = (m.as_mut_slice(), v.as_mut_slice());
+            let pd = store.value_mut(id).as_mut_slice();
             match g {
-                Grad::Dense(g) => {
-                    *live = None;
-                    let pd = store.value_mut(id).as_mut_slice();
-                    k.apply(pd, m.as_mut_slice(), v.as_mut_slice(), Some(g.as_slice()));
-                }
-                Grad::Rows(g) => {
-                    assert!(
-                        g.ids.last().is_none_or(|&r| (r as usize) < shape.0),
-                        "gradient row out of {} rows for {}",
-                        shape.0,
-                        store.name(id)
-                    );
-                    let live = live.get_or_insert_with(|| {
-                        live_rows(shape.0, shape.1, m.as_slice(), v.as_slice())
-                    });
-                    if skip_idle_rows {
-                        for &r in &g.ids {
-                            live[r as usize] = true;
-                        }
-                    } else {
-                        live.fill(true);
-                    }
-                    let pd = store.value_mut(id).as_mut_slice();
-                    k.apply_rows(live, g, pd, m.as_mut_slice(), v.as_mut_slice());
-                }
+                Grad::Dense(g) => k.apply(pd, md, vd, Some(g.as_slice())),
+                Grad::Rows(g) => k.apply_rows(g, pd, md, vd),
             }
         }
-    }
-}
-
-/// The layout `#[derive(Serialize)]` gave this struct, so checkpoints
-/// keep their bytes: the live-row masks are derived and not written.
-impl Serialize for Adam {
-    fn to_value(&self) -> Value {
-        let field = |name: &str, v: Value| (name.to_string(), v);
-        Value::Map(vec![
-            field("lr", self.lr.to_value()),
-            field("beta1", self.beta1.to_value()),
-            field("beta2", self.beta2.to_value()),
-            field("eps", self.eps.to_value()),
-            field("t", self.t.to_value()),
-            field("m", self.m.to_value()),
-            field("v", self.v.to_value()),
-        ])
-    }
-}
-
-/// Reads what [`Adam`]'s `Serialize` writes; the live-row masks are
-/// rebuilt from the moments' bits by the first row-sparse step.
-impl Deserialize for Adam {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
-            T::from_value(v.get(name).ok_or_else(|| DeError::missing_field(name))?)
-        }
-        if !matches!(v, Value::Map(_)) {
-            return Err(DeError::expected("map", v));
-        }
-        Ok(Adam {
-            lr: field(v, "lr")?,
-            beta1: field(v, "beta1")?,
-            beta2: field(v, "beta2")?,
-            eps: field(v, "eps")?,
-            t: field(v, "t")?,
-            m: field(v, "m")?,
-            v: field(v, "v")?,
-            live: Vec::new(),
-        })
     }
 }
 
@@ -330,8 +209,9 @@ mod tests {
         assert_eq!(opt.steps(), 300);
     }
 
-    /// `train_ckpt.json`'s optimizer layout: the derived field order,
-    /// `null` for a parameter without moments, and no live-row mask.
+    /// `train_ckpt.json`'s optimizer layout: the field order, `null` for a
+    /// parameter without moments, and whole-table moments after a
+    /// row-sparse step.
     #[test]
     fn serde_pins_the_adam_layout() {
         let mut store = ParamStore::new();
@@ -355,8 +235,8 @@ mod tests {
     }
 
     /// An optimizer written out and read back mid-run continues exactly as
-    /// the one that never stopped: the row-sparse steps after the reload
-    /// rebuild the live rows from the moments and skip none of them.
+    /// the one that never stopped, through row-sparse steps that leave
+    /// rows idle with non-zero moments.
     #[test]
     fn adam_reloaded_mid_run_matches_the_uninterrupted_run() {
         let mut init = ParamStore::new();

@@ -236,10 +236,6 @@ impl RowGrad {
             (other.table_rows, other.values.cols()),
             "gather_param_rows: two lookups of one table disagree on its shape"
         );
-        if self.ids == other.ids {
-            self.values.add_assign(&other.values);
-            return;
-        }
         let zero = vec![0.0f32; cols];
         let (mut ids, mut values) = (Vec::new(), Vec::new());
         let (mut i, mut j) = (0, 0);

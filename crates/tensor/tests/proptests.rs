@@ -565,7 +565,7 @@ proptest! {
     /// the parameter and both moments after each of four Adam steps — against
     /// [`scatter_add_rows`] and the dense Adam loop kept here. Weights
     /// include signed zeros and subnormals; one case in six runs with
-    /// `eps = 0`, where an idle row is no longer a no-op.
+    /// `eps = 0`, where a row without a gradient turns NaN.
     #[test]
     fn row_sparse_gradients_match_the_table_shaped_oracle(
         shape in (1usize..12, 1usize..5),

@@ -235,10 +235,7 @@ pub fn newest_checkpoint(
         }
     }
     if failures.len() == 1 {
-        #[expect(
-            clippy::expect_used,
-            reason = "guarded by `failures.len() == 1`"
-        )]
+        #[expect(clippy::expect_used, reason = "guarded by `failures.len() == 1`")]
         return Err(failures.pop().expect("one failure").1);
     }
     let diagnoses: Vec<String> = failures

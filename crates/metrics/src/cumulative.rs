@@ -5,18 +5,24 @@
 //! walks the edge stream once in time order and keeps the undirected
 //! simple view up to date instead of rebuilding it per timestamp:
 //!
-//! - sorted per-node adjacency (a repeated, reciprocal or self-loop edge
-//!   is a no-op, exactly as `Snapshot::undirected_adjacency` collapses it);
+//! - run-stamped, unsorted per-node adjacency. `edges_at(t)` is sorted by
+//!   `(u, v)`, so each timestamp is walked as runs of one source `u`, and
+//!   each run stamps `N(u)` once in a per-node `u32` array. A self-loop or
+//!   a stamped `v` is a repeated or reciprocal edge and an O(1) no-op,
+//!   exactly as `Snapshot::undirected_adjacency` collapses it; a new pair
+//!   is pushed onto both lists unsorted and stamped;
 //! - the triangle count — a *new* undirected edge `{u, v}` closes one
-//!   triangle per common neighbour, so it grows by `|N(u) ∩ N(v)|` and
-//!   every triangle is counted once, when its last edge arrives;
+//!   triangle per common neighbour, so it grows by `|N(u) ∩ N(v)|`, the
+//!   number of stamped entries in `N(v)`, and every triangle is counted
+//!   once, when its last edge arrives;
 //! - a [`UnionFind`], whose component count and largest component are
 //!   running values.
 //!
 //! Each timestamp then costs one O(n) pass over the degrees for the
-//! degree, wedge, claw and PLE sums. Total: O(Σ deg at insertion + T·n), against
-//! O(T·(E log E + n)) for `GraphStats::compute(&Snapshot::accumulated(..))`
-//! at every `t`.
+//! degree, wedge, claw and PLE sums. Total: O(Σ_runs d_u + Σ_new d_v +
+//! T·n) — one stamping of the source's list per run, one scan of the
+//! target's list per new pair — against O(T·(E log E + n)) for
+//! `GraphStats::compute(&Snapshot::accumulated(..))` at every `t`.
 //!
 //! # Bit-identity with [`GraphStats::compute`]
 //!
@@ -42,8 +48,13 @@ pub struct CumulativeStats<'g> {
     graph: &'g TemporalGraph,
     /// Next timestamp to ingest.
     t: usize,
-    /// Sorted undirected simple adjacency of the edges ingested so far.
+    /// Undirected simple adjacency of the edges ingested so far, each
+    /// list in arrival order.
     adj: Vec<Vec<NodeId>>,
+    /// `stamp[x] == epoch` iff `x` is in `N(u)` for the current run's
+    /// source `u`.
+    stamp: Vec<u32>,
+    epoch: u32,
     triangles: u64,
     components: UnionFind,
     /// `ln_ratio[d] == (d as f64 / ln_ratio_d_min as f64).ln()`.
@@ -66,6 +77,8 @@ impl<'g> CumulativeStats<'g> {
             graph,
             t: 0,
             adj: incident.into_iter().map(Vec::with_capacity).collect(),
+            stamp: vec![0; n],
+            epoch: 0,
             triangles: 0,
             components: UnionFind::new(n),
             ln_ratio: Vec::new(),
@@ -73,21 +86,43 @@ impl<'g> CumulativeStats<'g> {
         }
     }
 
+    /// Add one timestamp's edges. Runs of one source are cut from
+    /// consecutive edges, so an unsorted slice would only cost more
+    /// stampings, not change a count.
     fn ingest(&mut self, edges: &[TemporalEdge]) {
-        for e in edges {
-            if e.u == e.v {
-                continue;
+        for run in edges.chunk_by(|a, b| a.u == b.u) {
+            let u = run[0].u;
+            let epoch = self.next_epoch();
+            for &x in &self.adj[u as usize] {
+                self.stamp[x as usize] = epoch;
             }
-            let Err(at_u) = self.adj[e.u as usize].binary_search(&e.v) else {
-                continue;
-            };
-            self.triangles += common_neighbors(&self.adj[e.u as usize], &self.adj[e.v as usize]);
-            self.adj[e.u as usize].insert(at_u, e.v);
-            let nv = &mut self.adj[e.v as usize];
-            let at_v = nv.partition_point(|&x| x < e.u);
-            nv.insert(at_v, e.u);
-            self.components.union(e.u, e.v);
+            for e in run {
+                let v = e.v;
+                if v == u || self.stamp[v as usize] == epoch {
+                    continue;
+                }
+                let stamp = &self.stamp;
+                self.triangles += self.adj[v as usize]
+                    .iter()
+                    .filter(|&&x| stamp[x as usize] == epoch)
+                    .count() as u64;
+                self.adj[u as usize].push(v);
+                self.adj[v as usize].push(u);
+                self.stamp[v as usize] = epoch;
+                self.components.union(u, v);
+            }
         }
+    }
+
+    /// A stamp no entry of `stamp` holds. On wrap-around every entry is
+    /// cleared first, so a stamp from 2^32 runs ago cannot match.
+    fn next_epoch(&mut self) -> u32 {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.epoch
     }
 
     fn stats(&mut self) -> GraphStats {
@@ -169,36 +204,41 @@ impl Iterator for CumulativeStats<'_> {
     }
 }
 
-/// `|a ∩ b|` for two sorted duplicate-free lists: walk the shorter one and
-/// binary-search the unvisited tail of the longer, so intersecting a
-/// leaf's list with a hub's costs O(log deg(hub)), not O(deg(hub)).
-fn common_neighbors(a: &[NodeId], b: &[NodeId]) -> u64 {
-    let (short, mut long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut common = 0u64;
-    for x in short {
-        match long.binary_search(x) {
-            Ok(i) => {
-                common += 1;
-                long = &long[i + 1..];
-            }
-            Err(i) => long = &long[i..],
-        }
-    }
-    common
-}
-
 #[cfg(test)]
 mod tests {
-    use super::common_neighbors;
+    use super::CumulativeStats;
+    use crate::stats::GraphStats;
+    use tg_graph::{TemporalEdge, TemporalGraph};
 
     // the accumulator itself is tested against the batch oracle in
     // `tests/cumulative.rs`
 
+    /// Stamps left over from an earlier cycle of the epoch counter must
+    /// not read as neighbours once it wraps, whichever stamp they hold.
     #[test]
-    fn common_neighbors_counts_the_intersection() {
-        assert_eq!(common_neighbors(&[], &[1, 2]), 0);
-        assert_eq!(common_neighbors(&[1, 3, 5, 9], &[0, 3, 4, 9, 11]), 2);
-        assert_eq!(common_neighbors(&[7], &[1, 2, 3, 7]), 1);
-        assert_eq!(common_neighbors(&[2, 4], &[2, 4]), 2);
+    fn epoch_wrap_clears_stale_stamps() {
+        let e = TemporalEdge::new;
+        // per timestamp: a star from 0, then edges closing triangles
+        let mut edges = Vec::new();
+        for t in 0..6 {
+            for v in 1..6 {
+                edges.push(e(0, v, t));
+            }
+            edges.push(e(t % 5 + 1, (t + 1) % 5 + 1, t));
+            edges.push(e(6, t % 5 + 1, t));
+        }
+        let g = TemporalGraph::from_edges(7, 6, edges);
+        let bits = |s: &GraphStats| s.as_array().map(f64::to_bits);
+        let want: Vec<_> = CumulativeStats::new(&g).map(|s| bits(&s)).collect();
+
+        // 6 timestamps of 3 runs: the first two stamp u32::MAX - 1 and
+        // u32::MAX, the third wraps to 1, the last stamps 16
+        for stale in 1..=16 {
+            let mut wrapped = CumulativeStats::new(&g);
+            wrapped.epoch = u32::MAX - 2;
+            wrapped.stamp.fill(stale);
+            let got: Vec<_> = wrapped.map(|s| bits(&s)).collect();
+            assert_eq!(got, want, "stale stamp {stale}");
+        }
     }
 }

@@ -14,7 +14,7 @@
 //! - [`mmd`] — Gaussian-kernel total-variation MMD (Eq. 1) used by Table VI;
 //! - [`union_find`] — disjoint sets for component statistics.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![forbid(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 
 pub mod cumulative;

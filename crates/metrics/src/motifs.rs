@@ -102,6 +102,20 @@ fn label(x: u32, a: u32, b: u32, c: Option<u32>) -> Option<u8> {
     }
 }
 
+/// Label an endpoint of a second edge, which is incident to `a` or `b`:
+/// `a->0`, `b->1`, and any other node `->2`, as that node is the `c`
+/// the edge introduces.
+#[inline]
+fn label_e2(x: u32, a: u32, b: u32) -> u8 {
+    if x == a {
+        0
+    } else if x == b {
+        1
+    } else {
+        2
+    }
+}
+
 struct EdgeRec {
     t: u64,
     u: u32,
@@ -136,17 +150,7 @@ fn count_anchored(
             let e2 = &edges[j as usize];
             // identify third node (if any) introduced by e2
             let c: Option<u32> = [e2.u, e2.v].into_iter().find(|&x| x != a && x != b);
-            #[expect(
-                clippy::expect_used,
-                reason = "`c` was chosen as whichever endpoint of e2 is not a or b"
-            )]
-            let l2u = label(e2.u, a, b, c).expect("e2 incident by construction");
-            #[expect(
-                clippy::expect_used,
-                reason = "`c` was chosen as whichever endpoint of e2 is not a or b"
-            )]
-            let l2v = label(e2.v, a, b, c).expect("e2 endpoint must be labelled");
-            let c2 = edge_code_index(l2u, l2v);
+            let c2 = edge_code_index(label_e2(e2.u, a, b), label_e2(e2.v, a, b));
             // window candidates for the 3rd edge
             cand3.clear();
             match c {

@@ -237,3 +237,69 @@ fn preset_math() {
 fn preset_ubuntu() {
     check_preset("UBUNTU", 0.01);
 }
+
+/// A hub: its node, its timestamp, and one byte per node saying whether,
+/// when and with which degenerate companion the hub meets that node.
+type Hub = (u32, u32, Vec<u8>);
+
+/// A graph around a few hubs adjacent to most nodes. A hub meets a node
+/// in seven of eight bytes, mostly at the hub's own timestamp, so its
+/// edges there form one long same-source run; a byte's top bits add a
+/// repeat, a reciprocal (same or another timestamp), a self-loop, or a
+/// leaf-to-leaf edge that closes a triangle through the hub. `extra`
+/// edges connect arbitrary nodes.
+fn build_hubs(n: usize, t_count: usize, hubs: &[Hub], extra: &[(u32, u32, u32)]) -> TemporalGraph {
+    let e = TemporalEdge::new;
+    let (n32, t32) = (n as u32, t_count as u32);
+    let mut edges: Vec<TemporalEdge> = extra.iter().map(|&(u, v, t)| e(u, v, t)).collect();
+    for (h, t_hub, bytes) in hubs {
+        let h = *h;
+        for (x, &b) in (0..n32).zip(bytes) {
+            if b & 7 == 0 {
+                continue;
+            }
+            let t = if b & 8 == 0 {
+                *t_hub
+            } else {
+                u32::from(b >> 4) % t32
+            };
+            edges.push(e(h, x, t));
+            match b >> 5 {
+                0 => edges.push(e(h, x, t)),
+                1 => edges.push(e(x, h, t)),
+                2 => edges.push(e(h, h, t)),
+                3 | 4 => edges.push(e(x, (x + 1) % n32, t)),
+                5 => edges.push(e(x, h, (t + 1) % t32)),
+                _ => {}
+            }
+        }
+    }
+    TemporalGraph::from_edges(n, t_count, edges)
+}
+
+fn arb_hub_graph() -> impl Strategy<Value = TemporalGraph> {
+    (1usize..=200, 1usize..=8)
+        .prop_flat_map(|(n, t_count)| {
+            let (n32, t32) = (n as u32, t_count as u32);
+            let hub = (0..n32, 0..t32, collection::vec(0u8..=255, n));
+            let extra = (0..n32, 0..n32, 0..t32);
+            (
+                Just(n),
+                Just(t_count),
+                collection::vec(hub, 1..=4),
+                collection::vec(extra, 0..=120),
+            )
+        })
+        .prop_map(|(n, t_count, hubs, extra)| build_hubs(n, t_count, &hubs, &extra))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Hubs make the long same-source runs and the degree-`n` lists that
+    /// triangle closing walks.
+    #[test]
+    fn hub_heavy_series_is_bit_identical_to_batch(g in arb_hub_graph()) {
+        assert_series_match(&g);
+    }
+}

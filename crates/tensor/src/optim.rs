@@ -90,7 +90,12 @@ impl StepConsts {
             next += k;
         }
         let tail = at * cols..;
-        self.apply(&mut p[tail.clone()], &mut m[tail.clone()], &mut v[tail], None);
+        self.apply(
+            &mut p[tail.clone()],
+            &mut m[tail.clone()],
+            &mut v[tail],
+            None,
+        );
     }
 }
 

@@ -90,3 +90,49 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rundir::{RunManifest, RUN_VERSION};
+
+    /// A model whose parameter reads `1e999` never becomes a resident
+    /// model: the daemon's loader answers the cache miss with the typed
+    /// load error.
+    #[test]
+    fn the_loader_refuses_a_non_finite_parameter() {
+        let root = std::env::temp_dir().join(format!("tgx_serve_nonfinite_{}", std::process::id()));
+        let dir = RunDir::create(root.join("run")).unwrap();
+        let cfg = tgae::TgaeConfig::tiny();
+        tgae::persist::save(&tgae::Tgae::new(4, 3, cfg.clone()), dir.model_path()).unwrap();
+        let ring: String = (0..3u32)
+            .flat_map(|t| (0..4u32).map(move |u| format!("{u} {} {t}\n", (u + 1) % 4)))
+            .collect();
+        std::fs::write(dir.observed_path(), ring).unwrap();
+        dir.save_manifest(&RunManifest {
+            version: RUN_VERSION,
+            n_nodes: 4,
+            n_timestamps: 3,
+            n_edges: 12,
+            seed: 5,
+            config: cfg,
+            source: "ring".into(),
+            store: None,
+        })
+        .unwrap();
+        let loader = run_loader(root.clone());
+        assert!(loader("run").is_ok());
+
+        let json = std::fs::read_to_string(dir.model_path()).unwrap();
+        let start = json.find(r#""data":["#).unwrap() + r#""data":["#.len();
+        let end = start + json[start..].find([',', ']']).unwrap();
+        let poisoned = format!("{}1e999{}", &json[..start], &json[end..]);
+        std::fs::write(dir.model_path(), poisoned).unwrap();
+        let Err(err) = loader("run") else {
+            panic!("the daemon loaded a model with an infinite parameter")
+        };
+        assert!(err.contains("checkpoint value error"), "{err}");
+        assert!(err.contains("NaN or an infinity"), "{err}");
+        std::fs::remove_dir_all(&root).ok();
+    }
+}

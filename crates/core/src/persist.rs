@@ -21,6 +21,9 @@ pub enum PersistError {
     /// The checkpoint decoded, but its declared shape disagrees with its
     /// own parameter tables.
     Shape(String),
+    /// The checkpoint decoded, but a parameter holds a NaN or an infinity
+    /// (a JSON number past `f32`'s range, such as `1e999`, reads as one).
+    NonFinite(String),
 }
 
 impl std::fmt::Display for PersistError {
@@ -29,6 +32,7 @@ impl std::fmt::Display for PersistError {
             PersistError::Io(e) => write!(f, "checkpoint io error: {e}"),
             PersistError::Codec(e) => write!(f, "checkpoint codec error: {e}"),
             PersistError::Shape(msg) => write!(f, "checkpoint shape error: {msg}"),
+            PersistError::NonFinite(msg) => write!(f, "checkpoint value error: {msg}"),
         }
     }
 }
@@ -76,9 +80,9 @@ pub fn save(model: &Tgae, path: impl AsRef<Path>) -> Result<(), PersistError> {
 }
 
 /// Load a model checkpoint. A model whose `n_nodes` / `n_timestamps`
-/// differ from the row counts of its node and time embedding tables is
-/// refused ([`check_shape`]), so a caller may size other inputs by the
-/// model's shape.
+/// differ from the row counts of its node and time embedding tables, or
+/// with a non-finite parameter, is refused ([`check_shape`]), so a caller
+/// may size other inputs by the model's shape and generate from it.
 pub fn load(path: impl AsRef<Path>) -> Result<Tgae, PersistError> {
     let model: Tgae = load_json(path)?;
     check_shape(&model)?;
@@ -86,8 +90,21 @@ pub fn load(path: impl AsRef<Path>) -> Result<Tgae, PersistError> {
 }
 
 /// Refuse a model whose `n_nodes` / `n_timestamps` differ from the row
-/// counts of its node and time embedding tables.
+/// counts of its node and time embedding tables, or a parameter of which
+/// holds a NaN or an infinity.
 pub fn check_shape(model: &Tgae) -> Result<(), PersistError> {
+    let store = &model.store;
+    if store.any_non_finite() {
+        let names: Vec<&str> = store
+            .ids()
+            .filter(|&id| store.value(id).has_non_finite())
+            .map(|id| store.name(id))
+            .collect();
+        return Err(PersistError::NonFinite(format!(
+            "parameter {} holds a NaN or an infinity",
+            names.join(", ")
+        )));
+    }
     let rows = |emb: &Embedding| {
         let table = model.store.ids().find(|&id| id == emb.table)?;
         Some(model.store.value(table).rows())

@@ -306,6 +306,48 @@ fn v1_checkpoint_is_a_typed_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `json` with the first element of its first parameter's matrix
+/// replaced by the literal `datum`.
+fn with_first_datum(json: &str, datum: &str) -> String {
+    let start = json.find(r#""data":["#).expect("a matrix") + r#""data":["#.len();
+    let end = start + json[start..].find([',', ']']).expect("the element ends");
+    format!("{}{datum}{}", &json[..start], &json[end..])
+}
+
+/// A parameter that reads `1e999` decodes (to `+inf`) and is refused by
+/// name, by `tgae::load` and by a resume from a training checkpoint,
+/// instead of loading a model that scores NaN.
+#[test]
+fn a_non_finite_parameter_is_a_typed_error() {
+    let dir = tmp_dir("non_finite");
+    let path = dir.join("model.json");
+    tgae::save(&Tgae::new(6, 2, tiny_cfg(1, 0)), &path).unwrap();
+    let current = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, with_first_datum(&current, "1e999")).unwrap();
+    let Err(err) = tgae::load(&path) else {
+        panic!("loaded a model with an infinite parameter")
+    };
+    assert!(matches!(err, tgae::PersistError::NonFinite(_)), "{err}");
+    assert!(err.to_string().contains("NaN or an infinity"), "{err}");
+
+    let g = ring_graph(6, 2);
+    let ckpt = dir.join("ckpt.json");
+    let mut s = Session::builder(&g)
+        .config(tiny_cfg(2, 2))
+        .checkpoint(&ckpt, 1)
+        .build()
+        .unwrap();
+    s.train().unwrap();
+    let current = std::fs::read_to_string(&ckpt).unwrap();
+    std::fs::write(&ckpt, with_first_datum(&current, "-1e999")).unwrap();
+    let err = s.resume_from(&ckpt).unwrap_err();
+    assert!(
+        matches!(err, TgxError::Checkpoint(tgae::PersistError::NonFinite(_))),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn edgeless_graph_is_a_typed_error() {
     // `TemporalGraph::from_edges` statically refuses zero timestamps, so

@@ -16,6 +16,17 @@ pub(crate) enum Conn {
     Unix(UnixStream),
 }
 
+impl Conn {
+    /// Bound each blocking read on this connection (`None`: no bound).
+    pub(crate) fn set_read_timeout(&self, limit: Option<std::time::Duration>) -> io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.set_read_timeout(limit),
+            #[cfg(unix)]
+            Conn::Unix(s) => s.set_read_timeout(limit),
+        }
+    }
+}
+
 impl Read for Conn {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {

@@ -220,7 +220,7 @@ impl Server {
         loop {
             let draining = shared.is_draining();
             match listener.accept_nonblocking() {
-                Ok(Some(mut conn)) => {
+                Ok(Some(conn)) => {
                     // Direct eval (not the `fail_point!` macro): an injected
                     // accept failure must drop this one connection, never
                     // propagate out of the accept loop.
@@ -228,7 +228,7 @@ impl Server {
                         continue;
                     }
                     if draining {
-                        let _ = write_frame(&mut conn, &draining_refusal());
+                        refuse_while_draining(conn);
                         continue;
                     }
                     let worker_shared = Arc::clone(&shared);
@@ -282,6 +282,22 @@ fn error(kind: ErrorKind, cause: impl std::fmt::Display) -> Frame {
 
 fn draining_refusal() -> Frame {
     error(ErrorKind::Shutdown, "server is draining")
+}
+
+/// How long a connection the accept loop refuses while draining gets to
+/// deliver its first frame before the server hangs up on it.
+const REFUSAL_READ_DEADLINE: Duration = Duration::from_millis(100);
+
+/// Answer a connection accepted while draining with the typed refusal,
+/// then read the client's first frame under [`REFUSAL_READ_DEADLINE`]
+/// before dropping the connection. Closing a socket with unread input
+/// sends a reset instead of a FIN, and a reset that reaches the client
+/// before it reads the refusal loses the refusal with it.
+fn refuse_while_draining(mut conn: Conn) {
+    let _ = write_frame(&mut conn, &draining_refusal());
+    if conn.set_read_timeout(Some(REFUSAL_READ_DEADLINE)).is_ok() {
+        let _ = read_payload(&mut conn);
+    }
 }
 
 fn handle_connection(mut conn: Conn, shared: Arc<SharedState>) {

@@ -276,6 +276,39 @@ fn draining_server_refuses_new_work_with_a_typed_frame() {
     assert_eq!(report.requests_served, 0);
 }
 
+/// The race `draining_server_refuses_new_work_with_a_typed_frame` can
+/// lose, made deterministic: the client connects and starts its request,
+/// and the drain starts before the accept loop ever runs. The loop then
+/// accepts a connection whose request it will not serve. It must not
+/// close that connection on unread input: the reset that close sends
+/// fails the client's next write, and the `Shutdown` frame is lost.
+#[test]
+fn a_connection_refused_while_draining_gets_its_shutdown_frame() {
+    let payload = serde_json::to_string(&Frame::Ping).unwrap().into_bytes();
+    for round in 0..5 {
+        let loader: tg_serve::Loader = Box::new(|id: &str| Err(format!("no run named `{id}`")));
+        let server = Server::bind_tcp("127.0.0.1:0", loader, ServeConfig::default())
+            .expect("bind ephemeral port");
+        let mut stream = std::net::TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .write_all(&(payload.len() as u32).to_be_bytes())
+            .unwrap();
+        server.handle().shutdown();
+        let thread = std::thread::spawn(move || server.run());
+        // the accept loop refuses the connection while the request is
+        // half sent
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        let rest = stream.write_all(&payload);
+        match (rest, read_frame(&mut stream)) {
+            (Ok(()), Ok(Some(Frame::Error { kind, .. }))) => assert_eq!(kind, ErrorKind::Shutdown),
+            other => panic!("round {round}: expected the shutdown refusal, got {other:?}"),
+        }
+        let report = thread.join().unwrap().unwrap();
+        assert_eq!(report.requests_served, 0);
+    }
+}
+
 /// Write `payload` as one whole frame, whatever it holds.
 fn send_payload(stream: &mut std::net::TcpStream, payload: &[u8]) {
     stream

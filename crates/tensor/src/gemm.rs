@@ -6,41 +6,58 @@
 //! # Matmul design
 //!
 //! The three matmul variants (`nn`, `nt`, `tn`) share one cache-blocked
-//! GEBP-style implementation (the private `gemm` driver), blocked for
-//! the whole cache hierarchy:
+//! GEBP-style implementation (the private `gemm` driver). Its register
+//! tile computes `C[i, j] += Σ A[i, kk] · B[kk, j]` by broadcasting one
+//! element of A per row and multiplying it into a vector cut from one
+//! row of B. So it reads A a scalar at a time, at any stride, and B a
+//! contiguous row segment at a time:
 //!
 //! 1. **`jc`/`NC` column blocking.** The outermost loop walks B in
-//!    slices of `NC` columns so the packed KC×NC slice stays
-//!    L2-resident — without it the full packed B (4 MB at 1024²) is
-//!    re-streamed per row block and throughput falls off past the L2
-//!    size. `NC` is a multiple of every kernel's panel width.
-//! 2. **Pack the B slice.** The slice is repacked into column panels of
-//!    the active kernel's `NR`: `bpack[panel][kk][nr]`. Each of the
-//!    three variants only differs in its packing loop, which absorbs
-//!    the transpose — the hot loop never sees a stride.
-//! 3. **[`KC`] k-blocking + row-split in parallel.** Within each KC
-//!    slice the output rows are split across the persistent worker pool
-//!    ([`crate::parallel::par_chunks_mut`]); the packed B is shared
+//!    slices of `NC` columns so the `KC`×`NC` slice a row block streams
+//!    against stays L2-resident. `NC` is a multiple of every kernel's
+//!    panel width.
+//! 2. **Pack only what a transpose forces.** The broadcast side reads A
+//!    in place through two strides: row-major A as `a[r·k + kk]`, the
+//!    stored-transposed A of `tn` as `a[kk·m + r]`. The vector side reads
+//!    a row-major B in place, `b[kk·n + j]`, with masked loads for the
+//!    column fringe. One rule (the private `Pack::rule`) picks the at
+//!    most one operand a product packs:
+//!    - an `nt` product's B is stored `(n, k)`, which neither side can
+//!      read, so it packs one operand. While `m < n` and `m ≤ 64` (a
+//!      generation unit's score, a few dozen slots against thousands of
+//!      candidates) that is A, as one `k`×`m` block, and the tile
+//!      computes `Cᵀ = B·Aᵀ` instead: it broadcasts B's rows in place and
+//!      writes each tile back into C transposed. Otherwise it is B, into
+//!      `nr`-wide zero-padded column panels, `bpack[panel][kk][nr]`;
+//!    - a row-major B wider than 128 columns, against at least 256 rows
+//!      of A, is packed into panels as well: read in place its rows sit
+//!      far apart, and the tall product amortises the copy.
+//! 3. **[`KC`] k-blocking + row-split in parallel.** C's rows are split
+//!    across the persistent worker pool
+//!    ([`crate::parallel::par_chunks_mut`]) — the columns of the view
+//!    when the tiles compute `Cᵀ` — and each worker walks `jc`, then the
+//!    `KC` slices, over its part; operands and the pack are shared
 //!    read-only by all workers.
 //! 4. **Microkernel.** Each worker walks its rows in blocks of the
-//!    kernel's `MR`, packs the corresponding A block (`apack[kk][mr]`,
-//!    again absorbing the `tn` transpose), and computes an `MR`×`NR`
-//!    register tile per B panel. Fringes are handled by zero-padding
-//!    the packs and masking the write-back (the AVX-512 kernel masks
-//!    loads/stores on C directly).
+//!    kernel's `MR` and computes an `MR`×`NR` register tile per column
+//!    panel, reading C in place at the tile's strides (loads only after
+//!    the first `KC` block). A row fringe repeats the last real row of A
+//!    and drops the extra rows at the write-back; a column fringe masks
+//!    the loads of B and the write-back.
 //!
 //! # Microkernel dispatch
 //!
 //! The inner tile has three implementations behind one contract
-//! (`acc += Ablock @ Bpanel` over packed operands), listed by
+//! (`C += A @ B` over one strided `Tile`), listed by
 //! [`available_microkernels`] fastest-first and selected at runtime
 //! with `is_x86_feature_detected!`:
 //!
 //! - **AVX-512** ([`MicrokernelKind::Avx512`]): 8×32 tile in 16 ZMM
-//!   accumulators, masked loads/stores for row/column fringes.
+//!   accumulators (8 when the panel is at most 16 columns wide), masked
+//!   loads/stores for column fringes.
 //! - **AVX2+FMA** ([`MicrokernelKind::Avx2Fma`]): the 4×16 tile held in
 //!   8 YMM accumulators, one broadcast + two FMAs per row per `kk`
-//!   step, and software prefetch of the B panel.
+//!   step, and software prefetch of B.
 //! - **Portable** ([`MicrokernelKind::Portable`]): `MR*NR` scalar
 //!   accumulators that the auto-vectoriser keeps in vector registers.
 //!   Always available.
@@ -54,17 +71,22 @@
 //! [`force_microkernel`] returns an RAII guard pinning the thread to
 //! any level (parity tests and A/B benchmarks).
 //!
-//! Every kernel accumulates each output element in a single register in
-//! ascending-k order, so the two FMA kernels agree **bitwise** with
-//! each other on any data; against portable they differ by at most the
-//! FMA contraction (one rounding instead of two per multiply-add), so
-//! results agree bitwise on integer data and to ~`sqrt(k)` ULP on
-//! fractional data; see the `simd_matmul_matches_portable*` and
-//! `fma_kernels_agree_*` parity tests.
+//! # Bits
 //!
-//! Packing scratch lives in thread-locals, so steady-state training does
+//! Under either FMA kernel, every element of a tiled product is one
+//! `f32::mul_add` chain over ascending `k` from `+0.0`, whatever the
+//! layouts, the packing or the swap: `fma(a, b, c) == fma(b, a, c)`, so
+//! computing `Cᵀ` runs the same chain, and the `f32` store and reload of
+//! a partial sum at a `KC` boundary is exact. The two FMA kernels
+//! therefore agree **bitwise** on any data; the portable tile runs the
+//! same chain with a multiply and an add per step (two roundings), so it
+//! agrees bitwise on integer data and to ~`sqrt(k)` ULP on fractional
+//! data. See the `fma_tiles_are_one_mul_add_chain`,
+//! `simd_matmul_matches_portable*` and `fma_kernels_agree_*` tests.
+//!
+//! The one pack lives in a thread-local, so steady-state training does
 //! not allocate per matmul call. Small products (`m*k*n < `[`TILE_THRESHOLD`])
-//! skip packing entirely and use the naive ikj loops (`matmul_*_naive`),
+//! skip the driver entirely and use the naive ikj loops (`matmul_*_naive`),
 //! which are also kept public as the reference implementation for the
 //! parity property tests and as the benchmark baseline.
 
@@ -77,27 +99,26 @@ use std::cell::RefCell;
 /// [`MicrokernelKind::geometry`]).
 const MR: usize = 4;
 /// Register-tile width of the portable and AVX2 tiles: columns of B per
-/// packed panel. The AVX-512 tile is wider (see
-/// [`MicrokernelKind::geometry`]).
+/// panel. The AVX-512 tile is wider (see [`MicrokernelKind::geometry`]).
 const NR: usize = 16;
 /// Largest register-tile height across all microkernels (the AVX-512
-/// tile is `8`×`32`); driver-side scratch is sized for this.
+/// tile is `8`×`32`).
 const MR_MAX: usize = 8;
 /// Largest register-tile width across all microkernels.
 const NR_MAX: usize = 32;
-/// K-dimension block: the `KC`×`NR` B panel slice (16–32 KiB) and the
-/// `KC`×`MR` A block (4–8 KiB) stay L1-resident inside the microkernel.
+/// K-dimension block: the `KC` rows of a B panel (16–32 KiB) and the
+/// `KC` columns of an A row block stay L1-resident inside the
+/// microkernel.
 pub const KC: usize = 256;
-/// N-dimension block (the GEBP `jc` loop): the driver walks the packed B
-/// columns in `NC`-wide slices so one `KC`×`NC` slice (512 KiB at f32)
-/// stays L2-resident while every row block of A streams against it.
-/// Without this loop the whole packed B (4 MB at 1024²) is re-pulled from
-/// L3 per `MR`-row block, which is exactly the ~60 → ~35 GFLOP/s falloff
-/// the ROADMAP's "kernel ceiling" item describes. `NC` is a multiple of
-/// every kernel's panel width, so panel boundaries never straddle a slice.
+/// N-dimension block (the GEBP `jc` loop): the driver walks B's columns
+/// in `NC`-wide slices so one `KC`×`NC` slice (512 KiB at f32) stays
+/// L2-resident while every row block of A streams against it. Without
+/// this loop all of B (4 MB at 1024²) is re-pulled from L3 per `MR`-row
+/// block. `NC` is a multiple of every kernel's panel width, so panel
+/// boundaries never straddle a slice.
 const NC: usize = 512;
 /// Products with fewer than this many fused multiply-adds use the naive
-/// loops; below it, packing costs more than it saves.
+/// loops; below it, the driver's set-up costs more than it saves.
 pub const TILE_THRESHOLD: usize = 16 * 16 * 16;
 
 /// Which loop nest a product runs on. The two accumulate in different
@@ -109,7 +130,7 @@ pub const TILE_THRESHOLD: usize = 16 * 16 * 16;
 pub(crate) enum GemmPath {
     /// The `matmul_*_naive` loops.
     Naive,
-    /// The packed, tiled [`gemm`] driver.
+    /// The tiled [`gemm`] driver.
     Tiled,
 }
 
@@ -126,23 +147,22 @@ impl GemmPath {
 }
 
 thread_local! {
-    /// Per-thread scratch for the packed B panels (caller side).
-    static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread scratch for the packed A block (worker side).
-    static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread scratch for the one operand an `nt` product packs
+    /// (caller side).
+    static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Take a thread-local scratch buffer. Take/put (instead of holding a
+/// Take the thread-local pack buffer. Take/put (instead of holding a
 /// borrow across the computation) keeps this safe under the pool's
 /// caller-helps policy, where a thread waiting in one gemm can execute an
 /// unrelated task that itself enters gemm: the nested call simply finds an
 /// empty buffer and allocates its own.
-fn take_scratch(cell: &'static std::thread::LocalKey<RefCell<Vec<f32>>>) -> Vec<f32> {
-    cell.with(|c| c.take())
+fn take_pack() -> Vec<f32> {
+    PACK.with(|c| c.take())
 }
 
-fn put_scratch(cell: &'static std::thread::LocalKey<RefCell<Vec<f32>>>, buf: Vec<f32>) {
-    cell.with(|c| {
+fn put_pack(buf: Vec<f32>) {
+    PACK.with(|c| {
         let mut slot = c.borrow_mut();
         if slot.capacity() < buf.capacity() {
             *slot = buf;
@@ -150,10 +170,7 @@ fn put_scratch(cell: &'static std::thread::LocalKey<RefCell<Vec<f32>>>, buf: Vec
     });
 }
 
-/// Which operand layout [`gemm`] reads its inputs in. `B` is always packed
-/// by panel before the parallel region; `A` is packed per row-block inside
-/// the microkernel driver, so the transpose variants differ only in their
-/// packing loops.
+/// Which layout [`gemm`] reads an operand in.
 #[derive(Clone, Copy)]
 pub(crate) enum Layout {
     /// Operand is stored row-major in its mathematical orientation.
@@ -180,35 +197,76 @@ impl Layout {
     }
 }
 
-/// Pack the B operand into `nr`-wide column panels (the active kernel's
-/// panel width), zero-padding the last panel:
-/// `bpack[p * k * nr + kk * nr + j] = B[kk, p*nr + j]`.
-fn pack_b(b: &[f32], k: usize, n: usize, layout: Layout, nr: usize, out: &mut Vec<f32>) {
+/// Which operand [`gemm`] packs before its tiles run — the one packing
+/// rule. An operand is packed only when the tiles cannot read it in
+/// place, or when reading it in place measurably loses:
+/// - an `nt` product's B is stored `(n, k)`, which neither side of the
+///   tile reads in place, so it packs one operand — A (and computes `Cᵀ`)
+///   while `m < n` and `m ≤` [`SWAP_MAX_M`], else B;
+/// - a row-major B wider than [`PACK_B_MIN_N`] columns, against at least
+///   [`PACK_B_MIN_M`] rows of A, is packed too;
+/// - A is never packed otherwise: the tiles broadcast it through strides.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Pack {
+    /// Both operands are read in place.
+    Nothing,
+    /// B is packed into column panels of the kernel's width.
+    B,
+    /// A is packed as one `k`×`m` block, and the tiles compute `Cᵀ = B·Aᵀ`
+    /// with B's rows broadcast in place.
+    A,
+}
+
+/// Largest `m` for which an `nt` product packs A instead of B. The swap
+/// saves B's pack (`n·k` strided copies) but writes every tile of C back
+/// transposed. On the AVX-512 tile at `k = 32` it wins by 30 % or more up
+/// to 64 rows (`n = 1743`); from 128–256 rows, or from 200 rows at
+/// `n = 552`, packing B is as fast or faster, and at `1795 × 1909` the
+/// swap takes 3× as long.
+const SWAP_MAX_M: usize = 64;
+/// A row-major B at most this wide is read in place whatever `m`. Wider,
+/// its rows sit far apart: a panel read in place takes an L1 set conflict
+/// at a power-of-two stride (≈ −40 % at `n = 512`) and loses the
+/// hardware prefetcher's stream.
+const PACK_B_MIN_N: usize = 128;
+/// Rows of A that amortise packing a wide row-major B: below this, the
+/// copy costs more than the in-place reads lose (at `k = 32`, `n = 1909`,
+/// in place still wins at `m = 200`).
+const PACK_B_MIN_M: usize = 256;
+
+impl Pack {
+    /// The rule, for an `m`-row, `n`-column product in the given layouts.
+    fn rule(m: usize, n: usize, a_layout: Layout, b_layout: Layout) -> Pack {
+        match (a_layout, b_layout) {
+            (Layout::RowMajor, Layout::Transposed) if m < n && m <= SWAP_MAX_M => Pack::A,
+            (_, Layout::Transposed) => Pack::B,
+            (_, Layout::RowMajor) if n > PACK_B_MIN_N && m >= PACK_B_MIN_M => Pack::B,
+            (_, Layout::RowMajor) => Pack::Nothing,
+        }
+    }
+}
+
+/// Pack the `k`×`n` operand `src`, stored in `layout`, into `nr`-wide
+/// column panels, zero-padding the last one:
+/// `out[p·k·nr + kk·nr + j] = B[kk, p·nr + j]`. With `nr = n` this is a
+/// plain row-major copy of the operand as read.
+fn pack_panels(src: &[f32], k: usize, n: usize, layout: Layout, nr: usize, out: &mut Vec<f32>) {
     let panels = n.div_ceil(nr);
     out.clear();
     out.resize(panels * k * nr, 0.0);
-    match layout {
-        Layout::RowMajor => {
-            // b is (k, n) row-major
-            for kk in 0..k {
-                let src = &b[kk * n..(kk + 1) * n];
-                for p in 0..panels {
-                    let j0 = p * nr;
-                    let width = nr.min(n - j0);
-                    let dst = &mut out[p * k * nr + kk * nr..p * k * nr + kk * nr + width];
-                    dst.copy_from_slice(&src[j0..j0 + width]);
+    for (p, panel) in out.chunks_exact_mut(k * nr).enumerate() {
+        let (j0, width) = (p * nr, nr.min(n - p * nr));
+        match layout {
+            // src is (k, n): each panel row is a slice of a source row
+            Layout::RowMajor => {
+                for (kk, dst) in panel.chunks_exact_mut(nr).enumerate() {
+                    dst[..width].copy_from_slice(&src[kk * n + j0..kk * n + j0 + width]);
                 }
             }
-        }
-        Layout::Transposed => {
-            // b is (n, k) row-major; output column j is b row j
-            for p in 0..panels {
-                let j0 = p * nr;
-                let width = nr.min(n - j0);
-                let panel = &mut out[p * k * nr..(p + 1) * k * nr];
-                for j in 0..width {
-                    let src = &b[(j0 + j) * k..(j0 + j + 1) * k];
-                    for (kk, &v) in src.iter().enumerate() {
+            // src is (n, k): panel column j is source row j0 + j
+            Layout::Transposed => {
+                for (j, row) in src[j0 * k..(j0 + width) * k].chunks_exact(k).enumerate() {
+                    for (kk, &v) in row.iter().enumerate() {
                         panel[kk * nr + j] = v;
                     }
                 }
@@ -217,66 +275,152 @@ fn pack_b(b: &[f32], k: usize, n: usize, layout: Layout, nr: usize, out: &mut Ve
     }
 }
 
-/// Pack an `mr`-row block of A (rows `r0..r0+rows`, inner indices
-/// `k0..k0+klen`) for the active kernel's tile height, zero-padding to
-/// `mr`: `apack[kk * mr + i] = A[r0 + i, k0 + kk]`.
+/// The broadcast side of a product as the tiles read it: element
+/// `(i, kk)` at `data[i·rs + kk·cs]`.
+#[derive(Clone, Copy)]
+struct Broadcast<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
+}
+
+/// The vector side of a product as the tiles read it: element `(kk, j)`
+/// at `data[(j / nr)·panel + j % nr + kk·ld]`, for the kernel's panel
+/// width `nr`. An operand read in place has `panel = nr` (so the offset
+/// is `j + kk·ld`); a panel pack has `ld = nr` and `panel = k·nr`.
+#[derive(Clone, Copy)]
+struct Vector<'a> {
+    data: &'a [f32],
+    ld: usize,
+    panel: usize,
+}
+
+/// One register tile, in the operand contract every microkernel shares:
+/// `C[i, j] (+)= Σ_{kk < k} A[i, kk] · B[kk, j]` for `i < rows`,
+/// `j < width`, with
+/// - A (the broadcast side) at `a[i·a_rs + kk·a_cs]`,
+/// - B (the vector side) at `b[kk·ldb + j]`,
+/// - C at `c[i·c_rs + j·c_cs]`.
 ///
-/// `lead` is the leading dimension of the stored buffer: for `RowMajor`
-/// (A is `(m, k)`) it is `k`; for `Transposed` (A stored `(k, m)`) it is
-/// `m`.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn pack_a_block(
-    a: &[f32],
-    r0: usize,
+/// When `first_k` is set the sums start at `+0.0`; otherwise they start
+/// from C. A kernel reads no A row at or past `rows` (a fringe repeats
+/// row `rows - 1`), and reads B past `width` only under a mask.
+#[derive(Clone, Copy)]
+struct Tile {
+    k: usize,
+    a: *const f32,
+    a_rs: usize,
+    a_cs: usize,
+    b: *const f32,
+    ldb: usize,
+    c: *mut f32,
+    c_rs: usize,
+    c_cs: usize,
     rows: usize,
-    k0: usize,
-    klen: usize,
-    lead: usize,
-    layout: Layout,
-    mr: usize,
-    out: &mut [f32],
-) {
-    debug_assert!(rows <= mr && out.len() >= klen * mr);
-    match layout {
-        Layout::RowMajor => {
-            for i in 0..mr {
-                if i < rows {
-                    let src = &a[(r0 + i) * lead + k0..(r0 + i) * lead + k0 + klen];
-                    for (kk, &v) in src.iter().enumerate() {
-                        out[kk * mr + i] = v;
-                    }
-                } else {
-                    for kk in 0..klen {
-                        out[kk * mr + i] = 0.0;
-                    }
-                }
-            }
-        }
-        Layout::Transposed => {
-            // a stored (k, m): row kk holds A[kk, :]; the mr block is a
-            // contiguous slice of each stored row.
-            for kk in 0..klen {
-                let src = &a[(k0 + kk) * lead + r0..(k0 + kk) * lead + r0 + rows];
-                let dst = &mut out[kk * mr..kk * mr + mr];
-                dst[..rows].copy_from_slice(src);
-                dst[rows..].fill(0.0);
-            }
+    width: usize,
+    first_k: bool,
+}
+
+impl Tile {
+    /// Offsets of the `MR_MAX` A rows a kernel broadcasts from: row `i`,
+    /// or row `rows - 1` past the fringe.
+    #[inline(always)]
+    fn a_rows(&self) -> [usize; MR_MAX] {
+        std::array::from_fn(|i| i.min(self.rows - 1) * self.a_rs)
+    }
+}
+
+/// Copy the tile's `rows`×`width` block of C into `buf`.
+///
+/// # Safety
+/// `t` satisfies the [`Tile`] contract.
+#[inline(always)]
+unsafe fn load_c<const W: usize>(t: &Tile, buf: &mut [[f32; W]]) {
+    for (i, row) in buf.iter_mut().enumerate().take(t.rows) {
+        for (j, v) in row.iter_mut().enumerate().take(t.width) {
+            // SAFETY: (i, j) is inside the tile, so C holds it.
+            *v = unsafe { *t.c.add(i * t.c_rs + j * t.c_cs) };
         }
     }
 }
 
-/// The portable `MR`×`NR` register-tile microkernel: `acc += Ablock @
-/// Bpanel` over the full `k` extent. With `MR`/`NR` constant the compiler
-/// unrolls the inner pair of loops into vector code with `acc` held in
-/// registers. This is the reference tile the SIMD path is parity-tested
-/// against, and the fallback wherever AVX2+FMA is unavailable.
+/// Write `buf`'s `rows`×`width` block back into the tile's C, walking
+/// C's rows when the tile is transposed into it.
+///
+/// # Safety
+/// `t` satisfies the [`Tile`] contract.
 #[inline(always)]
-fn microkernel(k: usize, apack: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    debug_assert!(apack.len() >= k * MR && bpanel.len() >= k * NR);
-    for kk in 0..k {
-        let a = &apack[kk * MR..kk * MR + MR];
-        let b = &bpanel[kk * NR..kk * NR + NR];
+unsafe fn store_c<const W: usize>(t: &Tile, buf: &[[f32; W]]) {
+    for j in 0..t.width {
+        for (i, row) in buf.iter().enumerate().take(t.rows) {
+            // SAFETY: (i, j) is inside the tile, so C holds it.
+            unsafe { *t.c.add(i * t.c_rs + j * t.c_cs) = row[j] };
+        }
+    }
+}
+
+/// The portable `MR`×`NR` register tile. With `MR`/`NR` constant the
+/// compiler unrolls the inner pair of loops into vector code with `acc`
+/// held in registers. This is the reference tile the SIMD path is
+/// parity-tested against, and the fallback wherever AVX2+FMA is
+/// unavailable.
+///
+/// # Safety
+/// `t` satisfies the [`Tile`] contract, with `rows <= MR`, `width <= NR`.
+unsafe fn portable_tile(t: &Tile) {
+    debug_assert!(t.rows <= MR && t.width <= NR);
+    /// `kk` steps per refill of a column fringe's copy of B.
+    const FRINGE_K: usize = 32;
+    let mut acc = [[0.0f32; NR]; MR];
+    // SAFETY: the caller's contract, which `portable_body` shares; a
+    // fringe's copy of B is `NR` wide, zero past `width`.
+    unsafe {
+        if !t.first_k {
+            load_c(t, &mut acc);
+        }
+        if t.width == NR {
+            portable_body(t, &mut acc);
+        } else {
+            // Without masked loads, a column fringe runs the full-width
+            // body over a zero-padded copy of its rows of B, in ascending
+            // blocks of `FRINGE_K` steps.
+            let mut rows = [[0.0f32; NR]; FRINGE_K];
+            for k0 in (0..t.k).step_by(FRINGE_K) {
+                let klen = FRINGE_K.min(t.k - k0);
+                for (kk, row) in rows.iter_mut().enumerate().take(klen) {
+                    let src = std::slice::from_raw_parts(t.b.add((k0 + kk) * t.ldb), t.width);
+                    row[..t.width].copy_from_slice(src);
+                }
+                let block = Tile {
+                    k: klen,
+                    a: t.a.add(k0 * t.a_cs),
+                    b: rows.as_ptr().cast(),
+                    ldb: NR,
+                    ..*t
+                };
+                portable_body(&block, &mut acc);
+            }
+        }
+        store_c(t, &acc);
+    }
+}
+
+/// `acc += A·B` over a tile whose B rows are all `NR` wide. Kept out of
+/// line: inlined into [`portable_tile`], the compiler no longer
+/// vectorises it along B's rows.
+///
+/// # Safety
+/// As [`portable_tile`], with `width == NR` as far as B is concerned.
+#[inline(never)]
+unsafe fn portable_body(t: &Tile, acc: &mut [[f32; NR]; MR]) {
+    let rows = t.a_rows();
+    for kk in 0..t.k {
+        // SAFETY: row kk of B holds `NR` elements from `t.b + kk·ldb`, and
+        // A's rows `rows[..MR]` hold column kk.
+        let (a, b) = unsafe {
+            let a: [f32; MR] = std::array::from_fn(|r| *t.a.add(rows[r] + kk * t.a_cs));
+            (a, std::slice::from_raw_parts(t.b.add(kk * t.ldb), NR))
+        };
         for mr in 0..MR {
             let av = a[mr];
             for nr in 0..NR {
@@ -288,220 +432,313 @@ fn microkernel(k: usize, apack: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! Explicit AVX2+FMA implementation of the GEBP inner tile.
+    //! Explicit AVX2+FMA implementation of the register tile.
     //!
     //! The register layout is fixed to the crate's `MR = 4` × `NR = 16`
-    //! packing (compile-time asserted below): 8 YMM accumulators (4 rows ×
-    //! 2 halves of 8 `f32` lanes), 2 B-row loads and 4 A broadcasts per
+    //! geometry (compile-time asserted below): 8 YMM accumulators (4 rows
+    //! × 2 halves of 8 `f32` lanes), 2 B-row loads and 4 A broadcasts per
     //! `kk` step. That is 11 live YMM registers, comfortably inside the 16
     //! architectural ones, and the 8 FMAs per step keep both FMA ports
-    //! busy once the loop is warm.
+    //! busy once the loop is warm. A C read in place (unit column
+    //! stride) is loaded and stored directly, masked at a column fringe;
+    //! a C the tile is transposed into moves through a stack copy.
 
-    use super::{Avx2Fma, MR, NR};
+    use super::{load_c, store_c, Avx2Fma, Tile, MR, NR};
     use std::arch::x86_64::*;
 
-    // The unrolled body below is written for exactly this tile shape.
+    // The body below is written for exactly this tile shape.
     const _: () = assert!(MR == 4 && NR == 16, "avx2 microkernel is 4x16");
 
-    /// Software-prefetch distance in `kk` steps: 8 steps × 64 B per packed
-    /// B row = 8 cache lines ahead of the load stream.
+    /// Software-prefetch distance in `kk` steps.
     const PREFETCH_K: usize = 8;
 
-    /// AVX2+FMA microkernel; same contract as the portable
-    /// [`super::microkernel`]. FMA contracts each multiply-add to a single
-    /// rounding, so outputs may differ from the portable tile by a few ULP
-    /// (bounded by the accumulation length; see the parity proptests).
+    /// AVX2+FMA tile; same contract as the portable
+    /// [`super::portable_tile`]. FMA contracts each multiply-add to a
+    /// single rounding, so outputs may differ from the portable tile by a
+    /// few ULP (bounded by the accumulation length; see the parity
+    /// proptests).
     ///
     /// # Safety
-    /// The caller must guarantee `apack.len() >= k * MR` and
-    /// `bpanel.len() >= k * NR`. CPU support is not the caller's to
-    /// promise: `_isa` exists only if detection saw `avx2` and `fma`.
+    /// `t` satisfies the [`Tile`] contract, with `rows <= MR`,
+    /// `width <= NR`. CPU support is not the caller's to promise: `_isa`
+    /// exists only if detection saw `avx2` and `fma`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn microkernel(
-        _isa: Avx2Fma,
-        k: usize,
-        apack: &[f32],
-        bpanel: &[f32],
-        acc: &mut [[f32; NR]; MR],
-    ) {
-        debug_assert!(apack.len() >= k * MR && bpanel.len() >= k * NR);
-        // SAFETY: every load below reads `a`/`b` at an offset below
-        // `k * MR` / `k * NR`, inside the slices by the caller's
-        // guarantee; `acc` rows are `NR = 16` floats, two 8-lane halves.
+    pub unsafe fn tile(_isa: Avx2Fma, t: &Tile) {
+        debug_assert!(t.rows <= MR && t.width <= NR);
+        // SAFETY: the caller's contract is `body`'s.
         unsafe {
-            let a = apack.as_ptr();
-            let b = bpanel.as_ptr();
-            let mut c00 = _mm256_loadu_ps(acc[0].as_ptr());
-            let mut c01 = _mm256_loadu_ps(acc[0].as_ptr().add(8));
-            let mut c10 = _mm256_loadu_ps(acc[1].as_ptr());
-            let mut c11 = _mm256_loadu_ps(acc[1].as_ptr().add(8));
-            let mut c20 = _mm256_loadu_ps(acc[2].as_ptr());
-            let mut c21 = _mm256_loadu_ps(acc[2].as_ptr().add(8));
-            let mut c30 = _mm256_loadu_ps(acc[3].as_ptr());
-            let mut c31 = _mm256_loadu_ps(acc[3].as_ptr().add(8));
-            let mut kk = 0usize;
-            while kk + 2 <= k {
-                // Prefetching past the end of the panel is harmless at the
-                // hardware level; wrapping_add keeps the address computation
-                // itself free of out-of-bounds-pointer UB.
+            if t.width == NR {
+                body::<true>(t)
+            } else {
+                body::<false>(t)
+            }
+        }
+    }
+
+    /// [`tile`]; `FULL` moves B's rows and C's row segments unmasked.
+    ///
+    /// # Safety
+    /// As [`tile`], and `FULL` only when `width == NR`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "zip/enumerate adaptors are not inlined into a target-feature function, which then spills the accumulators"
+    )]
+    unsafe fn body<const FULL: bool>(t: &Tile) {
+        let rows = t.a_rows();
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let width = t.width as i32;
+        let m0 = _mm256_cmpgt_epi32(_mm256_set1_epi32(width), lane);
+        let m1 = _mm256_cmpgt_epi32(_mm256_set1_epi32(width - 8), lane);
+        let direct = t.c_cs == 1;
+        // SAFETY: A is read at rows `rows[..MR]` and columns below `k`; B
+        // at rows below `k` and (unmasked) columns below `width`; C only
+        // at the tile's `rows`×`width` elements, through the masks when
+        // read in place and through `buf` otherwise. A second half's
+        // address is formed with `wrapping_add` because a narrow fringe
+        // may place it past the end of B or C, where the mask touches
+        // nothing.
+        unsafe {
+            let load = |p: *const f32, mask| {
+                if FULL {
+                    _mm256_loadu_ps(p)
+                } else {
+                    _mm256_maskload_ps(p, mask)
+                }
+            };
+            let mut c = [[_mm256_setzero_ps(); 2]; MR];
+            if !t.first_k && direct {
+                for r in 0..t.rows {
+                    let cr = t.c.add(r * t.c_rs);
+                    c[r] = [load(cr, m0), load(cr.wrapping_add(8), m1)];
+                }
+            } else if !t.first_k {
+                let mut buf = [[0.0f32; NR]; MR];
+                load_c(t, &mut buf);
+                for r in 0..t.rows {
+                    c[r] = [
+                        _mm256_loadu_ps(buf[r].as_ptr()),
+                        _mm256_loadu_ps(buf[r].as_ptr().add(8)),
+                    ];
+                }
+            }
+            for kk in 0..t.k {
+                let bk = t.b.add(kk * t.ldb);
+                // Prefetching past the end of B is harmless at the
+                // hardware level; wrapping_add keeps the address
+                // computation itself free of out-of-bounds-pointer UB.
                 _mm_prefetch(
-                    b.wrapping_add((kk + PREFETCH_K) * NR) as *const i8,
+                    t.b.wrapping_add((kk + PREFETCH_K) * t.ldb) as *const i8,
                     _MM_HINT_T0,
                 );
-                let b0 = _mm256_loadu_ps(b.add(kk * NR));
-                let b1 = _mm256_loadu_ps(b.add(kk * NR + 8));
-                let a0 = _mm256_broadcast_ss(&*a.add(kk * MR));
-                c00 = _mm256_fmadd_ps(a0, b0, c00);
-                c01 = _mm256_fmadd_ps(a0, b1, c01);
-                let a1 = _mm256_broadcast_ss(&*a.add(kk * MR + 1));
-                c10 = _mm256_fmadd_ps(a1, b0, c10);
-                c11 = _mm256_fmadd_ps(a1, b1, c11);
-                let a2 = _mm256_broadcast_ss(&*a.add(kk * MR + 2));
-                c20 = _mm256_fmadd_ps(a2, b0, c20);
-                c21 = _mm256_fmadd_ps(a2, b1, c21);
-                let a3 = _mm256_broadcast_ss(&*a.add(kk * MR + 3));
-                c30 = _mm256_fmadd_ps(a3, b0, c30);
-                c31 = _mm256_fmadd_ps(a3, b1, c31);
-                let b0 = _mm256_loadu_ps(b.add((kk + 1) * NR));
-                let b1 = _mm256_loadu_ps(b.add((kk + 1) * NR + 8));
-                let a0 = _mm256_broadcast_ss(&*a.add((kk + 1) * MR));
-                c00 = _mm256_fmadd_ps(a0, b0, c00);
-                c01 = _mm256_fmadd_ps(a0, b1, c01);
-                let a1 = _mm256_broadcast_ss(&*a.add((kk + 1) * MR + 1));
-                c10 = _mm256_fmadd_ps(a1, b0, c10);
-                c11 = _mm256_fmadd_ps(a1, b1, c11);
-                let a2 = _mm256_broadcast_ss(&*a.add((kk + 1) * MR + 2));
-                c20 = _mm256_fmadd_ps(a2, b0, c20);
-                c21 = _mm256_fmadd_ps(a2, b1, c21);
-                let a3 = _mm256_broadcast_ss(&*a.add((kk + 1) * MR + 3));
-                c30 = _mm256_fmadd_ps(a3, b0, c30);
-                c31 = _mm256_fmadd_ps(a3, b1, c31);
-                kk += 2;
+                let (b0, b1) = (load(bk, m0), load(bk.wrapping_add(8), m1));
+                let ak = t.a.add(kk * t.a_cs);
+                for r in 0..MR {
+                    let av = _mm256_broadcast_ss(&*ak.add(rows[r]));
+                    c[r][0] = _mm256_fmadd_ps(av, b0, c[r][0]);
+                    c[r][1] = _mm256_fmadd_ps(av, b1, c[r][1]);
+                }
             }
-            if kk < k {
-                let b0 = _mm256_loadu_ps(b.add(kk * NR));
-                let b1 = _mm256_loadu_ps(b.add(kk * NR + 8));
-                let a0 = _mm256_broadcast_ss(&*a.add(kk * MR));
-                c00 = _mm256_fmadd_ps(a0, b0, c00);
-                c01 = _mm256_fmadd_ps(a0, b1, c01);
-                let a1 = _mm256_broadcast_ss(&*a.add(kk * MR + 1));
-                c10 = _mm256_fmadd_ps(a1, b0, c10);
-                c11 = _mm256_fmadd_ps(a1, b1, c11);
-                let a2 = _mm256_broadcast_ss(&*a.add(kk * MR + 2));
-                c20 = _mm256_fmadd_ps(a2, b0, c20);
-                c21 = _mm256_fmadd_ps(a2, b1, c21);
-                let a3 = _mm256_broadcast_ss(&*a.add(kk * MR + 3));
-                c30 = _mm256_fmadd_ps(a3, b0, c30);
-                c31 = _mm256_fmadd_ps(a3, b1, c31);
+            if direct {
+                for r in 0..t.rows {
+                    let cr = t.c.add(r * t.c_rs);
+                    if FULL {
+                        _mm256_storeu_ps(cr, c[r][0]);
+                        _mm256_storeu_ps(cr.add(8), c[r][1]);
+                    } else {
+                        _mm256_maskstore_ps(cr, m0, c[r][0]);
+                        _mm256_maskstore_ps(cr.wrapping_add(8), m1, c[r][1]);
+                    }
+                }
+            } else {
+                let mut buf = [[0.0f32; NR]; MR];
+                for r in 0..t.rows {
+                    _mm256_storeu_ps(buf[r].as_mut_ptr(), c[r][0]);
+                    _mm256_storeu_ps(buf[r].as_mut_ptr().add(8), c[r][1]);
+                }
+                store_c(t, &buf);
             }
-            _mm256_storeu_ps(acc[0].as_mut_ptr(), c00);
-            _mm256_storeu_ps(acc[0].as_mut_ptr().add(8), c01);
-            _mm256_storeu_ps(acc[1].as_mut_ptr(), c10);
-            _mm256_storeu_ps(acc[1].as_mut_ptr().add(8), c11);
-            _mm256_storeu_ps(acc[2].as_mut_ptr(), c20);
-            _mm256_storeu_ps(acc[2].as_mut_ptr().add(8), c21);
-            _mm256_storeu_ps(acc[3].as_mut_ptr(), c30);
-            _mm256_storeu_ps(acc[3].as_mut_ptr().add(8), c31);
         }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    //! Explicit AVX-512F implementation of the GEBP inner tile.
+    //! Explicit AVX-512F implementation of the register tile.
     //!
     //! The tile is `8`×`32`: 16 ZMM accumulators (8 rows × 2 vectors of
     //! 16 `f32` lanes), 2 B-row loads and 8 A broadcasts per `kk` step —
-    //! 19 live ZMM registers of the 32 architectural ones. Unlike the
-    //! AVX2 path (which accumulates into a caller-held scratch tile),
-    //! this kernel reads and writes the output tile directly with
-    //! **masked** loads/stores, so row and column fringes never take a
-    //! scalar copy loop: a `width`-column fringe is two `__mmask16`
-    //! masks, a `rows`-row fringe just skips the trailing row transfers
-    //! (padded A rows still compute, against zeros).
+    //! 19 live ZMM registers of the 32 architectural ones. A panel at most
+    //! 16 columns wide runs on the first vector alone. B's column fringe
+    //! is two `__mmask16` masks on its loads; a C read in place (unit
+    //! column stride) is loaded and stored through the same masks, and a
+    //! C the tile is transposed into moves through a stack copy.
     //!
     //! Per output element the accumulation is one FMA per `kk` in
     //! ascending order — the **same** single-rounding sequence as the
-    //! AVX2 kernel — so for identical blocking the two produce
-    //! bit-identical results (asserted by the cross-ISA proptests).
+    //! AVX2 kernel — so the two produce bit-identical results (asserted
+    //! by the cross-ISA proptests).
 
-    use super::{Avx512, MR_MAX, NR_MAX};
+    use super::{load_c, store_c, Avx512, Tile, MR_MAX, NR_MAX};
     use std::arch::x86_64::*;
 
     // The body below is written for exactly this tile shape.
     const _: () = assert!(MR_MAX == 8 && NR_MAX == 32, "avx512 microkernel is 8x32");
 
-    /// Software-prefetch distance in `kk` steps (128 B of packed B per
-    /// step = 2 cache lines, so this runs 16 lines ahead).
+    /// Software-prefetch distance in `kk` steps.
     const PREFETCH_K: usize = 8;
 
-    /// Compute one `rows`×`width` output tile: `C[.., ..] += Ablock @
-    /// Bpanel` over `k` inner steps, where `c` points at the tile's
-    /// top-left element inside a row-major buffer with leading dimension
-    /// `ldc`. When `first_k` is set the accumulators start at zero
-    /// instead of loading `C` (the `k0 == 0` block of the driver).
+    /// Compute one tile.
     ///
     /// # Safety
-    /// The caller must guarantee `apack.len() >= k * MR_MAX`,
-    /// `bpanel.len() >= k * NR_MAX`, and that `c` addresses `rows` rows
-    /// of at least `width` valid elements at stride `ldc`. CPU support is
-    /// not the caller's to promise: `_isa` exists only if detection saw
-    /// `avx512f`.
+    /// `t` satisfies the [`Tile`] contract, with `rows <= MR_MAX`,
+    /// `width <= NR_MAX`. CPU support is not the caller's to promise:
+    /// `_isa` exists only if detection saw `avx512f`.
     #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn run_tile(
-        _isa: Avx512,
-        k: usize,
-        apack: &[f32],
-        bpanel: &[f32],
-        c: *mut f32,
-        ldc: usize,
-        rows: usize,
-        width: usize,
-        first_k: bool,
-    ) {
-        debug_assert!(apack.len() >= k * MR_MAX && bpanel.len() >= k * NR_MAX);
-        debug_assert!(rows <= MR_MAX && width <= NR_MAX);
-        let m0: __mmask16 = ((1u32 << width.min(16)) - 1) as __mmask16;
-        let m1: __mmask16 = if width > 16 {
-            ((1u32 << (width - 16)) - 1) as __mmask16
-        } else {
-            0
-        };
-        // SAFETY: `a`/`b` are read below `k * MR_MAX` / `k * NR_MAX`,
-        // inside the packs by the caller's guarantee; `c` is only touched
-        // on the first `rows` rows through the `width`-column masks.
+    pub unsafe fn tile(_isa: Avx512, t: &Tile) {
+        debug_assert!(t.rows <= MR_MAX && t.width <= NR_MAX);
+        // SAFETY: the caller's contract is `body`'s.
         unsafe {
-            let zero = _mm512_setzero_ps();
-            let mut acc = [[zero; 2]; MR_MAX];
-            if !first_k {
-                for (r, acc_row) in acc.iter_mut().enumerate().take(rows) {
-                    acc_row[0] = _mm512_maskz_loadu_ps(m0, c.add(r * ldc));
-                    acc_row[1] = _mm512_maskz_loadu_ps(m1, c.add(r * ldc + 16));
+            if t.width > 16 {
+                body::<2>(t)
+            } else {
+                body::<1>(t)
+            }
+        }
+    }
+
+    /// [`tile`] on `H` 16-lane vectors per row.
+    ///
+    /// # Safety
+    /// As [`tile`], and `width <= 16·H`.
+    #[target_feature(enable = "avx512f")]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "zip/enumerate adaptors are not inlined into a target-feature function, which then spills the accumulators"
+    )]
+    unsafe fn body<const H: usize>(t: &Tile) {
+        let mask = |lanes: usize| ((1u32 << lanes.min(16)) - 1) as __mmask16;
+        let masks = [mask(t.width), mask(t.width.saturating_sub(16))];
+        let rows = t.a_rows();
+        let direct = t.c_cs == 1;
+        // SAFETY: A is read at rows `rows[..]` and columns below `k`; B at
+        // rows below `k`, vector `h` only when `width > 16·h` (so its
+        // address is inside the row), lanes past `width` masked; C only
+        // at the tile's `rows`×`width` elements, through the masks when
+        // read in place and through `buf` otherwise.
+        unsafe {
+            let mut acc = [[_mm512_setzero_ps(); H]; MR_MAX];
+            if !t.first_k && direct {
+                for r in 0..t.rows {
+                    for h in 0..H {
+                        acc[r][h] = _mm512_maskz_loadu_ps(masks[h], t.c.add(r * t.c_rs + 16 * h));
+                    }
+                }
+            } else if !t.first_k {
+                let mut buf = [[0.0f32; NR_MAX]; MR_MAX];
+                load_c(t, &mut buf);
+                for r in 0..t.rows {
+                    for h in 0..H {
+                        acc[r][h] = _mm512_loadu_ps(buf[r].as_ptr().add(16 * h));
+                    }
                 }
             }
-            let a = apack.as_ptr();
-            let b = bpanel.as_ptr();
-            for kk in 0..k {
-                // Prefetching past the end of the panel is harmless at the
-                // hardware level; wrapping_add keeps the address computation
-                // itself free of out-of-bounds-pointer UB.
+            let mut b = [_mm512_setzero_ps(); H];
+            for kk in 0..t.k {
+                let bk = t.b.add(kk * t.ldb);
+                // Prefetching past the end of B is harmless at the
+                // hardware level; wrapping_add keeps the address
+                // computation itself free of out-of-bounds-pointer UB.
                 _mm_prefetch(
-                    b.wrapping_add((kk + PREFETCH_K) * NR_MAX) as *const i8,
+                    t.b.wrapping_add((kk + PREFETCH_K) * t.ldb) as *const i8,
                     _MM_HINT_T0,
                 );
-                let b0 = _mm512_loadu_ps(b.add(kk * NR_MAX));
-                let b1 = _mm512_loadu_ps(b.add(kk * NR_MAX + 16));
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    let ar = _mm512_set1_ps(*a.add(kk * MR_MAX + r));
-                    acc_row[0] = _mm512_fmadd_ps(ar, b0, acc_row[0]);
-                    acc_row[1] = _mm512_fmadd_ps(ar, b1, acc_row[1]);
+                for h in 0..H {
+                    b[h] = _mm512_maskz_loadu_ps(masks[h], bk.add(16 * h));
+                }
+                let ak = t.a.add(kk * t.a_cs);
+                for r in 0..MR_MAX {
+                    let av = _mm512_set1_ps(*ak.add(rows[r]));
+                    for h in 0..H {
+                        acc[r][h] = _mm512_fmadd_ps(av, b[h], acc[r][h]);
+                    }
                 }
             }
-            for (r, acc_row) in acc.iter().enumerate().take(rows) {
-                _mm512_mask_storeu_ps(c.add(r * ldc), m0, acc_row[0]);
-                _mm512_mask_storeu_ps(c.add(r * ldc + 16), m1, acc_row[1]);
+            if direct {
+                for r in 0..t.rows {
+                    for h in 0..H {
+                        _mm512_mask_storeu_ps(t.c.add(r * t.c_rs + 16 * h), masks[h], acc[r][h]);
+                    }
+                }
+            } else if t.rows == MR_MAX && t.c_rs == 1 {
+                store_transposed(t, &acc);
+            } else {
+                let mut buf = [[0.0f32; NR_MAX]; MR_MAX];
+                for r in 0..t.rows {
+                    for h in 0..H {
+                        _mm512_storeu_ps(buf[r].as_mut_ptr().add(16 * h), acc[r][h]);
+                    }
+                }
+                store_c(t, &buf);
             }
+        }
+    }
+
+    /// Write a full-height tile into a C it is transposed into, where the
+    /// tile's 8 rows are 8 consecutive elements of one row of C (`c_rs ==
+    /// 1`): per 16 lanes, two rounds of shuffles turn the 8 row vectors
+    /// into 4-element row pieces of C, and each C row takes two 16-byte
+    /// stores. Pure data movement: the bits are the accumulators'.
+    ///
+    /// # Safety
+    /// As [`tile`], with `rows == MR_MAX`, `c_rs == 1` and `width <= 16·H`.
+    #[target_feature(enable = "avx512f")]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "zip/enumerate adaptors are not inlined into a target-feature function"
+    )]
+    unsafe fn store_transposed<const H: usize>(t: &Tile, acc: &[[__m512; H]; MR_MAX]) {
+        for h in 0..H {
+            // pieces[half][q]: in its 128-bit lane `l`, the 4 tile rows
+            // 4·half..4·half + 4 of lane `16·h + 4·l + q`
+            let mut pieces = [[_mm512_setzero_ps(); 4]; 2];
+            for (half, quad) in pieces.iter_mut().enumerate() {
+                let r = 4 * half;
+                let lo01 = _mm512_unpacklo_ps(acc[r][h], acc[r + 1][h]);
+                let hi01 = _mm512_unpackhi_ps(acc[r][h], acc[r + 1][h]);
+                let lo23 = _mm512_unpacklo_ps(acc[r + 2][h], acc[r + 3][h]);
+                let hi23 = _mm512_unpackhi_ps(acc[r + 2][h], acc[r + 3][h]);
+                quad[0] = _mm512_shuffle_ps::<0x44>(lo01, lo23);
+                quad[1] = _mm512_shuffle_ps::<0xEE>(lo01, lo23);
+                quad[2] = _mm512_shuffle_ps::<0x44>(hi01, hi23);
+                quad[3] = _mm512_shuffle_ps::<0xEE>(hi01, hi23);
+            }
+            for l in 0..4 {
+                for q in 0..4 {
+                    let lane = 16 * h + 4 * l + q;
+                    if lane >= t.width {
+                        continue;
+                    }
+                    // SAFETY: C's element (0..8, lane) is 8 consecutive
+                    // floats at `c + lane·c_cs`, inside C by the contract.
+                    unsafe {
+                        let dst = t.c.add(lane * t.c_cs);
+                        _mm_storeu_ps(dst, lane128(pieces[0][q], l));
+                        _mm_storeu_ps(dst.add(4), lane128(pieces[1][q], l));
+                    }
+                }
+            }
+        }
+    }
+
+    /// 128-bit lane `l` of `v`.
+    #[target_feature(enable = "avx512f")]
+    fn lane128(v: __m512, l: usize) -> __m128 {
+        match l {
+            0 => _mm512_castps512_ps128(v),
+            1 => _mm512_extractf32x4_ps::<1>(v),
+            2 => _mm512_extractf32x4_ps::<2>(v),
+            _ => _mm512_extractf32x4_ps::<3>(v),
         }
     }
 }
@@ -589,9 +826,9 @@ impl MicrokernelKind {
         }
     }
 
-    /// Register-tile geometry `(mr, nr)` of this kernel: A rows per
-    /// microkernel invocation × packed-B panel width. The driver packs
-    /// both operands to match the **active** kernel's geometry.
+    /// Register-tile geometry `(mr, nr)` of this kernel: rows of the
+    /// broadcast side per microkernel invocation × columns of the vector
+    /// side. A panel pack matches the **active** kernel's geometry.
     fn geometry(self) -> (usize, usize) {
         match self {
             MicrokernelKind::Portable | MicrokernelKind::Avx2Fma(_) => (MR, NR),
@@ -678,18 +915,40 @@ impl Drop for ForceMicrokernelGuard {
     }
 }
 
+/// Run one tile on `kernel`.
+///
+/// # Safety
+/// `t` satisfies the [`Tile`] contract within `kernel`'s geometry.
+#[inline(always)]
+unsafe fn run_tile(kernel: MicrokernelKind, t: &Tile) {
+    // SAFETY: the caller's contract; each SIMD arm holds its ISA proof.
+    unsafe {
+        match kernel {
+            #[cfg(target_arch = "x86_64")]
+            MicrokernelKind::Avx512(isa) => avx512::tile(isa, t),
+            #[cfg(target_arch = "x86_64")]
+            MicrokernelKind::Avx2Fma(isa) => avx2::tile(isa, t),
+            _ => portable_tile(t),
+        }
+    }
+}
+
 /// Shared tiled GEMM driver: `out = opA(A) @ opB(B)` with `out` of shape
-/// `(m, n)` and inner dimension `k`. Packs B once in the active kernel's
-/// panel geometry, then splits output rows across the worker pool; each
-/// worker walks the full GEBP loop nest `jc (NC) → k0 (KC) → row block
-/// (mr) → panel (nr)` over its rows.
+/// `(m, n)` and inner dimension `k`. Picks which operand the tiles
+/// broadcast and which they vectorise, packs the one operand an `nt`
+/// product cannot read in place (the smaller), then splits C's rows
+/// across the worker pool; each worker walks the GEBP loop nest
+/// `jc (NC) → k0 (KC) → row block (mr) → panel (nr)` over its part.
+///
+/// When A is the packed operand the tiles compute `Cᵀ = B·Aᵀ`: rows of
+/// that view are C's columns, so a worker owning C's rows `r0..` owns
+/// the view's columns `r0..` and writes its tiles back transposed.
 ///
 /// Per output element the accumulation order is: ascending `k0` blocks,
 /// one `f32` store/reload of the partial between blocks, one FMA (or
 /// mul+add on the portable tile) per `kk` inside a block. That order is
-/// invariant under the `jc`/`NC` blocking — elements are independent and
-/// each still sees exactly the same arithmetic sequence — so adding the
-/// NC loop changed no bits of any result (parity-proptested).
+/// invariant under the blocking, the packing and the swap, so none of
+/// them changes a bit of any result (see the module doc).
 #[allow(clippy::too_many_arguments)]
 fn gemm(
     out: &mut [f32],
@@ -709,104 +968,122 @@ fn gemm(
         out.fill(0.0);
         return;
     }
-    let a_lead = match a_layout {
-        Layout::RowMajor => k,
-        Layout::Transposed => m,
-    };
     // Resolve the microkernel once per call; the workers inherit the copy
     // (so a thread-local force_microkernel override on the caller covers
-    // the whole parallel region), and the packing matches its geometry.
+    // the whole parallel region), and any pack matches its geometry.
     let kernel = active_microkernel();
     let (mr, nr) = kernel.geometry();
-    let mut pb = take_scratch(&PACK_B);
-    pack_b(b, k, n, b_layout, nr, &mut pb);
-    let bpack: &[f32] = &pb;
+    let mut pack = take_pack();
+    let a_in_place = match a_layout {
+        Layout::RowMajor => Broadcast {
+            data: a,
+            rs: k,
+            cs: 1,
+        },
+        Layout::Transposed => Broadcast {
+            data: a,
+            rs: 1,
+            cs: m,
+        },
+    };
+    let (bcast, vector, swapped) = match Pack::rule(m, n, a_layout, b_layout) {
+        Pack::Nothing => {
+            let vector = Vector {
+                data: b,
+                ld: n,
+                panel: nr,
+            };
+            (a_in_place, vector, false)
+        }
+        Pack::B => {
+            pack_panels(b, k, n, b_layout, nr, &mut pack);
+            let vector = Vector {
+                data: &pack,
+                ld: nr,
+                panel: k * nr,
+            };
+            (a_in_place, vector, false)
+        }
+        Pack::A => {
+            // A is (m, k), B is (n, k): the view's broadcast side is B
+            pack_panels(a, k, m, Layout::Transposed, m, &mut pack);
+            let bcast = Broadcast {
+                data: b,
+                rs: k,
+                cs: 1,
+            };
+            let vector = Vector {
+                data: &pack,
+                ld: m,
+                panel: nr,
+            };
+            (bcast, vector, true)
+        }
+    };
     let body = |r0: usize, chunk: &mut [f32]| {
-        let rows_here = chunk.len() / n;
-        let mut pa = take_scratch(&PACK_A);
-        pa.clear();
-        pa.resize(KC.min(k) * mr, 0.0);
-        // jc/NC outer loop: one KC×NC slice of packed B (512 KiB) stays
-        // L2-resident while every row block below streams against it.
-        // The A block is repacked once per (jc, k0) pass — O(m·k·n/NC)
-        // extra packing work, noise against the O(m·k·n) FMAs it buys
-        // L2-resident B for.
+        let c_rows = chunk.len() / n;
+        // This worker's block of the view the tiles compute: rows
+        // `i_base..i_base + iv`, columns `j_base..j_base + jv`, element
+        // `(i, j)` at `chunk[i·c_rs + j·c_cs]` relative to the block.
+        let (i_base, iv, j_base, jv, c_rs, c_cs) = if swapped {
+            (0, n, r0, c_rows, 1, n)
+        } else {
+            (r0, c_rows, 0, n, n, 1)
+        };
         let mut jc = 0usize;
-        while jc < n {
-            let jcw = NC.min(n - jc);
+        while jc < jv {
+            let jc_end = (jc + NC).min(jv);
             let mut k0 = 0usize;
             while k0 < k {
                 let klen = KC.min(k - k0);
                 let mut i0 = 0usize;
-                while i0 < rows_here {
-                    let rows = mr.min(rows_here - i0);
-                    pack_a_block(a, r0 + i0, rows, k0, klen, a_lead, a_layout, mr, &mut pa);
+                while i0 < iv {
+                    let rows = mr.min(iv - i0);
+                    let a_tile = &bcast.data[(i_base + i0) * bcast.rs + k0 * bcast.cs..];
                     let mut j0 = jc;
-                    while j0 < jc + jcw {
-                        let width = nr.min(n - j0);
-                        // jc is NC-aligned and NC % nr == 0, so panel
-                        // boundaries never straddle a jc slice.
-                        let p = j0 / nr;
-                        let bpanel = &bpack[p * k * nr + k0 * nr..p * k * nr + (k0 + klen) * nr];
-                        match kernel {
-                            #[cfg(target_arch = "x86_64")]
-                            // SAFETY: the tile pointer addresses `rows`
-                            // rows of `width` valid elements at stride n,
-                            // and the pack lengths are maintained above.
-                            MicrokernelKind::Avx512(isa) => unsafe {
-                                avx512::run_tile(
-                                    isa,
-                                    klen,
-                                    &pa,
-                                    bpanel,
-                                    chunk[i0 * n + j0..].as_mut_ptr(),
-                                    n,
-                                    rows,
-                                    width,
-                                    k0 == 0,
-                                )
-                            },
-                            _ => {
-                                let mut acc = [[0.0f32; NR]; MR];
-                                if k0 > 0 {
-                                    for r in 0..rows {
-                                        let src =
-                                            &chunk[(i0 + r) * n + j0..(i0 + r) * n + j0 + width];
-                                        acc[r][..width].copy_from_slice(src);
-                                    }
-                                }
-                                match kernel {
-                                    #[cfg(target_arch = "x86_64")]
-                                    // SAFETY: pack lengths are maintained
-                                    // above.
-                                    MicrokernelKind::Avx2Fma(isa) => unsafe {
-                                        avx2::microkernel(isa, klen, &pa, bpanel, &mut acc)
-                                    },
-                                    _ => microkernel(klen, &pa, bpanel, &mut acc),
-                                }
-                                for r in 0..rows {
-                                    let dst =
-                                        &mut chunk[(i0 + r) * n + j0..(i0 + r) * n + j0 + width];
-                                    dst.copy_from_slice(&acc[r][..width]);
-                                }
-                            }
-                        }
+                    while j0 < jc_end {
+                        let width = nr.min(jv - j0);
+                        // A panel pack starts its panels at multiples of
+                        // nr, and so does j0 when j_base is 0 — always,
+                        // unless the view is the swap's, read in place.
+                        let j = j_base + j0;
+                        let b_tile =
+                            &vector.data[(j / nr) * vector.panel + j % nr + k0 * vector.ld..];
+                        let tile = Tile {
+                            k: klen,
+                            a: a_tile.as_ptr(),
+                            a_rs: bcast.rs,
+                            a_cs: bcast.cs,
+                            b: b_tile.as_ptr(),
+                            ldb: vector.ld,
+                            c: chunk[i0 * c_rs + j0 * c_cs..].as_mut_ptr(),
+                            c_rs,
+                            c_cs,
+                            rows,
+                            width,
+                            first_k: k0 == 0,
+                        };
+                        // SAFETY: the tile's A rows i_base + i0 + ..rows,
+                        // its B columns j..j + width and its inner steps
+                        // k0..k0 + klen lie inside the operands' shapes,
+                        // which the strides above describe; its C block
+                        // lies inside this worker's chunk of rows.
+                        unsafe { run_tile(kernel, &tile) };
                         j0 += nr;
                     }
                     i0 += rows;
                 }
                 k0 += klen;
             }
-            jc += jcw;
+            jc = jc_end;
         }
-        put_scratch(&PACK_A, pa);
     };
     if m * k * n >= PAR_THRESHOLD {
         par_chunks_mut(out, n, body);
     } else {
         body(0, out);
     }
-    put_scratch(&PACK_B, pb);
+    put_pack(pack);
 }
 
 /// Naive ikj-ordered `C = A @ B` — reference kernel for the parity tests

@@ -1133,6 +1133,87 @@ fn fma_kernels_agree_bitwise_across_isa_levels() {
     }
 }
 
+/// Dimensions the FMA chain spec draws from: tile and panel edges, `KC`
+/// edges, a generation unit's score (`m ≤ 64` against `|C| = 1743`), a
+/// `dblp_dense` backward (`k = 1909`), and sizes either side of every
+/// packing rule of the tiled driver.
+const CHAIN_M: [usize; 7] = [1, 8, 17, 32, 33, 64, 1300];
+const CHAIN_N: [usize; 7] = [1, 16, 17, 32, 33, 190, 1743];
+const CHAIN_K: [usize; 6] = [16, 32, 255, 256, 257, 1909];
+/// Largest `m·k·n` the chain spec multiplies: it keeps the scalar
+/// reference cheap in a debug build and still admits `1300×16×190`, the
+/// one product of the sets that packs a row-major B.
+const CHAIN_BUDGET: usize = 1 << 22;
+
+/// `C[r, j]` as the FMA tiles are specified to compute it: one
+/// `f32::mul_add` chain over ascending `k`, from `+0.0`.
+fn mul_add_chain(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: impl Fn(usize, usize) -> f32,
+    b: impl Fn(usize, usize) -> f32,
+) -> Vec<u32> {
+    let mut out = Vec::with_capacity(m * n);
+    for r in 0..m {
+        for j in 0..n {
+            let c = (0..k).fold(0.0f32, |acc, kk| a(r, kk).mul_add(b(kk, j), acc));
+            out.push(c.to_bits());
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The bit spec of the tiled path under every FMA kernel: each element
+    /// of `matmul_{nn,nt,tn}` is exactly [`mul_add_chain`]'s, whatever the
+    /// driver packs, reads in place or computes transposed. An `nt` with
+    /// `m < n` and `m ≤ 64` computes `Cᵀ` (the swap), any other `nt` packs
+    /// B, and a row-major B wider than 128 columns against at least 256
+    /// rows is packed too; the sets reach both sides of each rule, the
+    /// `KC` boundary and the column fringes. Row 0 of A is `-0.0`, so a
+    /// chain that started from `-0.0` would show in the bits.
+    #[test]
+    fn fma_tiles_are_one_mul_add_chain(
+        dims in (0usize..CHAIN_M.len(), 0usize..CHAIN_N.len(), 0usize..CHAIN_K.len()),
+        seed in 0u64..u64::MAX,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let (m, n) = (CHAIN_M[dims.0], CHAIN_N[dims.1]);
+        // the k of the draw, or the next one down that fits the budget
+        let fits = |k: usize| (TILE_THRESHOLD..=CHAIN_BUDGET).contains(&(m * k * n));
+        let Some(&k) = CHAIN_K[..=dims.2].iter().rev().find(|&&k| fits(k)) else {
+            return;
+        };
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let mut draw = |rows: usize, cols: usize, zero_row: bool| {
+            Matrix::from_fn(rows, cols, |r, _| {
+                if zero_row && r == 0 { -0.0 } else { rng.gen_range(-1.0f32..1.0) }
+            })
+        };
+        let (a, b) = (draw(m, k, true), draw(k, n, false));
+        let (at, bt) = (a.transpose(), b.transpose());
+        let want = mul_add_chain(m, k, n, |r, kk| a.get(r, kk), |kk, j| b.get(kk, j));
+        for kind in available_microkernels() {
+            if kind == MicrokernelKind::Portable {
+                continue;
+            }
+            let _g = force_microkernel(kind);
+            for (op, got) in [
+                ("nn", matmul_nn(&a, &b)),
+                ("nt", matmul_nt(&a, &bt)),
+                ("tn", matmul_tn(&at, &b)),
+            ] {
+                prop_assert_eq!(got.shape(), (m, n));
+                let got: Vec<u32> = got.as_slice().iter().map(|x| x.to_bits()).collect();
+                prop_assert!(got == want, "{kind:?} {op} ({m},{k},{n}) is not the mul_add chain");
+            }
+        }
+    }
+}
+
 /// The force guard restores the previous selection on drop, nests, and
 /// stays scoped to its thread (concurrent tests cannot observe it).
 #[test]

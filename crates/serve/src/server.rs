@@ -34,14 +34,16 @@
 use crate::admission::AdmissionController;
 use crate::cache::{CacheError, ModelCache};
 use crate::net::{Conn, Listener};
-use crate::protocol::{decode_payload, read_payload, write_frame, ErrorKind, Frame};
+use crate::protocol::{
+    decode_payload, read_payload, write_frame, ErrorKind, Frame, MAX_FRAME_BYTES,
+};
 use crate::signal;
 use crate::telemetry::{self, CacheCounters, ResidentModel, StatusReport};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tg_faults::registry::{SERVE_ACCEPT, SERVE_GENERATE_UNIT, SERVE_REQUEST_DECODE, SERVE_STATUS};
 use tg_graph::sink::{EdgeSink, GraphSink, StatsSink};
 use tg_graph::{TemporalEdge, Time};
@@ -285,18 +287,58 @@ fn draining_refusal() -> Frame {
 }
 
 /// How long a connection the accept loop refuses while draining gets to
-/// deliver its first frame before the server hangs up on it.
+/// deliver its first frame, in total, before the server hangs up on it.
 const REFUSAL_READ_DEADLINE: Duration = Duration::from_millis(100);
 
 /// Answer a connection accepted while draining with the typed refusal,
-/// then read the client's first frame under [`REFUSAL_READ_DEADLINE`]
-/// before dropping the connection. Closing a socket with unread input
-/// sends a reset instead of a FIN, and a reset that reaches the client
-/// before it reads the refusal loses the refusal with it.
+/// then read and discard the client's first frame before dropping the
+/// connection. Closing a socket with unread input sends a reset instead
+/// of a FIN, and a reset that reaches the client before it reads the
+/// refusal loses the refusal with it. The whole read shares one
+/// [`REFUSAL_READ_DEADLINE`], so a client that trickles its frame, or
+/// sends none, holds the accept loop no longer than that.
 fn refuse_while_draining(mut conn: Conn) {
     let _ = write_frame(&mut conn, &draining_refusal());
-    if conn.set_read_timeout(Some(REFUSAL_READ_DEADLINE)).is_ok() {
-        let _ = read_payload(&mut conn);
+    let mut first = Deadline::new(&mut conn, REFUSAL_READ_DEADLINE);
+    let mut len = [0u8; 4];
+    if first.read_exact(&mut len).is_ok() {
+        let len = (u32::from_be_bytes(len) as usize).min(MAX_FRAME_BYTES);
+        let _ = io::copy(&mut first.take(len as u64), &mut io::sink());
+    }
+}
+
+/// A reader over a connection whose reads all end by one instant: each
+/// read's timeout is the time left, and a read past it fails `TimedOut`.
+struct Deadline<'a> {
+    conn: &'a mut Conn,
+    until: Instant,
+}
+
+impl<'a> Deadline<'a> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a socket deadline; the reading never reaches seeded state"
+    )]
+    fn new(conn: &'a mut Conn, limit: Duration) -> Self {
+        Deadline {
+            conn,
+            until: Instant::now() + limit,
+        }
+    }
+}
+
+impl Read for Deadline<'_> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a socket deadline; the reading never reaches seeded state"
+    )]
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.conn.set_read_timeout(Some(left))?;
+        self.conn.read(buf)
     }
 }
 

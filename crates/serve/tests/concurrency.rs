@@ -309,6 +309,37 @@ fn a_connection_refused_while_draining_gets_its_shutdown_frame() {
     }
 }
 
+/// A connection refused while draining gets one deadline for its first
+/// frame, not one per read: a client that trickles a large frame a byte
+/// at a time, each byte well inside any per-read timeout, must not hold
+/// the accept loop, and with it `run`, for as long as it keeps sending.
+#[test]
+fn a_client_trickling_its_frame_does_not_stall_the_drain() {
+    let loader: tg_serve::Loader = Box::new(|id: &str| Err(format!("no run named `{id}`")));
+    let server = Server::bind_tcp("127.0.0.1:0", loader, ServeConfig::default())
+        .expect("bind ephemeral port");
+    let mut stream = std::net::TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.write_all(&(1u32 << 20).to_be_bytes()).unwrap();
+    server.handle().shutdown();
+    let (done, report) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(server.run()));
+    // a byte every 20 ms for up to 10 s, until the server hangs up
+    let trickle = std::thread::spawn(move || {
+        for _ in 0..500 {
+            if stream.write_all(&[0]).is_err() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+    });
+    let report = report
+        .recv_timeout(std::time::Duration::from_secs(3))
+        .expect("run() still blocked on the trickling client after 3 s");
+    assert_eq!(report.unwrap().requests_served, 0);
+    trickle.join().unwrap();
+}
+
 /// Write `payload` as one whole frame, whatever it holds.
 fn send_payload(stream: &mut std::net::TcpStream, payload: &[u8]) {
     stream

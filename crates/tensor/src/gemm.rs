@@ -29,9 +29,12 @@
 //!      computes `Cᵀ = B·Aᵀ` instead: it broadcasts B's rows in place and
 //!      writes each tile back into C transposed. Otherwise it is B, into
 //!      `nr`-wide zero-padded column panels, `bpack[panel][kk][nr]`;
-//!    - a row-major B wider than 128 columns, against at least 256 rows
-//!      of A, is packed into panels as well: read in place its rows sit
-//!      far apart, and the tall product amortises the copy.
+//!    - every other product packs nothing, and a row-major B is read in
+//!      place at any width. The model's row-major Bs are at most
+//!      `d_model` columns wide (32 by default). Large square products pay
+//!      for it, since B's rows sit far apart (a `1024³` `nn` takes ~20 %
+//!      longer than with B packed), but no model product has such a
+//!      shape.
 //! 3. **[`KC`] k-blocking + row-split in parallel.** C's rows are split
 //!    across the persistent worker pool
 //!    ([`crate::parallel::par_chunks_mut`]) — the columns of the view
@@ -199,13 +202,10 @@ impl Layout {
 
 /// Which operand [`gemm`] packs before its tiles run — the one packing
 /// rule. An operand is packed only when the tiles cannot read it in
-/// place, or when reading it in place measurably loses:
-/// - an `nt` product's B is stored `(n, k)`, which neither side of the
-///   tile reads in place, so it packs one operand — A (and computes `Cᵀ`)
-///   while `m < n` and `m ≤` [`SWAP_MAX_M`], else B;
-/// - a row-major B wider than [`PACK_B_MIN_N`] columns, against at least
-///   [`PACK_B_MIN_M`] rows of A, is packed too;
-/// - A is never packed otherwise: the tiles broadcast it through strides.
+/// place: an `nt` product's B is stored `(n, k)`, which neither side of
+/// the tile reads in place, so it packs one operand — A (and computes
+/// `Cᵀ`) while `m < n` and `m ≤` [`SWAP_MAX_M`], else B. Every other
+/// product reads both operands in place.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Pack {
     /// Both operands are read in place.
@@ -219,20 +219,11 @@ enum Pack {
 
 /// Largest `m` for which an `nt` product packs A instead of B. The swap
 /// saves B's pack (`n·k` strided copies) but writes every tile of C back
-/// transposed. On the AVX-512 tile at `k = 32` it wins by 30 % or more up
-/// to 64 rows (`n = 1743`); from 128–256 rows, or from 200 rows at
-/// `n = 552`, packing B is as fast or faster, and at `1795 × 1909` the
-/// swap takes 3× as long.
+/// transposed, element by element. On the AVX-512 tile at `k = 32`,
+/// `n = 1743` it takes 49 µs against 86 at 18 rows and 127 against 136 at
+/// 64; from 128–256 rows, or from 200 rows at `n = 552`, packing B is as
+/// fast or faster, and at `1795 × 1909` the swap takes 3× as long.
 const SWAP_MAX_M: usize = 64;
-/// A row-major B at most this wide is read in place whatever `m`. Wider,
-/// its rows sit far apart: a panel read in place takes an L1 set conflict
-/// at a power-of-two stride (≈ −40 % at `n = 512`) and loses the
-/// hardware prefetcher's stream.
-const PACK_B_MIN_N: usize = 128;
-/// Rows of A that amortise packing a wide row-major B: below this, the
-/// copy costs more than the in-place reads lose (at `k = 32`, `n = 1909`,
-/// in place still wins at `m = 200`).
-const PACK_B_MIN_M: usize = 256;
 
 impl Pack {
     /// The rule, for an `m`-row, `n`-column product in the given layouts.
@@ -240,36 +231,25 @@ impl Pack {
         match (a_layout, b_layout) {
             (Layout::RowMajor, Layout::Transposed) if m < n && m <= SWAP_MAX_M => Pack::A,
             (_, Layout::Transposed) => Pack::B,
-            (_, Layout::RowMajor) if n > PACK_B_MIN_N && m >= PACK_B_MIN_M => Pack::B,
             (_, Layout::RowMajor) => Pack::Nothing,
         }
     }
 }
 
-/// Pack the `k`×`n` operand `src`, stored in `layout`, into `nr`-wide
-/// column panels, zero-padding the last one:
+/// Pack the `k`×`n` operand `src`, stored transposed as `(n, k)`, into
+/// `nr`-wide column panels, zero-padding the last one:
 /// `out[p·k·nr + kk·nr + j] = B[kk, p·nr + j]`. With `nr = n` this is a
 /// plain row-major copy of the operand as read.
-fn pack_panels(src: &[f32], k: usize, n: usize, layout: Layout, nr: usize, out: &mut Vec<f32>) {
+fn pack_panels(src: &[f32], k: usize, n: usize, nr: usize, out: &mut Vec<f32>) {
     let panels = n.div_ceil(nr);
     out.clear();
     out.resize(panels * k * nr, 0.0);
     for (p, panel) in out.chunks_exact_mut(k * nr).enumerate() {
         let (j0, width) = (p * nr, nr.min(n - p * nr));
-        match layout {
-            // src is (k, n): each panel row is a slice of a source row
-            Layout::RowMajor => {
-                for (kk, dst) in panel.chunks_exact_mut(nr).enumerate() {
-                    dst[..width].copy_from_slice(&src[kk * n + j0..kk * n + j0 + width]);
-                }
-            }
-            // src is (n, k): panel column j is source row j0 + j
-            Layout::Transposed => {
-                for (j, row) in src[j0 * k..(j0 + width) * k].chunks_exact(k).enumerate() {
-                    for (kk, &v) in row.iter().enumerate() {
-                        panel[kk * nr + j] = v;
-                    }
-                }
+        // panel column j is source row j0 + j
+        for (j, row) in src[j0 * k..(j0 + width) * k].chunks_exact(k).enumerate() {
+            for (kk, &v) in row.iter().enumerate() {
+                panel[kk * nr + j] = v;
             }
         }
     }
@@ -670,8 +650,6 @@ mod avx512 {
                         _mm512_mask_storeu_ps(t.c.add(r * t.c_rs + 16 * h), masks[h], acc[r][h]);
                     }
                 }
-            } else if t.rows == MR_MAX && t.c_rs == 1 {
-                store_transposed(t, &acc);
             } else {
                 let mut buf = [[0.0f32; NR_MAX]; MR_MAX];
                 for r in 0..t.rows {
@@ -681,64 +659,6 @@ mod avx512 {
                 }
                 store_c(t, &buf);
             }
-        }
-    }
-
-    /// Write a full-height tile into a C it is transposed into, where the
-    /// tile's 8 rows are 8 consecutive elements of one row of C (`c_rs ==
-    /// 1`): per 16 lanes, two rounds of shuffles turn the 8 row vectors
-    /// into 4-element row pieces of C, and each C row takes two 16-byte
-    /// stores. Pure data movement: the bits are the accumulators'.
-    ///
-    /// # Safety
-    /// As [`tile`], with `rows == MR_MAX`, `c_rs == 1` and `width <= 16·H`.
-    #[target_feature(enable = "avx512f")]
-    #[expect(
-        clippy::needless_range_loop,
-        reason = "zip/enumerate adaptors are not inlined into a target-feature function"
-    )]
-    unsafe fn store_transposed<const H: usize>(t: &Tile, acc: &[[__m512; H]; MR_MAX]) {
-        for h in 0..H {
-            // pieces[half][q]: in its 128-bit lane `l`, the 4 tile rows
-            // 4·half..4·half + 4 of lane `16·h + 4·l + q`
-            let mut pieces = [[_mm512_setzero_ps(); 4]; 2];
-            for (half, quad) in pieces.iter_mut().enumerate() {
-                let r = 4 * half;
-                let lo01 = _mm512_unpacklo_ps(acc[r][h], acc[r + 1][h]);
-                let hi01 = _mm512_unpackhi_ps(acc[r][h], acc[r + 1][h]);
-                let lo23 = _mm512_unpacklo_ps(acc[r + 2][h], acc[r + 3][h]);
-                let hi23 = _mm512_unpackhi_ps(acc[r + 2][h], acc[r + 3][h]);
-                quad[0] = _mm512_shuffle_ps::<0x44>(lo01, lo23);
-                quad[1] = _mm512_shuffle_ps::<0xEE>(lo01, lo23);
-                quad[2] = _mm512_shuffle_ps::<0x44>(hi01, hi23);
-                quad[3] = _mm512_shuffle_ps::<0xEE>(hi01, hi23);
-            }
-            for l in 0..4 {
-                for q in 0..4 {
-                    let lane = 16 * h + 4 * l + q;
-                    if lane >= t.width {
-                        continue;
-                    }
-                    // SAFETY: C's element (0..8, lane) is 8 consecutive
-                    // floats at `c + lane·c_cs`, inside C by the contract.
-                    unsafe {
-                        let dst = t.c.add(lane * t.c_cs);
-                        _mm_storeu_ps(dst, lane128(pieces[0][q], l));
-                        _mm_storeu_ps(dst.add(4), lane128(pieces[1][q], l));
-                    }
-                }
-            }
-        }
-    }
-
-    /// 128-bit lane `l` of `v`.
-    #[target_feature(enable = "avx512f")]
-    fn lane128(v: __m512, l: usize) -> __m128 {
-        match l {
-            0 => _mm512_castps512_ps128(v),
-            1 => _mm512_extractf32x4_ps::<1>(v),
-            2 => _mm512_extractf32x4_ps::<2>(v),
-            _ => _mm512_extractf32x4_ps::<3>(v),
         }
     }
 }
@@ -996,7 +916,7 @@ fn gemm(
             (a_in_place, vector, false)
         }
         Pack::B => {
-            pack_panels(b, k, n, b_layout, nr, &mut pack);
+            pack_panels(b, k, n, nr, &mut pack);
             let vector = Vector {
                 data: &pack,
                 ld: nr,
@@ -1006,7 +926,7 @@ fn gemm(
         }
         Pack::A => {
             // A is (m, k), B is (n, k): the view's broadcast side is B
-            pack_panels(a, k, m, Layout::Transposed, m, &mut pack);
+            pack_panels(a, k, m, m, &mut pack);
             let bcast = Broadcast {
                 data: b,
                 rs: k,

@@ -1135,14 +1135,14 @@ fn fma_kernels_agree_bitwise_across_isa_levels() {
 
 /// Dimensions the FMA chain spec draws from: tile and panel edges, `KC`
 /// edges, a generation unit's score (`m ≤ 64` against `|C| = 1743`), a
-/// `dblp_dense` backward (`k = 1909`), and sizes either side of every
-/// packing rule of the tiled driver.
+/// `dblp_dense` backward (`k = 1909`), and sizes either side of the
+/// tiled driver's packing rule.
 const CHAIN_M: [usize; 7] = [1, 8, 17, 32, 33, 64, 1300];
 const CHAIN_N: [usize; 7] = [1, 16, 17, 32, 33, 190, 1743];
 const CHAIN_K: [usize; 6] = [16, 32, 255, 256, 257, 1909];
 /// Largest `m·k·n` the chain spec multiplies: it keeps the scalar
-/// reference cheap in a debug build and still admits `1300×16×190`, the
-/// one product of the sets that packs a row-major B.
+/// reference cheap in a debug build and still admits `1300×16×190`, a
+/// tall product against a wide B read in place.
 const CHAIN_BUDGET: usize = 1 << 22;
 
 /// `C[r, j]` as the FMA tiles are specified to compute it: one
@@ -1171,9 +1171,9 @@ proptest! {
     /// of `matmul_{nn,nt,tn}` is exactly [`mul_add_chain`]'s, whatever the
     /// driver packs, reads in place or computes transposed. An `nt` with
     /// `m < n` and `m ≤ 64` computes `Cᵀ` (the swap), any other `nt` packs
-    /// B, and a row-major B wider than 128 columns against at least 256
-    /// rows is packed too; the sets reach both sides of each rule, the
-    /// `KC` boundary and the column fringes. Row 0 of A is `-0.0`, so a
+    /// B, and `nn` and `tn` read both operands in place; the sets reach
+    /// both sides of the swap rule, the `KC` boundary and the column
+    /// fringes. Row 0 of A is `-0.0`, so a
     /// chain that started from `-0.0` would show in the bits.
     #[test]
     fn fma_tiles_are_one_mul_add_chain(

@@ -30,8 +30,6 @@ const VALUE_KEYS: &[&str] = &[
     "batch-centers",
     "seed",
     "checkpoint-every",
-    "shards",
-    "shard-index",
     "master",
     "out",
     "generated",
@@ -40,10 +38,6 @@ const VALUE_KEYS: &[&str] = &[
     "n-timestamps",
     "store",
     "block-edges",
-    "retries",
-    "shard-timeout",
-    "backoff-base-ms",
-    "degrade",
     "checkpoint-keep",
     "salvage",
     "root",
@@ -127,7 +121,7 @@ impl Args {
     }
 
     /// Error on any `--option` this subcommand never looked at (catches
-    /// typos like `--shard 2` for `--shards 2`).
+    /// typos like `--epoch 2` for `--epochs 2`).
     pub fn reject_unused(&self) -> Result<(), String> {
         let used = self.used.borrow();
         let unknown: Vec<String> = self
@@ -161,14 +155,14 @@ mod tests {
             "--verify",
             "a.edges",
             "b.edges",
-            "--shards",
+            "--epochs",
             "2",
         ]))
         .unwrap();
         assert_eq!(a.get("run-dir"), Some("/tmp/r"));
         assert!(a.flag("verify"));
         assert!(!a.flag("stats"));
-        assert_eq!(a.get_parsed("shards", 1usize).unwrap(), 2);
+        assert_eq!(a.get_parsed("epochs", 1usize).unwrap(), 2);
         assert_eq!(a.positional(), &["a.edges".to_string(), "b.edges".into()]);
         a.reject_unused().unwrap();
     }
@@ -176,15 +170,15 @@ mod tests {
     #[test]
     fn missing_value_and_unknown_key_error() {
         assert!(Args::parse(&argv(&["--run-dir"])).is_err());
-        let a = Args::parse(&argv(&["--shards", "2", "--bogus"])).unwrap();
-        assert_eq!(a.get_parsed("shards", 1usize).unwrap(), 2);
+        let a = Args::parse(&argv(&["--epochs", "2", "--bogus"])).unwrap();
+        assert_eq!(a.get_parsed("epochs", 1usize).unwrap(), 2);
         assert!(a.reject_unused().unwrap_err().contains("bogus"));
     }
 
     #[test]
     fn require_and_parse_errors() {
-        let a = Args::parse(&argv(&["--shards", "two"])).unwrap();
-        assert!(a.get_parsed("shards", 1usize).is_err());
+        let a = Args::parse(&argv(&["--epochs", "two"])).unwrap();
+        assert!(a.get_parsed("epochs", 1usize).is_err());
         assert!(a.require::<usize>("master").is_err());
     }
 }

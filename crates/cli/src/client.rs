@@ -17,7 +17,7 @@
 //!
 //! `simulate` streams the server's edge list into `--out` (default
 //! `simulated.edges`; `-` for stdout) — byte-identical to what
-//! `tgx-cli simulate --in-process --master S` writes locally for the same
+//! `tgx-cli simulate --master S` writes locally for the same
 //! run. The file is committed only once the whole answer is in, so a
 //! failed request leaves an earlier `--out` as it was. A `busy` rejection
 //! from admission control exits with code 6 so schedulers can back off

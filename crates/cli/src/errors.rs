@@ -7,10 +7,8 @@
 //! 1  other failure (I/O, engine error, …)
 //! 2  usage error (unknown flag/subcommand, missing/contradictory args)
 //! 3  ingest/store corruption (unreadable or damaged TGES input)
-//! 4  workers exhausted retries (shard worker(s) still failing after
-//!    the retry budget)
-//! 5  --degrade partial completion (output is incomplete but usable;
-//!    see partial_manifest.json)
+//! 4  reserved (unused; never renumbered)
+//! 5  reserved (unused; never renumbered)
 //! 6  server busy (retry later): `tgx-cli client` was refused by
 //!    admission control or the model cache
 //! ```
@@ -25,8 +23,8 @@ pub const EXIT_CODES: [(i32, &str); 7] = [
     (1, "other failure"),
     (2, "usage error"),
     (3, "ingest/store corruption"),
-    (4, "workers exhausted retries"),
-    (5, "--degrade partial completion"),
+    (4, "reserved (unused; never renumbered)"),
+    (5, "reserved (unused; never renumbered)"),
     (6, "server busy (retry later)"),
 ];
 
@@ -44,11 +42,6 @@ pub enum CliError {
     Usage(String),
     /// A store/ingest input is unreadable or damaged. Exit 3.
     Corruption(String),
-    /// Shard worker(s) exhausted the retry budget. Exit 4.
-    WorkerFailure(String),
-    /// The run finished under `--degrade partial`: some shards are
-    /// missing, the merged output covers the rest. Exit 5.
-    Partial(String),
     /// A `tgx-cli client` request was refused as busy by the server's
     /// admission control or saturated model cache. Exit 6.
     Busy(String),
@@ -64,8 +57,6 @@ impl CliError {
             CliError::Other(_) => 1,
             CliError::Usage(_) => 2,
             CliError::Corruption(_) => 3,
-            CliError::WorkerFailure(_) => 4,
-            CliError::Partial(_) => 5,
             CliError::Busy(_) => 6,
         }
     }
@@ -76,8 +67,6 @@ impl std::fmt::Display for CliError {
         match self {
             CliError::Usage(m)
             | CliError::Corruption(m)
-            | CliError::WorkerFailure(m)
-            | CliError::Partial(m)
             | CliError::Busy(m)
             | CliError::Other(m) => write!(f, "{m}"),
         }
@@ -114,19 +103,20 @@ mod tests {
             (CliError::Other("x".into()), 1),
             (CliError::Usage("x".into()), 2),
             (CliError::Corruption("x".into()), 3),
-            (CliError::WorkerFailure("x".into()), 4),
-            (CliError::Partial("x".into()), 5),
             (CliError::Busy("x".into()), 6),
         ];
         for (e, code) in &cases {
             assert_eq!(e.exit_code(), *code, "{e}");
         }
-        // the table: row i is code i, and every failure row has a variant
-        for (i, (code, _)) in EXIT_CODES.iter().enumerate() {
+        // the table: row i is code i, and every failure row but the
+        // reserved ones has a variant; no variant exits a reserved code
+        for (i, (code, meaning)) in EXIT_CODES.iter().enumerate() {
             assert_eq!(*code, i as i32);
-            assert!(
-                i == 0 || cases.iter().any(|(_, c)| c == code),
-                "no error exits {code}"
+            let reserved = meaning.starts_with("reserved");
+            assert_eq!(
+                i != 0 && !reserved,
+                cases.iter().any(|(_, c)| c == code),
+                "exit {code} ({meaning})"
             );
         }
 

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! With `--run-dir` the observed graph and shape come from the run
-//! manifest, and `--generated` defaults to the driver's merged
+//! manifest, and `--generated` defaults to `simulate`'s
 //! `simulated.edges`. Raw mode takes two dense edge-list files plus the
 //! shape explicitly.
 

@@ -214,9 +214,9 @@ fn salvage_store(damaged: &str, out: &str, quiet: bool) -> Result<(), CliError> 
     })?;
 
     if !quiet {
-        let intact = report.n_blocks - report.bad_blocks.len() as u64;
         eprintln!(
-            "salvaged {damaged}: {intact} of {} blocks intact, {} edges recovered, {} lost{}",
+            "salvaged {damaged}: {} of {} blocks intact, {} edges recovered, {} lost{}",
+            report.intact_blocks,
             report.n_blocks,
             report.recovered_edges,
             report.lost_edges,

@@ -1,21 +1,19 @@
-//! `tgx-cli` — the multi-process shard driver for the TGAE simulation
-//! pipeline, completing the plan → execute → emit story at the *process*
-//! level (ROADMAP: "multi-process shard driver").
+//! `tgx-cli` — the command-line front end of the TGAE simulation
+//! pipeline: ingest → train → simulate → eval, plus a resident daemon.
 //!
 //! ```text
 //! tgx-cli train    --run-dir DIR --preset dblp --scale 0.05 [--epochs N]
-//! tgx-cli simulate --run-dir DIR --shards 4 [--verify] [--stats]
-//! tgx-cli merge    --out merged.edges shard_0.edges shard_1.edges …
+//! tgx-cli simulate --run-dir DIR [--master M] [--stats]
 //! tgx-cli eval     --run-dir DIR [--generated FILE]
 //! ```
 //!
 //! `train` fits a model through the `tgae::Session` API (progress
 //! observer, optional resumable checkpoints) and persists a **run
-//! directory**; `simulate` partitions the run into serialisable
-//! `ShardSpec`s and fork/execs one worker process per shard, each loading
-//! the checkpointed model; the shard files are merged byte-identically to
-//! what a single process would stream (`--verify` asserts it); `eval`
-//! scores any generated edge list with the paper's Eq. 10 harness.
+//! directory**; `simulate` loads it as a `SharedRun` and streams one
+//! synthetic graph to `simulated.edges` in this process, the engine
+//! running its work units on the thread pool; `eval` scores any
+//! generated edge list with the paper's Eq. 10 harness; `serve` keeps
+//! runs resident for `client` requests.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::exit)]
 #![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
@@ -26,7 +24,6 @@ mod errors;
 mod eval;
 mod ingest;
 mod input;
-mod merge;
 mod obs;
 mod rundir;
 mod serve;
@@ -43,7 +40,7 @@ use errors::CliError;
 static ALLOC: tg_obs::memtrack::TrackingAllocator = tg_obs::memtrack::TrackingAllocator;
 
 const USAGE: &str = "\
-tgx-cli — multi-process driver for the TGAE temporal-graph simulator
+tgx-cli — command-line driver for the TGAE temporal-graph simulator
 
 USAGE:
   tgx-cli ingest   --out FILE (--edges FILE [--buckets T] [--exact]
@@ -57,11 +54,7 @@ USAGE:
                    [--epochs N] [--batch-centers N] [--seed S] [--full]
                    [--checkpoint-every N] [--checkpoint-keep K] [--resume]
                    [--telemetry] [--quiet]
-  tgx-cli simulate --run-dir DIR [--shards K] [--master M] [--stats]
-                   [--verify] [--retries N] [--shard-timeout SECS]
-                   [--backoff-base-ms MS] [--degrade partial]
-                   [--in-process] [--keep-shards] [--trace] [--quiet]
-  tgx-cli merge    [--stats] --out FILE INPUT...
+  tgx-cli simulate --run-dir DIR [--master M] [--stats] [--trace] [--quiet]
   tgx-cli eval     --run-dir DIR [--generated FILE]
   tgx-cli eval     --observed FILE --generated FILE --n-nodes N --n-timestamps T
   tgx-cli serve    --root DIR [--addr HOST:PORT | --socket PATH]
@@ -73,14 +66,14 @@ USAGE:
 
 OBSERVABILITY:
   train --telemetry   per-epoch loss/wall/heap -> DIR/telemetry.jsonl
-  simulate --trace    cross-process spans -> DIR/trace.json (chrome://tracing)
+  simulate --trace    spans -> DIR/trace.json (chrome://tracing)
   client status       daemon residency, admission, and cache report
   client metrics      Prometheus text exposition of the daemon's registry
 
 The smoke pipeline (also run in CI):
   tgx-cli ingest   --out /tmp/obs.tgs --preset dblp --scale 0.04 --verify
   tgx-cli train    --run-dir /tmp/run --store /tmp/obs.tgs --epochs 8
-  tgx-cli simulate --run-dir /tmp/run --shards 2 --verify --retries 1
+  tgx-cli simulate --run-dir /tmp/run --stats
   tgx-cli eval     --run-dir /tmp/run
 ";
 
@@ -115,7 +108,6 @@ fn run(argv: &[String]) -> Result<(), CliError> {
         "ingest" => ingest::run(&args),
         "train" => train::run(&args).map_err(CliError::from),
         "simulate" => simulate::run(&args),
-        "merge" => merge::run(&args).map_err(CliError::from),
         "eval" => eval::run(&args).map_err(CliError::from),
         "serve" => serve::run(&args),
         "client" => client::run(&args),

@@ -1,18 +1,18 @@
-//! The CLI's telemetry glue. Trace plumbing shared by the `simulate`
-//! driver and its shard workers: installing sinks, the best-effort flush
-//! (with its `obs.flush` fault point), and the driver-side Chrome merge.
-//! And [`ObsObserver`], the `train --telemetry` epoch observer.
+//! The CLI's telemetry glue. The `simulate --trace` plumbing: installing
+//! the span sink, the best-effort flush (with its `obs.flush` fault
+//! point), and the Chrome rendering. And [`ObsObserver`], the
+//! `train --telemetry` epoch observer.
 //!
 //! Telemetry is **best-effort by contract**: every failure in here warns
 //! on stderr and lets the run proceed — a run must never lose its edges
 //! or its model because its telemetry could not be written. The
 //! `obs.flush` fault point exists to test exactly that contract (see
-//! `tests/serve_faults.rs` and `crates/faults`).
+//! `tests/trace.rs` and `crates/faults`).
 
 use crate::rundir::RunDir;
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use tg_obs::memtrack;
 use tgae::{EpochEvent, RunObserver, TrainControl};
 
@@ -78,11 +78,11 @@ impl RunObserver for ObsObserver {
     }
 }
 
-/// Install the driver-side trace sink for a `simulate --trace` run.
-/// Returns whether a sink is live (installation failure only warns).
-pub fn install_driver_trace(run_dir: &RunDir) -> bool {
-    let path = run_dir.trace_driver_path();
-    match tg_obs::trace::install(&path, "driver") {
+/// Install the trace sink for a `simulate --trace` run. Returns whether
+/// a sink is live (installation failure only warns).
+pub fn install_trace(run_dir: &RunDir) -> bool {
+    let path = run_dir.trace_spans_path();
+    match tg_obs::trace::install(&path, "simulate") {
         Ok(()) => true,
         Err(e) => {
             eprintln!(
@@ -94,68 +94,42 @@ pub fn install_driver_trace(run_dir: &RunDir) -> bool {
     }
 }
 
-/// Install the worker-side trace sink when the driver exported
-/// [`tg_obs::trace::ENV_TRACE_FILE`]. Returns whether a sink is live.
-pub fn install_worker_trace(shard_index: u32) -> bool {
-    let Some(path) = tg_obs::trace::env_trace_file() else {
-        return false;
-    };
-    match tg_obs::trace::install(&path, &format!("shard_{shard_index}")) {
-        Ok(()) => true,
-        Err(e) => {
-            eprintln!(
-                "tgx-cli: shard {shard_index} tracing disabled (cannot install sink at {}: {e})",
-                path.display()
-            );
-            tg_obs::trace::enabled()
-        }
-    }
-}
-
-/// Flush this process's trace buffers to the installed sink,
-/// warn-and-continue on failure. `context` names the flushing process in
-/// diagnostics (and is handed to the `obs.flush` fault point so tests
-/// can target one process).
-pub fn flush_trace(context: &str) {
+/// Flush this process's trace buffers to the sink installed at `path`,
+/// warn-and-continue on failure (`path` is also the `obs.flush` fault
+/// point's argument).
+pub fn flush_trace(path: &Path) {
     if !tg_obs::trace::enabled() {
         return;
     }
-    if let Err(e) = tg_faults::eval(&tg_faults::registry::OBS_FLUSH, Some(context)) {
-        eprintln!("tgx-cli: trace flush skipped ({context}): {e}");
+    let path = path.display().to_string();
+    if let Err(e) = tg_faults::eval(&tg_faults::registry::OBS_FLUSH, Some(&path)) {
+        eprintln!("tgx-cli: trace flush skipped ({path}): {e}");
         return;
     }
     if let Err(e) = tg_obs::trace::flush() {
-        eprintln!("tgx-cli: trace flush failed ({context}): {e}");
+        eprintln!("tgx-cli: trace flush failed ({path}): {e}");
     }
 }
 
-/// Merge the driver's and every completed shard's span files into the
-/// run dir's `trace.json` (Chrome `trace_event` format, loadable in
-/// `chrome://tracing` / Perfetto). Missing or torn shard files are
-/// skipped by the merger; total failure only warns.
-pub fn merge_run_traces(run_dir: &RunDir, shards: &[u32], quiet: bool) {
-    let mut inputs: Vec<PathBuf> = vec![run_dir.trace_driver_path()];
-    inputs.extend(shards.iter().map(|&s| run_dir.trace_shard_path(s)));
-    let out = run_dir.trace_merged_path();
-    match tg_obs::chrome::merge_traces(&inputs, &out) {
+/// Render the run's span file as `trace.json` (Chrome `trace_event`
+/// format, loadable in `chrome://tracing` / Perfetto). Failure only
+/// warns.
+pub fn render_trace(run_dir: &RunDir, quiet: bool) {
+    let out = run_dir.trace_json_path();
+    match tg_obs::chrome::merge_traces(&[run_dir.trace_spans_path()], &out) {
         Ok(summary) => {
             if !quiet {
-                eprintln!(
-                    "trace: {} spans from {} process(es), {} cross-process link(s) -> {}",
-                    summary.spans,
-                    summary.processes,
-                    summary.links,
-                    out.display()
-                );
+                eprintln!("trace: {} spans -> {}", summary.spans, out.display());
             }
         }
-        Err(e) => eprintln!("tgx-cli: trace merge failed: {e}"),
+        Err(e) => eprintln!("tgx-cli: trace render failed: {e}"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use std::time::Duration;
 
     fn event(epoch: usize, loss: f32) -> EpochEvent {

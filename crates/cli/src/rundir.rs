@@ -1,24 +1,21 @@
 //! The on-disk layout shared by every `tgx-cli` subcommand: a **run
-//! directory** holding everything a worker process needs to execute any
-//! shard of a simulation.
+//! directory** holding a trained run and what was generated from it.
 //!
 //! ```text
 //! <run-dir>/
-//!   run.json          RunManifest: graph shape, master seed, provenance
-//!   observed.edges    the observed graph (dense `u v t` lines)
-//!   model.json        trained model checkpoint (tgae::persist format)
-//!   train_ckpt.json   mid-training checkpoint (when --checkpoint-every)
-//!   shards.json       ShardSpec manifest of the last `simulate` call
-//!   shard_<i>.edges   per-worker shard output
-//!   simulated.edges   merged shard outputs (bit-identical to in-process)
-//!   retry_log.json    supervision bookkeeping when --retries saw failures
-//!   partial_manifest.json   completed/missing shards of a --degrade partial run
+//!   run.json              RunManifest: graph shape, master seed, provenance
+//!   observed.edges        the observed graph (dense `u v t` lines)
+//!   model.json            trained model checkpoint (tgae::persist format)
+//!   train_ckpt.json       mid-training checkpoint (when --checkpoint-every)
+//!   simulated.edges       the last `simulate` output
+//!   simulated.stats.json  its statistics (simulate --stats)
+//!   trace.jsonl           its spans (simulate --trace), and trace.json
+//!   telemetry.jsonl       per-epoch records (train --telemetry)
 //! ```
 //!
-//! The manifest is deliberately tiny: shard workers re-derive everything
+//! The manifest is deliberately tiny: `simulate` re-derives everything
 //! else (the simulation plan, unit seeds, budgets) deterministically from
-//! the observed graph + the `ShardSpec`, which is what makes the
-//! fork/exec driver sound.
+//! the observed graph and the master seed.
 
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -101,59 +98,24 @@ impl RunDir {
         self.root.join("train_ckpt.json")
     }
 
-    /// `shards.json` — the serialised `ShardSpec` manifest.
-    pub fn shard_manifest_path(&self) -> PathBuf {
-        self.root.join("shards.json")
-    }
-
-    /// `shard_<i>.edges`.
-    pub fn shard_edges_path(&self, shard: u32) -> PathBuf {
-        self.root.join(format!("shard_{shard}.edges"))
-    }
-
-    /// `shard_<i>.stats.json`.
-    pub fn shard_stats_path(&self, shard: u32) -> PathBuf {
-        self.root.join(format!("shard_{shard}.stats.json"))
-    }
-
-    /// `simulated.edges` — the merged output.
+    /// `simulated.edges` — the generated edge list.
     pub fn simulated_path(&self) -> PathBuf {
         self.root.join("simulated.edges")
     }
 
-    /// `simulated.stats.json` — the merged statistics.
+    /// `simulated.stats.json` — its statistics.
     pub fn simulated_stats_path(&self) -> PathBuf {
         self.root.join("simulated.stats.json")
     }
 
-    /// `retry_log.json` — per-attempt supervision record (exit codes,
-    /// signals, timeouts, backoff) of a `simulate --retries` run that
-    /// saw failures.
-    pub fn retry_log_path(&self) -> PathBuf {
-        self.root.join("retry_log.json")
+    /// `trace.jsonl` — the span records of a `simulate --trace` run.
+    pub fn trace_spans_path(&self) -> PathBuf {
+        self.root.join("trace.jsonl")
     }
 
-    /// `partial_manifest.json` — completed/missing shard sets of a
-    /// `simulate --degrade partial` run that delivered an incomplete
-    /// merge.
-    pub fn partial_manifest_path(&self) -> PathBuf {
-        self.root.join("partial_manifest.json")
-    }
-
-    /// `trace_driver.jsonl` — the driver process's span records of a
+    /// `trace.json` — the Chrome `trace_event` view of a
     /// `simulate --trace` run.
-    pub fn trace_driver_path(&self) -> PathBuf {
-        self.root.join("trace_driver.jsonl")
-    }
-
-    /// `trace_shard_<i>.jsonl` — one worker process's span records.
-    pub fn trace_shard_path(&self, shard: u32) -> PathBuf {
-        self.root.join(format!("trace_shard_{shard}.jsonl"))
-    }
-
-    /// `trace.json` — the merged Chrome `trace_event` view of a
-    /// `simulate --trace` run (driver + every worker, flow-linked).
-    pub fn trace_merged_path(&self) -> PathBuf {
+    pub fn trace_json_path(&self) -> PathBuf {
         self.root.join("trace.json")
     }
 
@@ -197,8 +159,7 @@ impl RunDir {
     }
 
     /// Load manifest + trained model + observed graph as one validated
-    /// [`SharedRun`] — the one way `simulate` (driver, worker,
-    /// `--in-process`, `--verify`), `eval`, and `serve` open a run
+    /// [`SharedRun`] — the one way `simulate`, `eval`, and `serve` open a run
     /// directory. The model is loaded first and the manifest's shape must
     /// be the model's before `observed.edges` is opened, so a run.json
     /// that lies about its shape cannot size an allocation. The

@@ -1,5 +1,5 @@
 //! `tgx-cli train`: fit a TGAE on an observed graph and persist a run
-//! directory that `simulate` workers can load.
+//! directory that `simulate`, `eval` and `serve` load.
 //!
 //! ```text
 //! tgx-cli train --run-dir DIR (--preset NAME [--scale F] [--data-seed S]

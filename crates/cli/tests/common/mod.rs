@@ -1,11 +1,8 @@
 //! Shared helpers for the `tgx-cli` process-level test suites
-//! (`retry.rs`, `supervision.rs`, `serve_faults.rs`): spawning the built
-//! binary, per-test temp directories, and the standard small trained run
-//! every scenario starts from.
-//!
-//! Each test binary compiles its own copy (`mod common;`), so helpers a
-//! particular suite doesn't use are expected — hence the `dead_code`
-//! allowances.
+//! (`supervision.rs`, `simulate.rs`, `trace.rs`, `serve_faults.rs`):
+//! spawning the built binary, per-test temp directories, and the
+//! standard small trained run every scenario starts from. Each test
+//! binary compiles its own copy (`mod common;`).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -51,11 +48,4 @@ pub fn train_run(dir: &Path, run: &str, edges: &Path) -> PathBuf {
         .expect("run tgx-cli train");
     assert!(status.success(), "train failed");
     run_dir
-}
-
-/// Strip all whitespace, for JSON substring assertions that must not
-/// depend on pretty-printing.
-#[allow(dead_code)]
-pub fn compact(text: &str) -> String {
-    text.chars().filter(|c| !c.is_whitespace()).collect()
 }

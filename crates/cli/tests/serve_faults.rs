@@ -96,17 +96,17 @@ impl Drop for Daemon {
     }
 }
 
-/// Bytes of `tgx-cli simulate --in-process --master <master>` over the
-/// same run directory — the reference every server stream must match.
+/// Bytes of `tgx-cli simulate --master <master>` over the same run
+/// directory — the reference every server stream must match.
 fn reference_bytes(run_dir: &Path, master: u64) -> Vec<u8> {
     let status = cli()
         .args(["simulate", "--run-dir"])
         .arg(run_dir)
-        .args(["--in-process", "--master", &master.to_string(), "--quiet"])
+        .args(["--master", &master.to_string(), "--quiet"])
         .stdout(Stdio::null())
         .status()
-        .expect("run tgx-cli simulate --in-process");
-    assert!(status.success(), "in-process reference simulate failed");
+        .expect("run tgx-cli simulate");
+    assert!(status.success(), "reference simulate failed");
     std::fs::read(run_dir.join("simulated.edges")).expect("simulated.edges")
 }
 

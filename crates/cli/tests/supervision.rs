@@ -1,109 +1,18 @@
-//! Process-level tests of the ISSUE-6 failure-domain hardening:
+//! Process-level tests of the CLI's failure handling:
 //!
-//! - a **hung** worker (injected `worker.entry=sleep`) is killed at
-//!   `--shard-timeout`, retried, and the run still verifies;
-//! - a **persistently failing** shard under `--degrade partial` yields a
-//!   merge of the completed shards, a machine-readable
-//!   `partial_manifest.json`, and exit code 5 — and the partial merge is
-//!   byte-identical to the healthy run's output for those shards;
-//! - a merge whose commit fails leaves the earlier `simulated.edges` and
-//!   no tmp file behind;
+//! - a `simulate` whose commit fails leaves the earlier
+//!   `simulated.edges` and no tmp file behind;
 //! - `ingest --salvage` rebuilds a clean, fully verifiable store from a
 //!   bit-flipped one (exit 0) and exits 3 on a file that is not a store;
-//! - usage errors exit 2, and an `eval` shape without timestamps is a
-//!   typed error (exit 1), not a panic;
+//! - usage errors exit 2 (the flags of the retired multi-process driver
+//!   included), and an `eval` shape without timestamps is a typed error
+//!   (exit 1), not a panic;
 //! - `train --resume` under a run.json whose shape is not its
 //!   checkpoint's is a typed error (exit 1), not an allocation abort.
 
 mod common;
 
-use common::{cli, compact, tmp, train_run, write_ring_edges};
-
-#[test]
-fn hung_worker_is_killed_at_timeout_and_retried() {
-    if !tg_faults::is_compiled() {
-        return; // injection needs the default `faults` feature
-    }
-    let dir = tmp("sup_hang");
-    let edges = dir.join("ring.edges");
-    write_ring_edges(&edges);
-    let run_dir = train_run(&dir, "run", &edges);
-
-    // shard 0's first attempt sleeps 60 s — far past the 2.5 s budget —
-    // so the supervisor must SIGKILL it; the cross-process fault ledger
-    // limits the hang to that one attempt, and the retry completes.
-    let out = cli()
-        .args(["simulate", "--run-dir"])
-        .arg(&run_dir)
-        .args(["--shards", "2", "--retries", "1", "--verify", "--quiet"])
-        .args(["--shard-timeout", "2.5", "--backoff-base-ms", "10"])
-        .env("TG_FAULTS", "worker.entry=sleep:60000,arg=shard:0,max=1")
-        .env("TG_FAULTS_STATE", dir.join("faults.state"))
-        .output()
-        .expect("run tgx-cli simulate");
-    assert!(
-        out.status.success(),
-        "simulate after a hung worker failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let log = std::fs::read_to_string(run_dir.join("retry_log.json")).expect("retry_log.json");
-    let c = compact(&log);
-    assert!(c.contains("\"timed_out\":true"), "{log}");
-    assert!(c.contains("\"signal\":9"), "{log}");
-    assert!(c.contains("\"completed\":true"), "{log}");
-    assert!(c.contains("\"backoff_ms\""), "{log}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn degrade_partial_merges_completed_shards_and_exits_5() {
-    if !tg_faults::is_compiled() {
-        return;
-    }
-    let dir = tmp("sup_partial");
-    let edges = dir.join("ring.edges");
-    write_ring_edges(&edges);
-
-    // Healthy reference run with the same training seed: its shard files
-    // are what the degraded run's partial merge must reproduce exactly.
-    let ref_dir = train_run(&dir, "ref", &edges);
-    let status = cli()
-        .args(["simulate", "--run-dir"])
-        .arg(&ref_dir)
-        .args(["--shards", "2", "--keep-shards", "--quiet"])
-        .stdout(std::process::Stdio::null())
-        .status()
-        .expect("run reference simulate");
-    assert!(status.success(), "reference simulate failed");
-    let shard0 = std::fs::read(ref_dir.join("shard_0.edges")).expect("reference shard 0");
-
-    // Degraded run: shard 1 fails every attempt.
-    let run_dir = train_run(&dir, "run", &edges);
-    let out = cli()
-        .args(["simulate", "--run-dir"])
-        .arg(&run_dir)
-        .args(["--shards", "2", "--retries", "1", "--quiet"])
-        .args(["--degrade", "partial", "--backoff-base-ms", "10"])
-        .env("TG_FAULTS", "worker.entry=err,arg=shard:1")
-        .output()
-        .expect("run tgx-cli simulate");
-    assert_eq!(
-        out.status.code(),
-        Some(5),
-        "degraded completion must exit 5: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let manifest = std::fs::read_to_string(run_dir.join("partial_manifest.json"))
-        .expect("partial_manifest.json");
-    let c = compact(&manifest);
-    assert!(c.contains("\"n_shards\":2"), "{manifest}");
-    assert!(c.contains("\"completed\":[0]"), "{manifest}");
-    assert!(c.contains("\"missing\":[1]"), "{manifest}");
-    // the partial merge is exactly the completed shard's bytes
-    let merged = std::fs::read(run_dir.join("simulated.edges")).expect("simulated.edges");
-    assert_eq!(merged, shard0, "partial merge differs from shard 0 output");
-    std::fs::remove_dir_all(&dir).ok();
-}
+use common::{cli, tmp, train_run, write_ring_edges};
 
 #[test]
 fn a_failed_merge_commit_keeps_the_earlier_simulated_edges() {
@@ -120,7 +29,7 @@ fn a_failed_merge_commit_keeps_the_earlier_simulated_edges() {
     let out = cli()
         .args(["simulate", "--run-dir"])
         .arg(&run_dir)
-        .args(["--in-process", "--quiet"])
+        .arg("--quiet")
         .env(
             "TG_FAULTS",
             "persist.atomic.unrenamed=err,arg=simulated.edges",
@@ -142,25 +51,33 @@ fn usage_errors_exit_2() {
     let out = cli().arg("frobnicate").output().expect("run tgx-cli");
     assert_eq!(out.status.code(), Some(2), "unknown subcommand must exit 2");
 
+    // the retired multi-process driver's flags are unknown options now,
+    // refused before the run directory is opened
+    for removed in [
+        &["--shards", "2"][..],
+        &["--shard-index", "0"],
+        &["--in-process"],
+        &["--retries", "1"],
+        &["--shard-timeout", "5"],
+        &["--backoff-base-ms", "10"],
+        &["--degrade", "partial"],
+        &["--keep-shards"],
+        &["--verify"],
+    ] {
+        let out = cli()
+            .args(["simulate", "--run-dir", "/nonexistent"])
+            .args(removed)
+            .output()
+            .expect("run tgx-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{removed:?}: {stderr}");
+        assert!(stderr.contains(removed[0]), "{removed:?}: {stderr}");
+    }
     let out = cli()
-        .args([
-            "simulate",
-            "--run-dir",
-            "/nonexistent",
-            "--degrade",
-            "sideways",
-        ])
+        .args(["merge", "--out", "x"])
         .output()
         .expect("run tgx-cli");
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "bad --degrade value must exit 2"
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--degrade"),
-        "stderr should name the offending option"
-    );
+    assert_eq!(out.status.code(), Some(2), "`merge` is no subcommand");
 
     let out = cli()
         .args(["ingest", "--verify"])

@@ -1,12 +1,13 @@
 //! Process-level tests of the observability surface:
 //!
-//! - a 2-shard `simulate --trace` produces a merged Chrome `trace.json`
-//!   covering the driver and both workers, with worker root spans
-//!   stitched (flow-linked) under the driver's supervision spans;
+//! - `simulate --trace` renders its spans, the engine's included, as a
+//!   Chrome `trace.json`;
 //! - **bit-identity**: the seeded pipeline's outputs are byte-identical
 //!   with telemetry on and off — `simulate --trace` vs plain for
 //!   `simulated.edges`, `train --telemetry` vs plain for `model.json`.
-//!   Observability must observe, never perturb.
+//!   Observability must observe, never perturb;
+//! - a trace flush that fails (`obs.flush`) costs the trace, never the
+//!   run's edges or its exit status.
 
 mod common;
 
@@ -19,7 +20,7 @@ fn simulate_bytes(run_dir: &Path, master: u64, extra: &[&str]) -> Vec<u8> {
     let status = cli()
         .args(["simulate", "--run-dir"])
         .arg(run_dir)
-        .args(["--shards", "2", "--master", &master.to_string(), "--quiet"])
+        .args(["--master", &master.to_string(), "--quiet"])
         .args(extra)
         .stdout(Stdio::null())
         .status()
@@ -29,58 +30,25 @@ fn simulate_bytes(run_dir: &Path, master: u64, extra: &[&str]) -> Vec<u8> {
 }
 
 #[test]
-fn traced_two_shard_run_merges_driver_and_worker_spans() {
-    let dir = tmp("trace_merge");
+fn traced_run_renders_engine_spans() {
+    let dir = tmp("trace_render");
     let edges = dir.join("ring.edges");
     write_ring_edges(&edges);
     let run_dir = train_run(&dir, "traced", &edges);
 
     simulate_bytes(&run_dir, 99, &["--trace"]);
 
-    for shard_file in [
-        "trace_driver.jsonl",
-        "trace_shard_0.jsonl",
-        "trace_shard_1.jsonl",
-    ] {
-        assert!(
-            run_dir.join(shard_file).exists(),
-            "{shard_file} missing after a traced run"
-        );
-    }
-    let trace = std::fs::read_to_string(run_dir.join("trace.json")).expect("merged trace.json");
-
-    // Three process-name metadata records: the driver and both workers.
-    for label in ["\"driver\"", "\"shard_0\"", "\"shard_1\""] {
-        assert!(
-            trace.contains(&format!("{{\"name\":{label}}}")),
-            "process label {label} missing from merged trace"
-        );
-    }
-    // The spans every layer was instrumented with all made it through
-    // the per-process files into the one merged view.
+    assert!(run_dir.join("trace.jsonl").exists(), "no span file");
+    let trace = std::fs::read_to_string(run_dir.join("trace.json")).expect("trace.json");
+    assert!(trace.contains("{\"name\":\"simulate\"}"), "process label");
     for span in [
-        "\"simulate.driver\"",
-        "\"shard.supervise\"",
-        "\"worker.shard\"",
+        "\"simulate\"",
         "\"engine.generate_shard\"",
         "\"engine.execute\"",
         "\"engine.unit\"",
     ] {
-        assert!(
-            trace.contains(span),
-            "span {span} missing from merged trace"
-        );
+        assert!(trace.contains(span), "span {span} missing from trace.json");
     }
-    // Cross-process stitching: each worker adopted a driver supervision
-    // span as its root parent, which the merger renders as a flow
-    // (start/finish) pair per worker.
-    let starts = trace.matches("\"ph\":\"s\"").count();
-    let finishes = trace.matches("\"ph\":\"f\"").count();
-    assert_eq!(
-        (starts, finishes),
-        (2, 2),
-        "expected one flow link per worker"
-    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -99,6 +67,33 @@ fn tracing_does_not_perturb_simulation() {
         plain, traced,
         "simulated.edges diverged between --trace and plain runs"
     );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_failed_trace_flush_costs_only_the_trace() {
+    if !tg_faults::is_compiled() {
+        return; // injection needs the default `faults` feature
+    }
+    let dir = tmp("trace_flush_fault");
+    let edges = dir.join("ring.edges");
+    write_ring_edges(&edges);
+    let run_dir = train_run(&dir, "flush", &edges);
+
+    let plain = simulate_bytes(&run_dir, 7, &[]);
+    let out = cli()
+        .args(["simulate", "--run-dir"])
+        .arg(&run_dir)
+        .args(["--master", "7", "--trace", "--quiet"])
+        .env("TG_FAULTS", "obs.flush=err")
+        .output()
+        .expect("run tgx-cli simulate");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("trace flush skipped"), "{stderr}");
+    let traced = std::fs::read(run_dir.join("simulated.edges")).unwrap();
+    assert_eq!(plain, traced, "a failed flush changed the edges");
 
     std::fs::remove_dir_all(&dir).ok();
 }

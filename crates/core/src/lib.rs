@@ -34,8 +34,8 @@
 //! owns everything after: [`SharedRun::simulate`],
 //! [`SharedRun::simulate_seeded`] into any sink, and
 //! [`SharedRun::evaluate`]. Both simulate calls are
-//! [`generate_shard_with_sink`] over the whole horizon — the function a
-//! worker process calls with one [`ShardSpec`] of [`SharedRun::plan`].
+//! [`generate_shard_with_sink`] over the whole horizon — the function
+//! that also runs one [`ShardSpec`] of [`SharedRun::plan`].
 //!
 //! # Quickstart
 //! ```

@@ -38,22 +38,16 @@
 //! is reported on stderr and arms nothing:
 //!
 //! ```text
-//! TG_FAULTS="worker.entry=abort,arg=shard:1,max=1;store.write.block=err,after=2"
+//! TG_FAULTS="persist.atomic.unrenamed=exit:33,arg=simulated.edges;store.write.block=err,after=2"
 //! ```
 //!
 //! Actions: `off`, `err`, `panic`, `abort`, `exit:CODE`, `sleep:MILLIS`.
 //! Modifiers:
 //!
 //! - `after=N` — skip the first `N` matching evaluations;
-//! - `max=N` — trigger at most `N` times. With `TG_FAULTS_STATE=FILE`
-//!   the trigger count is kept in an append-only ledger file, so the
-//!   budget spans *process restarts* — "fail the first attempt only"
-//!   works even when triggering kills the worker process;
+//! - `max=N` — trigger at most `N` times in this process;
 //! - `arg=SUBSTR` — only match evaluations whose call-site argument
-//!   contains `SUBSTR` (e.g. `arg=shard:1` to target one shard worker).
-//!
-//! A triggered point is recorded in the ledger **before** the action runs,
-//! so even `abort`/`exit`/`sleep`-then-SIGKILL count against `max`.
+//!   contains `SUBSTR` (e.g. `arg=block:3` to target one store block).
 
 pub mod registry;
 
@@ -104,7 +98,7 @@ impl From<FaultError> for String {
 ///
 /// ```ignore
 /// tg_faults::fail_point!(STORE_WRITE_BLOCK);
-/// tg_faults::fail_point!(WORKER_ENTRY, format!("shard:{idx}"));
+/// tg_faults::fail_point!(STORE_WRITE_BLOCK, format!("block:{k}"));
 /// ```
 ///
 /// The two-argument form takes anything `String: From<T>`; the argument
@@ -187,8 +181,6 @@ pub fn triggers(_point: &FaultPoint) -> u64 {
 mod imp {
     use crate::registry::{lookup, FaultPoint};
     use std::collections::HashMap;
-    use std::io::Write;
-    use std::path::PathBuf;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -205,24 +197,12 @@ mod imp {
     #[derive(Clone, Debug)]
     pub(super) struct PointSpec {
         pub action: Action,
-        /// Maximum number of triggers (ledger-backed when a state file is
-        /// configured).
+        /// Maximum number of triggers.
         pub max: Option<u64>,
         /// Matching evaluations to skip before the first trigger.
         pub after: u64,
         /// Substring the call-site argument must contain to match.
         pub arg: Option<String>,
-    }
-
-    impl PointSpec {
-        /// Ledger key: the point name plus the arg filter, so two specs
-        /// targeting different shards of the same point count separately.
-        pub fn ledger_key(&self, point: &str) -> String {
-            match &self.arg {
-                Some(a) => format!("{point}|{a}"),
-                None => point.to_string(),
-            }
-        }
     }
 
     #[derive(Default)]
@@ -232,9 +212,8 @@ mod imp {
         pub hits: HashMap<&'static str, u64>,
         /// Matching evaluations per point (drives `after`).
         pub matches: HashMap<&'static str, u64>,
-        /// In-process trigger counts per ledger key.
-        pub triggers: HashMap<String, u64>,
-        pub state_path: Option<PathBuf>,
+        /// Trigger counts per point (drives `max`).
+        pub triggers: HashMap<&'static str, u64>,
     }
 
     thread_local! {
@@ -310,24 +289,6 @@ mod imp {
         Ok(out)
     }
 
-    /// Count ledger entries for `key` in the state file (absent file = 0).
-    pub(super) fn ledger_count(path: &std::path::Path, key: &str) -> u64 {
-        match std::fs::read_to_string(path) {
-            Ok(text) => text.lines().filter(|l| l.trim() == key).count() as u64,
-            Err(_) => 0,
-        }
-    }
-
-    pub(super) fn ledger_append(path: &std::path::Path, key: &str) {
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{key}");
-        }
-    }
-
     /// Parse one `TG_FAULTS` entry, `point=spec`, against the registry.
     pub(super) fn parse_entry(entry: &str) -> Result<(&'static FaultPoint, PointSpec), String> {
         let (name, spec) = entry
@@ -340,7 +301,6 @@ mod imp {
 
     pub(super) fn init_from_env() {
         let mut reg = lock();
-        reg.state_path = std::env::var("TG_FAULTS_STATE").ok().map(PathBuf::from);
         if let Ok(spec) = std::env::var("TG_FAULTS") {
             for entry in spec.split(';').map(str::trim).filter(|e| !e.is_empty()) {
                 match parse_entry(entry) {
@@ -456,22 +416,11 @@ fn decide(reg: &mut imp::Registry, point: &'static str, arg: Option<&str>) -> im
     if match_idx < spec.after {
         return Action::Off;
     }
-    let key = spec.ledger_key(point);
-    if let Some(max) = spec.max {
-        let fired = match &reg.state_path {
-            Some(p) => ledger_count(p, &key),
-            None => reg.triggers.get(&key).copied().unwrap_or(0),
-        };
-        if fired >= max {
-            return Action::Off;
-        }
+    let fired = reg.triggers.entry(point).or_insert(0);
+    if spec.max.is_some_and(|max| *fired >= max) {
+        return Action::Off;
     }
-    // Record the trigger BEFORE acting: abort/exit/sleep-then-SIGKILL
-    // must still consume their budget.
-    *reg.triggers.entry(key.clone()).or_insert(0) += 1;
-    if let Some(p) = reg.state_path.clone() {
-        ledger_append(&p, &key);
-    }
+    *fired += 1;
     spec.action
 }
 
@@ -514,17 +463,10 @@ pub fn hits(point: &FaultPoint) -> u64 {
     imp::lock().hits.get(point.name()).copied().unwrap_or(0)
 }
 
-/// Times `point` has actually triggered its action in this process
-/// (summed over arg filters).
+/// Times `point` has actually triggered its action in this process.
 #[cfg(feature = "enabled")]
 pub fn triggers(point: &FaultPoint) -> u64 {
-    let point = point.name();
-    let reg = imp::lock();
-    reg.triggers
-        .iter()
-        .filter(|(k, _)| k.as_str() == point || k.starts_with(&format!("{point}|")))
-        .map(|(_, v)| *v)
-        .sum()
+    imp::lock().triggers.get(point.name()).copied().unwrap_or(0)
 }
 
 #[cfg(all(test, feature = "enabled"))]
@@ -537,7 +479,6 @@ mod tests {
     const T_ARG: FaultPoint = FaultPoint::fixture("t.arg");
     const T_BUDGET: FaultPoint = FaultPoint::fixture("t.budget");
     const T_ERR: FaultPoint = FaultPoint::fixture("t.err");
-    const T_LEDGER: FaultPoint = FaultPoint::fixture("t.ledger");
     const X: FaultPoint = FaultPoint::fixture("x");
 
     // `TG_FAULTS` arms a process-global table; these tests fill it the way
@@ -556,8 +497,7 @@ mod tests {
         imp::lock().points.remove(point.name());
     }
 
-    /// Disarm every point and reset all counters (the state-file path
-    /// survives).
+    /// Disarm every point and reset all counters.
     fn clear() {
         let mut reg = imp::lock();
         reg.points.clear();
@@ -622,38 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn ledger_spans_processes() {
-        let _g = locked();
-        let dir = std::env::temp_dir().join(format!("tg_faults_ledger_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let state = dir.join("state");
-        std::fs::remove_file(&state).ok();
-        {
-            let mut reg = imp::lock();
-            reg.state_path = Some(state.clone());
-        }
-        set(&T_LEDGER, "err,max=1").unwrap();
-        assert!(eval(&T_LEDGER, None).is_err());
-        assert!(eval(&T_LEDGER, None).is_ok());
-        // a "restarted process": same ledger, fresh in-memory counters
-        clear();
-        {
-            let mut reg = imp::lock();
-            reg.state_path = Some(state.clone());
-        }
-        set(&T_LEDGER, "err,max=1").unwrap();
-        assert!(
-            eval(&T_LEDGER, None).is_ok(),
-            "ledger-backed max must survive the restart"
-        );
-        {
-            let mut reg = imp::lock();
-            reg.state_path = None;
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn spec_parse_errors_are_loud() {
         let _g = locked();
         assert!(set(&X, "explode").is_err());
@@ -668,18 +576,18 @@ mod tests {
 
     #[test]
     fn env_entries_are_checked_against_the_registry() {
-        let (point, spec) = imp::parse_entry("worker.entry=abort,arg=shard:1,max=1").unwrap();
-        assert_eq!(point.name(), "worker.entry");
+        let (point, spec) = imp::parse_entry("store.write.block=abort,arg=block:1,max=1").unwrap();
+        assert_eq!(point.name(), "store.write.block");
         assert_eq!(spec.action, imp::Action::Abort);
         // a name the table does not know is reported, not armed
-        let e = imp::parse_entry("worker.entyr=abort").unwrap_err();
-        assert_eq!(e, "unknown fault point `worker.entyr`");
+        let e = imp::parse_entry("store.write.blokc=abort").unwrap_err();
+        assert_eq!(e, "unknown fault point `store.write.blokc`");
         // ... and so are this crate's own test fixtures
         assert!(imp::parse_entry("t.macro=err").is_err());
-        assert!(imp::parse_entry("worker.entry")
+        assert!(imp::parse_entry("store.write.block")
             .unwrap_err()
             .contains("malformed"));
-        assert!(imp::parse_entry("worker.entry=explode").is_err());
+        assert!(imp::parse_entry("store.write.block=explode").is_err());
     }
 
     #[test]

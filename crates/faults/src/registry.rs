@@ -7,7 +7,7 @@
 //!
 //! ```compile_fail
 //! // no constructor outside `tg_faults::registry`
-//! let forged = tg_faults::registry::FaultPoint { name: "worker.entry" };
+//! let forged = tg_faults::registry::FaultPoint { name: "store.write.block" };
 //! ```
 //!
 //! What a compiler cannot see is checked where it can be: a `TG_FAULTS`
@@ -40,8 +40,8 @@ impl FaultPoint {
 }
 
 /// Declares each point as a `pub const` named after its wire name
-/// (`worker.entry` → `WORKER_ENTRY`, the spelling `tests/liveness.rs`
-/// looks for) and lists them all in [`FAULT_POINTS`].
+/// (`store.write.block` → `STORE_WRITE_BLOCK`, the spelling
+/// `tests/liveness.rs` looks for) and lists them all in [`FAULT_POINTS`].
 macro_rules! fault_points {
     ($($(#[$doc:meta])* $ident:ident = $name:literal;)*) => {
         $($(#[$doc])* pub const $ident: FaultPoint = FaultPoint { name: $name };)*
@@ -94,10 +94,6 @@ fault_points! {
     /// path). Pairs with `persist.atomic.*` to prove resume falls back
     /// across generations.
     TRAIN_CHECKPOINT_WRITE = "train.checkpoint.write";
-    /// At shard-worker process entry in `tgx-cli simulate` (arg:
-    /// `shard:<i>`). The supervisor's retry/backoff/quarantine story is
-    /// proven against this point.
-    WORKER_ENTRY = "worker.entry";
 }
 
 /// Fixtures for this crate's unit test of `fail_point!`, which resolves
@@ -147,6 +143,6 @@ mod tests {
         // a test fixture is not in the table, a production point is
         assert!(lookup(T_MACRO.name).is_none());
         assert!(lookup(T_MACRO_ARG.name).is_none());
-        assert!(lookup(WORKER_ENTRY.name).is_some());
+        assert!(lookup(STORE_WRITE_BLOCK.name).is_some());
     }
 }

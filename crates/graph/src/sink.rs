@@ -150,10 +150,9 @@ impl GenerationStats {
     ///
     /// Because every [`TimestampStats`] field is a sum, merging the
     /// per-shard outputs of a sharded generation run (in any order)
-    /// yields exactly the statistics of the equivalent single-process
-    /// run. This is the merge the engine determinism tests previously
-    /// re-implemented inline, promoted to the public API for the
-    /// `tgx-cli merge --stats` subcommand.
+    /// yields exactly the statistics of the equivalent whole-horizon
+    /// run (asserted in `engine_determinism.rs` and by
+    /// `examples/simulate.rs`).
     pub fn merge(&mut self, other: &GenerationStats) {
         if other.per_timestamp.len() > self.per_timestamp.len() {
             self.per_timestamp

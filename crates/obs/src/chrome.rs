@@ -7,12 +7,9 @@
 //! - normalises every process onto one time axis using the
 //!   `epoch_ns` wall-clock anchor from each header (earliest anchor
 //!   becomes `ts = 0`);
-//! - emits one complete event (`"ph":"X"`) per span and a
-//!   `process_name` metadata event per file;
-//! - stitches cross-process parent links (a span whose parent id
-//!   lives in another process) as flow events (`"ph":"s"` at the
-//!   parent, `"ph":"f"` at the child), which trace viewers render as
-//!   arrows from a driver's supervision span into the worker's root.
+//! - emits one complete event (`"ph":"X"`) per span, with its id and
+//!   parent id as arguments, and a `process_name` metadata event per
+//!   file.
 //!
 //! The output loads directly in `chrome://tracing` / Perfetto.
 //!
@@ -21,7 +18,6 @@
 //! crate dependency-free matters more than tolerating foreign JSONL.
 
 use crate::push_json_str;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// What a merge did, for CLI reporting.
@@ -31,8 +27,6 @@ pub struct MergeSummary {
     pub processes: usize,
     /// Total spans merged.
     pub spans: usize,
-    /// Cross-process parent links stitched as flow events.
-    pub links: usize,
 }
 
 struct ProcessHeader {
@@ -93,9 +87,9 @@ fn field_str(line: &str, key: &str) -> Option<String> {
 
 /// Merge `inputs` (trace JSONL files, one per process) into a Chrome
 /// `trace_event` JSON file at `out`. Inputs that are missing or lack
-/// a valid header are skipped — a crashed worker must not take the
-/// rest of the timeline with it. Errors only on unwritable output or
-/// when no input yields a header.
+/// a valid header are skipped — one lost file must not take the rest
+/// of the timeline with it. Errors only on unwritable output or when
+/// no input yields a header.
 pub fn merge_traces(inputs: &[PathBuf], out: &Path) -> Result<MergeSummary, String> {
     let mut headers: Vec<ProcessHeader> = Vec::new();
     let mut spans: Vec<SpanRec> = Vec::new();
@@ -150,12 +144,6 @@ pub fn merge_traces(inputs: &[PathBuf], out: &Path) -> Result<MergeSummary, Stri
     let t0 = headers.iter().map(|h| h.epoch_ns).min().unwrap_or(0);
     let us = |abs_ns: u64| (abs_ns.saturating_sub(t0)) as f64 / 1000.0;
 
-    // id → (pid, tid, abs_ns) for flow stitching.
-    let index: BTreeMap<u64, (u64, u64, u64)> = spans
-        .iter()
-        .map(|s| (s.id, (s.pid, s.tid, s.abs_ns)))
-        .collect();
-
     let mut json = String::from("{\"traceEvents\":[");
     let mut first = true;
     let mut push_event = |json: &mut String, body: &str| {
@@ -176,7 +164,6 @@ pub fn merge_traces(inputs: &[PathBuf], out: &Path) -> Result<MergeSummary, Stri
         push_event(&mut json, &ev);
     }
 
-    let mut links = 0usize;
     for s in &spans {
         let mut ev = format!(
             "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\"name\":",
@@ -191,37 +178,6 @@ pub fn merge_traces(inputs: &[PathBuf], out: &Path) -> Result<MergeSummary, Stri
             s.id, s.parent
         ));
         push_event(&mut json, &ev);
-
-        if s.parent == 0 {
-            continue;
-        }
-        let Some(&(ppid, ptid, pabs)) = index.get(&s.parent) else {
-            continue;
-        };
-        if ppid == s.pid {
-            continue;
-        }
-        links += 1;
-        push_event(
-            &mut json,
-            &format!(
-                "{{\"ph\":\"s\",\"pid\":{ppid},\"tid\":{ptid},\"ts\":{},\"id\":{},\
-                 \"name\":\"shard\",\"cat\":\"link\"}}",
-                us(pabs),
-                s.parent
-            ),
-        );
-        push_event(
-            &mut json,
-            &format!(
-                "{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":{},\"tid\":{},\"ts\":{},\"id\":{},\
-                 \"name\":\"shard\",\"cat\":\"link\"}}",
-                s.pid,
-                s.tid,
-                us(s.abs_ns),
-                s.parent
-            ),
-        );
     }
     json.push_str("]}");
 
@@ -229,7 +185,6 @@ pub fn merge_traces(inputs: &[PathBuf], out: &Path) -> Result<MergeSummary, Stri
     Ok(MergeSummary {
         processes: headers.len(),
         spans: spans.len(),
-        links,
     })
 }
 
@@ -244,7 +199,7 @@ mod tests {
     }
 
     #[test]
-    fn merges_two_processes_and_stitches_links() {
+    fn merges_two_processes_onto_one_axis() {
         let dir = std::env::temp_dir().join(format!("tg_obs_chrome_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         // driver: pid 1, anchor 1_000ns; one root + one supervise span
@@ -255,7 +210,7 @@ mod tests {
              {\"pid\":1,\"tid\":1,\"id\":101,\"parent\":0,\"name\":\"root\",\"start_ns\":0,\"dur_ns\":5000}\n\
              {\"pid\":1,\"tid\":1,\"id\":102,\"parent\":101,\"name\":\"supervise\",\"start_ns\":100,\"dur_ns\":4000}\n",
         );
-        // worker: pid 2, anchor 2_000ns; root adopted from driver span 102
+        // worker: pid 2, anchor 2_000ns
         let worker = write(
             &dir,
             "shard.jsonl",
@@ -269,8 +224,7 @@ mod tests {
             sum,
             MergeSummary {
                 processes: 2,
-                spans: 3,
-                links: 1
+                spans: 3
             }
         );
         let json = std::fs::read_to_string(&out).unwrap();
@@ -280,9 +234,7 @@ mod tests {
         assert!(json.contains("\"name\":\"shard_0\""));
         // worker root starts at epoch 2000 → ts = (2000-1000)/1000 = 1µs
         assert!(json.contains("\"ph\":\"X\",\"pid\":2,\"tid\":1,\"ts\":1,"));
-        // one s/f flow pair tied to the supervise span id
-        assert!(json.contains("\"ph\":\"s\",\"pid\":1,\"tid\":1,"));
-        assert!(json.contains("\"ph\":\"f\",\"bp\":\"e\",\"pid\":2,"));
+        assert!(json.contains("\"args\":{\"id\":201,\"parent\":102}"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

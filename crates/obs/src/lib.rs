@@ -10,13 +10,9 @@
 //!   relaxed atomic op on an already-held handle — no locks, no
 //!   allocation.
 //! - [`trace`] — RAII span guards capturing monotonic start/duration
-//!   and explicit parent ids, buffered per-thread and flushed as JSONL.
-//!   Spans stitch across fork/exec'd worker processes via the
-//!   [`trace::ENV_TRACE_FILE`]/[`trace::ENV_TRACE_PARENT`] env-var
-//!   handshake.
-//! - [`chrome`] — merges per-process span JSONL files into Chrome
-//!   `trace_event` JSON so a whole driver + shard-worker run renders in
-//!   a trace viewer.
+//!   and parent ids, buffered per-thread and flushed as JSONL.
+//! - [`chrome`] — renders span JSONL files (one per process) as Chrome
+//!   `trace_event` JSON, so a traced run opens in a trace viewer.
 //! - [`memtrack`] — a counting global allocator a binary can install to
 //!   read live and peak heap bytes (the heap gauge of training telemetry
 //!   and the benchmark's `peak_heap_mib`).

@@ -2,25 +2,21 @@
 //!
 //! A process that wants a trace calls [`install`] once with an output
 //! path; until then every [`span`] call returns an inert guard that
-//! reads no clock and allocates nothing. Span records carry explicit
-//! ids and parent ids so the [`crate::chrome`] merger can stitch a
-//! driver process and its fork/exec'd shard workers into one timeline:
-//! the driver exports each supervision span's id to the child via
-//! [`ENV_TRACE_PARENT`] and names the child's output file via
-//! [`ENV_TRACE_FILE`]; the worker adopts that id as the parent of its
-//! root span.
+//! reads no clock and allocates nothing. Span records carry ids and
+//! parent ids (the innermost span open on the same thread), which the
+//! [`crate::chrome`] renderer keeps as event arguments.
 //!
 //! ## File format
 //!
 //! One JSON object per line. The first line is a process header:
 //!
 //! ```text
-//! {"meta":"process","pid":1234,"label":"driver","epoch_ns":1699…}
+//! {"meta":"process","pid":1234,"label":"simulate","epoch_ns":1699…}
 //! ```
 //!
 //! `epoch_ns` is the wall-clock UNIX time captured at the same moment
-//! as the monotonic anchor, so merged timelines from different
-//! processes share an axis. Every other line is a completed span:
+//! as the monotonic anchor, so timelines from different processes can
+//! share an axis. Every other line is a completed span:
 //!
 //! ```text
 //! {"pid":1234,"tid":1,"id":5299989643265,"parent":5299989643264,
@@ -28,21 +24,15 @@
 //! ```
 //!
 //! `start_ns` is relative to the process anchor; `parent` is `0` for
-//! roots. Span ids are `(pid << 32) | seq`, unique across the
-//! processes of one run.
+//! roots. Span ids are `(pid << 32) | seq`.
 
 use crate::{lock_unpoisoned, push_json_str};
 use std::cell::RefCell;
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Env var naming the trace output file for a spawned worker.
-pub const ENV_TRACE_FILE: &str = "TG_TRACE";
-/// Env var carrying the parent span id across fork/exec (decimal).
-pub const ENV_TRACE_PARENT: &str = "TG_TRACE_PARENT";
 
 /// Flush a thread buffer into the sink once it grows past this.
 const FLUSH_BYTES: usize = 32 * 1024;
@@ -144,17 +134,6 @@ pub fn enabled() -> bool {
 /// [`install`] has run. The parent is the innermost open span on this
 /// thread, if any.
 pub fn span(name: &'static str) -> SpanGuard {
-    span_inner(name, None)
-}
-
-/// Open a span with an explicit parent id — used by worker processes
-/// to adopt the driver-side supervision span exported through
-/// [`ENV_TRACE_PARENT`].
-pub fn span_with_parent(name: &'static str, parent: u64) -> SpanGuard {
-    span_inner(name, Some(parent))
-}
-
-fn span_inner(name: &'static str, explicit_parent: Option<u64>) -> SpanGuard {
     if !enabled() {
         return SpanGuard(None);
     }
@@ -165,9 +144,7 @@ fn span_inner(name: &'static str, explicit_parent: Option<u64>) -> SpanGuard {
     let id = ((anchor.pid as u64) << 32) | seq;
     let data = THREAD.try_with(|t| {
         let mut t = t.borrow_mut();
-        let parent = explicit_parent
-            .or_else(|| t.stack.last().copied())
-            .unwrap_or(0);
+        let parent = t.stack.last().copied().unwrap_or(0);
         t.stack.push(id);
         SpanData {
             name,
@@ -190,14 +167,6 @@ struct SpanData {
 
 /// An open span; records itself into the thread buffer on drop.
 pub struct SpanGuard(Option<SpanData>);
-
-impl SpanGuard {
-    /// The span id, for handing to a child process as its root
-    /// parent; `None` when tracing is off.
-    pub fn id(&self) -> Option<u64> {
-        self.0.as_ref().map(|d| d.id)
-    }
-}
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
@@ -255,9 +224,9 @@ fn drain_one(buf: &Arc<Mutex<String>>) {
 }
 
 /// Drain every thread's span buffer into the trace file and flush it.
-/// Call before process exit (and in workers before returning): pool
-/// threads never unwind their TLS, so this is the only way their
-/// buffered spans reach disk. No-op when tracing is off.
+/// Call before process exit: pool threads never unwind their TLS, so
+/// this is the only way their buffered spans reach disk. No-op when
+/// tracing is off.
 pub fn flush() -> std::io::Result<()> {
     let Some(sink) = SINK.get() else {
         return Ok(());
@@ -270,18 +239,6 @@ pub fn flush() -> std::io::Result<()> {
         b.clear();
     }
     st.writer.flush()
-}
-
-/// The parent span id exported by a driver process, if any.
-pub fn env_parent() -> Option<u64> {
-    std::env::var(ENV_TRACE_PARENT)
-        .ok()
-        .and_then(|s| s.parse().ok())
-}
-
-/// The trace output path exported by a driver process, if any.
-pub fn env_trace_file() -> Option<PathBuf> {
-    std::env::var_os(ENV_TRACE_FILE).map(PathBuf::from)
 }
 
 /// Open a span on the global sink (shorthand for
@@ -309,7 +266,7 @@ mod tests {
         // global sink concurrently, but the flag never goes back off,
         // so "still off now" implies it was off when `span` ran.
         if !enabled() {
-            assert!(g.id().is_none());
+            assert!(g.0.is_none());
         }
     }
 
@@ -321,17 +278,9 @@ mod tests {
         install(&path, "unit").unwrap();
         assert!(install(&path, "twice").is_err());
 
-        let outer_id;
         {
-            let outer = span("t.outer");
-            outer_id = outer.id().unwrap();
-            let inner = span("t.inner");
-            assert_ne!(inner.id().unwrap(), outer_id);
-            drop(inner);
-        }
-        {
-            let adopted = span_with_parent("t.adopted", 42);
-            assert!(adopted.id().is_some());
+            let _outer = span("t.outer");
+            let _inner = span("t.inner");
         }
         flush().unwrap();
 
@@ -347,9 +296,14 @@ mod tests {
                 .copied()
                 .unwrap_or_else(|| panic!("no record for {name}"))
         };
-        assert!(rec("t.inner").contains(&format!("\"parent\":{outer_id},")));
+        let id = |name: &str| {
+            let line = rec(name);
+            let (_, rest) = line.split_once("\"id\":").unwrap();
+            rest.split(',').next().unwrap().to_string()
+        };
+        assert_ne!(id("t.inner"), id("t.outer"));
+        assert!(rec("t.inner").contains(&format!("\"parent\":{},", id("t.outer"))));
         assert!(rec("t.outer").contains("\"parent\":0,"));
-        assert!(rec("t.adopted").contains("\"parent\":42,"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -148,8 +148,9 @@ impl Header {
     }
 
     /// Parse and structurally validate a header block (magic, version,
-    /// non-degenerate shape). Checksum and length validation need the
-    /// index and file size and happen in the reader.
+    /// non-degenerate shape, an implied file length that fits in a
+    /// `u64`). Checksum and length validation need the index and file
+    /// size and happen in the reader.
     pub fn decode(bytes: &[u8; HEADER_BYTES as usize]) -> Result<Header, StoreError> {
         let [m0, m1, m2, m3, v0, v1, v2, v3, fields @ ..] = *bytes;
         let magic = [m0, m1, m2, m3];
@@ -195,6 +196,14 @@ impl Header {
                 ),
             });
         }
+        if h.checked_file_len().is_none() {
+            return Err(StoreError::Corrupt {
+                what: format!(
+                    "{} edges in blocks of {} imply a file longer than 2^64 bytes",
+                    h.n_edges, h.block_edges
+                ),
+            });
+        }
         Ok(h)
     }
 
@@ -204,9 +213,18 @@ impl Header {
     }
 
     /// Exact file size this header implies (edge data plus one checksum
-    /// trailer per block).
+    /// trailer per block). [`Header::decode`] refuses a header whose
+    /// length does not fit in a `u64`; for any other this saturates.
     pub fn expected_file_len(&self) -> u64 {
-        self.payload_start() + EDGE_BYTES * self.n_edges + BLOCK_CHECKSUM_BYTES * self.n_blocks()
+        self.checked_file_len().unwrap_or(u64::MAX)
+    }
+
+    /// [`Header::expected_file_len`], or `None` when it overflows a `u64`.
+    fn checked_file_len(&self) -> Option<u64> {
+        EDGE_BYTES
+            .checked_mul(self.n_edges)?
+            .checked_add(BLOCK_CHECKSUM_BYTES.checked_mul(self.n_blocks())?)?
+            .checked_add(self.payload_start())
     }
 
     /// Number of payload blocks.
@@ -222,8 +240,10 @@ impl Header {
 
     /// Byte offset of block `k`. Every block before `k` is full, so the
     /// stride is constant: `B·12` data bytes plus the checksum trailer.
+    /// Summed as `k·B` edges plus `k` trailers, so for `k < n_blocks()`
+    /// no term exceeds the file length (`B` alone may be any `u64`).
     pub fn block_offset(&self, k: u64) -> u64 {
-        self.payload_start() + k * (self.block_edges * EDGE_BYTES + BLOCK_CHECKSUM_BYTES)
+        self.payload_start() + k * self.block_edges * EDGE_BYTES + k * BLOCK_CHECKSUM_BYTES
     }
 
     /// Checksum over the header (with a zeroed checksum field) plus the

@@ -292,7 +292,9 @@ impl StoreReader {
     /// hands every block whose trailer checksum validates (and whose
     /// decoded edges pass [`check_edge`], against the last edge emitted
     /// from an earlier block too) to `emit`, in file order. Damaged,
-    /// truncated, or out-of-order blocks are skipped and reported. Only
+    /// truncated, or out-of-order blocks are skipped and reported; past
+    /// the end of the file the walk stops (see
+    /// [`SalvageReport::bad_blocks`]). Only
     /// an unreadable header (bad magic, wrong version, nonsense shape) or
     /// an I/O / emit failure is fatal — a corrupt index or payload never
     /// is.
@@ -313,6 +315,7 @@ impl StoreReader {
             header,
             n_blocks: header.n_blocks(),
             bad_blocks: Vec::new(),
+            intact_blocks: 0,
             recovered_edges: 0,
             lost_edges: 0,
             index_valid: index.is_ok(),
@@ -320,15 +323,25 @@ impl StoreReader {
         let mut bytes = Vec::new();
         let mut edges = Vec::new();
         let mut last_emitted: Option<TemporalEdge> = None;
+        let listable = file_len / (EDGE_BYTES + BLOCK_CHECKSUM_BYTES);
         for k in 0..header.n_blocks() {
             let len = header.block_len(k);
             let end = header.block_offset(k) + len * EDGE_BYTES + BLOCK_CHECKSUM_BYTES;
-            let verified = end <= file_len
-                && match read_block_verified(&mut file, &header, k, &mut bytes) {
-                    Ok(()) => true,
-                    Err(StoreError::BlockChecksum { .. }) => false,
-                    Err(e) => return Err(e),
-                };
+            if end > file_len {
+                // this block and every later one lie past the end of the
+                // file: all of them are lost, few enough of them listed
+                let room = listable.saturating_sub(report.bad_blocks.len() as u64);
+                report
+                    .bad_blocks
+                    .extend((k..header.n_blocks()).take(room as usize));
+                report.lost_edges += header.n_edges - k * header.block_edges;
+                break;
+            }
+            let verified = match read_block_verified(&mut file, &header, k, &mut bytes) {
+                Ok(()) => true,
+                Err(StoreError::BlockChecksum { .. }) => false,
+                Err(e) => return Err(e),
+            };
             let mut last = last_emitted;
             let intact = verified && {
                 decode_block(&bytes, &mut edges);
@@ -345,6 +358,7 @@ impl StoreReader {
             }
             last_emitted = last;
             emit(&header, &edges)?;
+            report.intact_blocks += 1;
             report.recovered_edges += len;
         }
         Ok(report)
@@ -360,8 +374,14 @@ pub struct SalvageReport {
     /// Blocks the header implies.
     pub n_blocks: u64,
     /// Blocks skipped: truncated away, trailer checksum mismatch, or
-    /// structurally inconsistent records.
+    /// structurally inconsistent records. Never longer than the number of
+    /// blocks the file could hold (one edge and its trailer each): blocks
+    /// past the end of the file beyond that count in
+    /// [`SalvageReport::lost_edges`] without an entry here, so a header
+    /// claiming 2^40 blocks costs neither 2^40 entries nor 2^40 steps.
     pub bad_blocks: Vec<u64>,
+    /// Blocks handed to `emit`.
+    pub intact_blocks: u64,
     /// Edges handed to `emit`.
     pub recovered_edges: u64,
     /// Edges in skipped blocks.

@@ -152,6 +152,62 @@ fn salvage_refuses_files_that_are_not_stores() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A file of `len` bytes: `header` encoded, then zeros.
+fn hostile_store(path: &std::path::Path, header: tg_store::Header, len: usize) {
+    let mut bytes = header.encode().to_vec();
+    bytes.resize(len, 0);
+    std::fs::write(path, bytes).unwrap();
+}
+
+#[test]
+fn a_header_whose_file_length_overflows_is_refused() {
+    let dir = tmp("overflow");
+    let path = dir.join("huge.tgs");
+    let header = tg_store::Header {
+        n_nodes: 4,
+        n_timestamps: 2,
+        n_edges: u64::MAX / 4,
+        block_edges: 8,
+        payload_checksum: 0,
+        header_checksum: 0,
+    };
+    hostile_store(&path, header, 100);
+    let corrupt = |r: Result<(), StoreError>| match r {
+        Err(StoreError::Corrupt { what }) => assert!(what.contains("2^64"), "{what}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    };
+    corrupt(StoreReader::open(&path).map(drop));
+    corrupt(StoreReader::salvage(&path, |_, _| Ok(())).map(drop));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn salvage_of_a_short_file_claiming_2_pow_40_blocks_is_bounded() {
+    let dir = tmp("manyblocks");
+    let path = dir.join("claims.tgs");
+    let header = tg_store::Header {
+        n_nodes: 4,
+        n_timestamps: 2,
+        n_edges: 1 << 40,
+        block_edges: 1,
+        payload_checksum: 0,
+        header_checksum: 0,
+    };
+    let len = 300;
+    hostile_store(&path, header, len);
+    let (report, got) = run_salvage(&path);
+    assert!(got.is_empty());
+    assert_eq!(report.n_blocks, 1 << 40);
+    assert_eq!((report.recovered_edges, report.lost_edges), (0, 1 << 40));
+    // one entry per block the file could hold (an edge and its trailer)
+    assert!(
+        report.bad_blocks.len() <= len / 20,
+        "{} entries",
+        report.bad_blocks.len()
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 

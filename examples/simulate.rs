@@ -1,16 +1,17 @@
-//! End-to-end sharded streaming simulation: train a tiny preset through
-//! a `Session`, hand off to its `SharedRun`, generate the synthetic graph
-//! as K independent shards streamed to edge-list files, merge the shard files, and verify
-//! the result is **bit-identical** to a single in-process run — plus a
-//! statistics-only pass merged through `GenerationStats::merge`.
+//! The sharded-parity check: train a tiny preset through a `Session`,
+//! hand off to its `SharedRun`, generate the synthetic graph as K
+//! independent shards streamed to edge-list files, merge the shard files,
+//! and verify the result is **bit-identical** to one whole-run stream —
+//! plus a statistics-only pass merged through `GenerationStats::merge`.
 //!
-//! This is both the quickstart for the engine API and a CI smoke
-//! test for sharded-generation determinism (it exits non-zero on any
-//! mismatch). The same pipeline across *processes* is `tgx-cli`:
+//! This is both the quickstart for the engine API and CI's smoke test of
+//! sharded-generation determinism (it exits non-zero on any mismatch).
+//! Shards are an in-process partition of the plan; `tgx-cli simulate`
+//! runs the whole plan in one call:
 //!
 //! ```text
 //! tgx-cli train    --run-dir /tmp/run --preset dblp --scale 0.04
-//! tgx-cli simulate --run-dir /tmp/run --shards 2 --verify
+//! tgx-cli simulate --run-dir /tmp/run
 //! ```
 //!
 //! Usage: `cargo run --release --example simulate [n_shards]`
@@ -49,10 +50,8 @@ fn main() {
     let reference = run.simulate(0).expect("reference run");
 
     // 4. Sharded + streamed: split the same run into K timestamp-range
-    //    shards, stream each shard to its own edge-list file (each of
-    //    these could run in a separate process — a ShardSpec is a few
-    //    serialisable integers; `tgx-cli simulate` does exactly that),
-    //    then merge the files.
+    //    shards, stream each shard to its own edge-list file, then merge
+    //    the files.
     let plan = run.plan(run.seed_policy().simulation_master(0));
     let specs = plan.shards(n_shards);
     println!(

@@ -22,8 +22,8 @@
 //! [`into_shared`](tgae::Session::into_shared) hands the result to a
 //! [`SharedRun`](tgae::SharedRun), which simulates and evaluates. The
 //! `tgx-cli` binary (workspace crate `crates/cli`) drives the same
-//! pipeline across *processes*: per-shard workers, checkpointed model
-//! loading, and a bit-identical merge.
+//! pipeline from the command line over run directories (checkpointed
+//! model, observed graph, generated edges).
 //!
 //! # Quickstart
 //!

@@ -57,7 +57,10 @@ fn main() {
             names.push(outcome.method.clone());
             match &outcome.generated {
                 Some(generated) => {
-                    let scores = evaluate_against(&observed_stats, generated);
+                    let generated: Vec<GraphStats> = CumulativeStats::new(generated)
+                        .take(observed_stats.len())
+                        .collect();
+                    let scores = evaluate_against(&observed_stats, &generated);
                     for (i, s) in scores.iter().enumerate() {
                         med_cells[i].push(sci(s.med));
                         avg_cells[i].push(sci(s.avg));

@@ -67,7 +67,10 @@ fn main() {
             let t0 = std::time::Instant::now();
             let outcome = run_method(m.as_mut(), &observed, seed, usize::MAX);
             let generated = outcome.generated.expect("no budget set");
-            let scores = evaluate_against(&observed_stats, &generated);
+            let generated_stats: Vec<GraphStats> = CumulativeStats::new(&generated)
+                .take(observed_stats.len())
+                .collect();
+            let scores = evaluate_against(&observed_stats, &generated_stats);
             let degree = scores
                 .iter()
                 .find(|s| s.kind == MetricKind::MeanDegree)

@@ -19,7 +19,9 @@
 //! `simulated.edges`; `-` for stdout) — byte-identical to what
 //! `tgx-cli simulate --master S` writes locally for the same
 //! run. The file is committed only once the whole answer is in, so a
-//! failed request leaves an earlier `--out` as it was. A `busy` rejection
+//! failed request leaves an earlier `--out` as it was. With `--stats` the
+//! daemon streams nothing and `--out` gets the JSON series `tgx-cli
+//! simulate --stats` writes. A `busy` rejection
 //! from admission control exits with code 6 so schedulers can back off
 //! and retry.
 
@@ -115,7 +117,9 @@ fn simulate(args: &Args) -> Result<(), CliError> {
         if !quiet {
             eprintln!(
                 "simulated {} edges (stats only, cache {}, cost {})",
-                outcome.n_edges, outcome.cache, outcome.cost.cost
+                outcome.stats.n_edges(),
+                outcome.cache,
+                outcome.cost.cost
             );
         }
         return Ok(());
@@ -195,14 +199,6 @@ fn eval(args: &Args) -> Result<(), CliError> {
     let mut client = connect(args)?;
     args.reject_unused().map_err(CliError::Usage)?;
     let scores = client.eval(&run_id, seed).map_err(map_client_err)?;
-    println!("{:<16} {:>10} {:>10}", "metric", "f_avg", "f_med");
-    for score in &scores {
-        println!(
-            "{:<16} {:>10.4} {:>10.4}",
-            score.kind.name(),
-            score.avg,
-            score.med
-        );
-    }
+    crate::eval::print_scores(&scores);
     Ok(())
 }

@@ -47,8 +47,15 @@ pub fn run(args: &Args) -> Result<(), String> {
             tg_metrics::evaluate(&observed, &generated)
         }
     };
+    print_scores(&scores);
+    Ok(())
+}
+
+/// The Eq. 10 score table, one row per metric — the same text whether
+/// the scores came from a file (`eval`) or a daemon (`client eval`).
+pub fn print_scores(scores: &[MetricScore]) {
     println!("{:<16} {:>10} {:>10}", "metric", "f_avg", "f_med");
-    for score in &scores {
+    for score in scores {
         println!(
             "{:<16} {:>10.4} {:>10.4}",
             score.kind.name(),
@@ -56,5 +63,4 @@ pub fn run(args: &Args) -> Result<(), String> {
             score.med
         );
     }
-    Ok(())
 }

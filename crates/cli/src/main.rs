@@ -67,6 +67,10 @@ USAGE:
 OBSERVABILITY:
   train --telemetry   per-epoch loss/wall/heap -> DIR/telemetry.jsonl
   simulate --trace    spans -> DIR/trace.json (chrome://tracing)
+  simulate --stats    per-timestamp edge volume and the Table III statistics
+                      of every accumulated snapshot, from the same pass
+                      -> DIR/simulated.stats.json (client simulate --stats:
+                      the daemon's series -> --out)
   client status       daemon residency, admission, and cache report
   client metrics      Prometheus text exposition of the daemon's registry
 

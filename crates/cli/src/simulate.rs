@@ -9,7 +9,9 @@
 //! `simulated.edges`, committed with [`commit_atomic`] — a failed run
 //! leaves an earlier `simulated.edges` as it was. The engine runs the
 //! units on the thread pool, and its bytes are the same at any width.
-//! `--stats` adds a [`StatsSink`] pass written to `simulated.stats.json`;
+//! `--stats` feeds the same units to a [`StatsSink`] as well and writes
+//! its series — per-timestamp edge volume and the Table III statistics of
+//! every accumulated snapshot — to `simulated.stats.json`;
 //! `--trace` records this process's spans to `trace.jsonl` and renders
 //! them as `trace.json` (Chrome `trace_event`).
 //!
@@ -19,7 +21,7 @@ use crate::args::Args;
 use crate::errors::CliError;
 use crate::rundir::RunDir;
 use tg_graph::io::{atomic_write_bytes, commit_atomic, StreamingWriterSink};
-use tg_graph::sink::StatsSink;
+use tg_metrics::StatsSink;
 
 /// Run the subcommand.
 pub fn run(args: &Args) -> Result<(), CliError> {
@@ -59,16 +61,18 @@ fn simulate(
     let run = run_dir.load_run()?;
     let master = master.unwrap_or_else(|| run.seed_policy().simulation_master(0));
     let out = run_dir.simulated_path();
-    let n_edges = commit_atomic(&out, |f| {
-        run.simulate_seeded(master, StreamingWriterSink::new(f))
-            .map_err(|e| CliError::Other(e.to_string()))?
-            .map_err(|e| CliError::Other(format!("stream {}: {e}", out.display())))
-    })?;
-    if stats {
-        let s = run
-            .simulate_seeded(master, StatsSink::new(run.observed().n_timestamps()))
+    let observed = run.observed();
+    let stats = stats.then(|| StatsSink::new(observed.n_nodes(), observed.n_timestamps()));
+    let (n_edges, series) = commit_atomic(&out, |f| {
+        let (written, series) = run
+            .simulate_seeded(master, (StreamingWriterSink::new(f), stats))
             .map_err(|e| CliError::Other(e.to_string()))?;
-        let json = serde_json::to_string_pretty(&s).map_err(|e| e.to_string())?;
+        let n_edges =
+            written.map_err(|e| CliError::Other(format!("stream {}: {e}", out.display())))?;
+        Ok::<_, CliError>((n_edges, series))
+    })?;
+    if let Some(series) = series {
+        let json = serde_json::to_string_pretty(&series).map_err(|e| e.to_string())?;
         let path = run_dir.simulated_stats_path();
         atomic_write_bytes(&path, json.as_bytes())
             .map_err(|e| format!("write {}: {e}", path.display()))?;

@@ -1,14 +1,14 @@
 //! `tgx-cli simulate` is one in-process call: its `simulated.edges` is
 //! `SharedRun::simulate_seeded` into a `StreamingWriterSink` for the same
-//! run directory and master seed, and its `--stats` file is a `StatsSink`
-//! pass of the same call.
+//! run directory and master seed, and its `--stats` file is the series a
+//! `StatsSink` folds from that same stream.
 
 mod common;
 
 use common::{cli, tmp, train_run, write_ring_edges};
 use std::path::Path;
 use tg_graph::io::{load_edge_list_exact, StreamingWriterSink};
-use tg_graph::sink::{GenerationStats, StatsSink};
+use tg_metrics::{StatsSeries, StatsSink};
 use tgae::SharedRun;
 
 /// The run directory's model and observed graph, loaded through the
@@ -53,11 +53,11 @@ fn simulate_writes_what_shared_run_streams() {
         assert!(!written.is_empty());
         assert_eq!(written, expected, "master {master}");
 
-        let expected: GenerationStats = run
-            .simulate_seeded(master, StatsSink::new(run.observed().n_timestamps()))
-            .unwrap();
+        let observed = run.observed();
+        let sink = StatsSink::new(observed.n_nodes(), observed.n_timestamps());
+        let expected: StatsSeries = run.simulate_seeded(master, sink).unwrap();
         let text = std::fs::read_to_string(run_dir.join("simulated.stats.json")).unwrap();
-        let written: GenerationStats = serde_json::from_str(&text).unwrap();
+        let written: StatsSeries = serde_json::from_str(&text).unwrap();
         assert_eq!(written, expected, "master {master}");
     }
     std::fs::remove_dir_all(&dir).ok();

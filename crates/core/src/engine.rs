@@ -35,8 +35,8 @@
 //! 3. **Emit** ([`EdgeSink`]): finished units are handed to the sink *in
 //!    plan order* regardless of execution interleaving. `GraphSink`
 //!    rebuilds the classic in-memory graph; `StreamingWriterSink` writes
-//!    edge-list text with bounded memory; `StatsSink` keeps only online
-//!    per-timestamp statistics.
+//!    edge-list text with bounded memory; `tg_metrics::StatsSink` keeps
+//!    only the Table III statistics of each accumulated snapshot.
 //!
 //! # Sharding
 //!
@@ -458,7 +458,8 @@ impl RowSampler {
 /// and the concatenation of their outputs (in shard order) is
 /// bit-identical to a single run over the whole horizon `[0, T)`. Pair it
 /// with any [`EdgeSink`]: `GraphSink` rebuilds an in-memory graph,
-/// `StreamingWriterSink` bounds memory, `StatsSink` stores nothing.
+/// `StreamingWriterSink` bounds memory, `tg_metrics::StatsSink` keeps
+/// statistics and no edge list.
 pub fn generate_shard_with_sink<S: EdgeSink>(
     model: &Tgae,
     observed: &TemporalGraph,

@@ -1,16 +1,17 @@
 //! Determinism invariance of the sharded streaming simulation engine:
 //! for a fixed master seed the generated edge stream must be
 //! bit-identical across **thread counts × shard counts × sink
-//! implementations**, and the statistics-only sink must agree exactly
-//! with statistics recomputed from the in-memory graph.
+//! implementations**, and the statistics sink fed the engine's stream
+//! must agree exactly with the graph walk over the in-memory graph.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tg_graph::io::read_edge_list_exact;
 use tg_graph::io::StreamingWriterSink;
-use tg_graph::sink::{GenerationStats, GraphSink, StatsSink};
+use tg_graph::sink::GraphSink;
 use tg_graph::{TemporalEdge, TemporalGraph};
+use tg_metrics::{CumulativeStats, GraphStats, StatsSeries, StatsSink};
 use tg_tensor::parallel::ThreadPin;
 use tgae::{generate_shard_with_sink, Session, SharedRun, SimulationEngine, TgaeConfig};
 
@@ -50,6 +51,23 @@ fn tiny_trained(g: &TemporalGraph, batch_centers: usize) -> SharedRun {
 
 fn graph_sink(g: &TemporalGraph) -> GraphSink {
     GraphSink::new(g.n_nodes(), g.n_timestamps())
+}
+
+fn stats_sink(g: &TemporalGraph) -> StatsSink {
+    StatsSink::new(g.n_nodes(), g.n_timestamps())
+}
+
+/// The graph walk's series over `edges`, in `g`'s shape, with volume.
+fn walked(g: &TemporalGraph, edges: Vec<TemporalEdge>) -> StatsSeries {
+    let full = TemporalGraph::from_edges(g.n_nodes(), g.n_timestamps(), edges);
+    StatsSeries {
+        volume: full
+            .edge_counts_per_timestamp()
+            .into_iter()
+            .map(|c| c as u64)
+            .collect(),
+        stats: CumulativeStats::new(&full).collect::<Vec<GraphStats>>(),
+    }
 }
 
 /// Full-run reference edges through a `GraphSink`.
@@ -104,27 +122,19 @@ fn edges_bit_identical_across_threads_shards_and_sinks() {
                 &reference[..],
                 "StreamingWriterSink: threads={threads} shards={n_shards}"
             );
-
-            // StatsSink per shard: stats merged through the public
-            // GenerationStats::merge equal graph-derived stats
-            let mut stats_acc: Option<GenerationStats> = None;
-            for spec in &shards {
-                let s = generate_shard_with_sink(model, &g, spec, StatsSink::new(g.n_timestamps()));
-                stats_acc = Some(match stats_acc {
-                    None => s,
-                    Some(mut acc) => {
-                        acc.merge(&s);
-                        acc
-                    }
-                });
-            }
-            let full = TemporalGraph::from_edges(g.n_nodes(), g.n_timestamps(), reference.clone());
-            assert_eq!(
-                stats_acc.unwrap(),
-                GenerationStats::from_graph(&full),
-                "StatsSink: threads={threads} shards={n_shards}"
-            );
         }
+
+        // the whole-run stream into the statistics sink equals the graph
+        // walk over the same run's GraphSink output
+        let (graph, series) = run
+            .simulate_seeded(master, (graph_sink(&g), stats_sink(&g)))
+            .expect("simulate");
+        assert_eq!(graph.edges(), &reference[..], "threads={threads}");
+        assert_eq!(
+            series,
+            walked(&g, graph.edges().to_vec()),
+            "StatsSink: threads={threads}"
+        );
     }
 }
 
@@ -164,7 +174,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// Over random small multigraphs: sharded GraphSink union equals the
-    /// full run, and StatsSink totals equal GraphSink-derived stats.
+    /// full run, and the whole-run StatsSink series equals the graph walk
+    /// over that union.
     #[test]
     fn sharding_and_stats_invariants_hold(
         n in 5u32..9,
@@ -186,10 +197,9 @@ proptest! {
         let merged = TemporalGraph::from_edges(g.n_nodes(), g.n_timestamps(), merged);
         prop_assert_eq!(merged.edges(), &reference[..]);
 
-        let stats = run
-            .simulate_seeded(master, StatsSink::new(g.n_timestamps()))
+        let series = run
+            .simulate_seeded(master, stats_sink(&g))
             .expect("simulate");
-        let full = TemporalGraph::from_edges(g.n_nodes(), g.n_timestamps(), reference);
-        prop_assert_eq!(stats, GenerationStats::from_graph(&full));
+        prop_assert_eq!(series, walked(&g, merged.edges().to_vec()));
     }
 }

@@ -9,9 +9,10 @@
 //!   cancellation stops mid-train, and attaching an observer does not
 //!   change the trained parameters.
 
-use tg_graph::sink::{GenerationStats, GraphSink, StatsSink};
+use tg_graph::sink::GraphSink;
 use tg_graph::source::{read_graph, InMemorySource, DEFAULT_CHUNK_EDGES};
 use tg_graph::{TemporalEdge, TemporalGraph};
+use tg_metrics::{CumulativeStats, GraphStats, StatsSink};
 use tgae::{
     generate_shard_with_sink, EpochEvent, Session, Tgae, TgaeConfig, TgxError, TrainControl,
 };
@@ -377,13 +378,19 @@ fn stats_sink_and_merge_through_the_shards_of_a_run() {
     let mut s = Session::builder(&g).config(cfg).build().unwrap();
     s.train().unwrap();
     let run = s.into_shared();
-    let reference = run.simulate(0).unwrap();
-    // sharded stats runs merged through the public GenerationStats::merge
+    // the shards' GraphSink outputs, concatenated, walked into a series
     let master = run.seed_policy().simulation_master(0);
-    let mut merged = GenerationStats::default();
+    let mut edges = Vec::new();
     for spec in run.plan(master).shards(3) {
-        let sink = StatsSink::new(g.n_timestamps());
-        merged.merge(&generate_shard_with_sink(run.model(), &g, &spec, sink));
+        let sink = GraphSink::new(g.n_nodes(), g.n_timestamps());
+        let shard = generate_shard_with_sink(run.model(), &g, &spec, sink);
+        edges.extend_from_slice(shard.edges());
     }
-    assert_eq!(merged, GenerationStats::from_graph(&reference));
+    let merged = TemporalGraph::from_edges(g.n_nodes(), g.n_timestamps(), edges);
+    let walked: Vec<GraphStats> = CumulativeStats::new(&merged).collect();
+    // equal the whole run streamed into the statistics sink
+    let sink = StatsSink::new(g.n_nodes(), g.n_timestamps());
+    let series = run.simulate_seeded(master, sink).unwrap();
+    assert_eq!(series.stats, walked);
+    assert_eq!(series.n_edges(), g.n_edges() as u64);
 }

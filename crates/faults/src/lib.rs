@@ -299,17 +299,38 @@ mod imp {
         Ok((point, parse_spec(spec)?))
     }
 
+    /// Parse a whole `TG_FAULTS` value: the points it arms, and one
+    /// warning per entry it ignores. A malformed entry is ignored, and so
+    /// is a later entry for a point an earlier one already armed.
+    pub(super) fn parse_env(spec: &str) -> (Vec<(&'static str, PointSpec)>, Vec<String>) {
+        let mut armed: Vec<(&'static str, PointSpec)> = Vec::new();
+        let mut warnings = Vec::new();
+        for entry in spec.split(';').map(str::trim).filter(|e| !e.is_empty()) {
+            let why = match parse_entry(entry) {
+                Ok((point, _)) if armed.iter().any(|(name, _)| *name == point.name()) => {
+                    format!("`{}` is already armed by an earlier entry", point.name())
+                }
+                Ok((point, ps)) => {
+                    armed.push((point.name(), ps));
+                    continue;
+                }
+                Err(e) => e,
+            };
+            warnings.push(format!(
+                "tg-faults: ignoring TG_FAULTS entry `{entry}`: {why}"
+            ));
+        }
+        (armed, warnings)
+    }
+
     pub(super) fn init_from_env() {
         let mut reg = lock();
         if let Ok(spec) = std::env::var("TG_FAULTS") {
-            for entry in spec.split(';').map(str::trim).filter(|e| !e.is_empty()) {
-                match parse_entry(entry) {
-                    Ok((point, ps)) => {
-                        reg.points.insert(point.name(), ps);
-                    }
-                    Err(e) => eprintln!("tg-faults: ignoring TG_FAULTS entry `{entry}`: {e}"),
-                }
+            let (armed, warnings) = parse_env(&spec);
+            for warning in warnings {
+                eprintln!("{warning}");
             }
+            reg.points.extend(armed);
         }
         if !reg.points.is_empty() {
             ACTIVE.store(true, Ordering::Relaxed);
@@ -588,6 +609,26 @@ mod tests {
             .unwrap_err()
             .contains("malformed"));
         assert!(imp::parse_entry("store.write.block=explode").is_err());
+    }
+
+    #[test]
+    fn a_repeated_env_point_keeps_its_first_entry_and_warns() {
+        let (armed, warnings) = imp::parse_env(
+            "store.write.block=err,arg=x; store.write.blokc=err;\
+             store.write.block=err,arg=y;;persist.atomic.start=panic",
+        );
+        let names: Vec<&str> = armed.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, ["store.write.block", "persist.atomic.start"]);
+        assert_eq!(armed[0].1.arg.as_deref(), Some("x"));
+        assert_eq!(
+            warnings,
+            [
+                "tg-faults: ignoring TG_FAULTS entry `store.write.blokc=err`: \
+                 unknown fault point `store.write.blokc`",
+                "tg-faults: ignoring TG_FAULTS entry `store.write.block=err,arg=y`: \
+                 `store.write.block` is already armed by an earlier entry",
+            ]
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod source;
 pub mod temporal;
 
 pub use builder::TemporalGraphBuilder;
-pub use sink::{EdgeSink, GenerationStats, GraphSink, StatsSink};
+pub use sink::{EdgeSink, GraphSink};
 pub use snapshot::Snapshot;
 pub use source::{EdgeSource, GraphAssembler, InMemorySource};
 pub use temporal::{NodeId, TemporalEdge, TemporalGraph, Time};

@@ -12,7 +12,7 @@
 //!   EdgeSource ──chunks──▶ GraphAssembler     engine ──units──▶ EdgeSink
 //!   InMemorySource  (wraps TemporalGraph)     GraphSink
 //!   tg-store StoreSource (streams from disk)  StreamingWriterSink
-//!                                             StatsSink
+//!                                             tg-metrics StatsSink
 //! ```
 //!
 //! Two implementations cover the spectrum: [`InMemorySource`] adapts an

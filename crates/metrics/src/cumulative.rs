@@ -1,13 +1,15 @@
 //! One-pass Table III statistics over *accumulated* snapshots.
 //!
 //! Eq. 10 scores a generator on the snapshot accumulated through every
-//! timestamp. Those snapshots only ever grow, so [`CumulativeStats`]
-//! walks the edge stream once in time order and keeps the undirected
+//! timestamp. Those snapshots only ever grow, so [`StatsSink`] takes the
+//! edge stream once in time order — the engine's units, or a graph's
+//! timestamps through [`CumulativeStats`] — and keeps the undirected
 //! simple view up to date instead of rebuilding it per timestamp:
 //!
-//! - run-stamped, unsorted per-node adjacency. `edges_at(t)` is sorted by
-//!   `(u, v)`, so each timestamp is walked as runs of one source `u`, and
-//!   each run stamps `N(u)` once in a per-node `u32` array. A self-loop or
+//! - run-stamped, unsorted per-node adjacency. Consecutive edges of one
+//!   source `u` form a run (`edges_at(t)` is sorted by `(u, v)`, so there
+//!   a timestamp is one run per source), and each run stamps `N(u)` once
+//!   in a per-node `u32` array. A self-loop or
 //!   a stamped `v` is a repeated or reciprocal edge and an O(1) no-op,
 //!   exactly as `Snapshot::undirected_adjacency` collapses it; a new pair
 //!   is pushed onto both lists unsorted and stamped;
@@ -39,15 +41,41 @@
 
 use crate::stats::{ple_from_log_sum, GraphStats};
 use crate::union_find::UnionFind;
-use tg_graph::{NodeId, TemporalEdge, TemporalGraph};
+use serde::{Deserialize, Serialize};
+use tg_graph::{EdgeSink, NodeId, TemporalEdge, TemporalGraph, Time};
 
-/// Iterator over the [`GraphStats`] of a temporal graph's accumulated
-/// snapshots: item `t` equals
-/// `GraphStats::compute(&Snapshot::accumulated(g, t, true))`.
-pub struct CumulativeStats<'g> {
-    graph: &'g TemporalGraph,
-    /// Next timestamp to ingest.
-    t: usize,
+/// What [`StatsSink`] yields: one entry per timestamp `0..T`.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct StatsSeries {
+    /// `volume[t]`: temporal edges at timestamp `t`.
+    pub volume: Vec<u64>,
+    /// `stats[t]`: the snapshot accumulated through timestamp `t`.
+    pub stats: Vec<GraphStats>,
+}
+
+impl StatsSeries {
+    /// Total temporal edges across all timestamps.
+    pub fn n_edges(&self) -> u64 {
+        self.volume.iter().sum()
+    }
+}
+
+/// The Table III statistics of every accumulated snapshot of an edge
+/// stream, folded in as the stream arrives; no edge is kept beyond the
+/// undirected simple adjacency.
+///
+/// # Order
+///
+/// The sink needs no sort and no buffer. Timestamp `t` closes when a unit
+/// of a later timestamp arrives, or at [`EdgeSink::finish`], so a
+/// timestamp no unit names still yields its snapshot, as does every one
+/// after the last unit up to `n_timestamps`. The counts therefore depend
+/// only on units arriving in ascending timestamp order, which the
+/// [`EdgeSink`] contract guarantees. Within a timestamp, order, chunking
+/// and repeats change only how many stampings the pass does, not a value.
+/// A unit whose `t` lies below a closed timestamp breaks the contract
+/// (a `debug_assert!`).
+pub struct StatsSink {
     /// Undirected simple adjacency of the edges ingested so far, each
     /// list in arrival order.
     adj: Vec<Vec<NodeId>>,
@@ -60,33 +88,35 @@ pub struct CumulativeStats<'g> {
     /// `ln_ratio[d] == (d as f64 / ln_ratio_d_min as f64).ln()`.
     ln_ratio: Vec<f64>,
     ln_ratio_d_min: usize,
+    /// `volume[t]`: edges accepted at timestamp `t`.
+    volume: Vec<u64>,
+    /// One entry per closed timestamp.
+    stats: Vec<GraphStats>,
 }
 
-impl<'g> CumulativeStats<'g> {
-    /// Start before the first timestamp of `graph`.
-    pub fn new(graph: &'g TemporalGraph) -> Self {
-        let n = graph.n_nodes();
-        // each list sized once, to its node's incident non-self-loop edge
-        // count: an upper bound on its final degree, 8 B per edge in all
-        let mut incident = vec![0usize; n];
-        for e in graph.edges().iter().filter(|e| e.u != e.v) {
-            incident[e.u as usize] += 1;
-            incident[e.v as usize] += 1;
-        }
-        CumulativeStats {
-            graph,
-            t: 0,
-            adj: incident.into_iter().map(Vec::with_capacity).collect(),
+impl StatsSink {
+    /// Sink over nodes `0..n_nodes` and timestamps `0..n_timestamps`.
+    pub fn new(n_nodes: usize, n_timestamps: usize) -> Self {
+        Self::presized(vec![0; n_nodes], n_timestamps)
+    }
+
+    /// Sink whose node `x` has room for `capacity[x]` neighbours.
+    fn presized(capacity: Vec<usize>, n_timestamps: usize) -> Self {
+        let n = capacity.len();
+        StatsSink {
+            adj: capacity.into_iter().map(Vec::with_capacity).collect(),
             stamp: vec![0; n],
             epoch: 0,
             triangles: 0,
             components: UnionFind::new(n),
             ln_ratio: Vec::new(),
             ln_ratio_d_min: 0,
+            volume: vec![0; n_timestamps],
+            stats: Vec::with_capacity(n_timestamps),
         }
     }
 
-    /// Add one timestamp's edges. Runs of one source are cut from
+    /// Add edges of the open timestamp. Runs of one source are cut from
     /// consecutive edges, so an unsorted slice would only cost more
     /// stampings, not change a count.
     fn ingest(&mut self, edges: &[TemporalEdge]) {
@@ -125,7 +155,16 @@ impl<'g> CumulativeStats<'g> {
         self.epoch
     }
 
-    fn stats(&mut self) -> GraphStats {
+    /// Close every timestamp before `t`.
+    fn close_before(&mut self, t: usize) {
+        while self.stats.len() < t {
+            let s = self.snapshot();
+            self.stats.push(s);
+        }
+    }
+
+    /// The statistics of the snapshot ingested so far.
+    fn snapshot(&mut self) -> GraphStats {
         let mut deg_sum = 0usize;
         let mut wedge = 0.0f64;
         let mut claw = 0.0f64;
@@ -185,6 +224,59 @@ impl<'g> CumulativeStats<'g> {
     }
 }
 
+impl EdgeSink for StatsSink {
+    type Output = StatsSeries;
+
+    fn accept(&mut self, t: Time, _chunk: u32, edges: &[TemporalEdge]) {
+        let t = t as usize;
+        debug_assert!(
+            t >= self.stats.len(),
+            "unit at t={t} after timestamp {} closed",
+            self.stats.len().wrapping_sub(1)
+        );
+        self.close_before(t);
+        self.volume[t] += edges.len() as u64;
+        self.ingest(edges);
+    }
+
+    fn finish(mut self) -> StatsSeries {
+        self.close_before(self.volume.len());
+        StatsSeries {
+            volume: self.volume,
+            stats: self.stats,
+        }
+    }
+}
+
+/// Iterator over the [`GraphStats`] of a temporal graph's accumulated
+/// snapshots: item `t` equals
+/// `GraphStats::compute(&Snapshot::accumulated(g, t, true))`. A
+/// [`StatsSink`] fed one timestamp per item, each adjacency list sized
+/// once from the graph: to its node's incident non-self-loop edge count,
+/// an upper bound on its final degree, 8 B per edge in all.
+pub struct CumulativeStats<'g> {
+    graph: &'g TemporalGraph,
+    /// Next timestamp to ingest.
+    t: usize,
+    sink: StatsSink,
+}
+
+impl<'g> CumulativeStats<'g> {
+    /// Start before the first timestamp of `graph`.
+    pub fn new(graph: &'g TemporalGraph) -> Self {
+        let mut incident = vec![0usize; graph.n_nodes()];
+        for e in graph.edges().iter().filter(|e| e.u != e.v) {
+            incident[e.u as usize] += 1;
+            incident[e.v as usize] += 1;
+        }
+        CumulativeStats {
+            graph,
+            t: 0,
+            sink: StatsSink::presized(incident, 0),
+        }
+    }
+}
+
 impl Iterator for CumulativeStats<'_> {
     type Item = GraphStats;
 
@@ -192,10 +284,9 @@ impl Iterator for CumulativeStats<'_> {
         if self.t >= self.graph.n_timestamps() {
             return None;
         }
-        let graph = self.graph;
-        self.ingest(graph.edges_at(self.t as u32));
+        self.sink.ingest(self.graph.edges_at(self.t as u32));
         self.t += 1;
-        Some(self.stats())
+        Some(self.sink.snapshot())
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -203,6 +294,8 @@ impl Iterator for CumulativeStats<'_> {
         (left, Some(left))
     }
 }
+
+impl ExactSizeIterator for CumulativeStats<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -235,8 +328,8 @@ mod tests {
         // u32::MAX, the third wraps to 1, the last stamps 16
         for stale in 1..=16 {
             let mut wrapped = CumulativeStats::new(&g);
-            wrapped.epoch = u32::MAX - 2;
-            wrapped.stamp.fill(stale);
+            wrapped.sink.epoch = u32::MAX - 2;
+            wrapped.sink.stamp.fill(stale);
             let got: Vec<_> = wrapped.map(|s| bits(&s)).collect();
             assert_eq!(got, want, "stale stamp {stale}");
         }

@@ -4,10 +4,12 @@
 //! Table V) or median (`f_med`, Table IV). Also exposes the raw per-
 //! timestamp series used by Figure 5.
 //!
-//! Every per-timestamp statistic comes from one [`CumulativeStats`] pass
+//! Every per-timestamp statistic comes from one accumulated-snapshot pass
 //! per graph (see [`crate::cumulative`]); nothing here builds a snapshot.
-//! A caller scoring several generated graphs against one observed graph
-//! collects the observed pass once and hands it to [`evaluate_against`].
+//! [`evaluate_against`] reduces two such series, so a caller scoring
+//! several generated graphs collects the observed pass once, and a
+//! generated stream scored through a [`crate::StatsSink`] is never
+//! built into a graph at all.
 
 use crate::cumulative::CumulativeStats;
 use crate::stats::{GraphStats, MetricKind};
@@ -61,25 +63,36 @@ pub struct MetricScore {
 /// horizon (extra timestamps are ignored, missing ones are an error).
 pub fn evaluate(real: &TemporalGraph, generated: &TemporalGraph) -> Vec<MetricScore> {
     let real: Vec<GraphStats> = CumulativeStats::new(real).collect();
-    evaluate_against(&real, generated)
+    score(&real, CumulativeStats::new(generated))
 }
 
-/// [`evaluate`] with the real graph's side already computed: `real[t]` is
-/// its accumulated-snapshot statistics at timestamp `t`, i.e. a collected
-/// [`CumulativeStats`] pass.
-pub fn evaluate_against(real: &[GraphStats], generated: &TemporalGraph) -> Vec<MetricScore> {
+/// [`evaluate`] over two accumulated-snapshot series: `real[t]` and
+/// `generated[t]` are the statistics at timestamp `t`, a collected
+/// [`CumulativeStats`] pass or a [`crate::StatsSink`]'s
+/// [`StatsSeries::stats`](crate::StatsSeries::stats). `generated` must
+/// cover `real`'s horizon; its extra timestamps are ignored.
+pub fn evaluate_against(real: &[GraphStats], generated: &[GraphStats]) -> Vec<MetricScore> {
+    score(real, generated.iter().copied())
+}
+
+/// The reduction behind both: `generated` is consumed as it is zipped, so
+/// a walked graph's series is never collected.
+fn score(
+    real: &[GraphStats],
+    generated: impl ExactSizeIterator<Item = GraphStats>,
+) -> Vec<MetricScore> {
     let t_count = real.len();
     assert!(
-        generated.n_timestamps() >= t_count,
-        "generated graph covers {} timestamps, need {}",
-        generated.n_timestamps(),
+        generated.len() >= t_count,
+        "generated series covers {} timestamps, need {}",
+        generated.len(),
         t_count
     );
     let mut per_metric_diffs: Vec<Vec<f64>> =
         std::iter::repeat_with(|| Vec::with_capacity(t_count))
             .take(7)
             .collect();
-    for (sr, sg) in real.iter().zip(CumulativeStats::new(generated)) {
+    for (sr, sg) in real.iter().zip(generated) {
         for (i, kind) in MetricKind::ALL.iter().enumerate() {
             per_metric_diffs[i].push(relative_error(sr.get(*kind), sg.get(*kind)));
         }

@@ -3,9 +3,9 @@
 //! - [`stats`] — the seven Table III graph statistics ([`stats::MetricKind`],
 //!   [`stats::GraphStats`]) computed on undirected simple snapshot views;
 //! - [`cumulative`] — the same seven statistics on *every* accumulated
-//!   snapshot of a temporal graph in one incremental pass over its edge
-//!   stream ([`CumulativeStats`]), bit-identical to [`GraphStats::compute`]
-//!   per timestamp;
+//!   snapshot of an edge stream in one incremental pass: [`StatsSink`]
+//!   takes the engine's units, [`CumulativeStats`] walks a graph, and
+//!   both are bit-identical to [`GraphStats::compute`] per timestamp;
 //! - [`harness`] — the Eq. 10 comparison harness producing the `f_avg`
 //!   (Table V) and `f_med` (Table IV) scores, plus the per-timestamp metric
 //!   series behind Figure 5, both reduced from that pass;
@@ -25,7 +25,7 @@ pub mod motifs;
 pub mod stats;
 pub mod union_find;
 
-pub use cumulative::CumulativeStats;
+pub use cumulative::{CumulativeStats, StatsSeries, StatsSink};
 pub use degree::{degree_histogram, degree_mmd};
 pub use harness::{
     evaluate, evaluate_against, metric_timeseries, relative_error, MetricScore, MetricSeries,

@@ -2,14 +2,18 @@
 //! statistic must be `to_bits()`-equal to
 //! `GraphStats::compute(&Snapshot::accumulated(g, t, true))`, and every
 //! `MetricScore` to the per-timestamp-snapshot evaluation loop the
-//! accumulator replaced (kept here as `batch_evaluate`).
+//! accumulator replaced (kept here as `batch_evaluate`). A `StatsSink`
+//! fed the same edges in any order within a timestamp, in any chunks,
+//! must equal that graph walk bit for bit.
 
 use proptest::prelude::*;
-use tg_graph::{Snapshot, TemporalEdge, TemporalGraph};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use tg_graph::{EdgeSink, Snapshot, TemporalEdge, TemporalGraph};
 use tg_metrics::harness::mean;
 use tg_metrics::{
     evaluate, evaluate_against, metric_timeseries, relative_error, CumulativeStats, GraphStats,
-    MetricKind,
+    MetricKind, StatsSeries, StatsSink,
 };
 
 fn batch_series(g: &TemporalGraph, t_count: usize) -> Vec<GraphStats> {
@@ -74,9 +78,10 @@ fn assert_series_match(g: &TemporalGraph) {
 fn assert_scores_match(real: &TemporalGraph, generated: &TemporalGraph) {
     let want = batch_evaluate(real, generated);
     let real_series: Vec<GraphStats> = CumulativeStats::new(real).collect();
+    let generated_series: Vec<GraphStats> = CumulativeStats::new(generated).collect();
     for scores in [
         evaluate(real, generated),
-        evaluate_against(&real_series, generated),
+        evaluate_against(&real_series, &generated_series),
     ] {
         assert_eq!(scores.len(), want.len());
         for ((score, &(avg, med)), kind) in scores.iter().zip(&want).zip(MetricKind::ALL) {
@@ -85,6 +90,64 @@ fn assert_scores_match(real: &TemporalGraph, generated: &TemporalGraph) {
             assert_eq!(score.med.to_bits(), med.to_bits(), "{} med", kind.name());
         }
     }
+}
+
+fn bits(series: &[GraphStats]) -> Vec<[u64; 7]> {
+    series
+        .iter()
+        .map(|s| s.as_array().map(f64::to_bits))
+        .collect()
+}
+
+/// `g`'s edges before timestamp `stop` fed to a `StatsSink` in an order
+/// no graph has: each timestamp's edges shuffled and cut into chunks of
+/// random length, empty ones included. A timestamp without edges gets no
+/// unit or one empty unit, and the stream ends at `stop`.
+fn streamed(g: &TemporalGraph, stop: usize, seed: u64) -> StatsSeries {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut sink = StatsSink::new(g.n_nodes(), g.n_timestamps());
+    for t in 0..stop.min(g.n_timestamps()) as u32 {
+        let mut edges = g.edges_at(t).to_vec();
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, rng.gen_range(0..=i));
+        }
+        if edges.is_empty() && rng.gen_bool(0.5) {
+            continue;
+        }
+        let mut rest = edges.as_slice();
+        let mut chunk = 0;
+        loop {
+            let k = rng.gen_range(0..=rest.len());
+            sink.accept(t, chunk, &rest[..k]);
+            rest = &rest[k..];
+            chunk += 1;
+            if rest.is_empty() {
+                break;
+            }
+        }
+    }
+    sink.finish()
+}
+
+/// The streamed series equals the walk over the graph of the same edges.
+fn assert_stream_matches_walk(g: &TemporalGraph, stop: usize, seed: u64) {
+    let kept: Vec<TemporalEdge> = g
+        .edges()
+        .iter()
+        .filter(|e| (e.t as usize) < stop)
+        .copied()
+        .collect();
+    let g = TemporalGraph::from_edges(g.n_nodes(), g.n_timestamps(), kept);
+    let got = streamed(&g, stop, seed);
+    let want: Vec<GraphStats> = CumulativeStats::new(&g).collect();
+    assert_eq!(bits(&got.stats), bits(&want), "stop {stop}, seed {seed}");
+    let volume: Vec<u64> = g
+        .edge_counts_per_timestamp()
+        .into_iter()
+        .map(|c| c as u64)
+        .collect();
+    assert_eq!(got.volume, volume);
+    assert_eq!(got.n_edges(), g.n_edges() as u64);
 }
 
 /// One raw edge: endpoints, timestamp, a flavour selecting which
@@ -140,6 +203,29 @@ proptest! {
         let generated = build(n, t_count + extra, &raw_gen);
         assert_scores_match(&real, &generated);
     }
+
+    /// Chunking, order within a timestamp, empty timestamps and an early
+    /// end of stream change no bit of the sink's series.
+    #[test]
+    fn sink_series_is_order_free(
+        n in 0usize..=40,
+        t_count in 1usize..=12,
+        raw in arb_edges(),
+        stop in 0usize..=13,
+        seed in 0u64..u64::MAX,
+    ) {
+        assert_stream_matches_walk(&build(n, t_count, &raw), stop, seed);
+    }
+}
+
+/// A unit below a closed timestamp breaks the sink's order contract.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "closed")]
+fn a_unit_after_its_timestamp_closed_is_refused() {
+    let mut sink = StatsSink::new(3, 3);
+    sink.accept(1, 0, &[TemporalEdge::new(0, 1, 1)]);
+    sink.accept(0, 0, &[TemporalEdge::new(1, 2, 0)]);
 }
 
 #[test]
@@ -301,5 +387,14 @@ proptest! {
     #[test]
     fn hub_heavy_series_is_bit_identical_to_batch(g in arb_hub_graph()) {
         assert_series_match(&g);
+    }
+
+    #[test]
+    fn hub_heavy_sink_series_is_order_free(
+        g in arb_hub_graph(),
+        stop in 0usize..=9,
+        seed in 0u64..u64::MAX,
+    ) {
+        assert_stream_matches_walk(&g, stop, seed);
     }
 }

@@ -5,8 +5,7 @@ use crate::net::Conn;
 use crate::protocol::{read_frame, write_frame, ErrorKind, Frame};
 use crate::telemetry::StatusReport;
 use std::io::{self, Write};
-use tg_graph::sink::GenerationStats;
-use tg_metrics::MetricScore;
+use tg_metrics::{MetricScore, StatsSeries};
 use tgae::CostEstimate;
 
 /// Why a client call failed.
@@ -74,14 +73,12 @@ pub struct SimulateOutcome {
     pub cache: String,
 }
 
-/// Outcome of a `simulate --stats` request: the summary instead of an
+/// Outcome of a `simulate --stats` request: the statistics instead of an
 /// edge stream.
 #[derive(Clone, Debug)]
 pub struct StatsOutcome {
-    /// Per-timestamp volume and degree tallies.
-    pub stats: GenerationStats,
-    /// Total edges generated (none were transferred).
-    pub n_edges: u64,
+    /// Per-timestamp volume and accumulated-snapshot statistics.
+    pub stats: StatsSeries,
     /// The admission price the server computed.
     pub cost: CostEstimate,
     /// `"hit"` / `"miss"`.
@@ -178,7 +175,7 @@ impl Client {
         }
     }
 
-    /// Run one simulation, returning only the `GenerationStats` summary.
+    /// Run one simulation, returning only its [`StatsSeries`].
     pub fn simulate_stats(&mut self, run_id: &str, seed: u64) -> Result<StatsOutcome, ClientError> {
         let (cost, cache) = self.start(&Frame::Simulate {
             run_id: run_id.to_string(),
@@ -186,12 +183,7 @@ impl Client {
             stats: true,
         })?;
         match self.recv()? {
-            Frame::Stats { stats, n_edges } => Ok(StatsOutcome {
-                stats,
-                n_edges,
-                cost,
-                cache,
-            }),
+            Frame::Stats { stats } => Ok(StatsOutcome { stats, cost, cache }),
             other => Err(unexpected("stats", other)),
         }
     }

@@ -29,7 +29,7 @@
 //!
 //! Simulate{run_id,seed,stats:true}  →
 //!                                   ←   Start{cost,cache}
-//!                                   ←   Stats{stats,n_edges}
+//!                                   ←   Stats{stats}
 //!
 //! Eval{run_id,seed}                 →
 //!                                   ←   Start{cost,cache}
@@ -63,8 +63,7 @@ use crate::cache::CacheOutcome;
 use crate::telemetry::StatusReport;
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
-use tg_graph::sink::GenerationStats;
-use tg_metrics::MetricScore;
+use tg_metrics::{MetricScore, StatsSeries};
 use tgae::CostEstimate;
 
 /// Upper bound on one frame's JSON payload. Large enough for any
@@ -107,7 +106,7 @@ pub enum Frame {
         run_id: String,
         /// The engine master seed of this generation.
         seed: u64,
-        /// Answer one `Stats` summary instead of streaming `Edges`.
+        /// Answer one `Stats` series instead of streaming `Edges`.
         stats: bool,
     },
     /// Request: simulate under `seed`, score against the observed graph.
@@ -140,10 +139,8 @@ pub enum Frame {
     },
     /// The answer to `Simulate{stats: true}`.
     Stats {
-        /// Per-timestamp volume and degree tallies.
-        stats: GenerationStats,
-        /// Total edges generated (none were transferred).
-        n_edges: u64,
+        /// Per-timestamp volume and accumulated-snapshot statistics.
+        stats: StatsSeries,
     },
     /// End of a simulate stream.
     Done {
@@ -330,12 +327,11 @@ mod tests {
             },
             Frame::Start { .. } => Frame::edges("0 1 0\n1 2 0\n".into()),
             Frame::Edges { .. } => {
-                let mut sink = tg_graph::sink::StatsSink::new(2);
+                let mut sink = tg_metrics::StatsSink::new(2, 2);
                 use tg_graph::sink::EdgeSink;
                 sink.accept(1, 0, &[tg_graph::TemporalEdge::new(0, 1, 1)]);
                 Frame::Stats {
                     stats: sink.finish(),
-                    n_edges: 1,
                 }
             }
             Frame::Stats { .. } => Frame::Done { n_edges: 7 },

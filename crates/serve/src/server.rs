@@ -45,8 +45,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tg_faults::registry::{SERVE_ACCEPT, SERVE_GENERATE_UNIT, SERVE_REQUEST_DECODE, SERVE_STATUS};
-use tg_graph::sink::{EdgeSink, GraphSink, StatsSink};
+use tg_graph::sink::EdgeSink;
 use tg_graph::{TemporalEdge, Time};
+use tg_metrics::{evaluate_against, CumulativeStats, GraphStats, StatsSink};
 use tgae::SharedRun;
 
 /// Produces the [`SharedRun`] for a run-id on a cache miss (typically by
@@ -430,9 +431,10 @@ fn handle_connection(mut conn: Conn, shared: Arc<SharedState>) {
 enum Job {
     /// Stream the edges as `Edges` frames, then `Done`.
     Stream,
-    /// Fold the edges into one `Stats` summary.
+    /// Fold the edges into one `Stats` series.
     Stats,
-    /// Score the generated graph against the observed one.
+    /// Fold the edges the same way and score the series against the
+    /// observed graph's.
     Eval,
 }
 
@@ -480,24 +482,21 @@ fn handle_request(
     // request keep going.
     let executed = catch_unwind(AssertUnwindSafe(|| -> Result<Frame, String> {
         match job {
-            Job::Eval => {
-                let shape = (run.observed().n_nodes(), run.observed().n_timestamps());
-                let sink = FaultGate::new(GraphSink::new(shape.0, shape.1));
-                let synthetic = run
-                    .simulate_seeded(seed, sink)
-                    .map_err(|e| e.to_string())??;
-                let scores = run.evaluate(&synthetic).map_err(|e| e.to_string())?;
-                Ok(Frame::Scores { scores })
-            }
-            Job::Stats => {
-                let sink = FaultGate::new(StatsSink::new(run.observed().n_timestamps()));
+            Job::Eval | Job::Stats => {
+                // The generated side of Eq. 10 is folded unit by unit;
+                // no synthetic graph is built.
+                let observed = run.observed();
+                let sink =
+                    FaultGate::new(StatsSink::new(observed.n_nodes(), observed.n_timestamps()));
                 let stats = run
                     .simulate_seeded(seed, sink)
                     .map_err(|e| e.to_string())??;
-                Ok(Frame::Stats {
-                    n_edges: stats.n_edges(),
-                    stats,
-                })
+                if matches!(job, Job::Stats) {
+                    return Ok(Frame::Stats { stats });
+                }
+                let real: Vec<GraphStats> = CumulativeStats::new(observed).collect();
+                let scores = evaluate_against(&real, &stats.stats);
+                Ok(Frame::Scores { scores })
             }
             Job::Stream => {
                 let bytes_counter = tg_obs::counter!("serve.bytes", run = run_id);

@@ -209,17 +209,17 @@ fn stats_requests_match_the_in_process_summary() {
     let run = trained_run();
     let server = TestServer::start(run.clone(), ServeConfig::default());
 
-    let want = run
-        .simulate_seeded(
-            9,
-            tg_graph::sink::StatsSink::new(run.observed().n_timestamps()),
-        )
-        .unwrap();
+    // the graph walk over the same seed's GraphSink output
+    let observed = run.observed();
+    let sink = GraphSink::new(observed.n_nodes(), observed.n_timestamps());
+    let synthetic = run.simulate_seeded(9, sink).unwrap();
+    let walked: Vec<tg_metrics::GraphStats> =
+        tg_metrics::CumulativeStats::new(&synthetic).collect();
 
     let mut client = Client::connect_tcp(&server.addr).unwrap();
     let outcome = client.simulate_stats("shared", 9).unwrap();
-    assert_eq!(outcome.n_edges, want.n_edges());
-    assert_eq!(outcome.stats, want);
+    assert_eq!(outcome.stats.n_edges(), synthetic.n_edges() as u64);
+    assert_eq!(outcome.stats.stats, walked);
     server.stop();
 }
 

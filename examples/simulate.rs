@@ -2,7 +2,8 @@
 //! hand off to its `SharedRun`, generate the synthetic graph as K
 //! independent shards streamed to edge-list files, merge the shard files,
 //! and verify the result is **bit-identical** to one whole-run stream —
-//! plus a statistics-only pass merged through `GenerationStats::merge`.
+//! plus a statistics pass over that stream, checked against the graph
+//! walk over the merged shards.
 //!
 //! This is both the quickstart for the engine API and CI's smoke test of
 //! sharded-generation determinism (it exits non-zero on any mismatch).
@@ -94,28 +95,25 @@ fn main() {
         reference.n_edges()
     );
 
-    // 6. Statistics-only pass: per-shard StatsSink runs merged through the
-    //    public GenerationStats::merge — no edges stored, same totals.
-    let mut stats = GenerationStats::default();
-    for spec in &specs {
-        let sink = StatsSink::new(observed.n_timestamps());
-        stats.merge(&generate_shard_with_sink(
-            run.model(),
-            &observed,
-            spec,
-            sink,
-        ));
-    }
+    // 6. Statistics pass: the whole-run stream folded into a StatsSink
+    //    (no edges stored) equals the graph walk over the merged shards.
+    let sink = StatsSink::new(observed.n_nodes(), observed.n_timestamps());
+    let series = run
+        .simulate_seeded(plan.master_seed(), sink)
+        .expect("statistics run");
+    let walked: Vec<GraphStats> = CumulativeStats::new(&merged).collect();
     assert_eq!(
-        stats,
-        GenerationStats::from_graph(&reference),
-        "merged StatsSink totals differ from GraphSink-derived stats"
+        series.stats, walked,
+        "streamed statistics differ from the walk over the merged shards"
     );
-    assert_eq!(stats.edge_counts(), observed.edge_counts_per_timestamp());
+    let volume: Vec<usize> = series.volume.iter().map(|&c| c as usize).collect();
+    assert_eq!(volume, observed.edge_counts_per_timestamp());
+    let last = walked.last().expect("at least one timestamp");
     println!(
-        "verified: merged StatsSink totals match ({} edges, mean out-degree at t=0: {:.2})",
-        stats.n_edges(),
-        stats.per_timestamp[0].mean_out_degree()
+        "verified: streamed statistics match ({} edges, final mean degree {:.2}, {} triangles)",
+        series.n_edges(),
+        last.mean_degree,
+        last.triangle_count
     );
 
     std::fs::remove_dir_all(&dir).ok();

@@ -74,10 +74,11 @@ pub mod prelude {
     pub use tg_baselines::TemporalGraphGenerator;
     pub use tg_datasets::{Preset, SyntheticConfig};
     pub use tg_graph::{
-        EdgeSink, EdgeSource, GenerationStats, GraphSink, InMemorySource, Snapshot, StatsSink,
-        TemporalEdge, TemporalGraph,
+        EdgeSink, EdgeSource, GraphSink, InMemorySource, Snapshot, TemporalEdge, TemporalGraph,
     };
-    pub use tg_metrics::{evaluate, GraphStats, MetricKind};
+    pub use tg_metrics::{
+        evaluate, evaluate_against, CumulativeStats, GraphStats, MetricKind, StatsSeries, StatsSink,
+    };
     pub use tg_sampling::SamplerConfig;
     pub use tg_store::{StoreReader, StoreSource, StoreWriter};
     pub use tgae::{

@@ -20,8 +20,9 @@
 //! `tgx-cli simulate --master S` writes locally for the same
 //! run. The file is committed only once the whole answer is in, so a
 //! failed request leaves an earlier `--out` as it was. With `--stats` the
-//! daemon streams nothing and `--out` gets the JSON series `tgx-cli
-//! simulate --stats` writes. A `busy` rejection
+//! daemon streams nothing and `--out` (default `simulated.stats.json`,
+//! the name `tgx-cli simulate --stats` uses) gets the JSON series that
+//! command writes. A `busy` rejection
 //! from admission control exits with code 6 so schedulers can back off
 //! and retry.
 
@@ -96,8 +97,13 @@ pub fn run(args: &Args) -> Result<(), CliError> {
 fn simulate(args: &Args) -> Result<(), CliError> {
     let run_id: String = args.require("run-id").map_err(CliError::Usage)?;
     let seed: u64 = args.get_parsed("seed", 0).map_err(CliError::Usage)?;
-    let out = args.get("out").unwrap_or("simulated.edges").to_string();
     let stats = args.flag("stats");
+    let default_out = if stats {
+        "simulated.stats.json"
+    } else {
+        "simulated.edges"
+    };
+    let out = args.get("out").unwrap_or(default_out).to_string();
     let quiet = args.flag("quiet");
     let mut client = connect(args)?;
     args.reject_unused().map_err(CliError::Usage)?;

@@ -70,7 +70,8 @@ OBSERVABILITY:
   simulate --stats    per-timestamp edge volume and the Table III statistics
                       of every accumulated snapshot, from the same pass
                       -> DIR/simulated.stats.json (client simulate --stats:
-                      the daemon's series -> --out)
+                      the daemon's series -> --out, default
+                      simulated.stats.json)
   client status       daemon residency, admission, and cache report
   client metrics      Prometheus text exposition of the daemon's registry
 

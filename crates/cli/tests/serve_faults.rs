@@ -15,7 +15,9 @@
 //!   its model does not have, answers a typed `not_found` and the
 //!   connection stays usable;
 //! - a refused or failed `tgx-cli client simulate` leaves `--out` as it
-//!   was: absent, or holding its earlier bytes.
+//!   was: absent, or holding its earlier bytes;
+//! - `tgx-cli client simulate --stats` without `--out` writes the series
+//!   to `simulated.stats.json`, never under the edge-list name.
 //!
 //! All injection goes through `TG_FAULTS` in the daemon's environment —
 //! the shipped binary, no test-only hooks.
@@ -353,6 +355,49 @@ fn a_failed_client_simulate_keeps_the_earlier_out_file() {
     );
     assert_eq!(std::fs::read_to_string(&target).unwrap(), "0 1 0\n");
     assert!(!dir.join("kept.edges.tmp").exists());
+
+    daemon.shutdown_clean();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn client_simulate_stats_without_out_writes_the_stats_name() {
+    let dir = tmp("serve_client_stats");
+    let (root, run_dir) = runs_root(&dir, "r");
+    let daemon = Daemon::start(&root, None, &[]);
+    let cwd = dir.join("cwd");
+    std::fs::create_dir_all(&cwd).unwrap();
+
+    let out = cli()
+        .current_dir(&cwd)
+        .args(["client", "simulate", "--addr", &daemon.addr])
+        .args(["--run-id", "r", "--seed", "4", "--stats", "--quiet"])
+        .output()
+        .expect("run tgx-cli client");
+    assert!(
+        out.status.success(),
+        "client simulate --stats failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        !cwd.join("simulated.edges").exists(),
+        "a stats request must not write under the edge-list name"
+    );
+    let read = |path: &Path| -> tg_metrics::StatsSeries {
+        serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap()
+    };
+    let served = read(&cwd.join("simulated.stats.json"));
+
+    // the series `tgx-cli simulate --stats` writes for the same seed
+    let status = cli()
+        .args(["simulate", "--run-dir"])
+        .arg(&run_dir)
+        .args(["--master", "4", "--stats", "--quiet"])
+        .stdout(Stdio::null())
+        .status()
+        .expect("run tgx-cli simulate");
+    assert!(status.success(), "simulate --stats failed");
+    assert_eq!(served, read(&run_dir.join("simulated.stats.json")));
 
     daemon.shutdown_clean();
     std::fs::remove_dir_all(&dir).ok();

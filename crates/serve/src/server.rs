@@ -42,7 +42,7 @@ use crate::telemetry::{self, CacheCounters, ResidentModel, StatusReport};
 use std::io::{self, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use tg_faults::registry::{SERVE_ACCEPT, SERVE_GENERATE_UNIT, SERVE_REQUEST_DECODE, SERVE_STATUS};
 use tg_graph::sink::EdgeSink;
@@ -84,8 +84,27 @@ pub struct ServeReport {
     pub requests_served: u64,
 }
 
+/// A cache entry: one loaded run, and the Table III series of its
+/// observed graph, walked by the first `eval` that needs it and kept for
+/// as long as the run stays resident — it depends on nothing a request
+/// carries.
+struct Resident {
+    run: SharedRun,
+    observed: OnceLock<Vec<GraphStats>>,
+}
+
+impl Resident {
+    /// The observed series; `serve.observed_walks{run}` counts the walks.
+    fn observed_series(&self, run_id: &str) -> &[GraphStats] {
+        self.observed.get_or_init(|| {
+            tg_obs::counter!("serve.observed_walks", run = run_id).inc();
+            CumulativeStats::new(self.run.observed()).collect()
+        })
+    }
+}
+
 struct SharedState {
-    cache: ModelCache<SharedRun>,
+    cache: ModelCache<Resident>,
     admission: AdmissionController,
     cfg: ServeConfig,
     shutdown: AtomicBool,
@@ -168,7 +187,10 @@ impl ServerHandle {
 impl Server {
     fn assemble(listener: Listener, loader: Loader, cfg: ServeConfig) -> Server {
         let shared = Arc::new(SharedState {
-            cache: ModelCache::new(cfg.cache_capacity, move |id: &str| loader(id)),
+            cache: ModelCache::new(cfg.cache_capacity, move |id: &str| {
+                let observed = OnceLock::new();
+                loader(id).map(|run| Resident { run, observed })
+            }),
             admission: AdmissionController::new(cfg.max_cost),
             cfg,
             shutdown: AtomicBool::new(false),
@@ -449,7 +471,7 @@ fn handle_request(
     job: Job,
 ) -> io::Result<bool> {
     let stopwatch = tg_obs::Stopwatch::start();
-    let (run, outcome) = match shared.cache.get(run_id) {
+    let (resident, outcome) = match shared.cache.get(run_id) {
         Ok(hit) => hit,
         Err(e @ CacheError::Load { .. }) => {
             write_frame(conn, &error(ErrorKind::NotFound, e))?;
@@ -460,6 +482,7 @@ fn handle_request(
             return Ok(true);
         }
     };
+    let run = &resident.run;
     let est = run.cost_estimate();
     let _permit = match shared.admission.try_admit(est.cost) {
         Ok(permit) => permit,
@@ -494,8 +517,8 @@ fn handle_request(
                 if matches!(job, Job::Stats) {
                     return Ok(Frame::Stats { stats });
                 }
-                let real: Vec<GraphStats> = CumulativeStats::new(observed).collect();
-                let scores = evaluate_against(&real, &stats.stats);
+                let real = resident.observed_series(run_id);
+                let scores = evaluate_against(real, &stats.stats);
                 Ok(Frame::Scores { scores })
             }
             Job::Stream => {

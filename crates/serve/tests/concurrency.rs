@@ -63,11 +63,16 @@ struct TestServer {
 
 impl TestServer {
     fn start(run: SharedRun, cfg: ServeConfig) -> TestServer {
+        TestServer::start_as("shared", run, cfg)
+    }
+
+    /// A server whose loader knows `run` under the id `name`.
+    fn start_as(name: &'static str, run: SharedRun, cfg: ServeConfig) -> TestServer {
         let loads = Arc::new(AtomicUsize::new(0));
         let loader_loads = Arc::clone(&loads);
         let loader = Box::new(move |run_id: &str| {
             loader_loads.fetch_add(1, Ordering::SeqCst);
-            if run_id == "shared" {
+            if run_id == name {
                 Ok(run.clone())
             } else {
                 Err(format!("no run named `{run_id}`"))
@@ -200,6 +205,31 @@ fn interleaved_eval_and_simulate_on_one_run_id() {
     for bytes in simulator.join().unwrap() {
         assert_eq!(bytes, want_bytes, "simulate interleaved with eval diverged");
     }
+    assert_eq!(server.loads.load(Ordering::SeqCst), 1);
+    server.stop();
+}
+
+#[test]
+fn evals_of_one_resident_run_walk_the_observed_graph_once() {
+    // an id no other test in this binary serves: the walk counter is
+    // process-wide
+    const ID: &str = "walked_once";
+    let run = trained_run();
+    let server = TestServer::start_as(ID, run.clone(), ServeConfig::default());
+    let walks = tg_obs::counter!("serve.observed_walks", run = ID);
+
+    let shape = (run.observed().n_nodes(), run.observed().n_timestamps());
+    let synthetic = run
+        .simulate_seeded(77, GraphSink::new(shape.0, shape.1))
+        .unwrap();
+    let want = format!("{:?}", run.evaluate(&synthetic).unwrap());
+
+    let mut client = Client::connect_tcp(&server.addr).unwrap();
+    let first = format!("{:?}", client.eval(ID, 77).unwrap());
+    let second = format!("{:?}", client.eval(ID, 77).unwrap());
+    assert_eq!(first, want, "eval diverged from the in-process scores");
+    assert_eq!(second, first, "a second eval of the run scored differently");
+    assert_eq!(walks.get(), 1, "both evals must score against one walk");
     assert_eq!(server.loads.load(Ordering::SeqCst), 1);
     server.stop();
 }

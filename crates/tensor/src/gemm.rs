@@ -87,13 +87,22 @@
 //! data. See the `fma_tiles_are_one_mul_add_chain`,
 //! `simd_matmul_matches_portable*` and `fma_kernels_agree_*` tests.
 //!
+//! A product can also be cut along `k` into consecutive calls of
+//! [`matmul_into_on`], the first under [`Start::Zero`] and the rest under
+//! [`Start::Continue`]: a continued call reloads each partial sum from
+//! the output on its first `KC` block (the naive loops skip their
+//! zero-fill), so the cut is one more exact store and reload and every
+//! path keeps its bits (`continued_matmul_matches_one_call`).
+//! `Tape::score_xent`'s backward accumulates `∂W_c = Gᵀ·h` that way, one
+//! L2-sized block of `G`'s rows at a time.
+//!
 //! The one pack lives in a thread-local, so steady-state training does
 //! not allocate per matmul call. Small products (`m*k*n < `[`TILE_THRESHOLD`])
 //! skip the driver entirely and use the naive ikj loops (`matmul_*_naive`),
 //! which are also kept public as the reference implementation for the
 //! parity property tests and as the benchmark baseline.
 
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, RowBlock};
 use crate::parallel::{par_chunks_mut, PAR_THRESHOLD};
 use std::cell::RefCell;
 
@@ -130,17 +139,17 @@ pub const TILE_THRESHOLD: usize = 16 * 16 * 16;
 /// product picks the path from the full product's size
 /// ([`crate::tape::Tape::score_xent`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum GemmPath {
+pub enum GemmPath {
     /// The `matmul_*_naive` loops.
     Naive,
-    /// The tiled [`gemm`] driver.
+    /// The tiled driver (the private `gemm`).
     Tiled,
 }
 
 impl GemmPath {
     /// The path [`matmul_nn`], [`matmul_nt`] and [`matmul_tn`] take for an
     /// `m·k·n` product.
-    pub(crate) fn for_product(m: usize, k: usize, n: usize) -> Self {
+    pub fn for_product(m: usize, k: usize, n: usize) -> Self {
         if m * k * n < TILE_THRESHOLD {
             GemmPath::Naive
         } else {
@@ -173,9 +182,9 @@ fn put_pack(buf: Vec<f32>) {
     });
 }
 
-/// Which layout [`gemm`] reads an operand in.
-#[derive(Clone, Copy)]
-pub(crate) enum Layout {
+/// Which layout a product reads an operand in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layout {
     /// Operand is stored row-major in its mathematical orientation.
     RowMajor,
     /// Operand is stored transposed (`nt` for B, `tn` for A).
@@ -184,7 +193,7 @@ pub(crate) enum Layout {
 
 impl Layout {
     /// `(rows, cols)` of the operand as the product reads it.
-    fn oriented(self, x: &Matrix) -> (usize, usize) {
+    fn oriented(self, x: RowBlock) -> (usize, usize) {
         match self {
             Layout::RowMajor => (x.rows(), x.cols()),
             Layout::Transposed => (x.cols(), x.rows()),
@@ -198,6 +207,18 @@ impl Layout {
             Layout::Transposed => Layout::RowMajor,
         }
     }
+}
+
+/// Where each sum of a product starts: the one difference between a
+/// product over all of `k` and one over a later piece of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Start {
+    /// At `+0.0`: the product overwrites its output and never reads it.
+    Zero,
+    /// At the output's value: the product continues the sums an earlier
+    /// call over the preceding rows of `k` left there, exactly as the
+    /// tiled driver continues them at a [`KC`] edge.
+    Continue,
 }
 
 /// Which operand [`gemm`] packs before its tiles run — the one packing
@@ -868,7 +889,9 @@ unsafe fn run_tile(kernel: MicrokernelKind, t: &Tile) {
 /// one `f32` store/reload of the partial between blocks, one FMA (or
 /// mul+add on the portable tile) per `kk` inside a block. That order is
 /// invariant under the blocking, the packing and the swap, so none of
-/// them changes a bit of any result (see the module doc).
+/// them changes a bit of any result (see the module doc). Under
+/// [`Start::Continue`] the first block reloads the partial too, so a
+/// product cut along `k` into consecutive calls runs the same chain.
 #[allow(clippy::too_many_arguments)]
 fn gemm(
     out: &mut [f32],
@@ -879,13 +902,16 @@ fn gemm(
     a_layout: Layout,
     b: &[f32],
     b_layout: Layout,
+    start: Start,
 ) {
     if m == 0 || n == 0 {
         return;
     }
     if k == 0 {
         // an empty sum; the loop nest below would leave `out` as it found it
-        out.fill(0.0);
+        if start == Start::Zero {
+            out.fill(0.0);
+        }
         return;
     }
     // Resolve the microkernel once per call; the workers inherit the copy
@@ -981,7 +1007,7 @@ fn gemm(
                             c_cs,
                             rows,
                             width,
-                            first_k: k0 == 0,
+                            first_k: k0 == 0 && start == Start::Zero,
                         };
                         // SAFETY: the tile's A rows i_base + i0 + ..rows,
                         // its B columns j..j + width and its inner steps
@@ -1010,13 +1036,15 @@ fn gemm(
 /// and the baseline the tiled path is benchmarked against.
 pub fn matmul_nn_naive(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.rows(), b.cols());
-    matmul_nn_naive_into(a, b, out.as_mut_slice());
+    matmul_nn_naive_into(a.into(), b.into(), out.as_mut_slice(), Start::Zero);
     out
 }
 
-fn matmul_nn_naive_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
+fn matmul_nn_naive_into(a: RowBlock, b: RowBlock, out: &mut [f32], start: Start) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    out.fill(0.0);
+    if start == Start::Zero {
+        out.fill(0.0);
+    }
     for r in 0..m {
         let out_row = &mut out[r * n..(r + 1) * n];
         let a_row = &a.as_slice()[r * k..(r + 1) * k];
@@ -1035,18 +1063,21 @@ fn matmul_nn_naive_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
 /// Naive dot-product `C = A @ B^T` — reference kernel for the parity tests.
 pub fn matmul_nt_naive(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.rows(), b.rows());
-    matmul_nt_naive_into(a, b, out.as_mut_slice());
+    matmul_nt_naive_into(a.into(), b.into(), out.as_mut_slice(), Start::Zero);
     out
 }
 
-fn matmul_nt_naive_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
+fn matmul_nt_naive_into(a: RowBlock, b: RowBlock, out: &mut [f32], start: Start) {
     let (m, k, n) = (a.rows(), a.cols(), b.rows());
     for r in 0..m {
         let a_row = &a.as_slice()[r * k..(r + 1) * k];
         let out_row = &mut out[r * n..(r + 1) * n];
         for (c, o) in out_row.iter_mut().enumerate() {
             let b_row = &b.as_slice()[c * k..(c + 1) * k];
-            let mut acc = 0.0f32;
+            let mut acc = match start {
+                Start::Zero => 0.0f32,
+                Start::Continue => *o,
+            };
             for (&x, &y) in a_row.iter().zip(b_row) {
                 acc += x * y;
             }
@@ -1058,13 +1089,15 @@ fn matmul_nt_naive_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
 /// Naive k-outer `C = A^T @ B` — reference kernel for the parity tests.
 pub fn matmul_tn_naive(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.cols(), b.cols());
-    matmul_tn_naive_into(a, b, out.as_mut_slice());
+    matmul_tn_naive_into(a.into(), b.into(), out.as_mut_slice(), Start::Zero);
     out
 }
 
-fn matmul_tn_naive_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
+fn matmul_tn_naive_into(a: RowBlock, b: RowBlock, out: &mut [f32], start: Start) {
     let (k, m, n) = (a.rows(), a.cols(), b.cols());
-    out.fill(0.0);
+    if start == Start::Zero {
+        out.fill(0.0);
+    }
     // out[r, c] = sum_k a[k, r] * b[k, c]; iterate k outer for contiguity.
     for kk in 0..k {
         let a_row = &a.as_slice()[kk * m..(kk + 1) * m];
@@ -1099,42 +1132,67 @@ pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
 /// `C = op(A) @ op(B)`, each operand read in its `Layout`, on the loop
 /// nest the product's size selects.
 pub(crate) fn matmul(a: &Matrix, a_layout: Layout, b: &Matrix, b_layout: Layout) -> Matrix {
-    let (m, k) = a_layout.oriented(a);
-    let n = b_layout.oriented(b).1;
+    let (m, k) = a_layout.oriented(a.into());
+    let n = b_layout.oriented(b.into()).1;
     let mut out = Matrix::zeros(m, n);
     let path = GemmPath::for_product(m, k, n);
-    matmul_into_on(path, a, a_layout, b, b_layout, &mut out);
+    matmul_into_on(
+        path,
+        a.into(),
+        a_layout,
+        b.into(),
+        b_layout,
+        out.as_mut_slice(),
+        Start::Zero,
+    );
     out
 }
 
-/// [`matmul`] into a pre-shaped output, on a loop nest the caller chose.
-/// A one-column row-major product takes [`matvec`].
-pub(crate) fn matmul_into_on(
+/// `out = op(A) @ op(B)`, each operand read in its [`Layout`], into a
+/// pre-shaped row-major `out` (`m × n`), on a loop nest the caller chose,
+/// each sum starting where `start` says: the one body of [`matmul_nn`],
+/// [`matmul_nt`] and [`matmul_tn`]. A one-column row-major product takes
+/// the private `matvec`.
+///
+/// Under [`Start::Continue`] every path runs the chain one call over the
+/// whole of `k` runs, so cutting a product along `k` into consecutive
+/// calls changes no bit of it (proptested): an op that accumulates a
+/// product block by block keeps the bits of the whole product
+/// ([`crate::tape::Tape::score_xent`]'s `∂W_c`).
+///
+/// # Panics
+/// If the inner dimensions disagree, if `out` does not hold `m × n`
+/// values, or if both operands are [`Layout::Transposed`] on the naive
+/// path (no product reads them so).
+pub fn matmul_into_on(
     path: GemmPath,
-    a: &Matrix,
+    a: RowBlock,
     a_layout: Layout,
-    b: &Matrix,
+    b: RowBlock,
     b_layout: Layout,
-    out: &mut Matrix,
+    out: &mut [f32],
+    start: Start,
 ) {
     let ((m, k), (kb, n)) = (a_layout.oriented(a), b_layout.oriented(b));
     assert_eq!(
         k, kb,
         "matmul: inner dim mismatch, op(A) is {m}x{k} and op(B) is {kb}x{n}"
     );
-    assert_eq!(out.shape(), (m, n), "matmul_into_on: bad output shape");
-    let (a_data, b_data, out_data) = (a.as_slice(), b.as_slice(), out.as_mut_slice());
+    assert_eq!(out.len(), m * n, "matmul_into_on: output is not {m}x{n}");
+    let (a_data, b_data) = (a.as_slice(), b.as_slice());
     match (path, a_layout, b_layout) {
-        (_, Layout::RowMajor, Layout::RowMajor) if n == 1 => matvec(path, a_data, b_data, out_data),
-        (GemmPath::Tiled, ..) => gemm(out_data, m, k, n, a_data, a_layout, b_data, b_layout),
+        (_, Layout::RowMajor, Layout::RowMajor) if n == 1 => {
+            matvec(path, a_data, b_data, out, start)
+        }
+        (GemmPath::Tiled, ..) => gemm(out, m, k, n, a_data, a_layout, b_data, b_layout, start),
         (GemmPath::Naive, Layout::RowMajor, Layout::RowMajor) => {
-            matmul_nn_naive_into(a, b, out_data)
+            matmul_nn_naive_into(a, b, out, start)
         }
         (GemmPath::Naive, Layout::RowMajor, Layout::Transposed) => {
-            matmul_nt_naive_into(a, b, out_data)
+            matmul_nt_naive_into(a, b, out, start)
         }
         (GemmPath::Naive, Layout::Transposed, Layout::RowMajor) => {
-            matmul_tn_naive_into(a, b, out_data)
+            matmul_tn_naive_into(a, b, out, start)
         }
         (GemmPath::Naive, Layout::Transposed, Layout::Transposed) => {
             unreachable!("no product reads both operands transposed")
@@ -1154,45 +1212,50 @@ pub(crate) fn matmul_into_on(
 /// (`f32::mul_add` rounds once, as `vfmadd` does — and the driver's
 /// store/reload of a partial sum between [`KC`] blocks changes no value);
 /// the portable tile multiplies then adds.
-fn matvec(path: GemmPath, a: &[f32], b: &[f32], out: &mut [f32]) {
+fn matvec(path: GemmPath, a: &[f32], b: &[f32], out: &mut [f32], start: Start) {
     match (path, active_microkernel()) {
-        (GemmPath::Naive, _) => matvec_rows(
-            a,
-            b,
-            out,
-            |acc, av, bv| {
-                if av == 0.0 {
-                    acc
-                } else {
-                    acc + av * bv
-                }
-            },
-        ),
+        (GemmPath::Naive, _) => matvec_rows(a, b, out, start, |acc, av, bv| {
+            if av == 0.0 {
+                acc
+            } else {
+                acc + av * bv
+            }
+        }),
         (GemmPath::Tiled, MicrokernelKind::Portable) => {
-            matvec_rows(a, b, out, |acc, av, bv| acc + av * bv)
+            matvec_rows(a, b, out, start, |acc, av, bv| acc + av * bv)
         }
         (GemmPath::Tiled, MicrokernelKind::Avx2Fma(_) | MicrokernelKind::Avx512(_)) => {
-            matvec_rows(a, b, out, |acc, av, bv| av.mul_add(bv, acc))
+            matvec_rows(a, b, out, start, |acc, av, bv| av.mul_add(bv, acc))
         }
     }
 }
 
-/// [`matvec`]'s row walk: `out[r] = fold(step, 0, a[r, ..] · b)` with
-/// eight rows' chains in flight, so the adds of one row overlap the
-/// others' instead of waiting on each other.
+/// [`matvec`]'s row walk: `out[r] = fold(step, s, a[r, ..] · b)` with
+/// `s` the start `start` names and eight rows' chains in flight, so the
+/// adds of one row overlap the others' instead of waiting on each other.
 #[inline(always)]
-fn matvec_rows(a: &[f32], b: &[f32], out: &mut [f32], step: impl Fn(f32, f32, f32) -> f32) {
+fn matvec_rows(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    start: Start,
+    step: impl Fn(f32, f32, f32) -> f32,
+) {
     const CHAINS: usize = 8;
     let k = b.len();
     assert_eq!(a.len(), out.len() * k, "matvec: operand shapes");
+    let init = |o: f32| match start {
+        Start::Zero => 0.0,
+        Start::Continue => o,
+    };
     if k == 0 {
-        return out.fill(0.0);
+        return out.iter_mut().for_each(|o| *o = init(*o));
     }
     let mut blocks = out.chunks_exact_mut(CHAINS);
     let mut a_blocks = a.chunks_exact(CHAINS * k);
     for (block, rows) in (&mut blocks).zip(&mut a_blocks) {
         let rows: [&[f32]; CHAINS] = std::array::from_fn(|i| &rows[i * k..][..k]);
-        let mut acc = [0.0f32; CHAINS];
+        let mut acc: [f32; CHAINS] = std::array::from_fn(|i| init(block[i]));
         for (kk, &bv) in b.iter().enumerate() {
             for (acc, row) in acc.iter_mut().zip(&rows) {
                 *acc = step(*acc, row[kk], bv);
@@ -1205,7 +1268,7 @@ fn matvec_rows(a: &[f32], b: &[f32], out: &mut [f32], step: impl Fn(f32, f32, f3
         *o = row
             .iter()
             .zip(b)
-            .fold(0.0, |acc, (&av, &bv)| step(acc, av, bv));
+            .fold(init(*o), |acc, (&av, &bv)| step(acc, av, bv));
     }
 }
 

@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 // The benchmark suite under `crates/bench/src/bin/suite` is frozen and
 // imports these four through this path; every other caller names
@@ -161,6 +162,15 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Borrow the rows `range` as a [`RowBlock`].
+    pub fn row_block(&self, range: Range<usize>) -> RowBlock<'_> {
+        RowBlock {
+            rows: range.len(),
+            cols: self.cols,
+            data: &self.data[range.start * self.cols..range.end * self.cols],
+        }
+    }
+
     /// The value of a 1x1 matrix.
     pub fn item(&self) -> f32 {
         assert_eq!(self.shape(), (1, 1), "item() on non-scalar matrix");
@@ -234,6 +244,39 @@ impl Matrix {
     /// True if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|x| !x.is_finite())
+    }
+}
+
+/// Consecutive rows of a [`Matrix`], borrowed: an operand a product
+/// reads in place ([`crate::gemm::matmul_into_on`]) when it multiplies
+/// part of a stored matrix.
+#[derive(Clone, Copy, Debug)]
+pub struct RowBlock<'a> {
+    rows: usize,
+    cols: usize,
+    data: &'a [f32],
+}
+
+impl<'a> RowBlock<'a> {
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Flat row-major view of the rows.
+    pub fn as_slice(&self) -> &'a [f32] {
+        self.data
+    }
+}
+
+impl<'a> From<&'a Matrix> for RowBlock<'a> {
+    fn from(m: &'a Matrix) -> Self {
+        m.row_block(0..m.rows)
     }
 }
 

@@ -15,7 +15,7 @@
 //! and sidestep `log(0)`.
 
 use crate::gemm::Layout::{self, RowMajor, Transposed};
-use crate::gemm::{matmul, matmul_into_on, matmul_tn, GemmPath};
+use crate::gemm::{matmul, matmul_into_on, matmul_tn, GemmPath, Start};
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
 use crate::rows::{concat_cols, gather_rows, rowwise_dot, scale_rows, scatter_add_rows};
@@ -112,6 +112,11 @@ enum Op {
     },
 }
 
+/// Scored rows per block of [`Tape::score_xent`]'s backward: a block of
+/// a few thousand candidates' `∂logits` (64 × 4040 `f32` is 1 MB) stays
+/// in L2 while its four passes read it.
+const SCORE_XENT_BLOCK: usize = 64;
+
 /// State of an [`Op::ScoreXent`] node: what [`Tape::score_xent`] scored,
 /// over the rows of `h` that carry a target.
 struct ScoreXent {
@@ -120,7 +125,8 @@ struct ScoreXent {
     b_c: Var,
     /// Rows of `h` with at least one target, ascending.
     rows: Vec<u32>,
-    /// The targets in the caller's order, their row an index into `rows`.
+    /// The targets, their row an index into `rows`, stably sorted by it:
+    /// each row's targets keep the caller's order.
     targets: Vec<SparseTarget>,
     norm: f32,
     /// Those rows of `h`, gathered (`R × d`).
@@ -864,6 +870,19 @@ impl Tape {
     /// underflows to `-0.0` keeps that sign here, where a zero row of the
     /// chain would have turned it into `+0.0`.)
     ///
+    /// Backward walks the scored rows in blocks of 64, so that a block of
+    /// `∂logits` (1 MB at 4040 candidates) stays in L2 across the four
+    /// passes that read it, where the whole `R × |C|` matrix would stream
+    /// from memory four times. Per block it writes the rows' `∂logits`
+    /// and subtracts their targets (stably sorted by row when the op is
+    /// recorded, so repeated `(row, col)` entries keep their order), adds
+    /// the rows to `∂b_c`, writes their rows of `∂h = ∂logits · w_c`, and
+    /// continues `∂w_c = ∂logitsᵀ h` from the partial sums the previous
+    /// block left ([`Start::Continue`]). Every element of `∂w_c` is still
+    /// one accumulation chain over ascending rows from `+0.0`: its partial
+    /// is stored and reloaded exactly at a block edge, as at a `KC` edge,
+    /// so the blocks change no bit.
+    ///
     /// Because backward consumes the logits, [`Tape::backward`] can run
     /// through this op once; a second call panics — record the forward
     /// pass again instead.
@@ -903,8 +922,9 @@ impl Tape {
         let h_rows = gather_rows(self.value(h), &rows);
         let mut logits = Matrix::zeros(rows.len(), n_cand);
         let path = GemmPath::for_product(slots, d, n_cand);
-        let w = self.value(w_c);
-        matmul_into_on(path, &h_rows, RowMajor, w, Transposed, &mut logits);
+        let (h_in, w) = ((&h_rows).into(), self.value(w_c).into());
+        let out = logits.as_mut_slice();
+        matmul_into_on(path, h_in, RowMajor, w, Transposed, out, Start::Zero);
         let bias = self.value(b_c).as_slice();
         let mut stats = Vec::with_capacity(rows.len());
         for i in 0..rows.len() {
@@ -920,6 +940,9 @@ impl Tape {
             let p = (fast_exp(logits.get(i as usize, c as usize) - max) * inv).max(1e-12);
             loss -= (w as f64) * (p as f64).ln();
         }
+        // backward applies them a block of rows at a time
+        let mut targets = targets;
+        targets.sort_by_key(|&(i, _, _)| i);
         let v = Matrix::scalar((loss / norm as f64) as f32);
         let ng = self.needs(h) || self.needs(w_c) || self.needs(b_c);
         self.push(
@@ -1265,8 +1288,6 @@ impl Tape {
                          gradient; record the forward pass again to differentiate it twice"
                     );
                     let mut gz = logits.borrow_mut();
-                    // dL/dz as in `SoftmaxXent`, over the scored rows only
-                    // and written where the logits lie
                     let go = g.item() / norm;
                     let (slots, d) = self.shape(*h);
                     let n_cand = gz.cols();
@@ -1274,45 +1295,71 @@ impl Tape {
                     for &(i, _, w) in targets {
                         row_w[i as usize] += w;
                     }
-                    for (i, &rw) in row_w.iter().enumerate() {
-                        if rw == 0.0 {
-                            gz.row_mut(i).fill(0.0);
-                            continue;
-                        }
-                        let w = rw * go;
-                        let (max, inv) = stats[i];
-                        for z in gz.row_mut(i) {
-                            *z = w * (fast_exp(*z - max) * inv);
-                        }
-                    }
-                    for &(i, c, w) in targets {
-                        let v = gz.get(i as usize, c as usize) - w * go;
-                        gz.set(i as usize, c as usize, v);
-                    }
                     let path = GemmPath::for_product(slots, d, n_cand);
-                    if self.needs(*b_c) {
-                        let mut gb = Matrix::zeros(n_cand, 1);
-                        for i in 0..rows.len() {
-                            for (o, &v) in gb.as_mut_slice().iter_mut().zip(gz.row(i)) {
-                                *o += v;
+                    let w_c_value = self.value(*w_c);
+                    let mut gb = self.needs(*b_c).then(|| Matrix::zeros(n_cand, 1));
+                    let mut gh = self.needs(*h).then(|| Matrix::zeros(slots, d));
+                    let mut gw = self.needs(*w_c).then(|| Matrix::zeros(n_cand, d));
+                    let mut gh_block = vec![0.0f32; SCORE_XENT_BLOCK.min(rows.len()) * d];
+                    let mut pending = targets.as_slice();
+                    for i0 in (0..rows.len()).step_by(SCORE_XENT_BLOCK) {
+                        let block = i0..(i0 + SCORE_XENT_BLOCK).min(rows.len());
+                        // dL/dz as in `SoftmaxXent`, over the block's rows
+                        // and written where their logits lie
+                        for i in block.clone() {
+                            let rw = row_w[i];
+                            if rw == 0.0 {
+                                gz.row_mut(i).fill(0.0);
+                                continue;
+                            }
+                            let w = rw * go;
+                            let (max, inv) = stats[i];
+                            for z in gz.row_mut(i) {
+                                *z = w * (fast_exp(*z - max) * inv);
                             }
                         }
-                        accum(&mut grads, *b_c, gb);
-                    }
-                    if self.needs(*h) {
-                        let mut gh_rows = Matrix::zeros(rows.len(), d);
-                        let w = self.value(*w_c);
-                        matmul_into_on(path, &gz, RowMajor, w, RowMajor, &mut gh_rows);
-                        let mut gh = Matrix::zeros(slots, d);
-                        for (i, &r) in rows.iter().enumerate() {
-                            gh.row_mut(r as usize).copy_from_slice(gh_rows.row(i));
+                        let here = pending.partition_point(|&(i, _, _)| (i as usize) < block.end);
+                        let (these, rest) = pending.split_at(here);
+                        pending = rest;
+                        for &(i, c, w) in these {
+                            let v = gz.get(i as usize, c as usize) - w * go;
+                            gz.set(i as usize, c as usize, v);
                         }
-                        accum(&mut grads, *h, gh);
+                        if let Some(gb) = &mut gb {
+                            for i in block.clone() {
+                                for (o, &v) in gb.as_mut_slice().iter_mut().zip(gz.row(i)) {
+                                    *o += v;
+                                }
+                            }
+                        }
+                        let gz_block = gz.row_block(block.clone());
+                        if let Some(gh) = &mut gh {
+                            let out = &mut gh_block[..block.len() * d];
+                            let w = w_c_value.into();
+                            matmul_into_on(path, gz_block, RowMajor, w, RowMajor, out, Start::Zero);
+                            for (j, &r) in rows[block.clone()].iter().enumerate() {
+                                gh.row_mut(r as usize)
+                                    .copy_from_slice(&out[j * d..(j + 1) * d]);
+                            }
+                        }
+                        if let Some(gw) = &mut gw {
+                            let h_block = h_rows.row_block(block);
+                            let out = gw.as_mut_slice();
+                            matmul_into_on(
+                                path,
+                                gz_block,
+                                Transposed,
+                                h_block,
+                                RowMajor,
+                                out,
+                                Start::Continue,
+                            );
+                        }
                     }
-                    if self.needs(*w_c) {
-                        let mut gw = Matrix::zeros(n_cand, d);
-                        matmul_into_on(path, &gz, Transposed, h_rows, RowMajor, &mut gw);
-                        accum(&mut grads, *w_c, gw);
+                    for (v, grad) in [(b_c, gb), (h, gh), (w_c, gw)] {
+                        if let Some(grad) = grad {
+                            accum(&mut grads, *v, grad);
+                        }
                     }
                 }
                 Op::BceWithLogits { logits, targets } => {

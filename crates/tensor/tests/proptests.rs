@@ -6,8 +6,9 @@
 use proptest::prelude::*;
 use std::rc::Rc;
 use tg_tensor::gemm::{
-    active_microkernel, available_microkernels, force_microkernel, matmul_nn, matmul_nn_naive,
-    matmul_nt, matmul_nt_naive, matmul_tn, matmul_tn_naive, MicrokernelKind, KC, TILE_THRESHOLD,
+    active_microkernel, available_microkernels, force_microkernel, matmul_into_on, matmul_nn,
+    matmul_nn_naive, matmul_nt, matmul_nt_naive, matmul_tn, matmul_tn_naive, GemmPath, Layout,
+    MicrokernelKind, Start, KC, TILE_THRESHOLD,
 };
 use tg_tensor::matrix::Matrix;
 use tg_tensor::parallel::{par_chunks_mut, par_map, ThreadPin};
@@ -61,6 +62,10 @@ fn row_softmax_stats_by_eights(row: &[f32]) -> (f32, f32) {
         (max, 1.0)
     }
 }
+
+/// Scored rows per block of [`Tape::score_xent`]'s backward (a private
+/// constant of the op): the block edges the oracle puts targets across.
+const SCORE_XENT_BLOCK: usize = 64;
 
 /// One decode level of a [`score_xent_case`]: its decode states and the
 /// `(row, candidate column, weight)` targets on them.
@@ -718,12 +723,16 @@ proptest! {
     /// rows, and with targets that are unsorted, repeated, missing from
     /// any share of the rows, or absent altogether. Two levels share the
     /// candidate set, so the once-gathered rows also have to accumulate
-    /// like the per-level gathers do.
+    /// like the per-level gathers do. Backward walks the scored rows in
+    /// blocks of [`SCORE_XENT_BLOCK`]: `edge` scores every row of exactly
+    /// one block, one block and a row, or several blocks, with unsorted
+    /// and repeated targets on both sides of each block edge.
     #[test]
     fn score_xent_matches_the_unfused_chain(
         dims in (1usize..24, 1usize..40, 1usize..40),
         tall in 0u32..4,
         coverage in 0u32..5,
+        edge in 0u32..4,
         picks in proptest::collection::vec((0u32..1 << 16, 0u32..1 << 16, 0.25f32..2.0), 1..40),
         norm in 0.5f32..8.0,
         seed in 0u64..1 << 40,
@@ -731,6 +740,12 @@ proptest! {
         use rand::{Rng, SeedableRng};
         let (slots, d, n_cand) = dims;
         let slots = if tall == 0 { slots + KC } else { slots };
+        let (slots, coverage) = match edge {
+            0 => (slots, coverage),
+            1 => (SCORE_XENT_BLOCK, 4),
+            2 => (SCORE_XENT_BLOCK + 1, 4),
+            _ => (3 * SCORE_XENT_BLOCK + slots, 4),
+        };
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let mut fill = |rows: usize, cols: usize| {
             Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-0.5f32..0.5))
@@ -762,6 +777,12 @@ proptest! {
                     .collect();
                 if every_row {
                     targets.extend((0..rows).rev().map(|r| (r, r % n_cand as u32, 1.0)));
+                }
+                if edge > 0 {
+                    let c = |i: u32| i % n_cand as u32;
+                    for e in (SCORE_XENT_BLOCK as u32..rows).step_by(SCORE_XENT_BLOCK) {
+                        targets.extend([(e, c(e), 0.5), (e - 1, c(e + 1), 1.5), (e, c(e), 0.75)]);
+                    }
                 }
                 if let Some(&first) = targets.first() {
                     targets.push(first); // a repeated (row, col)
@@ -1209,6 +1230,70 @@ proptest! {
                 prop_assert_eq!(got.shape(), (m, n));
                 let got: Vec<u32> = got.as_slice().iter().map(|x| x.to_bits()).collect();
                 prop_assert!(got == want, "{kind:?} {op} ({m},{k},{n}) is not the mul_add chain");
+            }
+        }
+    }
+
+    /// A product cut along `k` into ascending pieces — of one step, of
+    /// fewer than `KC` and of more — and accumulated piece by piece
+    /// (`Start::Zero` over an output of NaNs, then `Start::Continue`) is
+    /// bit-identical to one call over the whole of `k`: `tn`, whose pieces
+    /// are row blocks of both stored operands (`Tape::score_xent`'s
+    /// `∂W_c`), and `nn`, which one column reaches the matvec with; for
+    /// every microkernel and on both loop nests. The operands carry signed
+    /// zeros and subnormals, which the naive loops skip or keep.
+    #[test]
+    fn continued_matmul_matches_one_call(
+        m in 1usize..40,
+        n in 1usize..40,
+        pieces in proptest::collection::vec(0u32..3, 1..5),
+        seed in 0u64..u64::MAX,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let mut cuts = vec![0usize];
+        for class in pieces {
+            let len = match class {
+                0 => 1,
+                1 => rng.gen_range(2..KC),
+                _ => rng.gen_range(KC + 1..KC + 100),
+            };
+            cuts.push(cuts[cuts.len() - 1] + len);
+        }
+        let k = cuts[cuts.len() - 1];
+        let a = Matrix::from_fn(m, k, |_, _| edgy_value(&mut rng));
+        let b = Matrix::from_fn(k, n, |_, _| edgy_value(&mut rng));
+        let at = a.transpose();
+        let bits = |out: &[f32]| out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        for kind in available_microkernels() {
+            let _g = force_microkernel(kind);
+            for path in [GemmPath::Naive, GemmPath::Tiled] {
+                for layout in [Layout::Transposed, Layout::RowMajor] {
+                    let whole_a = match layout {
+                        Layout::Transposed => &at,
+                        Layout::RowMajor => &a,
+                    };
+                    let mut whole = vec![f32::NAN; m * n];
+                    matmul_into_on(path, whole_a.into(), layout, (&b).into(), Layout::RowMajor, &mut whole, Start::Zero);
+                    let mut cut = vec![f32::NAN; m * n];
+                    for (p, piece) in cuts.windows(2).enumerate() {
+                        let (k0, k1) = (piece[0], piece[1]);
+                        let start = if p == 0 { Start::Zero } else { Start::Continue };
+                        let a_cols;
+                        let a_piece = match layout {
+                            Layout::Transposed => at.row_block(k0..k1),
+                            Layout::RowMajor => {
+                                a_cols = Matrix::from_fn(m, k1 - k0, |r, c| a.get(r, k0 + c));
+                                (&a_cols).into()
+                            }
+                        };
+                        matmul_into_on(path, a_piece, layout, b.row_block(k0..k1), Layout::RowMajor, &mut cut, start);
+                    }
+                    prop_assert!(
+                        bits(&cut) == bits(&whole),
+                        "{kind:?} {path:?} {layout:?} ({m},{k},{n}) cut at {cuts:?}"
+                    );
+                }
             }
         }
     }

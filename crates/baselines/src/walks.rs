@@ -21,7 +21,7 @@ use crate::autoencoder::{bucketize, generate_from_scores};
 use crate::traits::TemporalGraphGenerator;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use tg_graph::{NodeId, TemporalEdge, TemporalGraph, Time};
 use tg_tensor::matrix::Matrix;
@@ -42,7 +42,9 @@ pub(crate) struct TransitionModel {
 
 impl TransitionModel {
     fn from_edges(n: usize, edges: impl Iterator<Item = (NodeId, NodeId)>) -> Self {
-        let mut next: HashMap<NodeId, HashMap<NodeId, f64>> = HashMap::new();
+        // ordered by target: `sample_next` draws an index into each list,
+        // so its order is part of the seeded output
+        let mut next: HashMap<NodeId, BTreeMap<NodeId, f64>> = HashMap::new();
         let mut starts = vec![0.0; n];
         for (u, v) in edges {
             *next.entry(u).or_default().entry(v).or_insert(0.0) += 1.0;

@@ -3,9 +3,10 @@
 //! Each preset carries the paper's node/edge/timestamp counts plus
 //! structural knobs chosen to mimic the network's character (citation vs
 //! communication vs trust vs Q&A). `Preset::generate_scaled` shrinks node
-//! and edge counts proportionally for laptop-scale runs — the experiment
-//! binaries default to a scale < 1 and accept `--scale 1.0` for the full
-//! Table II operating points.
+//! and edge counts proportionally for laptop-scale runs — `tgx::paper`
+//! defaults to a scale < 1 per dataset, and
+//! `cargo run --release --example paper_tables -- <table> --scale 1.0`
+//! runs the full Table II operating points.
 
 use crate::synthetic::{generate, SyntheticConfig};
 use rand::rngs::SmallRng;

@@ -97,6 +97,6 @@ fn main() {
     }
     println!("\nsimple models are near-instant; learned models pay training time —");
     println!(
-        "the full sweep (Fig. 6 reproduction) is `cargo run -p tg-bench --release --bin exp_fig6`"
+        "the full sweep (Fig. 6 reproduction) is `cargo run --release --example paper_tables -- fig6`"
     );
 }

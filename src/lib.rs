@@ -16,6 +16,7 @@
 //! | [`metrics`] | `tg-metrics` | Table III stats, motif census, MMD |
 //! | [`baselines`] | `tg-baselines` | the ten comparison generators |
 //! | [`datasets`] | `tg-datasets` | synthetic Table II presets, grids |
+//! | [`paper`] | this crate | the paper's tables and figures as functions, printed by `cargo run --release --example paper_tables -- <table>` |
 //!
 //! There is one way in: a [`Session`](tgae::Session) trains (a single
 //! master seed, typed errors, epoch observation, checkpoint/resume) and
@@ -59,6 +60,8 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
+
+pub mod paper;
 
 pub use tg_baselines as baselines;
 pub use tg_datasets as datasets;

@@ -21,7 +21,7 @@ use crate::autoencoder::{bucketize, generate_from_scores};
 use crate::traits::TemporalGraphGenerator;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use tg_graph::{NodeId, TemporalEdge, TemporalGraph, Time};
 use tg_tensor::matrix::Matrix;
@@ -34,8 +34,8 @@ use tg_tensor::prelude::*;
 /// Sparse node-transition counts learned from walks or edges.
 #[derive(Default, Clone)]
 pub(crate) struct TransitionModel {
-    /// `next[u]` = (target, weight) list.
-    next: HashMap<NodeId, Vec<(NodeId, f64)>>,
+    /// `next[u]` = (target, weight) list, one per node.
+    next: Vec<Vec<(NodeId, f64)>>,
     /// start-node weights (by temporal degree).
     starts: Vec<f64>,
 }
@@ -44,17 +44,14 @@ impl TransitionModel {
     fn from_edges(n: usize, edges: impl Iterator<Item = (NodeId, NodeId)>) -> Self {
         // ordered by target: `sample_next` draws an index into each list,
         // so its order is part of the seeded output
-        let mut next: HashMap<NodeId, BTreeMap<NodeId, f64>> = HashMap::new();
+        let mut next: Vec<BTreeMap<NodeId, f64>> = vec![BTreeMap::new(); n];
         let mut starts = vec![0.0; n];
         for (u, v) in edges {
-            *next.entry(u).or_default().entry(v).or_insert(0.0) += 1.0;
+            *next[u as usize].entry(v).or_insert(0.0) += 1.0;
             starts[u as usize] += 1.0;
             starts[v as usize] += 0.5; // targets may start walks too
         }
-        let next = next
-            .into_iter()
-            .map(|(u, m)| (u, m.into_iter().collect::<Vec<_>>()))
-            .collect();
+        let next = next.into_iter().map(|m| m.into_iter().collect()).collect();
         TransitionModel { next, starts }
     }
 
@@ -66,7 +63,7 @@ impl TransitionModel {
     }
 
     fn sample_next(&self, u: NodeId, rng: &mut dyn RngCore) -> Option<NodeId> {
-        let opts = self.next.get(&u)?;
+        let opts = self.next.get(u as usize)?;
         let weights: Vec<f64> = opts.iter().map(|&(_, w)| w).collect();
         if weights.iter().all(|&w| w <= 0.0) {
             return None;
@@ -76,7 +73,7 @@ impl TransitionModel {
 
     /// Multiply the weight of transition `(u, v)` by `factor`.
     fn reweight(&mut self, u: NodeId, v: NodeId, factor: f64) {
-        if let Some(opts) = self.next.get_mut(&u) {
+        if let Some(opts) = self.next.get_mut(u as usize) {
             for (t, w) in opts.iter_mut() {
                 if *t == v {
                     *w *= factor;
@@ -238,11 +235,6 @@ impl TemporalGraphGenerator for NetGanGenerator {
                     }
                     cands.sort_unstable();
                     cands.dedup();
-                    let col_of: HashMap<u32, u32> = cands
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &v)| (v, i as u32))
-                        .collect();
                     let mut tape = Tape::new();
                     let s = tape.param(&store, src_emb);
                     let d = tape.param(&store, dst_emb);
@@ -250,10 +242,13 @@ impl TemporalGraphGenerator for NetGanGenerator {
                     let su = tape.gather_rows(s, Rc::new(us));
                     let dc = tape.gather_rows(d, Rc::new(cands.clone()));
                     let logits = tape.matmul_nt(su, dc);
+                    // `cands` is sorted, deduplicated and holds every
+                    // positive: a positive's column is its rank
+                    let col_of = |v: u32| cands.partition_point(|&c| c < v) as u32;
                     let targets: Vec<SparseTarget> = batch
                         .iter()
                         .enumerate()
-                        .map(|(r, &(_, v))| (r as u32, col_of[&v], 1.0f32))
+                        .map(|(r, &(_, v))| (r as u32, col_of(v), 1.0f32))
                         .collect();
                     let norm = targets.len() as f32;
                     let loss = tape.softmax_xent(logits, Rc::new(targets), norm);
@@ -617,12 +612,12 @@ impl TemporalGraphGenerator for TiggerGenerator {
         let tm = TransitionModel::from_edges(n, observed.edges().iter().map(|e| (e.u, e.v)));
         // per-source inter-event gap histogram (global fallback histogram)
         let mut gap_hist = vec![1e-9f64; t_count];
-        let mut last_t: HashMap<NodeId, Time> = HashMap::new();
+        let mut last_t: Vec<Option<Time>> = vec![None; n];
         for e in observed.edges() {
-            if let Some(&lt) = last_t.get(&e.u) {
+            if let Some(lt) = last_t[e.u as usize] {
                 gap_hist[(e.t - lt).min(t_count as u32 - 1) as usize] += 1.0;
             }
-            last_t.insert(e.u, e.t);
+            last_t[e.u as usize] = Some(e.t);
         }
         // start-time distribution = observed per-timestamp volume
         let start_t_weights: Vec<f64> = observed
@@ -783,7 +778,7 @@ mod tests {
             ..Default::default()
         })
         .fit_generate(&g, &mut rng);
-        let truth: std::collections::HashSet<(u32, u32)> =
+        let truth: std::collections::BTreeSet<(u32, u32)> =
             g.edges().iter().map(|e| (e.u, e.v)).collect();
         let hits = out
             .edges()

@@ -79,6 +79,12 @@ impl From<String> for CliError {
     }
 }
 
+impl From<&str> for CliError {
+    fn from(m: &str) -> Self {
+        CliError::Other(m.to_string())
+    }
+}
+
 /// A failed [`tg_graph::io::commit_atomic`] step. Exit 1.
 impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {

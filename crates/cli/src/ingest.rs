@@ -65,7 +65,7 @@ fn infer_exact_shape(path: &str) -> Result<(usize, usize), String> {
 }
 
 /// Resolve the graph to store from `--edges`/`--preset` options.
-fn load_input(args: &Args) -> Result<(TemporalGraph, String), String> {
+fn load_input(args: &Args) -> Result<(TemporalGraph, String), CliError> {
     match (args.get("edges"), args.get("preset")) {
         (Some(path), None) => {
             let path = path.to_string();
@@ -90,7 +90,7 @@ fn load_input(args: &Args) -> Result<(TemporalGraph, String), String> {
                     load_edge_list_exact(&path, n, t).map_err(|e| format!("load {path}: {e}"))?;
                 Ok((g, format!("file:{path} (exact)")))
             } else {
-                crate::input::load_text_edges(args, &path)
+                Ok(crate::input::load_text_edges(args, &path)?)
             }
         }
         (None, Some(name)) => crate::input::load_preset(args, name),

@@ -6,6 +6,7 @@
 //! drift apart.
 
 use crate::args::Args;
+use crate::errors::CliError;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::num::NonZeroUsize;
@@ -13,11 +14,17 @@ use tg_graph::io::load_edge_list;
 use tg_graph::TemporalGraph;
 
 /// Generate a synthetic preset observed graph: `--preset NAME`
-/// honoring `--scale`, `--data-seed`, and `--n-timestamps`.
-pub fn load_preset(args: &Args, name: &str) -> Result<(TemporalGraph, String), String> {
+/// honoring `--scale`, `--data-seed`, and `--n-timestamps`. A `--scale`
+/// that does not parse, or is not finite and greater than 0, is a usage
+/// error (a scale the preset would clamp to its smallest graph).
+pub fn load_preset(args: &Args, name: &str) -> Result<(TemporalGraph, String), CliError> {
     let preset = tg_datasets::presets::by_name(name)
         .ok_or_else(|| format!("unknown preset `{name}` (try: dblp, email, msg, …)"))?;
-    let scale: f64 = args.get_parsed("scale", 1.0)?;
+    let scale: f64 = args.get_parsed("scale", 1.0).map_err(CliError::Usage)?;
+    if !(scale.is_finite() && scale > 0.0) {
+        let msg = format!("--scale must be finite and greater than 0, got `{scale}`");
+        return Err(CliError::Usage(msg));
+    }
     let data_seed: u64 = args.get_parsed("data-seed", 7)?;
     let mut cfg = preset.config.scaled(scale);
     if let Some(t) = args.get("n-timestamps") {

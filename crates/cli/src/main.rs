@@ -111,7 +111,7 @@ fn run(argv: &[String]) -> Result<(), CliError> {
     let args = Args::parse(&argv[1..]).map_err(CliError::Usage)?;
     match cmd.as_str() {
         "ingest" => ingest::run(&args),
-        "train" => train::run(&args).map_err(CliError::from),
+        "train" => train::run(&args),
         "simulate" => simulate::run(&args),
         "eval" => eval::run(&args).map_err(CliError::from),
         "serve" => serve::run(&args),

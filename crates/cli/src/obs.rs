@@ -16,10 +16,9 @@ use std::path::Path;
 use tg_obs::memtrack;
 use tgae::{EpochEvent, RunObserver, TrainControl};
 
-/// A [`RunObserver`] that records each epoch's loss, wall time, and heap
-/// high-water mark into the global `tg-obs` metrics registry and a
-/// `telemetry.jsonl` file. The heap reading comes from [`memtrack`],
-/// which `main.rs` installs as the global allocator.
+/// A [`RunObserver`] that appends each epoch's loss, wall time, and heap
+/// high-water mark to a `telemetry.jsonl` file. The heap reading comes
+/// from [`memtrack`], which `main.rs` installs as the global allocator.
 ///
 /// Telemetry is *observation only*: the observer always returns
 /// [`TrainControl::Continue`] and touches nothing the seeded training
@@ -27,18 +26,14 @@ use tgae::{EpochEvent, RunObserver, TrainControl};
 /// parameters to one without (regression-tested in
 /// `telemetry_does_not_perturb_training`).
 pub struct ObsObserver {
-    run_label: String,
     sink: Option<BufWriter<File>>,
 }
 
 impl ObsObserver {
     /// An observer appending one JSON record per epoch to `path`
     /// (`{"epoch":..,"loss":..,"wall_ns":..,"heap_peak_bytes":..,"heap_live_bytes":..}`).
-    /// `run_label` becomes the `run` label on the `train.*` metrics.
-    pub fn with_file(run_label: &str, path: &Path) -> std::io::Result<ObsObserver> {
-        tg_obs::enable_metrics();
+    pub fn with_file(path: &Path) -> std::io::Result<ObsObserver> {
         Ok(ObsObserver {
-            run_label: run_label.to_string(),
             sink: Some(BufWriter::new(File::create(path)?)),
         })
     }
@@ -48,16 +43,10 @@ impl RunObserver for ObsObserver {
     fn on_epoch_end(&mut self, event: &EpochEvent) -> TrainControl {
         let heap_peak = memtrack::peak_bytes();
         let heap_live = memtrack::current_bytes();
-        let run = self.run_label.as_str();
-        tg_obs::counter!("train.epochs", run = run).inc();
-        tg_obs::gauge!("train.loss", run = run).set(f64::from(event.loss));
-        tg_obs::gauge!("train.heap_peak_bytes", run = run).set(heap_peak as f64);
-        tg_obs::histogram!("train.epoch.seconds", tg_obs::LATENCY_SECONDS, run = run)
-            .observe(event.wall.as_secs_f64());
         if let Some(w) = self.sink.as_mut() {
             // Telemetry is best-effort by contract: a full disk must not
             // abort a training run, so write errors drop the file sink
-            // (the registry keeps recording) rather than propagate.
+            // rather than propagate.
             let line = format!(
                 "{{\"epoch\":{},\"n_epochs\":{},\"loss\":{},\"wall_ns\":{},\"heap_peak_bytes\":{},\"heap_live_bytes\":{}}}",
                 event.epoch,
@@ -148,40 +137,9 @@ mod tests {
     }
 
     #[test]
-    fn observer_counts_epochs_and_feeds_the_registry() {
-        let path = tmp_file("registry");
-        let mut obs = ObsObserver::with_file("obs_unit_a", &path).unwrap();
-        for e in 0..3 {
-            assert!(matches!(
-                obs.on_epoch_end(&event(e, 1.5 - e as f32 * 0.25)),
-                TrainControl::Continue
-            ));
-        }
-        let snap = tg_obs::Registry::global().snapshot();
-        let epochs = snap
-            .iter()
-            .find(|m| {
-                m.name == "train.epochs" && m.labels == [("run".to_string(), "obs_unit_a".into())]
-            })
-            .expect("epoch counter registered");
-        assert!(matches!(epochs.value, tg_obs::MetricValue::Counter(3)));
-        let loss = snap
-            .iter()
-            .find(|m| {
-                m.name == "train.loss" && m.labels == [("run".to_string(), "obs_unit_a".into())]
-            })
-            .expect("loss gauge registered");
-        match loss.value {
-            tg_obs::MetricValue::Gauge(v) => assert_eq!(v, 1.0, "last epoch's loss"),
-            ref other => panic!("loss must be a gauge, got {other:?}"),
-        }
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
-    }
-
-    #[test]
     fn file_sink_writes_one_record_per_epoch() {
         let path = tmp_file("file");
-        let mut obs = ObsObserver::with_file("obs_unit_b", &path).unwrap();
+        let mut obs = ObsObserver::with_file(&path).unwrap();
         for e in 0..3 {
             obs.on_epoch_end(&event(e, 0.5));
         }

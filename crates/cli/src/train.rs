@@ -27,6 +27,7 @@
 //! `--edges`/`--preset` input (asserted by the CI smoke pipeline).
 
 use crate::args::Args;
+use crate::errors::CliError;
 use crate::rundir::{RunDir, RunManifest, RUN_VERSION};
 use tg_graph::io::save_edge_list_atomic;
 use tg_graph::TemporalGraph;
@@ -43,7 +44,7 @@ struct ObservedInput {
 }
 
 /// Resolve the observed graph from `--preset`/`--edges`/`--store`.
-fn load_observed(args: &Args) -> Result<ObservedInput, String> {
+fn load_observed(args: &Args) -> Result<ObservedInput, CliError> {
     match (args.get("preset"), args.get("edges"), args.get("store")) {
         (Some(name), None, None) => {
             let (graph, source) = crate::input::load_preset(args, name)?;
@@ -98,7 +99,7 @@ fn progress_observer(quiet: bool, n_epochs: usize) -> impl FnMut(&EpochEvent) ->
 }
 
 /// Run the subcommand.
-pub fn run(args: &Args) -> Result<(), String> {
+pub fn run(args: &Args) -> Result<(), CliError> {
     let run_dir = RunDir::create(args.require::<String>("run-dir")?)?;
     let quiet = args.flag("quiet");
     let resume = args.flag("resume");
@@ -166,20 +167,14 @@ pub fn run(args: &Args) -> Result<(), String> {
         })?;
     }
 
-    // --telemetry: record per-epoch loss/wall/heap into the global
-    // metrics registry and telemetry.jsonl, composed with the progress
-    // printer (the session takes one observer). The observer only
-    // *reads* the epoch events, so the parameter trajectory — and
-    // therefore model.json — is bit-identical with the flag on or off
-    // (asserted by the CLI trace test).
+    // --telemetry: append per-epoch loss/wall/heap to telemetry.jsonl,
+    // composed with the progress printer (the session takes one
+    // observer). The observer only *reads* the epoch events, so the
+    // parameter trajectory — and therefore model.json — is bit-identical
+    // with the flag on or off (asserted by the CLI trace test).
     let mut obs = if telemetry {
-        let run_label = run_dir
-            .root()
-            .file_name()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "train".to_string());
         Some(
-            crate::obs::ObsObserver::with_file(&run_label, &run_dir.telemetry_path())
+            crate::obs::ObsObserver::with_file(&run_dir.telemetry_path())
                 .map_err(|e| format!("create telemetry.jsonl: {e}"))?,
         )
     } else {

@@ -5,7 +5,8 @@
 //! - `ingest --salvage` rebuilds a clean, fully verifiable store from a
 //!   bit-flipped one (exit 0) and exits 3 on a file that is not a store;
 //! - usage errors exit 2 (the flags of the retired multi-process driver
-//!   included), and an `eval` shape without timestamps is a typed error
+//!   included, and a `--preset` `--scale` that is not finite and
+//!   positive), and an `eval` shape without timestamps is a typed error
 //!   (exit 1), not a panic;
 //! - `train --resume` under a run.json whose shape is not its
 //!   checkpoint's is a typed error (exit 1), not an allocation abort.
@@ -84,6 +85,28 @@ fn usage_errors_exit_2() {
         .output()
         .expect("run tgx-cli");
     assert_eq!(out.status.code(), Some(2), "missing --out must exit 2");
+
+    // a preset scale the generator would clamp to its smallest graph
+    let dir = tmp("sup_bad_scale");
+    for bad in ["-1", "0", "nan", "inf"] {
+        for cmd in [
+            &["train", "--run-dir", "run"][..],
+            &["ingest", "--out", "dblp.tges"],
+        ] {
+            let out = cli()
+                .current_dir(&dir)
+                .args(cmd)
+                .args(["--preset", "dblp", "--scale", bad, "--quiet"])
+                .output()
+                .expect("run tgx-cli");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let what = format!("{cmd:?} --scale {bad}: {stderr}");
+            assert_eq!(out.status.code(), Some(2), "{what}");
+            assert!(stderr.contains("--scale"), "{what}");
+        }
+    }
+    assert!(!dir.join("dblp.tges").exists());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

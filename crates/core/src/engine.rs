@@ -47,9 +47,8 @@
 //! [`generate_shard_with_sink`] having nothing but the model, the
 //! observed graph, and the spec. Because per-unit RNG streams depend
 //! only on `(master, t, chunk)`, and shards partition the plan in order,
-//! concatenating the shard outputs (e.g. with
-//! [`tg_graph::io::merge_edge_lists`]) reproduces the single-process
-//! output **bit-identically**.
+//! concatenating the shard outputs in shard order reproduces the
+//! single-process output **bit-identically**.
 //!
 //! [`generate_shard_with_sink`] is the one function that runs the
 //! pipeline; [`SharedRun`](crate::shared::SharedRun) calls it with the
@@ -358,9 +357,9 @@ impl<'a> SimulationEngine<'a> {
     /// Decode and sample one unit with its private RNG stream. Pure given
     /// the trained model: the same unit always yields the same edges.
     ///
-    /// The probability rows stay on this worker's thread-local tape and
-    /// are sampled there, inside the same scope that decoded them; the
-    /// only buffers a unit owns are its edge list and three scratch
+    /// The unit's probability rows are sampled inside the scope of this
+    /// worker's thread-local tape that decoded them and are dropped with
+    /// it; besides them, a unit owns its edge list and three scratch
     /// vectors reused across its rows. The unit RNG is consumed in a fixed
     /// order: computation-graph sampling, negative candidates, then one
     /// variate per drawn edge, row by row.
@@ -374,7 +373,6 @@ impl<'a> SimulationEngine<'a> {
             let (probs, cands) =
                 self.model
                     .generation_rows(tape, self.observed, &centers, &mut rng);
-            let probs = tape.value(probs);
             let _draw = tg_obs::trace::span("unit.draw");
             let mut scratch = RowSampler::default();
             for (row, &budget) in unit.budgets.iter().enumerate() {

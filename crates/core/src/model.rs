@@ -23,7 +23,9 @@ use serde::{Deserialize, Serialize};
 use std::rc::Rc;
 use tg_graph::{NodeId, TemporalGraph, Time};
 use tg_sampling::ComputationGraph;
+use tg_tensor::gemm::matmul_nt;
 use tg_tensor::prelude::*;
+use tg_tensor::softmax::softmax_rows_inplace;
 
 /// Diagnostics of one batch forward pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -217,35 +219,31 @@ impl Tgae {
     /// Deterministic decode rows for a set of centers (generation path):
     /// returns, per center, the probability row over `candidates`
     /// (softmax already applied) as an owned matrix, along with the
-    /// candidate list used.
-    ///
-    /// This is the owned-copy form of the rows the simulation engine
-    /// samples from: the engine reads them where they lie on its worker's
-    /// thread-local tape and never clones them.
+    /// candidate list used — the rows the simulation engine samples from,
+    /// recorded on this thread's tape.
     pub fn decode_rows_for_generation<R: Rng + ?Sized>(
         &self,
         g: &TemporalGraph,
         centers: &[(NodeId, Time)],
         rng: &mut R,
     ) -> (Matrix, Rc<Vec<u32>>) {
-        Tape::with_thread_local(|tape| {
-            let (probs, candidates) = self.generation_rows(tape, g, centers, rng);
-            (tape.value(probs).clone(), candidates)
-        })
+        Tape::with_thread_local(|tape| self.generation_rows(tape, g, centers, rng))
     }
 
     /// Record the generation forward pass of `centers` onto `tape` (which
-    /// the caller hands over cleared) and return the node holding their
-    /// probability rows over the returned candidate list.
+    /// the caller hands over cleared) and return their probability rows
+    /// over the returned candidate list.
     ///
     /// A unit touches only what its rows depend on: the feature rows of
     /// its slots, the encoder over its computation graph, the decode state
     /// of the centers (`h₀ = enc[0] + μ[centers]`; the outer decode levels
     /// are a training target, generation never scores them) and the
     /// `|C|` decoder rows of its candidates — all gathered from the store,
-    /// no table is replayed. Bias, temperature and softmax are applied in
-    /// place on the score matrix. `rng` is consumed by computation-graph
-    /// sampling, then by the negative candidates, and by nothing else.
+    /// no table is replayed. The scores are an owned matrix, not a tape
+    /// node (nothing differentiates them), and bias, temperature and
+    /// softmax are applied to it in place. `rng` is consumed by
+    /// computation-graph sampling, then by the negative candidates, and by
+    /// nothing else.
     ///
     /// Three spans split the pass for a traced run: `unit.cgbuild` (the
     /// computation graph and its slot list), `unit.encode` (feature rows
@@ -257,7 +255,7 @@ impl Tgae {
         g: &TemporalGraph,
         centers: &[(NodeId, Time)],
         rng: &mut R,
-    ) -> (Var, Rc<Vec<u32>>) {
+    ) -> (Matrix, Rc<Vec<u32>>) {
         let cgbuild = tg_obs::trace::span("unit.cgbuild");
         let cg = ComputationGraph::build(g, centers, &self.cfg.sampler, rng);
         assert_eq!(
@@ -311,21 +309,20 @@ impl Tgae {
         let (w_c, b_c) = self
             .decoder
             .candidate_rows(tape, &self.store, candidates.clone());
-        let scores = tape.matmul_nt(h0, w_c);
-        // softmax((H W_dec[C]ᵀ + b_dec[C]) / τ), finished where it lies
+        // softmax((H W_dec[C]ᵀ + b_dec[C]) / τ), finished where it lies:
+        // the product `Tape::matmul_nt` would record, off the tape
+        let mut probs = matmul_nt(tape.value(h0), tape.value(w_c));
         let tau = self.cfg.gen_temperature.max(1e-3);
-        let (rows, bias) = tape.value_mut_with(scores, b_c);
-        for r in 0..rows.rows() {
-            for (x, &b) in rows.row_mut(r).iter_mut().zip(bias.as_slice()) {
+        let bias = tape.value(b_c).as_slice();
+        for r in 0..probs.rows() {
+            for (x, &b) in probs.row_mut(r).iter_mut().zip(bias) {
                 *x = (*x + b) / tau;
             }
         }
-        tg_tensor::softmax::softmax_rows_inplace(rows);
-        (scores, candidates)
+        softmax_rows_inplace(&mut probs);
+        (probs, candidates)
     }
 }
-
-use tg_tensor::matrix::Matrix;
 
 #[cfg(test)]
 mod tests {

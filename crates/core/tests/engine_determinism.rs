@@ -160,11 +160,13 @@ fn streamed_bytes_are_shard_concatenation() {
         generate_shard_with_sink(run.model(), &g, &spec, sink).unwrap();
         shard_paths.push(p);
     }
-    let merged_path = dir.join("merged.txt");
-    tg_graph::io::merge_edge_lists(&shard_paths, &merged_path).unwrap();
+    let concatenated: Vec<u8> = shard_paths
+        .iter()
+        .flat_map(|p| std::fs::read(p).unwrap())
+        .collect();
     assert_eq!(
         std::fs::read(&full_path).unwrap(),
-        std::fs::read(&merged_path).unwrap(),
+        concatenated,
         "shard files must concatenate byte-identically to the full stream"
     );
     std::fs::remove_dir_all(&dir).unwrap();

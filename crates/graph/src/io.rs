@@ -300,8 +300,8 @@ pub fn load_edge_list_exact(
 ///
 /// Because the simulation engine emits units in plan order (and shard
 /// time-ranges partition that order), the files written by per-shard
-/// sinks concatenate byte-identically — via [`merge_edge_lists`] — to the
-/// file a single-process run would write.
+/// sinks, concatenated in shard order, are byte-identical to the file a
+/// single-process run would write.
 ///
 /// I/O errors are captured on first occurrence and reported by
 /// [`EdgeSink::finish`]; subsequent writes become no-ops.
@@ -380,45 +380,6 @@ impl<W: Write> EdgeSink for StreamingWriterSink<W> {
         self.writer.flush()?;
         Ok(self.n_written)
     }
-}
-
-/// Concatenate shard edge-list files, in order, into `out` — a streaming
-/// byte copy with O(buffer) memory. When the inputs are the per-shard
-/// outputs of [`StreamingWriterSink`] over a partition of the shard
-/// manifest, the merged file is byte-identical to the single-process
-/// streamed output. A newline is inserted after any non-empty input that
-/// does not end with one (hand-edited files), so records never splice
-/// across file boundaries. The merge is committed with [`commit_atomic`]:
-/// a failed or interrupted merge leaves any earlier `out` as it was.
-/// Returns the number of bytes written.
-pub fn merge_edge_lists(
-    inputs: &[impl AsRef<Path>],
-    out: impl AsRef<Path>,
-) -> Result<u64, IoError> {
-    commit_atomic(out.as_ref(), |f| {
-        let mut w = BufWriter::new(f);
-        let mut total = 0u64;
-        let mut buf = vec![0u8; 64 << 10];
-        for p in inputs {
-            let mut r = std::fs::File::open(p)?;
-            let mut last = b'\n';
-            loop {
-                let n = r.read(&mut buf)?;
-                if n == 0 {
-                    break;
-                }
-                w.write_all(&buf[..n])?;
-                total += n as u64;
-                last = buf[n - 1];
-            }
-            if last != b'\n' {
-                w.write_all(b"\n")?;
-                total += 1;
-            }
-        }
-        w.flush()?;
-        Ok(total)
-    })
 }
 
 #[cfg(test)]
@@ -670,35 +631,5 @@ mod tests {
             read_edge_list_exact("5 6 01 2 0\n".as_bytes(), 10, 5),
             Err(IoError::Parse { line: 1, .. })
         ));
-    }
-
-    #[test]
-    fn merge_inserts_newline_for_unterminated_input() {
-        let dir = std::env::temp_dir().join(format!("tg_merge_nl_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let a = dir.join("a.txt");
-        let b = dir.join("b.txt");
-        let out = dir.join("merged.txt");
-        std::fs::write(&a, "0 1 0").unwrap(); // no trailing newline
-        std::fs::write(&b, "1 0 1\n").unwrap();
-        merge_edge_lists(&[&a, &b], &out).unwrap();
-        assert_eq!(std::fs::read_to_string(&out).unwrap(), "0 1 0\n1 0 1\n");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn merge_concatenates_in_order() {
-        let dir = std::env::temp_dir().join(format!("tg_merge_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let a = dir.join("a.txt");
-        let b = dir.join("b.txt");
-        let out = dir.join("merged.txt");
-        std::fs::write(&a, "0 1 0\n").unwrap();
-        std::fs::write(&b, "1 0 1\n").unwrap();
-        let bytes = merge_edge_lists(&[&a, &b], &out).unwrap();
-        let merged = std::fs::read_to_string(&out).unwrap();
-        assert_eq!(merged, "0 1 0\n1 0 1\n");
-        assert_eq!(bytes as usize, merged.len());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

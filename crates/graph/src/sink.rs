@@ -25,7 +25,7 @@
 //! regardless of how many worker threads executed the units. A sink may
 //! therefore rely on the emission order being deterministic for a fixed
 //! master seed; this is what makes `StreamingWriterSink` shard files
-//! byte-concatenatable (see `tg-graph::io::merge_edge_lists`).
+//! byte-concatenatable (see `tg-graph::io::StreamingWriterSink`).
 
 use crate::temporal::{TemporalEdge, TemporalGraph, Time};
 

@@ -1,7 +1,7 @@
-//! The softmax family: `fast_exp`, row softmax and its per-row
-//! statistics (the fused cross-entropy recompute), segment softmax over
-//! sort-by-segment edge lists, and the two kernels of one graph-attention
-//! head (Eqs. 4–5) with their backward.
+//! The softmax family: `fast_exp`, the one row kernel [`exp_row`] and
+//! the row softmax over it, segment softmax over sort-by-segment edge
+//! lists, and the two kernels of one graph-attention head (Eqs. 4–5) with
+//! their backward.
 
 use crate::matrix::Matrix;
 
@@ -90,23 +90,17 @@ pub(crate) fn seg_is_sorted(seg: &[u32]) -> bool {
     seg.windows(2).all(|w| w[0] <= w[1])
 }
 
-/// Softmax of one segment's values where they lie: a max fold, a
-/// [`fast_exp`] pass, and a [`lane_sum`] denominator applied as one `f32`
-/// inverse — the same three vectorisable passes as [`softmax_rows`]. A
-/// run whose denominator is not positive is zero-filled.
+/// Softmax of one segment's values where they lie: [`exp_row`], then its
+/// inverse applied to every element — the same passes as [`softmax_rows`].
+/// A run whose denominator is not positive is zero-filled.
 fn softmax_run_inplace(run: &mut [f32]) {
-    let max = run.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    for v in run.iter_mut() {
-        *v = fast_exp(*v - max);
-    }
-    let denom = lane_sum(run);
-    if denom > 0.0 {
-        let inv = (1.0 / denom) as f32;
-        for v in run.iter_mut() {
-            *v *= inv;
+    match exp_row(run).1 {
+        Some(inv) => {
+            for v in run.iter_mut() {
+                *v *= inv;
+            }
         }
-    } else {
-        run.fill(0.0);
+        None => run.fill(0.0),
     }
 }
 
@@ -154,7 +148,7 @@ pub fn segment_softmax(scores: &Matrix, seg: &[u32], n_segments: usize) -> Matri
     out
 }
 
-/// 8-lane partial dot product (f32 lanes, f64 total) — [`lane_sum`]'s
+/// 8-lane partial dot product (f32 lanes, f64 total) — [`exp_row`]'s
 /// summation order applied to an elementwise product.
 #[inline]
 fn lane_dot(a: &[f32], b: &[f32]) -> f64 {
@@ -405,19 +399,12 @@ pub fn softmax_rows(x: &Matrix) -> Matrix {
 }
 
 /// [`softmax_rows`] overwriting the logits with their probabilities (the
-/// generation path normalises its score matrix where it lies).
+/// generation path normalises its score matrix where it lies). A row
+/// whose denominator is not positive is left as its exponentials.
 pub fn softmax_rows_inplace(out: &mut Matrix) {
     for r in 0..out.rows() {
         let row = out.row_mut(r);
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        // three separate passes so the exp and scale loops auto-vectorise
-        // (a fused f64 accumulator in the exp loop forces scalar code)
-        for v in row.iter_mut() {
-            *v = fast_exp(*v - max);
-        }
-        let denom = lane_sum(row);
-        if denom > 0.0 {
-            let inv = (1.0 / denom) as f32;
+        if let (_, Some(inv)) = exp_row(row) {
             for v in row.iter_mut() {
                 *v *= inv;
             }
@@ -425,68 +412,35 @@ pub fn softmax_rows_inplace(out: &mut Matrix) {
     }
 }
 
-/// 8-lane partial-sum reduction (f32 lanes, f64 total) — the exact
-/// summation order [`softmax_rows`] normalises with; mirrored by
-/// [`row_softmax_stats`] so its denominators match bit-for-bit.
-#[inline]
-fn lane_sum(vals: &[f32]) -> f64 {
+/// The one softmax row kernel: overwrites `row` with `fast_exp(z − max)`
+/// and returns `(max, inv)`, where `inv` is `1/Σ` rounded once to `f32`,
+/// or `None` when the sum is not positive (an empty row, or a NaN among
+/// the logits). The sum runs in eight `f32` lanes — lane `l` takes
+/// elements `l, l+8, …` in ascending order — and the lanes and the
+/// remainder are totalled in `f64`.
+///
+/// [`softmax_rows_inplace`] and the segment softmax scale the row by
+/// `inv`; [`crate::tape::Tape::score_xent`] keeps the exponentials and
+/// one `inv` per row; [`crate::tape::Tape::softmax_xent`], which does not
+/// own its logits, runs it on a scratch copy for `(max, inv)` and
+/// recomputes `fast_exp(z − max) · inv` where it needs a probability.
+pub fn exp_row(row: &mut [f32]) -> (f32, Option<f32>) {
+    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    // separate passes so the exp and sum loops auto-vectorise (a fused
+    // f64 accumulator in the exp loop forces scalar code)
+    for v in row.iter_mut() {
+        *v = fast_exp(*v - max);
+    }
     let mut lanes = [0.0f32; 8];
-    let mut chunks = vals.chunks_exact(8);
+    let mut chunks = row.chunks_exact(8);
     for ch in &mut chunks {
         for (l, &v) in lanes.iter_mut().zip(ch) {
             *l += v;
         }
     }
-    lanes.iter().map(|&l| l as f64).sum::<f64>()
-        + chunks.remainder().iter().map(|&v| v as f64).sum::<f64>()
-}
-
-/// Softmax statistics of one logit row: `(max, inv_denom)` such that
-/// `p[j] = fast_exp(row[j] - max) * inv_denom` reproduces the
-/// corresponding [`softmax_rows`] output bit-for-bit (same `fast_exp`,
-/// same 8-lane summation order, same single `f32` rounding of the
-/// inverse). `inv_denom` falls back to `1.0` when the denominator is not
-/// positive (empty row), mirroring `softmax_rows` leaving such rows
-/// unscaled.
-///
-/// This is the recompute primitive of the fused softmax-cross-entropy
-/// backward ([`crate::tape::Tape::softmax_xent`]): storing `(max, inv)`
-/// per row is `O(rows)`, versus `O(rows × cols)` for a materialised
-/// probability matrix.
-pub fn row_softmax_stats(row: &[f32]) -> (f32, f32) {
-    /// Elements exponentiated per pass: long enough for `fast_exp` to run
-    /// at full vector width (an 8-element block holds it to a quarter),
-    /// short enough to stay on the stack.
-    const BLOCK: usize = 64;
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    // Stream blocks through a stack buffer and fold each into the eight
-    // lanes: lane `l` receives elements `l, l+8, …` in ascending order —
-    // exactly [`lane_sum`]'s order — without materialising the
-    // exponentials.
-    let mut lanes = [0.0f32; 8];
-    let mut e = [0.0f32; BLOCK];
-    let mut tail: &[f32] = &[];
-    for block in row.chunks(BLOCK) {
-        let e = &mut e[..block.len()];
-        for (o, &v) in e.iter_mut().zip(block) {
-            *o = fast_exp(v - max);
-        }
-        let mut chunks = e.chunks_exact(8);
-        for ch in &mut chunks {
-            for (l, &v) in lanes.iter_mut().zip(ch) {
-                *l += v;
-            }
-        }
-        // non-empty for the last block only: BLOCK is a multiple of 8
-        tail = chunks.remainder();
-    }
-    let denom =
-        lanes.iter().map(|&l| l as f64).sum::<f64>() + tail.iter().map(|&v| v as f64).sum::<f64>();
-    if denom > 0.0 {
-        (max, (1.0 / denom) as f32)
-    } else {
-        (max, 1.0)
-    }
+    let denom = lanes.iter().map(|&l| l as f64).sum::<f64>()
+        + chunks.remainder().iter().map(|&v| v as f64).sum::<f64>();
+    (max, (denom > 0.0).then(|| (1.0 / denom) as f32))
 }
 
 #[cfg(test)]

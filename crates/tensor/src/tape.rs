@@ -20,8 +20,8 @@ use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
 use crate::rows::{concat_cols, gather_rows, rowwise_dot, scale_rows, scatter_add_rows};
 use crate::softmax::{
-    fast_exp, gat_attend_head, gat_attend_head_backward, row_softmax_stats, seg_is_sorted,
-    segment_softmax, segment_softmax_backward, softmax_rows, GatHead, GatHeadGrads,
+    exp_row, fast_exp, gat_attend_head, gat_attend_head_backward, seg_is_sorted, segment_softmax,
+    segment_softmax_backward, softmax_rows, GatHead, GatHeadGrads,
 };
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
@@ -131,12 +131,12 @@ struct ScoreXent {
     norm: f32,
     /// Those rows of `h`, gathered (`R × d`).
     h_rows: Matrix,
-    /// `(max, inv_denom)` of each scored row.
-    stats: Vec<(f32, f32)>,
-    /// The `R × |C|` logits, bias added, until backward turns them into
-    /// their own gradient in place and sets `differentiated`: the op can
-    /// be differentiated once.
-    logits: RefCell<Matrix>,
+    /// `1/Σexp` of each scored row.
+    inv: Vec<f32>,
+    /// The `R × |C|` exponentials `fast_exp(z − max)` of the biased
+    /// logits, until backward turns them into `∂logits` in place and sets
+    /// `differentiated`: the op can be differentiated once.
+    exps: RefCell<Matrix>,
     differentiated: Cell<bool>,
 }
 
@@ -462,21 +462,6 @@ impl Tape {
         &self.nodes[v.0].value
     }
 
-    /// Mutable value of node `v` next to the value of an earlier node
-    /// `with`, for **forward-only** passes that finish a result where it
-    /// lies (generation adds the candidate biases to its score matrix,
-    /// divides by the temperature and normalises the rows in place). Ops
-    /// record no copy of their inputs, so a [`Tape::backward`] through `v`
-    /// afterwards would read the overwritten values.
-    ///
-    /// # Panics
-    /// If `with` was not recorded before `v`.
-    pub fn value_mut_with(&mut self, v: Var, with: Var) -> (&mut Matrix, &Matrix) {
-        assert!(with.0 < v.0, "value_mut_with: `with` must precede `v`");
-        let (before, from_v) = self.nodes.split_at_mut(v.0);
-        (&mut from_v[0].value, &before[with.0].value)
-    }
-
     /// Shape convenience.
     pub fn shape(&self, v: Var) -> (usize, usize) {
         self.nodes[v.0].value.shape()
@@ -773,13 +758,14 @@ impl Tape {
     ///
     /// The probability matrix is **not** materialised: forward keeps only
     /// the per-row softmax statistics `(max, inv_denom)` for rows that
-    /// carry targets, and backward recomputes probabilities from the
-    /// logits node value (flash-attention-style recompute). This removes
-    /// the `O(slots × candidates)` probs buffer per decoder level — the
-    /// largest single term of peak training memory — at the cost of one
-    /// extra `fast_exp` pass over target rows in backward. Gradients are
-    /// bit-identical to the materialised reference (see
-    /// [`Tape::softmax_xent_materialised`] and the parity proptests).
+    /// carry targets ([`exp_row`] over one reused scratch row, because the
+    /// logits belong to another node), and backward recomputes
+    /// probabilities from the logits node value (flash-attention-style
+    /// recompute). This removes the `O(slots × candidates)` probs buffer
+    /// per decoder level — the largest single term of peak training memory
+    /// — at the cost of one extra `fast_exp` pass over target rows in
+    /// backward. Gradients are bit-identical to the materialised reference
+    /// (see [`Tape::softmax_xent_materialised`] and the parity proptests).
     pub fn softmax_xent(&mut self, logits: Var, targets: Rc<Vec<SparseTarget>>, norm: f32) -> Var {
         assert!(norm > 0.0, "softmax_xent: norm must be positive");
         let lv = self.value(logits);
@@ -789,9 +775,13 @@ impl Tape {
             has_target[r as usize] = true;
         }
         let mut stats = vec![(0.0f32, 0.0f32); rows];
+        let mut scratch = Vec::with_capacity(lv.cols());
         for (r, s) in stats.iter_mut().enumerate() {
             if has_target[r] {
-                *s = row_softmax_stats(lv.row(r));
+                scratch.clear();
+                scratch.extend_from_slice(lv.row(r));
+                let (max, inv) = exp_row(&mut scratch);
+                *s = (max, inv.unwrap_or(1.0));
             }
         }
         let mut loss = 0.0f64;
@@ -854,8 +844,10 @@ impl Tape {
     /// A slot without a target contributes nothing to the loss and has an
     /// all-zero logits gradient, so only the `R` rows of `h` that carry a
     /// target are gathered and scored. The bias is added where the scores
-    /// lie, forward keeps the per-row `(max, 1/Σexp)`, and backward writes
-    /// `∂logits` over the logits: the op holds one `R × |C|` matrix where
+    /// lie, forward overwrites each row with its exponentials
+    /// ([`exp_row`]) and keeps the row's `1/Σexp`, the loss reads `e · inv`,
+    /// and backward writes `∂logits = w · (e · inv)` over the exponentials
+    /// with no second `fast_exp`: the op holds one `R × |C|` matrix where
     /// the unfused chain ([`Tape::matmul_nt`] → [`Tape::transpose`] →
     /// [`Tape::add_row`] → [`Tape::softmax_xent`]) holds three of
     /// `slots × |C|`.
@@ -926,18 +918,19 @@ impl Tape {
         let out = logits.as_mut_slice();
         matmul_into_on(path, h_in, RowMajor, w, Transposed, out, Start::Zero);
         let bias = self.value(b_c).as_slice();
-        let mut stats = Vec::with_capacity(rows.len());
+        let mut inv = Vec::with_capacity(rows.len());
         for i in 0..rows.len() {
             let row = logits.row_mut(i);
             for (z, &b) in row.iter_mut().zip(bias) {
                 *z += b;
             }
-            stats.push(row_softmax_stats(row));
+            inv.push(exp_row(row).1.unwrap_or(1.0));
         }
+        // `exp_row` left the rows' exponentials where their logits were
+        let exps = logits;
         let mut loss = 0.0f64;
         for &(i, c, w) in &targets {
-            let (max, inv) = stats[i as usize];
-            let p = (fast_exp(logits.get(i as usize, c as usize) - max) * inv).max(1e-12);
+            let p = (exps.get(i as usize, c as usize) * inv[i as usize]).max(1e-12);
             loss -= (w as f64) * (p as f64).ln();
         }
         // backward applies them a block of rows at a time
@@ -955,8 +948,8 @@ impl Tape {
                 targets,
                 norm,
                 h_rows,
-                stats,
-                logits: RefCell::new(logits),
+                inv,
+                exps: RefCell::new(exps),
                 differentiated: Cell::new(false),
             })),
             ng,
@@ -1278,8 +1271,8 @@ impl Tape {
                         targets,
                         norm,
                         h_rows,
-                        stats,
-                        logits,
+                        inv,
+                        exps,
                         differentiated,
                     } = &**op;
                     assert!(
@@ -1287,7 +1280,7 @@ impl Tape {
                         "score_xent: backward already turned this op's logits into their \
                          gradient; record the forward pass again to differentiate it twice"
                     );
-                    let mut gz = logits.borrow_mut();
+                    let mut gz = exps.borrow_mut();
                     let go = g.item() / norm;
                     let (slots, d) = self.shape(*h);
                     let n_cand = gz.cols();
@@ -1305,17 +1298,16 @@ impl Tape {
                     for i0 in (0..rows.len()).step_by(SCORE_XENT_BLOCK) {
                         let block = i0..(i0 + SCORE_XENT_BLOCK).min(rows.len());
                         // dL/dz as in `SoftmaxXent`, over the block's rows
-                        // and written where their logits lie
+                        // and written where their exponentials lie
                         for i in block.clone() {
                             let rw = row_w[i];
                             if rw == 0.0 {
                                 gz.row_mut(i).fill(0.0);
                                 continue;
                             }
-                            let w = rw * go;
-                            let (max, inv) = stats[i];
-                            for z in gz.row_mut(i) {
-                                *z = w * (fast_exp(*z - max) * inv);
+                            let (w, inv) = (rw * go, inv[i]);
+                            for e in gz.row_mut(i) {
+                                *e = w * (*e * inv);
                             }
                         }
                         let here = pending.partition_point(|&(i, _, _)| (i as usize) < block.end);

@@ -15,7 +15,7 @@ use tg_tensor::parallel::{par_chunks_mut, par_map, ThreadPin};
 use tg_tensor::prelude::*;
 use tg_tensor::rows::{concat_cols, gather_rows, scatter_add_rows};
 use tg_tensor::softmax::{
-    fast_exp, row_softmax_stats, segment_softmax, segment_softmax_backward, segment_softmax_naive,
+    exp_row, fast_exp, segment_softmax, segment_softmax_backward, segment_softmax_naive,
     softmax_rows, softmax_rows_naive,
 };
 
@@ -35,8 +35,9 @@ fn assert_close(a: &Matrix, b: &Matrix, tol: f32) {
     }
 }
 
-/// [`row_softmax_stats`] as it was while it exponentiated 8-element
-/// blocks: the summation order the 64-element version must keep.
+/// A row's softmax statistics `(max, inv_denom)` summed as the row
+/// kernel's first version did, exponentiating 8-element blocks: the
+/// summation order [`exp_row`] must keep.
 fn row_softmax_stats_by_eights(row: &[f32]) -> (f32, f32) {
     let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
     let mut lanes = [0.0f32; 8];
@@ -697,20 +698,25 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Exponentiating 64-element blocks keeps every bit of the 8-element
-    /// version's `(max, inv_denom)`: each lane still receives its elements
-    /// in ascending order and the remainder is summed as before — over
-    /// every length around the block and lane boundaries, from flat rows
-    /// to logits far beyond `fast_exp`'s clamp.
+    /// The row kernel keeps every bit of the 8-element version's
+    /// `(max, inv_denom)` and leaves `fast_exp(z − max)` in each element:
+    /// each lane still receives its elements in ascending order and the
+    /// remainder is summed as before — over every length around the lane
+    /// boundaries, from flat rows to logits far beyond `fast_exp`'s clamp.
     #[test]
-    fn row_softmax_stats_keeps_the_eight_lane_order(
+    fn exp_row_keeps_the_eight_lane_order(
         unit in proptest::collection::vec(-1.0f32..1.0, 0..=200),
         scale in 0usize..5,
     ) {
         let scale = [1.0f32, 20.0, 200.0, 1e6, 3e38][scale];
         let row: Vec<f32> = unit.iter().map(|v| v * scale).collect();
-        let (max, inv) = row_softmax_stats(&row);
+        let mut exps = row.clone();
+        let (max, inv) = exp_row(&mut exps);
+        let inv = inv.unwrap_or(1.0);
         let (want_max, want_inv) = row_softmax_stats_by_eights(&row);
+        for (e, &z) in exps.iter().zip(&row) {
+            prop_assert_eq!(e.to_bits(), fast_exp(z - max).to_bits());
+        }
         prop_assert_eq!(max.to_bits(), want_max.to_bits(), "max, len {}", row.len());
         prop_assert_eq!(inv.to_bits(), want_inv.to_bits(), "inv, len {}", row.len());
     }

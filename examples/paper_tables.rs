@@ -15,8 +15,9 @@
 //! `--methods` and `--datasets` take comma-separated names. A method whose
 //! tracked peak heap goes over `--budget-mb` is an OOM cell, as in the
 //! paper. An unknown table, flag or name, a flag without a value, a value
-//! that does not parse, or a zero `--epochs` / `--chunks` exits 2 with a
-//! message before anything runs.
+//! that does not parse, a zero `--epochs` / `--chunks`, or a `--scale`
+//! that is not finite and greater than 0 exits 2 with a message before
+//! anything runs.
 
 use std::error::Error;
 use std::fmt::Display;
@@ -75,7 +76,7 @@ fn table2(flags: &Flags) -> Result<(), Box<dyn Error>> {
         "#Nodes (run),#Edges (run),#Timestamps (run),scale"
     );
     let mut rows = vec![split(header)];
-    for r in paper::table2(flags.opt("scale")?, flags.get("seed", 42)?) {
+    for r in paper::table2(flags.scale()?, flags.get("seed", 42)?) {
         let ((n, m, t), (n_run, m_run, t_run)) = (r.preset.paper_stats(), r.generated);
         let (name, scale) = (r.preset.name, r.scale);
         rows.push(split(&format!(
@@ -90,7 +91,7 @@ fn table2(flags: &Flags) -> Result<(), Box<dyn Error>> {
 
 fn table4_5(flags: &Flags) -> Result<(), Box<dyn Error>> {
     let datasets = flags.list("datasets", "DBLP,MATH,UBUNTU");
-    let (scale, methods) = (flags.opt("scale")?, flags.str("methods"));
+    let (scale, methods) = (flags.scale()?, flags.str("methods"));
     let scores = paper::table4_5(&datasets, scale, methods, &flags.setup(60, 1024)?)?;
     let mut med = vec![columns(&["Dataset", "Metric"], &scores.methods)];
     let mut avg = med.clone();
@@ -112,7 +113,7 @@ fn table4_5(flags: &Flags) -> Result<(), Box<dyn Error>> {
 
 fn table6(flags: &Flags) -> Result<(), Box<dyn Error>> {
     let datasets = flags.list("datasets", "DBLP,MSG,BITCOIN-A,BITCOIN-O,EMAIL,MATH,UBUNTU");
-    let (scale, mmd) = (flags.opt("scale")?, flags.motif_mmd()?);
+    let (scale, mmd) = (flags.scale()?, flags.motif_mmd()?);
     let setup = flags.setup(60, 1024)?;
     let mmds = paper::table6(&datasets, scale, flags.str("methods"), &mmd, &setup)?;
     let mut rows = vec![columns(&["Dataset"], &mmds.methods)];
@@ -130,7 +131,7 @@ fn table6(flags: &Flags) -> Result<(), Box<dyn Error>> {
 
 fn table7(flags: &Flags) -> Result<(), Box<dyn Error>> {
     let datasets = flags.list("datasets", "MSG,BITCOIN-A,BITCOIN-O");
-    let (scale, mmd) = (flags.opt("scale")?, flags.motif_mmd()?);
+    let (scale, mmd) = (flags.scale()?, flags.motif_mmd()?);
     let ablation = paper::table7(&datasets, scale, &mmd, &flags.setup(60, usize::MAX)?)?;
     let mut rows = vec![columns(&["Dataset", "Metric"], &ablation.methods)];
     for row in &ablation.rows {
@@ -149,7 +150,7 @@ fn fig5(flags: &Flags) -> Result<(), Box<dyn Error>> {
     let dataset = flags.str("dataset").unwrap_or("DBLP");
     let methods = Some(flags.str("methods").unwrap_or(paper::FIG5_METHODS));
     let setup = flags.setup(60, usize::MAX)?;
-    let fig = paper::fig5(dataset, flags.opt("scale")?, methods, &setup)?;
+    let fig = paper::fig5(dataset, flags.scale()?, methods, &setup)?;
     log_cells(dataset, &fig.cells);
     let mut csv = String::from("metric,method,timestamp,value,log_value\n");
     let mut push_series = |method: &str, series: &[MetricSeries]| {
@@ -339,6 +340,17 @@ impl Flags {
         Ok(self.opt(key)?.unwrap_or(default))
     }
 
+    /// `--scale`, which must be finite and greater than 0: the presets
+    /// would clamp any other value to their smallest graph.
+    fn scale(&self) -> Result<Option<f64>, String> {
+        match self.opt::<f64>("scale")? {
+            Some(s) if !(s.is_finite() && s > 0.0) => Err(format!(
+                "flag `--scale` must be finite and greater than 0, got `{s}`"
+            )),
+            scale => Ok(scale),
+        }
+    }
+
     /// A comma-separated list, each name trimmed.
     fn list<'a>(&'a self, key: &str, default: &'a str) -> Vec<&'a str> {
         let list = self.str(key).unwrap_or(default);
@@ -411,6 +423,15 @@ mod tests {
         assert!(usage_error(&["table6", "--chunks", "0"]).contains("at least 1"));
         assert!(usage_error(&["table4_5", "--epochs", "0"]).contains("at least 1"));
         assert!(usage_error(&["fig6", "--sweep", "node"]).contains("unknown sweep"));
+        for table in ["table2", "table4_5", "table6", "table7", "fig5"] {
+            for bad in ["-1", "0", "nan", "inf"] {
+                let msg = usage_error(&[table, "--scale", bad]);
+                assert!(
+                    msg.contains("`--scale` must be finite"),
+                    "{table} {bad}: {msg}"
+                );
+            }
+        }
         let msg = usage_error(&["table4_5", "--methods", "NOPE"]);
         assert!(
             msg.contains("unknown method `NOPE`") && msg.contains("TGAE"),

@@ -1,9 +1,9 @@
 //! The sharded-parity check: train a tiny preset through a `Session`,
 //! hand off to its `SharedRun`, generate the synthetic graph as K
-//! independent shards streamed to edge-list files, merge the shard files,
-//! and verify the result is **bit-identical** to one whole-run stream —
-//! plus a statistics pass over that stream, checked against the graph
-//! walk over the merged shards.
+//! independent shards streamed to edge-list files, concatenate the shard
+//! files, and verify the result is **bit-identical** to one whole-run
+//! stream — plus a statistics pass over that stream, checked against the
+//! graph walk over the concatenated shards.
 //!
 //! This is both the quickstart for the engine API and CI's smoke test of
 //! sharded-generation determinism (it exits non-zero on any mismatch).
@@ -17,7 +17,7 @@
 //!
 //! Usage: `cargo run --release --example simulate [n_shards]`
 
-use tgx::graph::io::{load_edge_list_exact, merge_edge_lists, StreamingWriterSink};
+use tgx::graph::io::{read_edge_list_exact, StreamingWriterSink};
 use tgx::prelude::*;
 
 fn main() {
@@ -51,8 +51,8 @@ fn main() {
     let reference = run.simulate(0).expect("reference run");
 
     // 4. Sharded + streamed: split the same run into K timestamp-range
-    //    shards, stream each shard to its own edge-list file, then merge
-    //    the files.
+    //    shards, stream each shard to its own edge-list file, then
+    //    concatenate the files in shard order.
     let plan = run.plan(run.seed_policy().simulation_master(0));
     let specs = plan.shards(n_shards);
     println!(
@@ -78,12 +78,15 @@ fn main() {
         );
         shard_paths.push(path);
     }
-    let merged_path = dir.join("merged.edges");
-    merge_edge_lists(&shard_paths, &merged_path).expect("merge shard files");
+    let mut concatenated = Vec::new();
+    for path in &shard_paths {
+        concatenated.extend(std::fs::read(path).expect("read shard file"));
+    }
 
-    // 5. Verify: the merged file loads back to exactly the reference graph.
-    let merged = load_edge_list_exact(&merged_path, observed.n_nodes(), observed.n_timestamps())
-        .expect("parse merged file");
+    // 5. Verify: the concatenated shards load back to exactly the
+    //    reference graph.
+    let (n, t) = (observed.n_nodes(), observed.n_timestamps());
+    let merged = read_edge_list_exact(&concatenated[..], n, t).expect("parse shard files");
     assert_eq!(
         merged.edges(),
         reference.edges(),

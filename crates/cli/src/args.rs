@@ -3,9 +3,13 @@
 //! No external parser crates are available offline, and the surface is
 //! small enough that a hand-rolled `--key value` scanner beats carrying a
 //! vendored clap. Flags without values are recorded as booleans;
-//! everything not starting with `--` is positional.
+//! everything not starting with `--` is positional. Every way a command
+//! line can be wrong is decided here, as a [`CliError::Usage`] (exit 2).
 
+use crate::errors::CliError;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
+use std::str::FromStr;
 
 /// Parsed command line: subcommand, `--key value` pairs, `--flag`s, and
 /// positional operands, in order.
@@ -13,7 +17,8 @@ pub struct Args {
     pairs: Vec<(String, String)>,
     flags: BTreeSet<String>,
     positional: Vec<String>,
-    used: std::cell::RefCell<BTreeSet<String>>,
+    used: RefCell<BTreeSet<String>>,
+    operands_read: Cell<bool>,
 }
 
 /// Option keys that take a value; everything else starting with `--` is a
@@ -50,7 +55,7 @@ const VALUE_KEYS: &[&str] = &[
 
 impl Args {
     /// Parse everything after the subcommand.
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
+    pub fn parse(argv: &[String]) -> Result<Self, CliError> {
         let mut pairs = Vec::new();
         let mut flags = BTreeSet::new();
         let mut positional = Vec::new();
@@ -60,7 +65,7 @@ impl Args {
                 if VALUE_KEYS.contains(&key) {
                     let val = argv
                         .get(i + 1)
-                        .ok_or_else(|| format!("--{key} needs a value"))?;
+                        .ok_or_else(|| CliError::Usage(format!("--{key} needs a value")))?;
                     pairs.push((key.to_string(), val.clone()));
                     i += 2;
                 } else {
@@ -76,7 +81,8 @@ impl Args {
             pairs,
             flags,
             positional,
-            used: std::cell::RefCell::new(BTreeSet::new()),
+            used: RefCell::new(BTreeSet::new()),
+            operands_read: Cell::new(false),
         })
     }
 
@@ -90,23 +96,22 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
+    /// Value of `--key`, parsed, if given: the one place a value is parsed.
+    pub fn get_opt<T: FromStr>(&self, key: &str) -> Result<Option<T>, CliError> {
+        let bad = |v: &str| CliError::Usage(format!("--{key}: cannot parse `{v}`"));
+        let parsed = self.get(key).map(|v| v.parse().map_err(|_| bad(v)));
+        parsed.transpose()
+    }
+
     /// Value of `--key`, parsed, or `default`.
-    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key}: cannot parse `{v}`")),
-        }
+    pub fn get_parsed<T: FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
+        Ok(self.get_opt(key)?.unwrap_or(default))
     }
 
     /// Value of `--key`, parsed, required.
-    pub fn require<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
-        let v = self
-            .get(key)
-            .ok_or_else(|| format!("--{key} is required"))?;
-        v.parse()
-            .map_err(|_| format!("--{key}: cannot parse `{v}`"))
+    pub fn require<T: FromStr>(&self, key: &str) -> Result<T, CliError> {
+        self.get_opt(key)?
+            .ok_or_else(|| CliError::Usage(format!("--{key} is required")))
     }
 
     /// Whether `--flag` was given.
@@ -117,25 +122,29 @@ impl Args {
 
     /// Positional operands, in order.
     pub fn positional(&self) -> &[String] {
+        self.operands_read.set(true);
         &self.positional
     }
 
-    /// Error on any `--option` this subcommand never looked at (catches
-    /// typos like `--epoch 2` for `--epochs 2`).
-    pub fn reject_unused(&self) -> Result<(), String> {
+    /// Refuse any `--option` this subcommand never looked at (catches
+    /// typos like `--epoch 2` for `--epochs 2`), and any operand if it
+    /// read none. Every subcommand calls this before its first side
+    /// effect, so a refused command line has written nothing.
+    pub fn reject_unused(&self) -> Result<(), CliError> {
         let used = self.used.borrow();
-        let unknown: Vec<String> = self
-            .pairs
-            .iter()
-            .map(|(k, _)| k.clone())
-            .chain(self.flags.iter().cloned())
-            .filter(|k| !used.contains(k))
+        let options = self.pairs.iter().map(|(k, _)| k).chain(&self.flags);
+        let mut unread: Vec<String> = options
+            .filter(|k| !used.contains(*k))
+            .map(|k| format!("--{k}"))
             .collect();
-        if unknown.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("unknown option(s): --{}", unknown.join(", --")))
+        if !self.operands_read.get() {
+            unread.extend(self.positional.iter().cloned());
         }
+        if unread.is_empty() {
+            return Ok(());
+        }
+        let msg = format!("unknown argument(s): {}", unread.join(", "));
+        Err(CliError::Usage(msg))
     }
 }
 
@@ -172,7 +181,9 @@ mod tests {
         assert!(Args::parse(&argv(&["--run-dir"])).is_err());
         let a = Args::parse(&argv(&["--epochs", "2", "--bogus"])).unwrap();
         assert_eq!(a.get_parsed("epochs", 1usize).unwrap(), 2);
-        assert!(a.reject_unused().unwrap_err().contains("bogus"));
+        let err = a.reject_unused().unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("bogus"), "{err}");
     }
 
     #[test]

@@ -38,8 +38,12 @@ fn map_client_err(e: ClientError) -> CliError {
     }
 }
 
+/// Read `--addr`/`--socket` and check the command line, which the
+/// operation has read by now, before connecting.
 fn connect(args: &Args) -> Result<Client, CliError> {
-    match (args.get("addr"), args.get("socket")) {
+    let (addr, socket) = (args.get("addr"), args.get("socket"));
+    args.reject_unused()?;
+    match (addr, socket) {
         (Some(addr), None) => Client::connect_tcp(addr).map_err(map_client_err),
         (None, Some(path)) => {
             Client::connect_unix(std::path::Path::new(path)).map_err(map_client_err)
@@ -53,38 +57,26 @@ fn connect(args: &Args) -> Result<Client, CliError> {
 
 /// Run the subcommand.
 pub fn run(args: &Args) -> Result<(), CliError> {
-    let operation = args.positional().first().cloned().ok_or_else(|| {
-        CliError::Usage(
-            "client needs an operation: simulate|eval|status|metrics|ping|shutdown".into(),
-        )
-    })?;
-    if args.positional().len() > 1 {
-        return Err(CliError::Usage(format!(
-            "unexpected operand(s) after `{operation}`"
-        )));
-    }
+    let [operation] = args.positional() else {
+        let msg = "client takes one operation: simulate|eval|status|metrics|ping|shutdown";
+        return Err(CliError::Usage(msg.into()));
+    };
     match operation.as_str() {
         "simulate" => simulate(args),
         "eval" => eval(args),
         "status" => status(args),
         "metrics" => {
-            let mut client = connect(args)?;
-            args.reject_unused().map_err(CliError::Usage)?;
-            let text = client.metrics().map_err(map_client_err)?;
+            let text = connect(args)?.metrics().map_err(map_client_err)?;
             print!("{text}");
             Ok(())
         }
         "ping" => {
-            let mut client = connect(args)?;
-            args.reject_unused().map_err(CliError::Usage)?;
-            client.ping().map_err(map_client_err)?;
+            connect(args)?.ping().map_err(map_client_err)?;
             println!("pong");
             Ok(())
         }
         "shutdown" => {
-            let mut client = connect(args)?;
-            args.reject_unused().map_err(CliError::Usage)?;
-            client.shutdown().map_err(map_client_err)?;
+            connect(args)?.shutdown().map_err(map_client_err)?;
             println!("server is draining");
             Ok(())
         }
@@ -95,8 +87,8 @@ pub fn run(args: &Args) -> Result<(), CliError> {
 }
 
 fn simulate(args: &Args) -> Result<(), CliError> {
-    let run_id: String = args.require("run-id").map_err(CliError::Usage)?;
-    let seed: u64 = args.get_parsed("seed", 0).map_err(CliError::Usage)?;
+    let run_id: String = args.require("run-id")?;
+    let seed: u64 = args.get_parsed("seed", 0)?;
     let stats = args.flag("stats");
     let default_out = if stats {
         "simulated.stats.json"
@@ -106,7 +98,6 @@ fn simulate(args: &Args) -> Result<(), CliError> {
     let out = args.get("out").unwrap_or(default_out).to_string();
     let quiet = args.flag("quiet");
     let mut client = connect(args)?;
-    args.reject_unused().map_err(CliError::Usage)?;
 
     if stats {
         let outcome = client
@@ -162,7 +153,6 @@ fn simulate(args: &Args) -> Result<(), CliError> {
 
 fn status(args: &Args) -> Result<(), CliError> {
     let mut client = connect(args)?;
-    args.reject_unused().map_err(CliError::Usage)?;
     let report = client.status().map_err(map_client_err)?;
     println!(
         "server: {} ({} served, {} active)",
@@ -200,10 +190,9 @@ fn status(args: &Args) -> Result<(), CliError> {
 }
 
 fn eval(args: &Args) -> Result<(), CliError> {
-    let run_id: String = args.require("run-id").map_err(CliError::Usage)?;
-    let seed: u64 = args.get_parsed("seed", 0).map_err(CliError::Usage)?;
+    let run_id: String = args.require("run-id")?;
+    let seed: u64 = args.get_parsed("seed", 0)?;
     let mut client = connect(args)?;
-    args.reject_unused().map_err(CliError::Usage)?;
     let scores = client.eval(&run_id, seed).map_err(map_client_err)?;
     crate::eval::print_scores(&scores);
     Ok(())

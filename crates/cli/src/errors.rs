@@ -5,7 +5,9 @@
 //! ```text
 //! 0  success
 //! 1  other failure (I/O, engine error, …)
-//! 2  usage error (unknown flag/subcommand, missing/contradictory args)
+//! 2  usage error (unknown flag/subcommand/operand, a flag value that
+//!    does not parse or is refused, missing/contradictory args): the
+//!    command line is checked whole before anything is written
 //! 3  ingest/store corruption (unreadable or damaged TGES input)
 //! 4  reserved (unused; never renumbered)
 //! 5  reserved (unused; never renumbered)
@@ -37,8 +39,9 @@ pub fn exit_codes_help() -> String {
 /// A failed `tgx-cli` invocation, tagged with its process exit code.
 #[derive(Debug)]
 pub enum CliError {
-    /// Bad command line: unknown subcommand/flag, missing or
-    /// contradictory arguments. Exit 2.
+    /// Bad command line: unknown subcommand/flag/operand, a refused flag
+    /// value, missing or contradictory arguments. Exit 2, before the
+    /// subcommand has written anything.
     Usage(String),
     /// A store/ingest input is unreadable or damaged. Exit 3.
     Corruption(String),
@@ -76,12 +79,6 @@ impl std::fmt::Display for CliError {
 impl From<String> for CliError {
     fn from(m: String) -> Self {
         CliError::Other(m)
-    }
-}
-
-impl From<&str> for CliError {
-    fn from(m: &str) -> Self {
-        CliError::Other(m.to_string())
     }
 }
 

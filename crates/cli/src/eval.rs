@@ -13,21 +13,22 @@
 //! shape explicitly.
 
 use crate::args::Args;
+use crate::errors::CliError;
 use crate::rundir::RunDir;
+use std::path::PathBuf;
 use tg_graph::io::load_edge_list_exact;
 use tg_metrics::MetricScore;
 
-/// Run the subcommand.
-pub fn run(args: &Args) -> Result<(), String> {
+/// Run the subcommand. The command line is checked before the run or
+/// any edge list is loaded.
+pub fn run(args: &Args) -> Result<(), CliError> {
     let scores: Vec<MetricScore> = match args.get("run-dir") {
         Some(dir) => {
             let run_dir = RunDir::open(dir.to_string());
-            let run = run_dir.load_run()?;
-            let generated_path = args
-                .get("generated")
-                .map(|s| std::path::PathBuf::from(s.to_string()))
-                .unwrap_or_else(|| run_dir.simulated_path());
+            let generated_path: Option<PathBuf> = args.get_opt("generated")?;
             args.reject_unused()?;
+            let run = run_dir.load_run()?;
+            let generated_path = generated_path.unwrap_or_else(|| run_dir.simulated_path());
             let observed = run.observed();
             let generated =
                 load_edge_list_exact(&generated_path, observed.n_nodes(), observed.n_timestamps())

@@ -31,73 +31,12 @@
 
 use crate::args::Args;
 use crate::errors::CliError;
+use crate::input::Input;
 use std::fs::File;
 use std::io::BufWriter;
-use tg_graph::io::{for_each_record, load_edge_list_exact, IoError};
 use tg_graph::source::EdgeSource;
 use tg_graph::TemporalGraph;
 use tg_store::{Header, StoreError, StoreSource, StoreStats, StoreWriter, DEFAULT_BLOCK_EDGES};
-
-/// Infer a dense file's shape (`max id + 1`, `max t + 1`) for `--exact`
-/// without materialising anything: one pass over the text.
-fn infer_exact_shape(path: &str) -> Result<(usize, usize), String> {
-    let f = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    let mut max_node = 0u64;
-    let mut max_t = 0u64;
-    let mut any = false;
-    for_each_record(f, |line, [src, dst, time]| {
-        let num = |tok: &str, what: &str| {
-            tok.parse::<u64>().map_err(|e| IoError::Parse {
-                line,
-                msg: format!("bad {what}: {e}"),
-            })
-        };
-        max_node = max_node.max(num(src, "src")?).max(num(dst, "dst")?);
-        max_t = max_t.max(num(time, "timestamp")?);
-        any = true;
-        Ok(())
-    })
-    .map_err(|e| format!("{path}: {e}"))?;
-    if !any {
-        return Err(format!("{path}: no edges to ingest"));
-    }
-    Ok((max_node as usize + 1, max_t as usize + 1))
-}
-
-/// Resolve the graph to store from `--edges`/`--preset` options.
-fn load_input(args: &Args) -> Result<(TemporalGraph, String), CliError> {
-    match (args.get("edges"), args.get("preset")) {
-        (Some(path), None) => {
-            let path = path.to_string();
-            if args.flag("exact") {
-                let n_nodes: usize = args.get_parsed("n-nodes", 0)?;
-                let n_timestamps: usize = args.get_parsed("n-timestamps", 0)?;
-                let (n, t) = match (n_nodes, n_timestamps) {
-                    (n, t) if n > 0 && t > 0 => (n, t),
-                    (0, 0) => infer_exact_shape(&path)?,
-                    // Half-specified shapes must not be silently replaced
-                    // by inference — the given bound would be dropped and
-                    // the store written with a different shape than asked.
-                    _ => {
-                        return Err(
-                            "--exact needs both --n-nodes and --n-timestamps (or neither, \
-                             to infer the shape from the data)"
-                                .into(),
-                        )
-                    }
-                };
-                let g =
-                    load_edge_list_exact(&path, n, t).map_err(|e| format!("load {path}: {e}"))?;
-                Ok((g, format!("file:{path} (exact)")))
-            } else {
-                Ok(crate::input::load_text_edges(args, &path)?)
-            }
-        }
-        (None, Some(name)) => crate::input::load_preset(args, name),
-        (Some(_), Some(_)) => Err("give either --edges or --preset, not both".into()),
-        (None, None) => Err("need an input: --edges FILE or --preset NAME".into()),
-    }
-}
 
 fn print_stats(g: &TemporalGraph, stats: &StoreStats, out: &str, source: &str) {
     let counts = g.edge_counts_per_timestamp();
@@ -124,19 +63,17 @@ fn print_stats(g: &TemporalGraph, stats: &StoreStats, out: &str, source: &str) {
 
 /// Run the subcommand.
 pub fn run(args: &Args) -> Result<(), CliError> {
-    let out: String = args.require("out").map_err(CliError::Usage)?;
+    let out: String = args.require("out")?;
+    let quiet = args.flag("quiet");
     if let Some(damaged) = args.get("salvage").map(str::to_string) {
-        let quiet = args.flag("quiet");
-        args.reject_unused().map_err(CliError::Usage)?;
+        args.reject_unused()?;
         return salvage_store(&damaged, &out, quiet);
     }
-    let block_edges: usize = args
-        .get_parsed("block-edges", DEFAULT_BLOCK_EDGES)
-        .map_err(CliError::Usage)?;
+    let block_edges: usize = args.get_parsed("block-edges", DEFAULT_BLOCK_EDGES)?;
     let verify = args.flag("verify");
-    let quiet = args.flag("quiet");
-    let (g, source) = load_input(args)?;
-    args.reject_unused().map_err(CliError::Usage)?;
+    let input = Input::read(args, false)?;
+    args.reject_unused()?;
+    let (g, source) = input.load()?;
 
     let stats = tg_store::write_source(
         &mut tg_graph::source::InMemorySource::new(&g),

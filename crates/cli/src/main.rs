@@ -64,6 +64,10 @@ USAGE:
                     | status | metrics | ping | shutdown)
                    (--addr HOST:PORT | --socket PATH) [--quiet]
 
+Each command line is checked whole before anything runs: an unknown flag,
+a stray operand, or a flag value that does not parse or is refused exits 2
+before anything is written.
+
 OBSERVABILITY:
   train --telemetry   per-epoch loss/wall/heap -> DIR/telemetry.jsonl
   simulate --trace    spans -> DIR/trace.json (chrome://tracing)
@@ -108,12 +112,12 @@ fn run(argv: &[String]) -> Result<(), CliError> {
         print!("{}", usage());
         return Ok(());
     }
-    let args = Args::parse(&argv[1..]).map_err(CliError::Usage)?;
+    let args = Args::parse(&argv[1..])?;
     match cmd.as_str() {
         "ingest" => ingest::run(&args),
         "train" => train::run(&args),
         "simulate" => simulate::run(&args),
-        "eval" => eval::run(&args).map_err(CliError::from),
+        "eval" => eval::run(&args),
         "serve" => serve::run(&args),
         "client" => client::run(&args),
         other => {

@@ -49,18 +49,14 @@ fn run_loader(root: PathBuf) -> Loader {
 
 /// Run the subcommand.
 pub fn run(args: &Args) -> Result<(), CliError> {
-    let root: String = args.require("root").map_err(CliError::Usage)?;
+    let root: String = args.require("root")?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:0").to_string();
     let socket = args.get("socket").map(PathBuf::from);
     let mut cfg = ServeConfig::default();
-    cfg.cache_capacity = args
-        .get_parsed("cache", cfg.cache_capacity)
-        .map_err(CliError::Usage)?;
-    cfg.max_cost = args
-        .get_parsed("max-cost", cfg.max_cost)
-        .map_err(CliError::Usage)?;
+    cfg.cache_capacity = args.get_parsed("cache", cfg.cache_capacity)?;
+    cfg.max_cost = args.get_parsed("max-cost", cfg.max_cost)?;
     let quiet = args.flag("quiet");
-    args.reject_unused().map_err(CliError::Usage)?;
+    args.reject_unused()?;
     if cfg.cache_capacity == 0 {
         return Err(CliError::Usage("--cache must be >= 1".into()));
     }

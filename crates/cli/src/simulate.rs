@@ -25,18 +25,12 @@ use tg_metrics::StatsSink;
 
 /// Run the subcommand.
 pub fn run(args: &Args) -> Result<(), CliError> {
-    let run_dir = RunDir::open(args.require::<String>("run-dir").map_err(CliError::Usage)?);
-    let master: Option<u64> = args
-        .get("master")
-        .map(|m| {
-            m.parse()
-                .map_err(|_| CliError::Usage(format!("--master: cannot parse `{m}`")))
-        })
-        .transpose()?;
+    let run_dir = RunDir::open(args.require::<String>("run-dir")?);
+    let master: Option<u64> = args.get_opt("master")?;
     let stats = args.flag("stats");
     let trace = args.flag("trace");
     let quiet = args.flag("quiet");
-    args.reject_unused().map_err(CliError::Usage)?;
+    args.reject_unused()?;
 
     let tracing = trace && crate::obs::install_trace(&run_dir);
     let result = {

@@ -28,58 +28,10 @@
 
 use crate::args::Args;
 use crate::errors::CliError;
+use crate::input::Input;
 use crate::rundir::{RunDir, RunManifest, RUN_VERSION};
 use tg_graph::io::save_edge_list_atomic;
-use tg_graph::TemporalGraph;
-use tg_store::StoreSource;
 use tgae::{EpochEvent, RunObserver, Session, TgaeConfig, TrainControl, TrainReport};
-
-/// The resolved observed graph plus its provenance.
-struct ObservedInput {
-    graph: TemporalGraph,
-    /// Human-readable provenance for the manifest.
-    source: String,
-    /// TGES store path, when the graph came from `--store`.
-    store: Option<String>,
-}
-
-/// Resolve the observed graph from `--preset`/`--edges`/`--store`.
-fn load_observed(args: &Args) -> Result<ObservedInput, CliError> {
-    match (args.get("preset"), args.get("edges"), args.get("store")) {
-        (Some(name), None, None) => {
-            let (graph, source) = crate::input::load_preset(args, name)?;
-            Ok(ObservedInput {
-                graph,
-                source,
-                store: None,
-            })
-        }
-        (None, Some(path), None) => {
-            let (graph, source) = crate::input::load_text_edges(args, path)?;
-            Ok(ObservedInput {
-                graph,
-                source,
-                store: None,
-            })
-        }
-        (None, None, Some(path)) => {
-            let path = path.to_string();
-            let mut src = StoreSource::open(&path).map_err(|e| format!("open {path}: {e}"))?;
-            let g = src
-                .load_graph()
-                .map_err(|e| format!("stream {path}: {e}"))?;
-            Ok(ObservedInput {
-                graph: g,
-                source: format!("store:{path}"),
-                store: Some(path),
-            })
-        }
-        (None, None, None) => {
-            Err("need an observed graph: --preset NAME, --edges FILE, or --store FILE".into())
-        }
-        _ => Err("give exactly one of --preset, --edges, or --store".into()),
-    }
-}
 
 fn progress_observer(quiet: bool, n_epochs: usize) -> impl FnMut(&EpochEvent) -> TrainControl {
     // print ~10 lines per run regardless of epoch count
@@ -98,73 +50,76 @@ fn progress_observer(quiet: bool, n_epochs: usize) -> impl FnMut(&EpochEvent) ->
     }
 }
 
-/// Run the subcommand.
+/// Run the subcommand. The whole command line is read and checked, and
+/// the training configuration validated, before anything under
+/// `--run-dir` is created or rewritten: a refused `train` leaves an
+/// earlier run as it was.
 pub fn run(args: &Args) -> Result<(), CliError> {
-    let run_dir = RunDir::create(args.require::<String>("run-dir")?)?;
+    let root: String = args.require("run-dir")?;
     let quiet = args.flag("quiet");
     let resume = args.flag("resume");
     let telemetry = args.flag("telemetry");
     let checkpoint_every: usize = args.get_parsed("checkpoint-every", 0)?;
     let checkpoint_keep: usize = args.get_parsed("checkpoint-keep", 2)?;
     if checkpoint_keep == 0 {
-        return Err("--checkpoint-keep: must keep at least 1 generation".into());
+        let msg = "--checkpoint-keep: must keep at least 1 generation";
+        return Err(CliError::Usage(msg.into()));
     }
-
-    let (ckpt, observed, source, store, seed, cfg) = if resume {
+    let (run_dir, ckpt, observed, manifest) = if resume {
         // Resuming: the run dir is authoritative — graph, config, and
         // seed all come from the manifest (written before training
         // started), so the session's checkpoint-config equality check
         // passes without re-passing any training flags.
+        args.reject_unused()?;
+        let run_dir = RunDir::open(root);
         let (manifest, ckpt, observed) = run_dir.load_resumable()?;
-        (
-            Some(ckpt),
-            observed,
-            manifest.source,
-            manifest.store,
-            manifest.seed,
-            manifest.config,
-        )
+        (run_dir, Some(ckpt), observed, manifest)
     } else {
-        let input = load_observed(args)?;
-        let seed: u64 = args.get_parsed("seed", 42)?;
-        let mut cfg = if args.flag("full") {
+        let input = Input::read(args, true)?;
+        let mut config = if args.flag("full") {
             TgaeConfig::default()
         } else {
             TgaeConfig::tiny()
         };
-        cfg.seed = seed;
-        cfg.epochs = args.get_parsed("epochs", cfg.epochs)?;
-        cfg.batch_centers = args.get_parsed("batch-centers", cfg.batch_centers)?;
-        (None, input.graph, input.source, input.store, seed, cfg)
-    };
-    args.reject_unused()?;
-    let epochs = cfg.epochs;
-
-    if !quiet {
-        eprintln!(
-            "observed: {} nodes, {} timestamps, {} edges ({source})",
-            observed.n_nodes(),
-            observed.n_timestamps(),
-            observed.n_edges()
-        );
-    }
-
-    // Persist the manifest + observed graph *before* training: an
-    // interrupted run then has everything `--resume` needs on disk
-    // (the resumable train_ckpt.json is written by the session itself).
-    if !resume {
-        save_edge_list_atomic(&observed, run_dir.observed_path())
-            .map_err(|e| format!("write observed.edges: {e}"))?;
-        run_dir.save_manifest(&RunManifest {
+        config.seed = args.get_parsed("seed", 42)?;
+        config.epochs = args.get_parsed("epochs", config.epochs)?;
+        config.batch_centers = args.get_parsed("batch-centers", config.batch_centers)?;
+        config
+            .validate()
+            .map_err(|e| CliError::Usage(e.to_string()))?;
+        args.reject_unused()?;
+        let (observed, source) = input.load()?;
+        let store = match input {
+            Input::Store(path) => Some(path),
+            _ => None,
+        };
+        let manifest = RunManifest {
             version: RUN_VERSION,
             n_nodes: observed.n_nodes(),
             n_timestamps: observed.n_timestamps(),
             n_edges: observed.n_edges(),
-            seed,
-            config: cfg.clone(),
+            seed: config.seed,
+            config,
             source,
             store,
-        })?;
+        };
+        // Persist the manifest + observed graph *before* training: an
+        // interrupted run then has everything `--resume` needs on disk
+        // (the session writes the resumable train_ckpt.json itself).
+        let run_dir = RunDir::create(root)?;
+        save_edge_list_atomic(&observed, run_dir.observed_path())
+            .map_err(|e| format!("write observed.edges: {e}"))?;
+        run_dir.save_manifest(&manifest)?;
+        (run_dir, None, observed, manifest)
+    };
+    if !quiet {
+        eprintln!(
+            "observed: {} nodes, {} timestamps, {} edges ({})",
+            observed.n_nodes(),
+            observed.n_timestamps(),
+            observed.n_edges(),
+            manifest.source
+        );
     }
 
     // --telemetry: append per-epoch loss/wall/heap to telemetry.jsonl,
@@ -180,7 +135,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     } else {
         None
     };
-    let mut progress = progress_observer(quiet, epochs);
+    let mut progress = progress_observer(quiet, manifest.config.epochs);
     let observer = move |ev: &EpochEvent| {
         if let Some(o) = obs.as_mut() {
             o.on_epoch_end(ev);
@@ -188,8 +143,8 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         progress(ev)
     };
     let mut builder = Session::builder(&observed)
-        .config(cfg)
-        .seed(seed)
+        .config(manifest.config)
+        .seed(manifest.seed)
         .observer(observer);
     if checkpoint_every > 0 || resume {
         builder = builder.checkpoint_rotating(

@@ -6,8 +6,8 @@
 //!   bit-flipped one (exit 0) and exits 3 on a file that is not a store;
 //! - usage errors exit 2 (the flags of the retired multi-process driver
 //!   included, and a `--preset` `--scale` that is not finite and
-//!   positive), and an `eval` shape without timestamps is a typed error
-//!   (exit 1), not a panic;
+//!   positive) before the subcommand writes anything, and an `eval`
+//!   shape without timestamps is a typed error (exit 1), not a panic;
 //! - `train --resume` under a run.json whose shape is not its
 //!   checkpoint's is a typed error (exit 1), not an allocation abort.
 
@@ -106,6 +106,162 @@ fn usage_errors_exit_2() {
         }
     }
     assert!(!dir.join("dblp.tges").exists());
+    assert!(
+        !dir.join("run").exists(),
+        "a refused train created its run dir"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+
+    // A command line is checked whole before the subcommand acts: each
+    // row is refused, names what it refuses, and writes nothing — no
+    // `r` or `o.tges` appears, and the trained run `good` keeps its
+    // files byte for byte.
+    let dir = tmp("sup_refusals");
+    let edges = dir.join("ring.edges");
+    write_ring_edges(&edges);
+    let good = train_run(&dir, "good", &edges);
+    std::fs::write(good.join("simulated.edges"), "0 1 0\n").unwrap();
+    let kept = [
+        "run.json",
+        "observed.edges",
+        "model.json",
+        "simulated.edges",
+    ];
+    let read_kept = || kept.map(|f| std::fs::read(good.join(f)).unwrap());
+    let before = read_kept();
+    // (command line, exit code, or `None` for any failure, and what
+    // stderr names)
+    let cases: &[(&[&str], Option<i32>, &str)] = &[
+        (
+            &["train", "--run-dir", "r", "--preset", "dblp", "--bogus"],
+            Some(2),
+            "--bogus",
+        ),
+        (
+            &["train", "--run-dir", "r", "--preset", "dblp", "--seed", "x"],
+            Some(2),
+            "--seed",
+        ),
+        (&["train", "--run-dir", "r"], Some(2), "exactly one"),
+        (
+            &[
+                "train",
+                "--run-dir",
+                "r",
+                "--preset",
+                "dblp",
+                "--edges",
+                "ring.edges",
+            ],
+            Some(2),
+            "exactly one",
+        ),
+        (
+            &[
+                "train",
+                "--run-dir",
+                "good",
+                "--preset",
+                "msg",
+                "--epochs",
+                "0",
+            ],
+            Some(2),
+            "epochs",
+        ),
+        (
+            &["train", "--run-dir", "r", "--resume"],
+            None,
+            "not a run directory",
+        ),
+        (
+            &[
+                "train",
+                "--run-dir",
+                "r",
+                "--preset",
+                "dblp",
+                "--n-timestamps",
+                "0",
+            ],
+            Some(2),
+            "--n-timestamps",
+        ),
+        (
+            &[
+                "ingest",
+                "--out",
+                "o.tges",
+                "--preset",
+                "dblp",
+                "--data-seed",
+                "x",
+            ],
+            Some(2),
+            "--data-seed",
+        ),
+        (
+            &["eval", "--run-dir", "good", "--bogus"],
+            Some(2),
+            "--bogus",
+        ),
+        // refused before the (missing) run would be loaded
+        (&["eval", "--run-dir", "r", "--bogus"], Some(2), "--bogus"),
+        (
+            &[
+                "eval",
+                "--observed",
+                "a",
+                "--generated",
+                "b",
+                "--n-nodes",
+                "x",
+                "--n-timestamps",
+                "2",
+            ],
+            Some(2),
+            "--n-nodes",
+        ),
+        (
+            &["simulate", "--run-dir", "good", "stray.edges"],
+            Some(2),
+            "stray.edges",
+        ),
+        // refused before the (refused) connection
+        (
+            &["client", "status", "--addr", "127.0.0.1:1", "--bogus"],
+            Some(2),
+            "--bogus",
+        ),
+    ];
+    for (argv, exit, names) in cases {
+        let out = cli()
+            .current_dir(&dir)
+            .args(*argv)
+            .output()
+            .expect("run tgx-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let what = format!("{argv:?}: {stderr}");
+        match exit {
+            Some(code) => assert_eq!(out.status.code(), Some(*code), "{what}"),
+            None => assert!(matches!(out.status.code(), Some(c) if c != 0), "{what}"),
+        }
+        assert!(stderr.contains(names), "{what}");
+        assert!(!dir.join("r").exists(), "{what}");
+        assert!(!dir.join("o.tges").exists(), "{what}");
+        assert!(read_kept() == before, "{what}: `good` changed");
+    }
+    let out = cli()
+        .args(["simulate", "--run-dir"])
+        .arg(&good)
+        .arg("--quiet")
+        .output()
+        .expect("run tgx-cli simulate");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,5 +1,6 @@
 //! TGAE model and training configuration.
 
+use crate::errors::TgxError;
 use serde::{Deserialize, Serialize};
 use tg_sampling::SamplerConfig;
 
@@ -128,6 +129,34 @@ impl TgaeConfig {
             n_negatives: 32,
             ..Default::default()
         }
+    }
+
+    /// Refuse a field [`SessionBuilder::build`](crate::session::SessionBuilder::build)
+    /// cannot train with: a zero size or epoch count, or a learning rate
+    /// or generation temperature that is not finite and positive.
+    pub fn validate(&self) -> Result<(), TgxError> {
+        let field_checks: [(&str, bool); 8] = [
+            ("epochs must be > 0", self.epochs > 0),
+            ("d_in must be > 0", self.d_in > 0),
+            ("d_head must be > 0", self.d_head > 0),
+            ("heads must be > 0", self.heads > 0),
+            ("d_model must be > 0", self.d_model > 0),
+            ("batch_centers must be > 0", self.batch_centers > 0),
+            (
+                "lr must be finite and > 0",
+                self.lr.is_finite() && self.lr > 0.0,
+            ),
+            (
+                "gen_temperature must be finite and > 0",
+                self.gen_temperature.is_finite() && self.gen_temperature > 0.0,
+            ),
+        ];
+        for (msg, ok) in field_checks {
+            if !ok {
+                return Err(TgxError::InvalidConfig(msg.into()));
+            }
+        }
+        Ok(())
     }
 }
 

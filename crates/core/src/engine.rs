@@ -18,9 +18,9 @@
 //! 1. **Plan** ([`SimulationPlan`]): a deterministic *shard manifest* of
 //!    work units, each `(timestamp, chunk, SplitMix64-derived seed,
 //!    per-source budgets)`. The plan is a pure function of the observed
-//!    graph, the chunk size, and a master seed — two processes that plan
-//!    with the same inputs produce the same manifest, which is what makes
-//!    cross-process sharding sound.
+//!    graph, the chunk size, and a master seed: planning twice with the
+//!    same inputs gives the same units, so a shard of one plan (below)
+//!    holds the same units however the plan is cut.
 //! 2. **Execute** ([`SimulationEngine::execute`]): run any subset of
 //!    units on the worker pool. Each unit decodes its centers onto its
 //!    worker's tape ([`tg_tensor::tape::Tape::with_thread_local`]) —
@@ -40,15 +40,14 @@
 //!
 //! # Sharding
 //!
-//! [`SimulationPlan::shards`] partitions the timestamp axis into
-//! contiguous ranges balanced by observed edge count; each
-//! [`ShardSpec`] is a small serialisable description (`master seed +
-//! timestamp range`) that a separate process can execute with
-//! [`generate_shard_with_sink`] having nothing but the model, the
-//! observed graph, and the spec. Because per-unit RNG streams depend
-//! only on `(master, t, chunk)`, and shards partition the plan in order,
-//! concatenating the shard outputs in shard order reproduces the
-//! single-process output **bit-identically**.
+//! A shard is a contiguous timestamp range of one plan:
+//! [`SimulationPlan::shards`] partitions the timestamp axis into ranges
+//! balanced by observed edge count, and a [`ShardSpec`] is the master
+//! seed plus one such range. [`generate_shard_with_sink`] runs a shard.
+//! Because per-unit RNG streams depend only on `(master, t, chunk)`, and
+//! shards partition the plan in order, concatenating the shards' outputs
+//! in shard order gives the whole run's bytes **bit-identically**;
+//! `examples/simulate.rs` and `tests/engine_determinism.rs` check this.
 //!
 //! [`generate_shard_with_sink`] is the one function that runs the
 //! pipeline; [`SharedRun`](crate::shared::SharedRun) calls it with the
@@ -89,9 +88,8 @@ pub struct PlannedUnit {
 }
 
 /// One shard of the manifest: a contiguous timestamp range plus the
-/// master seed the plan was derived from. Small and serialisable — this
-/// is the only thing a remote executor needs besides the model and the
-/// observed graph.
+/// master seed the plan was derived from. [`generate_shard_with_sink`]
+/// runs it over the model and the observed graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardSpec {
     /// Master seed the manifest derives every unit seed from.
@@ -122,7 +120,7 @@ impl SimulationPlan {
     /// training batch), with all unit seeds derived from `master_seed`.
     ///
     /// Planning is cheap (one pass over the edge list) and **pure**:
-    /// identical inputs give an identical manifest in any process.
+    /// identical inputs give an identical manifest.
     pub fn new(observed: &TemporalGraph, batch_centers: usize, master_seed: u64) -> Self {
         let batch = batch_centers.max(32);
         let mut units: Vec<PlannedUnit> = Vec::new();
@@ -186,8 +184,8 @@ impl SimulationPlan {
     /// `n_shards` exceeds the number of non-empty timestamps or when one
     /// timestamp holds more than its proportional edge share (a skewed
     /// snapshot can exhaust several shards' targets at once — the empty
-    /// shard is not necessarily trailing). Deterministic, so any process
-    /// can recompute the same partition.
+    /// shard is not necessarily trailing). Deterministic: the same plan
+    /// and `n_shards` give the same partition.
     pub fn shards(&self, n_shards: usize) -> Vec<ShardSpec> {
         assert!(n_shards > 0, "need at least one shard");
         let t_count = self.edges_per_t.len() as Time;
@@ -342,8 +340,7 @@ impl<'a> SimulationEngine<'a> {
         for group in units.chunks(window) {
             let outs: Vec<Vec<TemporalEdge>> = par_map(group.len(), |i| {
                 // Worker-thread span: lands in that thread's trace
-                // buffer under this process's pid lane in the merged
-                // view. Inert (no clock read, no allocation) unless a
+                // buffer. Inert (no clock read, no allocation) unless a
                 // trace sink is installed.
                 let _span = tg_obs::trace::span("engine.unit");
                 self.execute_unit(&group[i])
@@ -452,12 +449,11 @@ impl RowSampler {
 
 /// Execute one shard of the manifest into `sink` and finish it — the one
 /// way a simulation runs. The plan is recomputed deterministically from
-/// `spec.master_seed`, so separate processes can each run their own shard
-/// and the concatenation of their outputs (in shard order) is
-/// bit-identical to a single run over the whole horizon `[0, T)`. Pair it
-/// with any [`EdgeSink`]: `GraphSink` rebuilds an in-memory graph,
-/// `StreamingWriterSink` bounds memory, `tg_metrics::StatsSink` keeps
-/// statistics and no edge list.
+/// `spec.master_seed`, so the outputs of a plan's shards, concatenated in
+/// shard order, are bit-identical to a single run over the whole horizon
+/// `[0, T)`. Pair it with any [`EdgeSink`]: `GraphSink` rebuilds an
+/// in-memory graph, `StreamingWriterSink` bounds memory,
+/// `tg_metrics::StatsSink` keeps statistics and no edge list.
 pub fn generate_shard_with_sink<S: EdgeSink>(
     model: &Tgae,
     observed: &TemporalGraph,

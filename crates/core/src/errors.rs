@@ -4,8 +4,8 @@
 //! The engine internals (`SimulationEngine::new`) `assert!` their
 //! preconditions and panic on bad input. `Session` and `SharedRun` check
 //! the same conditions up front and report a [`TgxError`] instead, so
-//! callers — in particular the `tgx-cli` driver, whose workers run other
-//! people's files — can distinguish "your graph doesn't match your model" from a
+//! callers — in particular `tgx-cli`, which runs other people's files —
+//! can distinguish "your graph doesn't match your model" from a
 //! genuine engine bug and exit with a message rather than a backtrace.
 //!
 //! The enum is `thiserror`-shaped by hand (the build container vendors no

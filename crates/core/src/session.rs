@@ -86,9 +86,9 @@ impl SeedPolicy {
         self.master
     }
 
-    /// The engine master seed of simulation run `run`. Pure: any process
-    /// computing this for the same policy and run index gets the same
-    /// seed — which is what lets a remote worker reproduce a driver's plan.
+    /// The engine master seed of simulation run `run`. Pure: the same
+    /// policy and run index always give the same seed, and so the same
+    /// plan.
     pub fn simulation_master(&self, run: u64) -> u64 {
         mix_seed(self.master, SIM_STREAM, run)
     }
@@ -234,10 +234,10 @@ pub fn newest_checkpoint(
             Err(e) => failures.push((candidate, e)),
         }
     }
-    if failures.len() == 1 {
-        #[expect(clippy::expect_used, reason = "guarded by `failures.len() == 1`")]
-        return Err(failures.pop().expect("one failure").1);
-    }
+    let failures = match <[_; 1]>::try_from(failures) {
+        Ok([(_, only)]) => return Err(only),
+        Err(failures) => failures,
+    };
     let diagnoses: Vec<String> = failures
         .iter()
         .map(|(p, e)| format!("{}: {e}", p.display()))
@@ -341,7 +341,7 @@ impl<'a> SessionBuilder<'a> {
         if let Some(master) = seed {
             cfg.seed = master;
         }
-        validate_config(&cfg)?;
+        cfg.validate()?;
         let model = Tgae::new(observed.n_nodes(), observed.n_timestamps(), cfg);
         let policy = SeedPolicy::new(model.cfg.seed);
         Ok(Session {
@@ -353,31 +353,6 @@ impl<'a> SessionBuilder<'a> {
             trained_epochs: 0,
         })
     }
-}
-
-fn validate_config(cfg: &TgaeConfig) -> Result<(), TgxError> {
-    let field_checks: [(&str, bool); 8] = [
-        ("epochs must be > 0", cfg.epochs > 0),
-        ("d_in must be > 0", cfg.d_in > 0),
-        ("d_head must be > 0", cfg.d_head > 0),
-        ("heads must be > 0", cfg.heads > 0),
-        ("d_model must be > 0", cfg.d_model > 0),
-        ("batch_centers must be > 0", cfg.batch_centers > 0),
-        (
-            "lr must be finite and > 0",
-            cfg.lr.is_finite() && cfg.lr > 0.0,
-        ),
-        (
-            "gen_temperature must be finite and > 0",
-            cfg.gen_temperature.is_finite() && cfg.gen_temperature > 0.0,
-        ),
-    ];
-    for (msg, ok) in field_checks {
-        if !ok {
-            return Err(TgxError::InvalidConfig(msg.into()));
-        }
-    }
-    Ok(())
 }
 
 /// One training run over a fixed observed graph.

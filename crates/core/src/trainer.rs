@@ -231,7 +231,8 @@ pub(crate) fn train_loop(
         opt.step(&mut model.store, &grads);
         losses.push(loss_val);
         slot_acc += stats.n_slots as u64;
-        epoch_walls.push(t0.elapsed());
+        let wall = t0.elapsed();
+        epoch_walls.push(wall);
         debug_assert!(!model.store.any_non_finite(), "parameters went non-finite");
 
         if let Some(cp) = checkpoint {
@@ -262,15 +263,11 @@ pub(crate) fn train_loop(
             }
         }
         if let Some(obs) = observer.as_deref_mut() {
-            #[expect(
-                clippy::expect_used,
-                reason = "this epoch's wall time was pushed a few lines up"
-            )]
             let event = EpochEvent {
                 epoch,
                 n_epochs: cfg.epochs,
                 loss: loss_val,
-                wall: *epoch_walls.last().expect("just pushed"),
+                wall,
             };
             if matches!(obs.on_epoch_end(&event), TrainControl::Stop) {
                 early_stopped = epoch + 1 < cfg.epochs;

@@ -2,11 +2,12 @@
 //! or salvage a damaged one.
 //!
 //! ```text
-//! tgx-cli ingest --out FILE (--edges FILE [--buckets T] [--exact]
-//!                            [--n-nodes N] [--n-timestamps T]
-//!                            | --preset NAME [--scale F] [--data-seed S]
+//! tgx-cli ingest --out FILE ((--edges FILE [--buckets T] [--exact]
+//!                             [--n-nodes N] [--n-timestamps T]
+//!                             | --preset NAME [--scale F] [--data-seed S])
+//!                            [--block-edges N]
 //!                            | --salvage DAMAGED_STORE)
-//!                [--block-edges N] [--verify] [--quiet]
+//!                [--verify] [--quiet]
 //! ```
 //!
 //! Text edge lists are parsed once (id/timestamp compaction as in
@@ -65,12 +66,20 @@ fn print_stats(g: &TemporalGraph, stats: &StoreStats, out: &str, source: &str) {
 pub fn run(args: &Args) -> Result<(), CliError> {
     let out: String = args.require("out")?;
     let quiet = args.flag("quiet");
+    let verify = args.flag("verify");
     if let Some(damaged) = args.get("salvage").map(str::to_string) {
         args.reject_unused()?;
-        return salvage_store(&damaged, &out, quiet);
+        salvage_store(&damaged, &out, quiet)?;
+        if verify {
+            open_verified(&out)?;
+            if !quiet {
+                eprintln!("verified: payload checksum ok");
+            }
+        }
+        println!("{out}");
+        return Ok(());
     }
     let block_edges: usize = args.get_parsed("block-edges", DEFAULT_BLOCK_EDGES)?;
-    let verify = args.flag("verify");
     let input = Input::read(args, false)?;
     args.reject_unused()?;
     let (g, source) = input.load()?;
@@ -86,11 +95,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     }
 
     if verify {
-        let mut src = StoreSource::open(&out)
-            .map_err(|e| CliError::Corruption(format!("re-open {out}: {e}")))?;
-        src.reader_mut()
-            .verify_payload()
-            .map_err(|e| CliError::Corruption(format!("verify {out}: {e}")))?;
+        let mut src = open_verified(&out)?;
         let mut pos = 0usize;
         let mut mismatch = false;
         src.for_each_chunk(block_edges.max(1), &mut |_t, _c, edges| {
@@ -114,6 +119,17 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     }
     println!("{out}");
     Ok(())
+}
+
+/// `--verify`'s first half: re-open the store at `out` and check its
+/// full payload checksum.
+fn open_verified(out: &str) -> Result<StoreSource, CliError> {
+    let mut src =
+        StoreSource::open(out).map_err(|e| CliError::Corruption(format!("re-open {out}: {e}")))?;
+    src.reader_mut()
+        .verify_payload()
+        .map_err(|e| CliError::Corruption(format!("verify {out}: {e}")))?;
+    Ok(src)
 }
 
 /// `--salvage`: block-scan a damaged store and rewrite every recoverable
@@ -171,7 +187,6 @@ fn salvage_store(damaged: &str, out: &str, quiet: bool) -> Result<(), CliError> 
             stats.file_bytes, stats.n_edges, stats.n_blocks
         );
     }
-    println!("{out}");
     Ok(())
 }
 

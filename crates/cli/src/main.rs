@@ -43,11 +43,12 @@ const USAGE: &str = "\
 tgx-cli — command-line driver for the TGAE temporal-graph simulator
 
 USAGE:
-  tgx-cli ingest   --out FILE (--edges FILE [--buckets T] [--exact]
-                               [--n-nodes N] [--n-timestamps T]
-                               | --preset NAME [--scale F] [--data-seed S]
+  tgx-cli ingest   --out FILE ((--edges FILE [--buckets T] [--exact]
+                                [--n-nodes N] [--n-timestamps T]
+                                | --preset NAME [--scale F] [--data-seed S])
+                               [--block-edges N]
                                | --salvage DAMAGED_STORE)
-                   [--block-edges N] [--verify] [--quiet]
+                   [--verify] [--quiet]
   tgx-cli train    --run-dir DIR (--preset NAME [--scale F] [--data-seed S]
                                   | --edges FILE [--buckets T]
                                   | --store FILE)
@@ -60,9 +61,10 @@ USAGE:
   tgx-cli serve    --root DIR [--addr HOST:PORT | --socket PATH]
                    [--cache N] [--max-cost C] [--quiet]
   tgx-cli client   (simulate --run-id ID [--seed S] [--out FILE] [--stats]
+                             [--quiet]
                     | eval --run-id ID [--seed S]
                     | status | metrics | ping | shutdown)
-                   (--addr HOST:PORT | --socket PATH) [--quiet]
+                   (--addr HOST:PORT | --socket PATH)
 
 Each command line is checked whole before anything runs: an unknown flag,
 a stray operand, or a flag value that does not parse or is refused exits 2

@@ -3,7 +3,8 @@
 //! - a `simulate` whose commit fails leaves the earlier
 //!   `simulated.edges` and no tmp file behind;
 //! - `ingest --salvage` rebuilds a clean, fully verifiable store from a
-//!   bit-flipped one (exit 0) and exits 3 on a file that is not a store;
+//!   bit-flipped one (exit 0; `--verify` checks it) and exits 3 on a
+//!   file that is not a store;
 //! - usage errors exit 2 (the flags of the retired multi-process driver
 //!   included, and a `--preset` `--scale` that is not finite and
 //!   positive) before the subcommand writes anything, and an `eval`
@@ -14,6 +15,7 @@
 mod common;
 
 use common::{cli, tmp, train_run, write_ring_edges};
+use std::path::{Path, PathBuf};
 
 #[test]
 fn a_failed_merge_commit_keeps_the_earlier_simulated_edges() {
@@ -233,6 +235,12 @@ fn usage_errors_exit_2() {
             Some(2),
             "--bogus",
         ),
+        // only `client simulate` reads `--quiet`
+        (
+            &["client", "ping", "--addr", "127.0.0.1:1", "--quiet"],
+            Some(2),
+            "--quiet",
+        ),
     ];
     for (argv, exit, names) in cases {
         let out = cli()
@@ -330,9 +338,10 @@ fn resume_under_a_manifest_that_lies_about_its_shape_is_a_typed_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn salvage_rebuilds_a_verifiable_store_from_a_bitflipped_one() {
-    let dir = tmp("sup_salvage");
+/// A ring store ingested in 16-edge blocks, copied to `damaged.tgs` with
+/// one payload byte near the end flipped: one block dies, the rest must be
+/// recovered. Returns the damaged copy.
+fn bitflipped_store(dir: &Path) -> PathBuf {
     let edges = dir.join("ring.edges");
     write_ring_edges(&edges);
     let store = dir.join("obs.tgs");
@@ -346,15 +355,18 @@ fn salvage_rebuilds_a_verifiable_store_from_a_bitflipped_one() {
         .status()
         .expect("run tgx-cli ingest");
     assert!(status.success(), "ingest failed");
-
-    // flip one payload byte near the end of the file: one block dies,
-    // the rest must be recovered
     let mut bytes = std::fs::read(&store).unwrap();
     let n = bytes.len();
     bytes[n - 10] ^= 0x40;
     let damaged = dir.join("damaged.tgs");
     std::fs::write(&damaged, &bytes).unwrap();
+    damaged
+}
 
+#[test]
+fn salvage_rebuilds_a_verifiable_store_from_a_bitflipped_one() {
+    let dir = tmp("sup_salvage");
+    let damaged = bitflipped_store(&dir);
     let clean = dir.join("clean.tgs");
     let out = cli()
         .args(["ingest", "--salvage"])
@@ -381,6 +393,30 @@ fn salvage_rebuilds_a_verifiable_store_from_a_bitflipped_one() {
     assert!(
         recovered >= 72 - 16,
         "lost more than one block: {recovered}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn salvage_with_verify_checks_the_salvaged_store() {
+    let dir = tmp("sup_salvage_verify");
+    let damaged = bitflipped_store(&dir);
+    let clean = dir.join("clean.tgs");
+    let out = cli()
+        .args(["ingest", "--salvage"])
+        .arg(&damaged)
+        .arg("--out")
+        .arg(&clean)
+        .arg("--verify")
+        .output()
+        .expect("run tgx-cli ingest --salvage --verify");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("edges recovered"), "{stderr}");
+    assert!(stderr.contains("verified: payload checksum ok"), "{stderr}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout).trim(),
+        clean.to_string_lossy()
     );
     std::fs::remove_dir_all(&dir).ok();
 }

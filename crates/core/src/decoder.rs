@@ -30,9 +30,11 @@
 //!
 //! A training step hands each level's decode states, the gathered rows
 //! and the level's targets to [`tg_tensor::tape::Tape::score_xent`]: one
-//! tape op that scores only the slots that carry a target, adds the bias
-//! where the scores lie and holds a single `R × |C|` matrix, which
-//! backward turns into its own gradient. [`EgoDecoder::score`] — the
+//! tape op that scores only the slots that carry a target, one L2-sized
+//! block of rows at a time: each block's scores are biased,
+//! exponentiated and turned into their gradient before the next block
+//! is scored, so no `R × |C|` matrix outlives a block, and the op keeps
+//! only the gradients of its inputs. [`EgoDecoder::score`] — the
 //! same logits for every slot, as separate `matmul_nt` → `transpose` →
 //! `add_row` ops, feeding [`tg_tensor::tape::Tape::softmax_xent`] — is
 //! the reference the fused op is tested against bit for bit

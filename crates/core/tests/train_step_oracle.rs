@@ -17,9 +17,10 @@
 //! checked on runners without AVX-512). Both sides must also leave the
 //! RNG in the same state.
 //!
-//! It also holds the memory claim: a fused step keeps one `R × |C|` matrix
-//! per level where the reference keeps three `slots × |C|`, so its tracked
-//! heap peak has to be lower.
+//! It also holds the memory claims: a fused step's tracked heap peak is
+//! lower than the reference's, which keeps three `slots × |C|` matrices
+//! per level, and one `score_xent` over 2,048 × 2,048 scores peaks under
+//! 4 MiB, because it holds its scores one row block at a time.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -284,5 +285,42 @@ fn a_fused_step_peaks_lower_than_the_reference_step() {
         memtrack::fmt_bytes(fused),
         memtrack::fmt_bytes(reference),
         memtrack::fmt_bytes(one_logits_matrix),
+    );
+}
+
+/// `score_xent` holds its scores one row block at a time: one op over
+/// 2,048 scored rows × 2,048 candidates × d = 32 (16 MiB of scores) and
+/// its backward peak under 4 MiB above the op's inputs.
+#[test]
+fn score_xent_peaks_at_a_row_block_not_at_its_scores() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (rows, n_cand, d) = (2048usize, 2048usize, 32usize);
+    let mut store = ParamStore::new();
+    let value = |r: usize, c: usize| ((r * 31 + c * 7) % 17) as f32 * 0.01 - 0.08;
+    let h = store.create("h", Matrix::from_fn(rows, d, value));
+    let w = store.create("w", Matrix::from_fn(n_cand, d, |r, c| value(c, r)));
+    let b = store.create("b", Matrix::from_fn(n_cand, 1, value));
+    let targets: Vec<SparseTarget> = (0..rows as u32)
+        .map(|r| (r, r * 7 % n_cand as u32, 1.0))
+        .collect();
+    let mut tape = Tape::new();
+    let (hv, wv, bv) = (
+        tape.param(&store, h),
+        tape.param(&store, w),
+        tape.param(&store, b),
+    );
+    let before = memtrack::current_bytes();
+    memtrack::reset_peak();
+    let loss = tape.score_xent(hv, wv, bv, &targets, rows as f32);
+    let grads = tape.backward(loss);
+    let peak = memtrack::peak_bytes() - before;
+    assert!(tape.value(loss).item().is_finite());
+    assert!([h, w, b].iter().all(|&id| grads.get(id).is_some()));
+    let scores = rows * n_cand * std::mem::size_of::<f32>();
+    assert!(
+        peak < 4 << 20,
+        "score_xent + backward peak at {} above their inputs; the scores are {}",
+        memtrack::fmt_bytes(peak),
+        memtrack::fmt_bytes(scores),
     );
 }

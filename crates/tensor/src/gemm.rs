@@ -93,8 +93,8 @@
 //! the output on its first `KC` block (the naive loops skip their
 //! zero-fill), so the cut is one more exact store and reload and every
 //! path keeps its bits (`continued_matmul_matches_one_call`).
-//! `Tape::score_xent`'s backward accumulates `∂W_c = Gᵀ·h` that way, one
-//! L2-sized block of `G`'s rows at a time.
+//! `Tape::score_xent` accumulates `∂W_c = Gᵀ·h` that way, one L2-sized
+//! block of `G`'s rows at a time.
 //!
 //! The one pack lives in a thread-local, so steady-state training does
 //! not allocate per matmul call. Small products (`m*k*n < `[`TILE_THRESHOLD`])

@@ -420,10 +420,11 @@ pub fn softmax_rows_inplace(out: &mut Matrix) {
 /// remainder are totalled in `f64`.
 ///
 /// [`softmax_rows_inplace`] and the segment softmax scale the row by
-/// `inv`; [`crate::tape::Tape::score_xent`] keeps the exponentials and
-/// one `inv` per row; [`crate::tape::Tape::softmax_xent`], which does not
-/// own its logits, runs it on a scratch copy for `(max, inv)` and
-/// recomputes `fast_exp(z − max) · inv` where it needs a probability.
+/// `inv`; [`crate::tape::Tape::score_xent`] turns the exponentials and
+/// `inv` of a row block into its gradient;
+/// [`crate::tape::Tape::softmax_xent`], which does not own its logits,
+/// runs it on a scratch copy for `(max, inv)` and recomputes
+/// `fast_exp(z − max) · inv` where it needs a probability.
 pub fn exp_row(row: &mut [f32]) -> (f32, Option<f32>) {
     let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
     // separate passes so the exp and sum loops auto-vectorise (a fused

@@ -24,7 +24,7 @@ use crate::softmax::{
     segment_softmax_backward, softmax_rows, GatHead, GatHeadGrads,
 };
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 /// Handle to a node on the tape. Cheap to copy; only valid for the tape that
@@ -98,8 +98,8 @@ enum Op {
         norm: f32,
     },
     /// Candidate scoring fused with its softmax cross-entropy
-    /// ([`Tape::score_xent`]). Boxed: its state is three times the size of
-    /// any other op's, and every node of every tape would carry it.
+    /// ([`Tape::score_xent`]). Boxed: its state is more than twice the
+    /// size of any other op's, and every node of every tape would carry it.
     ScoreXent(Box<ScoreXent>),
     BceWithLogits {
         logits: Var,
@@ -112,32 +112,30 @@ enum Op {
     },
 }
 
-/// Scored rows per block of [`Tape::score_xent`]'s backward: a block of
-/// a few thousand candidates' `∂logits` (64 × 4040 `f32` is 1 MB) stays
-/// in L2 while its four passes read it.
-const SCORE_XENT_BLOCK: usize = 64;
+/// Scored rows per block of [`Tape::score_xent`]: a block of a few
+/// thousand candidates' scores (128 × 4040 `f32` is 2 MB) stays in L2
+/// from the product that writes it to the gradient gemms that read it.
+/// Measured against 64 and 256 on the suite's `math_ingest` and
+/// `dblp_dense`: 64-row blocks take the swapped small-`m` `nt`, and
+/// 256-row blocks spill the 2 MiB L2.
+const SCORE_XENT_BLOCK: usize = 128;
 
-/// State of an [`Op::ScoreXent`] node: what [`Tape::score_xent`] scored,
-/// over the rows of `h` that carry a target.
+/// State of an [`Op::ScoreXent`] node: the gradients [`Tape::score_xent`]
+/// finished in forward at unit upstream gradient, each `None` when its
+/// input needs none.
 struct ScoreXent {
     h: Var,
     w_c: Var,
     b_c: Var,
-    /// Rows of `h` with at least one target, ascending.
+    /// Rows of `h` with at least one target, ascending: where the rows
+    /// of `gh` go.
     rows: Vec<u32>,
-    /// The targets, their row an index into `rows`, stably sorted by it:
-    /// each row's targets keep the caller's order.
-    targets: Vec<SparseTarget>,
-    norm: f32,
-    /// Those rows of `h`, gathered (`R × d`).
-    h_rows: Matrix,
-    /// `1/Σexp` of each scored row.
-    inv: Vec<f32>,
-    /// The `R × |C|` exponentials `fast_exp(z − max)` of the biased
-    /// logits, until backward turns them into `∂logits` in place and sets
-    /// `differentiated`: the op can be differentiated once.
-    exps: RefCell<Matrix>,
-    differentiated: Cell<bool>,
+    /// `∂h` of the scored rows (`R × d`).
+    gh: Option<Matrix>,
+    /// `∂w_c` (`|C| × d`).
+    gw: Option<Matrix>,
+    /// `∂b_c` (`|C| × 1`).
+    gb: Option<Matrix>,
 }
 
 /// State of an [`Op::GatAttend`] node.
@@ -843,41 +841,42 @@ impl Tape {
     ///
     /// A slot without a target contributes nothing to the loss and has an
     /// all-zero logits gradient, so only the `R` rows of `h` that carry a
-    /// target are gathered and scored. The bias is added where the scores
-    /// lie, forward overwrites each row with its exponentials
-    /// ([`exp_row`]) and keeps the row's `1/Σexp`, the loss reads `e · inv`,
-    /// and backward writes `∂logits = w · (e · inv)` over the exponentials
-    /// with no second `fast_exp`: the op holds one `R × |C|` matrix where
-    /// the unfused chain ([`Tape::matmul_nt`] → [`Tape::transpose`] →
-    /// [`Tape::add_row`] → [`Tape::softmax_xent`]) holds three of
-    /// `slots × |C|`.
+    /// target are scored. The forward walks them in blocks of 128 rows and
+    /// finishes each block while it sits in L2: it gathers the block's
+    /// rows of `h`, writes their scores into one reused `128 × |C|` buffer,
+    /// adds the bias where the scores lie, overwrites each row with its
+    /// exponentials ([`exp_row`], keeping the row's `1/Σexp`), records the
+    /// probability `e · inv` of each of the block's targets, and turns the
+    /// block into `∂logits = w · (e · inv)` at unit upstream gradient,
+    /// subtracting its targets (stably sorted by row, so repeated
+    /// `(row, col)` entries keep their order). Then it adds the rows to
+    /// `∂b_c` in ascending row order, writes their rows of
+    /// `∂h = ∂logits · w_c` (`nn`), and continues `∂w_c = ∂logitsᵀ h`
+    /// (`tn`) from the partial sums the previous block left
+    /// ([`Start::Continue`]). The loss is summed from the recorded
+    /// probabilities in the caller's target order.
+    ///
+    /// No `R × |C|` matrix outlives a block: the op keeps the three
+    /// gradients, and [`Tape::backward`] multiplies them by the upstream
+    /// gradient (`1.0` when the loss is a sum of terms, so their bits are
+    /// kept) and scatters `∂h` back to `slots × d`. Every exponential and
+    /// every gemm runs once; the gradient work runs when the op is
+    /// recorded, so a forward recorded only for its loss pays for it too
+    /// (and skips it when no input needs a gradient). A tape can be
+    /// differentiated through the op any number of times.
     ///
     /// The loss and the gradients of `h`, `w_c` and `b_c` are
-    /// bit-identical to that chain's (proptested): the three gemms run on
-    /// the loop nest the **uncompacted** `slots · d · |C|` product selects,
-    /// the rows left out would have added exact zeros, `∂b_c` sums
-    /// `∂logits` by ascending row after the target subtraction, and `∂h`
-    /// is scattered back to `slots × d` before it is accumulated. (One
-    /// bit can differ in principle: an element of `∂w_c` whose every term
-    /// underflows to `-0.0` keeps that sign here, where a zero row of the
-    /// chain would have turned it into `+0.0`.)
-    ///
-    /// Backward walks the scored rows in blocks of 64, so that a block of
-    /// `∂logits` (1 MB at 4040 candidates) stays in L2 across the four
-    /// passes that read it, where the whole `R × |C|` matrix would stream
-    /// from memory four times. Per block it writes the rows' `∂logits`
-    /// and subtracts their targets (stably sorted by row when the op is
-    /// recorded, so repeated `(row, col)` entries keep their order), adds
-    /// the rows to `∂b_c`, writes their rows of `∂h = ∂logits · w_c`, and
-    /// continues `∂w_c = ∂logitsᵀ h` from the partial sums the previous
-    /// block left ([`Start::Continue`]). Every element of `∂w_c` is still
-    /// one accumulation chain over ascending rows from `+0.0`: its partial
-    /// is stored and reloaded exactly at a block edge, as at a `KC` edge,
-    /// so the blocks change no bit.
-    ///
-    /// Because backward consumes the logits, [`Tape::backward`] can run
-    /// through this op once; a second call panics — record the forward
-    /// pass again instead.
+    /// bit-identical to the unfused chain's ([`Tape::matmul_nt`] →
+    /// [`Tape::transpose`] → [`Tape::add_row`] → [`Tape::softmax_xent`],
+    /// proptested): the three gemms run on the loop nest the
+    /// **uncompacted** `slots · d · |C|` product selects, the rows left
+    /// out would have added exact zeros, `∂b_c` sums `∂logits` by
+    /// ascending row after the target subtraction, and every element of
+    /// `∂w_c` is one accumulation chain over ascending rows from `+0.0`
+    /// whose partial is stored and reloaded exactly at a block edge, as at
+    /// a `KC` edge. (One bit can differ in principle: an element of `∂w_c`
+    /// whose every term underflows to `-0.0` keeps that sign here, where a
+    /// zero row of the chain would have turned it into `+0.0`.)
     pub fn score_xent(
         &mut self,
         h: Var,
@@ -911,33 +910,94 @@ impl Tape {
             .iter()
             .map(|&(r, c, w)| (pos[r as usize], c, w))
             .collect();
-        let h_rows = gather_rows(self.value(h), &rows);
-        let mut logits = Matrix::zeros(rows.len(), n_cand);
-        let path = GemmPath::for_product(slots, d, n_cand);
-        let (h_in, w) = ((&h_rows).into(), self.value(w_c).into());
-        let out = logits.as_mut_slice();
-        matmul_into_on(path, h_in, RowMajor, w, Transposed, out, Start::Zero);
-        let bias = self.value(b_c).as_slice();
-        let mut inv = Vec::with_capacity(rows.len());
-        for i in 0..rows.len() {
-            let row = logits.row_mut(i);
-            for (z, &b) in row.iter_mut().zip(bias) {
-                *z += b;
-            }
-            inv.push(exp_row(row).1.unwrap_or(1.0));
+        let mut row_w = vec![0.0f32; rows.len()];
+        for &(i, _, w) in &targets {
+            row_w[i as usize] += w;
         }
-        // `exp_row` left the rows' exponentials where their logits were
-        let exps = logits;
+        // the targets in the order the blocks apply them
+        let mut order: Vec<u32> = (0..targets.len() as u32).collect();
+        order.sort_by_key(|&t| targets[t as usize].0);
+        let mut pending = order.as_slice();
+        let mut probs = vec![0.0f32; targets.len()];
+        let ng = self.needs(h) || self.needs(w_c) || self.needs(b_c);
+        let mut gb = self.needs(b_c).then(|| Matrix::zeros(n_cand, 1));
+        let mut gh = self.needs(h).then(|| Matrix::zeros(rows.len(), d));
+        let mut gw = self.needs(w_c).then(|| Matrix::zeros(n_cand, d));
+        let go = 1.0 / norm;
+        let path = GemmPath::for_product(slots, d, n_cand);
+        let (h_value, w_value) = (self.value(h), self.value(w_c));
+        let bias = self.value(b_c).as_slice();
+        let block_rows = SCORE_XENT_BLOCK.min(rows.len());
+        let mut h_block = Matrix::zeros(block_rows, d);
+        let mut z = Matrix::zeros(block_rows, n_cand);
+        let mut inv = vec![0.0f32; block_rows];
+        for i0 in (0..rows.len()).step_by(SCORE_XENT_BLOCK) {
+            let block = i0..(i0 + SCORE_XENT_BLOCK).min(rows.len());
+            let n = block.len();
+            for (j, &r) in rows[block.clone()].iter().enumerate() {
+                h_block.row_mut(j).copy_from_slice(h_value.row(r as usize));
+            }
+            let out = &mut z.as_mut_slice()[..n * n_cand];
+            let (h_in, w_in) = (h_block.row_block(0..n), w_value.into());
+            matmul_into_on(path, h_in, RowMajor, w_in, Transposed, out, Start::Zero);
+            for (j, inv) in inv[..n].iter_mut().enumerate() {
+                let row = z.row_mut(j);
+                for (v, &b) in row.iter_mut().zip(bias) {
+                    *v += b;
+                }
+                *inv = exp_row(row).1.unwrap_or(1.0);
+            }
+            // `exp_row` left the rows' exponentials where their logits were
+            let here = pending.partition_point(|&t| (targets[t as usize].0 as usize) < block.end);
+            let (these, rest) = pending.split_at(here);
+            pending = rest;
+            for &t in these {
+                let (i, c, _) = targets[t as usize];
+                let j = i as usize - i0;
+                probs[t as usize] = (z.get(j, c as usize) * inv[j]).max(1e-12);
+            }
+            if !ng {
+                continue;
+            }
+            // dL/dz as in `SoftmaxXent`, at unit upstream gradient
+            for (j, &rw) in row_w[block.clone()].iter().enumerate() {
+                let row = z.row_mut(j);
+                if rw == 0.0 {
+                    row.fill(0.0);
+                    continue;
+                }
+                let (w, inv) = (rw * go, inv[j]);
+                for e in row {
+                    *e = w * (*e * inv);
+                }
+            }
+            for &t in these {
+                let (i, c, w) = targets[t as usize];
+                let j = i as usize - i0;
+                z.set(j, c as usize, z.get(j, c as usize) - w * go);
+            }
+            if let Some(gb) = &mut gb {
+                for j in 0..n {
+                    for (o, &v) in gb.as_mut_slice().iter_mut().zip(z.row(j)) {
+                        *o += v;
+                    }
+                }
+            }
+            let gz = z.row_block(0..n);
+            if let Some(gh) = &mut gh {
+                let out = &mut gh.as_mut_slice()[i0 * d..block.end * d];
+                matmul_into_on(path, gz, RowMajor, w_in, RowMajor, out, Start::Zero);
+            }
+            if let Some(gw) = &mut gw {
+                let (h_in, out) = (h_block.row_block(0..n), gw.as_mut_slice());
+                matmul_into_on(path, gz, Transposed, h_in, RowMajor, out, Start::Continue);
+            }
+        }
         let mut loss = 0.0f64;
-        for &(i, c, w) in &targets {
-            let p = (exps.get(i as usize, c as usize) * inv[i as usize]).max(1e-12);
+        for (&(_, _, w), &p) in targets.iter().zip(&probs) {
             loss -= (w as f64) * (p as f64).ln();
         }
-        // backward applies them a block of rows at a time
-        let mut targets = targets;
-        targets.sort_by_key(|&(i, _, _)| i);
         let v = Matrix::scalar((loss / norm as f64) as f32);
-        let ng = self.needs(h) || self.needs(w_c) || self.needs(b_c);
         self.push(
             v,
             Op::ScoreXent(Box::new(ScoreXent {
@@ -945,12 +1005,9 @@ impl Tape {
                 w_c,
                 b_c,
                 rows,
-                targets,
-                norm,
-                h_rows,
-                inv,
-                exps: RefCell::new(exps),
-                differentiated: Cell::new(false),
+                gh,
+                gw,
+                gb,
             })),
             ng,
         )
@@ -1263,95 +1320,33 @@ impl Tape {
                     accum(&mut grads, *logits, gx);
                 }
                 Op::ScoreXent(op) => {
+                    // forward finished the gradients at unit upstream
+                    // gradient; scale them by this one (exact at 1.0)
                     let ScoreXent {
                         h,
                         w_c,
                         b_c,
                         rows,
-                        targets,
-                        norm,
-                        h_rows,
-                        inv,
-                        exps,
-                        differentiated,
+                        gh,
+                        gw,
+                        gb,
                     } = &**op;
-                    assert!(
-                        !differentiated.replace(true),
-                        "score_xent: backward already turned this op's logits into their \
-                         gradient; record the forward pass again to differentiate it twice"
-                    );
-                    let mut gz = exps.borrow_mut();
-                    let go = g.item() / norm;
-                    let (slots, d) = self.shape(*h);
-                    let n_cand = gz.cols();
-                    let mut row_w = vec![0.0f32; rows.len()];
-                    for &(i, _, w) in targets {
-                        row_w[i as usize] += w;
+                    let go = g.item();
+                    if let Some(gb) = gb {
+                        accum(&mut grads, *b_c, gb.map(|v| v * go));
                     }
-                    let path = GemmPath::for_product(slots, d, n_cand);
-                    let w_c_value = self.value(*w_c);
-                    let mut gb = self.needs(*b_c).then(|| Matrix::zeros(n_cand, 1));
-                    let mut gh = self.needs(*h).then(|| Matrix::zeros(slots, d));
-                    let mut gw = self.needs(*w_c).then(|| Matrix::zeros(n_cand, d));
-                    let mut gh_block = vec![0.0f32; SCORE_XENT_BLOCK.min(rows.len()) * d];
-                    let mut pending = targets.as_slice();
-                    for i0 in (0..rows.len()).step_by(SCORE_XENT_BLOCK) {
-                        let block = i0..(i0 + SCORE_XENT_BLOCK).min(rows.len());
-                        // dL/dz as in `SoftmaxXent`, over the block's rows
-                        // and written where their exponentials lie
-                        for i in block.clone() {
-                            let rw = row_w[i];
-                            if rw == 0.0 {
-                                gz.row_mut(i).fill(0.0);
-                                continue;
-                            }
-                            let (w, inv) = (rw * go, inv[i]);
-                            for e in gz.row_mut(i) {
-                                *e = w * (*e * inv);
+                    if let Some(gh) = gh {
+                        let (slots, d) = self.shape(*h);
+                        let mut full = Matrix::zeros(slots, d);
+                        for (j, &r) in rows.iter().enumerate() {
+                            for (o, &v) in full.row_mut(r as usize).iter_mut().zip(gh.row(j)) {
+                                *o = v * go;
                             }
                         }
-                        let here = pending.partition_point(|&(i, _, _)| (i as usize) < block.end);
-                        let (these, rest) = pending.split_at(here);
-                        pending = rest;
-                        for &(i, c, w) in these {
-                            let v = gz.get(i as usize, c as usize) - w * go;
-                            gz.set(i as usize, c as usize, v);
-                        }
-                        if let Some(gb) = &mut gb {
-                            for i in block.clone() {
-                                for (o, &v) in gb.as_mut_slice().iter_mut().zip(gz.row(i)) {
-                                    *o += v;
-                                }
-                            }
-                        }
-                        let gz_block = gz.row_block(block.clone());
-                        if let Some(gh) = &mut gh {
-                            let out = &mut gh_block[..block.len() * d];
-                            let w = w_c_value.into();
-                            matmul_into_on(path, gz_block, RowMajor, w, RowMajor, out, Start::Zero);
-                            for (j, &r) in rows[block.clone()].iter().enumerate() {
-                                gh.row_mut(r as usize)
-                                    .copy_from_slice(&out[j * d..(j + 1) * d]);
-                            }
-                        }
-                        if let Some(gw) = &mut gw {
-                            let h_block = h_rows.row_block(block);
-                            let out = gw.as_mut_slice();
-                            matmul_into_on(
-                                path,
-                                gz_block,
-                                Transposed,
-                                h_block,
-                                RowMajor,
-                                out,
-                                Start::Continue,
-                            );
-                        }
+                        accum(&mut grads, *h, full);
                     }
-                    for (v, grad) in [(b_c, gb), (h, gh), (w_c, gw)] {
-                        if let Some(grad) = grad {
-                            accum(&mut grads, *v, grad);
-                        }
+                    if let Some(gw) = gw {
+                        accum(&mut grads, *w_c, gw.map(|v| v * go));
                     }
                 }
                 Op::BceWithLogits { logits, targets } => {

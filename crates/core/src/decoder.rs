@@ -26,7 +26,8 @@
 //! store): a forward pass holds `|C|` decoder rows, never the `n`-row
 //! tables, and their gradients are scatter-added from those rows.
 //! Training scores every decode level against one gather of them;
-//! generation scores level 0 only ([`EgoDecoder::decode_centers`]).
+//! generation scores level 0 only, `h₀ = enc[0] + μ[centers]`, off the
+//! tape (`Tgae::generation_rows`).
 //!
 //! A training step hands each level's decode states, the gathered rows
 //! and the level's targets to [`tg_tensor::tape::Tape::score_xent`]: one
@@ -119,24 +120,11 @@ impl EgoDecoder {
         (z, mu, Some(logvar))
     }
 
-    /// Decode state of the centers, `h₀ = h_center_enc + Z[centers]` —
-    /// level 0 of [`EgoDecoder::decode_levels`], and the only level
-    /// generation scores. The centers are the first `n_centers` slots.
-    pub fn decode_centers(
-        &self,
-        tape: &mut Tape,
-        h_center_enc: Var,
-        z_all: Var,
-        n_centers: usize,
-    ) -> Var {
-        let z0 = tape.gather_rows(z_all, Rc::new((0..n_centers as u32).collect()));
-        tape.add(h_center_enc, z0)
-    }
-
     /// Walk the computation graph outward, producing decode states per
-    /// level: `h[0]` from [`EgoDecoder::decode_centers`], then for each
-    /// bipartite layer, children receive the mean of their parents'
-    /// states plus their own `Z` row.
+    /// level: the centers' `h[0] = h_center_enc + Z[centers]` (the
+    /// centers are the first slots), then for each bipartite layer,
+    /// children receive the mean of their parents' states plus their own
+    /// `Z` row.
     pub fn decode_levels(
         &self,
         tape: &mut Tape,
@@ -147,7 +135,8 @@ impl EgoDecoder {
     ) -> Vec<Var> {
         let k = cg.k();
         let mut levels = Vec::with_capacity(k + 1);
-        levels.push(self.decode_centers(tape, h_center_enc, z_all, level_offsets[1]));
+        let z0 = tape.gather_rows(z_all, Rc::new((0..level_offsets[1] as u32).collect()));
+        levels.push(tape.add(h_center_enc, z0));
         for (i, layer) in cg.layers.iter().enumerate() {
             // mean over parent contributions per child slot
             let mut counts = vec![0f32; layer.n_sources];

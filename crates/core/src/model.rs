@@ -236,12 +236,13 @@ impl Tgae {
     ///
     /// A unit touches only what its rows depend on: the feature rows of
     /// its slots, the encoder over its computation graph, the decode state
-    /// of the centers (`h₀ = enc[0] + μ[centers]`; the outer decode levels
-    /// are a training target, generation never scores them) and the
-    /// `|C|` decoder rows of its candidates — all gathered from the store,
-    /// no table is replayed. The scores are an owned matrix, not a tape
-    /// node (nothing differentiates them), and bias, temperature and
-    /// softmax are applied to it in place. `rng` is consumed by
+    /// of the centers (`h₀ = enc[0] + μ[centers]`, with `μ` computed for
+    /// the center rows alone; the outer decode levels are a training
+    /// target, generation never scores them) and the `|C|` decoder rows
+    /// of its candidates — all gathered from the store, no table is
+    /// replayed. `μ[centers]`, `h₀` and the scores are owned matrices, not
+    /// tape nodes (nothing differentiates them), and bias, temperature
+    /// and softmax are applied to the scores in place. `rng` is consumed by
     /// computation-graph sampling, then by the negative candidates, and by
     /// nothing else.
     ///
@@ -273,13 +274,13 @@ impl Tgae {
         let enc_levels = self.encoder.forward(tape, &self.store, &cg, x_outer);
         drop(encode);
         let _score = tg_obs::trace::span("unit.score");
-        // deterministic latent: Z = mu. Computed over all slots although
-        // only the center rows are read: a row-subset gemm can fall on the
-        // other side of the naive/tiled switch and differ in the last bit.
-        let (_, mu, _) = self.decoder.latent(tape, &self.store, x_all, false, rng);
-        let h0 = self
+        // deterministic latent Z = μ (it draws nothing), for the center
+        // rows only, with the bits of μ over every slot
+        let mu_c = self
             .decoder
-            .decode_centers(tape, enc_levels[0], mu, centers.len());
+            .mlp_mu
+            .forward_rows(&self.store, tape.value(x_all), centers.len());
+        let h0 = tape.value(enc_levels[0]).zip(&mu_c, |e, m| e + m);
 
         // Candidates: dense for small n; otherwise the observed temporal
         // neighborhoods of the centers plus uniform negatives (the
@@ -311,7 +312,7 @@ impl Tgae {
             .candidate_rows(tape, &self.store, candidates.clone());
         // softmax((H W_dec[C]ᵀ + b_dec[C]) / τ), finished where it lies:
         // the product `Tape::matmul_nt` would record, off the tape
-        let mut probs = matmul_nt(tape.value(h0), tape.value(w_c));
+        let mut probs = matmul_nt(&h0, tape.value(w_c));
         let tau = self.cfg.gen_temperature.max(1e-3);
         let bias = tape.value(b_c).as_slice();
         for r in 0..probs.rows() {

@@ -10,8 +10,9 @@
 //! `TgatEncoder::forward_reference` — the attention of every head as
 //! eleven separate ops. It asserts `to_bits()` equality with
 //! [`Tgae::decode_rows_for_generation`], which gathers only the rows it
-//! scores, encodes with one `Tape::gat_attend` per layer, stops at decode
-//! level 0 and finishes the score matrix in place — under every
+//! scores, encodes with one `Tape::gat_attend` per layer, computes `μ`
+//! for the centers alone, stops at decode level 0 and finishes the score
+//! matrix in place — under every
 //! microkernel of this CPU. Both sides must also leave the RNG in the
 //! same state (computation-graph sampling, then negatives).
 
@@ -20,7 +21,7 @@ use rand::SeedableRng;
 use std::rc::Rc;
 use tg_graph::{NodeId, TemporalEdge, TemporalGraph, Time};
 use tg_sampling::ComputationGraph;
-use tg_tensor::gemm::{available_microkernels, force_microkernel};
+use tg_tensor::gemm::{available_microkernels, force_microkernel, GemmPath};
 use tg_tensor::matrix::Matrix;
 use tg_tensor::prelude::*;
 use tg_tensor::softmax::softmax_rows;
@@ -70,13 +71,14 @@ fn replayed_rows(tape: &mut Tape, store: &ParamStore, id: ParamId, idx: Vec<u32>
 }
 
 /// The generation rows as they were computed before a unit touched only
-/// what it scores.
+/// what it scores, the candidates, and the number of slots `μ` was
+/// computed over.
 fn reference_rows(
     model: &Tgae,
     g: &TemporalGraph,
     centers: &[(NodeId, Time)],
     rng: &mut SmallRng,
-) -> (Matrix, Vec<u32>) {
+) -> (Matrix, Vec<u32>, usize) {
     let (store, cfg) = (&model.store, &model.cfg);
     let mut tape = Tape::new();
     let cg = ComputationGraph::build(g, centers, &cfg.sampler, rng);
@@ -124,7 +126,7 @@ fn reference_rows(
     let logits = tape.add_row(scores, b_row);
     let tau = cfg.gen_temperature.max(1e-3);
     let sharpened = tape.value(logits).map(|x| x / tau);
-    (softmax_rows(&sharpened), candidates.to_vec())
+    (softmax_rows(&sharpened), candidates.to_vec(), slots.len())
 }
 
 #[test]
@@ -133,6 +135,7 @@ fn generation_rows_keep_every_bit_of_the_replayed_computation() {
     for kind in available_microkernels() {
         let _forced = force_microkernel(kind);
         let mut cases = 0;
+        let mut mu_paths_split = 0;
         for dense in [true, false] {
             for k in [1usize, 2] {
                 let model = model(&g, k, dense);
@@ -143,7 +146,8 @@ fn generation_rows_keep_every_bit_of_the_replayed_computation() {
                     let seed = 1000 + cases;
                     let mut rng_ref = SmallRng::seed_from_u64(seed);
                     let mut rng_new = SmallRng::seed_from_u64(seed);
-                    let (want, want_cands) = reference_rows(&model, &g, &centers, &mut rng_ref);
+                    let (want, want_cands, n_slots) =
+                        reference_rows(&model, &g, &centers, &mut rng_ref);
                     let (got, got_cands) =
                         model.decode_rows_for_generation(&g, &centers, &mut rng_new);
                     assert_eq!(*got_cands, want_cands, "{ctx}: candidates");
@@ -153,10 +157,18 @@ fn generation_rows_keep_every_bit_of_the_replayed_computation() {
                         assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: element {i}: {a} vs {b}");
                     }
                     assert_eq!(rng_new.state(), rng_ref.state(), "{ctx}: rng order");
+                    let layer = &model.decoder.mlp_mu.layers[0];
+                    let path = |rows| GemmPath::for_product(rows, layer.in_dim, layer.out_dim);
+                    if path(centers.len()) == GemmPath::Naive && path(n_slots) == GemmPath::Tiled {
+                        mu_paths_split += 1;
+                    }
                     cases += 1;
                 }
             }
         }
         assert_eq!(cases, 24);
+        // μ of the centers alone would run naive where μ of every slot
+        // runs tiled
+        assert!(mu_paths_split > 0, "no case splits μ's gemm path");
     }
 }

@@ -18,28 +18,40 @@
 //!   number of stamped entries in `N(v)`, and every triangle is counted
 //!   once, when its last edge arrives;
 //! - a [`UnionFind`], whose component count and largest component are
-//!   running values.
+//!   running values;
+//! - the degree counts: a dense `u32` degree per node, the degree sum,
+//!   the wedges `Σ C(d, 2)` and claws `Σ C(d, 3)` as `u128`, the number
+//!   of positive-degree nodes and a histogram of the positive degrees.
+//!   Each new pair raises two degrees by one, and raising `d` to `d + 1`
+//!   adds `d` wedges and `C(d, 2)` claws (Pascal's rule). `d_min` moves
+//!   up when the histogram empties at it and falls back to 1 when a node
+//!   gets its first edge; `d_max` is the histogram's top.
 //!
-//! Each timestamp then costs one O(n) pass over the degrees for the
-//! degree, wedge, claw and PLE sums. Total: O(Σ_runs d_u + Σ_new d_v +
-//! T·n) — one stamping of the source's list per run, one scan of the
-//! target's list per new pair — against O(T·(E log E + n)) for
-//! `GraphStats::compute(&Snapshot::accumulated(..))` at every `t`.
+//! Closing a timestamp then reads six of the seven statistics from
+//! running values in O(1). PLE's `Σ ln(d / d_min)` is one branch-free
+//! node-order sweep of the dense degrees through a per-degree logarithm
+//! table. Total: O(Σ_runs d_u + Σ_new d_v + T·n) — one stamping of the
+//! source's list per run, one scan of the target's list per new pair,
+//! and `n` table reads and `f64` adds per timestamp — against
+//! O(T·(E log E + n)) for `GraphStats::compute(&Snapshot::accumulated(..))`
+//! at every `t`.
 //!
 //! # Bit-identity with [`GraphStats::compute`]
 //!
 //! The emitted values are `to_bits()`-equal to the batch computation,
 //! which stays in the crate as the single-snapshot API and as the test
-//! oracle. Mean degree, triangles, LCC and N-Components are exact
-//! integers converted to `f64` once, so how they were counted cannot
-//! show. Wedge, claw and PLE are floating-point sums whose value depends
-//! on the order of the additions; the per-timestamp pass therefore
-//! visits nodes in node order and applies the same expressions as the
-//! batch code. PLE's addends `(d / d_min).ln()` are read from a
-//! per-degree table — the same expression evaluated once per distinct
-//! degree rather than once per node — rebuilt only when `d_min` changes.
+//! oracle. Mean degree, wedges, claws, triangles, LCC and N-Components
+//! are exact integers converted to `f64` once (mean degree then divided
+//! once by `n`), so how they were counted cannot show. PLE is a
+//! floating-point sum whose value depends on the order of the additions,
+//! so the sweep visits nodes in node order and adds the batch code's
+//! addends `(d / d_min).ln()`, read from a table — the same expression
+//! evaluated once per distinct degree rather than once per node, rebuilt
+//! only when `d_min` changes. A node of degree 0, which the batch code
+//! skips, reads the table's `+0.0`: every addend is `≥ +0.0`, so adding
+//! `+0.0` changes no partial sum.
 
-use crate::stats::{ple_from_log_sum, GraphStats};
+use crate::stats::{choose2, ple_from_log_sum, GraphStats};
 use crate::union_find::UnionFind;
 use serde::{Deserialize, Serialize};
 use tg_graph::{EdgeSink, NodeId, TemporalEdge, TemporalGraph, Time};
@@ -85,9 +97,7 @@ pub struct StatsSink {
     epoch: u32,
     triangles: u64,
     components: UnionFind,
-    /// `ln_ratio[d] == (d as f64 / ln_ratio_d_min as f64).ln()`.
-    ln_ratio: Vec<f64>,
-    ln_ratio_d_min: usize,
+    degrees: DegreeCounts,
     /// `volume[t]`: edges accepted at timestamp `t`.
     volume: Vec<u64>,
     /// One entry per closed timestamp.
@@ -109,8 +119,7 @@ impl StatsSink {
             epoch: 0,
             triangles: 0,
             components: UnionFind::new(n),
-            ln_ratio: Vec::new(),
-            ln_ratio_d_min: 0,
+            degrees: DegreeCounts::new(n),
             volume: vec![0; n_timestamps],
             stats: Vec::with_capacity(n_timestamps),
         }
@@ -138,6 +147,8 @@ impl StatsSink {
                     .count() as u64;
                 self.adj[u as usize].push(v);
                 self.adj[v as usize].push(u);
+                self.degrees.increment(u);
+                self.degrees.increment(v);
                 self.stamp[v as usize] = epoch;
                 self.components.union(u, v);
             }
@@ -165,62 +176,106 @@ impl StatsSink {
 
     /// The statistics of the snapshot ingested so far.
     fn snapshot(&mut self) -> GraphStats {
-        let mut deg_sum = 0usize;
-        let mut wedge = 0.0f64;
-        let mut claw = 0.0f64;
-        let mut n_positive = 0usize;
-        let mut d_min = usize::MAX;
-        let mut d_max = 0usize;
-        for nbrs in &self.adj {
-            let degree = nbrs.len();
-            deg_sum += degree;
-            if degree > 0 {
-                n_positive += 1;
-                d_min = d_min.min(degree);
-                d_max = d_max.max(degree);
-            }
-            let d = degree as f64;
-            wedge += d * (d - 1.0) / 2.0;
-            claw += d * (d - 1.0) * (d - 2.0) / 6.0;
-        }
-
-        let n = self.adj.len();
+        let ple = self.degrees.power_law_exponent();
+        let d = &self.degrees;
+        let n = d.degree.len();
         GraphStats {
             mean_degree: if n == 0 {
                 0.0
             } else {
-                deg_sum as f64 / n as f64
+                d.deg_sum as f64 / n as f64
             },
             lcc: self.components.largest_component() as f64,
-            wedge_count: wedge,
-            claw_count: claw,
+            wedge_count: d.wedges as f64,
+            claw_count: d.claws as f64,
             triangle_count: self.triangles as f64,
-            ple: self.power_law_exponent(n_positive, d_min, d_max),
+            ple,
             n_components: self.components.n_components() as f64,
         }
     }
+}
 
-    /// `stats::power_law_exponent` over the current degrees, with the
-    /// logarithms read from the per-degree table.
-    fn power_law_exponent(&mut self, n_positive: usize, d_min: usize, d_max: usize) -> f64 {
-        if n_positive == 0 {
+/// The degree statistics of the simple graph ingested so far, kept as
+/// running counts (the module doc's "degree counts").
+struct DegreeCounts {
+    /// `degree[x]`: distinct neighbours of node `x`.
+    degree: Vec<u32>,
+    deg_sum: u64,
+    /// `Σ_x C(degree[x], 2)`.
+    wedges: u128,
+    /// `Σ_x C(degree[x], 3)`.
+    claws: u128,
+    n_positive: usize,
+    /// `hist[d]`: nodes of degree `d > 0`; `hist[0]` stays 0. Degrees
+    /// only grow, so the top entry is the largest degree: `d_max ==
+    /// hist.len() - 1`.
+    hist: Vec<u32>,
+    /// Smallest positive degree (0 while every degree is 0).
+    d_min: usize,
+    /// `ln_ratio[d] == (d as f64 / ln_ratio_d_min as f64).ln()` for
+    /// `d > 0`, and `ln_ratio[0] == +0.0`.
+    ln_ratio: Vec<f64>,
+    ln_ratio_d_min: usize,
+}
+
+impl DegreeCounts {
+    fn new(n_nodes: usize) -> Self {
+        DegreeCounts {
+            degree: vec![0; n_nodes],
+            deg_sum: 0,
+            wedges: 0,
+            claws: 0,
+            n_positive: 0,
+            hist: vec![0],
+            d_min: 0,
+            ln_ratio: Vec::new(),
+            ln_ratio_d_min: 0,
+        }
+    }
+
+    /// Node `x` gains a neighbour.
+    fn increment(&mut self, x: NodeId) {
+        let slot = &mut self.degree[x as usize];
+        let d = *slot as usize;
+        *slot += 1;
+        self.deg_sum += 1;
+        // C(d + 1, k) - C(d, k) == C(d, k - 1)
+        self.wedges += d as u128;
+        self.claws += choose2(d);
+        if d == 0 {
+            self.n_positive += 1;
+            self.d_min = 1;
+        } else {
+            self.hist[d] -= 1;
+            if d == self.d_min && self.hist[d] == 0 {
+                self.d_min = d + 1;
+            }
+        }
+        if d + 1 == self.hist.len() {
+            self.hist.push(0);
+        }
+        self.hist[d + 1] += 1;
+    }
+
+    /// `stats::power_law_exponent` over the current degrees: the
+    /// logarithms read from the per-degree table, summed over every node
+    /// in node order.
+    fn power_law_exponent(&mut self) -> f64 {
+        if self.n_positive == 0 {
             return 1.0;
         }
-        if self.ln_ratio_d_min != d_min {
+        if self.ln_ratio_d_min != self.d_min {
             self.ln_ratio.clear();
-            self.ln_ratio_d_min = d_min;
+            self.ln_ratio.push(0.0);
+            self.ln_ratio_d_min = self.d_min;
         }
-        let d_min = d_min as f64;
-        for d in self.ln_ratio.len()..=d_max {
+        let d_min = self.d_min as f64;
+        for d in self.ln_ratio.len()..self.hist.len() {
             self.ln_ratio.push((d as f64 / d_min).ln());
         }
-        let log_sum: f64 = self
-            .adj
-            .iter()
-            .filter(|nbrs| !nbrs.is_empty())
-            .map(|nbrs| self.ln_ratio[nbrs.len()])
-            .sum();
-        ple_from_log_sum(n_positive, log_sum)
+        let ln_ratio = self.ln_ratio.as_slice();
+        let log_sum: f64 = self.degree.iter().map(|&d| ln_ratio[d as usize]).sum();
+        ple_from_log_sum(self.n_positive, log_sum)
     }
 }
 

@@ -1,15 +1,23 @@
 //! The seven graph statistics of Table III, computed on the undirected
 //! simple view of a snapshot.
 //!
-//! | Metric        | Computation                                   |
-//! |---------------|-----------------------------------------------|
-//! | Mean Degree   | `E[d(v)]`                                     |
-//! | Wedge Count   | `Σ_v C(d(v), 2)`                              |
-//! | Claw Count    | `Σ_v C(d(v), 3)`                              |
-//! | Triangle Count| `trace(A^3)/6` (counted combinatorially)      |
-//! | LCC           | size of the largest connected component       |
-//! | PLE           | `1 + n' (Σ_v ln(d(v)/d_min))^-1` (MLE)        |
-//! | N-Component   | number of connected components                |
+//! | Metric        | Computation                              | Arithmetic                  |
+//! |---------------|------------------------------------------|-----------------------------|
+//! | Mean Degree   | `E[d(v)]`                                | exact `Σ d`, one division   |
+//! | Wedge Count   | `Σ_v C(d(v), 2)`                         | exact `u128`, rounded once  |
+//! | Claw Count    | `Σ_v C(d(v), 3)`                         | exact `u128`, rounded once  |
+//! | Triangle Count| `trace(A^3)/6` (counted combinatorially) | exact `u64`                 |
+//! | LCC           | size of the largest connected component  | exact                       |
+//! | PLE           | `1 + n' (Σ_v ln(d(v)/d_min))^-1` (MLE)   | `f64` sum in node order     |
+//! | N-Component   | number of connected components           | exact                       |
+//!
+//! Every statistic but PLE is an integer (or a ratio of two) converted
+//! to `f64` once, so any way of counting it gives the same bits. Wedges
+//! and claws are the correctly rounded counts at any size. An `f64` sum
+//! of `d (d−1) (d−2) / 6.0` per node gives the same bits only while every
+//! term and partial sum is an integer below 2⁵³, as on every Table II
+//! preset; past that (a product at degree ~208,000, or the total) it
+//! rounds, and the total's rounding depends on the node order.
 
 use crate::union_find::UnionFind;
 use serde::{Deserialize, Serialize};
@@ -85,13 +93,8 @@ impl GraphStats {
             deg_sum as f64 / n as f64
         };
 
-        let mut wedge = 0.0f64;
-        let mut claw = 0.0f64;
-        for &d in &degrees {
-            let d = d as f64;
-            wedge += d * (d - 1.0) / 2.0;
-            claw += d * (d - 1.0) * (d - 2.0) / 6.0;
-        }
+        let wedge: u128 = degrees.iter().map(|&d| choose2(d)).sum();
+        let claw: u128 = degrees.iter().map(|&d| choose3(d)).sum();
 
         let triangle_count = count_triangles(&adj) as f64;
 
@@ -111,8 +114,8 @@ impl GraphStats {
         GraphStats {
             mean_degree,
             lcc,
-            wedge_count: wedge,
-            claw_count: claw,
+            wedge_count: wedge as f64,
+            claw_count: claw as f64,
             triangle_count,
             ple,
             n_components,
@@ -144,6 +147,18 @@ impl GraphStats {
             self.n_components,
         ]
     }
+}
+
+/// `C(d, 2)`, the wedges centred on a node of degree `d`, exactly.
+pub(crate) fn choose2(d: usize) -> u128 {
+    let d = d as u128;
+    d * d.saturating_sub(1) / 2
+}
+
+/// `C(d, 3)`, the claws centred on a node of degree `d`, exactly.
+pub(crate) fn choose3(d: usize) -> u128 {
+    let d = d as u128;
+    d * d.saturating_sub(1) * d.saturating_sub(2) / 6
 }
 
 /// Exact triangle count on a sorted undirected adjacency (each triangle
@@ -274,6 +289,24 @@ mod tests {
         let p_ring = GraphStats::compute(&s_ring).ple;
         assert!(p_star < p_ring, "star {p_star} ring {p_ring}");
         assert!(p_star > 1.0);
+    }
+
+    /// Past 2⁵³ the `f64` product `d (d−1) (d−2)` rounds; the count does
+    /// not, and converts to the correctly rounded `C(d, 3)`.
+    #[test]
+    fn claw_count_of_a_huge_degree_is_exact() {
+        let f64_chain = |d: f64| d * (d - 1.0) * (d - 2.0) / 6.0;
+        for (d, exact) in [
+            (300_000usize, 4_499_955_000_100_000u128),
+            (300_007, 4_500_270_005_350_035),
+        ] {
+            assert!((d * (d - 1) * (d - 2)) as f64 > 2f64.powi(53));
+            assert_eq!(choose3(d), exact);
+            assert_eq!((choose3(d) as f64).to_bits(), (exact as f64).to_bits());
+        }
+        // the chain the exact count replaced is half a claw low at 300,007
+        assert_eq!(f64_chain(300_007.0), 4_500_270_005_350_034.5);
+        assert_eq!(choose2(300_000), 44_999_850_000);
     }
 
     #[test]

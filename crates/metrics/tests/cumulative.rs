@@ -273,6 +273,41 @@ fn d_min_moves_both_ways() {
     assert_series_match(&g);
 }
 
+/// `d_min` climbs 1 -> 2 -> 3 as every node at the minimum gains an
+/// edge, one at a time within a timestamp, then falls back to 1 when a
+/// new node gets its first edge, and climbs again.
+#[test]
+fn d_min_climbs_then_a_new_node_resets_it() {
+    let e = TemporalEdge::new;
+    let g = TemporalGraph::from_edges(
+        7,
+        6,
+        vec![
+            // a star: leaves 1-4 at degree 1, hub 0 at 4
+            e(0, 1, 0),
+            e(0, 2, 0),
+            e(0, 3, 0),
+            e(0, 4, 0),
+            // every leaf to 2
+            e(1, 2, 1),
+            e(3, 4, 1),
+            // every leaf to 3
+            e(1, 3, 2),
+            e(2, 4, 2),
+            // node 5 appears at degree 1
+            e(5, 0, 3),
+            // node 5 to 3; node 6 stays isolated throughout
+            e(5, 1, 4),
+            e(2, 5, 5),
+        ],
+    );
+    assert_series_match(&g);
+    let ple: Vec<f64> = CumulativeStats::new(&g).map(|s| s.ple).collect();
+    // t = 2: four leaves at 3 and the hub at 4, so d_min = 3
+    let want = 1.0 + 5.0 / (4.0f64 / 3.0).ln();
+    assert_eq!(ple[2].to_bits(), want.to_bits());
+}
+
 #[test]
 fn nodeless_and_edgeless_graphs() {
     assert_series_match(&TemporalGraph::from_edges(0, 3, Vec::new()));

@@ -1,11 +1,14 @@
 //! `CumulativeStats` pinned where the hubs are real: a digest of every
-//! field's `to_bits()` at every timestamp of two Table II presets, too
-//! large for the batch oracle of `tests/cumulative.rs`. BITCOIN-O ×1.0
-//! at seed 7 is the observed graph of the suite's `btc_sparse` workload,
-//! whose Eq. 10 walks all 1904 of its snapshots. The digests were
-//! recorded with the sorted-adjacency pass (binary-searched common
-//! neighbours) that the run-stamped one replaced; MATH runs at the
-//! largest scale that kept that pass under 3 s in a debug build.
+//! field's `to_bits()` at every timestamp of Table II presets too large
+//! for the batch oracle of `tests/cumulative.rs`. BITCOIN-O ×1.0 at
+//! seed 7 is the observed graph of the suite's `btc_sparse` workload,
+//! whose Eq. 10 walks all 1904 of its snapshots, and MATH ×1.0 that of
+//! `math_ingest`. The BITCOIN-O and MATH ×0.6 digests were recorded with
+//! the sorted-adjacency pass (binary-searched common neighbours) that
+//! the run-stamped one replaced, at the largest MATH scale that kept
+//! that pass under 3 s in a debug build; the MATH ×1.0 digest with the
+//! per-timestamp walk over every node's degree that the running degree
+//! counts replaced.
 
 use tg_metrics::{CumulativeStats, GraphStats};
 
@@ -52,5 +55,13 @@ fn math_six_tenths_scale() {
     assert_eq!(
         preset_series("MATH", 0.6),
         (79, 0xca6f_dfe8_85e3_aaaf, 611_349.0)
+    );
+}
+
+#[test]
+fn math_full_scale() {
+    assert_eq!(
+        preset_series("MATH", 1.0),
+        (79, 0x3a57_300a_b113_9598, 967_041.0)
     );
 }

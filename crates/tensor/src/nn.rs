@@ -3,6 +3,7 @@
 //! [`ParamStore`] at construction and replays them onto a [`Tape`] per
 //! forward pass — except [`Embedding`], whose table is read by row.
 
+use crate::gemm::{matmul_into_on, GemmPath, Layout, Start};
 use crate::init::{normal_matrix, xavier_uniform};
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
@@ -112,6 +113,38 @@ impl Mlp {
         h
     }
 
+    /// The first `rows` rows of [`Mlp::forward`] over all of `x`,
+    /// computed off the tape from those rows alone. Each layer's product
+    /// runs on the loop nest the whole `x.rows()`-row product takes
+    /// ([`GemmPath::for_product`]), so the rows keep every bit.
+    pub fn forward_rows(&self, store: &ParamStore, x: &Matrix, rows: usize) -> Matrix {
+        let full = x.rows();
+        let mut h = Matrix::from_vec(rows, x.cols(), x.row_block(0..rows).as_slice().to_vec());
+        for (i, layer) in self.layers.iter().enumerate() {
+            let mut y = Matrix::zeros(rows, layer.out_dim);
+            matmul_into_on(
+                GemmPath::for_product(full, layer.in_dim, layer.out_dim),
+                (&h).into(),
+                Layout::RowMajor,
+                store.value(layer.w).into(),
+                Layout::RowMajor,
+                y.as_mut_slice(),
+                Start::Zero,
+            );
+            let bias = store.value(layer.b).row(0);
+            for r in 0..rows {
+                for (o, &b) in y.row_mut(r).iter_mut().zip(bias) {
+                    *o += b;
+                }
+            }
+            if i + 1 != self.layers.len() && self.hidden_act == Activation::Tanh {
+                y = y.map(f32::tanh);
+            }
+            h = y;
+        }
+        h
+    }
+
     /// Output dimension of the final layer.
     #[expect(clippy::expect_used, reason = "`Mlp::new` builds at least one layer")]
     pub fn out_dim(&self) -> usize {
@@ -173,6 +206,35 @@ mod tests {
         let x = tape.input(Matrix::zeros(3, 4));
         let y = lin.forward(&mut tape, &store, x);
         assert_eq!(tape.shape(y), (3, 7));
+    }
+
+    /// Row subsets of a two-layer tanh MLP across the naive/tiled
+    /// switch: at 16 wide fewer than 16 rows alone run naive, the
+    /// 20-row product tiled.
+    #[test]
+    fn forward_rows_keeps_the_bits_of_the_full_forward() {
+        let mut store = ParamStore::new();
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mlp = Mlp::new(&mut store, &mut rng, "mlp", &[16, 16, 16], Activation::Tanh);
+        for layer in &mlp.layers {
+            let b = store.value_mut(layer.b);
+            for (i, v) in b.as_mut_slice().iter_mut().enumerate() {
+                *v = (i as f32 - 7.5) * 0.031;
+            }
+        }
+        let x = normal_matrix(&mut rng, 20, 16, 1.0);
+        let mut tape = Tape::new();
+        let xv = tape.input(x.clone());
+        let full = mlp.forward(&mut tape, &store, xv);
+        let full = tape.value(full);
+        for rows in [0, 1, 3, 15, 20] {
+            let got = mlp.forward_rows(&store, &x, rows);
+            assert_eq!(got.shape(), (rows, 16));
+            for r in 0..rows {
+                let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got.row(r)), bits(full.row(r)), "rows {rows}, row {r}");
+            }
+        }
     }
 
     #[test]

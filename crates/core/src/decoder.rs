@@ -21,13 +21,13 @@
 //! softmax, which is what keeps decoding memory `O(n(T + n_s))` rather
 //! than `O(T n²)`.
 //!
-//! Scoring reads `W_dec` and `b_dec` by candidate row
+//! Training reads `W_dec` and `b_dec` by candidate row
 //! ([`EgoDecoder::candidate_rows`], a fused gather from the parameter
 //! store): a forward pass holds `|C|` decoder rows, never the `n`-row
-//! tables, and their gradients are scatter-added from those rows.
-//! Training scores every decode level against one gather of them;
-//! generation scores level 0 only, `h₀ = enc[0] + μ[centers]`, off the
-//! tape (`Tgae::generation_rows`).
+//! tables, and their gradients are scatter-added from those rows. It
+//! scores every decode level against one gather of them. Generation
+//! scores level 0 only, `h₀ = enc[0] + μ[centers]`, off the tape, and
+//! reads a dense candidate set's rows in place (`Tgae::generation_rows`).
 //!
 //! A training step hands each level's decode states, the gathered rows
 //! and the level's targets to [`tg_tensor::tape::Tape::score_xent`]: one

@@ -24,11 +24,12 @@
 //! 2. **Execute** ([`SimulationEngine::execute`]): run any subset of
 //!    units on the worker pool. Each unit decodes its centers onto its
 //!    worker's tape ([`tg_tensor::tape::Tape::with_thread_local`]) —
-//!    gathering from the parameter tables only the rows it scores —
-//!    and samples its edges from the probability rows where they lie on
-//!    that tape, with its own RNG stream, so results are bit-identical
-//!    at any thread count and any unit partition. The tape frees the
-//!    unit's buffers when the unit finishes. Units are processed in
+//!    reading from the parameter tables only the rows it scores — into
+//!    one candidate-major probability matrix, and samples its edges from
+//!    that matrix where it lies, several rows abreast, with its own RNG
+//!    stream, so results are bit-identical at any thread count and any
+//!    unit partition. The tape frees the unit's buffers when the unit
+//!    finishes. Units are processed in
 //!    bounded windows (a few per worker), so the number of in-flight edge
 //!    buffers — and therefore peak memory with a streaming sink — is
 //!    independent of the total edge count.
@@ -53,13 +54,13 @@
 //! pipeline; [`SharedRun`](crate::shared::SharedRun) calls it with the
 //! whole-horizon spec `[0, T)`.
 
-use crate::model::Tgae;
+use crate::model::{Tgae, SCORE_LANES};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use tg_graph::sink::EdgeSink;
 use tg_graph::{NodeId, TemporalEdge, TemporalGraph, Time};
-use tg_tensor::init::sample_categorical_with_total;
+use tg_tensor::init::categorical_pick;
 use tg_tensor::parallel::{num_threads, par_map};
 use tg_tensor::tape::Tape;
 
@@ -354,94 +355,331 @@ impl<'a> SimulationEngine<'a> {
     /// Decode and sample one unit with its private RNG stream. Pure given
     /// the trained model: the same unit always yields the same edges.
     ///
-    /// The unit's probability rows are sampled inside the scope of this
-    /// worker's thread-local tape that decoded them and are dropped with
-    /// it; besides them, a unit owns its edge list and three scratch
-    /// vectors reused across its rows. The unit RNG is consumed in a fixed
-    /// order: computation-graph sampling, negative candidates, then one
-    /// variate per drawn edge, row by row.
+    /// The unit's probabilities leave the decode candidate-major and are
+    /// sampled where they lie ([`draw_unit`]); besides them, a unit owns
+    /// its edge list and the draw's per-row scratch. The unit RNG is
+    /// consumed in a fixed order: computation-graph sampling, negative
+    /// candidates, then one variate per drawn edge, row by row.
     fn execute_unit(&self, unit: &PlannedUnit) -> Vec<TemporalEdge> {
         let t = unit.t;
         let mut rng = SmallRng::seed_from_u64(unit.seed);
         let centers: Vec<(NodeId, Time)> = unit.budgets.iter().map(|&(u, _, _)| (u, t)).collect();
         let n_edges = unit.budgets.iter().map(|&(_, total, _)| total).sum();
         let mut edges: Vec<TemporalEdge> = Vec::with_capacity(n_edges);
-        Tape::with_thread_local(|tape| {
-            let (probs, cands) =
-                self.model
-                    .generation_rows(tape, self.observed, &centers, &mut rng);
-            let _draw = tg_obs::trace::span("unit.draw");
-            let mut scratch = RowSampler::default();
-            for (row, &budget) in unit.budgets.iter().enumerate() {
-                scratch.sample(&mut rng, probs.row(row), &cands, budget, |v| {
-                    edges.push(TemporalEdge::new(budget.0, v, t))
-                });
-            }
+        let mut scores = Tape::with_thread_local(|tape| {
+            self.model
+                .generation_rows(tape, self.observed, &centers, &mut rng)
         });
+        let _draw = tg_obs::trace::span("unit.draw");
+        let width = scores.probs.cols();
+        draw_unit(
+            &mut rng,
+            scores.probs.as_mut_slice(),
+            width,
+            &scores.cands,
+            &scores.lookup,
+            &unit.budgets,
+            |row, v| edges.push(TemporalEdge::new(unit.budgets[row].0, v, t)),
+        );
         edges
     }
 }
 
-/// The per-row categorical sampler of a unit: scratch buffers that live
-/// for the unit and are refilled for every row.
-#[derive(Default)]
-struct RowSampler {
-    /// The row's weights over the candidates, drawn picks zeroed.
-    w: Vec<f64>,
-    /// Candidate columns of the sampled support, in draw order.
-    support: Vec<usize>,
-    /// The support's weights (the multiplicity distribution).
-    sup_w: Vec<f64>,
+/// Draw the out-edges of a unit's rows from its candidate-major
+/// probabilities and hand them to `emit` as `(row, target)`, row by row.
+///
+/// `probs` holds one row of `width` values per candidate (a multiple of
+/// [`SCORE_LANES`] and at least `budgets.len()`); column `j` is the
+/// distribution of `budgets[j] = (source, total, distinct)`. Each row
+/// draws `distinct` targets without replacement (§IV-G) — fewer if it has
+/// fewer positive weights — then re-fires its remaining `total − distinct`
+/// edges within that support, weighted by `p`; self-loops are excluded.
+/// The picks are those of `sample_categorical_without_replacement` then
+/// `sample_categorical` over the support, row after row, each on the
+/// `f64` widening of `p` with the source's column zeroed (`lookup` finds
+/// it), and the RNG ends where theirs ends.
+///
+/// The passes run rows abreast instead of one row at a time
+/// ([`LaneGroup`]): one pass sums every row's weights and counts its
+/// positives; the unit's variates are then drawn up front in the rows'
+/// order (a row with a pick consumes `max(total, take)`, a row without
+/// none); pick level `k` is one subtraction scan over the lane groups
+/// with a row that picks a `k`-th time, which also sums the weights
+/// level `k + 1` draws from. A pick's entry is zeroed in `probs`.
+fn draw_unit<R: Rng + ?Sized>(
+    rng: &mut R,
+    probs: &mut [f32],
+    width: usize,
+    cands: &[u32],
+    lookup: &[u32],
+    budgets: &[(NodeId, usize, usize)],
+    mut emit: impl FnMut(usize, NodeId),
+) {
+    let rows = budgets.len();
+    assert!(
+        rows <= width && width.is_multiple_of(SCORE_LANES) && probs.len() == cands.len() * width,
+        "draw_unit: {rows} rows do not fit {} × {width} probabilities",
+        cands.len()
+    );
+    for (j, &(u, _, _)) in budgets.iter().enumerate() {
+        let col = lookup[u as usize];
+        if col != u32::MAX {
+            probs[col as usize * width + j] = 0.0;
+        }
+    }
+    let (mut sums, positives) = sum_and_count(probs, width);
+    // row j picks `takes[j]` targets, with variates from `first[j]` on
+    let (mut takes, mut first) = (vec![0usize; width], vec![0usize; rows]);
+    let mut variates = Vec::new();
+    for (j, &(_, total, distinct)) in budgets.iter().enumerate() {
+        takes[j] = distinct.min(positives[j] as usize);
+        first[j] = variates.len();
+        let emitted = if takes[j] == 0 {
+            0
+        } else {
+            total.max(takes[j])
+        };
+        variates.extend((0..emitted).map(|_| rng.gen::<f64>()));
+    }
+    // row j's pick k is `support[offset[j] + k]`: (column, probability)
+    let mut offset = Vec::with_capacity(rows + 1);
+    offset.push(0);
+    for &take in &takes[..rows] {
+        offset.push(offset[offset.len() - 1] + take);
+    }
+    let mut support = vec![(0u32, 0.0f32); offset[rows]];
+    let column = |probs: &[f32], j: usize| -> Vec<f64> {
+        probs
+            .iter()
+            .skip(j)
+            .step_by(width)
+            .map(|&p| f64::from(p))
+            .collect()
+    };
+    let mut groups: Vec<LaneGroup> = Vec::new();
+    for k in 0..takes.iter().copied().max().unwrap_or(0) {
+        groups.clear();
+        for (g, lane_takes) in takes.chunks_exact(SCORE_LANES).enumerate() {
+            if lane_takes.iter().any(|&take| take > k) {
+                let base = g * SCORE_LANES;
+                let mut group = LaneGroup::new(base);
+                for (l, &take) in lane_takes.iter().enumerate() {
+                    if take > k {
+                        group.u[l] = variates[first[base + l] + k] * sums[base + l];
+                        group.open |= 1 << l;
+                    }
+                    if take > k + 1 {
+                        group.again |= 1 << l;
+                    }
+                }
+                groups.push(group);
+            }
+        }
+        LaneGroup::scan_all(probs, width, &mut groups);
+        for group in &groups {
+            for (l, j) in (group.base..group.base + SCORE_LANES).enumerate() {
+                if takes[j] <= k {
+                    continue;
+                }
+                // a lane the scan left without a pick (it ran off the
+                // end: a variate close to 1 against a rounded sum) takes
+                // the row-at-a-time draw
+                let scanned = group.open & (1 << l) == 0;
+                let col = if scanned {
+                    group.pick[l] as usize
+                } else {
+                    categorical_pick(variates[first[j] + k], &column(probs, j), sums[j])
+                };
+                let p = &mut probs[col * width + j];
+                support[offset[j] + k] = (col as u32, *p);
+                *p = 0.0;
+                if takes[j] > k + 1 {
+                    sums[j] = if scanned {
+                        group.next[l]
+                    } else {
+                        column(probs, j).iter().sum()
+                    };
+                }
+            }
+        }
+    }
+    let mut sup_w = Vec::new();
+    for (j, &(u, total, _)) in budgets.iter().enumerate() {
+        let picks = &support[offset[j]..offset[j + 1]];
+        for &(col, _) in picks {
+            emit(j, cands[col as usize]);
+        }
+        if total > picks.len() && !picks.is_empty() {
+            sup_w.clear();
+            sup_w.extend(picks.iter().map(|&(_, p)| f64::from(p)));
+            let sum: f64 = sup_w.iter().sum();
+            assert!(sum > 0.0, "sample_categorical: all-zero weights");
+            let refires = &variates[first[j] + picks.len()..first[j] + total];
+            for &v in refires {
+                let pick = categorical_pick(v, &sup_w, sum);
+                debug_assert_ne!(cands[picks[pick].0 as usize], u, "self-loop");
+                emit(j, cands[picks[pick].0 as usize]);
+            }
+        }
+    }
 }
 
-impl RowSampler {
-    /// Draw the out-edges of one `(source, total, distinct)` budget from
-    /// the source's probability row and hand each target to `emit`:
-    /// `distinct` targets without replacement (§IV-G) — fewer if the row
-    /// has fewer positive weights — then the remaining `total - distinct`
-    /// edges re-fire within that support, weighted by `p`. Self-loops are
-    /// excluded. Consumes one variate per emitted edge and sums the
-    /// weights once per draw; the picks are those of
-    /// [`sample_categorical_without_replacement`] followed by
-    /// [`sample_categorical`] over the support.
-    ///
-    /// [`sample_categorical_without_replacement`]: tg_tensor::init::sample_categorical_without_replacement
-    /// [`sample_categorical`]: tg_tensor::init::sample_categorical
-    fn sample<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        probs: &[f32],
-        cands: &[u32],
-        (u, total, distinct): (NodeId, usize, usize),
-        mut emit: impl FnMut(NodeId),
-    ) {
-        // one pass: widen, zero the self-loop column, count the positives
-        self.w.clear();
-        let mut positives = 0usize;
-        self.w.extend(probs.iter().zip(cands).map(|(&p, &cand)| {
-            let w = if cand == u { 0.0 } else { p as f64 };
-            positives += usize::from(w > 0.0);
-            w
-        }));
-        let take = distinct.min(positives);
-        self.support.clear();
-        for _ in 0..take {
-            // positive: fewer than `positives` columns are zeroed so far
-            let sum: f64 = self.w.iter().sum();
-            let col = sample_categorical_with_total(rng, &self.w, sum);
-            self.w[col] = 0.0;
-            self.support.push(col);
-            emit(cands[col]);
+/// Each row's sequential `f64` sum over the candidates and its count of
+/// positive weights, [`SCORE_LANES`] rows abreast. The candidates are
+/// walked [`SCAN_CHUNK`] at a time, every lane group over one block before
+/// the next, so each block is read from cache.
+fn sum_and_count(probs: &[f32], width: usize) -> (Vec<f64>, Vec<u32>) {
+    let (mut sums, mut positives) = (vec![0.0f64; width], vec![0u32; width]);
+    for block in probs.chunks(SCAN_CHUNK * width) {
+        let lanes = sums
+            .chunks_exact_mut(SCORE_LANES)
+            .zip(positives.chunks_exact_mut(SCORE_LANES));
+        for (base, (sums, positives)) in (0..width).step_by(SCORE_LANES).zip(lanes) {
+            let mut s: [f64; SCORE_LANES] = std::array::from_fn(|l| sums[l]);
+            let mut n: [u32; SCORE_LANES] = std::array::from_fn(|l| positives[l]);
+            for row in block.chunks_exact(width) {
+                let row = &row[base..][..SCORE_LANES];
+                for l in 0..SCORE_LANES {
+                    s[l] += f64::from(row[l]);
+                    n[l] += u32::from(row[l] > 0.0);
+                }
+            }
+            sums.copy_from_slice(&s);
+            positives.copy_from_slice(&n);
         }
-        if total > take && !self.support.is_empty() {
-            self.sup_w.clear();
-            self.sup_w
-                .extend(self.support.iter().map(|&col| probs[col] as f64));
-            let sum: f64 = self.sup_w.iter().sum();
-            assert!(sum > 0.0, "sample_categorical: all-zero weights");
-            for _ in 0..(total - take) {
-                let pick = sample_categorical_with_total(rng, &self.sup_w, sum);
-                emit(cands[self.support[pick]]);
+    }
+    (sums, positives)
+}
+
+/// Candidates a lane group advances between two looks at its lanes.
+const SCAN_CHUNK: usize = 32;
+
+/// One pick level over [`SCORE_LANES`] adjacent rows of a unit, as the
+/// subtraction scan of `sample_categorical` advances it in all lanes at
+/// once: `u −= w` candidate by candidate, branch-free, and after each
+/// chunk of [`SCAN_CHUNK`] candidates a lane whose `u` fell to 0 or below
+/// replays that chunk alone for its pick, the first candidate with
+/// `u ≤ 0` and `w > 0` (`u` only falls, so no earlier chunk holds one).
+/// A lane that picks again at the next level also sums its weights with
+/// the pick left out — that level's sum, bit for bit the sequential sum
+/// over the weights with the pick zeroed.
+struct LaneGroup {
+    /// First column of the group.
+    base: usize,
+    /// The variate times the lane's sum, less the weights scanned so far
+    /// (`−∞` in a lane that does not pick).
+    u: [f64; SCORE_LANES],
+    /// The candidate each lane picked.
+    pick: [u32; SCORE_LANES],
+    /// The sum of the lane's weights scanned so far, its pick left out.
+    next: [f64; SCORE_LANES],
+    /// Bit `l` is set if lane `l` picks again at the next level: the
+    /// scan then runs to the end for `next`.
+    again: u8,
+    /// Bit `l` is set while lane `l` has yet to pick.
+    open: u8,
+}
+
+impl LaneGroup {
+    fn new(base: usize) -> Self {
+        LaneGroup {
+            base,
+            u: [f64::NEG_INFINITY; SCORE_LANES],
+            pick: [0; SCORE_LANES],
+            next: [0.0; SCORE_LANES],
+            again: 0,
+            open: 0,
+        }
+    }
+
+    /// Bit `l` set where lane `l`'s `u` is at or below 0.
+    #[inline(always)]
+    fn at_or_below_zero(&self) -> u8 {
+        let mut bits = 0u8;
+        for (l, &u) in self.u.iter().enumerate() {
+            bits |= u8::from(u <= 0.0) << l;
+        }
+        bits
+    }
+
+    /// Every group's scan, chunk by chunk: a group leaves once all its
+    /// lanes have picked, unless it sums the next level's weights.
+    fn scan_all(probs: &[f32], width: usize, groups: &mut [LaneGroup]) {
+        let n_cands = probs.len() / width;
+        let mut active: Vec<usize> = (0..groups.len()).collect();
+        let mut c0 = 0;
+        while c0 < n_cands && !active.is_empty() {
+            let c1 = (c0 + SCAN_CHUNK).min(n_cands);
+            for &g in &active {
+                let group = &mut groups[g];
+                let (u0, next0) = (group.u, group.next);
+                if group.again != 0 {
+                    group.advance::<true>(probs, width, c0..c1);
+                } else {
+                    group.advance::<false>(probs, width, c0..c1);
+                }
+                let mut crossed = group.open & group.at_or_below_zero();
+                while crossed != 0 {
+                    let l = crossed.trailing_zeros() as usize;
+                    crossed &= crossed - 1;
+                    group.replay(probs, width, l, c0..c1, u0[l], next0[l]);
+                }
+            }
+            active.retain(|&g| groups[g].again != 0 || groups[g].open != 0);
+            c0 = c1;
+        }
+    }
+
+    /// Advance every lane over the candidates of `chunk`: `u −= w`, and if
+    /// `NEXT`, `next += w`.
+    #[inline(always)]
+    fn advance<const NEXT: bool>(
+        &mut self,
+        probs: &[f32],
+        width: usize,
+        chunk: std::ops::Range<usize>,
+    ) {
+        let (mut u, mut next) = (self.u, self.next);
+        for c in chunk {
+            let row = &probs[c * width + self.base..][..SCORE_LANES];
+            for l in 0..SCORE_LANES {
+                let w = f64::from(row[l]);
+                u[l] -= w;
+                if NEXT {
+                    next[l] += w;
+                }
+            }
+        }
+        (self.u, self.next) = (u, next);
+    }
+
+    /// Lane `l`'s scan over `chunk` from `u` and `next` as the chunk
+    /// found them: the pick is the first candidate with `u ≤ 0` and
+    /// `w > 0`, and `next` leaves it out. Without one (`u` started at 0
+    /// and no weight in the chunk is positive) the lane stays open.
+    fn replay(
+        &mut self,
+        probs: &[f32],
+        width: usize,
+        l: usize,
+        chunk: std::ops::Range<usize>,
+        mut u: f64,
+        next: f64,
+    ) {
+        let j = self.base + l;
+        let weights = chunk.clone().map(|c| f64::from(probs[c * width + j]));
+        for (c, w) in chunk.clone().zip(weights.clone()) {
+            u -= w;
+            if u <= 0.0 && w > 0.0 {
+                self.pick[l] = c as u32;
+                self.open &= !(1 << l);
+                if self.again & (1 << l) != 0 {
+                    self.next[l] = chunk
+                        .zip(weights)
+                        .filter(|&(c2, _)| c2 != c)
+                        .fold(next, |s, (_, w)| s + w);
+                }
+                return;
             }
         }
     }
@@ -536,55 +774,229 @@ mod tests {
         targets
     }
 
-    #[test]
-    fn row_sampler_draws_what_the_composed_samplers_drew() {
-        let mut gen = SmallRng::seed_from_u64(2024);
-        let mut scratch = RowSampler::default(); // reused across rows, as in a unit
-        let (mut multi, mut short, mut empty) = (0, 0, 0);
-        for case in 0..400u64 {
-            let n = gen.gen_range(1..40usize);
-            // distinct candidate ids in a shuffled-looking order
-            let cands: Vec<u32> = (0..n as u32).map(|i| (i * 7 + 3) % 41).collect();
-            let zero_share = [0.0, 0.3, 0.9, 1.0][case as usize % 4];
-            let probs: Vec<f32> = (0..n)
-                .map(|_| {
-                    let p = gen.gen::<f32>();
-                    if gen.gen::<f64>() < zero_share {
-                        0.0
-                    } else {
-                        p
-                    }
-                })
-                .collect();
-            // the source is a candidate in half of the cases
-            let u = if case % 2 == 0 { cands[n / 2] } else { 1000 };
-            let distinct = gen.gen_range(1..8usize);
-            let total = distinct + [0, 0, 1, 5][gen.gen_range(0..4usize)];
-            let budget = (u, total, distinct);
+    /// Rows of probabilities laid out as the decode leaves them:
+    /// candidate-major, `width` columns padded to the lane multiple.
+    fn candidate_major(rows: &[Vec<f32>], n_cands: usize) -> (Vec<f32>, usize) {
+        let width = rows.len().next_multiple_of(SCORE_LANES);
+        let mut probs = vec![0.5f32; n_cands * width]; // padding is never read as a row
+        for (j, row) in rows.iter().enumerate() {
+            for (c, &p) in row.iter().enumerate() {
+                probs[c * width + j] = p;
+            }
+        }
+        (probs, width)
+    }
 
-            let mut rng_ref = SmallRng::seed_from_u64(case);
-            let mut rng_new = SmallRng::seed_from_u64(case);
-            let want = reference_row(&mut rng_ref, &probs, &cands, budget);
-            let mut got = Vec::new();
-            scratch.sample(&mut rng_new, &probs, &cands, budget, |v| got.push(v));
+    /// `draw_unit` over `rows` with the given budgets, as `(row, target)`.
+    fn drawn(
+        rng: &mut SmallRng,
+        rows: &[Vec<f32>],
+        cands: &[u32],
+        budgets: &[(NodeId, usize, usize)],
+    ) -> Vec<(usize, NodeId)> {
+        let mut lookup = vec![u32::MAX; 1001];
+        for (i, &v) in cands.iter().enumerate() {
+            lookup[v as usize] = i as u32;
+        }
+        let (mut probs, width) = candidate_major(rows, cands.len());
+        let mut got = Vec::new();
+        draw_unit(rng, &mut probs, width, cands, &lookup, budgets, |j, v| {
+            got.push((j, v))
+        });
+        got
+    }
+
+    /// The unit draw against [`reference_row`] run row after row: the
+    /// same `(row, target)` stream and the same RNG state after it, over
+    /// 1–20 rows (one lane group, several, and groups that are partly
+    /// padding), candidate sets of 1–120 (one scan chunk and several),
+    /// sources in and out of the candidate set, exact zeros, rows with no
+    /// positive weight, `distinct` beyond the positives, re-fires, and a
+    /// first variate forced to `1 − 2⁻⁵³` (the run-off to the last
+    /// positive weight) or to exactly 0 (leading zeros are skipped).
+    #[test]
+    fn draw_unit_draws_what_the_composed_samplers_drew() {
+        let mut gen = SmallRng::seed_from_u64(2024);
+        let (mut multi, mut short, mut empty, mut self_in, mut ran_off) = (0, 0, 0, 0, 0);
+        let mut zero_first = 0;
+        for case in 0..600u64 {
+            let n_rows = 1 + case as usize % 20;
+            let n = if case % 5 == 4 {
+                gen.gen_range(40..120usize)
+            } else {
+                gen.gen_range(1..40usize)
+            };
+            // distinct candidate ids in a shuffled-looking order
+            let cands: Vec<u32> = (0..n as u32).map(|i| (i * 7 + 3) % 211).collect();
+            let zero_share = [0.0, 0.3, 0.9, 1.0][case as usize % 4];
+            let mut rows = Vec::new();
+            let mut budgets = Vec::new();
+            for r in 0..n_rows {
+                let mut row: Vec<f32> = (0..n)
+                    .map(|_| {
+                        let p = gen.gen::<f32>();
+                        if gen.gen::<f64>() < zero_share {
+                            0.0
+                        } else {
+                            p
+                        }
+                    })
+                    .collect();
+                if r == 0 && case % 3 == 0 {
+                    // weights spread over 60 binades, so their `f64` sum
+                    // rounds, and trailing zeros: a scan that runs off the
+                    // end lands on the last positive weight, not the last
+                    // column
+                    for p in row.iter_mut() {
+                        *p *= 0.5f32.powi(gen.gen_range(0..60));
+                    }
+                    for p in row.iter_mut().skip(2).rev().take(2) {
+                        *p = 0.0;
+                    }
+                }
+                rows.push(row);
+                // the source is a candidate in half of the rows
+                let u = if gen.gen::<bool>() {
+                    cands[gen.gen_range(0..n)]
+                } else {
+                    1000
+                };
+                let distinct = gen.gen_range(1..8usize);
+                let total = distinct + [0, 0, 1, 5][gen.gen_range(0..4usize)];
+                budgets.push((u, total, distinct));
+            }
+            // a third of the cases force the unit's first variate to
+            // 1 − 2⁻⁵³ and some others to 0 (xoshiro256++ returns
+            // `s₃` first from a state with `s₀ = 0`)
+            let start = if case % 3 == 0 {
+                SmallRng::from_state([0, case, 7, u64::MAX])
+            } else if case % 7 == 1 {
+                SmallRng::from_state([0, case, 7, 0])
+            } else {
+                SmallRng::seed_from_u64(case)
+            };
+            let mut rng_ref = start.clone();
+            let mut want = Vec::new();
+            for (j, (row, &budget)) in rows.iter().zip(&budgets).enumerate() {
+                let targets = reference_row(&mut rng_ref, row, &cands, budget);
+                want.extend(targets.into_iter().map(|v| (j, v)));
+            }
+            let mut rng_new = start.clone();
+            let got = drawn(&mut rng_new, &rows, &cands, &budgets);
             assert_eq!(got, want, "case {case}");
             assert_eq!(rng_new.state(), rng_ref.state(), "case {case}: rng");
-            assert!(got.iter().all(|&v| v != u), "case {case}: self-loop");
 
-            let positives = (0..n).filter(|&c| probs[c] > 0.0 && cands[c] != u).count();
-            multi += usize::from(total > distinct && positives > 0);
-            short += usize::from(positives > 0 && positives < distinct);
-            empty += usize::from(positives == 0);
-            if positives == 0 {
-                assert!(got.is_empty());
-                assert_eq!(rng_new.state(), SmallRng::seed_from_u64(case).state());
+            for (j, (row, &(u, total, distinct))) in rows.iter().zip(&budgets).enumerate() {
+                let positives = (0..n).filter(|&c| row[c] > 0.0 && cands[c] != u).count();
+                let edges = got.iter().filter(|&&(r, _)| r == j).count();
+                assert!(
+                    got.iter().all(|&(r, v)| r != j || v != u),
+                    "case {case}: self-loop"
+                );
+                assert_eq!(edges, if positives == 0 { 0 } else { total }, "case {case}");
+                multi += usize::from(total > distinct && positives > 0);
+                short += usize::from(positives > 0 && positives < distinct);
+                empty += usize::from(positives == 0);
+                self_in += usize::from(cands.contains(&u) && positives > 0);
+            }
+            let picks_first =
+                |row: &[f32], u: NodeId| (0..n).any(|c| row[c] > 0.0 && cands[c] != u);
+            if case % 3 != 0 && case % 7 == 1 && picks_first(&rows[0], budgets[0].0) {
+                zero_first += 1;
+            }
+            if case % 3 == 0 {
+                let (row, u) = (&rows[0], budgets[0].0);
+                let w: Vec<f64> = (0..n)
+                    .map(|c| {
+                        if cands[c] == u {
+                            0.0
+                        } else {
+                            f64::from(row[c])
+                        }
+                    })
+                    .collect();
+                let mut left = (1.0 - 0.5f64.powi(53)) * w.iter().sum::<f64>();
+                ran_off += usize::from(
+                    w.iter().all(|&x| {
+                        left -= x;
+                        left > 0.0 || x == 0.0
+                    }) && w.iter().any(|&x| x > 0.0),
+                );
             }
         }
         // the generator above must actually reach every branch
         assert!(
-            multi > 50 && short > 20 && empty > 20,
-            "{multi} {short} {empty}"
+            multi > 200
+                && short > 100
+                && empty > 100
+                && self_in > 200
+                && ran_off >= 5
+                && zero_first >= 20,
+            "{multi} {short} {empty} {self_in} {ran_off} {zero_first}"
         );
+    }
+
+    /// Pearson's χ² of `counts` against `expected` probabilities.
+    fn chi_square(counts: &[usize], expected: &[f64]) -> f64 {
+        let n = counts.iter().sum::<usize>() as f64;
+        counts
+            .iter()
+            .zip(expected)
+            .map(|(&o, &p)| (o as f64 - n * p).powi(2) / (n * p))
+            .sum()
+    }
+
+    #[test]
+    fn draws_follow_the_weights_without_self_loops_or_repeats() {
+        // nine candidates, the source (node 4) among them, one exact zero
+        let cands: Vec<u32> = (0..9).collect();
+        let weights = [0.05f32, 0.2, 0.0, 0.1, 0.3, 0.15, 0.02, 0.08, 0.1];
+        let (u, draws) = (4u32, 100_000usize);
+        // 10⁵ single draws, 13 rows (two lane groups) per unit
+        let rows = vec![weights.to_vec(); 13];
+        let budgets = vec![(u, 1, 1); 13];
+        let mut rng = SmallRng::seed_from_u64(99);
+        let mut counts = [0usize; 9];
+        for _ in 0..draws.div_ceil(13) {
+            for (_, v) in drawn(&mut rng, &rows, &cands, &budgets) {
+                counts[v as usize] += 1;
+            }
+        }
+        assert_eq!(counts[u as usize], 0, "self-loop drawn");
+        assert_eq!(counts[2], 0, "zero weight drawn");
+        // the seven positive non-source weights, renormalised
+        let support: Vec<usize> = (0..9).filter(|&c| c != 2 && c != 4).collect();
+        let mass: f64 = support.iter().map(|&c| f64::from(weights[c])).sum();
+        let expected: Vec<f64> = support
+            .iter()
+            .map(|&c| f64::from(weights[c]) / mass)
+            .collect();
+        let observed: Vec<usize> = support.iter().map(|&c| counts[c]).collect();
+        // 6 degrees of freedom: P(χ² > 22.46) = 0.001
+        let chi2 = chi_square(&observed, &expected);
+        assert!(chi2 < 22.46, "χ² = {chi2:.2} for {observed:?}");
+
+        // without replacement: 6 distinct targets of 7 positives, never
+        // repeated within a row, then re-fires only inside that support
+        let rows = vec![weights.to_vec(); 3];
+        let budgets = vec![(u, 9, 6); 3];
+        for _ in 0..2000 {
+            let got = drawn(&mut rng, &rows, &cands, &budgets);
+            for j in 0..3 {
+                let targets: Vec<NodeId> = got
+                    .iter()
+                    .filter(|&&(r, _)| r == j)
+                    .map(|&(_, v)| v)
+                    .collect();
+                assert_eq!(targets.len(), 9);
+                let mut distinct = targets[..6].to_vec();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert_eq!(distinct.len(), 6, "repeated distinct target: {targets:?}");
+                assert!(targets.iter().all(|&v| v != u && weights[v as usize] > 0.0));
+                assert!(targets[6..].iter().all(|v| distinct.contains(v)));
+            }
+        }
     }
 
     #[test]

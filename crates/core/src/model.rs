@@ -9,9 +9,10 @@
 //! loss. Generation ([`Tgae::decode_rows_for_generation`], and the
 //! simulation engine through the same internal pass) is deterministic
 //! (`Z = μ`), decodes the centers only, and turns their scores into
-//! probability rows in place. Both read the embedding and decoder tables
-//! by row, so a pass costs its sampled ego-graph plus `rows × candidates`
-//! scores whatever the size of the tables (§IV-D, §IV-G).
+//! probabilities in place, candidate-major (one column per center). Both
+//! read the embedding and decoder tables by row, so a pass costs its
+//! sampled ego-graph plus `rows × candidates` scores whatever the size of
+//! the tables (§IV-D, §IV-G).
 
 use crate::config::{TgaeConfig, TgaeVariant};
 use crate::decoder::{build_candidates, EgoDecoder};
@@ -23,9 +24,10 @@ use serde::{Deserialize, Serialize};
 use std::rc::Rc;
 use tg_graph::{NodeId, TemporalGraph, Time};
 use tg_sampling::ComputationGraph;
-use tg_tensor::gemm::matmul_nt;
+use tg_tensor::gemm::matmul_nt_transposed;
 use tg_tensor::prelude::*;
-use tg_tensor::softmax::softmax_rows_inplace;
+use tg_tensor::rows::gather_rows;
+use tg_tensor::softmax::softmax_cols_inplace;
 
 /// Diagnostics of one batch forward pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -218,45 +220,52 @@ impl Tgae {
 
     /// Deterministic decode rows for a set of centers (generation path):
     /// returns, per center, the probability row over `candidates`
-    /// (softmax already applied) as an owned matrix, along with the
-    /// candidate list used — the rows the simulation engine samples from,
-    /// recorded on this thread's tape.
+    /// (softmax already applied) as an owned `centers × |C|` matrix,
+    /// along with the candidate list used. The simulation engine samples
+    /// the same probabilities where [`Tgae::generation_rows`] leaves them,
+    /// candidate-major; this copy transposes them back, block by block.
     pub fn decode_rows_for_generation<R: Rng + ?Sized>(
         &self,
         g: &TemporalGraph,
         centers: &[(NodeId, Time)],
         rng: &mut R,
     ) -> (Matrix, Rc<Vec<u32>>) {
-        Tape::with_thread_local(|tape| self.generation_rows(tape, g, centers, rng))
+        let scores = Tape::with_thread_local(|tape| self.generation_rows(tape, g, centers, rng));
+        (scores.center_rows(centers.len()), scores.cands)
     }
 
     /// Record the generation forward pass of `centers` onto `tape` (which
-    /// the caller hands over cleared) and return their probability rows
-    /// over the returned candidate list.
+    /// the caller hands over cleared) and return their probabilities over
+    /// the returned candidate list, candidate-major.
     ///
     /// A unit touches only what its rows depend on: the feature rows of
     /// its slots, the encoder over its computation graph, the decode state
     /// of the centers (`h₀ = enc[0] + μ[centers]`, with `μ` computed for
     /// the center rows alone; the outer decode levels are a training
     /// target, generation never scores them) and the `|C|` decoder rows
-    /// of its candidates — all gathered from the store, no table is
-    /// replayed. `μ[centers]`, `h₀` and the scores are owned matrices, not
-    /// tape nodes (nothing differentiates them), and bias, temperature
-    /// and softmax are applied to the scores in place. `rng` is consumed by
-    /// computation-graph sampling, then by the negative candidates, and by
-    /// nothing else.
+    /// of its candidates — read in place for a dense candidate set,
+    /// gathered from the store for a sparse one; no table is replayed.
+    /// `μ[centers]`, `h₀` and the scores are owned matrices, not tape
+    /// nodes (nothing differentiates them). The scores are written
+    /// candidate-major, `S' = W_dec[C] · h₀ᵀ` (`|C| × width`, `h₀` padded
+    /// with zero rows to a multiple of [`SCORE_LANES`];
+    /// [`matmul_nt_transposed`]), so column `j` holds the bits of center
+    /// `j`'s score row, and bias, temperature and softmax finish every
+    /// column in place ([`softmax_cols_inplace`]). `rng` is consumed by
+    /// computation-graph sampling, then by the negative candidates, and
+    /// by nothing else.
     ///
     /// Three spans split the pass for a traced run: `unit.cgbuild` (the
     /// computation graph and its slot list), `unit.encode` (feature rows
     /// and the encoder) and `unit.score` (latent, decode state, candidates,
-    /// scores, softmax).
+    /// scores, softmax; it ends with the finished probabilities).
     pub(crate) fn generation_rows<R: Rng + ?Sized>(
         &self,
         tape: &mut Tape,
         g: &TemporalGraph,
         centers: &[(NodeId, Time)],
         rng: &mut R,
-    ) -> (Matrix, Rc<Vec<u32>>) {
+    ) -> CandidateScores {
         let cgbuild = tg_obs::trace::span("unit.cgbuild");
         let cg = ComputationGraph::build(g, centers, &self.cfg.sampler, rng);
         assert_eq!(
@@ -280,14 +289,24 @@ impl Tgae {
             .decoder
             .mlp_mu
             .forward_rows(&self.store, tape.value(x_all), centers.len());
-        let h0 = tape.value(enc_levels[0]).zip(&mu_c, |e, m| e + m);
+        let enc = tape.value(enc_levels[0]);
+        let width = centers.len().next_multiple_of(SCORE_LANES);
+        let mut h0 = Matrix::zeros(width, enc.cols());
+        for (h, (&e, &m)) in h0
+            .as_mut_slice()
+            .iter_mut()
+            .zip(enc.as_slice().iter().zip(mu_c.as_slice()))
+        {
+            *h = e + m;
+        }
 
         // Candidates: dense for small n; otherwise the observed temporal
         // neighborhoods of the centers plus uniform negatives (the
         // candidate sets of docs/ARCHITECTURE.md, "The train → generate
         // data flow").
+        let dense = self.n_nodes <= self.cfg.dense_cutoff;
         let mut positives: Vec<NodeId> = Vec::new();
-        if self.n_nodes > self.cfg.dense_cutoff {
+        if !dense {
             let mut occurrences = Vec::new();
             for &(v, t) in centers {
                 tg_sampling::temporal_neighbor_occurrences_into(
@@ -300,28 +319,64 @@ impl Tgae {
                 positives.extend(occurrences.iter().map(|&(u, _)| u));
             }
         }
-        let (candidates, _) = build_candidates(
+        let (cands, lookup) = build_candidates(
             self.n_nodes,
             positives.iter().copied(),
             self.cfg.dense_cutoff,
             self.cfg.n_negatives * 4,
             rng,
         );
-        let (w_c, b_c) = self
-            .decoder
-            .candidate_rows(tape, &self.store, candidates.clone());
-        // softmax((H W_dec[C]ᵀ + b_dec[C]) / τ), finished where it lies:
-        // the product `Tape::matmul_nt` would record, off the tape
-        let mut probs = matmul_nt(&h0, tape.value(w_c));
+        let (w_dec, b_dec) = (
+            self.store.value(self.decoder.w_dec),
+            self.store.value(self.decoder.b_dec),
+        );
+        // a dense candidate set is every node in order: the tables as stored
+        let gathered = (!dense).then(|| (gather_rows(w_dec, &cands), gather_rows(b_dec, &cands)));
+        let (w_c, b_c) = gathered.as_ref().map_or((w_dec, b_dec), |(w, b)| (w, b));
+        let mut probs = matmul_nt_transposed(&h0, centers.len(), w_c.into());
         let tau = self.cfg.gen_temperature.max(1e-3);
-        let bias = tape.value(b_c).as_slice();
-        for r in 0..probs.rows() {
-            for (x, &b) in probs.row_mut(r).iter_mut().zip(bias) {
-                *x = (*x + b) / tau;
+        softmax_cols_inplace(probs.as_mut_slice(), width, b_c.as_slice(), tau);
+        CandidateScores {
+            probs,
+            cands,
+            lookup,
+        }
+    }
+}
+
+/// The multiple a unit's score columns are padded to: the rows the
+/// engine's draw advances abreast, one `[f64; 8]` lane group each.
+pub(crate) const SCORE_LANES: usize = 8;
+
+/// One unit's generation probabilities, candidate-major.
+pub(crate) struct CandidateScores {
+    /// `|C| × width`: column `j` below the unit's center count is center
+    /// `j`'s distribution over `cands`; the rest pad to [`SCORE_LANES`].
+    pub probs: Matrix,
+    /// The candidate node ids, in column order of a center's row.
+    pub cands: Rc<Vec<u32>>,
+    /// Candidate index of each node id, `u32::MAX` where a node is not a
+    /// candidate ([`build_candidates`]).
+    pub lookup: Vec<u32>,
+}
+
+impl CandidateScores {
+    /// The first `rows` columns as a row-major `rows × |C|` matrix,
+    /// transposed in blocks of candidates so both sides stay in cache.
+    fn center_rows(&self, rows: usize) -> Matrix {
+        const BLOCK: usize = 64;
+        let (n_cands, width) = (self.probs.rows(), self.probs.cols());
+        let src = self.probs.as_slice();
+        let mut out = Matrix::zeros(rows, n_cands);
+        for c0 in (0..n_cands).step_by(BLOCK) {
+            let c1 = (c0 + BLOCK).min(n_cands);
+            for (j, row) in out.as_mut_slice().chunks_exact_mut(n_cands).enumerate() {
+                for (c, o) in (c0..c1).zip(&mut row[c0..c1]) {
+                    *o = src[c * width + j];
+                }
             }
         }
-        softmax_rows_inplace(&mut probs);
-        (probs, candidates)
+        out
     }
 }
 

@@ -52,10 +52,10 @@ use crate::errors::TgxError;
 use crate::model::Tgae;
 use crate::session::SeedPolicy;
 use crate::trainer::validate_shapes;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tg_graph::sink::{EdgeSink, GraphSink};
 use tg_graph::{TemporalGraph, Time};
-use tg_metrics::MetricScore;
+use tg_metrics::{CumulativeStats, GraphStats, MetricScore};
 
 /// An immutable trained run — model + observed graph behind `Arc`s — that
 /// any number of threads can simulate and evaluate concurrently.
@@ -68,6 +68,10 @@ pub struct SharedRun {
     model: Arc<Tgae>,
     observed: Arc<TemporalGraph>,
     policy: SeedPolicy,
+    /// The Table III series of the observed graph's accumulated
+    /// snapshots, walked by the first [`SharedRun::observed_series`] of
+    /// any clone and shared by all of them.
+    observed_series: Arc<OnceLock<Vec<GraphStats>>>,
 }
 
 impl std::fmt::Debug for SharedRun {
@@ -104,11 +108,7 @@ impl SharedRun {
             });
         }
         let policy = SeedPolicy::new(model.cfg.seed);
-        Ok(SharedRun {
-            model,
-            observed,
-            policy,
-        })
+        Ok(Self::assemble(model, observed, policy))
     }
 
     /// Already-validated assembly path for [`Session::into_shared`]
@@ -122,6 +122,7 @@ impl SharedRun {
             model,
             observed,
             policy,
+            observed_series: Arc::default(),
         }
     }
 
@@ -141,6 +142,14 @@ impl SharedRun {
     /// The observed graph the run mirrors.
     pub fn observed(&self) -> &TemporalGraph {
         &self.observed
+    }
+
+    /// The Table III statistics of every accumulated snapshot of the
+    /// observed graph — Eq. 10's real side — walked once, by the first
+    /// call on this run or any clone of it, and kept with the run.
+    pub fn observed_series(&self) -> &[GraphStats] {
+        self.observed_series
+            .get_or_init(|| CumulativeStats::new(&self.observed).collect())
     }
 
     /// An alias of the shared model `Arc` (pointer-identity checks; the
@@ -207,7 +216,8 @@ impl SharedRun {
     }
 
     /// Score a synthetic graph against the observed one across the seven
-    /// Table III statistics (Eq. 10). The shape requirements
+    /// Table III statistics (Eq. 10), the observed side from
+    /// [`SharedRun::observed_series`]. The shape requirements
     /// `tg_metrics::evaluate` asserts come back as typed errors: the node
     /// sets must match and `synthetic` must cover the observed horizon.
     pub fn evaluate(&self, synthetic: &TemporalGraph) -> Result<Vec<MetricScore>, TgxError> {
@@ -224,7 +234,10 @@ impl SharedRun {
                 graph: synthetic.n_timestamps(),
             });
         }
-        Ok(tg_metrics::evaluate(observed, synthetic))
+        Ok(tg_metrics::evaluate_graph_against(
+            self.observed_series(),
+            synthetic,
+        ))
     }
 }
 
@@ -293,6 +306,19 @@ mod tests {
             run.evaluate(&ring(8, 3)).unwrap_err(),
             TgxError::NodeCountMismatch { .. }
         ));
+    }
+
+    #[test]
+    fn evaluate_walks_the_observed_graph_once_for_every_clone() {
+        let g = ring(6, 3);
+        let run = SharedRun::new(Tgae::new(6, 3, TgaeConfig::tiny()), g.clone()).unwrap();
+        let clone = run.clone();
+        let synthetic = run.simulate(0).unwrap();
+        let want = format!("{:?}", tg_metrics::evaluate(&g, &synthetic));
+        assert_eq!(format!("{:?}", clone.evaluate(&synthetic).unwrap()), want);
+        assert_eq!(format!("{:?}", run.evaluate(&synthetic).unwrap()), want);
+        assert!(std::ptr::eq(run.observed_series(), clone.observed_series()));
+        assert_eq!(run.observed_series().len(), g.n_timestamps());
     }
 
     #[test]

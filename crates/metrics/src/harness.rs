@@ -63,7 +63,16 @@ pub struct MetricScore {
 /// horizon (extra timestamps are ignored, missing ones are an error).
 pub fn evaluate(real: &TemporalGraph, generated: &TemporalGraph) -> Vec<MetricScore> {
     let real: Vec<GraphStats> = CumulativeStats::new(real).collect();
-    score(&real, CumulativeStats::new(generated))
+    evaluate_graph_against(&real, generated)
+}
+
+/// [`evaluate`] with the real side already walked: `real[t]` are the
+/// statistics of the real graph's accumulated snapshot `t` (a collected
+/// [`CumulativeStats`] pass, which a caller scoring one real graph
+/// against many generated ones keeps). `generated` must cover `real`'s
+/// horizon; its extra timestamps are ignored.
+pub fn evaluate_graph_against(real: &[GraphStats], generated: &TemporalGraph) -> Vec<MetricScore> {
+    score(real, CumulativeStats::new(generated))
 }
 
 /// [`evaluate`] over two accumulated-snapshot series: `real[t]` and

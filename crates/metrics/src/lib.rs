@@ -28,7 +28,8 @@ pub mod union_find;
 pub use cumulative::{CumulativeStats, StatsSeries, StatsSink};
 pub use degree::{degree_histogram, degree_mmd};
 pub use harness::{
-    evaluate, evaluate_against, metric_timeseries, relative_error, MetricScore, MetricSeries,
+    evaluate, evaluate_against, evaluate_graph_against, metric_timeseries, relative_error,
+    MetricScore, MetricSeries,
 };
 pub use mmd::{gaussian_kernel, mmd2_single, mmd2_tv, tv_distance};
 pub use motifs::{

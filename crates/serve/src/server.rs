@@ -42,12 +42,12 @@ use crate::telemetry::{self, CacheCounters, ResidentModel, StatusReport};
 use std::io::{self, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 use tg_faults::registry::{SERVE_ACCEPT, SERVE_GENERATE_UNIT, SERVE_REQUEST_DECODE, SERVE_STATUS};
 use tg_graph::sink::EdgeSink;
 use tg_graph::{TemporalEdge, Time};
-use tg_metrics::{evaluate_against, CumulativeStats, GraphStats, StatsSink};
+use tg_metrics::{evaluate_against, GraphStats, StatsSink};
 use tgae::SharedRun;
 
 /// Produces the [`SharedRun`] for a run-id on a cache miss (typically by
@@ -84,22 +84,23 @@ pub struct ServeReport {
     pub requests_served: u64,
 }
 
-/// A cache entry: one loaded run, and the Table III series of its
-/// observed graph, walked by the first `eval` that needs it and kept for
-/// as long as the run stays resident — it depends on nothing a request
-/// carries.
+/// A cache entry: one loaded run. The Table III series of its observed
+/// graph lives on the run ([`SharedRun::observed_series`]): walked once,
+/// by the first request that needs it, and shared with every clone.
 struct Resident {
     run: SharedRun,
-    observed: OnceLock<Vec<GraphStats>>,
+    /// Set by the first request of this residency that asks for the series.
+    asked: Once,
 }
 
 impl Resident {
-    /// The observed series; `serve.observed_walks{run}` counts the walks.
+    /// The observed series; `serve.observed_walks{run}` counts one walk
+    /// per resident run (none happens if a clone of the run walked first).
     fn observed_series(&self, run_id: &str) -> &[GraphStats] {
-        self.observed.get_or_init(|| {
+        self.asked.call_once(|| {
             tg_obs::counter!("serve.observed_walks", run = run_id).inc();
-            CumulativeStats::new(self.run.observed()).collect()
-        })
+        });
+        self.run.observed_series()
     }
 }
 
@@ -188,8 +189,10 @@ impl Server {
     fn assemble(listener: Listener, loader: Loader, cfg: ServeConfig) -> Server {
         let shared = Arc::new(SharedState {
             cache: ModelCache::new(cfg.cache_capacity, move |id: &str| {
-                let observed = OnceLock::new();
-                loader(id).map(|run| Resident { run, observed })
+                loader(id).map(|run| Resident {
+                    run,
+                    asked: Once::new(),
+                })
             }),
             admission: AdmissionController::new(cfg.max_cost),
             cfg,

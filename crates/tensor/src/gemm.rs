@@ -244,6 +244,13 @@ enum Pack {
 /// `n = 1743` it takes 49 µs against 86 at 18 rows and 127 against 136 at
 /// 64; from 128–256 rows, or from 200 rows at `n = 552`, packing B is as
 /// fast or faster, and at `1795 × 1909` the swap takes 3× as long.
+///
+/// Generation no longer swaps: it wants `Cᵀ` and asks for it
+/// ([`matmul_nt_transposed`]). The products that still do are the short
+/// ones of training and the baselines: `Tape::score_xent`'s row blocks of
+/// at most 64 scored rows, `Tape::matmul_nt` where `EgoDecoder::score`
+/// (the oracles' reference) or a baseline's walk model scores a small
+/// batch, and the baselines' one-row scorers.
 const SWAP_MAX_M: usize = 64;
 
 impl Pack {
@@ -1142,6 +1149,39 @@ pub(crate) fn matmul(a: &Matrix, a_layout: Layout, b: &Matrix, b_layout: Layout)
         a_layout,
         b.into(),
         b_layout,
+        out.as_mut_slice(),
+        Start::Zero,
+    );
+    out
+}
+
+/// `Cᵀ` of the `nt` product `C = A[..m] · Bᵀ`, for the candidate-major
+/// layout generation samples from: `A` is `width × k` (its rows past `m`
+/// pad it, zeros for the caller), `B` is `n × k`, and the result is the
+/// `n × width` matrix `B · Aᵀ`. It runs on the loop nest
+/// [`matmul_nt`] takes for the unpadded `m × k × n` product, and every
+/// loop nest computes an element as one chain over ascending `k` of
+/// products whose factors' order does not change them, so column `i < m`
+/// holds the bits of row `i` of `matmul_nt(A[..m], B)`
+/// (`matmul_nt_transposed_is_the_transpose`). Nothing is written back
+/// transposed: the tiles pack `A`'s `width` rows as their vector side
+/// and broadcast `B`'s rows in place.
+///
+/// # Panics
+/// If `m > a.rows()` or the inner dimensions disagree.
+pub fn matmul_nt_transposed(a: &Matrix, m: usize, b: RowBlock) -> Matrix {
+    assert!(
+        m <= a.rows(),
+        "matmul_nt_transposed: {m} rows of {}",
+        a.rows()
+    );
+    let mut out = Matrix::zeros(b.rows(), a.rows());
+    matmul_into_on(
+        GemmPath::for_product(m, a.cols(), b.rows()),
+        b,
+        Layout::RowMajor,
+        a.into(),
+        Layout::Transposed,
         out.as_mut_slice(),
         Start::Zero,
     );

@@ -7,9 +7,10 @@
 //! The categorical samplers share one draw,
 //! [`sample_categorical_with_total`]: [`sample_categorical`] sums then
 //! draws, [`sample_categorical_without_replacement`] sums, draws and
-//! zeroes per pick, and the simulation engine runs the same loop over a
-//! weight buffer it reuses across rows. All of them consume one `f64`
-//! variate per draw and never return an index of zero weight.
+//! zeroes per pick, and the simulation engine runs the same scan on a
+//! unit's candidate-major probabilities, several rows abreast, with the
+//! variates it drew up front ([`categorical_pick`]). All of them consume
+//! one `f64` variate per draw and never return an index of zero weight.
 
 use crate::matrix::Matrix;
 use rand::Rng;
@@ -63,17 +64,24 @@ pub fn sample_categorical<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usiz
 /// to 1 the scan can run off the end — the draw then belongs to the last
 /// index with positive weight, not to `weights.len() - 1`; and a variate
 /// of exactly 0 skips leading zero weights.
-#[expect(
-    clippy::expect_used,
-    reason = "every caller checks `total > 0` first, and a positive total has a positive weight"
-)]
 pub fn sample_categorical_with_total<R: Rng + ?Sized>(
     rng: &mut R,
     weights: &[f64],
     total: f64,
 ) -> usize {
+    categorical_pick(rng.gen::<f64>(), weights, total)
+}
+
+/// [`sample_categorical_with_total`] on a variate the caller drew: the
+/// index `variate ∈ [0, 1)` selects. The simulation engine draws a unit's
+/// variates up front, in the order the rows consume them.
+#[expect(
+    clippy::expect_used,
+    reason = "every caller checks `total > 0` first, and a positive total has a positive weight"
+)]
+pub fn categorical_pick(variate: f64, weights: &[f64], total: f64) -> usize {
     debug_assert!(weights.iter().all(|w| *w >= 0.0), "negative weight");
-    let mut u = rng.gen::<f64>() * total;
+    let mut u = variate * total;
     for (i, &w) in weights.iter().enumerate() {
         u -= w;
         if u <= 0.0 && w > 0.0 {

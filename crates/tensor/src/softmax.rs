@@ -1,5 +1,6 @@
-//! The softmax family: `fast_exp`, the one row kernel [`exp_row`] and
-//! the row softmax over it, segment softmax over sort-by-segment edge
+//! The softmax family: `fast_exp`, the one row kernel [`exp_row`], the
+//! row softmax over it and its candidate-major twin
+//! [`softmax_cols_inplace`] (generation's scores), segment softmax over sort-by-segment edge
 //! lists, and the two kernels of one graph-attention head (Eqs. 4–5) with
 //! their backward.
 
@@ -391,23 +392,84 @@ pub fn softmax_rows_naive(x: &Matrix) -> Matrix {
     out
 }
 
-/// Row-wise softmax (used by decoders over candidate sets).
+/// Row-wise softmax (used by decoders over candidate sets): each row
+/// through [`exp_row`] and its `inv` scale. A row whose denominator is
+/// not positive is left as its exponentials.
 pub fn softmax_rows(x: &Matrix) -> Matrix {
     let mut out = x.clone();
-    softmax_rows_inplace(&mut out);
-    out
-}
-
-/// [`softmax_rows`] overwriting the logits with their probabilities (the
-/// generation path normalises its score matrix where it lies). A row
-/// whose denominator is not positive is left as its exponentials.
-pub fn softmax_rows_inplace(out: &mut Matrix) {
     for r in 0..out.rows() {
         let row = out.row_mut(r);
         if let (_, Some(inv)) = exp_row(row) {
             for v in row.iter_mut() {
                 *v *= inv;
             }
+        }
+    }
+    out
+}
+
+/// The row softmax of `(x + b) / τ` on a block of logits stored
+/// candidate-major: `s` holds one row of `width` values per candidate
+/// (`bias.len()` rows), column `j` is one score row, and candidate `c`'s
+/// logit in it is `(s[c·width + j] + bias[c]) / tau`. Every column ends
+/// bit for bit as [`exp_row`] and its `inv` scale leave the transposed
+/// row: the max folds in ascending candidate order, lane `l` of the eight
+/// `f32` lane sums takes candidates `l, l+8, …`, the lane totals and the
+/// remainder are summed in `f64`, and a column whose sum is not positive
+/// is left as its exponentials. Each pass walks whole rows, so all
+/// columns advance abreast in the vector lanes and nothing is transposed
+/// (finishing a padding column too costs less than a row slice of odd
+/// length would).
+///
+/// # Panics
+/// If `s` does not hold `bias.len()` rows of `width` values.
+pub fn softmax_cols_inplace(s: &mut [f32], width: usize, bias: &[f32], tau: f32) {
+    const LANES: usize = 8;
+    assert_eq!(s.len(), bias.len() * width, "softmax_cols_inplace: shape");
+    if width == 0 {
+        return;
+    }
+    let mut max = vec![f32::NEG_INFINITY; width];
+    for (row, &b) in s.chunks_exact_mut(width).zip(bias) {
+        for (x, m) in row.iter_mut().zip(&mut max) {
+            *x = (*x + b) / tau;
+            *m = m.max(*x);
+        }
+    }
+    let full = bias.len() / LANES * LANES;
+    let (head, tail) = s.split_at_mut(full * width);
+    let mut lanes = vec![0.0f32; LANES * width];
+    for block in head.chunks_exact_mut(LANES * width) {
+        for (row, lane) in block
+            .chunks_exact_mut(width)
+            .zip(lanes.chunks_exact_mut(width))
+        {
+            for ((x, &m), l) in row.iter_mut().zip(&max).zip(lane) {
+                *x = fast_exp(*x - m);
+                *l += *x;
+            }
+        }
+    }
+    let mut rest = vec![0.0f64; width];
+    for row in tail.chunks_exact_mut(width) {
+        for ((x, &m), r) in row.iter_mut().zip(&max).zip(&mut rest) {
+            *x = fast_exp(*x - m);
+            *r += *x as f64;
+        }
+    }
+    // `inv` per column as `exp_row` rounds it; `ok` marks a positive sum
+    let (mut inv, mut ok) = (vec![1.0f32; width], vec![false; width]);
+    for (j, (inv, ok)) in inv.iter_mut().zip(&mut ok).enumerate() {
+        let lane_total = (0..LANES).fold(0.0f64, |acc, l| acc + lanes[l * width + j] as f64);
+        let denom = lane_total + rest[j];
+        *ok = denom > 0.0;
+        if *ok {
+            *inv = (1.0 / denom) as f32;
+        }
+    }
+    for row in s.chunks_exact_mut(width) {
+        for ((x, &inv), &ok) in row.iter_mut().zip(&inv).zip(&ok) {
+            *x = if ok { *x * inv } else { *x };
         }
     }
 }
@@ -419,8 +481,9 @@ pub fn softmax_rows_inplace(out: &mut Matrix) {
 /// elements `l, l+8, …` in ascending order — and the lanes and the
 /// remainder are totalled in `f64`.
 ///
-/// [`softmax_rows_inplace`] and the segment softmax scale the row by
-/// `inv`; [`crate::tape::Tape::score_xent`] turns the exponentials and
+/// [`softmax_rows`] and the segment softmax scale the row by
+/// `inv`; [`softmax_cols_inplace`] does its arithmetic on every column
+/// of a candidate-major block; [`crate::tape::Tape::score_xent`] turns the exponentials and
 /// `inv` of a row block into its gradient;
 /// [`crate::tape::Tape::softmax_xent`], which does not own its logits,
 /// runs it on a scratch copy for `(max, inv)` and recomputes

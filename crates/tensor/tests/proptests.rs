@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use std::rc::Rc;
 use tg_tensor::gemm::{
     active_microkernel, available_microkernels, force_microkernel, matmul_into_on, matmul_nn,
-    matmul_nn_naive, matmul_nt, matmul_nt_naive, matmul_tn, matmul_tn_naive, GemmPath, Layout,
-    MicrokernelKind, Start, KC, TILE_THRESHOLD,
+    matmul_nn_naive, matmul_nt, matmul_nt_naive, matmul_nt_transposed, matmul_tn, matmul_tn_naive,
+    GemmPath, Layout, MicrokernelKind, Start, KC, TILE_THRESHOLD,
 };
 use tg_tensor::matrix::Matrix;
 use tg_tensor::parallel::{par_chunks_mut, par_map, ThreadPin};
@@ -16,7 +16,7 @@ use tg_tensor::prelude::*;
 use tg_tensor::rows::{concat_cols, gather_rows, scatter_add_rows};
 use tg_tensor::softmax::{
     exp_row, fast_exp, segment_softmax, segment_softmax_backward, segment_softmax_naive,
-    softmax_rows, softmax_rows_naive,
+    softmax_cols_inplace, softmax_rows, softmax_rows_naive,
 };
 
 /// Strategy: a matrix with bounded entries.
@@ -1483,6 +1483,108 @@ fn matvec_keeps_the_bits_of_the_path_it_replaces() {
             for (r, (&x, &y)) in got.as_slice().iter().zip(&want).enumerate() {
                 assert!(same(x, y), "{ctx} row {r}: {x:e} vs {y:e}");
                 assert_eq!(x.is_nan(), tiled && poisoned, "{ctx} row {r}: {x:e}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Generation's candidate-major softmax leaves every column exactly
+    /// as the row kernel leaves the transposed row: `(x + b) / τ`, then
+    /// [`exp_row`], then the `inv` scale — or the exponentials alone when
+    /// the denominator is not positive. The candidate counts reach below
+    /// one lane block of eight, and past it by a remainder; the logits
+    /// carry `±∞` and NaN (a column whose max is `+∞`, or all `−∞`, or
+    /// any NaN has a NaN denominator), and every column is finished,
+    /// whether it holds a score row or pads the block.
+    #[test]
+    fn softmax_cols_is_exp_row_on_each_column(
+        n_cands in 0usize..42,
+        lane_blocks in 1usize..4,
+        specials in 0u32..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let width = 8 * lane_blocks;
+        let tau = if rng.gen_bool(0.3) { 1.0 } else { rng.gen_range(0.05f32..3.0) };
+        let special = [0.0, 0.02, 0.2, 0.6][specials as usize];
+        let mut logit = || {
+            if rng.gen_bool(special) {
+                [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][rng.gen_range(0..3usize)]
+            } else {
+                rng.gen_range(-30.0f32..30.0)
+            }
+        };
+        let scores: Vec<f32> = (0..n_cands * width).map(|_| logit()).collect();
+        let bias: Vec<f32> = (0..n_cands).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+        let mut got = scores.clone();
+        softmax_cols_inplace(&mut got, width, &bias, tau);
+        for j in 0..width {
+            let mut row: Vec<f32> = (0..n_cands)
+                .map(|c| (scores[c * width + j] + bias[c]) / tau)
+                .collect();
+            if let (_, Some(inv)) = exp_row(&mut row) {
+                for v in row.iter_mut() {
+                    *v *= inv;
+                }
+            }
+            for (c, want) in row.iter().enumerate() {
+                prop_assert_eq!(
+                    got[c * width + j].to_bits(),
+                    want.to_bits(),
+                    "column {} candidate {} of {}",
+                    j,
+                    c,
+                    n_cands
+                );
+            }
+        }
+    }
+
+    /// The candidate-major score product is the transpose of the row
+    /// product it replaces, bit for bit: column `i` of
+    /// `matmul_nt_transposed(H, m, W)` is row `i` of `matmul_nt(H[..m], W)`
+    /// under every microkernel, on both sides of `TILE_THRESHOLD` (the
+    /// path comes from the unpadded `m × k × n`, which the padded product
+    /// can lie on the other side of), on both sides of the row product's
+    /// swap (`m < n`, `m ≤ 64`) and with `|C|` below the padded width.
+    /// The rows past `m` are zeros, as generation pads them, or values,
+    /// which must not reach the first `m` columns either.
+    #[test]
+    fn matmul_nt_transposed_is_the_transpose(
+        classes in (0u32..2, 0u32..3, 0u32..2),
+        zero_pad in 0u32..2,
+        seed in 0u64..u64::MAX,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let m = [rng.gen_range(1usize..20), rng.gen_range(60usize..70)][classes.0 as usize];
+        let k = [rng.gen_range(1usize..8), 32, rng.gen_range(30usize..70)][classes.1 as usize];
+        let n = [rng.gen_range(1usize..12), rng.gen_range(12usize..300)][classes.2 as usize];
+        let zero_pad = zero_pad == 1;
+        let width = m.next_multiple_of(8);
+        let h = Matrix::from_fn(width, k, |r, _| {
+            if r >= m && zero_pad { 0.0 } else { edgy_value(&mut rng) }
+        });
+        let w = Matrix::from_fn(n, k, |_, _| edgy_value(&mut rng));
+        let h_rows = Matrix::from_fn(m, k, |r, c| h.get(r, c));
+        for kind in available_microkernels() {
+            let _g = force_microkernel(kind);
+            let want = matmul_nt(&h_rows, &w);
+            let got = matmul_nt_transposed(&h, m, (&w).into());
+            prop_assert_eq!(got.shape(), (n, width));
+            for i in 0..m {
+                for c in 0..n {
+                    prop_assert_eq!(
+                        got.get(c, i).to_bits(),
+                        want.get(i, c).to_bits(),
+                        "{:?} ({},{},{}) row {} candidate {}",
+                        kind, m, k, n, i, c
+                    );
+                }
             }
         }
     }
